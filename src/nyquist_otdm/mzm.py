@@ -3,8 +3,17 @@
 The modulator multiplies the input field by the interference of two
 phase-modulated arms.  Driving it with harmonics of a base frequency at the
 right bias imbalance produces a flat N-line comb, i.e. a periodic sinc-pulse
-sequence; the calibration here finds that operating point by direct search
-on the simulated comb (coarse 2-D grid scan, then coordinate descent).
+sequence.
+
+:func:`calibrate_flat_comb` finds that operating point by direct search.
+The transfer is periodic in the comb spacing, so the search evaluates each
+trial drive on one period only, as harmonic lines: the line powers come from
+one small FFT, and the least-squares fit of delay and complex gain onto the
+ideal sequence, which has only N lines, is the peak of an N-term
+trigonometric polynomial plus a Parseval residual.  Scans and line searches
+evaluate their trial drives as one batch of transfers.  The chosen drive is
+centred and reported on the full multi-period grid with :func:`modulate` and
+:func:`comb_report`.
 """
 
 from __future__ import annotations
@@ -14,15 +23,12 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .core import (
     Signal,
     Spectrum,
     TimeGrid,
     constant,
-    delay_signal,
-    require_same_grid,
     rmse_percent,
     spectrum,
 )
@@ -39,7 +45,6 @@ __all__ = [
     "push_pull_plan",
     "modulate",
     "comb_report",
-    "align_delay_gain",
     "calibrate_flat_comb",
     "drive_plan_to_json",
     "drive_plan_from_json",
@@ -143,7 +148,6 @@ class FlatCombCalibration:
     gain: complex
     residual_delay: float
     waveform_rmse_percent: float
-    grid: TimeGrid
 
 
 def eo_response(f, params: MzmParams):
@@ -272,48 +276,143 @@ def comb_report(spec: Spectrum, n_lines: int, spacing: float) -> CombReport:
     )
 
 
-def align_delay_gain(measured: Signal, reference: Signal):
-    """Best circular delay and complex gain mapping ``measured`` onto
-    ``reference``.
+# ---------------------------------------------------------------------------
+# flat-comb calibration on one period
 
-    Returns ``(delay, gain, aligned)`` with ``aligned = gain *
-    delay_signal(measured, delay)`` minimizing the residual to the
-    reference in the least-squares sense.
+_PERIODS = 16        # comb periods in the grid of the final report
+_SWEEPS = 8          # coordinate-descent sweeps per stage
+_LINE_POINTS = 17    # points per level of a bracket-and-zoom line search
+_NEWTON_STEPS = 3    # polish steps of the delay search after its grid
+# Above every RMSE percent: the least-squares residual never exceeds the
+# norm of the unit-peak ideal, 100/sqrt(n_lines) %.
+_OVER_LIMIT = 100.0
+
+
+class _OnePeriodComb:
+    """Comb line amplitudes and aligned waveform error of a batch of
+    push-pull drives, each a row ``[bias difference, arm-2 drive ratio,
+    scale of harmonic 2, ...]`` (the fundamental's amplitude is pinned).
+
+    The transfer is periodic in 1/spacing, so one period of ``mult`` samples
+    holds every line of the windowed comb: its DFT / ``mult`` equals the full
+    grid's spectrum at the line bins.  The ideal sequence has the lines
+    1/n_lines at orders -h..h, so the best delay and complex gain onto it
+    maximise ``|corr(theta)| = |sum_k conj(L_k) e^{2j pi k theta}| / n_lines``
+    and, by Parseval, leave the mean square residual ``1/n_lines - |corr|^2 /
+    mean|transfer|^2`` against the unit-peak ideal.
     """
-    require_same_grid(measured, reference)
-    n = measured.grid.n_samples
-    mf = np.fft.fft(measured.samples)
-    rf = np.fft.fft(reference.samples)
-    if not np.any(mf):
-        raise ValueError("cannot align a zero signal")
-    cross = rf * np.conj(mf)
-    coarse = np.fft.ifft(cross)
-    s0 = int(np.argmax(np.abs(coarse)))
-    dt = measured.grid.dt
-    f = np.fft.fftfreq(n, dt)
 
-    def neg_corr(tau: float) -> float:
-        return -abs(np.sum(cross * np.exp(2j * np.pi * f * tau))) / n
+    def __init__(self, n_lines: int, spacing: float, params: MzmParams,
+                 modulation_index: float):
+        h = (n_lines - 1) // 2
+        self.mult = max(32, 2 * (n_lines + 5))  # Nyquist clears the report's lines
+        self.n_lines, self.params = n_lines, params
+        self.freqs = spacing * np.arange(1, h + 1)
+        eo = eo_response(self.freqs, params)
+        self.base_amps = modulation_index * params.v_pi / (math.pi * eo)
+        # push-pull at base phase -pi/2: -cos on arm 1, +cos on arm 2
+        self._cos = (math.pi * eo * self.base_amps / params.v_pi)[:, None] * np.cos(
+            2 * np.pi * np.outer(np.arange(1, h + 1), np.arange(self.mult)) / self.mult)
+        loss = 0.5 * 10.0 ** (-params.insertion_loss_db / 20.0)
+        self._arms = (loss * arm_amplitude(params.dc_extinction_arm1_db),
+                      loss * arm_amplitude(params.dc_extinction_arm2_db))
+        self._w = 2j * np.pi * np.arange(-h, h + 1)
+        self._delays = np.arange(64 * n_lines) / (64 * n_lines)
+        self._on_delays = np.exp(np.outer(self._w, self._delays))
 
-    tau0 = s0 * dt
-    res = minimize_scalar(neg_corr, bounds=(tau0 - dt, tau0 + dt),
-                          method="bounded", options={"xatol": dt * 1e-9})
-    # keep the delay in the principal period, smallest magnitude
-    period = measured.grid.duration
-    tau = float((res.x + period / 2) % period - period / 2)
-    shifted = delay_signal(measured, tau)
-    gain = np.vdot(shifted.samples, reference.samples) / np.vdot(
-        shifted.samples, shifted.samples)
-    aligned = Signal(measured.grid, gain * shifted.samples)
-    return tau, complex(gain), aligned
+    def plan(self, x) -> DrivePlan:
+        amps = self.base_amps * np.concatenate(([1.0], x[2:]))
+        return push_pull_plan(self.freqs, amps, float(x[0]),
+                              arm2_drive_ratio=float(x[1]))
+
+    def lines(self, x: np.ndarray):
+        """Line amplitudes (orders -h..h) and mean power of each drive."""
+        ones = np.ones(x.shape[:-1] + (1,))
+        drive = np.concatenate((ones, x[..., 2:]), axis=-1) @ self._cos
+        half_bias = 0.5 * x[..., :1]
+        transfer = (self._arms[0] * np.exp(1j * (half_bias - drive))
+                    + self._arms[1] * np.exp(1j * (x[..., 1:2] * drive - half_bias)))
+        h = (self.n_lines - 1) // 2
+        bins = np.fft.fft(transfer, axis=-1) / self.mult
+        lines = np.concatenate((bins[..., -h:], bins[..., :h + 1]), axis=-1)
+        return lines, np.mean(transfer.real ** 2 + transfer.imag ** 2, axis=-1)
+
+    @staticmethod
+    def flatness_db(lines: np.ndarray) -> np.ndarray:
+        p = lines.real ** 2 + lines.imag ** 2
+        return 10.0 * np.log10(p.max(axis=-1)) - 10.0 * np.log10(p.min(axis=-1))
+
+    def align(self, lines: np.ndarray):
+        """``(theta, |corr(theta)|^2)`` at the peak of ``|corr|``, ``theta``
+        in periods: the best of a grid of 64 points per line, polished by
+        Newton steps on ``|corr|^2`` held within one grid step."""
+        coef, w, step = lines.conj(), self._w, self._delays[1]
+        theta = self._delays[np.argmax(np.abs(coef @ self._on_delays), axis=-1)]
+        for newton in range(_NEWTON_STEPS + 1):
+            terms = coef * np.exp(theta[..., None] * w)
+            corr = terms.sum(axis=-1)
+            if newton == _NEWTON_STEPS:
+                return theta, corr.real ** 2 + corr.imag ** 2
+            d1, d2 = terms @ w, terms @ (w * w)
+            slope = (corr.conj() * d1).real
+            curve = (d1.real ** 2 + d1.imag ** 2) + (corr.conj() * d2).real
+            # a non-negative curvature is no maximum: dividing by -inf stays put
+            move = -slope / np.where(curve < 0.0, curve, -np.inf)
+            theta = theta + np.minimum(np.maximum(move, -step), step)
+
+    def rmse_percent(self, lines: np.ndarray, power: np.ndarray) -> np.ndarray:
+        _, corr2 = self.align(lines / self.n_lines)
+        return 100.0 * np.sqrt(np.maximum(1.0 / self.n_lines - corr2 / power, 0.0))
 
 
-def _default_comb_grid(n_lines: int, spacing: float) -> TimeGrid:
-    # Nyquist must clear the drive harmonics and the suppression window;
-    # 16 periods put the lines exactly on bins with margin for the report.
-    mult = max(32, 2 * (n_lines + 5))
-    periods = 16
-    return TimeGrid(sample_rate=mult * spacing, n_samples=mult * periods)
+def _line_search(objective, lo, hi, xatol: float):
+    """Bracket-and-zoom minimisation over ``[lo, hi]`` for each row of a
+    batch: ``objective`` takes all rows' ``_LINE_POINTS`` points as one
+    (rows, points) array; each level re-grids one step either side of the
+    best point, until the step is below ``xatol``.  Returns ``(x, f)``."""
+    lo, hi = np.atleast_1d(lo).astype(float), np.atleast_1d(hi).astype(float)
+    rows, u = np.arange(lo.size), np.linspace(0.0, 1.0, _LINE_POINTS)
+    best_x, best_f = np.zeros(lo.size), np.full(lo.size, math.inf)
+    while True:
+        x = lo[:, None] + (hi - lo)[:, None] * u
+        f = objective(x)
+        j = np.argmin(f, axis=1)
+        better = f[rows, j] < best_f
+        best_x = np.where(better, x[rows, j], best_x)
+        best_f = np.where(better, f[rows, j], best_f)
+        step = (hi - lo) / (_LINE_POINTS - 1)
+        if np.all(step < xatol):
+            return best_x, best_f
+        lo, hi = np.maximum(lo, best_x - step), np.minimum(hi, best_x + step)
+
+
+def _along(x: np.ndarray, coords, values) -> np.ndarray:
+    """Drive ``x`` broadcast over ``values[0]``'s shape, with ``coords`` set
+    to ``values``."""
+    trial = np.array(np.broadcast_to(x, np.shape(values[0]) + x.shape))
+    for i, v in zip(coords, values):
+        trial[..., i] = v
+    return trial
+
+
+def _descend(score, x: np.ndarray, coords, widths, lower, upper,
+             xatol: float, stop_at: float = -math.inf):
+    """Coordinate descent: a line search within +/- width of each listed
+    coordinate in turn, widths halving every sweep, until a sweep gains
+    nothing or the score reaches ``stop_at``.  Returns ``(x, score)``."""
+    x, best = x.copy(), float(score(x)[()])
+    for _ in range(_SWEEPS):
+        improved = False
+        for i, width in zip(coords, widths):
+            v, f = _line_search(lambda v: score(_along(x, [i], [v])),
+                                max(lower[i], x[i] - width),
+                                min(upper[i], x[i] + width), xatol)
+            if f[0] < best:
+                best, x[i], improved = float(f[0]), float(v[0]), True
+        widths = [w * 0.5 for w in widths]
+        if best <= stop_at or not improved:
+            break
+    return x, best
 
 
 def calibrate_flat_comb(
@@ -321,210 +420,107 @@ def calibrate_flat_comb(
     spacing: float,
     params: MzmParams,
     flatness_target_db: float = 0.1,
-    grid: TimeGrid | None = None,
     *,
     modulation_index: float = 0.3,
-    max_sweeps: int = 8,
 ) -> FlatCombCalibration:
     """Find a push-pull drive producing a flat ``n_lines`` comb at ``spacing``.
 
-    Strategy: seed the per-harmonic drive amplitudes from the requested
-    modulation index (corrected for the electro-optic roll-off, so wider
-    combs need more drive), then balance the line powers with the arm bias
-    difference — plus the relative amplitudes of the higher harmonics for
-    combs beyond three lines — by a coarse scan and bounded 1-D descent.
-    The first harmonic's amplitude is never touched, so the achieved pulse
-    keeps the low sideband level the chosen modulation index implies.
-    Everything is driven by the simulated comb spectrum, is fully
-    deterministic, and reports best-found with ``converged=False`` if the
-    target is out of reach.
+    The drive amplitudes are seeded from the requested modulation index,
+    corrected for the electro-optic roll-off; the first harmonic's amplitude
+    is never touched, so the pulse keeps the low sideband level that index
+    implies.  Trial drives are evaluated on one comb period, as harmonic
+    lines, each scan and each line-search level as one batch (see
+    :class:`_OnePeriodComb`):
 
-    After the magnitude search the tone phases are trimmed so the generated
-    pulse is centred at t = 0; the returned ``gain`` then maps the modulator
-    output onto the unit-peak ideal sequence by a plain complex multiply.
+    1. flatness: a scan of the arm bias difference (67 points) against a
+       common scale of the higher harmonics (13 points, beyond three lines),
+       then coordinate descent of the bias and each higher harmonic's scale;
+    2. aligned waveform RMSE against the ideal sequence: a scan of the arm-2
+       drive ratio (16 points, the bias re-balanced at each), then
+       coordinate descent of the bias, the ratio and the scales, taking a
+       move only while the flatness stays within the target (or within
+       stage 1's result, if that missed it).
+
+    Then, on the full grid of 16 periods, the tone phases are trimmed to
+    centre the pulse at t = 0, ``gain`` is fitted to map the output onto the
+    unit-peak ideal sequence by a plain complex multiply, and the comb is
+    reported; ``converged`` is False if the target is out of reach.
     """
     if n_lines < 3 or n_lines % 2 == 0:
         raise ValueError("n_lines must be an odd integer >= 3")
     if not spacing > 0:
         raise ValueError("spacing must be positive")
-    if grid is None:
-        grid = _default_comb_grid(n_lines, spacing)
-    if (n_lines + 3) / 2 * spacing >= grid.nyquist:
-        raise ValueError("grid Nyquist limit too low for the suppression window")
 
-    cw = constant(grid)
-    n_tones = (n_lines - 1) // 2
-    freqs = spacing * np.arange(1, n_tones + 1)
-    base_amps = np.array(
-        [modulation_index * params.v_pi / (math.pi * eo_response(f, params))
-         for f in freqs]
-    )
+    comb = _OnePeriodComb(n_lines, spacing, params, modulation_index)
+    n_free = (n_lines - 1) // 2 - 1
+    lower = (0.02, 0.1) + (0.05,) * n_free  # bias, arm-2 ratio, scales
+    upper = (math.pi - 0.02, math.inf) + (math.inf,) * n_free
 
-    # The first harmonic's amplitude stays pinned to the requested modulation
-    # index; a free common-scale knob would be redundant with the bias for
-    # flatness and lets the optimiser wander to stronger drives with worse
-    # sideband suppression.  Only the higher harmonics of wide combs get
-    # their own relative amplitudes.
-    n_free = n_tones - 1
+    def flatness(x):
+        return comb.flatness_db(comb.lines(x)[0])
 
-    def flatness_of(bias_diff: float, scales: np.ndarray) -> float:
-        amps = base_amps * np.concatenate(([1.0], scales))
-        plan = push_pull_plan(freqs, amps, bias_diff)
-        rep = comb_report(spectrum(modulate(cw, plan, params)), n_lines, spacing)
-        return rep.flatness_db
+    biases = np.linspace(0.15 * math.pi, 0.97 * math.pi, 67)
+    scales = np.linspace(0.4, 1.6, 13) if n_free else np.ones(1)
+    b, s = (v.ravel() for v in np.meshgrid(biases, scales, indexing="ij"))
+    scan = np.column_stack([b, np.ones_like(b)] + [s] * n_free)
+    x, flat = _descend(flatness, scan[np.argmin(flatness(scan))],
+                       [0] + list(range(2, 2 + n_free)), [0.12] + [0.25] * n_free,
+                       lower, upper, 1e-7, stop_at=min(flatness_target_db / 50.0, 2e-3))
 
-    # coarse scan: bias difference, against a common scale for the higher
-    # harmonics when there are any
-    best = (math.inf, math.pi / 2, np.ones(n_free))
-    for bias_diff in np.linspace(0.15 * math.pi, 0.97 * math.pi, 67):
-        for scale in (np.linspace(0.4, 1.6, 13) if n_free else [1.0]):
-            scales = np.full(n_free, scale)
-            val = flatness_of(bias_diff, scales)
-            if val < best[0]:
-                best = (val, bias_diff, scales)
+    # Stage 2.  Unequal arm transmissions tilt the even-order lines toward
+    # the stronger arm's phase while barely touching the odd ones, a
+    # relative rotation no single delay or complex gain can undo.  The only
+    # centre-symmetric knob that moves the even lines back is the arm-2
+    # drive amplitude (through the curvature of its carrier term), so scan
+    # that ratio, re-balancing the bias at each step, then polish every
+    # coordinate.  Drives over the flatness limit score above any RMSE,
+    # ordered by the excess; the limit sits a hair inside the target so the
+    # full grid's rounding cannot tip the report over it.
+    limit = max(flatness_target_db * (1.0 - 1e-9), flat)
 
-    flat, bias_diff, scales = best
-    widths = [0.12] + [0.25] * n_free  # rad for bias, relative for scales
-    stop_at = min(flatness_target_db / 50.0, 2e-3)
-    for _ in range(max_sweeps):
-        improved = False
-        for i in range(1 + n_free):
-            if i == 0:
-                lo, hi = max(0.02, bias_diff - widths[0]), min(
-                    math.pi - 0.02, bias_diff + widths[0])
-                res = minimize_scalar(
-                    lambda b: flatness_of(b, scales), bounds=(lo, hi),
-                    method="bounded", options={"xatol": 1e-7})
-                if res.fun < flat:
-                    flat, bias_diff, improved = res.fun, float(res.x), True
-            else:
-                k = i - 1
-                lo = max(0.05, scales[k] - widths[i])
-                hi = scales[k] + widths[i]
+    def waveform_error(x):
+        lines, power = comb.lines(x)
+        over = comb.flatness_db(lines) - limit
+        return np.where(over <= 0.0, comb.rmse_percent(lines, power), _OVER_LIMIT + over)
 
-                def with_scale(s, k=k):
-                    trial = scales.copy()
-                    trial[k] = s
-                    return flatness_of(bias_diff, trial)
+    ratios = np.linspace(0.5, 1.25, 16)
+    bias, err = _line_search(
+        lambda v: waveform_error(_along(x, [0, 1], [v, ratios[:, None]])),
+        np.full(16, max(lower[0], x[0] - 0.4)),
+        np.full(16, min(upper[0], x[0] + 0.4)), 1e-7)
+    j = int(np.argmin(err))
+    if err[j] < waveform_error(x):
+        x[0], x[1] = bias[j], ratios[j]
+    x, _ = _descend(waveform_error, x, range(2 + n_free),
+                    [0.04, 0.04] + [0.1] * n_free, lower, upper, 1e-8)
+    plan = comb.plan(x)
 
-                res = minimize_scalar(with_scale, bounds=(lo, hi),
-                                      method="bounded", options={"xatol": 1e-7})
-                if res.fun < flat:
-                    flat = res.fun
-                    scales = scales.copy()
-                    scales[k] = float(res.x)
-                    improved = True
-        widths = [w * 0.5 for w in widths]
-        if flat <= stop_at or not improved:
+    # centre the pulse on the full grid: fold the measured delay into the
+    # tone phases (exact by time invariance), measure again to absorb
+    # estimation error
+    grid = TimeGrid(sample_rate=comb.mult * spacing, n_samples=comb.mult * _PERIODS)
+    line_bins = grid.n_samples // 2 + _PERIODS * np.arange(-(n_lines // 2), n_lines // 2 + 1)
+    for attempt in range(3):
+        out = modulate(constant(grid), plan, params)
+        spec = spectrum(out)
+        theta, _ = comb.align(spec.bins[line_bins])
+        residual = float((theta + 0.5) % 1.0 - 0.5) / spacing
+        if abs(residual) < 1e-3 * grid.dt or attempt == 2:
             break
+        shift = -2 * math.pi * residual
+        plan = DrivePlan(tuple(replace(t, phase_arm1=t.phase_arm1 + shift * t.frequency,
+                                       phase_arm2=t.phase_arm2 + shift * t.frequency)
+                               for t in plan.tones), plan.bias_arm1, plan.bias_arm2)
 
-    # Second stage, on the full waveform error.  Unequal arm transmissions
-    # tilt the even-order lines toward the stronger arm's phase while barely
-    # touching the odd ones, a relative rotation no single delay or complex
-    # gain can undo.  The only centre-symmetric knob that moves the even
-    # lines back is the arm-2 drive amplitude (through the curvature of its
-    # carrier term), so scan that ratio, re-balancing the bias at each step,
-    # then polish every coordinate against the aligned-waveform error.
     ideal = sinc_sequence(SincSequenceSpec(n_lines, n_lines * spacing), grid)
-
-    def rmse_of(bias_diff_: float, ratio_: float, scales_: np.ndarray) -> float:
-        amps = base_amps * np.concatenate(([1.0], scales_))
-        trial = push_pull_plan(freqs, amps, bias_diff_,
-                               arm2_drive_ratio=ratio_)
-        out = modulate(cw, trial, params)
-        if not np.any(out.samples):
-            return math.inf
-        _, _, aligned = align_delay_gain(out, ideal)
-        return rmse_percent(aligned, ideal)
-
-    def best_bias_for(ratio_: float, scales_: np.ndarray, span: float):
-        lo = max(0.02, bias_diff - span)
-        hi = min(math.pi - 0.02, bias_diff + span)
-        res = minimize_scalar(lambda b: rmse_of(b, ratio_, scales_),
-                              bounds=(lo, hi), method="bounded",
-                              options={"xatol": 1e-7})
-        return float(res.x), float(res.fun)
-
-    ratio = 1.0
-    err = rmse_of(bias_diff, ratio, scales)
-    for r in np.linspace(0.5, 1.25, 16):
-        b, e = best_bias_for(r, scales, span=0.4)
-        if e < err:
-            err, bias_diff, ratio = e, b, r
-
-    widths = [0.04, 0.04] + [0.1] * n_free
-    for _ in range(max_sweeps):
-        improved = False
-        for i in range(2 + n_free):
-            if i == 0:
-                lo = max(0.02, bias_diff - widths[0])
-                hi = min(math.pi - 0.02, bias_diff + widths[0])
-                res = minimize_scalar(
-                    lambda b: rmse_of(b, ratio, scales), bounds=(lo, hi),
-                    method="bounded", options={"xatol": 1e-8})
-                if res.fun < err:
-                    err, bias_diff, improved = float(res.fun), float(res.x), True
-            elif i == 1:
-                lo = max(0.1, ratio - widths[1])
-                hi = ratio + widths[1]
-                res = minimize_scalar(
-                    lambda r_: rmse_of(bias_diff, r_, scales), bounds=(lo, hi),
-                    method="bounded", options={"xatol": 1e-8})
-                if res.fun < err:
-                    err, ratio, improved = float(res.fun), float(res.x), True
-            else:
-                k = i - 2
-                lo = max(0.05, scales[k] - widths[i])
-                hi = scales[k] + widths[i]
-
-                def with_scale(s, k=k):
-                    trial = scales.copy()
-                    trial[k] = s
-                    return rmse_of(bias_diff, ratio, trial)
-
-                res = minimize_scalar(with_scale, bounds=(lo, hi),
-                                      method="bounded", options={"xatol": 1e-8})
-                if res.fun < err:
-                    err = float(res.fun)
-                    scales = scales.copy()
-                    scales[k] = float(res.x)
-                    improved = True
-        widths = [w * 0.5 for w in widths]
-        if not improved:
-            break
-
-    plan = push_pull_plan(freqs, base_amps * np.concatenate(([1.0], scales)),
-                          bias_diff, arm2_drive_ratio=ratio)
-
-    # centre the pulse: fold the measured delay into the tone phases (exact
-    # by time invariance), iterate once more to absorb estimation error
-    residual = 0.0
-    for _ in range(2):
-        comb = modulate(cw, plan, params)
-        residual, _, _ = align_delay_gain(comb, ideal)
-        if abs(residual) < 1e-3 * grid.dt:
-            break
-        trimmed = tuple(
-            replace(t, phase_arm1=t.phase_arm1 - 2 * math.pi * t.frequency * residual,
-                    phase_arm2=t.phase_arm2 - 2 * math.pi * t.frequency * residual)
-            for t in plan.tones
-        )
-        plan = DrivePlan(trimmed, plan.bias_arm1, plan.bias_arm2)
-
-    comb = modulate(cw, plan, params)
-    gain = np.vdot(comb.samples, ideal.samples) / np.vdot(comb.samples, comb.samples)
-    waveform_rmse = rmse_percent(Signal(grid, gain * comb.samples), ideal)
-    report = comb_report(spectrum(comb), n_lines, spacing)
+    gain = complex(np.vdot(out.samples, ideal.samples) / np.vdot(out.samples, out.samples))
+    report = comb_report(spec, n_lines, spacing)
     return FlatCombCalibration(
-        plan=plan,
-        params=params,
-        report=report,
+        plan=plan, params=params, report=report,
         converged=bool(report.flatness_db <= flatness_target_db),
-        flatness_target_db=float(flatness_target_db),
-        gain=complex(gain),
-        residual_delay=float(residual),
-        waveform_rmse_percent=float(waveform_rmse),
-        grid=grid,
+        flatness_target_db=float(flatness_target_db), gain=gain,
+        residual_delay=residual,
+        waveform_rmse_percent=rmse_percent(Signal(grid, gain * out.samples), ideal),
     )
 
 

@@ -2,7 +2,8 @@
 
 Everything here is deliberately independent of the package internals:
 closed-form kernels evaluated point by point, direct O(n*m) sums instead of
-FFTs, and scipy special functions.  Tests compare the fast implementations
+FFTs, scipy special functions, and the time-domain definitions of fits the
+package computes on spectral lines.  Tests compare the fast implementations
 against these.
 """
 
@@ -11,8 +12,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.optimize import minimize_scalar
 
-from nyquist_otdm import ChannelPlan, Signal, TimeGrid
+from nyquist_otdm import ChannelPlan, Signal, TimeGrid, delay_signal
+from nyquist_otdm.core import require_same_grid
 from nyquist_otdm.nyquist import SymbolStream
 
 
@@ -89,3 +92,40 @@ def symbol_instant_energy(sig: Signal, plan: ChannelPlan, branch: int,
     instants = bp.time_offset + ks / plan.symbol_rate
     idx = np.round((instants - sig.grid.t0) * sig.grid.sample_rate).astype(int)
     return float(np.mean(np.abs(sig.samples[idx]) ** 2))
+
+
+def align_delay_gain(measured: Signal, reference: Signal):
+    """Best circular delay and complex gain mapping ``measured`` onto
+    ``reference``, searched in the time domain.
+
+    Returns ``(delay, gain, aligned)`` with ``aligned = gain *
+    delay_signal(measured, delay)`` minimizing the residual to the
+    reference in the least-squares sense: a bounded search of the
+    correlation within one sample of its best sample.
+    """
+    require_same_grid(measured, reference)
+    n = measured.grid.n_samples
+    mf = np.fft.fft(measured.samples)
+    rf = np.fft.fft(reference.samples)
+    if not np.any(mf):
+        raise ValueError("cannot align a zero signal")
+    cross = rf * np.conj(mf)
+    coarse = np.fft.ifft(cross)
+    s0 = int(np.argmax(np.abs(coarse)))
+    dt = measured.grid.dt
+    f = np.fft.fftfreq(n, dt)
+
+    def neg_corr(tau: float) -> float:
+        return -abs(np.sum(cross * np.exp(2j * np.pi * f * tau))) / n
+
+    tau0 = s0 * dt
+    res = minimize_scalar(neg_corr, bounds=(tau0 - dt, tau0 + dt),
+                          method="bounded", options={"xatol": dt * 1e-9})
+    # keep the delay in the principal period, smallest magnitude
+    period = measured.grid.duration
+    tau = float((res.x + period / 2) % period - period / 2)
+    shifted = delay_signal(measured, tau)
+    gain = np.vdot(shifted.samples, reference.samples) / np.vdot(
+        shifted.samples, shifted.samples)
+    aligned = Signal(measured.grid, gain * shifted.samples)
+    return tau, complex(gain), aligned

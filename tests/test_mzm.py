@@ -1,19 +1,26 @@
 """Tests for the dual-drive MZM model and flat-comb calibration."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.special import jv
 
-from nyquist_otdm import Signal, TimeGrid, delay_signal, spectrum
+from helpers import align_delay_gain
+from nyquist_otdm import Signal, TimeGrid, delay_signal, rmse_percent, spectrum
 from nyquist_otdm.core import constant, tone
 from nyquist_otdm.mzm import (
     DrivePlan,
     DriveTone,
     MzmParams,
-    align_delay_gain,
+    _OnePeriodComb,
     arm_amplitude,
     calibrate_flat_comb,
     comb_report,
@@ -24,6 +31,7 @@ from nyquist_otdm.mzm import (
     modulate,
     push_pull_plan,
 )
+from nyquist_otdm.nyquist import SincSequenceSpec, sinc_sequence
 
 PARAMS = MzmParams(v_pi=0.42, eo_3db_bandwidth=16e9)
 
@@ -142,6 +150,8 @@ class TestCombReport:
 
 
 class TestAlignDelayGain:
+    """The time-domain alignment oracle in ``helpers``."""
+
     def test_recovers_known_delay_and_gain(self):
         # aperiodic reference so the delay estimate is unambiguous
         from nyquist_otdm.nyquist import SymbolStream, nyquist_interpolate
@@ -166,6 +176,40 @@ class TestAlignDelayGain:
             align_delay_gain(z, constant(grid))
 
 
+class TestOnePeriodComb:
+    @settings(derandomize=True, max_examples=12, deadline=None)
+    @given(n_lines=st.sampled_from([3, 5, 7]),
+           bias=st.floats(0.15 * math.pi, 0.97 * math.pi),
+           ratio=st.floats(0.5, 1.25),
+           scales=st.lists(st.floats(0.4, 1.6), min_size=2, max_size=2))
+    def test_figures_match_time_domain_oracle(self, n_lines, bias, ratio, scales):
+        """Flatness and aligned RMSE from one period's harmonic lines equal
+        the full 16-period waveform's spectrum and time-domain fit."""
+        spacing = 10e9
+        comb = _OnePeriodComb(n_lines, spacing, PARAMS, 0.3)
+        x = np.array([bias, ratio] + scales[:(n_lines - 3) // 2])
+        lines, power = comb.lines(x)
+
+        grid = TimeGrid(32 * spacing, 32 * 16)
+        out = modulate(constant(grid), comb.plan(x), PARAMS)
+        ideal = sinc_sequence(SincSequenceSpec(n_lines, n_lines * spacing), grid)
+        _, _, aligned = align_delay_gain(out, ideal)
+        report = comb_report(spectrum(out), n_lines, spacing)
+        assert comb.flatness_db(lines) == pytest.approx(report.flatness_db, rel=1e-9)
+        assert comb.rmse_percent(lines, power) == pytest.approx(
+            rmse_percent(aligned, ideal), rel=1e-9)
+
+    def test_align_finds_an_off_grid_delay(self):
+        """Lines a_k exp(2j pi k theta0) correlate best at theta0, to
+        |corr| = sum a_k; push-pull drives only ever peak on the grid."""
+        comb = _OnePeriodComb(5, 10e9, PARAMS, 0.3)
+        amps = np.array([0.2, 0.7, 1.0, 0.8, 0.3])
+        theta0 = 0.123456789
+        theta, corr2 = comb.align(amps * np.exp(2j * np.pi * np.arange(-2, 3) * theta0))
+        assert theta == pytest.approx(theta0, abs=1e-12)
+        assert corr2 == pytest.approx(amps.sum() ** 2, rel=1e-14)
+
+
 class TestCalibration:
     @pytest.mark.parametrize("spacing", [10e9, 20e9, 30e9])
     def test_three_line_comb_meets_targets(self, spacing):
@@ -174,6 +218,14 @@ class TestCalibration:
         assert cal.report.flatness_db <= 0.1
         assert cal.waveform_rmse_percent <= 1.0
         assert cal.report.sideband_suppression_db > 25.0
+        assert abs(cal.residual_delay) < 1e-15
+
+    @pytest.mark.parametrize("spacing", [4e9, 4.25e9])
+    def test_seven_line_comb_converges(self, spacing):
+        """The waveform stage keeps the flatness within the target."""
+        cal = calibrate_flat_comb(7, spacing, PARAMS, flatness_target_db=0.1)
+        assert cal.converged
+        assert cal.report.flatness_db <= 0.1
         assert abs(cal.residual_delay) < 1e-15
 
     def test_deterministic(self):
@@ -204,3 +256,16 @@ def test_drive_plan_json_round_trip():
                           arm2_drive_ratio=0.95)
     back = drive_plan_from_json(drive_plan_to_json(plan))
     assert back == plan
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    """Importing the package must not pull in scipy.optimize (about a third
+    of the import time)."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, nyquist_otdm; print('scipy.optimize' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"

@@ -180,6 +180,15 @@ class TestRunScenario:
             assert b.evm_percent == pytest.approx(a.evm_percent, abs=1e-9)
             assert b.ber_count_errors == 0
 
+    def test_seven_branch_mzm_sampler(self):
+        cfg = base_config(plan={"n_branches": 7, "aggregate_bandwidth_hz": 28e9},
+                          n_symbols=17, sampler={"mode": "mzm"},
+                          mzm=dict(MZM_BLOCK))
+        bundle = run_scenario(parse_scenario(cfg))
+        assert len(bundle.metrics) == 7
+        for rep in bundle.metrics:
+            assert rep.ber_count_errors == 0
+
     def test_comb_mode_bundle(self):
         cfg = {"version": 1, "mode": "comb",
                "comb": {"spacing_hz": 10e9}, "mzm": dict(MZM_BLOCK)}
