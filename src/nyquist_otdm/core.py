@@ -289,6 +289,28 @@ def delay_signal(sig: Signal, delay: float) -> Signal:
 # serialization
 
 _FLOAT_FMT = "%.17g"
+_CSV_BLOCK_ROWS = 4096
+
+
+def _write_csv(path, header: str, fmt, rows) -> None:
+    """Write a 2-D table as CSV, byte for byte as ``np.savetxt(path, rows,
+    fmt=fmt, delimiter=",", header=header, comments="")`` does.
+
+    ``fmt`` is one ``%`` format for every column or a list with one per
+    column.  Each block of ``_CSV_BLOCK_ROWS`` rows is formatted by a single
+    ``%`` over the whole block, about twice as fast as one ``%`` per row,
+    while the block's string stays a few hundred kB.
+    """
+    rows = np.asarray(rows)
+    fmts = [fmt] * rows.shape[1] if isinstance(fmt, str) else list(fmt)
+    row_fmt = ",".join(fmts) + "\n"
+    # text mode with the default encoding and newlines, as np.savetxt opens it
+    with open(path, "w") as fh:
+        if header:
+            fh.write(header + "\n")
+        for start in range(0, len(rows), _CSV_BLOCK_ROWS):
+            block = rows[start:start + _CSV_BLOCK_ROWS]
+            fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
 
 
 def write_signal_csv(sig: Signal, csv_path, header_path=None) -> None:
@@ -302,8 +324,7 @@ def write_signal_csv(sig: Signal, csv_path, header_path=None) -> None:
         header_path = csv_path.with_suffix(".json")
     t = sig.grid.t
     rows = np.column_stack([t, sig.samples.real, sig.samples.imag])
-    np.savetxt(csv_path, rows, fmt=_FLOAT_FMT, delimiter=",",
-               header="t_seconds,re,im", comments="")
+    _write_csv(csv_path, "t_seconds,re,im", _FLOAT_FMT, rows)
     header = {
         "sample_rate": sig.grid.sample_rate,
         "n_samples": sig.grid.n_samples,

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ChannelPlan, Signal, TimeGrid, delay_signal, spectrum
+from .core import ChannelPlan, Signal, TimeGrid, _write_csv, delay_signal, spectrum
 from .demux import MzmSampler, demultiplex
 from .link import (
     SPEED_OF_LIGHT,
@@ -114,9 +114,16 @@ def _number(obj, key, path, default=_REQUIRED, minimum=None, allow_none=False):
         raise ConfigError(_join(path, key), "must not be null")
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(_join(path, key), "expected a number")
+    # Python's json parses NaN and +-Infinity; null is the way to say "none"
+    try:
+        v = float(v)
+    except OverflowError:
+        v = math.inf
+    if not math.isfinite(v):
+        raise ConfigError(_join(path, key), "must be finite")
     if minimum is not None and v < minimum:
         raise ConfigError(_join(path, key), f"must be >= {minimum:g}")
-    return float(v)
+    return v
 
 
 def _integer(obj, key, path, default=_REQUIRED, minimum=None):
@@ -506,7 +513,7 @@ def write_bundle(bundle: ReportBundle, out_dir) -> list:
     for name in sorted(bundle.artifacts or {}):
         header, fmt, rows = bundle.artifacts[name]
         p = out / f"{name}.csv"
-        np.savetxt(p, rows, fmt=fmt, delimiter=",", header=header, comments="")
+        _write_csv(p, header, fmt, rows)
         paths.append(p)
     return paths
 
@@ -650,25 +657,29 @@ def run_scenario(sc: Scenario) -> ReportBundle:
 
 
 def _set_by_path(cfg: dict, dotted: str, value) -> None:
+    # creates the blocks a config left to their defaults; fields derived from
+    # others (the noise seed, the reference wavelength) stay derived
     parts = dotted.split(".")
-    cur = cfg
     for p in parts[:-1]:
-        if not isinstance(cur, dict) or p not in cur:
-            raise ConfigError(dotted, "no such config field to sweep")
-        cur = cur[p]
-    if not isinstance(cur, dict) or parts[-1] not in cur:
-        raise ConfigError(dotted, "no such config field to sweep")
-    cur[parts[-1]] = value
+        cfg = cfg.setdefault(p, {})
+    cfg[parts[-1]] = value
 
 
 def sweep(config: dict, parameter: str, values) -> list[ReportBundle]:
     """Run a scenario once per value of a dotted config parameter.
 
-    Seeds derive deterministically from the base seed plus the value index,
-    so points are independent but exactly reproducible.
+    ``parameter`` names a field of the normalized config, so a field left to
+    its default can be swept too.  Seeds derive deterministically from the
+    base seed plus the value index, so points are independent but exactly
+    reproducible.
     """
     if not values:
         raise ValueError("sweep needs at least one value")
+    field = parse_scenario(config).config
+    for p in parameter.split("."):
+        if not isinstance(field, dict) or p not in field:
+            raise ConfigError(parameter, "no such config field to sweep")
+        field = field[p]
     base_seed = config.get("seed", 0)
     bundles = []
     for i, value in enumerate(values):

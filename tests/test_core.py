@@ -1,9 +1,13 @@
 """Tests for grids, signals, spectra, and the filtering/IO primitives."""
 
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from nyquist_otdm import (
@@ -21,7 +25,7 @@ from nyquist_otdm import (
     tone,
     write_signal_csv,
 )
-from nyquist_otdm.core import constant, require_same_grid
+from nyquist_otdm.core import _CSV_BLOCK_ROWS, _write_csv, constant, require_same_grid
 
 
 def test_time_grid_derived_quantities():
@@ -180,6 +184,45 @@ def test_signal_csv_round_trip(tmp_path):
     back = read_signal_csv(path)
     assert back.grid == sig.grid
     assert np.array_equal(back.samples, sig.samples)
+
+
+_B = _CSV_BLOCK_ROWS
+_SPECIAL = np.array([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324,
+                     -1.5e-310, 2.2250738585072014e-308, 1e300, -1e300,
+                     1e-300, -1e-300, 1.7976931348623157e308])
+
+
+@st.composite
+def _tables(draw):
+    """(fmt, rows): a random float table with special values sprinkled in,
+    row counts below, at and across block boundaries, and an optional
+    ``%d`` column of finite values."""
+    n_rows = draw(st.sampled_from([1, 2, _B - 1, _B, _B + 1, 2 * _B, 2 * _B + 1])
+                  | st.integers(1, 3 * _B))
+    n_cols = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rows = rng.standard_normal((n_rows, n_cols)) * 10.0 ** rng.integers(
+        -320, 300, (n_rows, n_cols))
+    special = rng.random((n_rows, n_cols)) < draw(st.sampled_from([0.0, 0.05, 0.5]))
+    rows[special] = rng.choice(_SPECIAL, int(special.sum()))
+    fmt = "%.17g"
+    if n_cols > 1 and draw(st.booleans()):
+        col = draw(st.integers(0, n_cols - 1))
+        rows[:, col] = rng.choice([0.0, -0.0, 3.0, 15.0, -7.9, 1e300], n_rows)
+        fmt = ["%.17g"] * n_cols
+        fmt[col] = "%d"
+    return fmt, rows
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(_tables())
+def test_write_csv_matches_savetxt(table):
+    fmt, rows = table
+    with tempfile.TemporaryDirectory() as tmp:
+        ours, ref = Path(tmp) / "ours.csv", Path(tmp) / "ref.csv"
+        _write_csv(ours, "a,b", fmt, rows)
+        np.savetxt(ref, rows, fmt=fmt, delimiter=",", header="a,b", comments="")
+        assert ours.read_bytes() == ref.read_bytes()
 
 
 class TestChannelPlan:

@@ -3,6 +3,7 @@
 import copy
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from nyquist_otdm.scenario import (
     sweep,
     write_bundle,
 )
+
+SCENARIO_DIR = Path(__file__).resolve().parents[1] / "paper-scenarios"
 
 MZM_BLOCK = {
     "v_pi_volts": 0.42,
@@ -88,6 +91,10 @@ class TestParsing:
          "noise.seed"),
         (lambda c: c.update(receiver={"lo_power_w": 0.0}),
          "receiver.lo_power_w"),
+        # json reads NaN and -Infinity; only null means "no noise"
+        (lambda c: c.update(noise={"osnr_db": -math.inf}), "noise.osnr_db"),
+        (lambda c: c.update(fiber={"length_km": math.nan}), "fiber.length_km"),
+        (lambda c: c.update(fiber={"length_km": 10 ** 400}), "fiber.length_km"),
     ])
     def test_fail_closed_names_the_field(self, mutate, field):
         cfg = base_config()
@@ -227,6 +234,21 @@ class TestWriteBundle:
         csv_head = (tmp_path / "branch1_constellation.csv").read_text()
         assert csv_head.splitlines()[0] == "re,im,decided_symbol"
 
+    def test_csvs_match_savetxt(self, tmp_path):
+        """Every CSV of a full-size bundle (196,608-sample spectra and eyes,
+        constellations with a %d column) has the bytes np.savetxt gives."""
+        raw = json.loads((SCENARIO_DIR / "qpsk_4gbd_rc_10km.json").read_text())
+        bundle = run_scenario(parse_scenario(raw))
+        csvs = [p for p in write_bundle(bundle, tmp_path / "bundle")
+                if p.suffix == ".csv"]
+        assert sorted(p.stem for p in csvs) == sorted(bundle.artifacts)
+        ref = tmp_path / "ref.csv"
+        for p in csvs:
+            header, fmt, rows = bundle.artifacts[p.stem]
+            np.savetxt(ref, rows, fmt=fmt, delimiter=",", header=header,
+                       comments="")
+            assert p.read_bytes() == ref.read_bytes(), p.name
+
     def test_comb_bundle_writes_drive_plan(self, tmp_path):
         cfg = {"version": 1, "mode": "comb",
                "comb": {"spacing_hz": 10e9}, "mzm": dict(MZM_BLOCK)}
@@ -247,6 +269,14 @@ class TestSweep:
         # base config is untouched
         assert cfg["noise"]["osnr_db"] == 30.0
         assert cfg["seed"] == 5
+
+    def test_defaulted_field_can_be_swept(self):
+        cfg = base_config(seed=3)  # no noise block
+        bundles = sweep(cfg, "noise.osnr_db", [20.0, 25.0])
+        assert [b.scenario["noise"]["osnr_db"] for b in bundles] == [20.0, 25.0]
+        # the noise seed still derives from each point's seed
+        assert [b.scenario["noise"]["seed"] for b in bundles] == [4, 5]
+        assert "noise" not in cfg
 
     def test_unknown_parameter_rejected(self):
         with pytest.raises(ConfigError):
