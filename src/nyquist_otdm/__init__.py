@@ -14,17 +14,12 @@ from .core import (
     TimeGrid,
     brickwall_lowpass,
     delay_signal,
-    inverse_spectrum,
-    normalize,
-    power_dbm,
-    read_signal_csv,
     rmse_percent,
     spectrum,
     tone,
-    write_signal_csv,
 )
 from .demux import MzmSampler, branch_phase, demultiplex, recover_symbols, \
-    sample_with_sequence, shift_plan_for_branch
+    shift_plan_for_branch
 from .link import (
     SPEED_OF_LIGHT,
     FiberSpec,
@@ -96,9 +91,7 @@ __all__ = [
     "__version__",
     # core
     "TimeGrid", "Signal", "Spectrum", "ChannelPlan", "spectrum",
-    "inverse_spectrum", "brickwall_lowpass", "delay_signal", "tone",
-    "normalize", "power_dbm", "rmse_percent", "write_signal_csv",
-    "read_signal_csv",
+    "brickwall_lowpass", "delay_signal", "tone", "rmse_percent",
     # nyquist
     "SincSequenceSpec", "SymbolStream", "sinc_sequence",
     "nyquist_interpolate", "raised_cosine_shape", "sample_symbols",
@@ -110,7 +103,7 @@ __all__ = [
     "format_comb_table",
     # demux
     "MzmSampler", "branch_phase", "shift_plan_for_branch",
-    "sample_with_sequence", "demultiplex", "recover_symbols",
+    "demultiplex", "recover_symbols",
     # link
     "SPEED_OF_LIGHT", "FiberSpec", "NoiseSpec", "propagate",
     "compensate_dispersion", "dispersion_phase", "add_noise",

@@ -12,9 +12,7 @@ of magnitude 1 and ``|bin|**2`` reads directly as line power.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -24,17 +22,12 @@ __all__ = [
     "Spectrum",
     "ChannelPlan",
     "spectrum",
-    "inverse_spectrum",
     "brickwall_lowpass",
     "rmse_percent",
-    "power_dbm",
-    "normalize",
     "tone",
     "constant",
     "delay_signal",
     "require_same_grid",
-    "write_signal_csv",
-    "read_signal_csv",
 ]
 
 
@@ -83,36 +76,79 @@ class TimeGrid:
         return self.t0 + np.arange(self.n_samples) / self.sample_rate
 
 
-@dataclass(frozen=True, eq=False)
+def _locked(values, grid: TimeGrid, what: str) -> np.ndarray:
+    values = np.asarray(values, dtype=np.complex128)
+    if values.ndim != 1:
+        raise ValueError(f"{what} must be a 1-D array")
+    if values.shape[0] != grid.n_samples:
+        raise ValueError(
+            f"{what} length {values.shape[0]} does not match grid "
+            f"n_samples {grid.n_samples}"
+        )
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{what} must be finite")
+    values.setflags(write=False)
+    return values
+
+
 class Signal:
     """Complex baseband field envelope sampled on a :class:`TimeGrid`.
 
-    Samples are copied on construction and locked read-only.  Non-finite
-    samples are rejected so downstream power metrics stay finite.
+    A signal is an immutable value that holds its samples, its DFT bins
+    (``np.fft.fft(samples)``: unshifted, not divided by n), or both.  The
+    missing one is computed once, on first use, so a chain of per-bin
+    operations pays no transform between its steps.  Samples are copied on
+    construction and locked read-only; so are the bins.  Non-finite values
+    are rejected so downstream power metrics stay finite.
     """
 
-    grid: TimeGrid
-    samples: np.ndarray
+    __slots__ = ("grid", "_samples", "_bins")
 
-    def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=np.complex128)
-        if samples.ndim != 1:
-            raise ValueError("samples must be a 1-D array")
-        if samples.shape[0] != self.grid.n_samples:
-            raise ValueError(
-                f"samples length {samples.shape[0]} does not match grid "
-                f"n_samples {self.grid.n_samples}"
-            )
-        if not np.all(np.isfinite(samples)):
-            raise ValueError("samples must be finite")
-        samples = samples.copy()
-        samples.setflags(write=False)
-        object.__setattr__(self, "samples", samples)
+    def __init__(self, grid: TimeGrid, samples):
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "_samples",
+                           _locked(np.array(samples, dtype=np.complex128),
+                                   grid, "samples"))
+        object.__setattr__(self, "_bins", None)
+
+    @classmethod
+    def _of_bins(cls, grid: TimeGrid, bins: np.ndarray) -> "Signal":
+        """Signal whose DFT bins are ``bins``; the array is kept, not copied,
+        so callers pass one they made and do not keep."""
+        sig = cls.__new__(cls)
+        object.__setattr__(sig, "grid", grid)
+        object.__setattr__(sig, "_samples", None)
+        object.__setattr__(sig, "_bins", _locked(bins, grid, "bins"))
+        return sig
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Signal is immutable")
+
+    @property
+    def samples(self) -> np.ndarray:
+        if self._samples is None:
+            samples = np.fft.ifft(self._bins)
+            samples.setflags(write=False)
+            object.__setattr__(self, "_samples", samples)
+        return self._samples
+
+    @property
+    def bins(self) -> np.ndarray:
+        """Unshifted DFT bins, ``np.fft.fft(samples)``."""
+        if self._bins is None:
+            bins = np.fft.fft(self._samples)
+            bins.setflags(write=False)
+            object.__setattr__(self, "_bins", bins)
+        return self._bins
 
     @property
     def power(self) -> float:
-        """Mean power ``mean(|samples|^2)``."""
-        return float(np.mean(np.abs(self.samples) ** 2))
+        """Mean power ``mean(|samples|^2)``, by Parseval from the bins when
+        the samples were never needed."""
+        if self._samples is None:
+            n = self.grid.n_samples
+            return float(np.vdot(self._bins, self._bins).real) / n / n
+        return float(np.mean(np.abs(self._samples) ** 2))
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,14 +233,7 @@ def require_same_grid(a, b) -> None:
 
 def spectrum(sig: Signal) -> Spectrum:
     """Amplitude spectrum of ``sig`` (DFT / n, centered on the carrier)."""
-    bins = np.fft.fftshift(np.fft.fft(sig.samples)) / sig.grid.n_samples
-    return Spectrum(sig.grid, bins)
-
-
-def inverse_spectrum(spec: Spectrum) -> Signal:
-    """Invert :func:`spectrum` exactly."""
-    samples = np.fft.ifft(np.fft.ifftshift(spec.bins)) * spec.grid.n_samples
-    return Signal(spec.grid, samples)
+    return Spectrum(sig.grid, np.fft.fftshift(sig.bins) / sig.grid.n_samples)
 
 
 def brickwall_lowpass(sig: Signal, half_width: float) -> Signal:
@@ -225,8 +254,7 @@ def brickwall_lowpass(sig: Signal, half_width: float) -> Signal:
     gain = np.zeros(grid.n_samples)
     gain[np.abs(f) < half_width - tol] = 1.0
     gain[np.abs(np.abs(f) - half_width) <= tol] = 0.5
-    out = np.fft.ifft(np.fft.fft(sig.samples) * gain)
-    return Signal(grid, out)
+    return Signal._of_bins(grid, sig.bins * gain)
 
 
 def rmse_percent(measured: Signal, reference: Signal) -> float:
@@ -241,22 +269,6 @@ def rmse_percent(measured: Signal, reference: Signal) -> float:
         raise ValueError("reference signal is identically zero")
     err = measured.samples - reference.samples
     return float(100.0 * np.sqrt(np.mean(np.abs(err) ** 2)) / peak)
-
-
-def power_dbm(sig: Signal) -> float:
-    """Mean power in dBm; unit mean power is the 0 dBm reference."""
-    p = sig.power
-    if p == 0.0:
-        return float("-inf")
-    return float(10.0 * np.log10(p))
-
-
-def normalize(sig: Signal) -> Signal:
-    """Scale to unit mean power."""
-    p = sig.power
-    if p == 0.0:
-        raise ValueError("cannot normalize a zero signal")
-    return Signal(sig.grid, sig.samples / np.sqrt(p))
 
 
 def tone(grid: TimeGrid, frequency: float, amplitude: float = 1.0,
@@ -281,8 +293,7 @@ def delay_signal(sig: Signal, delay: float) -> Signal:
     if delay == 0.0:
         return sig
     f = np.fft.fftfreq(sig.grid.n_samples, sig.grid.dt)
-    out = np.fft.ifft(np.fft.fft(sig.samples) * np.exp(-2j * np.pi * f * delay))
-    return Signal(sig.grid, out)
+    return Signal._of_bins(sig.grid, sig.bins * np.exp(-2j * np.pi * f * delay))
 
 
 # ---------------------------------------------------------------------------
@@ -311,36 +322,3 @@ def _write_csv(path, header: str, fmt, rows) -> None:
         for start in range(0, len(rows), _CSV_BLOCK_ROWS):
             block = rows[start:start + _CSV_BLOCK_ROWS]
             fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
-
-
-def write_signal_csv(sig: Signal, csv_path, header_path=None) -> None:
-    """Write a signal as CSV rows (t_seconds, re, im) plus a JSON header.
-
-    The header (sample_rate, n_samples, t0) lands next to the CSV by default.
-    Formatting is deterministic so identical signals produce identical bytes.
-    """
-    csv_path = Path(csv_path)
-    if header_path is None:
-        header_path = csv_path.with_suffix(".json")
-    t = sig.grid.t
-    rows = np.column_stack([t, sig.samples.real, sig.samples.imag])
-    _write_csv(csv_path, "t_seconds,re,im", _FLOAT_FMT, rows)
-    header = {
-        "sample_rate": sig.grid.sample_rate,
-        "n_samples": sig.grid.n_samples,
-        "t0": sig.grid.t0,
-    }
-    Path(header_path).write_text(json.dumps(header, sort_keys=True, indent=2) + "\n")
-
-
-def read_signal_csv(csv_path, header_path=None) -> Signal:
-    """Read a signal written by :func:`write_signal_csv`."""
-    csv_path = Path(csv_path)
-    if header_path is None:
-        header_path = csv_path.with_suffix(".json")
-    header = json.loads(Path(header_path).read_text())
-    grid = TimeGrid(header["sample_rate"], int(header["n_samples"]), header["t0"])
-    rows = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
-    if rows.shape[0] != grid.n_samples:
-        raise ValueError("CSV row count does not match the header n_samples")
-    return Signal(grid, rows[:, 1] + 1j * rows[:, 2])

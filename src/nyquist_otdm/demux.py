@@ -3,7 +3,10 @@
 A branch is recovered by multiplying the aggregate signal with the branch's
 sampling pulse train (either an ideal sinc sequence or a calibrated MZM
 driven at the branch RF phase), low-pass filtering to half the branch rate,
-and restoring the 1/N sampling gain.
+and restoring the 1/N sampling gain.  Both pulse trains are periodic with a
+period of whole grid samples, so they are a few spectral lines a whole
+number of bins apart, and the product followed by the lowpass is a sum of
+shifted spectral slices evaluated on the detection band alone.
 """
 
 from __future__ import annotations
@@ -13,16 +16,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import ChannelPlan, Signal, brickwall_lowpass, delay_signal
+from .core import ChannelPlan, Signal, TimeGrid, constant, delay_signal
 from .mzm import DrivePlan, FlatCombCalibration, MzmParams, modulate
-from .nyquist import SincSequenceSpec, SymbolStream, sample_symbols, sinc_sequence
+from .nyquist import SymbolStream, _require_integer, _sequence_lines, sample_symbols
 
 __all__ = [
     "ChannelPlan",
     "MzmSampler",
     "branch_phase",
     "shift_plan_for_branch",
-    "sample_with_sequence",
     "demultiplex",
     "recover_symbols",
 ]
@@ -76,32 +78,35 @@ def shift_plan_for_branch(drive_plan: DrivePlan, spacing: float,
     return DrivePlan(tuple(tones), drive_plan.bias_arm1, drive_plan.bias_arm2)
 
 
-def sample_with_sequence(sig: Signal, plan: ChannelPlan,
-                         sampler: str | MzmSampler = "ideal") -> Signal:
-    """Multiply the signal by the branch's sampling pulse train.
+def _sampling_lines(plan: ChannelPlan, sampler: str | MzmSampler,
+                    grid: TimeGrid):
+    """Spectral lines (bin shifts, coefficients) of the branch's sampling
+    pulse train on ``grid``.
 
-    ``sampler="ideal"`` uses the exact sinc sequence; an :class:`MzmSampler`
-    drives the modulator model at the branch RF phase and divides out the
-    calibration gain, agreeing with the ideal mode to within the calibrated
-    comb's waveform error.
+    ``sampler="ideal"`` gives the N lines of the exact sinc sequence.  An
+    :class:`MzmSampler` drives the modulator model at the branch RF phase
+    over one sequence period of the grid, divides out the calibration gain
+    and takes the period's P-point DFT: the P lines of the transfer on the
+    whole grid, which agrees with the ideal sequence to within the
+    calibrated comb's waveform error.
     """
     if isinstance(sampler, str):
         if sampler != "ideal":
             raise ValueError(f"unknown sampler {sampler!r}")
-        seq = sinc_sequence(
-            SincSequenceSpec(plan.n_branches, plan.aggregate_bandwidth,
-                             time_shift=plan.time_offset),
-            sig.grid,
-        )
-        return Signal(sig.grid, sig.samples * seq.samples)
+        return _sequence_lines(plan, grid)
     if not isinstance(sampler, MzmSampler):
         raise TypeError("sampler must be 'ideal' or an MzmSampler")
     if not sampler.calibrated:
         raise ValueError("MZM sampling requires a calibrated drive plan")
+    spacing = _require_integer(grid.duration * plan.symbol_rate,
+                               "grid window in sequence periods")
+    period = _require_integer(grid.sample_rate / plan.symbol_rate,
+                              "samples per sequence period")
     drive = shift_plan_for_branch(sampler.drive_plan, plan.symbol_rate,
                                   branch_phase(plan))
-    out = modulate(sig, drive, sampler.params)
-    return Signal(sig.grid, out.samples * sampler.gain)
+    one_period = TimeGrid(grid.sample_rate, period, grid.t0)
+    transfer = modulate(constant(one_period), drive, sampler.params).samples
+    return np.arange(period) * spacing, np.fft.fft(transfer) * (sampler.gain / period)
 
 
 def demultiplex(sig: Signal, plan: ChannelPlan,
@@ -113,6 +118,8 @@ def demultiplex(sig: Signal, plan: ChannelPlan,
     1/N gain of sequence sampling.  ``timing_delay`` models a known receiver
     clock offset and is removed before the sampling multiplication, where it
     still matters — the sequence zeros must land between the wanted symbols.
+    Only the bins of the detection band are computed: each is a sum of the
+    aggregate's bins one sampling line apart.
 
     Note on periodic windows: a branch carrying an even number of symbols
     per window has a discrete line exactly on the filter edge at B/(2N),
@@ -121,11 +128,24 @@ def demultiplex(sig: Signal, plan: ChannelPlan,
     when bit-exact recovery matters; with continuous spectra (noise, roll-off
     shaping) the effect is irrelevant.
     """
+    grid = sig.grid
+    n = grid.n_samples
+    shifts, coefs = _sampling_lines(plan, sampler, grid)
     if timing_delay:
         sig = delay_signal(sig, -timing_delay)
-    sampled = sample_with_sequence(sig, plan, sampler)
-    filtered = brickwall_lowpass(sampled, plan.detection_half_width)
-    return Signal(sig.grid, plan.n_branches * filtered.samples)
+    # the band |f| <= B/(2N) is half a line spacing each side; the bins at
+    # exactly the edge (an even spacing) count half
+    spacing = _require_integer(grid.duration * plan.symbol_rate,
+                               "grid window in sequence periods")
+    if spacing >= n:
+        raise ValueError("the detection band B/(2N) must lie below the grid's "
+                         "Nyquist limit")
+    band = np.arange(-(spacing // 2), spacing // 2 + 1)
+    gain = plan.n_branches * np.where(2 * np.abs(band) == spacing, 0.5, 1.0)
+    taken = sig.bins[(band[None, :] - shifts[:, None]) % n]
+    bins = np.zeros(n, dtype=np.complex128)
+    bins[band % n] = gain * (coefs @ taken)
+    return Signal._of_bins(grid, bins)
 
 
 def recover_symbols(sig: Signal, plan: ChannelPlan,

@@ -59,10 +59,13 @@ def dispersion_phase(fiber: FiberSpec, f) -> np.ndarray:
 
 def _apply_phase(sig: Signal, phase_sign: float, fiber: FiberSpec,
                  amplitude: float) -> Signal:
-    f = np.fft.fftfreq(sig.grid.n_samples, sig.grid.dt)
-    h = amplitude * np.exp(1j * phase_sign * dispersion_phase(fiber, f))
-    out = np.fft.ifft(np.fft.fft(sig.samples) * h)
-    return Signal(sig.grid, out)
+    n = sig.grid.n_samples
+    # the phase is even in f: evaluate bins 0..n//2 and mirror them onto the
+    # negative frequencies, which fftfreq gives as exactly the negated values
+    f = np.arange(n // 2 + 1) * (1.0 / (n * sig.grid.dt))
+    half = amplitude * np.exp(1j * phase_sign * dispersion_phase(fiber, f))
+    h = np.concatenate([half, half[(n + 1) // 2 - 1:0:-1]])
+    return Signal._of_bins(sig.grid, sig.bins * h)
 
 
 def propagate(sig: Signal, fiber: FiberSpec) -> Signal:
@@ -94,10 +97,11 @@ def add_noise(sig: Signal, noise: NoiseSpec) -> Signal:
 
     The noise power spectral density is flat across the simulated band and
     chosen so that the noise falling in the reference bandwidth sits
-    ``osnr_db`` below the current signal power.  Deterministic per seed.
+    ``osnr_db`` below the current signal power.  Deterministic per seed:
+    the noise is drawn in the time domain and added to the signal's bins.
     """
     if math.isinf(noise.osnr_db) and noise.osnr_db > 0:
-        return Signal(sig.grid, sig.samples)
+        return sig
     p_sig = sig.power
     if p_sig == 0.0:
         raise ValueError("cannot set an OSNR on a zero signal")
@@ -107,7 +111,7 @@ def add_noise(sig: Signal, noise: NoiseSpec) -> Signal:
     rng = np.random.default_rng(noise.seed)
     w = rng.standard_normal(sig.grid.n_samples) + 1j * rng.standard_normal(
         sig.grid.n_samples)
-    return Signal(sig.grid, sig.samples + np.sqrt(sigma2 / 2.0) * w)
+    return Signal._of_bins(sig.grid, sig.bins + np.sqrt(sigma2 / 2.0) * np.fft.fft(w))
 
 
 def coherent_detect(sig: Signal, lo_power: float = 1.0,
@@ -116,8 +120,8 @@ def coherent_detect(sig: Signal, lo_power: float = 1.0,
     and counter-rotate by the LO phase."""
     if not lo_power > 0:
         raise ValueError("lo_power must be positive")
-    return Signal(sig.grid,
-                  math.sqrt(lo_power) * np.exp(-1j * lo_phase) * sig.samples)
+    return Signal._of_bins(
+        sig.grid, math.sqrt(lo_power) * np.exp(-1j * lo_phase) * sig.bins)
 
 
 def phase_noise(sig: Signal, linewidth_hz: float, seed: int = 0) -> Signal:
@@ -125,7 +129,7 @@ def phase_noise(sig: Signal, linewidth_hz: float, seed: int = 0) -> Signal:
     if linewidth_hz < 0:
         raise ValueError("linewidth_hz must be >= 0")
     if linewidth_hz == 0.0:
-        return Signal(sig.grid, sig.samples)
+        return sig
     rng = np.random.default_rng(seed)
     var = 2.0 * math.pi * linewidth_hz * sig.grid.dt
     steps = rng.normal(0.0, math.sqrt(var), sig.grid.n_samples)

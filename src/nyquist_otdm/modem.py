@@ -18,6 +18,7 @@ from .nyquist import SymbolStream
 
 __all__ = [
     "Q_CAP_DB",
+    "Q_FLOOR_DB",
     "HD_FEC_BER_LIMIT",
     "Constellation",
     "EvmResult",
@@ -38,6 +39,9 @@ __all__ = [
 ]
 
 Q_CAP_DB = 60.0
+# Q at or below this (clusters that overlap entirely give Q <= 0) is
+# reported as the floor and flagged, so degraded runs still report
+Q_FLOOR_DB = -20.0
 HD_FEC_BER_LIMIT = 4.5e-3
 
 # per-axis Gray code for ascending amplitude levels (MSB-half of the symbol
@@ -180,7 +184,8 @@ class QFactorResult:
     """Worst adjacent-pair Q per quadrature, in dB, with block spread.
 
     ``capped_*`` marks quadratures whose Q exceeded the reporting cap
-    (effectively noiseless data).
+    (effectively noiseless data), ``floored_*`` those whose Q fell to the
+    reporting floor (clusters overlapping entirely).
     """
 
     q_i_db: float
@@ -191,6 +196,8 @@ class QFactorResult:
     q_q_std_db: float
     capped_i: bool
     capped_q: bool
+    floored_i: bool
+    floored_q: bool
 
 
 def _axis_q_linear(rx_axis: np.ndarray, ref_axis: np.ndarray) -> float:
@@ -210,13 +217,15 @@ def _axis_q_linear(rx_axis: np.ndarray, ref_axis: np.ndarray) -> float:
     return worst
 
 
-def _to_db(q_linear: float) -> tuple[float, float, bool]:
+def _to_db(q_linear: float) -> tuple[float, float, bool, bool]:
+    """(dB, linear, capped, floored) of a measured linear Q."""
     cap_linear = 10.0 ** (Q_CAP_DB / 20.0)
+    floor_linear = 10.0 ** (Q_FLOOR_DB / 20.0)
     if not math.isfinite(q_linear) or q_linear >= cap_linear:
-        return Q_CAP_DB, cap_linear, True
-    if q_linear <= 0.0:
-        raise ValueError("measured Q is not positive; clusters overlap entirely")
-    return 20.0 * math.log10(q_linear), q_linear, False
+        return Q_CAP_DB, cap_linear, True, False
+    if q_linear <= floor_linear:
+        return Q_FLOOR_DB, floor_linear, False, True
+    return 20.0 * math.log10(q_linear), q_linear, False, False
 
 
 def q_factor(rx, ref, n_blocks: int = 10) -> QFactorResult:
@@ -224,7 +233,8 @@ def q_factor(rx, ref, n_blocks: int = 10) -> QFactorResult:
 
     Clusters are formed from the reference (data-aided), the Q of every
     adjacent level pair is (mu1 - mu0)/(sigma1 + sigma0), and the minimum
-    pair is reported.  Values above ``Q_CAP_DB`` are capped and flagged.
+    pair is reported.  Values above ``Q_CAP_DB`` are capped and values
+    below ``Q_FLOOR_DB`` floored, each flagged.
     """
     rx = _as_symbols(rx)
     ref = _as_symbols(ref)
@@ -233,23 +243,24 @@ def q_factor(rx, ref, n_blocks: int = 10) -> QFactorResult:
 
     out = {}
     for name, rx_ax, ref_ax in (("i", rx.real, ref.real), ("q", rx.imag, ref.imag)):
-        db, lin, capped = _to_db(_axis_q_linear(rx_ax, ref_ax))
+        db, lin, capped, floored = _to_db(_axis_q_linear(rx_ax, ref_ax))
         blocks = []
         n_b = max(1, min(n_blocks, rx_ax.size))
         for r_b, f_b in zip(np.array_split(rx_ax, n_b), np.array_split(ref_ax, n_b)):
             try:
-                b_db, _, _ = _to_db(_axis_q_linear(r_b, f_b))
+                b_db = _to_db(_axis_q_linear(r_b, f_b))[0]
             except ValueError:
                 continue
             blocks.append(b_db)
         std = float(np.std(blocks, ddof=1)) if len(blocks) > 1 else 0.0
-        out[name] = (db, lin, std, capped)
+        out[name] = (db, lin, std, capped, floored)
 
     return QFactorResult(
         q_i_db=out["i"][0], q_q_db=out["q"][0],
         q_i_linear=out["i"][1], q_q_linear=out["q"][1],
         q_i_std_db=out["i"][2], q_q_std_db=out["q"][2],
         capped_i=out["i"][3], capped_q=out["q"][3],
+        floored_i=out["i"][4], floored_q=out["q"][4],
     )
 
 
@@ -316,7 +327,11 @@ def below_hdfec_limit(ber: float) -> bool:
 
 @dataclass(frozen=True)
 class MetricsReport:
-    """One branch's quality summary, serializable and table-printable."""
+    """One branch's quality summary, serializable and table-printable.
+
+    ``q_capped`` and ``q_floored`` flag a Q factor reported at
+    ``Q_CAP_DB`` or ``Q_FLOOR_DB``; the estimated BER follows the reported Q.
+    """
 
     label: str
     modulation: str
@@ -337,6 +352,7 @@ class MetricsReport:
     ber_counted: float
     below_hdfec: bool
     seed: int
+    q_floored: bool = False
 
     def to_dict(self) -> dict:
         return {k: getattr(self, k) for k in self.__dataclass_fields__}
@@ -350,9 +366,10 @@ def format_metrics_table(reports: list[MetricsReport]) -> str:
     for r in reports:
         qi = f"{r.q_i_db:.2f}+/-{r.q_i_std_db:.2f}"
         qq = f"{r.q_q_db:.2f}+/-{r.q_q_std_db:.2f}"
-        if r.q_capped:
-            qi = f">{qi}"
-            qq = f">{qq}"
+        if r.q_capped or r.q_floored:
+            mark = ">" if r.q_capped else "<"
+            qi = f"{mark}{qi}"
+            qq = f"{mark}{qq}"
         ev = f"{r.evm_percent:.2f}+/-{r.evm_std_percent:.2f}"
         rows.append(
             f"{r.label:<16} {r.modulation:<7} {r.distance_km:>6.1f} {qi:>16} "

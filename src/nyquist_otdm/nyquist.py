@@ -9,7 +9,6 @@ round trips are exact to machine precision.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,8 +24,6 @@ __all__ = [
     "sample_symbols",
     "multiplex_branch_signals",
     "otdm_multiplex",
-    "stream_to_json",
-    "stream_from_json",
 ]
 
 _INT_TOL = 1e-9
@@ -152,8 +149,8 @@ def nyquist_interpolate(stream: SymbolStream, grid: TimeGrid,
     """
     idx, amps = _line_amplitudes(stream, grid, t_offset)
     bins = np.zeros(grid.n_samples, dtype=np.complex128)
-    np.add.at(bins, idx, amps)
-    return Signal(grid, np.fft.ifft(bins) * grid.n_samples)
+    np.add.at(bins, idx, amps * grid.n_samples)
+    return Signal._of_bins(grid, bins)
 
 
 def raised_cosine_shape(stream: SymbolStream, rolloff: float, grid: TimeGrid,
@@ -179,11 +176,14 @@ def raised_cosine_shape(stream: SymbolStream, rolloff: float, grid: TimeGrid,
     start = _require_integer((t_offset - grid.t0) * grid.sample_rate,
                              "symbol offset in samples")
 
-    train = np.zeros(grid.n_samples, dtype=np.complex128)
-    train[(start + np.arange(m_sym) * sps) % grid.n_samples] = stream.symbols
-
-    f = np.abs(np.fft.fftfreq(grid.n_samples, grid.dt))
+    n = grid.n_samples
+    df = 1.0 / (n * grid.dt)
     tol = grid.freq_resolution * 1e-6
+    # the bins |f| <= (1 + r) * r_sym / 2 the shape can reach, as signed
+    # indices within fftfreq's range
+    reach = int(((1.0 + rolloff) * r_sym / 2 + tol) / df)
+    k = np.arange(max(-reach, -(n // 2)), min(reach, (n - 1) // 2) + 1)
+    f = np.abs(k * df)
     if rolloff == 0.0:
         shape = np.where(f < r_sym / 2 - tol, 1.0,
                          np.where(np.abs(f - r_sym / 2) <= tol, 0.5, 0.0))
@@ -194,25 +194,59 @@ def raised_cosine_shape(stream: SymbolStream, rolloff: float, grid: TimeGrid,
         shape[f <= f1 + tol] = 1.0
         mid = (f > f1 + tol) & (f < f2 - tol)
         shape[mid] = 0.5 * (1.0 + np.cos(np.pi * (f[mid] - f1) / (rolloff * r_sym)))
-    out = np.fft.ifft(np.fft.fft(train) * shape) * sps
-    return Signal(grid, out)
+    # The impulse train carrying symbol q at sample start + q*sps has DFT
+    # bin k = exp(-2j*pi*k*start/n) * fft(symbols)[k mod M]; the shaped
+    # signal's bins are that times the shape times sps.
+    ramp = np.exp(-2j * np.pi * ((k * start) % n) / n)
+    bins = np.zeros(n, dtype=np.complex128)
+    bins[k % n] = sps * shape * ramp * np.fft.fft(stream.symbols)[k % m_sym]
+    return Signal._of_bins(grid, bins)
 
 
 def sample_symbols(sig: Signal, symbol_rate: float, t_offset: float = 0.0,
                    n_symbols: int | None = None) -> SymbolStream:
     """Read symbols back off a signal at ``t = t_offset + k/symbol_rate``.
 
-    Symbol instants must fall on grid samples.
+    Symbol instants must fall on grid samples and the window must hold a
+    whole number M of symbol periods.  The values come from the signal's
+    bins: folded onto M bins, then one M-point inverse FFT.
     """
     grid = sig.grid
+    n = grid.n_samples
     sps = _require_integer(grid.sample_rate / symbol_rate, "samples per symbol")
     start = _require_integer((t_offset - grid.t0) * grid.sample_rate,
                              "symbol offset in samples")
+    m_sym = _require_integer(grid.duration * symbol_rate,
+                             "grid window in symbol periods")
     if n_symbols is None:
-        n_symbols = _require_integer(grid.duration * symbol_rate,
-                                     "grid window in symbol periods")
-    idx = (start + np.arange(n_symbols) * sps) % grid.n_samples
-    return SymbolStream(sig.samples[idx], symbol_rate)
+        n_symbols = m_sym
+    # sample start + q*sps is (1/n) sum_k bins[k] exp(2j*pi*k*(start + q*sps)/n);
+    # with k = a*M + r the sum over a folds the bins onto r = 0..M-1
+    a, r = np.arange(sps), np.arange(m_sym)
+    fold = np.exp(2j * np.pi * ((a * start) % sps) / sps) @ sig.bins.reshape(sps, m_sym)
+    fold *= np.exp(2j * np.pi * ((r * start) % n) / n)
+    values = np.fft.ifft(fold) / sps
+    return SymbolStream(values[np.arange(n_symbols) % m_sym], symbol_rate)
+
+
+def _sequence_lines(plan: ChannelPlan, grid: TimeGrid):
+    """Spectral lines of the branch's sinc sequence on ``grid``.
+
+    Returns (shifts, coefficients): the sequence is
+    ``sum_m coefficients[m] * exp(2j*pi*shifts[m]*j/n)`` over the grid's
+    samples j, so multiplying a signal by it adds its bins shifted by
+    ``shifts[m]`` and weighted by ``coefficients[m]``.  The window must hold
+    whole sequence periods, which makes every shift a whole number of bins.
+    """
+    spacing = _require_integer(grid.duration * plan.symbol_rate,
+                               "grid window in sequence periods")
+    if spacing < 1:
+        raise ValueError("grid window must hold at least one sequence period")
+    half = (plan.n_branches - 1) // 2
+    orders = np.arange(-half, half + 1)
+    coefs = np.exp(2j * np.pi * orders * plan.symbol_rate
+                   * (grid.t0 - plan.time_offset)) / plan.n_branches
+    return orders * spacing, coefs
 
 
 def multiplex_branch_signals(branch_signals: list[Signal],
@@ -221,62 +255,69 @@ def multiplex_branch_signals(branch_signals: list[Signal],
 
     Branch l (1-based) is multiplied by the sequence peaking at
     ``(l-1)/B + k*N/B``; the zero crossings of the other branches' sequences
-    at those instants keep the branches orthogonal.
+    at those instants keep the branches orthogonal.  In the frequency domain
+    the sum is ``sum_m exp(-2j*pi*m*R*tau_l) X_l(f - m*R) / N`` over the N
+    sequence lines m, a whole number of bins apart.
     """
     if len(branch_signals) != plan.n_branches:
         raise ValueError(
             f"expected {plan.n_branches} branch signals, got {len(branch_signals)}"
         )
     grid = branch_signals[0].grid
-    acc = np.zeros(grid.n_samples, dtype=np.complex128)
-    for l, sig in enumerate(branch_signals, start=1):
+    n = grid.n_samples
+    for sig in branch_signals:
         require_same_grid(sig, branch_signals[0])
-        seq = sinc_sequence(
-            SincSequenceSpec(plan.n_branches, plan.aggregate_bandwidth,
-                             time_shift=plan.for_branch(l).time_offset),
-            grid,
-        )
-        acc += sig.samples * seq.samples
-    return Signal(grid, acc)
+    lines = [_sequence_lines(plan.for_branch(l), grid)
+             for l in range(1, plan.n_branches + 1)]
+    shifts = lines[0][0]
+    # only the band |k| <= reach holding every nonzero bin takes part
+    reach = 0
+    for sig in branch_signals:
+        nonzero = np.flatnonzero(sig.bins)
+        if nonzero.size:
+            reach = max(reach, int(np.max(np.minimum(nonzero, n - nonzero))))
+    band = np.arange(-reach, reach + 1) if 2 * reach < n else np.arange(n)
+    # row m: the branches' bins weighted by their line-m coefficients
+    weighted = np.stack([c for _, c in lines], axis=1) @ np.stack(
+        [sig.bins[band % n] for sig in branch_signals])
+    acc = np.zeros(n, dtype=np.complex128)
+    for shift, row in zip(shifts, weighted):
+        acc[(band + shift) % n] += row
+    return Signal._of_bins(grid, acc)
 
 
 def otdm_multiplex(channels: list[SymbolStream], plan: ChannelPlan,
-                   grid: TimeGrid) -> Signal:
-    """Multiplex N symbol streams at rate B/N into one B-wide signal.
+                   grid: TimeGrid, shaping: str = "sinc",
+                   rolloff: float = 0.0) -> Signal:
+    """Multiplex N symbol streams into one B-wide signal.
 
-    Each stream is sinc-interpolated at its branch offset and gated by the
-    branch sequence; the aggregate occupies exactly |f| <= B/2 and carries
-    stream l's symbols untouched at ``t = (k*N + l - 1)/B``.
+    Each stream is shaped at its branch offset and gated by the branch
+    sequence.  ``shaping="sinc"`` sinc-interpolates streams at the branch
+    rate B/N: the aggregate occupies exactly |f| <= B/2 and carries stream
+    l's symbols untouched at ``t = (k*N + l - 1)/B``.
+    ``shaping="raised_cosine"`` shapes them with ``rolloff`` at the rate
+    they carry, which all streams share.
     """
     if len(channels) != plan.n_branches:
         raise ValueError(
             f"expected {plan.n_branches} channels, got {len(channels)}"
         )
-    branch_rate = plan.symbol_rate
+    if shaping not in ("sinc", "raised_cosine"):
+        raise ValueError(f"unknown shaping {shaping!r}")
+    if shaping == "sinc" and rolloff != 0.0:
+        raise ValueError("sinc shaping has no rolloff")
+    rate = plan.symbol_rate if shaping == "sinc" else channels[0].symbol_rate
     shaped = []
     for l, stream in enumerate(channels, start=1):
-        if abs(stream.symbol_rate - branch_rate) > 1e-6 * branch_rate:
+        if abs(stream.symbol_rate - rate) > 1e-6 * rate:
             raise ValueError(
                 f"channel {l} symbol_rate {stream.symbol_rate:g} does not "
-                f"match the plan branch rate {branch_rate:g}"
+                f"match the branch rate {rate:g}"
             )
-        shaped.append(nyquist_interpolate(stream, grid,
-                                          t_offset=plan.for_branch(l).time_offset))
+        offset = plan.for_branch(l).time_offset
+        if shaping == "sinc":
+            shaped.append(nyquist_interpolate(stream, grid, t_offset=offset))
+        else:
+            shaped.append(raised_cosine_shape(stream, rolloff, grid,
+                                              t_offset=offset))
     return multiplex_branch_signals(shaped, plan)
-
-
-def stream_to_json(stream: SymbolStream) -> str:
-    """Serialize a symbol stream as JSON ([re, im] pairs plus the rate)."""
-    payload = {
-        "symbol_rate": stream.symbol_rate,
-        "symbols": [[float(s.real), float(s.imag)] for s in stream.symbols],
-    }
-    return json.dumps(payload, sort_keys=True)
-
-
-def stream_from_json(text: str) -> SymbolStream:
-    payload = json.loads(text)
-    pairs = np.asarray(payload["symbols"], dtype=float)
-    if pairs.ndim != 2 or pairs.shape[1] != 2:
-        raise ValueError("symbols must be a list of [re, im] pairs")
-    return SymbolStream(pairs[:, 0] + 1j * pairs[:, 1], payload["symbol_rate"])

@@ -51,12 +51,7 @@ from .mzm import (
     drive_plan_to_json,
     format_comb_table,
 )
-from .nyquist import (
-    multiplex_branch_signals,
-    nyquist_interpolate,
-    raised_cosine_shape,
-    sample_symbols,
-)
+from .nyquist import otdm_multiplex, sample_symbols
 
 __all__ = [
     "ConfigError",
@@ -556,19 +551,11 @@ def run_scenario(sc: Scenario) -> ReportBundle:
     bps = const.bits_per_symbol
     rng = np.random.default_rng(sc.seed)
 
-    tx_bits, streams, shaped = [], [], []
-    for l in range(1, plan.n_branches + 1):
-        bits = rng.integers(0, 2, sc.n_symbols * bps)
-        stream = qam_map(bits, const, sc.branch_symbol_rate)
-        offset = plan.for_branch(l).time_offset
-        if sc.shaping_kind == "sinc":
-            sig = nyquist_interpolate(stream, grid, t_offset=offset)
-        else:
-            sig = raised_cosine_shape(stream, sc.rolloff, grid, t_offset=offset)
-        tx_bits.append(bits)
-        streams.append(stream)
-        shaped.append(sig)
-    tx = multiplex_branch_signals(shaped, plan)
+    tx_bits = [rng.integers(0, 2, sc.n_symbols * bps)
+               for _ in range(plan.n_branches)]
+    streams = [qam_map(bits, const, sc.branch_symbol_rate) for bits in tx_bits]
+    tx = otdm_multiplex(streams, plan, grid, shaping=sc.shaping_kind,
+                        rolloff=sc.rolloff)
 
     rx = propagate(tx, sc.fiber)
     if sc.timing_delay_s:
@@ -632,6 +619,7 @@ def run_scenario(sc: Scenario) -> ReportBundle:
             ber_counted=counted.rate,
             below_hdfec=below_hdfec_limit(counted.rate),
             seed=sc.seed,
+            q_floored=qf.floored_i or qf.floored_q,
         ))
 
         if "spectra" in sc.outputs:

@@ -16,6 +16,9 @@ from scipy.optimize import minimize_scalar
 
 from nyquist_otdm import ChannelPlan, Signal, TimeGrid, delay_signal
 from nyquist_otdm.core import require_same_grid
+from nyquist_otdm.demux import branch_phase, shift_plan_for_branch
+from nyquist_otdm.link import dispersion_phase
+from nyquist_otdm.mzm import modulate
 from nyquist_otdm.nyquist import SymbolStream
 
 
@@ -59,6 +62,58 @@ def sequence_directly(n_lines: int, bandwidth: float, t,
         acc = acc + 2.0 * np.cos(2 * np.pi * order * bandwidth *
                                  (t - time_shift) / n_lines)
     return acc / n_lines
+
+
+def filter_directly(samples, grid: TimeGrid, response) -> np.ndarray:
+    """Apply ``response(f)`` to each DFT bin of ``samples`` by explicit
+    O(n^2) DFT sums, with f the signed bin frequency."""
+    n = grid.n_samples
+    k = np.arange(n)
+    dft = np.exp(-2j * np.pi * np.outer(k, k) / n)
+    f = np.where(k < (n + 1) // 2, k, k - n) * grid.freq_resolution
+    return dft.conj() @ (response(f) * (dft @ np.asarray(samples))) / n
+
+
+def gate_directly(sig: Signal, plan: ChannelPlan, sampler="ideal") -> np.ndarray:
+    """The signal times the branch's sampling pulse train on the full grid:
+    the cosine-sum sequence, or the MZM transfer at the branch RF phase
+    divided by the calibration gain."""
+    if isinstance(sampler, str):
+        return sig.samples * sequence_directly(
+            plan.n_branches, plan.aggregate_bandwidth, sig.grid.t,
+            plan.time_offset)
+    drive = shift_plan_for_branch(sampler.drive_plan, plan.symbol_rate,
+                                  branch_phase(plan))
+    return modulate(sig, drive, sampler.params).samples * sampler.gain
+
+
+def demultiplex_directly(sig: Signal, plan: ChannelPlan, sampler="ideal",
+                         timing_delay: float = 0.0) -> np.ndarray:
+    """Time-domain demultiplexing: advance by the timing delay, gate, keep
+    |f| < B/(2N) with half weight on the edge, and restore the factor N."""
+    grid = sig.grid
+    if timing_delay:
+        sig = Signal(grid, filter_directly(
+            sig.samples, grid,
+            lambda f: np.exp(2j * np.pi * f * timing_delay)))
+    edge = plan.detection_half_width
+    tol = grid.freq_resolution * 1e-6
+
+    def lowpass(f):
+        return np.where(np.abs(f) < edge - tol, 1.0,
+                        np.where(np.abs(np.abs(f) - edge) <= tol, 0.5, 0.0))
+
+    return plan.n_branches * filter_directly(gate_directly(sig, plan, sampler),
+                                             grid, lowpass)
+
+
+def propagate_directly(sig: Signal, fiber, sign: float = 1.0,
+                       amplitude: float = 1.0) -> np.ndarray:
+    """The span's quadratic phase (``sign`` -1 undoes it) and a scalar
+    amplitude applied bin by bin with explicit DFT sums."""
+    return filter_directly(
+        sig.samples, sig.grid,
+        lambda f: amplitude * np.exp(1j * sign * dispersion_phase(fiber, f)))
 
 
 def random_streams(plan: ChannelPlan, n_symbols: int, rng,

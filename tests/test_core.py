@@ -16,14 +16,9 @@ from nyquist_otdm import (
     TimeGrid,
     brickwall_lowpass,
     delay_signal,
-    inverse_spectrum,
-    normalize,
-    power_dbm,
-    read_signal_csv,
     rmse_percent,
     spectrum,
     tone,
-    write_signal_csv,
 )
 from nyquist_otdm.core import _CSV_BLOCK_ROWS, _write_csv, constant, require_same_grid
 
@@ -65,11 +60,17 @@ def test_signal_power():
 
 
 def test_spectrum_inverse_round_trip():
+    """A signal made from the bins of another has its samples back, and its
+    power from the bins alone."""
     rng = np.random.default_rng(11)
     grid = TimeGrid(10e9, 250)
     sig = Signal(grid, rng.standard_normal(250) + 1j * rng.standard_normal(250))
-    back = inverse_spectrum(spectrum(sig))
+    spec = spectrum(sig)
+    back = Signal._of_bins(grid, np.fft.ifftshift(spec.bins) * grid.n_samples)
+    assert back.power == pytest.approx(sig.power, rel=1e-12)
     assert_allclose(back.samples, sig.samples, atol=1e-12)
+    with pytest.raises(ValueError):
+        back.bins[0] = 0.0
 
 
 def test_spectrum_of_constant_is_dc_bin():
@@ -153,37 +154,11 @@ def test_rmse_percent_known_value():
         rmse_percent(meas, Signal(grid, np.zeros(4, dtype=complex)))
 
 
-def test_power_dbm_conventions():
-    grid = TimeGrid(1e9, 16)
-    assert power_dbm(constant(grid)) == pytest.approx(0.0)  # unit power
-    half = Signal(grid, np.full(16, math.sqrt(0.5), dtype=complex))
-    assert power_dbm(half) == pytest.approx(-3.0103, abs=1e-3)
-    assert power_dbm(Signal(grid, np.zeros(16, complex))) == -math.inf
-
-
-def test_normalize_unit_power():
-    rng = np.random.default_rng(9)
-    grid = TimeGrid(5e9, 64)
-    sig = Signal(grid, 3.7 * (rng.standard_normal(64) + 1j * rng.standard_normal(64)))
-    assert normalize(sig).power == pytest.approx(1.0)
-
-
 def test_require_same_grid():
     a = constant(TimeGrid(1e9, 8))
     b = constant(TimeGrid(2e9, 8))
     with pytest.raises(ValueError):
         require_same_grid(a, b)
-
-
-def test_signal_csv_round_trip(tmp_path):
-    rng = np.random.default_rng(123)
-    grid = TimeGrid(12e9, 96, t0=1e-9)
-    sig = Signal(grid, rng.standard_normal(96) + 1j * rng.standard_normal(96))
-    path = tmp_path / "sig.csv"
-    write_signal_csv(sig, path)
-    back = read_signal_csv(path)
-    assert back.grid == sig.grid
-    assert np.array_equal(back.samples, sig.samples)
 
 
 _B = _CSV_BLOCK_ROWS

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from nyquist_otdm import ChannelPlan, Signal, TimeGrid, delay_signal
@@ -13,18 +15,30 @@ from nyquist_otdm.demux import (
     branch_phase,
     demultiplex,
     recover_symbols,
-    sample_with_sequence,
     shift_plan_for_branch,
 )
+from nyquist_otdm.link import FiberSpec, compensate_dispersion, propagate
 from nyquist_otdm.mzm import (
     MzmParams,
     calibrate_flat_comb,
     modulate,
     push_pull_plan,
 )
-from nyquist_otdm.nyquist import SymbolStream, otdm_multiplex
+from nyquist_otdm.nyquist import (
+    SymbolStream,
+    multiplex_branch_signals,
+    nyquist_interpolate,
+    otdm_multiplex,
+    sample_symbols,
+)
 
-from helpers import grid_for, random_streams
+from helpers import (
+    demultiplex_directly,
+    gate_directly,
+    grid_for,
+    propagate_directly,
+    random_streams,
+)
 
 PARAMS = MzmParams(v_pi=0.42, eo_3db_bandwidth=16e9)
 
@@ -133,16 +147,16 @@ def test_uncalibrated_mzm_sampler_rejected():
     grid = grid_for(plan, 9)
     sig = constant(grid)
     with pytest.raises(ValueError):
-        sample_with_sequence(sig, plan, sampler)
+        demultiplex(sig, plan, sampler)
 
 
 def test_bad_sampler_types_rejected():
     plan = ChannelPlan(3, 24e9)
     sig = constant(grid_for(plan, 9))
     with pytest.raises(ValueError):
-        sample_with_sequence(sig, plan, "brickwall")
+        demultiplex(sig, plan, "brickwall")
     with pytest.raises(TypeError):
-        sample_with_sequence(sig, plan, 42)
+        demultiplex(sig, plan, 42)
 
 
 def test_known_timing_delay_is_removed():
@@ -159,3 +173,71 @@ def test_known_timing_delay_is_removed():
         branch = demultiplex(late, bp, timing_delay=tau)
         got = recover_symbols(branch, bp, n_symbols=n_symbols)
         assert_allclose(got.symbols, stream.symbols, atol=1e-9)
+
+
+def _assert_close(got, want, rtol=1e-10):
+    assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(n_branches=st.sampled_from([3, 5, 7]), n_symbols=st.integers(4, 11),
+       oversampling=st.sampled_from([4, 5, 8]),
+       t0_samples=st.integers(-40, 40), t0_fraction=st.sampled_from([0.0, 0.37]),
+       delay_samples=st.sampled_from([0.0, 1.5, -0.63]),
+       band_limited=st.booleans(), seed=st.integers(0, 2 ** 16))
+def test_spectral_layers_match_time_domain_oracles(
+        n_branches, n_symbols, oversampling, t0_samples, t0_fraction,
+        delay_samples, band_limited, seed):
+    """Multiplexing, ideal and MZM demultiplexing, dispersion and symbol
+    read-out, all computed on DFT bins, equal the time-domain products with
+    a direct-DFT lowpass, to 1e-10 relative."""
+    rng = np.random.default_rng(seed)
+    plan = ChannelPlan(n_branches, 6e9 * n_branches)
+    base = grid_for(plan, n_symbols, oversampling)
+    grid = TimeGrid(base.sample_rate, base.n_samples,
+                    t0=(t0_samples + t0_fraction) * base.dt)
+
+    def noise():
+        return rng.standard_normal(grid.n_samples) + 1j * rng.standard_normal(
+            grid.n_samples)
+
+    if band_limited:
+        branches = [nyquist_interpolate(stream, grid,
+                                        t_offset=plan.for_branch(l).time_offset)
+                    for l, stream in enumerate(
+                        random_streams(plan, n_symbols, rng), start=1)]
+    else:
+        branches = [Signal(grid, noise()) for _ in range(n_branches)]
+    mux = multiplex_branch_signals(branches, plan)
+    _assert_close(mux.samples, sum(gate_directly(b, plan.for_branch(l))
+                                   for l, b in enumerate(branches, start=1)))
+
+    fiber = FiberSpec(length_km=float(rng.uniform(1.0, 80.0)))
+    loss = 10.0 ** (-fiber.attenuation_db_km * fiber.length_km / 20.0)
+    aggregate = Signal(grid, noise())
+    _assert_close(propagate(aggregate, fiber).samples,
+                  propagate_directly(aggregate, fiber, amplitude=loss))
+    _assert_close(compensate_dispersion(aggregate, fiber).samples,
+                  propagate_directly(aggregate, fiber, sign=-1.0))
+
+    tones = [plan.symbol_rate, 2 * plan.symbol_rate]
+    drive = push_pull_plan(tones, rng.uniform(0.05, 0.3, 2),
+                           bias_difference=float(rng.uniform(0.5, 2.5)))
+    mzm = MzmSampler(drive_plan=drive, params=PARAMS,
+                     gain=complex(rng.uniform(1.0, 4.0), rng.uniform(-1.0, 1.0)),
+                     calibrated=True)
+    delay = delay_samples * grid.dt
+    for sampler in ("ideal", mzm):
+        for l in (1, n_branches):
+            bp = plan.for_branch(l)
+            got = demultiplex(aggregate, bp, sampler, timing_delay=delay)
+            _assert_close(got.samples, demultiplex_directly(
+                aggregate, bp, sampler, timing_delay=delay))
+
+    start = int(rng.integers(0, grid.n_samples))
+    instants = (start + np.arange(2 * n_symbols) * oversampling * n_branches
+                ) % grid.n_samples
+    for sig in (Signal._of_bins(grid, np.fft.fft(noise())), mux):
+        got = sample_symbols(sig, plan.symbol_rate, t_offset=grid.t0 + start * grid.dt,
+                             n_symbols=2 * n_symbols)
+        _assert_close(got.symbols, sig.samples[instants])

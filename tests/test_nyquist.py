@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from nyquist_otdm import ChannelPlan, TimeGrid, spectrum
+from nyquist_otdm.demux import demultiplex
 from nyquist_otdm.nyquist import (
     SincSequenceSpec,
     SymbolStream,
@@ -14,8 +15,6 @@ from nyquist_otdm.nyquist import (
     raised_cosine_shape,
     sample_symbols,
     sinc_sequence,
-    stream_from_json,
-    stream_to_json,
 )
 
 from helpers import (
@@ -217,6 +216,29 @@ class TestMultiplex:
                                  t_offset=bp.time_offset, n_symbols=n_symbols)
             assert_allclose(got.symbols, stream.symbols, atol=1e-10)
 
+    def test_raised_cosine_shaping_round_trip(self):
+        """Raised-cosine branches at half the branch rate, multiplexed and
+        ideally demultiplexed back to back, give their symbols back."""
+        plan = ChannelPlan(5, 24e9)
+        rng = np.random.default_rng(37)
+        n_symbols = 13
+        rate = plan.symbol_rate / 2
+        grid = grid_for(plan, 2 * n_symbols)
+        streams = [SymbolStream(rng.standard_normal(n_symbols)
+                                + 1j * rng.standard_normal(n_symbols), rate)
+                   for _ in range(plan.n_branches)]
+        mux = otdm_multiplex(streams, plan, grid, shaping="raised_cosine",
+                             rolloff=0.6)
+        for l, stream in enumerate(streams, start=1):
+            bp = plan.for_branch(l)
+            got = sample_symbols(demultiplex(mux, bp), rate,
+                                 t_offset=bp.time_offset)
+            assert_allclose(got.symbols, stream.symbols, atol=1e-10)
+        with pytest.raises(ValueError):
+            otdm_multiplex(streams, plan, grid, shaping="gaussian")
+        with pytest.raises(ValueError):
+            otdm_multiplex(streams, plan, grid, rolloff=0.5)
+
     def test_wrong_stream_count_rejected(self):
         plan = ChannelPlan(3, 24e9)
         grid = grid_for(plan, 9)
@@ -234,13 +256,3 @@ def test_sample_symbols_requires_on_grid_instants():
         SymbolStream(np.ones(5, dtype=complex), 0.5e9), grid)
     with pytest.raises(ValueError):
         sample_symbols(sig, 0.5e9, t_offset=0.3 * grid.dt)
-
-
-def test_stream_json_round_trip():
-    rng = np.random.default_rng(31)
-    stream = SymbolStream(rng.standard_normal(6) + 1j * rng.standard_normal(6),
-                          8e9)
-    text = stream_to_json(stream)
-    back = stream_from_json(text)
-    assert back.symbol_rate == stream.symbol_rate
-    assert np.array_equal(back.symbols, stream.symbols)

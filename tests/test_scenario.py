@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from nyquist_otdm.cli import main
+from nyquist_otdm.modem import Q_FLOOR_DB
 from nyquist_otdm.scenario import (
     ConfigError,
     parse_scenario,
@@ -196,6 +197,31 @@ class TestRunScenario:
         for rep in bundle.metrics:
             assert rep.ber_count_errors == 0
 
+    def test_full_length_transforms_do_not_grow_with_branches(self, monkeypatch):
+        """A run makes one n-point transform, the noise's FFT, at 3 and at
+        15 branches: every other layer works on the bins it is given."""
+        import numpy.fft
+
+        sizes = []
+        for name in ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn", "rfft",
+                     "irfft", "rfftn", "irfftn", "hfft", "ihfft"):
+            def counted(*args, _fn=getattr(numpy.fft, name), **kwargs):
+                result = _fn(*args, **kwargs)
+                sizes.append(np.size(result))
+                return result
+            monkeypatch.setattr(numpy.fft, name, counted)
+        for n_branches in (3, 15):
+            sc = parse_scenario(base_config(
+                plan={"n_branches": n_branches,
+                      "aggregate_bandwidth_hz": n_branches * 2e9},
+                modulation="16qam", n_symbols=9, oversampling=4,
+                fiber={"length_km": 20.0}, noise={"osnr_db": 25.0},
+                receiver={"timing_delay_s": 1e-12}))
+            sizes.clear()
+            bundle = run_scenario(sc)
+            assert len(bundle.metrics) == n_branches
+            assert sizes.count(sc.make_grid().n_samples) == 1
+
     def test_comb_mode_bundle(self):
         cfg = {"version": 1, "mode": "comb",
                "comb": {"spacing_hz": 10e9}, "mzm": dict(MZM_BLOCK)}
@@ -235,9 +261,10 @@ class TestWriteBundle:
         assert csv_head.splitlines()[0] == "re,im,decided_symbol"
 
     def test_csvs_match_savetxt(self, tmp_path):
-        """Every CSV of a full-size bundle (196,608-sample spectra and eyes,
-        constellations with a %d column) has the bytes np.savetxt gives."""
-        raw = json.loads((SCENARIO_DIR / "qpsk_4gbd_rc_10km.json").read_text())
+        """Every CSV of a full bundle (24,552-row spectra and eyes across six
+        write blocks, constellations with a %d column) has the bytes
+        np.savetxt gives."""
+        raw = json.loads((SCENARIO_DIR / "nyquist_qpsk_8gbd_10km.json").read_text())
         bundle = run_scenario(parse_scenario(raw))
         csvs = [p for p in write_bundle(bundle, tmp_path / "bundle")
                 if p.suffix == ".csv"]
@@ -317,6 +344,26 @@ class TestCli:
         text = capsys.readouterr().out
         assert "branch 1" in text
         assert (out / "metrics.json").exists()
+
+    def test_run_reports_a_floored_q(self, tmp_path):
+        """Clusters that overlap entirely (100 MHz linewidth at 20 dB OSNR)
+        give a Q flagged at the floor, with the estimated BER from it, and
+        the run still reports its counted BER."""
+        cfg = base_config(seed=1, modulation="16qam", n_symbols=129,
+                          noise={"osnr_db": 20.0}, laser={"linewidth_hz": 1e8})
+        out = tmp_path / "out"
+        assert main(["run", str(self.write_cfg(tmp_path, cfg)),
+                     "--out-dir", str(out)]) == 0
+        reports = json.loads((out / "metrics.json").read_text())["reports"]
+        assert any(r["q_floored"] for r in reports)
+        for r in reports:
+            assert r["ber_count_errors"] > 0
+            assert r["ber_counted"] == r["ber_count_errors"] / r["n_bits"]
+            if r["q_floored"]:
+                assert min(r["q_i_db"], r["q_q_db"]) == Q_FLOOR_DB
+            expected = 0.25 * sum(math.erfc(10.0 ** (r[k] / 20.0) / math.sqrt(2.0))
+                                  for k in ("q_i_db", "q_q_db"))
+            assert r["ber_estimated"] == pytest.approx(expected, rel=1e-12)
 
     def test_run_seed_override(self, tmp_path):
         p = self.write_cfg(tmp_path, base_config(noise={"osnr_db": 25.0}))
