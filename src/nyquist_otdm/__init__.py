@@ -12,11 +12,9 @@ from .core import (
     Signal,
     Spectrum,
     TimeGrid,
-    brickwall_lowpass,
     delay_signal,
     rmse_percent,
     spectrum,
-    tone,
 )
 from .demux import MzmSampler, branch_phase, demultiplex, recover_symbols, \
     shift_plan_for_branch
@@ -91,7 +89,7 @@ __all__ = [
     "__version__",
     # core
     "TimeGrid", "Signal", "Spectrum", "ChannelPlan", "spectrum",
-    "brickwall_lowpass", "delay_signal", "tone", "rmse_percent",
+    "delay_signal", "rmse_percent",
     # nyquist
     "SincSequenceSpec", "SymbolStream", "sinc_sequence",
     "nyquist_interpolate", "raised_cosine_shape", "sample_symbols",

@@ -9,8 +9,7 @@ import re
 import sys
 from pathlib import Path
 
-from .mzm import MzmParams, calibrate_flat_comb, comb_report_to_dict, \
-    drive_plan_to_json, format_comb_table
+from .mzm import comb_report_to_dict, drive_plan_to_json, format_comb_table
 from .scenario import ConfigError, parse_scenario, run_scenario, \
     scenario_from_file, sweep
 
@@ -78,11 +77,17 @@ def _parse_values(text: str) -> list:
     return values
 
 
-def _cmd_run(args) -> int:
+def _load(args) -> dict:
     raw = json.loads(Path(args.config).read_text())
+    if not isinstance(raw, dict):
+        raise ConfigError("", "config must be a JSON object")
     if args.seed is not None:
         raw["seed"] = args.seed
-    bundle = run_scenario(parse_scenario(raw))
+    return raw
+
+
+def _cmd_run(args) -> int:
+    bundle = run_scenario(parse_scenario(_load(args)))
     print(bundle.summary())
     if args.out_dir is not None:
         for p in bundle.write(args.out_dir):
@@ -91,11 +96,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    raw = json.loads(Path(args.config).read_text())
-    if args.seed is not None:
-        raw["seed"] = args.seed
     values = _parse_values(args.values)
-    bundles = sweep(raw, args.param, values)
+    bundles = sweep(_load(args), args.param, values)
     for value, bundle in zip(values, bundles):
         print(f"--- {args.param} = {value} ---")
         print(bundle.summary())
@@ -107,17 +109,18 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    if args.lines < 3 or args.lines % 2 == 0:
-        raise ConfigError("--lines", "must be an odd number >= 3")
-    params = MzmParams(
-        v_pi=args.v_pi,
-        eo_3db_bandwidth=args.eo_bandwidth_ghz * 1e9,
-        dc_extinction_arm1_db=args.extinction_arm1_db,
-        dc_extinction_arm2_db=args.extinction_arm2_db,
-    )
-    cal = calibrate_flat_comb(args.lines, args.spacing_ghz * 1e9, params,
-                              flatness_target_db=args.flatness_target_db,
-                              modulation_index=args.modulation_index)
+    # the flags fill a comb-mode config, so they meet its bounds and a bad
+    # one is reported by its config field
+    cal = run_scenario(parse_scenario({
+        "version": 1, "mode": "comb",
+        "comb": {"n_lines": args.lines, "spacing_hz": args.spacing_ghz * 1e9,
+                 "flatness_target_db": args.flatness_target_db,
+                 "modulation_index": args.modulation_index},
+        "mzm": {"v_pi_volts": args.v_pi,
+                "eo_3db_bandwidth_hz": args.eo_bandwidth_ghz * 1e9,
+                "dc_extinction_arm1_db": args.extinction_arm1_db,
+                "dc_extinction_arm2_db": args.extinction_arm2_db},
+    })).calibration
     print(format_comb_table(cal.report))
     print(f"converged: {'yes' if cal.converged else 'no'}")
     print(f"waveform rmse vs ideal: {cal.waveform_rmse_percent:.4f} %")

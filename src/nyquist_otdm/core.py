@@ -22,9 +22,7 @@ __all__ = [
     "Spectrum",
     "ChannelPlan",
     "spectrum",
-    "brickwall_lowpass",
     "rmse_percent",
-    "tone",
     "constant",
     "delay_signal",
     "require_same_grid",
@@ -236,27 +234,6 @@ def spectrum(sig: Signal) -> Spectrum:
     return Spectrum(sig.grid, np.fft.fftshift(sig.bins) / sig.grid.n_samples)
 
 
-def brickwall_lowpass(sig: Signal, half_width: float) -> Signal:
-    """Ideal lowpass: keep |f| < half_width, halve bins at exactly |f| ==
-    half_width, zero the rest.
-
-    The boundary bin convention makes edge-aliased content through the
-    multiplexing chain recombine exactly.
-    """
-    grid = sig.grid
-    if not 0 < half_width < grid.nyquist:
-        raise ValueError(
-            f"half_width must lie in (0, Nyquist={grid.nyquist:g} Hz), "
-            f"got {half_width:g}"
-        )
-    f = np.fft.fftfreq(grid.n_samples, grid.dt)
-    tol = grid.freq_resolution * 1e-6
-    gain = np.zeros(grid.n_samples)
-    gain[np.abs(f) < half_width - tol] = 1.0
-    gain[np.abs(np.abs(f) - half_width) <= tol] = 0.5
-    return Signal._of_bins(grid, sig.bins * gain)
-
-
 def rmse_percent(measured: Signal, reference: Signal) -> float:
     """RMS error between two signals as a percentage of the reference peak.
 
@@ -269,14 +246,6 @@ def rmse_percent(measured: Signal, reference: Signal) -> float:
         raise ValueError("reference signal is identically zero")
     err = measured.samples - reference.samples
     return float(100.0 * np.sqrt(np.mean(np.abs(err) ** 2)) / peak)
-
-
-def tone(grid: TimeGrid, frequency: float, amplitude: float = 1.0,
-         phase: float = 0.0) -> Signal:
-    """Complex exponential ``amplitude * exp(j*(2*pi*f*t + phase))``."""
-    if abs(frequency) >= grid.nyquist:
-        raise ValueError("tone frequency must be below the Nyquist limit")
-    return Signal(grid, amplitude * np.exp(1j * (2 * np.pi * frequency * grid.t + phase)))
 
 
 def constant(grid: TimeGrid, amplitude: complex = 1.0) -> Signal:

@@ -47,7 +47,6 @@ __all__ = [
     "comb_report",
     "calibrate_flat_comb",
     "drive_plan_to_json",
-    "drive_plan_from_json",
     "comb_report_to_dict",
     "format_comb_table",
 ]
@@ -543,12 +542,6 @@ def drive_plan_to_json(plan: DrivePlan) -> str:
         ],
     }
     return json.dumps(payload, sort_keys=True)
-
-
-def drive_plan_from_json(text: str) -> DrivePlan:
-    payload = json.loads(text)
-    tones = tuple(DriveTone(**t) for t in payload["tones"])
-    return DrivePlan(tones, payload["bias_arm1"], payload["bias_arm2"])
 
 
 def comb_report_to_dict(report: CombReport) -> dict:

@@ -76,100 +76,139 @@ class ConfigError(ValueError):
 
 
 _REQUIRED = object()
+_DERIVED = object()  # absent; settled from other fields once the table is read
+
+# One row per config field: (dotted path, kind, default, minimum).  ``kind``
+# is float, int, bool, str, a tuple of choices, or a list of choices for a
+# non-empty list of them.  A default of None means null is allowed and
+# stands for "none" or "derived".
+_MODE = ("mode", ("transmission", "comb"), "transmission", None)
+_HEAD = (
+    _MODE,
+    ("version", int, _REQUIRED, 1),
+    ("seed", int, 0, 0),
+    ("label", str, _DERIVED, None),
+)
+_MZM = (  # in the order of MzmParams' fields
+    ("mzm.v_pi_volts", float, _REQUIRED, 1e-6),
+    ("mzm.eo_3db_bandwidth_hz", float, _REQUIRED, 1.0),
+    ("mzm.dc_extinction_arm1_db", float, 40.0, 1e-3),
+    ("mzm.dc_extinction_arm2_db", float, 37.0, 1e-3),
+    ("mzm.insertion_loss_db", float, 0.0, 0.0),
+    ("mzm.eo_model", ("single_pole", "gaussian", "flat"), "single_pole", None),
+)
+_COMB = _HEAD + (
+    ("comb.n_lines", int, 3, 3),
+    ("comb.spacing_hz", float, _REQUIRED, 1.0),
+    ("comb.flatness_target_db", float, 0.1, 1e-4),
+    ("comb.modulation_index", float, 0.3, 1e-3),
+) + _MZM
+_TRANSMISSION = _HEAD + (
+    ("carrier_frequency_thz", float, 193.4, 1.0),
+    ("plan.n_branches", int, _REQUIRED, 3),
+    ("plan.aggregate_bandwidth_hz", float, _REQUIRED, 1.0),
+    ("modulation", ("qpsk", "16qam"), _REQUIRED, None),
+    ("shaping.kind", ("sinc", "raised_cosine"), "sinc", None),
+    ("shaping.rolloff", float, _DERIVED, 0.0),
+    ("shaping.symbol_rate_hz", float, _DERIVED, 1.0),
+    ("n_symbols", int, _REQUIRED, 4),
+    ("oversampling", int, 8, 4),
+    ("fiber.length_km", float, 0.0, 0.0),
+    ("fiber.dispersion_ps_nm_km", float, 17.0, None),
+    ("fiber.attenuation_db_km", float, 0.2, 0.0),
+    ("fiber.reference_wavelength_nm", float, None, 1.0),
+    ("noise.osnr_db", float, None, None),
+    ("noise.reference_bandwidth_hz", float, 12.5e9, 1.0),
+    ("noise.seed", int, None, 0),
+    ("sampler.mode", ("ideal", "mzm"), "ideal", None),
+    ("sampler.modulation_index", float, 0.3, 1e-3),
+    ("sampler.flatness_target_db", float, 0.1, 1e-4),
+    ("receiver.compensate_dispersion", bool, True, None),
+    ("receiver.lo_power_w", float, 1.0, 1e-12),
+    ("receiver.lo_phase_rad", float, 0.0, None),
+    ("receiver.timing_delay_s", float, 0.0, None),
+    ("laser.linewidth_hz", float, 0.0, 0.0),
+    ("outputs", ["metrics", "spectra", "constellation", "eye"], ["metrics"], None),
+) + _MZM
 
 
-def _join(path: str, key: str) -> str:
-    return f"{path}.{key}" if path else key
+def _field(obj: dict, row):
+    """Check one field of ``obj`` against its table row; returns its value
+    (a float for a number), or the default where the field is absent."""
+    path, kind, default, minimum = row
+    value = obj.get(path.rpartition(".")[2], default)
+    if value is _REQUIRED:
+        raise ConfigError(path, "missing required field")
+    if value is _DERIVED or (value is None and default is None):
+        return value
+    if kind is float:
+        if value is None:
+            raise ConfigError(path, "must not be null")
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(path, "expected a number")
+        # Python's json parses NaN and +-Infinity; null is the way to say "none"
+        try:
+            value = float(value)
+        except OverflowError:
+            value = math.inf
+        if not math.isfinite(value):
+            raise ConfigError(path, "must be finite")
+    elif kind is int:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(path, "expected an integer"
+                              + (" or null" if default is None else ""))
+    elif kind is bool:
+        if not isinstance(value, bool):
+            raise ConfigError(path, "expected true or false")
+    elif isinstance(kind, list):
+        if not isinstance(value, list) or not value:
+            raise ConfigError(path, "expected a non-empty list")
+        for o in value:
+            if o not in kind:
+                raise ConfigError(path, f"unknown output {o!r}")
+        return list(value)
+    elif not isinstance(value, str):
+        raise ConfigError(path, "expected a string")
+    elif kind is not str and value not in kind:
+        raise ConfigError(path, f"must be one of {sorted(kind)}")
+    if minimum is not None and value < minimum:
+        raise ConfigError(path, f"must be >= {minimum:g}")
+    return value
 
 
-def _check_unknown(obj: dict, allowed, path: str) -> None:
-    for k in obj:
-        if k not in allowed:
-            raise ConfigError(_join(path, k), "unknown field")
+def _read(raw: dict, rows, optional=()) -> dict:
+    """Read every field ``rows`` name from ``raw`` into the normalized echo.
 
-
-def _block(obj, key, path, default=_REQUIRED) -> dict:
-    v = obj.get(key, default)
-    if v is _REQUIRED:
-        raise ConfigError(_join(path, key), "missing required field")
-    if v is default and not isinstance(v, dict):
-        return {}
-    if not isinstance(v, dict):
-        raise ConfigError(_join(path, key), "expected an object")
-    return v
-
-
-def _number(obj, key, path, default=_REQUIRED, minimum=None, allow_none=False):
-    v = obj.get(key, default)
-    if v is _REQUIRED:
-        raise ConfigError(_join(path, key), "missing required field")
-    if v is None:
-        if allow_none:
-            return None
-        raise ConfigError(_join(path, key), "must not be null")
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(_join(path, key), "expected a number")
-    # Python's json parses NaN and +-Infinity; null is the way to say "none"
-    try:
-        v = float(v)
-    except OverflowError:
-        v = math.inf
-    if not math.isfinite(v):
-        raise ConfigError(_join(path, key), "must be finite")
-    if minimum is not None and v < minimum:
-        raise ConfigError(_join(path, key), f"must be >= {minimum:g}")
-    return v
-
-
-def _integer(obj, key, path, default=_REQUIRED, minimum=None):
-    v = obj.get(key, default)
-    if v is _REQUIRED:
-        raise ConfigError(_join(path, key), "missing required field")
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ConfigError(_join(path, key), "expected an integer")
-    if minimum is not None and v < minimum:
-        raise ConfigError(_join(path, key), f"must be >= {minimum}")
-    return int(v)
-
-
-def _boolean(obj, key, path, default=_REQUIRED):
-    v = obj.get(key, default)
-    if v is _REQUIRED:
-        raise ConfigError(_join(path, key), "missing required field")
-    if not isinstance(v, bool):
-        raise ConfigError(_join(path, key), "expected true or false")
-    return v
-
-
-def _string(obj, key, path, default=_REQUIRED, choices=None):
-    v = obj.get(key, default)
-    if v is _REQUIRED:
-        raise ConfigError(_join(path, key), "missing required field")
-    if not isinstance(v, str):
-        raise ConfigError(_join(path, key), "expected a string")
-    if choices is not None and v not in choices:
-        raise ConfigError(_join(path, key), f"must be one of {sorted(choices)}")
-    return v
-
-
-_MZM_KEYS = ("v_pi_volts", "eo_3db_bandwidth_hz", "dc_extinction_arm1_db",
-             "dc_extinction_arm2_db", "insertion_loss_db", "eo_model")
-
-
-def _parse_mzm(block: dict, path: str) -> MzmParams:
-    _check_unknown(block, _MZM_KEYS, path)
-    return MzmParams(
-        v_pi=_number(block, "v_pi_volts", path, minimum=1e-6),
-        eo_3db_bandwidth=_number(block, "eo_3db_bandwidth_hz", path, minimum=1.0),
-        dc_extinction_arm1_db=_number(block, "dc_extinction_arm1_db", path,
-                                      default=40.0, minimum=1e-3),
-        dc_extinction_arm2_db=_number(block, "dc_extinction_arm2_db", path,
-                                      default=37.0, minimum=1e-3),
-        insertion_loss_db=_number(block, "insertion_loss_db", path,
-                                  default=0.0, minimum=0.0),
-        eo_model=_string(block, "eo_model", path, default="single_pole",
-                         choices=("single_pole", "gaussian", "flat")),
-    )
+    Before a block's fields are read, it must be an object holding no key
+    the table does not name.  An absent block reads as empty unless it holds
+    a required field; a block in ``optional`` may be absent all the same,
+    and is then left out of the echo.
+    """
+    blocks = {"": []}
+    for row in rows:
+        blocks.setdefault(row[0].rpartition(".")[0], []).append(row)
+    echo = {}
+    for block, block_rows in blocks.items():
+        known = {r[0].rpartition(".")[2] for r in block_rows}
+        if not block:
+            obj, known = raw, known | (blocks.keys() - {""})
+        elif block in raw:
+            obj = raw[block]
+            if not isinstance(obj, dict):
+                raise ConfigError(block, "expected an object")
+        elif block in optional:
+            continue
+        elif any(r[2] is _REQUIRED for r in block_rows):
+            raise ConfigError(block, "missing required field")
+        else:
+            obj = {}
+        out = echo.setdefault(block, {}) if block else echo
+        for k in obj:
+            if k not in known:
+                raise ConfigError(f"{block}.{k}" if block else k, "unknown field")
+        for row in block_rows:
+            out[row[0].rpartition(".")[2]] = _field(obj, row)
+    return echo
 
 
 @dataclass(frozen=True)
@@ -222,212 +261,103 @@ def parse_scenario(raw: dict) -> Scenario:
     """Validate a config dict and resolve defaults (fail-closed)."""
     if not isinstance(raw, dict):
         raise ConfigError("", "config must be a JSON object")
-    mode = _string(raw, "mode", "", default="transmission",
-                   choices=("transmission", "comb"))
-    version = _integer(raw, "version", "", minimum=1)
-    if version != CONFIG_VERSION:
-        raise ConfigError("version", f"unsupported version {version}")
-    seed = _integer(raw, "seed", "", default=0, minimum=0)
-    label = _string(raw, "label", "", default=mode)
+    mode = _field(raw, _MODE)
+    if mode == "comb":
+        cfg = _read(raw, _COMB)
+    else:
+        cfg = _read(raw, _TRANSMISSION, optional=("mzm",))
+    if cfg["version"] != CONFIG_VERSION:
+        raise ConfigError("version", f"unsupported version {cfg['version']}")
+    if cfg["label"] is _DERIVED:
+        cfg["label"] = mode
+    seed = cfg["seed"]
 
     if mode == "comb":
-        _check_unknown(raw, ("version", "mode", "seed", "label", "comb", "mzm"), "")
-        comb = _block(raw, "comb", "")
-        _check_unknown(comb, ("n_lines", "spacing_hz", "flatness_target_db",
-                              "modulation_index"), "comb")
-        n_lines = _integer(comb, "n_lines", "comb", default=3, minimum=3)
-        if n_lines % 2 == 0:
+        comb = cfg["comb"]
+        if comb["n_lines"] % 2 == 0:
             raise ConfigError("comb.n_lines", "must be odd")
-        spacing = _number(comb, "spacing_hz", "comb", minimum=1.0)
-        target = _number(comb, "flatness_target_db", "comb", default=0.1,
-                         minimum=1e-4)
-        index = _number(comb, "modulation_index", "comb", default=0.3,
-                        minimum=1e-3)
-        params = _parse_mzm(_block(raw, "mzm", ""), "mzm")
-        config = {
-            "version": version, "mode": mode, "seed": seed, "label": label,
-            "comb": {"n_lines": n_lines, "spacing_hz": spacing,
-                     "flatness_target_db": target, "modulation_index": index},
-            "mzm": {k: getattr(params, f) for k, f in zip(
-                _MZM_KEYS, ("v_pi", "eo_3db_bandwidth", "dc_extinction_arm1_db",
-                            "dc_extinction_arm2_db", "insertion_loss_db",
-                            "eo_model"))},
-        }
-        return Scenario(mode=mode, seed=seed, label=label, config=config,
-                        comb_n_lines=n_lines, comb_spacing_hz=spacing,
-                        comb_flatness_target_db=target, modulation_index=index,
-                        mzm_params=params)
+        return Scenario(mode=mode, seed=seed, label=cfg["label"], config=cfg,
+                        comb_n_lines=comb["n_lines"],
+                        comb_spacing_hz=comb["spacing_hz"],
+                        comb_flatness_target_db=comb["flatness_target_db"],
+                        modulation_index=comb["modulation_index"],
+                        mzm_params=MzmParams(*cfg["mzm"].values()))
 
-    allowed = ("version", "mode", "seed", "label", "carrier_frequency_thz",
-               "plan", "modulation", "shaping", "n_symbols", "oversampling",
-               "fiber", "noise", "sampler", "mzm", "receiver", "laser",
-               "outputs")
-    _check_unknown(raw, allowed, "")
-
-    plan_blk = _block(raw, "plan", "")
-    _check_unknown(plan_blk, ("n_branches", "aggregate_bandwidth_hz"), "plan")
-    n_branches = _integer(plan_blk, "n_branches", "plan", minimum=3)
-    bandwidth = _number(plan_blk, "aggregate_bandwidth_hz", "plan", minimum=1.0)
+    n_branches = cfg["plan"]["n_branches"]
+    bandwidth = cfg["plan"]["aggregate_bandwidth_hz"]
     if n_branches % 2 == 0:
         raise ConfigError("plan.n_branches", "must be odd")
     plan = ChannelPlan(n_branches, bandwidth)
 
-    modulation = _string(raw, "modulation", "", choices=("qpsk", "16qam"))
-
-    shaping = _block(raw, "shaping", "", default={"kind": "sinc"})
-    _check_unknown(shaping, ("kind", "rolloff", "symbol_rate_hz"), "shaping")
-    kind = _string(shaping, "kind", "shaping", default="sinc",
-                   choices=("sinc", "raised_cosine"))
-    branch_rate = plan.symbol_rate
-    rolloff = 0.0
-    if kind == "sinc":
-        rate = _number(shaping, "symbol_rate_hz", "shaping", default=branch_rate,
-                       minimum=1.0)
-        if abs(rate - branch_rate) > 1e-6 * branch_rate:
+    shaping = cfg["shaping"]
+    if shaping["kind"] == "sinc":
+        rate = shaping["symbol_rate_hz"]
+        if rate is _DERIVED:
+            rate = plan.symbol_rate  # stands in for the rate, so meets its bound
+            if rate < 1.0:
+                raise ConfigError("shaping.symbol_rate_hz", "must be >= 1")
+        if abs(rate - plan.symbol_rate) > 1e-6 * plan.symbol_rate:
             raise ConfigError("shaping.symbol_rate_hz",
                               f"sinc shaping requires the branch rate B/N = "
-                              f"{branch_rate:g} Hz")
-        if _number(shaping, "rolloff", "shaping", default=0.0, minimum=0.0) != 0.0:
+                              f"{plan.symbol_rate:g} Hz")
+        if shaping["rolloff"] not in (_DERIVED, 0.0):
             raise ConfigError("shaping.rolloff", "sinc shaping has no rolloff")
+        shaping.update(rolloff=0.0, symbol_rate_hz=plan.symbol_rate)
     else:
-        branch_rate = _number(shaping, "symbol_rate_hz", "shaping", minimum=1.0)
-        rolloff = _number(shaping, "rolloff", "shaping", minimum=0.0)
-        if rolloff > 1.0:
+        for key in ("symbol_rate_hz", "rolloff"):
+            if shaping[key] is _DERIVED:
+                raise ConfigError(f"shaping.{key}", "missing required field")
+        if shaping["rolloff"] > 1.0:
             raise ConfigError("shaping.rolloff", "must be <= 1")
-        occupied = 0.5 * (1.0 + rolloff) * branch_rate
+        occupied = 0.5 * (1.0 + shaping["rolloff"]) * shaping["symbol_rate_hz"]
         if occupied > plan.detection_half_width * (1 + 1e-9):
             raise ConfigError(
                 "shaping.symbol_rate_hz",
                 f"shaped branch occupies {occupied:g} Hz, beyond the "
                 f"detection half-width B/(2N) = {plan.detection_half_width:g} Hz")
+    branch_rate = shaping["symbol_rate_hz"]
 
-    n_symbols = _integer(raw, "n_symbols", "", minimum=4)
-    oversampling = _integer(raw, "oversampling", "", default=8, minimum=4)
-
-    sps = oversampling * bandwidth / branch_rate
+    sps = cfg["oversampling"] * bandwidth / branch_rate
     if abs(sps - round(sps)) > 1e-9:
         raise ConfigError("shaping.symbol_rate_hz",
                           "symbol period must hold an integer number of samples")
-    periods = n_symbols * bandwidth / (n_branches * branch_rate)
+    periods = cfg["n_symbols"] * bandwidth / (n_branches * branch_rate)
     if abs(periods - round(periods)) > 1e-9:
         raise ConfigError("n_symbols",
                           "window must hold an integer number of sequence periods")
 
-    carrier_thz = _number(raw, "carrier_frequency_thz", "", default=193.4,
-                          minimum=1.0)
+    sampler = cfg["sampler"]
+    if (sampler["mode"] == "mzm") != ("mzm" in cfg):
+        raise ConfigError("mzm", "required when sampler.mode is 'mzm'"
+                          if sampler["mode"] == "mzm"
+                          else "only allowed when sampler.mode is 'mzm'")
 
-    fiber_blk = _block(raw, "fiber", "", default={"length_km": 0.0})
-    _check_unknown(fiber_blk, ("length_km", "dispersion_ps_nm_km",
-                               "attenuation_db_km", "reference_wavelength_nm"),
-                   "fiber")
-    wavelength = _number(fiber_blk, "reference_wavelength_nm", "fiber",
-                         default=None, allow_none=True)
-    if wavelength is None:
-        wavelength = SPEED_OF_LIGHT / (carrier_thz * 1e12) * 1e9
-    fiber = FiberSpec(
-        length_km=_number(fiber_blk, "length_km", "fiber", default=0.0,
-                          minimum=0.0),
-        dispersion_ps_nm_km=_number(fiber_blk, "dispersion_ps_nm_km", "fiber",
-                                    default=17.0),
-        attenuation_db_km=_number(fiber_blk, "attenuation_db_km", "fiber",
-                                  default=0.2, minimum=0.0),
-        reference_wavelength_nm=wavelength,
-    )
-
-    noise_blk = _block(raw, "noise", "", default={"osnr_db": None})
-    _check_unknown(noise_blk, ("osnr_db", "reference_bandwidth_hz", "seed"),
-                   "noise")
-    osnr = _number(noise_blk, "osnr_db", "noise", default=None, allow_none=True)
-    osnr = math.inf if osnr is None else osnr
-    noise_ref_bw = _number(noise_blk, "reference_bandwidth_hz", "noise",
-                           default=12.5e9, minimum=1.0)
-    noise_seed = noise_blk.get("seed")
-    if noise_seed is None:
-        noise_seed = seed + 1
-    elif isinstance(noise_seed, bool) or not isinstance(noise_seed, int):
-        raise ConfigError("noise.seed", "expected an integer or null")
-
-    sampler_blk = _block(raw, "sampler", "", default={"mode": "ideal"})
-    _check_unknown(sampler_blk, ("mode", "modulation_index",
-                                 "flatness_target_db"), "sampler")
-    sampler_mode = _string(sampler_blk, "mode", "sampler", default="ideal",
-                           choices=("ideal", "mzm"))
-    modulation_index = _number(sampler_blk, "modulation_index", "sampler",
-                               default=0.3, minimum=1e-3)
-    flatness_target = _number(sampler_blk, "flatness_target_db", "sampler",
-                              default=0.1, minimum=1e-4)
-    mzm_params = None
-    if sampler_mode == "mzm":
-        if "mzm" not in raw:
-            raise ConfigError("mzm", "required when sampler.mode is 'mzm'")
-        mzm_params = _parse_mzm(_block(raw, "mzm", ""), "mzm")
-    elif "mzm" in raw:
-        raise ConfigError("mzm", "only allowed when sampler.mode is 'mzm'")
-
-    recv_blk = _block(raw, "receiver", "", default={})
-    _check_unknown(recv_blk, ("compensate_dispersion", "lo_power_w",
-                              "lo_phase_rad", "timing_delay_s"), "receiver")
-    compensate = _boolean(recv_blk, "compensate_dispersion", "receiver",
-                          default=True)
-    lo_power = _number(recv_blk, "lo_power_w", "receiver", default=1.0,
-                       minimum=1e-12)
-    lo_phase = _number(recv_blk, "lo_phase_rad", "receiver", default=0.0)
-    timing_delay = _number(recv_blk, "timing_delay_s", "receiver", default=0.0)
-
-    laser_blk = _block(raw, "laser", "", default={})
-    _check_unknown(laser_blk, ("linewidth_hz",), "laser")
-    linewidth = _number(laser_blk, "linewidth_hz", "laser", default=0.0,
-                        minimum=0.0)
-
-    outputs = raw.get("outputs", ["metrics"])
-    if not isinstance(outputs, list) or not outputs:
-        raise ConfigError("outputs", "expected a non-empty list")
-    for o in outputs:
-        if o not in ("metrics", "spectra", "constellation", "eye"):
-            raise ConfigError("outputs", f"unknown output {o!r}")
-
-    config = {
-        "version": version, "mode": mode, "seed": seed, "label": label,
-        "carrier_frequency_thz": carrier_thz,
-        "plan": {"n_branches": n_branches, "aggregate_bandwidth_hz": bandwidth},
-        "modulation": modulation,
-        "shaping": {"kind": kind, "rolloff": rolloff,
-                    "symbol_rate_hz": branch_rate},
-        "n_symbols": n_symbols,
-        "oversampling": oversampling,
-        "fiber": {
-            "length_km": fiber.length_km,
-            "dispersion_ps_nm_km": fiber.dispersion_ps_nm_km,
-            "attenuation_db_km": fiber.attenuation_db_km,
-            "reference_wavelength_nm": fiber.reference_wavelength_nm,
-        },
-        "noise": {"osnr_db": None if math.isinf(osnr) else osnr,
-                  "reference_bandwidth_hz": noise_ref_bw, "seed": noise_seed},
-        "sampler": {"mode": sampler_mode, "modulation_index": modulation_index,
-                    "flatness_target_db": flatness_target},
-        "receiver": {"compensate_dispersion": compensate,
-                     "lo_power_w": lo_power, "lo_phase_rad": lo_phase,
-                     "timing_delay_s": timing_delay},
-        "laser": {"linewidth_hz": linewidth},
-        "outputs": list(outputs),
-    }
-    if mzm_params is not None:
-        config["mzm"] = {k: getattr(mzm_params, f) for k, f in zip(
-            _MZM_KEYS, ("v_pi", "eo_3db_bandwidth", "dc_extinction_arm1_db",
-                        "dc_extinction_arm2_db", "insertion_loss_db",
-                        "eo_model"))}
-
+    fiber = cfg["fiber"]
+    if fiber["reference_wavelength_nm"] is None:
+        fiber["reference_wavelength_nm"] = (
+            SPEED_OF_LIGHT / (cfg["carrier_frequency_thz"] * 1e12) * 1e9)
+    noise = cfg["noise"]
+    if noise["seed"] is None:
+        noise["seed"] = seed + 1
+    receiver = cfg["receiver"]
     return Scenario(
-        mode=mode, seed=seed, label=label, config=config, plan=plan,
-        modulation=modulation, shaping_kind=kind, rolloff=rolloff,
-        branch_symbol_rate=branch_rate, n_symbols=n_symbols,
-        oversampling=oversampling, carrier_frequency_thz=carrier_thz,
-        fiber=fiber, osnr_db=osnr, noise_reference_bandwidth_hz=noise_ref_bw,
-        noise_seed=int(noise_seed), sampler_mode=sampler_mode,
-        mzm_params=mzm_params, modulation_index=modulation_index,
-        comb_flatness_target_db=flatness_target, compensate=compensate,
-        lo_power=lo_power, lo_phase=lo_phase, timing_delay_s=timing_delay,
-        linewidth_hz=linewidth, outputs=tuple(outputs),
+        mode=mode, seed=seed, label=cfg["label"], config=cfg, plan=plan,
+        modulation=cfg["modulation"], shaping_kind=shaping["kind"],
+        rolloff=shaping["rolloff"], branch_symbol_rate=branch_rate,
+        n_symbols=cfg["n_symbols"], oversampling=cfg["oversampling"],
+        carrier_frequency_thz=cfg["carrier_frequency_thz"],
+        fiber=FiberSpec(**fiber),
+        osnr_db=math.inf if noise["osnr_db"] is None else noise["osnr_db"],
+        noise_reference_bandwidth_hz=noise["reference_bandwidth_hz"],
+        noise_seed=noise["seed"], sampler_mode=sampler["mode"],
+        mzm_params=MzmParams(*cfg["mzm"].values()) if "mzm" in cfg else None,
+        modulation_index=sampler["modulation_index"],
+        comb_flatness_target_db=sampler["flatness_target_db"],
+        compensate=receiver["compensate_dispersion"],
+        lo_power=receiver["lo_power_w"], lo_phase=receiver["lo_phase_rad"],
+        timing_delay_s=receiver["timing_delay_s"],
+        linewidth_hz=cfg["laser"]["linewidth_hz"],
+        outputs=tuple(cfg["outputs"]),
     )
 
 
@@ -663,16 +593,16 @@ def sweep(config: dict, parameter: str, values) -> list[ReportBundle]:
     """
     if not values:
         raise ValueError("sweep needs at least one value")
-    field = parse_scenario(config).config
+    base = parse_scenario(config)
+    field = base.config
     for p in parameter.split("."):
         if not isinstance(field, dict) or p not in field:
             raise ConfigError(parameter, "no such config field to sweep")
         field = field[p]
-    base_seed = config.get("seed", 0)
     bundles = []
     for i, value in enumerate(values):
         cfg = copy.deepcopy(config)
         _set_by_path(cfg, parameter, value)
-        cfg["seed"] = base_seed + i
+        cfg["seed"] = base.seed + i
         bundles.append(run_scenario(parse_scenario(cfg)))
     return bundles

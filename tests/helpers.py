@@ -22,6 +22,14 @@ from nyquist_otdm.mzm import modulate
 from nyquist_otdm.nyquist import SymbolStream
 
 
+def tone(grid: TimeGrid, frequency: float, amplitude: float = 1.0,
+         phase: float = 0.0) -> Signal:
+    """Complex exponential ``amplitude * exp(j*(2*pi*f*t + phase))``."""
+    if abs(frequency) >= grid.nyquist:
+        raise ValueError("tone frequency must be below the Nyquist limit")
+    return Signal(grid, amplitude * np.exp(1j * (2 * np.pi * frequency * grid.t + phase)))
+
+
 def periodic_sinc_kernel(x, m: int):
     """Interpolation kernel of ``m`` equispaced samples, evaluated at ``x``
     sample periods from the peak.

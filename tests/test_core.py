@@ -10,15 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from helpers import tone
 from nyquist_otdm import (
     ChannelPlan,
     Signal,
     TimeGrid,
-    brickwall_lowpass,
     delay_signal,
     rmse_percent,
     spectrum,
-    tone,
 )
 from nyquist_otdm.core import _CSV_BLOCK_ROWS, _write_csv, constant, require_same_grid
 
@@ -99,32 +98,6 @@ def test_spectrum_power_identity():
     sig = Signal(grid, rng.standard_normal(100) + 1j * rng.standard_normal(100))
     spec = spectrum(sig)
     assert np.sum(np.abs(spec.bins) ** 2) == pytest.approx(sig.power)
-
-
-def test_brickwall_passband_edge_and_stopband():
-    grid = TimeGrid(16e9, 160)
-    df = grid.freq_resolution
-    inside = tone(grid, 2 * df)
-    at_edge = tone(grid, 4 * df)
-    outside = tone(grid, 6 * df)
-    sig = Signal(grid, inside.samples + at_edge.samples + outside.samples)
-    out = spectrum(brickwall_lowpass(sig, half_width=4 * df))
-
-    def bin_at(f):
-        return out.bins[np.argmin(np.abs(out.freqs - f))]
-
-    assert bin_at(2 * df) == pytest.approx(1.0, abs=1e-12)
-    assert bin_at(4 * df) == pytest.approx(0.5, abs=1e-12)
-    assert abs(bin_at(6 * df)) < 1e-12
-
-
-def test_brickwall_rejects_bad_width():
-    grid = TimeGrid(16e9, 32)
-    sig = constant(grid)
-    with pytest.raises(ValueError):
-        brickwall_lowpass(sig, 0.0)
-    with pytest.raises(ValueError):
-        brickwall_lowpass(sig, grid.nyquist)
 
 
 def test_delay_signal_integer_samples_is_circular_roll():

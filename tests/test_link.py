@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from nyquist_otdm import ChannelPlan, TimeGrid
-from nyquist_otdm.core import constant, tone
+from nyquist_otdm.core import constant
 from nyquist_otdm.demux import demultiplex, recover_symbols
 from nyquist_otdm.link import (
     FiberSpec,
@@ -21,7 +21,7 @@ from nyquist_otdm.link import (
 )
 from nyquist_otdm.nyquist import otdm_multiplex
 
-from helpers import grid_for, random_streams
+from helpers import grid_for, random_streams, tone
 
 # pi * (1550 nm)^2 / c * 17 ps/(nm km) * 30 km * (10 GHz)^2, checked against
 # an independent hand evaluation of the closed form

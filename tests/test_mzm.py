@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.special import jv
 
-from helpers import align_delay_gain
+from helpers import align_delay_gain, tone
 from nyquist_otdm import Signal, TimeGrid, delay_signal, rmse_percent, spectrum
-from nyquist_otdm.core import constant, tone
+from nyquist_otdm.core import constant
 from nyquist_otdm.mzm import (
     DrivePlan,
     DriveTone,
@@ -24,7 +24,6 @@ from nyquist_otdm.mzm import (
     arm_amplitude,
     calibrate_flat_comb,
     comb_report,
-    drive_plan_from_json,
     drive_plan_to_json,
     eo_response,
     format_comb_table,
@@ -249,13 +248,6 @@ class TestCalibration:
         text = format_comb_table(cal.report)
         assert "flatness" in text
         assert text.count("\n") >= 3
-
-
-def test_drive_plan_json_round_trip():
-    plan = push_pull_plan([10e9, 20e9], [0.21, 0.033], bias_difference=0.8,
-                          arm2_drive_ratio=0.95)
-    back = drive_plan_from_json(drive_plan_to_json(plan))
-    assert back == plan
 
 
 def test_import_leaves_scipy_optimize_unloaded():

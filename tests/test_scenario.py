@@ -29,6 +29,40 @@ MZM_BLOCK = {
 }
 
 
+FULL_MZM_CONFIG = {
+    "version": 1, "mode": "transmission", "seed": 3, "label": "full",
+    "carrier_frequency_thz": 193.1,
+    "plan": {"n_branches": 5, "aggregate_bandwidth_hz": 20e9},
+    "modulation": "16qam",
+    "shaping": {"kind": "sinc"},
+    "n_symbols": 15, "oversampling": 4,
+    "fiber": {"length_km": 10.0, "reference_wavelength_nm": 1552.0},
+    "noise": {"osnr_db": 28.0, "seed": 11},
+    "sampler": {"mode": "mzm"},
+    "mzm": dict(MZM_BLOCK, eo_model="gaussian"),
+    "receiver": {"lo_phase_rad": 0.1, "timing_delay_s": 1e-12},
+    "laser": {"linewidth_hz": 1e5},
+    "outputs": ["metrics", "spectra"],
+}
+RAISED_COSINE_CONFIG = {
+    "version": 1, "plan": {"n_branches": 3, "aggregate_bandwidth_hz": 24e9},
+    "modulation": "qpsk", "n_symbols": 8,
+    "shaping": {"kind": "raised_cosine", "symbol_rate_hz": 4e9, "rolloff": 1.0},
+}
+COMB_CONFIG = {"version": 1, "mode": "comb", "comb": {"spacing_hz": 10e9},
+               "mzm": dict(MZM_BLOCK)}
+
+
+def echo_leaves(echo, prefix=""):
+    """Dotted paths of every leaf of a normalized config echo."""
+    for key, value in echo.items():
+        path = f"{prefix}{key}"
+        if isinstance(value, dict):
+            yield from echo_leaves(value, path + ".")
+        else:
+            yield path
+
+
 def base_config(**overrides):
     cfg = {
         "version": 1,
@@ -96,6 +130,12 @@ class TestParsing:
         (lambda c: c.update(noise={"osnr_db": -math.inf}), "noise.osnr_db"),
         (lambda c: c.update(fiber={"length_km": math.nan}), "fiber.length_km"),
         (lambda c: c.update(fiber={"length_km": 10 ** 400}), "fiber.length_km"),
+        pytest.param(lambda c: c.update(noise={"osnr_db": 25, "seed": -1}),
+                     "noise.seed", id="negative-noise-seed"),
+        pytest.param(lambda c: c.update(fiber={"reference_wavelength_nm": 0}),
+                     "fiber.reference_wavelength_nm", id="zero-wavelength"),
+        pytest.param(lambda c: c.update(fiber={"reference_wavelength_nm": -1550.0}),
+                     "fiber.reference_wavelength_nm", id="negative-wavelength"),
     ])
     def test_fail_closed_names_the_field(self, mutate, field):
         cfg = base_config()
@@ -104,6 +144,27 @@ class TestParsing:
             parse_scenario(cfg)
         assert err.value.field == field
         assert field in str(err.value)
+
+    @pytest.mark.parametrize("raw", [
+        FULL_MZM_CONFIG, RAISED_COSINE_CONFIG, COMB_CONFIG],
+        ids=["mzm", "raised_cosine", "comb"])
+    def test_every_echoed_field_fails_closed(self, raw):
+        """Each leaf of the normalized echo, set to a list, is rejected by
+        its own dotted path; the echo itself re-parses to itself."""
+        echo = parse_scenario(copy.deepcopy(raw)).config
+        assert parse_scenario(copy.deepcopy(echo)).config == echo
+        leaves = list(echo_leaves(echo))
+        assert len(leaves) >= 9
+        for path in leaves:
+            cfg = copy.deepcopy(echo)
+            *blocks, key = path.split(".")
+            block = cfg
+            for b in blocks:
+                block = block[b]
+            block[key] = []
+            with pytest.raises(ConfigError) as err:
+                parse_scenario(cfg)
+            assert err.value.field == path
 
     def test_window_must_hold_whole_periods(self):
         cfg = base_config(
@@ -403,6 +464,26 @@ class TestCli:
     def test_calibrate_comb_rejects_even_lines(self, capsys):
         assert main(["calibrate-comb", "--lines", "4",
                      "--spacing-ghz", "10"]) == 2
+
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--modulation-index", "-1", "comb.modulation_index"),
+        ("--flatness-target-db", "0", "comb.flatness_target_db"),
+        ("--spacing-ghz", "nan", "comb.spacing_hz"),
+        ("--eo-bandwidth-ghz", "inf", "mzm.eo_3db_bandwidth_hz"),
+    ])
+    def test_calibrate_comb_flags_meet_the_config_bounds(self, capsys, flag,
+                                                         value, field):
+        args = ["calibrate-comb", "--spacing-ghz", "10", flag, value]
+        assert main(args) == 2
+        assert f"error: {field}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", [
+        ["run"], ["sweep", "--param", "noise.osnr_db", "--values", "20"]],
+        ids=["run", "sweep"])
+    def test_config_must_be_an_object(self, tmp_path, capsys, verb):
+        p = self.write_cfg(tmp_path, [1, 2])
+        assert main([verb[0], str(p), "--seed", "3"] + verb[1:]) == 2
+        assert "config must be a JSON object" in capsys.readouterr().err
 
 
 def test_scenario_from_file(tmp_path):
