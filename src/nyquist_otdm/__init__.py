@@ -13,7 +13,6 @@ from .core import (
     Spectrum,
     TimeGrid,
     delay_signal,
-    rmse_percent,
     spectrum,
 )
 from .demux import MzmSampler, branch_phase, demultiplex, recover_symbols, \
@@ -63,14 +62,12 @@ from .mzm import (
     push_pull_plan,
 )
 from .nyquist import (
-    SincSequenceSpec,
     SymbolStream,
     multiplex_branch_signals,
     nyquist_interpolate,
     otdm_multiplex,
     raised_cosine_shape,
     sample_symbols,
-    sinc_sequence,
 )
 from .scenario import (
     ConfigError,
@@ -89,11 +86,10 @@ __all__ = [
     "__version__",
     # core
     "TimeGrid", "Signal", "Spectrum", "ChannelPlan", "spectrum",
-    "delay_signal", "rmse_percent",
+    "delay_signal",
     # nyquist
-    "SincSequenceSpec", "SymbolStream", "sinc_sequence",
-    "nyquist_interpolate", "raised_cosine_shape", "sample_symbols",
-    "multiplex_branch_signals", "otdm_multiplex",
+    "SymbolStream", "nyquist_interpolate", "raised_cosine_shape",
+    "sample_symbols", "multiplex_branch_signals", "otdm_multiplex",
     # mzm
     "MzmParams", "DriveTone", "DrivePlan", "CombReport",
     "FlatCombCalibration", "arm_amplitude", "eo_response", "modulate",

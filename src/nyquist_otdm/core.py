@@ -22,7 +22,6 @@ __all__ = [
     "Spectrum",
     "ChannelPlan",
     "spectrum",
-    "rmse_percent",
     "constant",
     "delay_signal",
     "require_same_grid",
@@ -232,20 +231,6 @@ def require_same_grid(a, b) -> None:
 def spectrum(sig: Signal) -> Spectrum:
     """Amplitude spectrum of ``sig`` (DFT / n, centered on the carrier)."""
     return Spectrum(sig.grid, np.fft.fftshift(sig.bins) / sig.grid.n_samples)
-
-
-def rmse_percent(measured: Signal, reference: Signal) -> float:
-    """RMS error between two signals as a percentage of the reference peak.
-
-    ``100 * sqrt(mean |m - r|^2) / max |r|``.  Invariant under a common
-    complex scale applied to both inputs.
-    """
-    require_same_grid(measured, reference)
-    peak = float(np.max(np.abs(reference.samples)))
-    if peak == 0.0:
-        raise ValueError("reference signal is identically zero")
-    err = measured.samples - reference.samples
-    return float(100.0 * np.sqrt(np.mean(np.abs(err) ** 2)) / peak)
 
 
 def constant(grid: TimeGrid, amplitude: complex = 1.0) -> Signal:

@@ -11,8 +11,9 @@ trial drive on one period only, as harmonic lines: the line powers come from
 one small FFT, and the least-squares fit of delay and complex gain onto the
 ideal sequence, which has only N lines, is the peak of an N-term
 trigonometric polynomial plus a Parseval residual.  Scans and line searches
-evaluate their trial drives as one batch of transfers.  The chosen drive is
-centred and reported on the full multi-period grid with :func:`modulate` and
+evaluate their trial drives as one batch of transfers.  The search works in
+modulation-index units; the chosen drive is mapped to volts in closed form,
+then centred and reported on one period with :func:`modulate` and
 :func:`comb_report`.
 """
 
@@ -24,15 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import (
-    Signal,
-    Spectrum,
-    TimeGrid,
-    constant,
-    rmse_percent,
-    spectrum,
-)
-from .nyquist import SincSequenceSpec, sinc_sequence
+from .core import Signal, Spectrum, TimeGrid, constant, spectrum
 
 __all__ = [
     "MzmParams",
@@ -278,7 +271,6 @@ def comb_report(spec: Spectrum, n_lines: int, spacing: float) -> CombReport:
 # ---------------------------------------------------------------------------
 # flat-comb calibration on one period
 
-_PERIODS = 16        # comb periods in the grid of the final report
 _SWEEPS = 8          # coordinate-descent sweeps per stage
 _LINE_POINTS = 17    # points per level of a bracket-and-zoom line search
 _NEWTON_STEPS = 3    # polish steps of the delay search after its grid
@@ -289,40 +281,32 @@ _OVER_LIMIT = 100.0
 
 class _OnePeriodComb:
     """Comb line amplitudes and aligned waveform error of a batch of
-    push-pull drives, each a row ``[bias difference, arm-2 drive ratio,
-    scale of harmonic 2, ...]`` (the fundamental's amplitude is pinned).
+    push-pull drives in modulation-index units, each a row ``[bias
+    difference, arm-2 drive ratio, scale of harmonic 2, ...]`` (the
+    fundamental's index is pinned at ``modulation_index``).
 
-    The transfer is periodic in 1/spacing, so one period of ``mult`` samples
-    holds every line of the windowed comb: its DFT / ``mult`` equals the full
-    grid's spectrum at the line bins.  The ideal sequence has the lines
-    1/n_lines at orders -h..h, so the best delay and complex gain onto it
-    maximise ``|corr(theta)| = |sum_k conj(L_k) e^{2j pi k theta}| / n_lines``
-    and, by Parseval, leave the mean square residual ``1/n_lines - |corr|^2 /
-    mean|transfer|^2`` against the unit-peak ideal.
+    Harmonic k of arm 1 carries the phase ``-m_k cos(2 pi k t / T)`` and
+    arm 2 ``+ratio m_k cos(2 pi k t / T)``, whatever the spacing, V_pi or
+    electro-optic response that produce it, and ``arms`` are the two arm
+    fields' weights in the output.  The transfer is periodic, so one period
+    of ``mult`` samples holds every line of the windowed comb: its DFT /
+    ``mult`` equals the full grid's spectrum at the line bins.  The ideal
+    sequence has the lines 1/n_lines at orders -h..h, so the best delay and
+    complex gain onto it maximise ``|corr(theta)| = |sum_k conj(L_k) e^{2j
+    pi k theta}| / n_lines`` and, by Parseval, leave the mean square
+    residual ``1/n_lines - |corr|^2 / mean|transfer|^2`` against the
+    unit-peak ideal.
     """
 
-    def __init__(self, n_lines: int, spacing: float, params: MzmParams,
-                 modulation_index: float):
+    def __init__(self, n_lines: int, modulation_index: float, arms):
         h = (n_lines - 1) // 2
         self.mult = max(32, 2 * (n_lines + 5))  # Nyquist clears the report's lines
-        self.n_lines, self.params = n_lines, params
-        self.freqs = spacing * np.arange(1, h + 1)
-        eo = eo_response(self.freqs, params)
-        self.base_amps = modulation_index * params.v_pi / (math.pi * eo)
-        # push-pull at base phase -pi/2: -cos on arm 1, +cos on arm 2
-        self._cos = (math.pi * eo * self.base_amps / params.v_pi)[:, None] * np.cos(
+        self.n_lines, self._arms = n_lines, arms
+        self._cos = modulation_index * np.cos(
             2 * np.pi * np.outer(np.arange(1, h + 1), np.arange(self.mult)) / self.mult)
-        loss = 0.5 * 10.0 ** (-params.insertion_loss_db / 20.0)
-        self._arms = (loss * arm_amplitude(params.dc_extinction_arm1_db),
-                      loss * arm_amplitude(params.dc_extinction_arm2_db))
         self._w = 2j * np.pi * np.arange(-h, h + 1)
         self._delays = np.arange(64 * n_lines) / (64 * n_lines)
         self._on_delays = np.exp(np.outer(self._w, self._delays))
-
-    def plan(self, x) -> DrivePlan:
-        amps = self.base_amps * np.concatenate(([1.0], x[2:]))
-        return push_pull_plan(self.freqs, amps, float(x[0]),
-                              arm2_drive_ratio=float(x[1]))
 
     def lines(self, x: np.ndarray):
         """Line amplitudes (orders -h..h) and mean power of each drive."""
@@ -424,12 +408,12 @@ def calibrate_flat_comb(
 ) -> FlatCombCalibration:
     """Find a push-pull drive producing a flat ``n_lines`` comb at ``spacing``.
 
-    The drive amplitudes are seeded from the requested modulation index,
-    corrected for the electro-optic roll-off; the first harmonic's amplitude
-    is never touched, so the pulse keeps the low sideband level that index
-    implies.  Trial drives are evaluated on one comb period, as harmonic
-    lines, each scan and each line-search level as one batch (see
-    :class:`_OnePeriodComb`):
+    The search runs in modulation-index units (see :class:`_OnePeriodComb`),
+    so its result depends only on the line count, the index and the arm
+    imbalance: the first harmonic's index is never touched, so the pulse
+    keeps the low sideband level that index implies.  Trial drives are
+    evaluated on one comb period, as harmonic lines, each scan and each
+    line-search level as one batch:
 
     1. flatness: a scan of the arm bias difference (67 points) against a
        common scale of the higher harmonics (13 points, beyond three lines),
@@ -440,17 +424,21 @@ def calibrate_flat_comb(
        move only while the flatness stays within the target (or within
        stage 1's result, if that missed it).
 
-    Then, on the full grid of 16 periods, the tone phases are trimmed to
-    centre the pulse at t = 0, ``gain`` is fitted to map the output onto the
-    unit-peak ideal sequence by a plain complex multiply, and the comb is
-    reported; ``converged`` is False if the target is out of reach.
+    The indices m_k map to the volts ``m_k * v_pi / (pi * |H_EO(k *
+    spacing)|)`` in closed form.  Then, on one period of the modulator
+    output, the tone phases are trimmed to centre the pulse at t = 0,
+    ``gain`` is fitted to map the output onto the unit-peak ideal sequence
+    by a plain complex multiply, and the comb is reported; ``converged`` is
+    False if the target is out of reach.
     """
     if n_lines < 3 or n_lines % 2 == 0:
         raise ValueError("n_lines must be an odd integer >= 3")
     if not spacing > 0:
         raise ValueError("spacing must be positive")
 
-    comb = _OnePeriodComb(n_lines, spacing, params, modulation_index)
+    comb = _OnePeriodComb(n_lines, modulation_index,
+                          (0.5 * arm_amplitude(params.dc_extinction_arm1_db),
+                           0.5 * arm_amplitude(params.dc_extinction_arm2_db)))
     n_free = (n_lines - 1) // 2 - 1
     lower = (0.02, 0.1) + (0.05,) * n_free  # bias, arm-2 ratio, scales
     upper = (math.pi - 0.02, math.inf) + (math.inf,) * n_free
@@ -474,7 +462,7 @@ def calibrate_flat_comb(
     # that ratio, re-balancing the bias at each step, then polish every
     # coordinate.  Drives over the flatness limit score above any RMSE,
     # ordered by the excess; the limit sits a hair inside the target so the
-    # full grid's rounding cannot tip the report over it.
+    # rounding of the modulator in volts cannot tip the report over it.
     limit = max(flatness_target_db * (1.0 - 1e-9), flat)
 
     def waveform_error(x):
@@ -492,16 +480,17 @@ def calibrate_flat_comb(
         x[0], x[1] = bias[j], ratios[j]
     x, _ = _descend(waveform_error, x, range(2 + n_free),
                     [0.04, 0.04] + [0.1] * n_free, lower, upper, 1e-8)
-    plan = comb.plan(x)
+    freqs = spacing * np.arange(1, n_lines // 2 + 1)
+    volts = modulation_index * params.v_pi / (math.pi * eo_response(freqs, params))
+    plan = push_pull_plan(freqs, volts * np.concatenate(([1.0], x[2:])), float(x[0]),
+                          arm2_drive_ratio=float(x[1]))
 
-    # centre the pulse on the full grid: fold the measured delay into the
-    # tone phases (exact by time invariance), measure again to absorb
-    # estimation error
-    grid = TimeGrid(sample_rate=comb.mult * spacing, n_samples=comb.mult * _PERIODS)
-    line_bins = grid.n_samples // 2 + _PERIODS * np.arange(-(n_lines // 2), n_lines // 2 + 1)
+    # centre the pulse: fold the measured delay into the tone phases (exact
+    # by time invariance), measure again to absorb estimation error
+    grid = TimeGrid(sample_rate=comb.mult * spacing, n_samples=comb.mult)
+    line_bins = comb.mult // 2 + np.arange(-(n_lines // 2), n_lines // 2 + 1)
     for attempt in range(3):
-        out = modulate(constant(grid), plan, params)
-        spec = spectrum(out)
+        spec = spectrum(modulate(constant(grid), plan, params))
         theta, _ = comb.align(spec.bins[line_bins])
         residual = float((theta + 0.5) % 1.0 - 0.5) / spacing
         if abs(residual) < 1e-3 * grid.dt or attempt == 2:
@@ -511,15 +500,18 @@ def calibrate_flat_comb(
                                        phase_arm2=t.phase_arm2 + shift * t.frequency)
                                for t in plan.tones), plan.bias_arm1, plan.bias_arm2)
 
-    ideal = sinc_sequence(SincSequenceSpec(n_lines, n_lines * spacing), grid)
-    gain = complex(np.vdot(out.samples, ideal.samples) / np.vdot(out.samples, out.samples))
+    # the ideal sequence's lines are 1/n_lines, so by Parseval the
+    # least-squares gain and residual on the lines are the waveform's
+    ideal = np.zeros(comb.mult)
+    ideal[line_bins] = 1.0 / n_lines
+    gain = complex(np.vdot(spec.bins, ideal) / np.vdot(spec.bins, spec.bins))
     report = comb_report(spec, n_lines, spacing)
     return FlatCombCalibration(
         plan=plan, params=params, report=report,
         converged=bool(report.flatness_db <= flatness_target_db),
         flatness_target_db=float(flatness_target_db), gain=gain,
         residual_delay=residual,
-        waveform_rmse_percent=rmse_percent(Signal(grid, gain * out.samples), ideal),
+        waveform_rmse_percent=float(100.0 * np.linalg.norm(gain * spec.bins - ideal)),
     )
 
 

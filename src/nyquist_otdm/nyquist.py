@@ -16,9 +16,7 @@ import numpy as np
 from .core import ChannelPlan, Signal, TimeGrid, require_same_grid
 
 __all__ = [
-    "SincSequenceSpec",
     "SymbolStream",
-    "sinc_sequence",
     "nyquist_interpolate",
     "raised_cosine_shape",
     "sample_symbols",
@@ -27,30 +25,6 @@ __all__ = [
 ]
 
 _INT_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class SincSequenceSpec:
-    """Periodic sinc-sequence pulse: ``n_lines`` spectral lines spanning
-    total bandwidth ``bandwidth``, peak at ``time_shift``."""
-
-    n_lines: int
-    bandwidth: float
-    time_shift: float = 0.0
-
-    def __post_init__(self):
-        if self.n_lines < 3 or self.n_lines % 2 == 0:
-            raise ValueError("n_lines must be an odd integer >= 3")
-        if not self.bandwidth > 0:
-            raise ValueError("bandwidth must be positive")
-
-    @property
-    def line_spacing(self) -> float:
-        return self.bandwidth / self.n_lines
-
-    @property
-    def period(self) -> float:
-        return self.n_lines / self.bandwidth
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,81 +59,27 @@ def _require_integer(value: float, what: str) -> int:
     return int(n)
 
 
-def sinc_sequence(spec: SincSequenceSpec, grid: TimeGrid) -> Signal:
-    """Evaluate a sinc-sequence pulse train on a grid.
-
-    Uses the closed cosine-sum form of the N-line spectrum, which is exact
-    and exactly periodic.  The grid window must hold an integer number of
-    sequence periods N/B.
-    """
-    n_periods = _require_integer(grid.duration / spec.period,
-                                 "grid window in sequence periods")
-    if n_periods < 1:
-        raise ValueError("grid window must hold at least one sequence period")
-    x = 2 * np.pi * spec.bandwidth * (grid.t - spec.time_shift) / spec.n_lines
-    acc = np.ones(grid.n_samples)
-    for m in range(1, (spec.n_lines - 1) // 2 + 1):
-        acc = acc + 2.0 * np.cos(m * x)
-    return Signal(grid, (acc / spec.n_lines).astype(np.complex128))
-
-
-def _line_amplitudes(stream: SymbolStream, grid: TimeGrid, t_offset: float):
-    """Centered spectral line placement for circular zero-ISI interpolation.
-
-    Returns (fft_bin_indices, amplitudes).  For even symbol counts the
-    symbol-Nyquist coefficient is split half-and-half between +R/2 and -R/2,
-    which keeps the interpolation exact and the spectrum confined to
-    |f| <= R/2 with half-amplitude edge bins.
-    """
-    n = grid.n_samples
-    m_sym = len(stream)
-    window_symbols = _require_integer(grid.duration * stream.symbol_rate,
-                                      "grid window in symbol periods")
-    if window_symbols != m_sym:
-        raise ValueError(
-            f"grid window holds {window_symbols} symbol periods but the "
-            f"stream has {m_sym} symbols"
-        )
-    if stream.symbol_rate >= grid.sample_rate:
-        raise ValueError("symbol_rate must be below the grid sample rate")
-
-    coeffs = np.fft.fft(stream.symbols) / m_sym
-    js = np.arange(m_sym)
-    orders = np.where(js < (m_sym + 1) // 2, js, js - m_sym)
-    amps = coeffs.copy()
-    if m_sym % 2 == 0:
-        nyq = m_sym // 2
-        orders = np.concatenate([orders, [nyq]])
-        amps = np.concatenate([amps, [0.5 * coeffs[nyq]]])
-        amps[nyq] = 0.5 * coeffs[nyq]
-        orders[nyq] = -nyq
-    line_freqs = orders * stream.symbol_rate / m_sym
-    # phase referencing each line to the actual grid origin and branch offset
-    amps = amps * np.exp(2j * np.pi * line_freqs * (grid.t0 - t_offset))
-    return orders % n, amps
-
-
 def nyquist_interpolate(stream: SymbolStream, grid: TimeGrid,
                         t_offset: float = 0.0) -> Signal:
     """Zero-ISI interpolation of a symbol block with a periodized sinc kernel.
 
     The result is the unique trigonometric polynomial confined to
     |f| <= symbol_rate/2 that passes through every symbol at
-    ``t = t_offset + k/symbol_rate``.
+    ``t = t_offset + k/symbol_rate``: :func:`raised_cosine_shape` at
+    rolloff 0.  For even symbol counts the symbol-Nyquist coefficient is
+    split half-and-half between +R/2 and -R/2, which keeps the interpolation
+    exact with half-amplitude edge bins.
     """
-    idx, amps = _line_amplitudes(stream, grid, t_offset)
-    bins = np.zeros(grid.n_samples, dtype=np.complex128)
-    np.add.at(bins, idx, amps * grid.n_samples)
-    return Signal._of_bins(grid, bins)
+    return raised_cosine_shape(stream, 0.0, grid, t_offset)
 
 
 def raised_cosine_shape(stream: SymbolStream, rolloff: float, grid: TimeGrid,
                         t_offset: float = 0.0) -> Signal:
     """Raised-cosine pulse shaping of a symbol block on a circular window.
 
-    rolloff 0 reduces exactly to :func:`nyquist_interpolate`; rolloff r
-    occupies ``(1 + r) * symbol_rate / 2`` on each side while keeping the
-    symbol instants ISI-free.
+    rolloff 0 is :func:`nyquist_interpolate`; rolloff r occupies
+    ``(1 + r) * symbol_rate / 2`` on each side while keeping the symbol
+    instants ``t_offset + k/symbol_rate`` ISI-free.
     """
     if not 0.0 <= rolloff <= 1.0:
         raise ValueError(f"rolloff must lie in [0, 1], got {rolloff:g}")
@@ -172,9 +92,8 @@ def raised_cosine_shape(stream: SymbolStream, rolloff: float, grid: TimeGrid,
             f"grid window holds {window_symbols} symbol periods but the "
             f"stream has {m_sym} symbols"
         )
-    sps = _require_integer(grid.sample_rate / r_sym, "samples per symbol")
-    start = _require_integer((t_offset - grid.t0) * grid.sample_rate,
-                             "symbol offset in samples")
+    if r_sym >= grid.sample_rate:
+        raise ValueError("symbol_rate must be below the grid sample rate")
 
     n = grid.n_samples
     df = 1.0 / (n * grid.dt)
@@ -194,12 +113,12 @@ def raised_cosine_shape(stream: SymbolStream, rolloff: float, grid: TimeGrid,
         shape[f <= f1 + tol] = 1.0
         mid = (f > f1 + tol) & (f < f2 - tol)
         shape[mid] = 0.5 * (1.0 + np.cos(np.pi * (f[mid] - f1) / (rolloff * r_sym)))
-    # The impulse train carrying symbol q at sample start + q*sps has DFT
-    # bin k = exp(-2j*pi*k*start/n) * fft(symbols)[k mod M]; the shaped
-    # signal's bins are that times the shape times sps.
-    ramp = np.exp(-2j * np.pi * ((k * start) % n) / n)
+    # The symbols' periodic interpolant has the M lines fft(symbols)[k mod M]
+    # / M at bins k, phase-referenced to the first symbol instant; the shaped
+    # signal's bins are those lines times the shape times n.
+    ramp = np.exp(-2j * np.pi * k * df * (t_offset - grid.t0))
     bins = np.zeros(n, dtype=np.complex128)
-    bins[k % n] = sps * shape * ramp * np.fft.fft(stream.symbols)[k % m_sym]
+    bins[k % n] = (n / m_sym) * shape * ramp * np.fft.fft(stream.symbols)[k % m_sym]
     return Signal._of_bins(grid, bins)
 
 
@@ -314,10 +233,6 @@ def otdm_multiplex(channels: list[SymbolStream], plan: ChannelPlan,
                 f"channel {l} symbol_rate {stream.symbol_rate:g} does not "
                 f"match the branch rate {rate:g}"
             )
-        offset = plan.for_branch(l).time_offset
-        if shaping == "sinc":
-            shaped.append(nyquist_interpolate(stream, grid, t_offset=offset))
-        else:
-            shaped.append(raised_cosine_shape(stream, rolloff, grid,
-                                              t_offset=offset))
+        shaped.append(raised_cosine_shape(stream, rolloff, grid,
+                                          t_offset=plan.for_branch(l).time_offset))
     return multiplex_branch_signals(shaped, plan)

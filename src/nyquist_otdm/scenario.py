@@ -43,7 +43,6 @@ from .modem import (
     qam_map,
 )
 from .mzm import (
-    CombReport,
     FlatCombCalibration,
     MzmParams,
     calibrate_flat_comb,
@@ -72,7 +71,7 @@ class ConfigError(ValueError):
 
     def __init__(self, field: str, message: str):
         self.field = field
-        super().__init__(f"{field}: {message}")
+        super().__init__(f"{field}: {message}" if field else message)
 
 
 _REQUIRED = object()
@@ -371,13 +370,13 @@ def scenario_from_file(path) -> Scenario:
 
 @dataclass
 class ReportBundle:
-    """Everything a run produced: metrics, optional comb data, CSV artifacts."""
+    """Everything a run produced: metrics, the comb calibration of a
+    comb-mode run, CSV artifacts."""
 
     scenario: dict
     mode: str
     seed: int
     metrics: list[MetricsReport]
-    comb: CombReport | None = None
     calibration: FlatCombCalibration | None = None
     artifacts: dict | None = None
 
@@ -385,12 +384,11 @@ class ReportBundle:
         parts = []
         if self.metrics:
             parts.append(format_metrics_table(self.metrics))
-        if self.comb is not None:
-            parts.append(format_comb_table(self.comb))
-            if self.calibration is not None:
-                parts.append(
-                    f"converged: {'yes' if self.calibration.converged else 'no'}"
-                    f" (waveform rmse {self.calibration.waveform_rmse_percent:.3f}%)")
+        if self.calibration is not None:
+            parts.append(format_comb_table(self.calibration.report))
+            parts.append(
+                f"converged: {'yes' if self.calibration.converged else 'no'}"
+                f" (waveform rmse {self.calibration.waveform_rmse_percent:.3f}%)")
         return "\n".join(parts)
 
     def write(self, out_dir) -> list:
@@ -424,7 +422,8 @@ def write_bundle(bundle: ReportBundle, out_dir) -> list:
         "mode": bundle.mode,
         "seed": bundle.seed,
         "reports": [r.to_dict() for r in bundle.metrics],
-        "comb": comb_report_to_dict(bundle.comb) if bundle.comb else None,
+        "comb": (comb_report_to_dict(bundle.calibration.report)
+                 if bundle.calibration else None),
     })
     p = out / "metrics.txt"
     p.write_text(bundle.summary() + "\n")
@@ -472,7 +471,7 @@ def run_scenario(sc: Scenario) -> ReportBundle:
             modulation_index=sc.modulation_index,
         )
         return ReportBundle(scenario=sc.config, mode=sc.mode, seed=sc.seed,
-                            metrics=[], comb=cal.report, calibration=cal,
+                            metrics=[], calibration=cal,
                             artifacts={})
 
     plan = sc.plan
@@ -589,10 +588,13 @@ def sweep(config: dict, parameter: str, values) -> list[ReportBundle]:
     ``parameter`` names a field of the normalized config, so a field left to
     its default can be swept too.  Seeds derive deterministically from the
     base seed plus the value index, so points are independent but exactly
-    reproducible.
+    reproducible; ``seed`` itself therefore cannot be swept.
     """
     if not values:
         raise ValueError("sweep needs at least one value")
+    if parameter == "seed":
+        raise ConfigError("seed", "cannot be swept: each point's seed is the "
+                                  "base seed plus the value index")
     base = parse_scenario(config)
     field = base.config
     for p in parameter.split("."):

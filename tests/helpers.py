@@ -72,6 +72,20 @@ def sequence_directly(n_lines: int, bandwidth: float, t,
     return acc / n_lines
 
 
+def rmse_percent(measured: Signal, reference: Signal) -> float:
+    """RMS error between two signals as a percentage of the reference peak.
+
+    ``100 * sqrt(mean |m - r|^2) / max |r|``.  Invariant under a common
+    complex scale applied to both inputs.
+    """
+    require_same_grid(measured, reference)
+    peak = float(np.max(np.abs(reference.samples)))
+    if peak == 0.0:
+        raise ValueError("reference signal is identically zero")
+    err = measured.samples - reference.samples
+    return float(100.0 * np.sqrt(np.mean(np.abs(err) ** 2)) / peak)
+
+
 def filter_directly(samples, grid: TimeGrid, response) -> np.ndarray:
     """Apply ``response(f)`` to each DFT bin of ``samples`` by explicit
     O(n^2) DFT sums, with f the signed bin frequency."""

@@ -10,15 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from helpers import tone
-from nyquist_otdm import (
-    ChannelPlan,
-    Signal,
-    TimeGrid,
-    delay_signal,
-    rmse_percent,
-    spectrum,
-)
+from helpers import rmse_percent, tone
+from nyquist_otdm import ChannelPlan, Signal, TimeGrid, delay_signal, spectrum
 from nyquist_otdm.core import _CSV_BLOCK_ROWS, _write_csv, constant, require_same_grid
 
 
@@ -118,6 +111,7 @@ def test_delay_signal_fractional_on_tone():
 
 
 def test_rmse_percent_known_value():
+    """The waveform-error oracle in ``helpers``."""
     grid = TimeGrid(1e9, 4)
     ref = Signal(grid, np.array([2, 0, 0, 0], dtype=complex))
     meas = Signal(grid, np.array([2, 0.2, 0, 0], dtype=complex))

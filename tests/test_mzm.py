@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.special import jv
 
-from helpers import align_delay_gain, tone
-from nyquist_otdm import Signal, TimeGrid, delay_signal, rmse_percent, spectrum
+from helpers import align_delay_gain, rmse_percent, sequence_directly, tone
+from nyquist_otdm import Signal, TimeGrid, delay_signal, mzm, spectrum
 from nyquist_otdm.core import constant
 from nyquist_otdm.mzm import (
     DrivePlan,
@@ -30,9 +30,9 @@ from nyquist_otdm.mzm import (
     modulate,
     push_pull_plan,
 )
-from nyquist_otdm.nyquist import SincSequenceSpec, sinc_sequence
 
 PARAMS = MzmParams(v_pi=0.42, eo_3db_bandwidth=16e9)
+ARMS = (0.5 * arm_amplitude(40.0), 0.5 * arm_amplitude(37.0))
 
 
 class TestDeviceBasics:
@@ -182,16 +182,23 @@ class TestOnePeriodComb:
            ratio=st.floats(0.5, 1.25),
            scales=st.lists(st.floats(0.4, 1.6), min_size=2, max_size=2))
     def test_figures_match_time_domain_oracle(self, n_lines, bias, ratio, scales):
-        """Flatness and aligned RMSE from one period's harmonic lines equal
-        the full 16-period waveform's spectrum and time-domain fit."""
+        """Flatness and aligned RMSE from one period's harmonic lines, in
+        modulation-index units, equal the full 16-period waveform's spectrum
+        and time-domain fit of the drive in volts."""
         spacing = 10e9
-        comb = _OnePeriodComb(n_lines, spacing, PARAMS, 0.3)
+        comb = _OnePeriodComb(n_lines, 0.3, ARMS)
         x = np.array([bias, ratio] + scales[:(n_lines - 3) // 2])
         lines, power = comb.lines(x)
 
+        freqs = spacing * np.arange(1, n_lines // 2 + 1)
+        indices = 0.3 * np.concatenate(([1.0], x[2:]))
+        plan = push_pull_plan(
+            freqs, indices * PARAMS.v_pi / (math.pi * eo_response(freqs, PARAMS)),
+            bias, arm2_drive_ratio=ratio)
         grid = TimeGrid(32 * spacing, 32 * 16)
-        out = modulate(constant(grid), comb.plan(x), PARAMS)
-        ideal = sinc_sequence(SincSequenceSpec(n_lines, n_lines * spacing), grid)
+        out = modulate(constant(grid), plan, PARAMS)
+        ideal = Signal(grid, sequence_directly(n_lines, n_lines * spacing, grid.t)
+                       .astype(complex))
         _, _, aligned = align_delay_gain(out, ideal)
         report = comb_report(spectrum(out), n_lines, spacing)
         assert comb.flatness_db(lines) == pytest.approx(report.flatness_db, rel=1e-9)
@@ -201,7 +208,7 @@ class TestOnePeriodComb:
     def test_align_finds_an_off_grid_delay(self):
         """Lines a_k exp(2j pi k theta0) correlate best at theta0, to
         |corr| = sum a_k; push-pull drives only ever peak on the grid."""
-        comb = _OnePeriodComb(5, 10e9, PARAMS, 0.3)
+        comb = _OnePeriodComb(5, 0.3, ARMS)
         amps = np.array([0.2, 0.7, 1.0, 0.8, 0.3])
         theta0 = 0.123456789
         theta, corr2 = comb.align(amps * np.exp(2j * np.pi * np.arange(-2, 3) * theta0))
@@ -242,6 +249,37 @@ class TestCalibration:
         depth = (math.pi * fundamental.amplitude_arm1
                  * eo_response(fundamental.frequency, PARAMS) / PARAMS.v_pi)
         assert depth == pytest.approx(0.3, rel=1e-9)
+
+    def test_search_sees_only_the_modulation_index(self, monkeypatch):
+        """Spacing, V_pi, the EO model and the insertion loss only map the
+        search result to volts: every drive the search tries, and the bias
+        and arm-2 ratio it picks, are the same to the bit, and the volts are
+        ``m_k * v_pi / (pi * |H_EO(k * spacing)|)`` for the same m_k."""
+        tried, picked = [], []
+        lines = _OnePeriodComb.lines
+        monkeypatch.setattr(_OnePeriodComb, "lines", lambda comb, x:
+                            tried[-1].append(x.tobytes()) or lines(comb, x))
+        pick = mzm.push_pull_plan
+        monkeypatch.setattr(mzm, "push_pull_plan", lambda *args, **kwargs:
+                            picked.append((args, kwargs)) or pick(*args, **kwargs))
+        setups = [(spacing, PARAMS) for spacing in (10e9, 8e9, 30e9)] + [
+            (10e9, MzmParams(v_pi=3.0, eo_3db_bandwidth=16e9, eo_model=model,
+                             insertion_loss_db=loss))
+            for model in ("single_pole", "gaussian", "flat") for loss in (0.0, 3.0)]
+        for spacing, params in setups:
+            tried.append([])
+            cal = calibrate_flat_comb(5, spacing, params, modulation_index=0.3)
+            (freqs, volts, bias), ratio = picked[-1]
+            assert_allclose(freqs, [spacing, 2 * spacing], rtol=0)
+            eo = eo_response(np.asarray(freqs), params)
+            if len(tried) == 1:
+                indices = np.asarray(volts) * math.pi * eo / params.v_pi
+                assert indices[0] == pytest.approx(0.3, rel=1e-15)
+                first = tried[0], bias, ratio
+            assert (tried[-1], bias, ratio) == first, (spacing, params)
+            assert_allclose(volts, indices * params.v_pi / (math.pi * eo),
+                            rtol=1e-15, atol=0)
+            assert cal.plan.bias_difference == bias
 
     def test_format_table_smoke(self):
         cal = calibrate_flat_comb(3, 10e9, PARAMS)

@@ -4,17 +4,16 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from nyquist_otdm import ChannelPlan, TimeGrid, spectrum
+from nyquist_otdm import ChannelPlan, Signal, TimeGrid, delay_signal, spectrum
 from nyquist_otdm.demux import demultiplex
 from nyquist_otdm.nyquist import (
-    SincSequenceSpec,
     SymbolStream,
+    _sequence_lines,
     multiplex_branch_signals,
     nyquist_interpolate,
     otdm_multiplex,
     raised_cosine_shape,
     sample_symbols,
-    sinc_sequence,
 )
 
 from helpers import (
@@ -25,20 +24,29 @@ from helpers import (
 )
 
 
+def sequence_from_lines(plan: ChannelPlan, grid: TimeGrid):
+    """The branch's sinc sequence on ``grid``, summed from its spectral
+    lines: the construction multiplexing and ideal sampling use."""
+    shifts, coefs = _sequence_lines(plan, grid)
+    j = np.arange(grid.n_samples)
+    return Signal(grid, coefs @ np.exp(2j * np.pi * np.outer(shifts, j)
+                                       / grid.n_samples))
+
+
 class TestSincSequence:
     def test_matches_cosine_sum_oracle(self):
         for n_lines in (3, 5, 7):
-            grid = TimeGrid(8 * 24e9, 8 * n_lines * 4)  # 4 periods
-            spec = SincSequenceSpec(n_lines, 24e9, time_shift=0.3e-10)
-            seq = sinc_sequence(spec, grid)
-            oracle = sequence_directly(n_lines, 24e9, grid.t, 0.3e-10)
+            grid = TimeGrid(8 * 24e9, 8 * n_lines * 4, t0=0.7e-10)  # 4 periods
+            plan = ChannelPlan(n_lines, 24e9, branch=2)
+            seq = sequence_from_lines(plan, grid)
+            oracle = sequence_directly(n_lines, 24e9, grid.t, plan.time_offset)
             assert_allclose(seq.samples, oracle, atol=1e-12)
 
     def test_peak_and_zero_crossings(self):
         """Unit peaks every N/B; zeros at the other multiples of 1/B."""
         n, b = 3, 24e9
         grid = TimeGrid(8 * b, int(8 * n) * 4)  # 4 periods
-        seq = sinc_sequence(SincSequenceSpec(n, b), grid)
+        seq = sequence_from_lines(ChannelPlan(n, b), grid)
         step = round(grid.sample_rate / b)
         vals = seq.samples[::step]  # samples at k/B
         expect = np.where(np.arange(len(vals)) % n == 0, 1.0, 0.0)
@@ -48,7 +56,7 @@ class TestSincSequence:
     def test_periodicity(self):
         n, b = 5, 10e9
         grid = TimeGrid(16 * b, 16 * n * 3)
-        seq = sinc_sequence(SincSequenceSpec(n, b), grid)
+        seq = sequence_from_lines(ChannelPlan(n, b), grid)
         period_samples = round(n / b * grid.sample_rate)
         assert_allclose(seq.samples, np.roll(seq.samples, period_samples),
                         atol=1e-12)
@@ -57,7 +65,7 @@ class TestSincSequence:
         """N lines of amplitude 1/N at multiples of B/N, nothing else."""
         n, b = 3, 24e9
         grid = TimeGrid(8 * b, 8 * n * 2)
-        spec = spectrum(sinc_sequence(SincSequenceSpec(n, b), grid))
+        spec = spectrum(sequence_from_lines(ChannelPlan(n, b), grid))
         spacing = b / n
         for k in range(-(n // 2), n // 2 + 1):
             idx = np.argmin(np.abs(spec.freqs - k * spacing))
@@ -69,14 +77,14 @@ class TestSincSequence:
 
     def test_rejects_bad_specs(self):
         with pytest.raises(ValueError):
-            SincSequenceSpec(4, 24e9)
+            ChannelPlan(4, 24e9)
         with pytest.raises(ValueError):
-            SincSequenceSpec(1, 24e9)
+            ChannelPlan(1, 24e9)
         with pytest.raises(ValueError):
-            SincSequenceSpec(3, 0.0)
+            ChannelPlan(3, 0.0)
         grid = TimeGrid(96e9, 100)  # not an integer number of periods
         with pytest.raises(ValueError):
-            sinc_sequence(SincSequenceSpec(3, 24e9), grid)
+            _sequence_lines(ChannelPlan(3, 24e9), grid)
 
 
 class TestNyquistInterpolate:
@@ -88,10 +96,11 @@ class TestNyquistInterpolate:
             stream = SymbolStream(
                 rng.standard_normal(n_symbols) + 1j * rng.standard_normal(n_symbols),
                 plan.symbol_rate)
-            fast = nyquist_interpolate(stream, grid, t_offset=plan.for_branch(2).time_offset)
-            direct = interpolate_directly(stream, grid,
-                                          t_offset=plan.for_branch(2).time_offset)
-            assert_allclose(fast.samples, direct, atol=1e-12)
+            # a branch slot on the grid, and an instant between samples
+            for offset in (plan.for_branch(2).time_offset, 0.37 * grid.dt):
+                fast = nyquist_interpolate(stream, grid, t_offset=offset)
+                direct = interpolate_directly(stream, grid, t_offset=offset)
+                assert_allclose(fast.samples, direct, atol=1e-12)
 
     def test_sample_back_is_exact(self):
         plan = ChannelPlan(5, 40e9)
@@ -163,6 +172,19 @@ class TestRaisedCosine:
         for f in (0.0, 1e9, 2e9, 2.5e9, 3e9, 4e9):
             idx = np.argmin(np.abs(spec.freqs - f))
             assert spec.bins[idx] == pytest.approx(rc(f) / n_syms, abs=1e-12)
+
+    def test_offset_is_a_delay(self):
+        """Shaping at any offset, on the grid or between samples, is the
+        shape at offset 0 delayed by it."""
+        grid = TimeGrid(192e9, 192 * 4)
+        rng = np.random.default_rng(5)
+        stream = SymbolStream(rng.standard_normal(16) + 1j * rng.standard_normal(16),
+                              4e9)
+        at_zero = raised_cosine_shape(stream, 0.35, grid)
+        for offset in (3 * grid.dt, 2.6 * grid.dt, 1 / 4e9):
+            shaped = raised_cosine_shape(stream, 0.35, grid, t_offset=offset)
+            assert_allclose(shaped.samples, delay_signal(at_zero, offset).samples,
+                            atol=1e-12)
 
     def test_rolloff_validation(self):
         grid = TimeGrid(64e9, 64)

@@ -288,8 +288,7 @@ class TestRunScenario:
                "comb": {"spacing_hz": 10e9}, "mzm": dict(MZM_BLOCK)}
         bundle = run_scenario(parse_scenario(cfg))
         assert bundle.metrics == []
-        assert bundle.comb is not None
-        assert bundle.comb.flatness_db <= 0.1
+        assert bundle.calibration.report.flatness_db <= 0.1
         assert bundle.calibration.converged
         assert "flatness" in bundle.summary()
 
@@ -372,6 +371,17 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(base_config(), "noise.osnr_db", [])
 
+    def test_seed_cannot_be_swept(self, tmp_path, capsys):
+        """Each point's seed is the base seed plus its index, so a swept
+        seed would run other seeds than the ones it is labelled with."""
+        with pytest.raises(ConfigError) as err:
+            sweep(base_config(), "seed", [5, 9])
+        assert err.value.field == "seed"
+        p = tmp_path / "scenario.json"
+        p.write_text(json.dumps(base_config()))
+        assert main(["sweep", str(p), "--param", "seed", "--values", "5,9"]) == 2
+        assert capsys.readouterr().err.startswith("error: seed: cannot be swept")
+
 
 class TestCli:
     def write_cfg(self, tmp_path, cfg):
@@ -393,7 +403,9 @@ class TestCli:
         p = tmp_path / "broken.json"
         p.write_text("{not json")
         assert main(["validate", str(p)]) == 2
-        assert "error" in capsys.readouterr().err
+        with pytest.raises(json.JSONDecodeError) as exc:
+            json.loads("{not json")
+        assert capsys.readouterr().err == f"error: invalid JSON: {exc.value}\n"
 
     def test_missing_file(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "absent.json")]) == 2
@@ -483,7 +495,18 @@ class TestCli:
     def test_config_must_be_an_object(self, tmp_path, capsys, verb):
         p = self.write_cfg(tmp_path, [1, 2])
         assert main([verb[0], str(p), "--seed", "3"] + verb[1:]) == 2
-        assert "config must be a JSON object" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: config must be a JSON object\n"
+
+
+@pytest.mark.parametrize("path", sorted(SCENARIO_DIR.glob("*.json")),
+                         ids=lambda p: p.stem)
+def test_bundled_scenario_validates(path, capsys):
+    """Every bundled scenario parses, passes ``validate``, and its
+    normalized echo re-parses to itself."""
+    echo = parse_scenario(json.loads(path.read_text())).config
+    assert main(["validate", str(path)]) == 0
+    assert capsys.readouterr().out == "ok\n"
+    assert parse_scenario(copy.deepcopy(echo)).config == echo
 
 
 def test_scenario_from_file(tmp_path):
