@@ -73,6 +73,7 @@ from .scenario import (
     ConfigError,
     ReportBundle,
     Scenario,
+    load_config,
     parse_scenario,
     run_scenario,
     scenario_from_file,
@@ -108,6 +109,7 @@ __all__ = [
     "ber_estimate_log10", "ber_count", "BerCount", "below_hdfec_limit",
     "HD_FEC_BER_LIMIT", "MetricsReport", "format_metrics_table",
     # scenario
-    "Scenario", "ConfigError", "parse_scenario", "scenario_from_file",
+    "Scenario", "ConfigError", "load_config", "parse_scenario",
+    "scenario_from_file",
     "run_scenario", "sweep", "ReportBundle", "write_bundle",
 ]

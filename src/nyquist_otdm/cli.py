@@ -10,8 +10,8 @@ import sys
 from pathlib import Path
 
 from .mzm import comb_report_to_dict, drive_plan_to_json, format_comb_table
-from .scenario import ConfigError, parse_scenario, run_scenario, \
-    scenario_from_file, sweep
+from .scenario import ConfigError, load_config, parse_scenario, \
+    run_scenario, scenario_from_file, sweep
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -78,9 +78,7 @@ def _parse_values(text: str) -> list:
 
 
 def _load(args) -> dict:
-    raw = json.loads(Path(args.config).read_text())
-    if not isinstance(raw, dict):
-        raise ConfigError("", "config must be a JSON object")
+    raw = load_config(args.config)
     if args.seed is not None:
         raw["seed"] = args.seed
     return raw
@@ -151,9 +149,6 @@ def main(argv=None) -> int:
         return handler[args.command](args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
-        print(f"error: invalid JSON in config: {exc}", file=sys.stderr)
         return 2
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)

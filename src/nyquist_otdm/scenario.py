@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ChannelPlan, Signal, TimeGrid, _write_csv, delay_signal, spectrum
+from .core import ChannelPlan, Signal, TimeGrid, _write_csv, delay_signal
 from .demux import MzmSampler, demultiplex
 from .link import (
     SPEED_OF_LIGHT,
@@ -56,6 +56,7 @@ __all__ = [
     "ConfigError",
     "Scenario",
     "ReportBundle",
+    "load_config",
     "parse_scenario",
     "scenario_from_file",
     "run_scenario",
@@ -64,6 +65,11 @@ __all__ = [
 
 CONFIG_VERSION = 1
 _FLOAT_FMT = "%.17g"
+# Spectrum artifacts keep the rows with |f| <= _BAND_MARGIN times the
+# signal's half-width, so the multiplexed spectrum still holds rows beyond
+# +-B/2 that show its band edge.
+_BAND_MARGIN = 1.25
+_EYE_SAMPLES_PER_SYMBOL = 16
 
 
 class ConfigError(ValueError):
@@ -360,12 +366,21 @@ def parse_scenario(raw: dict) -> Scenario:
     )
 
 
-def scenario_from_file(path) -> Scenario:
+def load_config(path) -> dict:
+    """Read a config file into a dict, before validation; invalid JSON (text
+    that is not UTF-8 included) and a top level that is not an object raise
+    :class:`ConfigError`."""
     try:
-        raw = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError("", f"invalid JSON: {exc}") from exc
-    return parse_scenario(raw)
+    if not isinstance(raw, dict):
+        raise ConfigError("", "config must be a JSON object")
+    return raw
+
+
+def scenario_from_file(path) -> Scenario:
+    return parse_scenario(load_config(path))
 
 
 @dataclass
@@ -442,10 +457,42 @@ def write_bundle(bundle: ReportBundle, out_dir) -> list:
     return paths
 
 
-def _spectrum_rows(sig: Signal):
-    spec = spectrum(sig)
-    power = 10.0 * np.log10(np.maximum(np.abs(spec.bins) ** 2, 1e-30))
-    return "f_Hz,power_dBm", _FLOAT_FMT, np.column_stack([spec.freqs, power])
+def _spectrum_rows(sig: Signal, half_width: float):
+    """The rows of ``spectrum(sig)`` with |f| <= _BAND_MARGIN * half_width,
+    bit for bit, computed from those bins alone."""
+    n = sig.grid.n_samples
+    step = 1.0 / (n * sig.grid.dt)  # as np.fft.fftfreq spaces the bins
+    edge = _BAND_MARGIN * half_width
+    top = int(edge / step) + 1  # below n/2: the sample rate is >= 4B
+    k = np.arange(-top, top + 1)
+    k = k[np.abs(k * step) <= edge]
+    power = 10.0 * np.log10(np.maximum(np.abs(sig.bins[k % n] / n) ** 2, 1e-30))
+    return "f_Hz,power_dBm", _FLOAT_FMT, np.column_stack([k * step, power])
+
+
+def _eye_rows(y: Signal, gain: complex, sc: Scenario, t_offset: float):
+    """The branch waveform ``(y.samples * gain).real`` at 16 samples per
+    symbol, against time folded onto two symbols.
+
+    A demultiplexed branch holds only the detection-band bins |k| <= s // 2,
+    s = the window's B/N in bins, so the inverse FFT of those bins alone on
+    p points, scaled by p/n, is the waveform resampled exactly on p points
+    over the same window.  Where the band would reach the eye's Nyquist
+    frequency (a symbol rate at or below B/(16N)) the rate rises by whole
+    multiples of 16 samples per symbol until it does not.
+    """
+    n = y.grid.n_samples
+    spacing = round(y.grid.duration * sc.plan.symbol_rate)
+    per_symbol = _EYE_SAMPLES_PER_SYMBOL * (
+        spacing // (_EYE_SAMPLES_PER_SYMBOL * sc.n_symbols) + 1)
+    p = per_symbol * sc.n_symbols
+    band = np.arange(-(spacing // 2), spacing // 2 + 1)
+    bins = np.zeros(p, dtype=np.complex128)
+    bins[band % p] = y.bins[band % n]
+    amp = (np.fft.ifft(bins) * (p / n) * gain).real
+    t = y.grid.t0 + np.arange(p) / (per_symbol * sc.branch_symbol_rate)
+    t_fold = np.mod(t - t_offset, 2.0 / sc.branch_symbol_rate)
+    return "t_mod_2symbols,amplitude", _FLOAT_FMT, np.column_stack([t_fold, amp])
 
 
 def _calibrated_sampler(sc: Scenario) -> MzmSampler:
@@ -502,8 +549,9 @@ def run_scenario(sc: Scenario) -> ReportBundle:
 
     artifacts = {}
     if "spectra" in sc.outputs:
-        artifacts["spectrum_multiplexed"] = _spectrum_rows(tx)
-        artifacts["spectrum_received"] = _spectrum_rows(rx)
+        half = plan.aggregate_bandwidth / 2
+        artifacts["spectrum_multiplexed"] = _spectrum_rows(tx, half)
+        artifacts["spectrum_received"] = _spectrum_rows(rx, half)
 
     reports = []
     for l in range(1, plan.n_branches + 1):
@@ -552,7 +600,8 @@ def run_scenario(sc: Scenario) -> ReportBundle:
         ))
 
         if "spectra" in sc.outputs:
-            artifacts[f"branch{l}_spectrum"] = _spectrum_rows(y)
+            artifacts[f"branch{l}_spectrum"] = _spectrum_rows(
+                y, plan.detection_half_width)
         if "constellation" in sc.outputs:
             decided = decide_indices(aligned, const)
             artifacts[f"branch{l}_constellation"] = (
@@ -561,13 +610,8 @@ def run_scenario(sc: Scenario) -> ReportBundle:
                 np.column_stack([aligned.real, aligned.imag, decided]),
             )
         if "eye" in sc.outputs:
-            window = 2.0 / sc.branch_symbol_rate
-            t_fold = np.mod(grid.t - bplan.time_offset, window)
-            amp = (y.samples * gain).real
-            artifacts[f"branch{l}_eye"] = (
-                "t_mod_2symbols,amplitude", _FLOAT_FMT,
-                np.column_stack([t_fold, amp]),
-            )
+            artifacts[f"branch{l}_eye"] = _eye_rows(y, gain, sc,
+                                                    bplan.time_offset)
 
     return ReportBundle(scenario=sc.config, mode=sc.mode, seed=sc.seed,
                         metrics=reports, artifacts=artifacts)

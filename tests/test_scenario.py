@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from nyquist_otdm import scenario, spectrum
 from nyquist_otdm.cli import main
 from nyquist_otdm.modem import Q_FLOOR_DB
 from nyquist_otdm.scenario import (
@@ -259,8 +260,9 @@ class TestRunScenario:
             assert rep.ber_count_errors == 0
 
     def test_full_length_transforms_do_not_grow_with_branches(self, monkeypatch):
-        """A run makes one n-point transform, the noise's FFT, at 3 and at
-        15 branches: every other layer works on the bins it is given."""
+        """A run with every output makes one n-point transform, the noise's
+        FFT, at 3 and at 15 branches: every other layer, the spectra and the
+        eyes included, works on the bins it is given."""
         import numpy.fft
 
         sizes = []
@@ -277,7 +279,8 @@ class TestRunScenario:
                       "aggregate_bandwidth_hz": n_branches * 2e9},
                 modulation="16qam", n_symbols=9, oversampling=4,
                 fiber={"length_km": 20.0}, noise={"osnr_db": 25.0},
-                receiver={"timing_delay_s": 1e-12}))
+                receiver={"timing_delay_s": 1e-12},
+                outputs=["metrics", "spectra", "constellation", "eye"]))
             sizes.clear()
             bundle = run_scenario(sc)
             assert len(bundle.metrics) == n_branches
@@ -291,6 +294,86 @@ class TestRunScenario:
         assert bundle.calibration.report.flatness_db <= 0.1
         assert bundle.calibration.converged
         assert "flatness" in bundle.summary()
+
+
+def _recorded(monkeypatch, name):
+    """Replace ``scenario.<name>`` by a wrapper that records each call's
+    arguments and result."""
+    calls = []
+    original = getattr(scenario, name)
+
+    def record(*args):
+        result = original(*args)
+        calls.append((args, result))
+        return result
+    monkeypatch.setattr(scenario, name, record)
+    return calls
+
+
+class TestBundleArtifacts:
+    """Spectra cropped to their band, eyes resampled from the band bins."""
+
+    SINC = base_config(n_symbols=33, fiber={"length_km": 10.0},
+                       noise={"osnr_db": 25.0},
+                       outputs=["metrics", "spectra", "eye"])
+    RC = dict(RAISED_COSINE_CONFIG, n_symbols=32, noise={"osnr_db": 25.0},
+              outputs=["metrics", "spectra", "eye"])
+    # 0.5 GBd at B/N = 8 GHz: the detection band reaches 16 samples per
+    # symbol's Nyquist frequency, so the eye takes 32
+    SLOW_RC = base_config(
+        n_symbols=8, noise={"osnr_db": 20.0}, outputs=["metrics", "eye"],
+        shaping={"kind": "raised_cosine", "symbol_rate_hz": 0.5e9,
+                 "rolloff": 1.0})
+
+    @pytest.mark.parametrize("cfg", [SINC, RC], ids=["sinc", "raised_cosine"])
+    def test_spectra_are_the_band_rows_bit_for_bit(self, monkeypatch, cfg):
+        """Each spectrum CSV holds exactly the rows of the full spectrum
+        with |f| <= 1.25 times its half-width, B/2 for the aggregate and
+        B/(2N) for a branch, to the bit; the multiplexed one keeps rows
+        beyond +-B/2, so the band gate has rows to judge."""
+        calls = _recorded(monkeypatch, "_spectrum_rows")
+        sc = parse_scenario(cfg)
+        bundle = run_scenario(sc)
+        b = sc.plan.aggregate_bandwidth
+        half = {"spectrum_multiplexed": b / 2, "spectrum_received": b / 2}
+        half.update({f"branch{l}_spectrum": sc.plan.detection_half_width
+                     for l in range(1, sc.plan.n_branches + 1)})
+        assert sorted(n for n in bundle.artifacts if "spectrum" in n) == sorted(half)
+        signal_of = {id(rows): args[0] for args, rows in calls}
+        for name, width in half.items():
+            header, fmt, rows = bundle.artifacts[name]
+            spec = spectrum(signal_of[id(bundle.artifacts[name])])
+            power = 10.0 * np.log10(np.maximum(np.abs(spec.bins) ** 2, 1e-30))
+            full = np.column_stack([spec.freqs, power])
+            expected = full[np.abs(spec.freqs) <= 1.25 * width]
+            assert header == "f_Hz,power_dBm"
+            assert rows.tobytes() == expected.tobytes(), name
+        freqs = bundle.artifacts["spectrum_multiplexed"][2][:, 0]
+        assert np.any(np.abs(freqs) > b / 2)
+
+    @pytest.mark.parametrize("cfg, per_symbol", [(SINC, 16), (RC, 16), (SLOW_RC, 32)],
+                             ids=["sinc_24_to_16", "raised_cosine_48_to_16",
+                                  "raised_cosine_384_to_32"])
+    def test_eye_is_the_waveform_resampled(self, monkeypatch, cfg, per_symbol):
+        """An eye holds per_symbol samples a symbol, and at the instants it
+        shares with the full-rate grid it equals ``(y.samples * gain).real``
+        to 1e-12 of the column's peak, with the same folded time."""
+        calls = _recorded(monkeypatch, "_eye_rows")
+        sc = parse_scenario(cfg)
+        run_scenario(sc)
+        assert len(calls) == sc.plan.n_branches
+        window = 2.0 / sc.branch_symbol_rate
+        for (y, gain, _, t_offset), (header, fmt, rows) in calls:
+            assert header == "t_mod_2symbols,amplitude"
+            assert rows.shape == (per_symbol * sc.n_symbols, 2)
+            sps = round(y.grid.sample_rate / sc.branch_symbol_rate)
+            shared = math.gcd(sps, per_symbol)
+            full = (y.samples * gain).real[::sps // shared]
+            eye = rows[::per_symbol // shared]
+            assert np.max(np.abs(eye[:, 1] - full)) <= 1e-12 * np.max(np.abs(full))
+            t_full = np.mod(y.grid.t - t_offset, window)[::sps // shared]
+            apart = np.abs(eye[:, 0] - t_full)
+            assert np.all(np.minimum(apart, window - apart) <= 1e-9 * window)
 
 
 class TestWriteBundle:
@@ -321,8 +404,8 @@ class TestWriteBundle:
         assert csv_head.splitlines()[0] == "re,im,decided_symbol"
 
     def test_csvs_match_savetxt(self, tmp_path):
-        """Every CSV of a full bundle (24,552-row spectra and eyes across six
-        write blocks, constellations with a %d column) has the bytes
+        """Every CSV of a full bundle (16,368-row eyes across four write
+        blocks, spectra, constellations with a %d column) has the bytes
         np.savetxt gives."""
         raw = json.loads((SCENARIO_DIR / "nyquist_qpsk_8gbd_10km.json").read_text())
         bundle = run_scenario(parse_scenario(raw))
@@ -406,6 +489,22 @@ class TestCli:
         with pytest.raises(json.JSONDecodeError) as exc:
             json.loads("{not json")
         assert capsys.readouterr().err == f"error: invalid JSON: {exc.value}\n"
+
+    @pytest.mark.parametrize("text", [b"{not json", b"\xff\xfe{"],
+                             ids=["syntax", "not_utf8"])
+    def test_invalid_json_reads_the_same_for_every_verb(self, tmp_path, capsys,
+                                                         text):
+        """run, sweep and validate read a config through one loader, so the
+        same fault gives the same message and exit code."""
+        p = tmp_path / "broken.json"
+        p.write_bytes(text)
+        errors = []
+        for verb in (["run"], ["sweep", "--param", "noise.osnr_db", "--values", "20"],
+                     ["validate"]):
+            assert main([verb[0], str(p)] + verb[1:]) == 2
+            errors.append(capsys.readouterr().err)
+        assert errors[0].startswith("error: invalid JSON: ")
+        assert errors == [errors[0]] * 3
 
     def test_missing_file(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "absent.json")]) == 2
