@@ -11,7 +11,7 @@ from pathlib import Path
 
 from .mzm import comb_report_to_dict, drive_plan_to_json, format_comb_table
 from .scenario import ConfigError, load_config, parse_scenario, \
-    run_scenario, scenario_from_file, sweep
+    run_scenario, scenario_from_file, sweep, write_bundle
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -88,20 +88,25 @@ def _cmd_run(args) -> int:
     bundle = run_scenario(parse_scenario(_load(args)))
     print(bundle.summary())
     if args.out_dir is not None:
-        for p in bundle.write(args.out_dir):
+        for p in write_bundle(bundle, args.out_dir):
             print(f"wrote {p}")
     return 0
 
 
 def _cmd_sweep(args) -> int:
     values = _parse_values(args.values)
+    tags = [re.sub(r"[^A-Za-z0-9_.+-]", "_", str(v)) for v in values]
+    if args.out_dir is not None:
+        for i, tag in enumerate(tags):
+            if tag in tags[:i]:
+                raise ConfigError("--values", f"two values would write the "
+                                  f"same bundle {args.param}={tag}")
     bundles = sweep(_load(args), args.param, values)
-    for value, bundle in zip(values, bundles):
+    for value, tag, bundle in zip(values, tags, bundles):
         print(f"--- {args.param} = {value} ---")
         print(bundle.summary())
         if args.out_dir is not None:
-            tag = re.sub(r"[^A-Za-z0-9_.+-]", "_", str(value))
-            for p in bundle.write(Path(args.out_dir) / f"{args.param}={tag}"):
+            for p in write_bundle(bundle, Path(args.out_dir) / f"{args.param}={tag}"):
                 print(f"wrote {p}")
     return 0
 

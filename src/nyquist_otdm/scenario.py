@@ -218,47 +218,18 @@ def _read(raw: dict, rows, optional=()) -> dict:
 
 @dataclass(frozen=True)
 class Scenario:
-    """A fully resolved, validated simulation setup."""
+    """A validated scenario: its normalized config, defaults filled in, and
+    the objects built from it."""
 
-    mode: str
-    seed: int
-    label: str
-    config: dict  # normalized echo with defaults filled in
-    # transmission mode
-    plan: ChannelPlan | None = None
-    modulation: str | None = None
-    shaping_kind: str = "sinc"
-    rolloff: float = 0.0
-    branch_symbol_rate: float = 0.0
-    n_symbols: int = 0
-    oversampling: int = 8
-    carrier_frequency_thz: float = 193.4
-    fiber: FiberSpec | None = None
-    osnr_db: float = math.inf
-    noise_reference_bandwidth_hz: float = 12.5e9
-    noise_seed: int = 0
-    sampler_mode: str = "ideal"
-    mzm_params: MzmParams | None = None
-    modulation_index: float = 0.3
-    comb_flatness_target_db: float = 0.1
-    compensate: bool = True
-    lo_power: float = 1.0
-    lo_phase: float = 0.0
-    timing_delay_s: float = 0.0
-    linewidth_hz: float = 0.0
-    outputs: tuple[str, ...] = ("metrics",)
-    # comb mode
-    comb_n_lines: int = 0
-    comb_spacing_hz: float = 0.0
-
-    @property
-    def constellation(self) -> Constellation:
-        return Constellation.of(4 if self.modulation == "qpsk" else 16)
+    config: dict  # the echo; the whole record of the scenario
+    plan: ChannelPlan | None = None  # transmission mode
+    fiber: FiberSpec | None = None  # transmission mode
+    mzm_params: MzmParams | None = None  # where an mzm block is given
 
     def make_grid(self) -> TimeGrid:
-        b = self.plan.aggregate_bandwidth
-        sample_rate = self.oversampling * b
-        duration = self.n_symbols / self.branch_symbol_rate
+        cfg = self.config
+        sample_rate = cfg["oversampling"] * self.plan.aggregate_bandwidth
+        duration = cfg["n_symbols"] / cfg["shaping"]["symbol_rate_hz"]
         return TimeGrid(sample_rate, int(round(sample_rate * duration)))
 
 
@@ -275,18 +246,11 @@ def parse_scenario(raw: dict) -> Scenario:
         raise ConfigError("version", f"unsupported version {cfg['version']}")
     if cfg["label"] is _DERIVED:
         cfg["label"] = mode
-    seed = cfg["seed"]
 
     if mode == "comb":
-        comb = cfg["comb"]
-        if comb["n_lines"] % 2 == 0:
+        if cfg["comb"]["n_lines"] % 2 == 0:
             raise ConfigError("comb.n_lines", "must be odd")
-        return Scenario(mode=mode, seed=seed, label=cfg["label"], config=cfg,
-                        comb_n_lines=comb["n_lines"],
-                        comb_spacing_hz=comb["spacing_hz"],
-                        comb_flatness_target_db=comb["flatness_target_db"],
-                        modulation_index=comb["modulation_index"],
-                        mzm_params=MzmParams(*cfg["mzm"].values()))
+        return Scenario(cfg, mzm_params=MzmParams(*cfg["mzm"].values()))
 
     n_branches = cfg["plan"]["n_branches"]
     bandwidth = cfg["plan"]["aggregate_bandwidth_hz"]
@@ -341,29 +305,10 @@ def parse_scenario(raw: dict) -> Scenario:
     if fiber["reference_wavelength_nm"] is None:
         fiber["reference_wavelength_nm"] = (
             SPEED_OF_LIGHT / (cfg["carrier_frequency_thz"] * 1e12) * 1e9)
-    noise = cfg["noise"]
-    if noise["seed"] is None:
-        noise["seed"] = seed + 1
-    receiver = cfg["receiver"]
-    return Scenario(
-        mode=mode, seed=seed, label=cfg["label"], config=cfg, plan=plan,
-        modulation=cfg["modulation"], shaping_kind=shaping["kind"],
-        rolloff=shaping["rolloff"], branch_symbol_rate=branch_rate,
-        n_symbols=cfg["n_symbols"], oversampling=cfg["oversampling"],
-        carrier_frequency_thz=cfg["carrier_frequency_thz"],
-        fiber=FiberSpec(**fiber),
-        osnr_db=math.inf if noise["osnr_db"] is None else noise["osnr_db"],
-        noise_reference_bandwidth_hz=noise["reference_bandwidth_hz"],
-        noise_seed=noise["seed"], sampler_mode=sampler["mode"],
-        mzm_params=MzmParams(*cfg["mzm"].values()) if "mzm" in cfg else None,
-        modulation_index=sampler["modulation_index"],
-        comb_flatness_target_db=sampler["flatness_target_db"],
-        compensate=receiver["compensate_dispersion"],
-        lo_power=receiver["lo_power_w"], lo_phase=receiver["lo_phase_rad"],
-        timing_delay_s=receiver["timing_delay_s"],
-        linewidth_hz=cfg["laser"]["linewidth_hz"],
-        outputs=tuple(cfg["outputs"]),
-    )
+    if cfg["noise"]["seed"] is None:
+        cfg["noise"]["seed"] = cfg["seed"] + 1
+    return Scenario(cfg, plan, FiberSpec(**fiber),
+                    MzmParams(*cfg["mzm"].values()) if "mzm" in cfg else None)
 
 
 def load_config(path) -> dict:
@@ -388,9 +333,7 @@ class ReportBundle:
     """Everything a run produced: metrics, the comb calibration of a
     comb-mode run, CSV artifacts."""
 
-    scenario: dict
-    mode: str
-    seed: int
+    scenario: dict  # the normalized config echo
     metrics: list[MetricsReport]
     calibration: FlatCombCalibration | None = None
     artifacts: dict | None = None
@@ -405,9 +348,6 @@ class ReportBundle:
                 f"converged: {'yes' if self.calibration.converged else 'no'}"
                 f" (waveform rmse {self.calibration.waveform_rmse_percent:.3f}%)")
         return "\n".join(parts)
-
-    def write(self, out_dir) -> list:
-        return write_bundle(self, out_dir)
 
 
 def _sanitize(obj):
@@ -434,8 +374,8 @@ def write_bundle(bundle: ReportBundle, out_dir) -> list:
 
     dump_json("config.json", bundle.scenario)
     dump_json("metrics.json", {
-        "mode": bundle.mode,
-        "seed": bundle.seed,
+        "mode": bundle.scenario["mode"],
+        "seed": bundle.scenario["seed"],
         "reports": [r.to_dict() for r in bundle.metrics],
         "comb": (comb_report_to_dict(bundle.calibration.report)
                  if bundle.calibration else None),
@@ -479,76 +419,85 @@ def _eye_rows(y: Signal, gain: complex, sc: Scenario, t_offset: float):
     p points, scaled by p/n, is the waveform resampled exactly on p points
     over the same window.  Where the band would reach the eye's Nyquist
     frequency (a symbol rate at or below B/(16N)) the rate rises by whole
-    multiples of 16 samples per symbol until it does not.
+    multiples of 16 samples per symbol until it does not.  The sample index
+    is folded before any float arithmetic, so each of the 2 * per_symbol
+    phases has one time value.
     """
     n = y.grid.n_samples
+    cfg = sc.config
+    rate, n_symbols = cfg["shaping"]["symbol_rate_hz"], cfg["n_symbols"]
     spacing = round(y.grid.duration * sc.plan.symbol_rate)
     per_symbol = _EYE_SAMPLES_PER_SYMBOL * (
-        spacing // (_EYE_SAMPLES_PER_SYMBOL * sc.n_symbols) + 1)
-    p = per_symbol * sc.n_symbols
+        spacing // (_EYE_SAMPLES_PER_SYMBOL * n_symbols) + 1)
+    p = per_symbol * n_symbols
     band = np.arange(-(spacing // 2), spacing // 2 + 1)
     bins = np.zeros(p, dtype=np.complex128)
     bins[band % p] = y.bins[band % n]
     amp = (np.fft.ifft(bins) * (p / n) * gain).real
-    t = y.grid.t0 + np.arange(p) / (per_symbol * sc.branch_symbol_rate)
-    t_fold = np.mod(t - t_offset, 2.0 / sc.branch_symbol_rate)
+    phase = (y.grid.t0 - t_offset) * per_symbol * rate
+    k = np.arange(p) % (2 * per_symbol)
+    t_fold = np.mod(k + phase, 2 * per_symbol) / (per_symbol * rate)
     return "t_mod_2symbols,amplitude", _FLOAT_FMT, np.column_stack([t_fold, amp])
 
 
-def _calibrated_sampler(sc: Scenario) -> MzmSampler:
-    cal = calibrate_flat_comb(
-        sc.plan.n_branches, sc.plan.symbol_rate, sc.mzm_params,
-        flatness_target_db=sc.comb_flatness_target_db,
-        modulation_index=sc.modulation_index,
-    )
-    if not cal.converged:
-        raise RuntimeError(
-            f"comb calibration did not converge: flatness "
-            f"{cal.report.flatness_db:.3f} dB over target "
-            f"{sc.comb_flatness_target_db:g} dB")
-    return MzmSampler.from_calibration(cal)
+def _calibrate(n_lines: int, spacing: float, block: dict,
+               params: MzmParams) -> FlatCombCalibration:
+    """Calibrate a flat comb to the target and index of ``block``, the
+    config's ``comb`` or ``sampler`` block."""
+    return calibrate_flat_comb(n_lines, spacing, params,
+                               flatness_target_db=block["flatness_target_db"],
+                               modulation_index=block["modulation_index"])
 
 
 def run_scenario(sc: Scenario) -> ReportBundle:
     """Run one scenario end to end and collect its reports."""
-    if sc.mode == "comb":
-        cal = calibrate_flat_comb(
-            sc.comb_n_lines, sc.comb_spacing_hz, sc.mzm_params,
-            flatness_target_db=sc.comb_flatness_target_db,
-            modulation_index=sc.modulation_index,
-        )
-        return ReportBundle(scenario=sc.config, mode=sc.mode, seed=sc.seed,
-                            metrics=[], calibration=cal,
-                            artifacts={})
+    cfg = sc.config
+    if cfg["mode"] == "comb":
+        comb = cfg["comb"]
+        cal = _calibrate(comb["n_lines"], comb["spacing_hz"], comb, sc.mzm_params)
+        return ReportBundle(cfg, metrics=[], calibration=cal, artifacts={})
 
+    seed, outputs = cfg["seed"], cfg["outputs"]
+    rate, n_symbols = cfg["shaping"]["symbol_rate_hz"], cfg["n_symbols"]
+    noise, receiver = cfg["noise"], cfg["receiver"]
+    osnr_db = math.inf if noise["osnr_db"] is None else noise["osnr_db"]
     plan = sc.plan
     grid = sc.make_grid()
-    const = sc.constellation
+    const = Constellation.of(4 if cfg["modulation"] == "qpsk" else 16)
     bps = const.bits_per_symbol
-    rng = np.random.default_rng(sc.seed)
+    rng = np.random.default_rng(seed)
 
-    tx_bits = [rng.integers(0, 2, sc.n_symbols * bps)
+    tx_bits = [rng.integers(0, 2, n_symbols * bps)
                for _ in range(plan.n_branches)]
-    streams = [qam_map(bits, const, sc.branch_symbol_rate) for bits in tx_bits]
-    tx = otdm_multiplex(streams, plan, grid, shaping=sc.shaping_kind,
-                        rolloff=sc.rolloff)
+    streams = [qam_map(bits, const, rate) for bits in tx_bits]
+    tx = otdm_multiplex(streams, plan, grid, shaping=cfg["shaping"]["kind"],
+                        rolloff=cfg["shaping"]["rolloff"])
 
     rx = propagate(tx, sc.fiber)
-    if sc.timing_delay_s:
+    if receiver["timing_delay_s"]:
         # the bulk path delay the receiver is configured to remove
-        rx = delay_signal(rx, sc.timing_delay_s)
-    if sc.linewidth_hz > 0:
-        rx = phase_noise(rx, sc.linewidth_hz, seed=sc.seed + 2)
-    if not math.isinf(sc.osnr_db):
-        rx = add_noise(rx, NoiseSpec(sc.osnr_db, sc.noise_reference_bandwidth_hz,
-                                     seed=sc.noise_seed))
-    if sc.compensate:
+        rx = delay_signal(rx, receiver["timing_delay_s"])
+    if cfg["laser"]["linewidth_hz"] > 0:
+        rx = phase_noise(rx, cfg["laser"]["linewidth_hz"], seed=seed + 2)
+    if not math.isinf(osnr_db):
+        rx = add_noise(rx, NoiseSpec(osnr_db, noise["reference_bandwidth_hz"],
+                                     seed=noise["seed"]))
+    if receiver["compensate_dispersion"]:
         rx = compensate_dispersion(rx, sc.fiber)
 
-    sampler = "ideal" if sc.sampler_mode == "ideal" else _calibrated_sampler(sc)
+    sampler = "ideal"
+    if cfg["sampler"]["mode"] == "mzm":
+        cal = _calibrate(plan.n_branches, plan.symbol_rate, cfg["sampler"],
+                         sc.mzm_params)
+        if not cal.converged:
+            raise RuntimeError(
+                f"comb calibration did not converge: flatness "
+                f"{cal.report.flatness_db:.3f} dB over target "
+                f"{cal.flatness_target_db:g} dB")
+        sampler = MzmSampler.from_calibration(cal)
 
     artifacts = {}
-    if "spectra" in sc.outputs:
+    if "spectra" in outputs:
         half = plan.aggregate_bandwidth / 2
         artifacts["spectrum_multiplexed"] = _spectrum_rows(tx, half)
         artifacts["spectrum_received"] = _spectrum_rows(rx, half)
@@ -556,11 +505,10 @@ def run_scenario(sc: Scenario) -> ReportBundle:
     reports = []
     for l in range(1, plan.n_branches + 1):
         bplan = plan.for_branch(l)
-        y = demultiplex(rx, bplan, sampler, timing_delay=sc.timing_delay_s)
-        y = coherent_detect(y, sc.lo_power, sc.lo_phase)
-        rx_stream = sample_symbols(y, sc.branch_symbol_rate,
-                                   t_offset=bplan.time_offset,
-                                   n_symbols=sc.n_symbols)
+        y = demultiplex(rx, bplan, sampler, timing_delay=receiver["timing_delay_s"])
+        y = coherent_detect(y, receiver["lo_power_w"], receiver["lo_phase_rad"])
+        rx_stream = sample_symbols(y, rate, t_offset=bplan.time_offset,
+                                   n_symbols=n_symbols)
         ref = streams[l - 1].symbols
         raw = rx_stream.symbols
         denom = np.vdot(raw, raw)
@@ -578,10 +526,10 @@ def run_scenario(sc: Scenario) -> ReportBundle:
                                ber_estimate_log10(qf.q_q_linear))
         reports.append(MetricsReport(
             label=f"branch {l}",
-            modulation=sc.modulation,
+            modulation=cfg["modulation"],
             distance_km=sc.fiber.length_km,
-            osnr_db=sc.osnr_db,
-            n_symbols=sc.n_symbols,
+            osnr_db=osnr_db,
+            n_symbols=n_symbols,
             n_bits=counted.n_bits,
             evm_percent=ev.percent,
             evm_std_percent=ev.std_percent,
@@ -595,26 +543,25 @@ def run_scenario(sc: Scenario) -> ReportBundle:
             ber_count_errors=counted.errors,
             ber_counted=counted.rate,
             below_hdfec=below_hdfec_limit(counted.rate),
-            seed=sc.seed,
+            seed=seed,
             q_floored=qf.floored_i or qf.floored_q,
         ))
 
-        if "spectra" in sc.outputs:
+        if "spectra" in outputs:
             artifacts[f"branch{l}_spectrum"] = _spectrum_rows(
                 y, plan.detection_half_width)
-        if "constellation" in sc.outputs:
+        if "constellation" in outputs:
             decided = decide_indices(aligned, const)
             artifacts[f"branch{l}_constellation"] = (
                 "re,im,decided_symbol",
                 [_FLOAT_FMT, _FLOAT_FMT, "%d"],
                 np.column_stack([aligned.real, aligned.imag, decided]),
             )
-        if "eye" in sc.outputs:
+        if "eye" in outputs:
             artifacts[f"branch{l}_eye"] = _eye_rows(y, gain, sc,
                                                     bplan.time_offset)
 
-    return ReportBundle(scenario=sc.config, mode=sc.mode, seed=sc.seed,
-                        metrics=reports, artifacts=artifacts)
+    return ReportBundle(cfg, metrics=reports, artifacts=artifacts)
 
 
 def _set_by_path(cfg: dict, dotted: str, value) -> None:
@@ -649,6 +596,6 @@ def sweep(config: dict, parameter: str, values) -> list[ReportBundle]:
     for i, value in enumerate(values):
         cfg = copy.deepcopy(config)
         _set_by_path(cfg, parameter, value)
-        cfg["seed"] = base.seed + i
+        cfg["seed"] = base.config["seed"] + i
         bundles.append(run_scenario(parse_scenario(cfg)))
     return bundles

@@ -206,8 +206,8 @@ def test_criterion_08_branch_symmetry():
     branch EVMs agree within 10% relative."""
     raw = json.loads((SCENARIO_DIR / "nyquist_qpsk_8gbd_30km.json").read_text())
     sc = parse_scenario(raw)
-    assert sc.sampler_mode == "mzm"
-    assert sc.osnr_db == 33.0
+    assert sc.config["sampler"]["mode"] == "mzm"
+    assert sc.config["noise"]["osnr_db"] == 33.0
     bundle = run_scenario(sc)
     evms = [r.evm_percent for r in bundle.metrics]
     assert len(evms) == 3

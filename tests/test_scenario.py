@@ -1,6 +1,7 @@
 """Tests for scenario configs, the end-to-end runner, sweeps, and the CLI."""
 
 import copy
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -79,17 +80,18 @@ def base_config(**overrides):
 class TestParsing:
     def test_defaults_resolved(self):
         sc = parse_scenario(base_config())
-        assert sc.mode == "transmission"
-        assert sc.shaping_kind == "sinc"
-        assert sc.rolloff == 0.0
-        assert sc.branch_symbol_rate == pytest.approx(8e9)
-        assert math.isinf(sc.osnr_db)
-        assert sc.noise_seed == sc.seed + 1
-        assert sc.compensate is True
-        assert sc.oversampling == 8
-        assert sc.carrier_frequency_thz == pytest.approx(193.4)
-        assert sc.outputs == ("metrics",)
-        assert sc.sampler_mode == "ideal"
+        cfg = sc.config
+        assert cfg["mode"] == "transmission"
+        assert cfg["shaping"]["kind"] == "sinc"
+        assert cfg["shaping"]["rolloff"] == 0.0
+        assert cfg["shaping"]["symbol_rate_hz"] == pytest.approx(8e9)
+        assert cfg["noise"]["osnr_db"] is None
+        assert cfg["noise"]["seed"] == cfg["seed"] + 1
+        assert cfg["receiver"]["compensate_dispersion"] is True
+        assert cfg["oversampling"] == 8
+        assert cfg["carrier_frequency_thz"] == pytest.approx(193.4)
+        assert cfg["outputs"] == ["metrics"]
+        assert cfg["sampler"]["mode"] == "ideal"
         assert sc.fiber.length_km == 0.0
 
     def test_config_echo_is_normal_form(self):
@@ -182,15 +184,15 @@ class TestParsing:
                      "rolloff": 1.0},
             n_symbols=8)
         sc = parse_scenario(cfg)
-        assert sc.rolloff == 1.0
-        assert sc.branch_symbol_rate == 4e9
+        assert sc.config["shaping"]["rolloff"] == 1.0
+        assert sc.config["shaping"]["symbol_rate_hz"] == 4e9
 
     def test_comb_mode(self):
         cfg = {"version": 1, "mode": "comb",
                "comb": {"spacing_hz": 10e9}, "mzm": dict(MZM_BLOCK)}
         sc = parse_scenario(cfg)
-        assert sc.comb_n_lines == 3
-        assert sc.comb_spacing_hz == 10e9
+        assert sc.config["comb"]["n_lines"] == 3
+        assert sc.config["comb"]["spacing_hz"] == 10e9
         assert sc.mzm_params.v_pi == 0.42
         with pytest.raises(ConfigError):
             parse_scenario({"version": 1, "mode": "comb",
@@ -357,16 +359,18 @@ class TestBundleArtifacts:
     def test_eye_is_the_waveform_resampled(self, monkeypatch, cfg, per_symbol):
         """An eye holds per_symbol samples a symbol, and at the instants it
         shares with the full-rate grid it equals ``(y.samples * gain).real``
-        to 1e-12 of the column's peak, with the same folded time."""
+        to 1e-12 of the column's peak, with the same folded time; its time
+        column holds exactly 2 * per_symbol values, one per phase."""
         calls = _recorded(monkeypatch, "_eye_rows")
         sc = parse_scenario(cfg)
         run_scenario(sc)
         assert len(calls) == sc.plan.n_branches
-        window = 2.0 / sc.branch_symbol_rate
+        rate = sc.config["shaping"]["symbol_rate_hz"]
+        window = 2.0 / rate
         for (y, gain, _, t_offset), (header, fmt, rows) in calls:
             assert header == "t_mod_2symbols,amplitude"
-            assert rows.shape == (per_symbol * sc.n_symbols, 2)
-            sps = round(y.grid.sample_rate / sc.branch_symbol_rate)
+            assert rows.shape == (per_symbol * sc.config["n_symbols"], 2)
+            sps = round(y.grid.sample_rate / rate)
             shared = math.gcd(sps, per_symbol)
             full = (y.samples * gain).real[::sps // shared]
             eye = rows[::per_symbol // shared]
@@ -374,6 +378,9 @@ class TestBundleArtifacts:
             t_full = np.mod(y.grid.t - t_offset, window)[::sps // shared]
             apart = np.abs(eye[:, 0] - t_full)
             assert np.all(np.minimum(apart, window - apart) <= 1e-9 * window)
+            # one time value per phase: the index is folded before the floats
+            assert len(np.unique(rows[:, 0])) == 2 * per_symbol
+            assert np.all((rows[:, 0] >= 0) & (rows[:, 0] < window))
 
 
 class TestWriteBundle:
@@ -429,11 +436,58 @@ class TestWriteBundle:
         assert plan["tones"]
 
 
+class TestEchoIsTheRecord:
+    """The normalized config a bundle writes is all a run reads."""
+
+    MZM_DERIVED = dict(FULL_MZM_CONFIG, fiber={"length_km": 10.0},
+                       noise={"osnr_db": 28.0})  # derived seed and wavelength
+    RC_ALL = dict(RAISED_COSINE_CONFIG, noise={"osnr_db": 25.0},
+                  outputs=["metrics", "spectra", "constellation", "eye"])
+
+    @pytest.mark.parametrize("cfg", [MZM_DERIVED, RC_ALL, COMB_CONFIG],
+                             ids=["mzm_derived", "raised_cosine_all", "comb"])
+    def test_rerun_of_the_written_config_is_byte_identical(self, tmp_path, cfg):
+        first = write_bundle(run_scenario(parse_scenario(cfg)), tmp_path / "a")
+        echo = json.loads((tmp_path / "a" / "config.json").read_text())
+        second = write_bundle(run_scenario(parse_scenario(echo)), tmp_path / "b")
+        assert [p.name for p in first] == [p.name for p in second]
+        for x, y in zip(first, second):
+            assert x.read_bytes() == y.read_bytes(), x.name
+
+    def test_calibration_reads_the_block_of_its_mode(self, monkeypatch):
+        """Comb mode calibrates to ``comb.*``, an MZM transmission to
+        ``sampler.*``; each passes its block's index and target."""
+        calls = []
+        original = scenario.calibrate_flat_comb
+
+        def record(*args, **kwargs):
+            calls.append((args[:2], kwargs))
+            return original(*args, **kwargs)
+        monkeypatch.setattr(scenario, "calibrate_flat_comb", record)
+        block = {"modulation_index": 0.25, "flatness_target_db": 0.2}
+        run_scenario(parse_scenario(dict(
+            COMB_CONFIG, comb=dict(COMB_CONFIG["comb"], **block))))
+        run_scenario(parse_scenario(base_config(
+            sampler=dict(block, mode="mzm"), mzm=dict(MZM_BLOCK))))
+        assert calls == [((3, 10e9), block), ((3, 8e9), block)]
+
+    def test_unconverged_sampler_calibration_fails_the_run(self, monkeypatch):
+        original = scenario.calibrate_flat_comb
+        monkeypatch.setattr(
+            scenario, "calibrate_flat_comb", lambda *a, **k: dataclasses.replace(
+                original(*a, **k), converged=False))
+        with pytest.raises(RuntimeError, match=r"comb calibration did not "
+                           r"converge: flatness \d+\.\d{3} dB over target 0\.2 dB"):
+            run_scenario(parse_scenario(base_config(
+                sampler={"mode": "mzm", "flatness_target_db": 0.2},
+                mzm=dict(MZM_BLOCK))))
+
+
 class TestSweep:
     def test_values_applied_and_seeds_derived(self):
         cfg = base_config(seed=5, noise={"osnr_db": 30.0}, n_symbols=9)
         bundles = sweep(cfg, "noise.osnr_db", [20.0, 25.0, 30.0])
-        assert [b.seed for b in bundles] == [5, 6, 7]
+        assert [b.scenario["seed"] for b in bundles] == [5, 6, 7]
         assert [b.scenario["noise"]["osnr_db"] for b in bundles] == [
             20.0, 25.0, 30.0]
         # base config is untouched
@@ -556,6 +610,20 @@ class TestCli:
         assert (out / "noise.osnr_db=20" / "metrics.json").exists()
         assert (out / "noise.osnr_db=30" / "metrics.json").exists()
         assert "noise.osnr_db = 20" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("values", ["30,30", "-0,0"])
+    def test_sweep_rejects_values_sharing_a_directory(self, tmp_path, capsys,
+                                                      values):
+        """Two values with one directory tag would overwrite one bundle
+        with the other; the sweep refuses them before any point runs."""
+        p = self.write_cfg(tmp_path, base_config())
+        out = tmp_path / "sweep"
+        assert main(["sweep", str(p), "--param", "noise.osnr_db",
+                     f"--values={values}", "--out-dir", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "--values" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_sweep_bad_values(self, tmp_path, capsys):
         p = self.write_cfg(tmp_path, base_config())
