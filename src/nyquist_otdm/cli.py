@@ -34,7 +34,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--param", required=True,
                          help="dotted config path, e.g. noise.osnr_db")
     sweep_p.add_argument("--values", required=True,
-                         help="comma-separated values, e.g. 20,25,30")
+                         help="comma-separated values, e.g. 20,25,30; a list "
+                              "may start with a negative value, e.g. -5,0")
     sweep_p.add_argument("--seed", type=int, default=None)
     sweep_p.add_argument("--out-dir", type=Path, default=None,
                          help="write one bundle per value under this directory")
@@ -146,8 +147,18 @@ def _cmd_validate(args) -> int:
     return 0
 
 
+def _join_values(argv: list) -> list:
+    # argparse reads a word that starts with "-" and is not a plain number
+    # (-5,0) as an option, so a value list is joined to its flag
+    for i, arg in enumerate(argv[:-1]):
+        if arg == "--values" and re.match(r"-\.?\d", argv[i + 1]):
+            return argv[:i] + [f"--values={argv[i + 1]}"] + argv[i + 2:]
+    return argv
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _build_parser().parse_args(
+        _join_values(sys.argv[1:] if argv is None else list(argv)))
     handler = {"run": _cmd_run, "sweep": _cmd_sweep,
                "calibrate-comb": _cmd_calibrate, "validate": _cmd_validate}
     try:

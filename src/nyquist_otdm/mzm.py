@@ -274,6 +274,7 @@ def comb_report(spec: Spectrum, n_lines: int, spacing: float) -> CombReport:
 _SWEEPS = 8          # coordinate-descent sweeps per stage
 _LINE_POINTS = 17    # points per level of a bracket-and-zoom line search
 _NEWTON_STEPS = 3    # polish steps of the delay search after its grid
+_MIN_GAIN = 3e-6     # a descent sweep gaining less than this is the last
 # Above every RMSE percent: the least-squares residual never exceeds the
 # norm of the unit-peak ideal, 100/sqrt(n_lines) %.
 _OVER_LIMIT = 100.0
@@ -381,19 +382,30 @@ def _along(x: np.ndarray, coords, values) -> np.ndarray:
 def _descend(score, x: np.ndarray, coords, widths, lower, upper,
              xatol: float, stop_at: float = -math.inf):
     """Coordinate descent: a line search within +/- width of each listed
-    coordinate in turn, widths halving every sweep, until a sweep gains
-    nothing or the score reaches ``stop_at``.  Returns ``(x, score)``."""
+    coordinate in turn, widths halving every sweep, then a pattern move, a
+    line search along the sweep's net step out to 8 times it (within the
+    bounds), which follows a narrow valley the coordinates zig-zag across.
+    Stops when a sweep gains less than ``_MIN_GAIN`` or the score reaches
+    ``stop_at``.  Returns ``(x, score)``."""
     x, best = x.copy(), float(score(x)[()])
     for _ in range(_SWEEPS):
-        improved = False
+        start, before = x.copy(), best
         for i, width in zip(coords, widths):
             v, f = _line_search(lambda v: score(_along(x, [i], [v])),
                                 max(lower[i], x[i] - width),
                                 min(upper[i], x[i] + width), xatol)
             if f[0] < best:
-                best, x[i], improved = float(f[0]), float(v[0]), True
+                best, x[i] = float(f[0]), float(v[0])
+        if best < before:
+            d = x - start
+            reach = min([8.0] + [
+                ((upper[i] if d[i] > 0 else lower[i]) - x[i]) / d[i] for i in coords if d[i]])
+            t, f = _line_search(lambda t: score(x + t[..., None] * d), 0.0, reach,
+                                xatol / np.abs(d).max())
+            if f[0] < best:
+                best, x = float(f[0]), x + t[0] * d
         widths = [w * 0.5 for w in widths]
-        if best <= stop_at or not improved:
+        if best <= stop_at or before - best < _MIN_GAIN:
             break
     return x, best
 
@@ -423,6 +435,8 @@ def calibrate_flat_comb(
        coordinate descent of the bias, the ratio and the scales, taking a
        move only while the flatness stays within the target (or within
        stage 1's result, if that missed it).
+
+    Every descent sweep ends with a pattern move along its net step.
 
     The indices m_k map to the volts ``m_k * v_pi / (pi * |H_EO(k *
     spacing)|)`` in closed form.  Then, on one period of the modulator
@@ -479,7 +493,7 @@ def calibrate_flat_comb(
     if err[j] < waveform_error(x):
         x[0], x[1] = bias[j], ratios[j]
     x, _ = _descend(waveform_error, x, range(2 + n_free),
-                    [0.04, 0.04] + [0.1] * n_free, lower, upper, 1e-8)
+                    [0.04, 0.04] + [0.1] * n_free, lower, upper, 1e-6)
     freqs = spacing * np.arange(1, n_lines // 2 + 1)
     volts = modulation_index * params.v_pi / (math.pi * eo_response(freqs, params))
     plan = push_pull_plan(freqs, volts * np.concatenate(([1.0], x[2:])), float(x[0]),

@@ -440,21 +440,34 @@ def _eye_rows(y: Signal, gain: complex, sc: Scenario, t_offset: float):
     return "t_mod_2symbols,amplitude", _FLOAT_FMT, np.column_stack([t_fold, amp])
 
 
-def _calibrate(n_lines: int, spacing: float, block: dict,
-               params: MzmParams) -> FlatCombCalibration:
+def _calibrate(n_lines: int, spacing: float, block: dict, params: MzmParams,
+               calibrations: dict) -> FlatCombCalibration:
     """Calibrate a flat comb to the target and index of ``block``, the
-    config's ``comb`` or ``sampler`` block."""
-    return calibrate_flat_comb(n_lines, spacing, params,
-                               flatness_target_db=block["flatness_target_db"],
-                               modulation_index=block["modulation_index"])
+    config's ``comb`` or ``sampler`` block, unless ``calibrations`` holds
+    one made from the same inputs: the calibration is a deterministic
+    function of them."""
+    target, index = block["flatness_target_db"], block["modulation_index"]
+    key = (n_lines, spacing, target, index, params)
+    if key not in calibrations:
+        calibrations[key] = calibrate_flat_comb(n_lines, spacing, params,
+                                                flatness_target_db=target,
+                                                modulation_index=index)
+    return calibrations[key]
 
 
 def run_scenario(sc: Scenario) -> ReportBundle:
     """Run one scenario end to end and collect its reports."""
+    return _run(sc, {})
+
+
+def _run(sc: Scenario, calibrations: dict) -> ReportBundle:
+    """:func:`run_scenario`, reusing the comb calibrations already made in
+    ``calibrations`` and adding the ones it makes."""
     cfg = sc.config
     if cfg["mode"] == "comb":
         comb = cfg["comb"]
-        cal = _calibrate(comb["n_lines"], comb["spacing_hz"], comb, sc.mzm_params)
+        cal = _calibrate(comb["n_lines"], comb["spacing_hz"], comb, sc.mzm_params,
+                         calibrations)
         return ReportBundle(cfg, metrics=[], calibration=cal, artifacts={})
 
     seed, outputs = cfg["seed"], cfg["outputs"]
@@ -488,7 +501,7 @@ def run_scenario(sc: Scenario) -> ReportBundle:
     sampler = "ideal"
     if cfg["sampler"]["mode"] == "mzm":
         cal = _calibrate(plan.n_branches, plan.symbol_rate, cfg["sampler"],
-                         sc.mzm_params)
+                         sc.mzm_params, calibrations)
         if not cal.converged:
             raise RuntimeError(
                 f"comb calibration did not converge: flatness "
@@ -579,7 +592,10 @@ def sweep(config: dict, parameter: str, values) -> list[ReportBundle]:
     ``parameter`` names a field of the normalized config, so a field left to
     its default can be swept too.  Seeds derive deterministically from the
     base seed plus the value index, so points are independent but exactly
-    reproducible; ``seed`` itself therefore cannot be swept.
+    reproducible; ``seed`` itself therefore cannot be swept.  Every point is
+    validated before any runs, and the points share the comb calibrations
+    made within this call, so each distinct calibration runs once and every
+    bundle equals a run of its point alone.
     """
     if not values:
         raise ValueError("sweep needs at least one value")
@@ -592,10 +608,11 @@ def sweep(config: dict, parameter: str, values) -> list[ReportBundle]:
         if not isinstance(field, dict) or p not in field:
             raise ConfigError(parameter, "no such config field to sweep")
         field = field[p]
-    bundles = []
+    points = []
     for i, value in enumerate(values):
         cfg = copy.deepcopy(config)
         _set_by_path(cfg, parameter, value)
         cfg["seed"] = base.config["seed"] + i
-        bundles.append(run_scenario(parse_scenario(cfg)))
-    return bundles
+        points.append(parse_scenario(cfg))
+    calibrations = {}
+    return [_run(sc, calibrations) for sc in points]

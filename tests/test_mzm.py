@@ -21,6 +21,7 @@ from nyquist_otdm.mzm import (
     DriveTone,
     MzmParams,
     _OnePeriodComb,
+    _descend,
     arm_amplitude,
     calibrate_flat_comb,
     comb_report,
@@ -280,6 +281,59 @@ class TestCalibration:
             assert_allclose(volts, indices * params.v_pi / (math.pi * eo),
                             rtol=1e-15, atol=0)
             assert cal.plan.bias_difference == bias
+
+    # (device, lines) -> (waveform RMSE %, line evaluations) of the search
+    # by coordinate descent alone, stopping on a sweep that gained nothing
+    DEVICES = {
+        "comb_10ghz": PARAMS,
+        "3V_gaussian_30_25dB_3dB_loss": MzmParams(
+            v_pi=3.0, eo_3db_bandwidth=16e9, dc_extinction_arm1_db=30.0,
+            dc_extinction_arm2_db=25.0, insertion_loss_db=3.0, eo_model="gaussian"),
+        "60_45dB": MzmParams(v_pi=0.42, eo_3db_bandwidth=16e9,
+                             dc_extinction_arm1_db=60.0, dc_extinction_arm2_db=45.0),
+    }
+    COORDINATE_DESCENT = {
+        ("comb_10ghz", 3): (0.8630523548529013, 123),
+        ("comb_10ghz", 5): (1.3282202497770563, 186),
+        ("comb_10ghz", 7): (2.101209793458072, 207),
+        ("3V_gaussian_30_25dB_3dB_loss", 3): (4.543126316545446, 49),
+        ("3V_gaussian_30_25dB_3dB_loss", 5): (3.301056612549283, 135),
+        ("3V_gaussian_30_25dB_3dB_loss", 7): (3.142957963158606, 253),
+        ("60_45dB", 3): (0.9318969344178113, 123),
+        ("60_45dB", 5): (1.3482741398821763, 186),
+        ("60_45dB", 7): (2.1080263857301964, 207),
+    }
+
+    def test_pattern_move_follows_a_narrow_valley(self):
+        """Along a valley 30 times narrower than it is long, at 45 degrees to
+        both coordinates, line searches along single coordinates gain little
+        per sweep; the pattern move along each sweep's net step reaches the
+        minimum at (1, 1) within the eight sweeps."""
+        def score(x):
+            return 30.0 * (x[..., 0] - x[..., 1]) ** 2 + (x[..., 0] + x[..., 1] - 2.0) ** 2
+        x, best = _descend(score, np.zeros(2), [0, 1], [0.5, 0.5], (-10.0, -10.0),
+                           (10.0, 10.0), 1e-9)
+        assert_allclose(x, [1.0, 1.0], atol=1e-6)
+        assert best == score(x) < 1e-12
+
+    def test_fewer_evaluations_at_no_loss_of_quality(self, monkeypatch):
+        """Against coordinate descent alone, every comb converges with a
+        waveform RMSE within 1e-4 points of it, in no more line evaluations,
+        and in at least a quarter fewer over all the cases."""
+        evaluations = [0]
+        lines = _OnePeriodComb.lines
+        monkeypatch.setattr(_OnePeriodComb, "lines", lambda comb, x:
+                            evaluations.__setitem__(0, evaluations[0] + 1)
+                            or lines(comb, x))
+        total = 0
+        for (device, n_lines), (rmse, count) in self.COORDINATE_DESCENT.items():
+            evaluations[0] = 0
+            cal = calibrate_flat_comb(n_lines, 8e9, self.DEVICES[device])
+            assert cal.converged, (device, n_lines)
+            assert cal.waveform_rmse_percent <= rmse + 1e-4, (device, n_lines)
+            assert evaluations[0] <= count, (device, n_lines)
+            total += evaluations[0]
+        assert total <= 0.75 * sum(c for _, c in self.COORDINATE_DESCENT.values())
 
     def test_format_table_smoke(self):
         cal = calibrate_flat_comb(3, 10e9, PARAMS)

@@ -519,6 +519,62 @@ class TestSweep:
         assert main(["sweep", str(p), "--param", "seed", "--values", "5,9"]) == 2
         assert capsys.readouterr().err.startswith("error: seed: cannot be swept")
 
+    def test_bad_value_fails_before_any_point_runs(self, monkeypatch, tmp_path,
+                                                  capsys):
+        """Every point is parsed before the first one runs, so a bad value
+        anywhere in the list costs no simulation."""
+        def no_run(*args):
+            raise AssertionError("a point ran")
+        monkeypatch.setattr(scenario, "_run", no_run)
+        monkeypatch.setattr(scenario, "run_scenario", no_run)
+        with pytest.raises(ConfigError) as err:
+            sweep(base_config(), "plan.n_branches", [3, 4])
+        assert err.value.field == "plan.n_branches"
+        p = tmp_path / "scenario.json"
+        p.write_text(json.dumps(base_config()))
+        assert main(["sweep", str(p), "--param", "noise.osnr_db",
+                     "--values", "20,nan"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: noise.osnr_db: must be finite\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("parameter, values, calls", [
+        ("noise.osnr_db", [20.0, 25.0, 30.0], 1),
+        ("sampler.modulation_index", [0.3, 0.25], 2),
+    ], ids=["osnr_shares_one", "index_needs_two"])
+    def test_calibrates_once_per_distinct_input(self, monkeypatch, parameter,
+                                                values, calls):
+        made = []
+        original = scenario.calibrate_flat_comb
+        monkeypatch.setattr(scenario, "calibrate_flat_comb", lambda *a, **k:
+                            made.append(a) or original(*a, **k))
+        cfg = base_config(noise={"osnr_db": 30.0}, sampler={"mode": "mzm"},
+                          mzm=dict(MZM_BLOCK))
+        assert len(sweep(cfg, parameter, values)) == len(values)
+        assert len(made) == calls
+
+    ALL_OUTPUTS = ["metrics", "spectra", "constellation", "eye"]
+
+    @pytest.mark.parametrize("cfg, parameter, values", [
+        (base_config(seed=2, sampler={"mode": "mzm"}, mzm=dict(MZM_BLOCK),
+                     outputs=ALL_OUTPUTS), "noise.osnr_db", [20.0, 25.0, 30.0]),
+        (COMB_CONFIG, "label", ["a", "b"]),
+    ], ids=["mzm_osnr", "comb_label"])
+    def test_points_equal_runs_of_their_own(self, tmp_path, cfg, parameter,
+                                            values):
+        """A calibration shared within a sweep gives every point the bytes
+        a fresh run of that point gives."""
+        for i, bundle in enumerate(sweep(cfg, parameter, values)):
+            point = copy.deepcopy(cfg)
+            scenario._set_by_path(point, parameter, values[i])
+            point["seed"] = cfg.get("seed", 0) + i
+            swept = write_bundle(bundle, tmp_path / f"swept{i}")
+            alone = write_bundle(run_scenario(parse_scenario(point)),
+                                 tmp_path / f"alone{i}")
+            assert [p.name for p in swept] == [p.name for p in alone]
+            for x, y in zip(swept, alone):
+                assert x.read_bytes() == y.read_bytes(), (i, x.name)
+
 
 class TestCli:
     def write_cfg(self, tmp_path, cfg):
@@ -624,6 +680,20 @@ class TestCli:
         assert "--values" in captured.err
         assert captured.out == ""
         assert not out.exists()
+
+    def test_sweep_values_may_start_negative(self, tmp_path, capsys):
+        """A value list that starts with a minus sign is read as values,
+        not as an option."""
+        p = self.write_cfg(tmp_path, base_config())
+        out = tmp_path / "sweep"
+        assert main(["sweep", str(p), "--param", "noise.osnr_db",
+                     "--values", "-5,0", "--out-dir", str(out)]) == 0
+        text = capsys.readouterr().out
+        assert "noise.osnr_db = -5 ---" in text and "noise.osnr_db = 0 ---" in text
+        for tag in ("-5", "0"):
+            metrics = json.loads((out / f"noise.osnr_db={tag}" / "metrics.json")
+                                 .read_text())
+            assert metrics["reports"][0]["osnr_db"] == float(tag)
 
     def test_sweep_bad_values(self, tmp_path, capsys):
         p = self.write_cfg(tmp_path, base_config())
