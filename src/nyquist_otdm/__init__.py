@@ -15,8 +15,7 @@ from .core import (
     delay_signal,
     spectrum,
 )
-from .demux import MzmSampler, branch_phase, demultiplex, recover_symbols, \
-    shift_plan_for_branch
+from .demux import MzmSampler, demultiplex, recover_symbols
 from .link import (
     SPEED_OF_LIGHT,
     FiberSpec,
@@ -97,8 +96,7 @@ __all__ = [
     "push_pull_plan", "comb_report", "calibrate_flat_comb",
     "format_comb_table",
     # demux
-    "MzmSampler", "branch_phase", "shift_plan_for_branch",
-    "demultiplex", "recover_symbols",
+    "MzmSampler", "demultiplex", "recover_symbols",
     # link
     "SPEED_OF_LIGHT", "FiberSpec", "NoiseSpec", "propagate",
     "compensate_dispersion", "dispersion_phase", "add_noise",

@@ -214,10 +214,6 @@ class ChannelPlan:
         """Time slot of this branch, (branch-1)/B."""
         return (self.branch - 1) / self.aggregate_bandwidth
 
-    @property
-    def sequence_period(self) -> float:
-        return self.n_branches / self.aggregate_bandwidth
-
     def for_branch(self, branch: int) -> "ChannelPlan":
         return ChannelPlan(self.n_branches, self.aggregate_bandwidth, branch)
 

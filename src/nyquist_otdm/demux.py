@@ -2,17 +2,17 @@
 
 A branch is recovered by multiplying the aggregate signal with the branch's
 sampling pulse train (either an ideal sinc sequence or a calibrated MZM
-driven at the branch RF phase), low-pass filtering to half the branch rate,
-and restoring the 1/N sampling gain.  Both pulse trains are periodic with a
-period of whole grid samples, so they are a few spectral lines a whole
-number of bins apart, and the product followed by the lowpass is a sum of
-shifted spectral slices evaluated on the detection band alone.
+comb), low-pass filtering to half the branch rate, and restoring the 1/N
+sampling gain.  Both pulse trains are periodic with a period of whole grid
+samples, so they are a few spectral lines a whole number of bins apart, and
+the product followed by the lowpass is a sum of shifted spectral slices
+evaluated on the detection band alone.  Branch l's train is branch 1's
+delayed by (l-1)/B: the same lines, each turned by a phase.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,19 +20,7 @@ from .core import ChannelPlan, Signal, TimeGrid, constant, delay_signal
 from .mzm import DrivePlan, FlatCombCalibration, MzmParams, modulate
 from .nyquist import SymbolStream, _require_integer, _sequence_lines, sample_symbols
 
-__all__ = [
-    "ChannelPlan",
-    "MzmSampler",
-    "branch_phase",
-    "shift_plan_for_branch",
-    "demultiplex",
-    "recover_symbols",
-]
-
-
-def branch_phase(plan: ChannelPlan) -> float:
-    """Relative RF phase selecting the plan's branch: 2*pi*(branch-1)/N."""
-    return 2.0 * math.pi * (plan.branch - 1) / plan.n_branches
+__all__ = ["ChannelPlan", "MzmSampler", "demultiplex", "recover_symbols"]
 
 
 @dataclass(frozen=True)
@@ -55,40 +43,27 @@ class MzmSampler:
                    calibrated=cal.converged)
 
 
-def shift_plan_for_branch(drive_plan: DrivePlan, spacing: float,
-                          rf_phase: float) -> DrivePlan:
-    """Shift every drive tone by its harmonic order times ``rf_phase``.
-
-    Subtracting k times the branch phase from the harmonic-k tone delays the
-    sampling pulse train by rf_phase/(2*pi*spacing), i.e. by (branch-1)/B for
-    the branch phases of :func:`branch_phase`.
-    """
-    if rf_phase == 0.0:
-        return drive_plan
-    tones = []
-    for t in drive_plan.tones:
-        k = round(t.frequency / spacing)
-        if abs(t.frequency - k * spacing) > 1e-6 * spacing:
-            raise ValueError(
-                f"tone at {t.frequency:g} Hz is not a harmonic of the "
-                f"spacing {spacing:g} Hz"
-            )
-        tones.append(replace(t, phase_arm1=t.phase_arm1 - k * rf_phase,
-                             phase_arm2=t.phase_arm2 - k * rf_phase))
-    return DrivePlan(tuple(tones), drive_plan.bias_arm1, drive_plan.bias_arm2)
+def _branch_rows(lines: np.ndarray, n_branches: int) -> np.ndarray:
+    """Every branch's coefficients of a pulse train whose line m sits at m
+    times the branch rate: row l-1 is ``lines`` delayed by (l-1)/B, i.e.
+    line m turned by ``exp(-2j*pi*m*(l-1)/N)``."""
+    m = np.arange(lines.shape[0])
+    turns = np.outer(np.arange(n_branches), m) % n_branches
+    return lines * np.exp(-2j * np.pi * turns / n_branches)
 
 
 def _sampling_lines(plan: ChannelPlan, sampler: str | MzmSampler,
                     grid: TimeGrid):
-    """Spectral lines (bin shifts, coefficients) of the branch's sampling
-    pulse train on ``grid``.
+    """Spectral lines (bin shifts, one row of coefficients per branch) of
+    the sampling pulse trains on ``grid``; row l-1 is branch l's.
 
-    ``sampler="ideal"`` gives the N lines of the exact sinc sequence.  An
-    :class:`MzmSampler` drives the modulator model at the branch RF phase
-    over one sequence period of the grid, divides out the calibration gain
-    and takes the period's P-point DFT: the P lines of the transfer on the
-    whole grid, which agrees with the ideal sequence to within the
-    calibrated comb's waveform error.
+    ``sampler="ideal"`` gives the N lines of the exact sinc sequences.  An
+    :class:`MzmSampler` drives the modulator model over one sequence period
+    of the grid, divides out the calibration gain and takes the period's
+    P-point DFT: the P lines of the transfer on the whole grid, which agree
+    with branch 1's sequence to within the calibrated comb's waveform
+    error.  The other branches' rows turn those lines by their slot's phase,
+    which is exact only for drive tones at harmonics of the branch rate.
     """
     if isinstance(sampler, str):
         if sampler != "ideal":
@@ -98,15 +73,22 @@ def _sampling_lines(plan: ChannelPlan, sampler: str | MzmSampler,
         raise TypeError("sampler must be 'ideal' or an MzmSampler")
     if not sampler.calibrated:
         raise ValueError("MZM sampling requires a calibrated drive plan")
-    spacing = _require_integer(grid.duration * plan.symbol_rate,
+    rate = plan.symbol_rate
+    for f in (t.frequency for t in sampler.drive_plan.tones):
+        if abs(f / rate - round(f / rate)) > 1e-6:
+            raise ValueError(f"tone at {f:g} Hz is not a harmonic of the "
+                             f"branch rate {rate:g} Hz")
+    spacing = _require_integer(grid.duration * rate,
                                "grid window in sequence periods")
-    period = _require_integer(grid.sample_rate / plan.symbol_rate,
-                              "samples per sequence period")
-    drive = shift_plan_for_branch(sampler.drive_plan, plan.symbol_rate,
-                                  branch_phase(plan))
+    # a slot of whole samples makes each branch's delay a circular shift of
+    # the period's samples, so its lines are branch 1's turned, aliases too
+    period = plan.n_branches * _require_integer(
+        grid.sample_rate / plan.aggregate_bandwidth, "samples per branch slot")
     one_period = TimeGrid(grid.sample_rate, period, grid.t0)
-    transfer = modulate(constant(one_period), drive, sampler.params).samples
-    return np.arange(period) * spacing, np.fft.fft(transfer) * (sampler.gain / period)
+    transfer = modulate(constant(one_period), sampler.drive_plan,
+                        sampler.params).samples
+    lines = np.fft.fft(transfer) * (sampler.gain / period)
+    return np.arange(period) * spacing, _branch_rows(lines, plan.n_branches)
 
 
 def demultiplex(sig: Signal, plan: ChannelPlan,
@@ -130,13 +112,12 @@ def demultiplex(sig: Signal, plan: ChannelPlan,
     """
     grid = sig.grid
     n = grid.n_samples
-    shifts, coefs = _sampling_lines(plan, sampler, grid)
+    shifts, rows = _sampling_lines(plan, sampler, grid)
     if timing_delay:
         sig = delay_signal(sig, -timing_delay)
     # the band |f| <= B/(2N) is half a line spacing each side; the bins at
     # exactly the edge (an even spacing) count half
-    spacing = _require_integer(grid.duration * plan.symbol_rate,
-                               "grid window in sequence periods")
+    spacing = int(shifts[1] - shifts[0])
     if spacing >= n:
         raise ValueError("the detection band B/(2N) must lie below the grid's "
                          "Nyquist limit")
@@ -144,7 +125,7 @@ def demultiplex(sig: Signal, plan: ChannelPlan,
     gain = plan.n_branches * np.where(2 * np.abs(band) == spacing, 0.5, 1.0)
     taken = sig.bins[(band[None, :] - shifts[:, None]) % n]
     bins = np.zeros(n, dtype=np.complex128)
-    bins[band % n] = gain * (coefs @ taken)
+    bins[band % n] = gain * (rows[plan.branch - 1] @ taken)
     return Signal._of_bins(grid, bins)
 
 

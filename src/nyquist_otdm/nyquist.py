@@ -149,13 +149,14 @@ def sample_symbols(sig: Signal, symbol_rate: float, t_offset: float = 0.0,
 
 
 def _sequence_lines(plan: ChannelPlan, grid: TimeGrid):
-    """Spectral lines of the branch's sinc sequence on ``grid``.
+    """Spectral lines of every branch's sinc sequence on ``grid``.
 
-    Returns (shifts, coefficients): the sequence is
-    ``sum_m coefficients[m] * exp(2j*pi*shifts[m]*j/n)`` over the grid's
+    Returns (shifts, rows): branch l's sequence is
+    ``sum_m rows[l-1, m] * exp(2j*pi*shifts[m]*j/n)`` over the grid's
     samples j, so multiplying a signal by it adds its bins shifted by
-    ``shifts[m]`` and weighted by ``coefficients[m]``.  The window must hold
-    whole sequence periods, which makes every shift a whole number of bins.
+    ``shifts[m]`` and weighted by ``rows[l-1, m]``.  Only the phase of
+    branch l's slot (l-1)/B on each line sets the rows apart.  The window
+    must hold whole sequence periods: every shift is whole bins.
     """
     spacing = _require_integer(grid.duration * plan.symbol_rate,
                                "grid window in sequence periods")
@@ -163,9 +164,10 @@ def _sequence_lines(plan: ChannelPlan, grid: TimeGrid):
         raise ValueError("grid window must hold at least one sequence period")
     half = (plan.n_branches - 1) // 2
     orders = np.arange(-half, half + 1)
-    coefs = np.exp(2j * np.pi * orders * plan.symbol_rate
-                   * (grid.t0 - plan.time_offset)) / plan.n_branches
-    return orders * spacing, coefs
+    slots = np.arange(plan.n_branches)[:, None] / plan.aggregate_bandwidth
+    rows = np.exp(2j * np.pi * orders * plan.symbol_rate
+                  * (grid.t0 - slots)) / plan.n_branches
+    return orders * spacing, rows
 
 
 def multiplex_branch_signals(branch_signals: list[Signal],
@@ -186,9 +188,7 @@ def multiplex_branch_signals(branch_signals: list[Signal],
     n = grid.n_samples
     for sig in branch_signals:
         require_same_grid(sig, branch_signals[0])
-    lines = [_sequence_lines(plan.for_branch(l), grid)
-             for l in range(1, plan.n_branches + 1)]
-    shifts = lines[0][0]
+    shifts, rows = _sequence_lines(plan, grid)
     # only the band |k| <= reach holding every nonzero bin takes part
     reach = 0
     for sig in branch_signals:
@@ -197,8 +197,7 @@ def multiplex_branch_signals(branch_signals: list[Signal],
             reach = max(reach, int(np.max(np.minimum(nonzero, n - nonzero))))
     band = np.arange(-reach, reach + 1) if 2 * reach < n else np.arange(n)
     # row m: the branches' bins weighted by their line-m coefficients
-    weighted = np.stack([c for _, c in lines], axis=1) @ np.stack(
-        [sig.bins[band % n] for sig in branch_signals])
+    weighted = rows.T @ np.stack([sig.bins[band % n] for sig in branch_signals])
     acc = np.zeros(n, dtype=np.complex128)
     for shift, row in zip(shifts, weighted):
         acc[(band + shift) % n] += row
@@ -206,32 +205,26 @@ def multiplex_branch_signals(branch_signals: list[Signal],
 
 
 def otdm_multiplex(channels: list[SymbolStream], plan: ChannelPlan,
-                   grid: TimeGrid, shaping: str = "sinc",
-                   rolloff: float = 0.0) -> Signal:
+                   grid: TimeGrid, rolloff: float = 0.0) -> Signal:
     """Multiplex N symbol streams into one B-wide signal.
 
-    Each stream is shaped at its branch offset and gated by the branch
-    sequence.  ``shaping="sinc"`` sinc-interpolates streams at the branch
-    rate B/N: the aggregate occupies exactly |f| <= B/2 and carries stream
-    l's symbols untouched at ``t = (k*N + l - 1)/B``.
-    ``shaping="raised_cosine"`` shapes them with ``rolloff`` at the rate
-    they carry, which all streams share.
+    Each stream is raised-cosine shaped with ``rolloff`` at the rate all
+    streams share, at its branch offset, and gated by the branch sequence.
+    Streams at the branch rate B/N with rolloff 0 are sinc-interpolated: the
+    aggregate occupies exactly |f| <= B/2 and carries stream l's symbols
+    untouched at ``t = (k*N + l - 1)/B``.
     """
     if len(channels) != plan.n_branches:
         raise ValueError(
             f"expected {plan.n_branches} channels, got {len(channels)}"
         )
-    if shaping not in ("sinc", "raised_cosine"):
-        raise ValueError(f"unknown shaping {shaping!r}")
-    if shaping == "sinc" and rolloff != 0.0:
-        raise ValueError("sinc shaping has no rolloff")
-    rate = plan.symbol_rate if shaping == "sinc" else channels[0].symbol_rate
+    rate = channels[0].symbol_rate
     shaped = []
     for l, stream in enumerate(channels, start=1):
         if abs(stream.symbol_rate - rate) > 1e-6 * rate:
             raise ValueError(
                 f"channel {l} symbol_rate {stream.symbol_rate:g} does not "
-                f"match the branch rate {rate:g}"
+                f"match channel 1's {rate:g}"
             )
         shaped.append(raised_cosine_shape(stream, rolloff, grid,
                                           t_offset=plan.for_branch(l).time_offset))

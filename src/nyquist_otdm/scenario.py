@@ -483,8 +483,7 @@ def _run(sc: Scenario, calibrations: dict) -> ReportBundle:
     tx_bits = [rng.integers(0, 2, n_symbols * bps)
                for _ in range(plan.n_branches)]
     streams = [qam_map(bits, const, rate) for bits in tx_bits]
-    tx = otdm_multiplex(streams, plan, grid, shaping=cfg["shaping"]["kind"],
-                        rolloff=cfg["shaping"]["rolloff"])
+    tx = otdm_multiplex(streams, plan, grid, rolloff=cfg["shaping"]["rolloff"])
 
     rx = propagate(tx, sc.fiber)
     if receiver["timing_delay_s"]:

@@ -10,15 +10,15 @@ against these.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 from scipy.optimize import minimize_scalar
 
 from nyquist_otdm import ChannelPlan, Signal, TimeGrid, delay_signal
 from nyquist_otdm.core import require_same_grid
-from nyquist_otdm.demux import branch_phase, shift_plan_for_branch
 from nyquist_otdm.link import dispersion_phase
-from nyquist_otdm.mzm import modulate
+from nyquist_otdm.mzm import DrivePlan, modulate
 from nyquist_otdm.nyquist import SymbolStream
 
 
@@ -96,6 +96,19 @@ def filter_directly(samples, grid: TimeGrid, response) -> np.ndarray:
     return dft.conj() @ (response(f) * (dft @ np.asarray(samples))) / n
 
 
+def branch_drive(drive: DrivePlan, plan: ChannelPlan) -> DrivePlan:
+    """The drive at the branch's RF phase 2*pi*(branch-1)/N: the harmonic-k
+    tone's phases lowered by k times it, which delays the whole transfer by
+    the branch slot (branch-1)/B."""
+    phase = 2 * math.pi * (plan.branch - 1) / plan.n_branches
+    tones = []
+    for t in drive.tones:
+        k = round(t.frequency / plan.symbol_rate)
+        tones.append(replace(t, phase_arm1=t.phase_arm1 - k * phase,
+                             phase_arm2=t.phase_arm2 - k * phase))
+    return DrivePlan(tuple(tones), drive.bias_arm1, drive.bias_arm2)
+
+
 def gate_directly(sig: Signal, plan: ChannelPlan, sampler="ideal") -> np.ndarray:
     """The signal times the branch's sampling pulse train on the full grid:
     the cosine-sum sequence, or the MZM transfer at the branch RF phase
@@ -104,8 +117,7 @@ def gate_directly(sig: Signal, plan: ChannelPlan, sampler="ideal") -> np.ndarray
         return sig.samples * sequence_directly(
             plan.n_branches, plan.aggregate_bandwidth, sig.grid.t,
             plan.time_offset)
-    drive = shift_plan_for_branch(sampler.drive_plan, plan.symbol_rate,
-                                  branch_phase(plan))
+    drive = branch_drive(sampler.drive_plan, plan)
     return modulate(sig, drive, sampler.params).samples * sampler.gain
 
 

@@ -172,7 +172,6 @@ class TestChannelPlan:
         plan = ChannelPlan(3, 24e9)
         assert plan.symbol_rate == pytest.approx(8e9)
         assert plan.detection_half_width == pytest.approx(4e9)
-        assert plan.sequence_period == pytest.approx(1 / 8e9)
 
     def test_branch_offsets(self):
         plan = ChannelPlan(3, 24e9)

@@ -6,16 +6,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from nyquist_otdm import ChannelPlan, Signal, TimeGrid, delay_signal
 from nyquist_otdm.core import constant
 from nyquist_otdm.demux import (
     MzmSampler,
-    branch_phase,
+    _sampling_lines,
     demultiplex,
     recover_symbols,
-    shift_plan_for_branch,
 )
 from nyquist_otdm.link import FiberSpec, compensate_dispersion, propagate
 from nyquist_otdm.mzm import (
@@ -33,6 +32,7 @@ from nyquist_otdm.nyquist import (
 )
 
 from helpers import (
+    branch_drive,
     demultiplex_directly,
     gate_directly,
     grid_for,
@@ -43,33 +43,69 @@ from helpers import (
 PARAMS = MzmParams(v_pi=0.42, eo_3db_bandwidth=16e9)
 
 
-def test_branch_phase_values():
-    base = ChannelPlan(3, 24e9)
-    assert branch_phase(base) == 0.0
-    assert branch_phase(base.for_branch(2)) == pytest.approx(2 * math.pi / 3)
-    assert branch_phase(base.for_branch(3)) == pytest.approx(4 * math.pi / 3)
+def _assert_close(got, want, rtol=1e-10):
+    assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
 
 
-def test_shift_plan_is_a_pure_time_shift():
-    """Phase-shifting every harmonic by k*phi delays the whole transfer
-    waveform by phi/(2*pi*spacing), bias terms included."""
-    spacing = 8e9
-    drive = push_pull_plan([spacing, 2 * spacing], [0.21, 0.04],
-                           bias_difference=1.2)
-    grid = TimeGrid(32 * spacing, 32 * 12)
-    cw = constant(grid)
-    for phi in (2 * math.pi / 3, 4 * math.pi / 3):
-        shifted = modulate(cw, shift_plan_for_branch(drive, spacing, phi),
-                           PARAMS)
-        expected = delay_signal(modulate(cw, drive, PARAMS),
-                                phi / (2 * math.pi * spacing))
-        assert_allclose(shifted.samples, expected.samples, atol=1e-12)
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(n_branches=st.sampled_from([3, 5, 7]),
+       oversampling=st.sampled_from([4, 5, 8]),
+       n_periods=st.integers(1, 4), t0_samples=st.integers(-40, 40),
+       n_tones=st.integers(1, 3), seed=st.integers(0, 2 ** 16))
+def test_mzm_rows_are_the_phase_shifted_drive_lines(
+        n_branches, oversampling, n_periods, t0_samples, n_tones, seed):
+    """Row l-1 of the MZM sampler's lines equals the one-period lines of the
+    drive whose harmonic-k tones are turned by -k*2*pi*(l-1)/N, to 1e-12;
+    that drive's transfer is branch 1's delayed by the slot (l-1)/B."""
+    rng = np.random.default_rng(seed)
+    plan = ChannelPlan(n_branches, 6e9 * n_branches)
+    base = grid_for(plan, n_periods, oversampling)
+    grid = TimeGrid(base.sample_rate, base.n_samples,
+                    t0=(t0_samples + 0.37) * base.dt)
+    drive = push_pull_plan(plan.symbol_rate * np.arange(1, n_tones + 1),
+                           rng.uniform(0.05, 0.3, n_tones),
+                           bias_difference=float(rng.uniform(0.5, 2.5)))
+    sampler = MzmSampler(drive_plan=drive, params=PARAMS,
+                         gain=complex(rng.uniform(1.0, 4.0),
+                                      rng.uniform(-1.0, 1.0)),
+                         calibrated=True)
+    shifts, rows = _sampling_lines(plan, sampler, grid)
+    period = oversampling * n_branches
+    assert rows.shape == (n_branches, period)
+    assert_array_equal(shifts, np.arange(period) * n_periods)
+    one_period = constant(TimeGrid(grid.sample_rate, period, grid.t0))
+    first = modulate(one_period, drive, PARAMS).samples
+    for l in range(1, n_branches + 1):
+        transfer = modulate(one_period, branch_drive(drive, plan.for_branch(l)),
+                            PARAMS).samples
+        assert_allclose(transfer, np.roll(first, (l - 1) * oversampling),
+                        atol=1e-12)
+        _assert_close(rows[l - 1], np.fft.fft(transfer) * sampler.gain / period,
+                      rtol=1e-12)
 
 
-def test_shift_plan_rejects_off_harmonic_tone():
+def test_off_harmonic_drive_tone_rejected_on_every_branch():
+    """A 7 GHz tone is no harmonic of the 8 GHz branch rate, so its
+    transfer is not periodic in a branch period: every branch refuses it,
+    branch 1 included."""
+    plan = ChannelPlan(3, 24e9)
     drive = push_pull_plan([7e9], [0.2], bias_difference=1.0)
-    with pytest.raises(ValueError):
-        shift_plan_for_branch(drive, 8e9, 1.0)
+    sampler = MzmSampler(drive_plan=drive, params=PARAMS, calibrated=True)
+    sig = constant(grid_for(plan, 9))
+    for l in (1, 2, 3):
+        with pytest.raises(ValueError, match="not a harmonic"):
+            demultiplex(sig, plan.for_branch(l), sampler)
+
+
+def test_mzm_sampler_needs_whole_sample_slots():
+    """At 8/3 samples per slot the branch delays are no whole sample
+    shifts, and the MZM sampler refuses the grid."""
+    plan = ChannelPlan(3, 24e9)
+    drive = push_pull_plan([8e9], [0.2], bias_difference=1.0)
+    sampler = MzmSampler(drive_plan=drive, params=PARAMS, calibrated=True)
+    sig = constant(TimeGrid(64e9, 8 * 9))
+    with pytest.raises(ValueError, match="samples per branch slot"):
+        demultiplex(sig, plan, sampler)
 
 
 def test_ideal_round_trip_multiple_seeds():
@@ -175,10 +211,6 @@ def test_known_timing_delay_is_removed():
         assert_allclose(got.symbols, stream.symbols, atol=1e-9)
 
 
-def _assert_close(got, want, rtol=1e-10):
-    assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
-
-
 @settings(max_examples=20, deadline=None, derandomize=True)
 @given(n_branches=st.sampled_from([3, 5, 7]), n_symbols=st.integers(4, 11),
        oversampling=st.sampled_from([4, 5, 8]),
@@ -188,9 +220,9 @@ def _assert_close(got, want, rtol=1e-10):
 def test_spectral_layers_match_time_domain_oracles(
         n_branches, n_symbols, oversampling, t0_samples, t0_fraction,
         delay_samples, band_limited, seed):
-    """Multiplexing, ideal and MZM demultiplexing, dispersion and symbol
-    read-out, all computed on DFT bins, equal the time-domain products with
-    a direct-DFT lowpass, to 1e-10 relative."""
+    """Multiplexing, ideal and MZM demultiplexing of every branch,
+    dispersion and symbol read-out, all computed on DFT bins, equal the
+    time-domain products with a direct-DFT lowpass, to 1e-10 relative."""
     rng = np.random.default_rng(seed)
     plan = ChannelPlan(n_branches, 6e9 * n_branches)
     base = grid_for(plan, n_symbols, oversampling)
@@ -228,7 +260,7 @@ def test_spectral_layers_match_time_domain_oracles(
                      calibrated=True)
     delay = delay_samples * grid.dt
     for sampler in ("ideal", mzm):
-        for l in (1, n_branches):
+        for l in range(1, n_branches + 1):
             bp = plan.for_branch(l)
             got = demultiplex(aggregate, bp, sampler, timing_delay=delay)
             _assert_close(got.samples, demultiplex_directly(
