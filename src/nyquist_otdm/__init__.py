@@ -75,7 +75,6 @@ from .scenario import (
     load_config,
     parse_scenario,
     run_scenario,
-    scenario_from_file,
     sweep,
     write_bundle,
 )
@@ -108,6 +107,5 @@ __all__ = [
     "HD_FEC_BER_LIMIT", "MetricsReport", "format_metrics_table",
     # scenario
     "Scenario", "ConfigError", "load_config", "parse_scenario",
-    "scenario_from_file",
     "run_scenario", "sweep", "ReportBundle", "write_bundle",
 ]

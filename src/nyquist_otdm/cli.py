@@ -4,14 +4,12 @@ and validate configs without running them."""
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 from pathlib import Path
 
-from .mzm import comb_report_to_dict, drive_plan_to_json, format_comb_table
 from .scenario import ConfigError, load_config, parse_scenario, \
-    run_scenario, scenario_from_file, sweep, write_bundle
+    run_scenario, sweep, write_bundle
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -85,12 +83,16 @@ def _load(args) -> dict:
     return raw
 
 
-def _cmd_run(args) -> int:
-    bundle = run_scenario(parse_scenario(_load(args)))
+def _report(bundle, out_dir) -> None:
+    """Print a bundle's summary and, given a directory, write it there."""
     print(bundle.summary())
-    if args.out_dir is not None:
-        for p in write_bundle(bundle, args.out_dir):
+    if out_dir is not None:
+        for p in write_bundle(bundle, out_dir):
             print(f"wrote {p}")
+
+
+def _cmd_run(args) -> int:
+    _report(run_scenario(parse_scenario(_load(args))), args.out_dir)
     return 0
 
 
@@ -105,17 +107,16 @@ def _cmd_sweep(args) -> int:
     bundles = sweep(_load(args), args.param, values)
     for value, tag, bundle in zip(values, tags, bundles):
         print(f"--- {args.param} = {value} ---")
-        print(bundle.summary())
-        if args.out_dir is not None:
-            for p in write_bundle(bundle, Path(args.out_dir) / f"{args.param}={tag}"):
-                print(f"wrote {p}")
+        _report(bundle, None if args.out_dir is None
+                else args.out_dir / f"{args.param}={tag}")
     return 0
 
 
 def _cmd_calibrate(args) -> int:
     # the flags fill a comb-mode config, so they meet its bounds and a bad
-    # one is reported by its config field
-    cal = run_scenario(parse_scenario({
+    # one is reported by its config field; the verb then prints and writes
+    # what `run` does for that config
+    _report(run_scenario(parse_scenario({
         "version": 1, "mode": "comb",
         "comb": {"n_lines": args.lines, "spacing_hz": args.spacing_ghz * 1e9,
                  "flatness_target_db": args.flatness_target_db,
@@ -124,25 +125,12 @@ def _cmd_calibrate(args) -> int:
                 "eo_3db_bandwidth_hz": args.eo_bandwidth_ghz * 1e9,
                 "dc_extinction_arm1_db": args.extinction_arm1_db,
                 "dc_extinction_arm2_db": args.extinction_arm2_db},
-    })).calibration
-    print(format_comb_table(cal.report))
-    print(f"converged: {'yes' if cal.converged else 'no'}")
-    print(f"waveform rmse vs ideal: {cal.waveform_rmse_percent:.4f} %")
-    if args.out_dir is not None:
-        out = Path(args.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        plan_path = out / "drive_plan.json"
-        plan_path.write_text(drive_plan_to_json(cal.plan) + "\n")
-        report_path = out / "comb_report.json"
-        report_path.write_text(json.dumps(comb_report_to_dict(cal.report),
-                                          sort_keys=True, indent=2) + "\n")
-        print(f"wrote {plan_path}")
-        print(f"wrote {report_path}")
+    })), args.out_dir)
     return 0
 
 
 def _cmd_validate(args) -> int:
-    scenario_from_file(args.config)
+    parse_scenario(load_config(args.config))
     print("ok")
     return 0
 

@@ -249,7 +249,6 @@ def delay_signal(sig: Signal, delay: float) -> Signal:
 # ---------------------------------------------------------------------------
 # serialization
 
-_FLOAT_FMT = "%.17g"
 _CSV_BLOCK_ROWS = 4096
 
 

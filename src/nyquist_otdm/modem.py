@@ -354,9 +354,6 @@ class MetricsReport:
     seed: int
     q_floored: bool = False
 
-    def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
-
 
 def format_metrics_table(reports: list[MetricsReport]) -> str:
     """Fixed-width per-branch summary table."""

@@ -10,7 +10,7 @@ from __future__ import annotations
 import copy
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -46,8 +46,6 @@ from .mzm import (
     FlatCombCalibration,
     MzmParams,
     calibrate_flat_comb,
-    comb_report_to_dict,
-    drive_plan_to_json,
     format_comb_table,
 )
 from .nyquist import otdm_multiplex, sample_symbols
@@ -58,7 +56,6 @@ __all__ = [
     "ReportBundle",
     "load_config",
     "parse_scenario",
-    "scenario_from_file",
     "run_scenario",
     "sweep",
 ]
@@ -301,12 +298,17 @@ def parse_scenario(raw: dict) -> Scenario:
                           if sampler["mode"] == "mzm"
                           else "only allowed when sampler.mode is 'mzm'")
 
+    noise = cfg["noise"]
+    # far beyond +-300 dB the linear OSNR 10**(osnr/10) overflows or is 0
+    if noise["osnr_db"] is not None and abs(noise["osnr_db"]) > 300.0:
+        raise ConfigError("noise.osnr_db", "must be within +-300 dB")
+    if noise["seed"] is None:
+        noise["seed"] = cfg["seed"] + 1
+
     fiber = cfg["fiber"]
     if fiber["reference_wavelength_nm"] is None:
         fiber["reference_wavelength_nm"] = (
             SPEED_OF_LIGHT / (cfg["carrier_frequency_thz"] * 1e12) * 1e9)
-    if cfg["noise"]["seed"] is None:
-        cfg["noise"]["seed"] = cfg["seed"] + 1
     return Scenario(cfg, plan, FiberSpec(**fiber),
                     MzmParams(*cfg["mzm"].values()) if "mzm" in cfg else None)
 
@@ -322,10 +324,6 @@ def load_config(path) -> dict:
     if not isinstance(raw, dict):
         raise ConfigError("", "config must be a JSON object")
     return raw
-
-
-def scenario_from_file(path) -> Scenario:
-    return parse_scenario(load_config(path))
 
 
 @dataclass
@@ -376,9 +374,8 @@ def write_bundle(bundle: ReportBundle, out_dir) -> list:
     dump_json("metrics.json", {
         "mode": bundle.scenario["mode"],
         "seed": bundle.scenario["seed"],
-        "reports": [r.to_dict() for r in bundle.metrics],
-        "comb": (comb_report_to_dict(bundle.calibration.report)
-                 if bundle.calibration else None),
+        "reports": [asdict(r) for r in bundle.metrics],
+        "comb": asdict(bundle.calibration.report) if bundle.calibration else None,
     })
     p = out / "metrics.txt"
     p.write_text(bundle.summary() + "\n")
@@ -386,7 +383,8 @@ def write_bundle(bundle: ReportBundle, out_dir) -> list:
 
     if bundle.calibration is not None:
         p = out / "drive_plan.json"
-        p.write_text(drive_plan_to_json(bundle.calibration.plan) + "\n")
+        p.write_text(json.dumps(asdict(bundle.calibration.plan), sort_keys=True)
+                     + "\n")
         paths.append(p)
 
     for name in sorted(bundle.artifacts or {}):

@@ -1,5 +1,6 @@
 """Tests for constellations, mapping, EVM/Q metrics, and BER accounting."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -217,4 +218,4 @@ def test_format_metrics_table_smoke():
     text = format_metrics_table([rep])
     assert "branch 1" in text
     assert "Q_I_dB" in text
-    assert rep.to_dict()["evm_percent"] == 13.1
+    assert dataclasses.asdict(rep)["evm_percent"] == 13.1

@@ -25,7 +25,6 @@ from nyquist_otdm.mzm import (
     arm_amplitude,
     calibrate_flat_comb,
     comb_report,
-    drive_plan_to_json,
     eo_response,
     format_comb_table,
     modulate,
@@ -41,6 +40,10 @@ class TestDeviceBasics:
         assert arm_amplitude(40.0) == pytest.approx(0.9801980198019802, rel=1e-15)
         assert arm_amplitude(37.0) == pytest.approx(0.9721427433170929, rel=1e-15)
         assert arm_amplitude(math.inf) == 1.0
+        # the closed form is exactly 1.0 from about 331 dB on, so an extinction
+        # far past it is a perfect arm, not an overflow
+        for extinction_db in (331.0, 400.0, 400.5, 6166.0, 7000.0):
+            assert arm_amplitude(extinction_db) == 1.0
 
     def test_eo_response_reference_points(self):
         for model in ("single_pole", "gaussian"):
@@ -238,7 +241,7 @@ class TestCalibration:
     def test_deterministic(self):
         a = calibrate_flat_comb(3, 10e9, PARAMS)
         b = calibrate_flat_comb(3, 10e9, PARAMS)
-        assert drive_plan_to_json(a.plan) == drive_plan_to_json(b.plan)
+        assert a.plan == b.plan
         assert a.report.flatness_db == b.report.flatness_db
         assert a.gain == b.gain
 

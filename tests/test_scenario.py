@@ -12,11 +12,12 @@ import pytest
 from nyquist_otdm import scenario, spectrum
 from nyquist_otdm.cli import main
 from nyquist_otdm.modem import Q_FLOOR_DB
+from nyquist_otdm.mzm import MzmParams, calibrate_flat_comb
 from nyquist_otdm.scenario import (
     ConfigError,
+    load_config,
     parse_scenario,
     run_scenario,
-    scenario_from_file,
     sweep,
     write_bundle,
 )
@@ -131,6 +132,11 @@ class TestParsing:
          "receiver.lo_power_w"),
         # json reads NaN and -Infinity; only null means "no noise"
         (lambda c: c.update(noise={"osnr_db": -math.inf}), "noise.osnr_db"),
+        # finite, but the noise power would overflow or vanish
+        pytest.param(lambda c: c.update(noise={"osnr_db": 4000.0}),
+                     "noise.osnr_db", id="osnr-noise-vanishes"),
+        pytest.param(lambda c: c.update(noise={"osnr_db": -4000}),
+                     "noise.osnr_db", id="osnr-noise-overflows"),
         (lambda c: c.update(fiber={"length_km": math.nan}), "fiber.length_km"),
         (lambda c: c.update(fiber={"length_km": 10 ** 400}), "fiber.length_km"),
         pytest.param(lambda c: c.update(noise={"osnr_db": 25, "seed": -1}),
@@ -288,6 +294,25 @@ class TestRunScenario:
             assert len(bundle.metrics) == n_branches
             assert sizes.count(sc.make_grid().n_samples) == 1
 
+    def test_osnr_at_the_bounds_runs(self):
+        """At -300 dB the noise drowns the signal: Q is floored and flagged.
+        At +300 dB the run is at the noiseless floor, Q capped."""
+        low = run_scenario(parse_scenario(
+            base_config(n_symbols=513, noise={"osnr_db": -300.0})))
+        for r in low.metrics:
+            assert r.q_floored and r.evm_percent > 99.0
+        high = run_scenario(parse_scenario(base_config(noise={"osnr_db": 300})))
+        for r in high.metrics:
+            assert r.q_capped and r.evm_percent < 1e-9
+
+    def test_extinction_past_the_float_range_is_a_perfect_arm(self):
+        mzm = dict(MZM_BLOCK, dc_extinction_arm1_db=7000.0,
+                   dc_extinction_arm2_db=7000.0)
+        cal = run_scenario(parse_scenario(dict(COMB_CONFIG, mzm=mzm))).calibration
+        perfect = calibrate_flat_comb(3, 10e9, MzmParams(0.42, 16e9, math.inf,
+                                                         math.inf))
+        assert cal.plan == perfect.plan
+
     def test_comb_mode_bundle(self):
         cfg = {"version": 1, "mode": "comb",
                "comb": {"spacing_hz": 10e9}, "mzm": dict(MZM_BLOCK)}
@@ -427,13 +452,33 @@ class TestWriteBundle:
             assert p.read_bytes() == ref.read_bytes(), p.name
 
     def test_comb_bundle_writes_drive_plan(self, tmp_path):
+        """The JSON records are their dataclasses, field for field; a new
+        field changes these key sets, which bench/checks.py reads."""
         cfg = {"version": 1, "mode": "comb",
                "comb": {"spacing_hz": 10e9}, "mzm": dict(MZM_BLOCK)}
         bundle = run_scenario(parse_scenario(cfg))
-        names = {p.name for p in write_bundle(bundle, tmp_path)}
+        names = {p.name for p in write_bundle(bundle, tmp_path / "comb")}
         assert "drive_plan.json" in names
-        plan = json.loads((tmp_path / "drive_plan.json").read_text())
+        plan = json.loads((tmp_path / "comb" / "drive_plan.json").read_text())
+        assert set(plan) == {"bias_arm1", "bias_arm2", "tones"}
         assert plan["tones"]
+        for tone in plan["tones"]:
+            assert set(tone) == {"frequency", "amplitude_arm1", "amplitude_arm2",
+                                 "phase_arm1", "phase_arm2"}
+        metrics = json.loads((tmp_path / "comb" / "metrics.json").read_text())
+        assert set(metrics["comb"]) == {
+            "n_lines", "spacing_hz", "line_frequencies_hz", "line_powers_dbm",
+            "flatness_db", "sideband_suppression_db"}
+
+        write_bundle(run_scenario(parse_scenario(base_config())), tmp_path / "tx")
+        metrics = json.loads((tmp_path / "tx" / "metrics.json").read_text())
+        assert metrics["comb"] is None
+        assert set(metrics["reports"][0]) == {
+            "label", "modulation", "distance_km", "osnr_db", "n_symbols",
+            "n_bits", "evm_percent", "evm_std_percent", "q_i_db", "q_q_db",
+            "q_i_std_db", "q_q_std_db", "q_capped", "ber_estimated",
+            "ber_estimated_log10", "ber_count_errors", "ber_counted",
+            "below_hdfec", "seed", "q_floored"}
 
 
 class TestEchoIsTheRecord:
@@ -706,9 +751,42 @@ class TestCli:
                    "--out-dir", str(out)])
         assert rc == 0
         assert (out / "drive_plan.json").exists()
-        assert (out / "comb_report.json").exists()
+        comb = json.loads((out / "metrics.json").read_text())["comb"]
+        assert comb["n_lines"] == 3 and comb["spacing_hz"] == 10e9
+        assert comb["flatness_db"] <= 0.1
         text = capsys.readouterr().out
         assert "converged: yes" in text
+
+    def test_calibrate_comb_is_run(self, tmp_path, capsys):
+        """``calibrate-comb`` writes the bundle ``run`` writes for its
+        config, and prints what ``run`` prints, but for the paths."""
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(["calibrate-comb", "--spacing-ghz", "20", "--lines", "5",
+                     "--out-dir", str(a)]) == 0
+        cal_out = capsys.readouterr().out
+        assert main(["run", str(a / "config.json"), "--out-dir", str(b)]) == 0
+        run_out = capsys.readouterr().out
+        assert cal_out.replace(str(a), "OUT") == run_out.replace(str(b), "OUT")
+        assert cal_out.count("wrote ") == 4
+        files = sorted(p.name for p in a.iterdir())
+        assert files == sorted(p.name for p in b.iterdir())
+        for name in files:
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+    @pytest.mark.parametrize("osnr", [4000, -4000])
+    @pytest.mark.parametrize("verb", [
+        ["validate"], ["run"], ["sweep", "--param", "noise.osnr_db",
+                                "--values", "20,{osnr}"]],
+        ids=["validate", "run", "sweep"])
+    def test_out_of_range_osnr_exits_2(self, tmp_path, capsys, verb, osnr):
+        """The config holds the value, or the sweep's list does after a
+        good one; no point runs."""
+        noise = {} if verb[0] == "sweep" else {"osnr_db": osnr}
+        p = self.write_cfg(tmp_path, base_config(noise=noise))
+        assert main([verb[0], str(p)] + [a.format(osnr=osnr) for a in verb[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: noise.osnr_db: must be within +-300 dB\n"
+        assert captured.out == ""
 
     def test_calibrate_comb_rejects_even_lines(self, capsys):
         assert main(["calibrate-comb", "--lines", "4",
@@ -746,11 +824,11 @@ def test_bundled_scenario_validates(path, capsys):
     assert parse_scenario(copy.deepcopy(echo)).config == echo
 
 
-def test_scenario_from_file(tmp_path):
+def test_load_config(tmp_path):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(base_config()))
-    sc = scenario_from_file(p)
-    assert sc.plan.n_branches == 3
+    assert load_config(p) == base_config()
+    assert parse_scenario(load_config(p)).plan.n_branches == 3
     p.write_text("oops")
     with pytest.raises(ConfigError):
-        scenario_from_file(p)
+        load_config(p)
