@@ -73,15 +73,13 @@ class TimeGrid:
         return self.t0 + np.arange(self.n_samples) / self.sample_rate
 
 
-def _locked(values, grid: TimeGrid, what: str) -> np.ndarray:
+def _locked(values, what: str, lengths) -> np.ndarray:
     values = np.asarray(values, dtype=np.complex128)
     if values.ndim != 1:
         raise ValueError(f"{what} must be a 1-D array")
-    if values.shape[0] != grid.n_samples:
-        raise ValueError(
-            f"{what} length {values.shape[0]} does not match grid "
-            f"n_samples {grid.n_samples}"
-        )
+    if values.shape[0] not in lengths:
+        raise ValueError(f"{what} length {values.shape[0]} does not fit grid "
+                         f"n_samples {max(lengths)}")
     if not np.all(np.isfinite(values)):
         raise ValueError(f"{what} must be finite")
     values.setflags(write=False)
@@ -92,39 +90,54 @@ class Signal:
     """Complex baseband field envelope sampled on a :class:`TimeGrid`.
 
     A signal is an immutable value that holds its samples, its DFT bins
-    (``np.fft.fft(samples)``: unshifted, not divided by n), or both.  The
-    missing one is computed once, on first use, so a chain of per-bin
-    operations pays no transform between its steps.  Samples are copied on
+    (``np.fft.fft(samples)``: unshifted, not divided by n, held as a band of
+    signed bins with all others zero), or both.  The missing one is computed
+    once, on first use, so a chain of per-bin operations pays no transform
+    between its steps and touches only the band.  Samples are copied on
     construction and locked read-only; so are the bins.  Non-finite values
     are rejected so downstream power metrics stay finite.
     """
 
-    __slots__ = ("grid", "_samples", "_bins")
+    __slots__ = ("grid", "_samples", "_band", "_bins")
 
     def __init__(self, grid: TimeGrid, samples):
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "_samples",
-                           _locked(np.array(samples, dtype=np.complex128),
-                                   grid, "samples"))
-        object.__setattr__(self, "_bins", None)
+        samples = np.array(samples, dtype=np.complex128)
+        self._set(grid, _locked(samples, "samples", [grid.n_samples]), None)
 
     @classmethod
-    def _of_bins(cls, grid: TimeGrid, bins: np.ndarray) -> "Signal":
-        """Signal whose DFT bins are ``bins``; the array is kept, not copied,
-        so callers pass one they made and do not keep."""
+    def _of_bins(cls, grid: TimeGrid, bins: np.ndarray, first: int = 0) -> "Signal":
+        """Signal whose DFT bins from signed index ``first`` on are ``bins``,
+        the rest zero; kept, not copied, so callers pass one they do not keep."""
+        band = _locked(bins, "bins", range(1, grid.n_samples + 1))
         sig = cls.__new__(cls)
-        object.__setattr__(sig, "grid", grid)
-        object.__setattr__(sig, "_samples", None)
-        object.__setattr__(sig, "_bins", _locked(bins, grid, "bins"))
+        sig._set(grid, None, (first, band))
         return sig
+
+    def _set(self, *values):
+        for name, value in zip(self.__slots__, values + (None,)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("Signal is immutable")
 
+    def _spectrum(self) -> tuple[int, np.ndarray]:
+        """(first, band): the band's first signed bin and its values."""
+        if self._band is None:
+            band = np.fft.fft(self._samples)
+            band.setflags(write=False)
+            object.__setattr__(self, "_band", (0, band))
+        return self._band
+
+    def _take(self, k: np.ndarray) -> np.ndarray:
+        """The bins at the signed indices ``k``; zero outside the band."""
+        first, band = self._spectrum()
+        j = (k - first) % self.grid.n_samples
+        return np.where(j < band.size, band[np.minimum(j, band.size - 1)], 0)
+
     @property
     def samples(self) -> np.ndarray:
         if self._samples is None:
-            samples = np.fft.ifft(self._bins)
+            samples = np.fft.ifft(self.bins)
             samples.setflags(write=False)
             object.__setattr__(self, "_samples", samples)
         return self._samples
@@ -133,7 +146,9 @@ class Signal:
     def bins(self) -> np.ndarray:
         """Unshifted DFT bins, ``np.fft.fft(samples)``."""
         if self._bins is None:
-            bins = np.fft.fft(self._samples)
+            first, band = self._spectrum()
+            bins = np.zeros(self.grid.n_samples, dtype=np.complex128)
+            bins[(first + np.arange(band.size)) % bins.size] = band
             bins.setflags(write=False)
             object.__setattr__(self, "_bins", bins)
         return self._bins
@@ -144,7 +159,7 @@ class Signal:
         the samples were never needed."""
         if self._samples is None:
             n = self.grid.n_samples
-            return float(np.vdot(self._bins, self._bins).real) / n / n
+            return float(np.vdot(self.bins, self.bins).real) / n / n
         return float(np.mean(np.abs(self._samples) ** 2))
 
 
@@ -242,8 +257,10 @@ def delay_signal(sig: Signal, delay: float) -> Signal:
     """
     if delay == 0.0:
         return sig
-    f = np.fft.fftfreq(sig.grid.n_samples, sig.grid.dt)
-    return Signal._of_bins(sig.grid, sig.bins * np.exp(-2j * np.pi * f * delay))
+    n = sig.grid.n_samples
+    first, band = sig._spectrum()
+    f = np.fft.fftfreq(n, sig.grid.dt)[(first + np.arange(band.size)) % n]
+    return Signal._of_bins(sig.grid, np.exp(-2j * np.pi * f * delay) * band, first)
 
 
 # ---------------------------------------------------------------------------

@@ -123,10 +123,8 @@ def demultiplex(sig: Signal, plan: ChannelPlan,
                          "Nyquist limit")
     band = np.arange(-(spacing // 2), spacing // 2 + 1)
     gain = plan.n_branches * np.where(2 * np.abs(band) == spacing, 0.5, 1.0)
-    taken = sig.bins[(band[None, :] - shifts[:, None]) % n]
-    bins = np.zeros(n, dtype=np.complex128)
-    bins[band % n] = gain * (rows[plan.branch - 1] @ taken)
-    return Signal._of_bins(grid, bins)
+    taken = sig._take(band[None, :] - shifts[:, None])
+    return Signal._of_bins(grid, gain * (rows[plan.branch - 1] @ taken), int(band[0]))
 
 
 def recover_symbols(sig: Signal, plan: ChannelPlan,

@@ -60,12 +60,19 @@ def dispersion_phase(fiber: FiberSpec, f) -> np.ndarray:
 def _apply_phase(sig: Signal, phase_sign: float, fiber: FiberSpec,
                  amplitude: float) -> Signal:
     n = sig.grid.n_samples
-    # the phase is even in f: evaluate bins 0..n//2 and mirror them onto the
-    # negative frequencies, which fftfreq gives as exactly the negated values
-    f = np.arange(n // 2 + 1) * (1.0 / (n * sig.grid.dt))
+    first, band = sig._spectrum()
+    first = (first + n // 2) % n - n // 2  # within fftfreq's signed range
+    last, top = first + band.size - 1, (n - 1) // 2
+    # the phase is even in f: evaluate it at |k| = 0..reach, as fftfreq spaces
+    # the bins, and lay it along the band, which past ``top`` wraps to -n//2
+    reach = n // 2 if last > top else max(-first, last, 0)
+    f = np.arange(reach + 1) * (1.0 / (n * sig.grid.dt))
     half = amplitude * np.exp(1j * phase_sign * dispersion_phase(fiber, f))
-    h = np.concatenate([half, half[(n + 1) // 2 - 1:0:-1]])
-    return Signal._of_bins(sig.grid, sig.bins * h)
+    parts = []
+    for lo, hi in ((first, min(last, top)), (-(n // 2), last - n)):
+        parts += [half[max(-lo, 0):max(-hi - 1, 0):-1], half[max(lo, 0):max(hi + 1, 0)]]
+    h = np.concatenate(parts)  # named, so numpy cannot swap the operands
+    return Signal._of_bins(sig.grid, band * h, first)
 
 
 def propagate(sig: Signal, fiber: FiberSpec) -> Signal:
@@ -120,8 +127,9 @@ def coherent_detect(sig: Signal, lo_power: float = 1.0,
     and counter-rotate by the LO phase."""
     if not lo_power > 0:
         raise ValueError("lo_power must be positive")
+    first, band = sig._spectrum()
     return Signal._of_bins(
-        sig.grid, math.sqrt(lo_power) * np.exp(-1j * lo_phase) * sig.bins)
+        sig.grid, math.sqrt(lo_power) * np.exp(-1j * lo_phase) * band, first)
 
 
 def phase_noise(sig: Signal, linewidth_hz: float, seed: int = 0) -> Signal:

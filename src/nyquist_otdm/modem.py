@@ -166,15 +166,12 @@ def evm(rx, ref, n_blocks: int = 10) -> EvmResult:
     if ref_rms == 0.0:
         raise ValueError("reference symbols are all zero")
 
-    def one(rx_b, ref_b):
-        return 100.0 * np.sqrt(np.mean(np.abs(rx_b - ref_b) ** 2)) / ref_rms
-
-    total = one(rx, ref)
+    err2 = np.abs(rx - ref) ** 2
+    total = 100.0 * np.sqrt(np.mean(err2)) / ref_rms
     n_blocks = max(1, min(n_blocks, rx.size))
-    blocks = [
-        one(r, f)
-        for r, f in zip(np.array_split(rx, n_blocks), np.array_split(ref, n_blocks))
-    ]
+    sizes = np.array([b.size for b in np.array_split(err2, n_blocks)])
+    blocks = 100.0 * np.sqrt(np.add.reduceat(err2, np.cumsum(sizes) - sizes)
+                             / sizes) / ref_rms
     std = float(np.std(blocks, ddof=1)) if len(blocks) > 1 else 0.0
     return EvmResult(float(total), std, tuple(float(b) for b in blocks))
 
@@ -200,21 +197,25 @@ class QFactorResult:
     floored_q: bool
 
 
-def _axis_q_linear(rx_axis: np.ndarray, ref_axis: np.ndarray) -> float:
-    levels = np.unique(ref_axis)
-    if levels.size < 2:
-        raise ValueError("need at least 2 occupied levels per quadrature")
-    mu, sigma = [], []
-    for lv in levels:
-        cluster = rx_axis[ref_axis == lv]
-        mu.append(float(np.mean(cluster)))
-        sigma.append(float(np.std(cluster)))
-    worst = math.inf
-    for i in range(len(levels) - 1):
-        denom = sigma[i] + sigma[i + 1]
-        q = math.inf if denom == 0.0 else (mu[i + 1] - mu[i]) / denom
-        worst = min(worst, q)
-    return worst
+def _worst_q(x: np.ndarray, group: np.ndarray, n_rows: int, n_levels: int):
+    """Worst adjacent-level Q of each row of clusters, where ``group`` is
+    row * n_levels + level, taken over the levels present in the row; inf
+    for a row with fewer than 2 of them, and a mask of the rows with 2+."""
+    count = np.bincount(group, minlength=n_rows * n_levels)
+    n = np.maximum(count, 1)
+    mean = np.bincount(group, x, count.size) / n
+    dev = x - mean[group]  # two passes: E[x^2] - E[x]^2 cancels at high Q
+    std = np.sqrt(np.bincount(group, dev * dev, count.size) / n)
+    present = np.flatnonzero(count)
+    row = present // n_levels
+    pair = np.flatnonzero(row[1:] == row[:-1])
+    lo, hi = present[pair], present[pair + 1]
+    den = std[lo] + std[hi]
+    q = np.divide(mean[hi] - mean[lo], den, out=np.full(den.size, math.inf),
+                  where=den != 0.0)
+    worst = np.full(n_rows, math.inf)
+    np.minimum.at(worst, row[pair], q)
+    return worst, np.bincount(row, minlength=n_rows) >= 2
 
 
 def _to_db(q_linear: float) -> tuple[float, float, bool, bool]:
@@ -241,17 +242,17 @@ def q_factor(rx, ref, n_blocks: int = 10) -> QFactorResult:
     if rx.shape != ref.shape:
         raise ValueError("rx and ref must have the same length")
 
+    n_b = max(1, min(n_blocks, rx.size))
+    block = np.repeat(np.arange(n_b), [b.size for b in np.array_split(rx, n_b)])
     out = {}
     for name, rx_ax, ref_ax in (("i", rx.real, ref.real), ("q", rx.imag, ref.imag)):
-        db, lin, capped, floored = _to_db(_axis_q_linear(rx_ax, ref_ax))
-        blocks = []
-        n_b = max(1, min(n_blocks, rx_ax.size))
-        for r_b, f_b in zip(np.array_split(rx_ax, n_b), np.array_split(ref_ax, n_b)):
-            try:
-                b_db = _to_db(_axis_q_linear(r_b, f_b))[0]
-            except ValueError:
-                continue
-            blocks.append(b_db)
+        levels, level = np.unique(ref_ax, return_inverse=True)
+        if levels.size < 2:
+            raise ValueError("need at least 2 occupied levels per quadrature")
+        total = _worst_q(rx_ax, level, 1, levels.size)[0][0]
+        db, lin, capped, floored = _to_db(float(total))
+        worst, valid = _worst_q(rx_ax, block * levels.size + level, n_b, levels.size)
+        blocks = [_to_db(float(q))[0] for q in worst[valid]]
         std = float(np.std(blocks, ddof=1)) if len(blocks) > 1 else 0.0
         out[name] = (db, lin, std, capped, floored)
 

@@ -117,9 +117,8 @@ def raised_cosine_shape(stream: SymbolStream, rolloff: float, grid: TimeGrid,
     # / M at bins k, phase-referenced to the first symbol instant; the shaped
     # signal's bins are those lines times the shape times n.
     ramp = np.exp(-2j * np.pi * k * df * (t_offset - grid.t0))
-    bins = np.zeros(n, dtype=np.complex128)
-    bins[k % n] = (n / m_sym) * shape * ramp * np.fft.fft(stream.symbols)[k % m_sym]
-    return Signal._of_bins(grid, bins)
+    bins = (n / m_sym) * shape * ramp * np.fft.fft(stream.symbols)[k % m_sym]
+    return Signal._of_bins(grid, bins, int(k[0]))
 
 
 def sample_symbols(sig: Signal, symbol_rate: float, t_offset: float = 0.0,
@@ -140,10 +139,14 @@ def sample_symbols(sig: Signal, symbol_rate: float, t_offset: float = 0.0,
     if n_symbols is None:
         n_symbols = m_sym
     # sample start + q*sps is (1/n) sum_k bins[k] exp(2j*pi*k*(start + q*sps)/n);
-    # with k = a*M + r the sum over a folds the bins onto r = 0..M-1
-    a, r = np.arange(sps), np.arange(m_sym)
-    fold = np.exp(2j * np.pi * ((a * start) % sps) / sps) @ sig.bins.reshape(sps, m_sym)
-    fold *= np.exp(2j * np.pi * ((r * start) % n) / n)
+    # with k = a*M + r the sum over a folds the bins onto r = 0..M-1: over the
+    # rows the band reaches, in ascending a mod sps, whatever the band's width
+    first, band = sig._spectrum()
+    a = np.arange(first // m_sym, (first + band.size - 1) // m_sym + 1)
+    rows = sig._take(a[0] * m_sym + np.arange(a.size * m_sym)).reshape(a.size, m_sym)
+    turns = np.exp(2j * np.pi * ((a * start) % sps) / sps)
+    fold = sum(turns[i] * rows[i] for i in np.argsort(a % sps, kind="stable"))
+    fold *= np.exp(2j * np.pi * ((np.arange(m_sym) * start) % n) / n)
     values = np.fft.ifft(fold) / sps
     return SymbolStream(values[np.arange(n_symbols) % m_sym], symbol_rate)
 
@@ -189,19 +192,21 @@ def multiplex_branch_signals(branch_signals: list[Signal],
     for sig in branch_signals:
         require_same_grid(sig, branch_signals[0])
     shifts, rows = _sequence_lines(plan, grid)
-    # only the band |k| <= reach holding every nonzero bin takes part
+    # only the band |k| <= reach holding every nonzero bin takes part; found by
+    # value, the product's operand (so its rounding) is the same for any band
     reach = 0
     for sig in branch_signals:
-        nonzero = np.flatnonzero(sig.bins)
-        if nonzero.size:
-            reach = max(reach, int(np.max(np.minimum(nonzero, n - nonzero))))
+        first, values = sig._spectrum()
+        k = (first + np.flatnonzero(values) + n // 2) % n - n // 2
+        reach = max(reach, int(np.max(np.abs(k), initial=0)))
     band = np.arange(-reach, reach + 1) if 2 * reach < n else np.arange(n)
     # row m: the branches' bins weighted by their line-m coefficients
-    weighted = rows.T @ np.stack([sig.bins[band % n] for sig in branch_signals])
-    acc = np.zeros(n, dtype=np.complex128)
+    weighted = rows.T @ np.stack([sig._take(band) for sig in branch_signals])
+    width = min(n, band.size + int(shifts[-1] - shifts[0]))
+    acc = np.zeros(width, dtype=np.complex128)
     for shift, row in zip(shifts, weighted):
-        acc[(band + shift) % n] += row
-    return Signal._of_bins(grid, acc)
+        acc[(band - band[0] + shift - shifts[0]) % width] += row
+    return Signal._of_bins(grid, acc, int(band[0] + shifts[0]))
 
 
 def otdm_multiplex(channels: list[SymbolStream], plan: ChannelPlan,

@@ -287,6 +287,9 @@ def parse_scenario(raw: dict) -> Scenario:
     if abs(sps - round(sps)) > 1e-9:
         raise ConfigError("shaping.symbol_rate_hz",
                           "symbol period must hold an integer number of samples")
+    window = cfg["n_symbols"] / branch_rate  # a shorter delay's phase is finite
+    if abs(cfg["receiver"]["timing_delay_s"]) >= window:
+        raise ConfigError("receiver.timing_delay_s", f"must be below {window:g} s")
     periods = cfg["n_symbols"] * bandwidth / (n_branches * branch_rate)
     if abs(periods - round(periods)) > 1e-9:
         raise ConfigError("n_symbols",
@@ -305,10 +308,14 @@ def parse_scenario(raw: dict) -> Scenario:
     if noise["seed"] is None:
         noise["seed"] = cfg["seed"] + 1
 
-    fiber = cfg["fiber"]
+    fiber = cfg["fiber"]  # 1 nm to 1 mm keeps the dispersion's lambda**2 finite
     if fiber["reference_wavelength_nm"] is None:
+        if cfg["carrier_frequency_thz"] > SPEED_OF_LIGHT * 1e-3:
+            raise ConfigError("carrier_frequency_thz", "must be <= 299792 (1 nm)")
         fiber["reference_wavelength_nm"] = (
             SPEED_OF_LIGHT / (cfg["carrier_frequency_thz"] * 1e12) * 1e9)
+    elif fiber["reference_wavelength_nm"] > 1e6:
+        raise ConfigError("fiber.reference_wavelength_nm", "must be <= 1e+06 (1 mm)")
     return Scenario(cfg, plan, FiberSpec(**fiber),
                     MzmParams(*cfg["mzm"].values()) if "mzm" in cfg else None)
 
@@ -404,7 +411,7 @@ def _spectrum_rows(sig: Signal, half_width: float):
     top = int(edge / step) + 1  # below n/2: the sample rate is >= 4B
     k = np.arange(-top, top + 1)
     k = k[np.abs(k * step) <= edge]
-    power = 10.0 * np.log10(np.maximum(np.abs(sig.bins[k % n] / n) ** 2, 1e-30))
+    power = 10.0 * np.log10(np.maximum(np.abs(sig._take(k) / n) ** 2, 1e-30))
     return "f_Hz,power_dBm", _FLOAT_FMT, np.column_stack([k * step, power])
 
 
@@ -430,7 +437,7 @@ def _eye_rows(y: Signal, gain: complex, sc: Scenario, t_offset: float):
     p = per_symbol * n_symbols
     band = np.arange(-(spacing // 2), spacing // 2 + 1)
     bins = np.zeros(p, dtype=np.complex128)
-    bins[band % p] = y.bins[band % n]
+    bins[band % p] = y._take(band)
     amp = (np.fft.ifft(bins) * (p / n) * gain).real
     phase = (y.grid.t0 - t_offset) * per_symbol * rate
     k = np.arange(p) % (2 * per_symbol)

@@ -18,6 +18,7 @@ from scipy.optimize import minimize_scalar
 from nyquist_otdm import ChannelPlan, Signal, TimeGrid, delay_signal
 from nyquist_otdm.core import require_same_grid
 from nyquist_otdm.link import dispersion_phase
+from nyquist_otdm.modem import EvmResult, QFactorResult, _to_db
 from nyquist_otdm.mzm import DrivePlan, modulate
 from nyquist_otdm.nyquist import SymbolStream
 
@@ -218,3 +219,60 @@ def align_delay_gain(measured: Signal, reference: Signal):
         shifted.samples, shifted.samples)
     aligned = Signal(measured.grid, gain * shifted.samples)
     return tau, complex(gain), aligned
+
+
+def _axis_q_linear(rx_axis: np.ndarray, ref_axis: np.ndarray) -> float:
+    """Worst adjacent-level Q of one quadrature, one masked pass per level."""
+    levels = np.unique(ref_axis)
+    if levels.size < 2:
+        raise ValueError("need at least 2 occupied levels per quadrature")
+    mu, sigma = [], []
+    for lv in levels:
+        cluster = rx_axis[ref_axis == lv]
+        mu.append(float(np.mean(cluster)))
+        sigma.append(float(np.std(cluster)))
+    worst = math.inf
+    for i in range(len(levels) - 1):
+        denom = sigma[i] + sigma[i + 1]
+        q = math.inf if denom == 0.0 else (mu[i + 1] - mu[i]) / denom
+        worst = min(worst, q)
+    return worst
+
+
+def q_factor_directly(rx, ref, n_blocks: int = 10) -> QFactorResult:
+    """:func:`nyquist_otdm.modem.q_factor` block by block: each block of
+    ``np.array_split`` uses the levels present in it, and a block with fewer
+    than 2 is skipped."""
+    rx, ref = np.asarray(rx, dtype=complex), np.asarray(ref, dtype=complex)
+    out = {}
+    for name, rx_ax, ref_ax in (("i", rx.real, ref.real), ("q", rx.imag, ref.imag)):
+        db, lin, capped, floored = _to_db(_axis_q_linear(rx_ax, ref_ax))
+        blocks = []
+        n_b = max(1, min(n_blocks, rx_ax.size))
+        for r_b, f_b in zip(np.array_split(rx_ax, n_b), np.array_split(ref_ax, n_b)):
+            try:
+                blocks.append(_to_db(_axis_q_linear(r_b, f_b))[0])
+            except ValueError:
+                continue
+        std = float(np.std(blocks, ddof=1)) if len(blocks) > 1 else 0.0
+        out[name] = (db, lin, std, capped, floored)
+    (i_db, i_lin, i_std, i_cap, i_floor), (q_db, q_lin, q_std, q_cap, q_floor) = (
+        out["i"], out["q"])
+    return QFactorResult(i_db, q_db, i_lin, q_lin, i_std, q_std,
+                         i_cap, q_cap, i_floor, q_floor)
+
+
+def evm_directly(rx, ref, n_blocks: int = 10) -> EvmResult:
+    """:func:`nyquist_otdm.modem.evm` with one mean per ``np.array_split``
+    block."""
+    rx, ref = np.asarray(rx, dtype=complex), np.asarray(ref, dtype=complex)
+    ref_rms = np.sqrt(np.mean(np.abs(ref) ** 2))
+
+    def one(rx_b, ref_b):
+        return 100.0 * np.sqrt(np.mean(np.abs(rx_b - ref_b) ** 2)) / ref_rms
+
+    n_blocks = max(1, min(n_blocks, rx.size))
+    blocks = [one(r, f) for r, f in zip(np.array_split(rx, n_blocks),
+                                        np.array_split(ref, n_blocks))]
+    std = float(np.std(blocks, ddof=1)) if len(blocks) > 1 else 0.0
+    return EvmResult(float(one(rx, ref)), std, tuple(float(b) for b in blocks))

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
@@ -16,7 +16,12 @@ from nyquist_otdm.demux import (
     demultiplex,
     recover_symbols,
 )
-from nyquist_otdm.link import FiberSpec, compensate_dispersion, propagate
+from nyquist_otdm.link import (
+    FiberSpec,
+    coherent_detect,
+    compensate_dispersion,
+    propagate,
+)
 from nyquist_otdm.mzm import (
     MzmParams,
     calibrate_flat_comb,
@@ -28,6 +33,7 @@ from nyquist_otdm.nyquist import (
     multiplex_branch_signals,
     nyquist_interpolate,
     otdm_multiplex,
+    raised_cosine_shape,
     sample_symbols,
 )
 
@@ -273,3 +279,64 @@ def test_spectral_layers_match_time_domain_oracles(
         got = sample_symbols(sig, plan.symbol_rate, t_offset=grid.t0 + start * grid.dt,
                              n_symbols=2 * n_symbols)
         _assert_close(got.symbols, sig.samples[instants])
+
+
+def _whole_grid(sig: Signal) -> Signal:
+    """The same bins, held with the whole grid as their band."""
+    return Signal._of_bins(sig.grid, np.array(sig.bins))
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(n_branches=st.sampled_from([3, 5, 7]), n_symbols=st.integers(2, 7),
+       oversampling=st.sampled_from([4, 5, 8]), rolloff=st.sampled_from([0.0, 0.5, 1.0]),
+       t0_samples=st.integers(-40, 40), seed=st.integers(0, 2 ** 16))
+# a grid past 256 KiB, where numpy may reuse a temporary operand as the output
+@example(n_branches=7, n_symbols=150, oversampling=8, rolloff=0.0, t0_samples=3, seed=1)
+def test_band_and_whole_grid_agree_bitwise(n_branches, n_symbols, oversampling,
+                                           rolloff, t0_samples, seed):
+    """Every per-bin layer gives the same bins, bit for bit, on a signal
+    that holds only its occupied band and on the same bins held with the
+    whole grid as their band."""
+    rng = np.random.default_rng(seed)
+    plan = ChannelPlan(n_branches, 6e9 * n_branches)
+    base = grid_for(plan, 2 * n_symbols, oversampling)
+    grid = TimeGrid(base.sample_rate, base.n_samples, t0=t0_samples * base.dt)
+    # a roll-off at half the branch rate keeps the shaped band within B/(2N)
+    rate = plan.symbol_rate / 2 if rolloff else plan.symbol_rate
+    count = n_symbols if rolloff else 2 * n_symbols
+    shaped = [raised_cosine_shape(SymbolStream(
+        rng.standard_normal(count) + 1j * rng.standard_normal(count), rate),
+        rolloff, grid, t_offset=plan.for_branch(l).time_offset)
+        for l in range(1, n_branches + 1)]
+    whole = [_whole_grid(sig) for sig in shaped]
+
+    sig, full = shaped[0], whole[0]
+    first, values = sig._spectrum()
+    assert values.size < grid.n_samples
+    filled = np.zeros(grid.n_samples, dtype=complex)
+    filled[(first + np.arange(values.size)) % grid.n_samples] = values
+    assert_array_equal(sig.bins, filled)
+    assert abs(sig.power - full.power) <= 1e-15 * full.power
+    for view in (sig.bins, sig.samples):
+        with pytest.raises(ValueError):
+            view[0] = 1.0
+    with pytest.raises(AttributeError):
+        sig._band = None
+
+    fiber = FiberSpec(length_km=float(rng.uniform(1.0, 80.0)))
+    delay = float(rng.uniform(-0.5, 0.5)) * grid.duration
+    for layer in (lambda s: propagate(s, fiber),
+                  lambda s: compensate_dispersion(s, fiber),
+                  lambda s: coherent_detect(s, 2.0, 0.3),
+                  lambda s: delay_signal(s, delay)):
+        assert_array_equal(layer(sig).bins, layer(full).bins)
+
+    mux = multiplex_branch_signals(shaped, plan)
+    assert_array_equal(mux.bins, multiplex_branch_signals(whole, plan).bins)
+    for l in range(1, n_branches + 1):
+        bp = plan.for_branch(l)
+        y = demultiplex(mux, bp, timing_delay=delay)
+        assert_array_equal(y.bins, demultiplex(_whole_grid(mux), bp,
+                                               timing_delay=delay).bins)
+        assert_array_equal(recover_symbols(y, bp).symbols,
+                           recover_symbols(_whole_grid(y), bp).symbols)

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from nyquist_otdm.modem import (
@@ -13,6 +15,7 @@ from nyquist_otdm.modem import (
     BerCount,
     Constellation,
     MetricsReport,
+    QFactorResult,
     ber_count,
     ber_estimate,
     ber_estimate_log10,
@@ -27,6 +30,8 @@ from nyquist_otdm.modem import (
     qam_map,
     qpsk,
 )
+
+from helpers import evm_directly, q_factor_directly
 
 # BER at the linear Q corresponding to 18.46 dB, worked out independently
 # with high-precision arithmetic
@@ -143,6 +148,46 @@ class TestQFactor:
         rx = np.full(10, 1.0 + 1.0j)
         with pytest.raises(ValueError):
             q_factor(rx, rx * 0 + (1 + 1j))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(order=st.sampled_from([4, 16]), n_symbols=st.integers(1, 300),
+       n_blocks=st.integers(1, 12), runs=st.integers(1, 40),
+       sigma=st.one_of(st.just(0.0), st.floats(-9.0, 0.3).map(lambda e: 10.0 ** e)),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_one_pass_metrics_match_block_by_block_oracles(
+        order, n_symbols, n_blocks, runs, sigma, seed):
+    """q_factor and evm equal their per-block, per-level oracles: every flag
+    identical, every other value within 1e-12 relative.  Symbols come in
+    ``runs`` runs of one point, so blocks miss levels or hold just one, and
+    ``n_symbols`` may be below ``n_blocks``; sigma 0 is noiseless, capped,
+    and sigma near 1e-3 puts Q just under the cap, where a one-pass
+    E[x^2] - E[x]^2 variance would cancel."""
+    rng = np.random.default_rng(seed)
+    points = Constellation.of(order).points
+    values = np.repeat(rng.integers(0, order, runs), -(-n_symbols // runs))
+    ref = points[values[:n_symbols]]
+    rx = ref + sigma * (rng.standard_normal(n_symbols)
+                        + 1j * rng.standard_normal(n_symbols))
+
+    ev, want_ev = evm(rx, ref, n_blocks), evm_directly(rx, ref, n_blocks)
+    assert ev.percent == want_ev.percent
+    assert_allclose(ev.block_percents, want_ev.block_percents, rtol=1e-12, atol=0)
+    assert ev.std_percent == pytest.approx(want_ev.std_percent, rel=1e-12, abs=1e-300)
+
+    try:
+        want = q_factor_directly(rx, ref, n_blocks)
+    except ValueError:
+        with pytest.raises(ValueError):
+            q_factor(rx, ref, n_blocks)
+        return
+    got = q_factor(rx, ref, n_blocks)
+    for field in dataclasses.fields(QFactorResult):
+        g, w = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(w, bool):
+            assert g is w, field.name
+        else:
+            assert g == pytest.approx(w, rel=1e-12, abs=1e-300), field.name
 
 
 class TestBerEstimate:

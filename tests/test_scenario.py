@@ -145,6 +145,15 @@ class TestParsing:
                      "fiber.reference_wavelength_nm", id="zero-wavelength"),
         pytest.param(lambda c: c.update(fiber={"reference_wavelength_nm": -1550.0}),
                      "fiber.reference_wavelength_nm", id="negative-wavelength"),
+        # finite, but lambda**2, the derived wavelength or the delay phase is not
+        pytest.param(lambda c: c.update(fiber={"reference_wavelength_nm": 1e300}),
+                     "fiber.reference_wavelength_nm", id="wavelength-overflows"),
+        pytest.param(lambda c: c.update(carrier_frequency_thz=1e300),
+                     "carrier_frequency_thz", id="derived-wavelength-vanishes"),
+        pytest.param(lambda c: c.update(receiver={"timing_delay_s": 1e300}),
+                     "receiver.timing_delay_s", id="delay-phase-overflows"),
+        pytest.param(lambda c: c.update(receiver={"timing_delay_s": -9 / 8e9}),
+                     "receiver.timing_delay_s", id="delay-of-a-whole-window"),
     ])
     def test_fail_closed_names_the_field(self, mutate, field):
         cfg = base_config()
@@ -787,6 +796,33 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.err == "error: noise.osnr_db: must be within +-300 dB\n"
         assert captured.out == ""
+
+    @pytest.mark.parametrize("block, field", [
+        ({"fiber": {"length_km": 10.0, "reference_wavelength_nm": 1e300}},
+         "fiber.reference_wavelength_nm"),
+        ({"carrier_frequency_thz": 1e300}, "carrier_frequency_thz"),
+        ({"receiver": {"timing_delay_s": 1e300}}, "receiver.timing_delay_s"),
+    ])
+    @pytest.mark.parametrize("verb", ["validate", "run"])
+    def test_values_that_break_the_run_exit_2(self, tmp_path, capsys, verb,
+                                              block, field):
+        """Finite values that once passed validation and then failed inside
+        the run are rejected at parse time, naming the field."""
+        p = self.write_cfg(tmp_path, base_config(**block))
+        assert main([verb, str(p)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {field}: must be ")
+        assert captured.out == ""
+
+    def test_bounds_keep_usable_values(self):
+        """A delay just short of the window and the widest wavelength run."""
+        window = 9 / 8e9
+        bundle = run_scenario(parse_scenario(base_config(
+            receiver={"timing_delay_s": -0.999 * window},
+            fiber={"length_km": 10.0, "reference_wavelength_nm": 1e6})))
+        assert all(math.isfinite(r.evm_percent) for r in bundle.metrics)
+        sc = parse_scenario(base_config(carrier_frequency_thz=299792.458))
+        assert sc.fiber.reference_wavelength_nm == pytest.approx(1.0)
 
     def test_calibrate_comb_rejects_even_lines(self, capsys):
         assert main(["calibrate-comb", "--lines", "4",
