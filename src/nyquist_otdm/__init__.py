@@ -1,10 +1,10 @@
 """Electrically sampled Nyquist-pulse optical time-division multiplexing.
 
 Builds aggregate signals from periodic sinc-pulse sequences, generates the
-matching flat three-line frequency combs with a dual-drive Mach-Zehnder
-modulator, and demultiplexes single branches back out by modulation plus
-narrow lowpass detection.  Includes a fiber/noise link model, QPSK and 16QAM
-mapping with EVM/Q/BER metrics, and a JSON-driven scenario runner.
+matching flat 3-, 5- and 7-line frequency combs with a dual-drive Mach-Zehnder
+modulator, and demultiplexes every branch back out by modulation plus narrow
+lowpass detection.  Includes a fiber/noise link model, QPSK and 16QAM mapping
+with EVM/Q/BER metrics, and a JSON-driven scenario runner.
 """
 
 from .core import (
@@ -15,7 +15,7 @@ from .core import (
     delay_signal,
     spectrum,
 )
-from .demux import MzmSampler, demultiplex, recover_symbols
+from .demux import MzmSampler, demultiplex
 from .link import (
     SPEED_OF_LIGHT,
     FiberSpec,
@@ -95,7 +95,7 @@ __all__ = [
     "push_pull_plan", "comb_report", "calibrate_flat_comb",
     "format_comb_table",
     # demux
-    "MzmSampler", "demultiplex", "recover_symbols",
+    "MzmSampler", "demultiplex",
     # link
     "SPEED_OF_LIGHT", "FiberSpec", "NoiseSpec", "propagate",
     "compensate_dispersion", "dispersion_phase", "add_noise",

@@ -197,22 +197,17 @@ class ChannelPlan:
     """Branch plan for N-way orthogonal time multiplexing of total bandwidth B.
 
     ``n_branches`` must be odd (the multiplexing sequence needs an odd line
-    count); ``branch`` is 1-based.
+    count); branches are numbered 1..N.
     """
 
     n_branches: int
     aggregate_bandwidth: float
-    branch: int = 1
 
     def __post_init__(self):
         if self.n_branches < 3 or self.n_branches % 2 == 0:
             raise ValueError("n_branches must be an odd integer >= 3")
         if not self.aggregate_bandwidth > 0:
             raise ValueError("aggregate_bandwidth must be positive")
-        if not 1 <= self.branch <= self.n_branches:
-            raise ValueError(
-                f"branch must be in 1..{self.n_branches}, got {self.branch}"
-            )
 
     @property
     def symbol_rate(self) -> float:
@@ -224,13 +219,9 @@ class ChannelPlan:
         """Half-width B/(2N) of the post-sampling detection lowpass."""
         return self.aggregate_bandwidth / (2 * self.n_branches)
 
-    @property
-    def time_offset(self) -> float:
-        """Time slot of this branch, (branch-1)/B."""
-        return (self.branch - 1) / self.aggregate_bandwidth
-
-    def for_branch(self, branch: int) -> "ChannelPlan":
-        return ChannelPlan(self.n_branches, self.aggregate_bandwidth, branch)
+    def slot(self, branch: int) -> float:
+        """Time slot (branch-1)/B of a branch."""
+        return (branch - 1) / self.aggregate_bandwidth
 
 
 def require_same_grid(a, b) -> None:

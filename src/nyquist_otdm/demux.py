@@ -18,9 +18,9 @@ import numpy as np
 
 from .core import ChannelPlan, Signal, TimeGrid, constant, delay_signal
 from .mzm import DrivePlan, FlatCombCalibration, MzmParams, modulate
-from .nyquist import SymbolStream, _require_integer, _sequence_lines, sample_symbols
+from .nyquist import _require_integer, _sequence_lines
 
-__all__ = ["ChannelPlan", "MzmSampler", "demultiplex", "recover_symbols"]
+__all__ = ["ChannelPlan", "MzmSampler", "demultiplex"]
 
 
 @dataclass(frozen=True)
@@ -93,15 +93,15 @@ def _sampling_lines(plan: ChannelPlan, sampler: str | MzmSampler,
 
 def demultiplex(sig: Signal, plan: ChannelPlan,
                 sampler: str | MzmSampler = "ideal",
-                timing_delay: float = 0.0) -> Signal:
-    """Recover one branch's baseband signal from the aggregate.
+                timing_delay: float = 0.0) -> tuple[Signal, ...]:
+    """Recover every branch's baseband signal from the aggregate, branch 1 first.
 
     Sampling, brickwall low-pass at B/(2N), and the factor N restoring the
     1/N gain of sequence sampling.  ``timing_delay`` models a known receiver
     clock offset and is removed before the sampling multiplication, where it
     still matters — the sequence zeros must land between the wanted symbols.
-    Only the bins of the detection band are computed: each is a sum of the
-    aggregate's bins one sampling line apart.
+    Only the detection band's bins are computed, from one gather for all
+    branches: each is a sum of the aggregate's bins one sampling line apart.
 
     Note on periodic windows: a branch carrying an even number of symbols
     per window has a discrete line exactly on the filter edge at B/(2N),
@@ -124,11 +124,6 @@ def demultiplex(sig: Signal, plan: ChannelPlan,
     band = np.arange(-(spacing // 2), spacing // 2 + 1)
     gain = plan.n_branches * np.where(2 * np.abs(band) == spacing, 0.5, 1.0)
     taken = sig._take(band[None, :] - shifts[:, None])
-    return Signal._of_bins(grid, gain * (rows[plan.branch - 1] @ taken), int(band[0]))
-
-
-def recover_symbols(sig: Signal, plan: ChannelPlan,
-                    n_symbols: int | None = None) -> SymbolStream:
-    """Sample a demultiplexed branch at its symbol instants (k*N + l - 1)/B."""
-    return sample_symbols(sig, plan.symbol_rate, t_offset=plan.time_offset,
-                          n_symbols=n_symbols)
+    # one product per row: an N-row product rounds differently
+    return tuple(Signal._of_bins(grid, gain * (row @ taken), int(band[0]))
+                 for row in rows)

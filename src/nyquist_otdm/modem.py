@@ -306,11 +306,6 @@ class BerCount:
     def rate(self) -> float:
         return self.errors / self.n_bits
 
-    def __str__(self) -> str:
-        if self.errors == 0:
-            return f"0 errors in {self.n_bits} bits"
-        return f"{self.errors} errors in {self.n_bits} bits (BER {self.rate:.3e})"
-
 
 def ber_count(tx_bits, rx_bits) -> BerCount:
     """Count bit errors between transmitted and received bit arrays."""

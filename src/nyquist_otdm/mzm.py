@@ -101,10 +101,6 @@ class DrivePlan:
         if len(set(freqs)) != len(freqs):
             raise ValueError("drive tones must have distinct frequencies")
 
-    @property
-    def bias_difference(self) -> float:
-        return self.bias_arm1 - self.bias_arm2
-
 
 @dataclass(frozen=True)
 class CombReport:

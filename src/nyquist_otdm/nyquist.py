@@ -232,5 +232,5 @@ def otdm_multiplex(channels: list[SymbolStream], plan: ChannelPlan,
                 f"match channel 1's {rate:g}"
             )
         shaped.append(raised_cosine_shape(stream, rolloff, grid,
-                                          t_offset=plan.for_branch(l).time_offset))
+                                          t_offset=plan.slot(l)))
     return multiplex_branch_signals(shaped, plan)

@@ -316,6 +316,12 @@ def parse_scenario(raw: dict) -> Scenario:
             SPEED_OF_LIGHT / (cfg["carrier_frequency_thz"] * 1e12) * 1e9)
     elif fiber["reference_wavelength_nm"] > 1e6:
         raise ConfigError("fiber.reference_wavelength_nm", "must be <= 1e+06 (1 mm)")
+    # past ~3000 dB of span loss the received power leaves the float range
+    # and the run fails or reports wrong metrics
+    attenuation = fiber["attenuation_db_km"]
+    if attenuation * fiber["length_km"] > 2000.0:
+        raise ConfigError("fiber.length_km", f"must be <= {2000.0 / attenuation:g} km "
+                          f"at {attenuation:g} dB/km (a 2000 dB span loss)")
     return Scenario(cfg, plan, FiberSpec(**fiber),
                     MzmParams(*cfg["mzm"].values()) if "mzm" in cfg else None)
 
@@ -419,25 +425,23 @@ def _eye_rows(y: Signal, gain: complex, sc: Scenario, t_offset: float):
     """The branch waveform ``(y.samples * gain).real`` at 16 samples per
     symbol, against time folded onto two symbols.
 
-    A demultiplexed branch holds only the detection-band bins |k| <= s // 2,
-    s = the window's B/N in bins, so the inverse FFT of those bins alone on
-    p points, scaled by p/n, is the waveform resampled exactly on p points
-    over the same window.  Where the band would reach the eye's Nyquist
-    frequency (a symbol rate at or below B/(16N)) the rate rises by whole
-    multiples of 16 samples per symbol until it does not.  The sample index
-    is folded before any float arithmetic, so each of the 2 * per_symbol
-    phases has one time value.
+    A demultiplexed branch holds only its detection band of bins, so the
+    inverse FFT of that band alone on p points, scaled by p/n, is the
+    waveform resampled exactly on p points over the same window.  Where the
+    band would reach the eye's Nyquist frequency (a symbol rate at or below
+    B/(16N)) the rate rises by whole multiples of 16 samples per symbol
+    until it does not.  The sample index is folded before any float
+    arithmetic, so each of the 2 * per_symbol phases has one time value.
     """
     n = y.grid.n_samples
     cfg = sc.config
     rate, n_symbols = cfg["shaping"]["symbol_rate_hz"], cfg["n_symbols"]
-    spacing = round(y.grid.duration * sc.plan.symbol_rate)
+    first, values = y._spectrum()
     per_symbol = _EYE_SAMPLES_PER_SYMBOL * (
-        spacing // (_EYE_SAMPLES_PER_SYMBOL * n_symbols) + 1)
+        values.size // (_EYE_SAMPLES_PER_SYMBOL * n_symbols) + 1)
     p = per_symbol * n_symbols
-    band = np.arange(-(spacing // 2), spacing // 2 + 1)
     bins = np.zeros(p, dtype=np.complex128)
-    bins[band % p] = y._take(band)
+    bins[(first + np.arange(values.size)) % p] = values
     amp = (np.fft.ifft(bins) * (p / n) * gain).real
     phase = (y.grid.t0 - t_offset) * per_symbol * rate
     k = np.arange(p) % (2 * per_symbol)
@@ -520,11 +524,10 @@ def _run(sc: Scenario, calibrations: dict) -> ReportBundle:
         artifacts["spectrum_received"] = _spectrum_rows(rx, half)
 
     reports = []
-    for l in range(1, plan.n_branches + 1):
-        bplan = plan.for_branch(l)
-        y = demultiplex(rx, bplan, sampler, timing_delay=receiver["timing_delay_s"])
+    branches = demultiplex(rx, plan, sampler, timing_delay=receiver["timing_delay_s"])
+    for l, y in enumerate(branches, start=1):
         y = coherent_detect(y, receiver["lo_power_w"], receiver["lo_phase_rad"])
-        rx_stream = sample_symbols(y, rate, t_offset=bplan.time_offset,
+        rx_stream = sample_symbols(y, rate, t_offset=plan.slot(l),
                                    n_symbols=n_symbols)
         ref = streams[l - 1].symbols
         raw = rx_stream.symbols
@@ -575,8 +578,7 @@ def _run(sc: Scenario, calibrations: dict) -> ReportBundle:
                 np.column_stack([aligned.real, aligned.imag, decided]),
             )
         if "eye" in outputs:
-            artifacts[f"branch{l}_eye"] = _eye_rows(y, gain, sc,
-                                                    bplan.time_offset)
+            artifacts[f"branch{l}_eye"] = _eye_rows(y, gain, sc, plan.slot(l))
 
     return ReportBundle(cfg, metrics=reports, artifacts=artifacts)
 

@@ -97,11 +97,11 @@ def filter_directly(samples, grid: TimeGrid, response) -> np.ndarray:
     return dft.conj() @ (response(f) * (dft @ np.asarray(samples))) / n
 
 
-def branch_drive(drive: DrivePlan, plan: ChannelPlan) -> DrivePlan:
+def branch_drive(drive: DrivePlan, plan: ChannelPlan, branch: int) -> DrivePlan:
     """The drive at the branch's RF phase 2*pi*(branch-1)/N: the harmonic-k
     tone's phases lowered by k times it, which delays the whole transfer by
     the branch slot (branch-1)/B."""
-    phase = 2 * math.pi * (plan.branch - 1) / plan.n_branches
+    phase = 2 * math.pi * (branch - 1) / plan.n_branches
     tones = []
     for t in drive.tones:
         k = round(t.frequency / plan.symbol_rate)
@@ -110,20 +110,21 @@ def branch_drive(drive: DrivePlan, plan: ChannelPlan) -> DrivePlan:
     return DrivePlan(tuple(tones), drive.bias_arm1, drive.bias_arm2)
 
 
-def gate_directly(sig: Signal, plan: ChannelPlan, sampler="ideal") -> np.ndarray:
+def gate_directly(sig: Signal, plan: ChannelPlan, branch: int,
+                  sampler="ideal") -> np.ndarray:
     """The signal times the branch's sampling pulse train on the full grid:
     the cosine-sum sequence, or the MZM transfer at the branch RF phase
     divided by the calibration gain."""
     if isinstance(sampler, str):
         return sig.samples * sequence_directly(
             plan.n_branches, plan.aggregate_bandwidth, sig.grid.t,
-            plan.time_offset)
-    drive = branch_drive(sampler.drive_plan, plan)
+            plan.slot(branch))
+    drive = branch_drive(sampler.drive_plan, plan, branch)
     return modulate(sig, drive, sampler.params).samples * sampler.gain
 
 
-def demultiplex_directly(sig: Signal, plan: ChannelPlan, sampler="ideal",
-                         timing_delay: float = 0.0) -> np.ndarray:
+def demultiplex_directly(sig: Signal, plan: ChannelPlan, branch: int,
+                         sampler="ideal", timing_delay: float = 0.0) -> np.ndarray:
     """Time-domain demultiplexing: advance by the timing delay, gate, keep
     |f| < B/(2N) with half weight on the edge, and restore the factor N."""
     grid = sig.grid
@@ -138,8 +139,8 @@ def demultiplex_directly(sig: Signal, plan: ChannelPlan, sampler="ideal",
         return np.where(np.abs(f) < edge - tol, 1.0,
                         np.where(np.abs(np.abs(f) - edge) <= tol, 0.5, 0.0))
 
-    return plan.n_branches * filter_directly(gate_directly(sig, plan, sampler),
-                                             grid, lowpass)
+    return plan.n_branches * filter_directly(
+        gate_directly(sig, plan, branch, sampler), grid, lowpass)
 
 
 def propagate_directly(sig: Signal, fiber, sign: float = 1.0,
@@ -177,9 +178,8 @@ def grid_for(plan: ChannelPlan, n_symbols: int,
 def symbol_instant_energy(sig: Signal, plan: ChannelPlan, branch: int,
                           n_symbols: int) -> float:
     """Mean squared magnitude at one branch's symbol instants."""
-    bp = plan.for_branch(branch)
     ks = np.arange(n_symbols)
-    instants = bp.time_offset + ks / plan.symbol_rate
+    instants = plan.slot(branch) + ks / plan.symbol_rate
     idx = np.round((instants - sig.grid.t0) * sig.grid.sample_rate).astype(int)
     return float(np.mean(np.abs(sig.samples[idx]) ** 2))
 

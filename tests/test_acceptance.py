@@ -14,7 +14,7 @@ import pytest
 from scipy.integrate import quad
 
 from nyquist_otdm import ChannelPlan
-from nyquist_otdm.demux import MzmSampler, demultiplex, recover_symbols
+from nyquist_otdm.demux import MzmSampler, demultiplex
 from nyquist_otdm.link import FiberSpec, compensate_dispersion, dispersion_phase, propagate
 from nyquist_otdm.modem import (
     ber_count,
@@ -26,7 +26,12 @@ from nyquist_otdm.modem import (
     qpsk,
 )
 from nyquist_otdm.mzm import MzmParams, calibrate_flat_comb
-from nyquist_otdm.nyquist import SymbolStream, nyquist_interpolate, otdm_multiplex
+from nyquist_otdm.nyquist import (
+    SymbolStream,
+    nyquist_interpolate,
+    otdm_multiplex,
+    sample_symbols,
+)
 from nyquist_otdm.scenario import parse_scenario, run_scenario, write_bundle
 
 from helpers import grid_for
@@ -59,10 +64,10 @@ def test_criterion_01_round_trip_exactness():
             streams = _random_constellation_streams(plan, constellation,
                                                     n_symbols, rng)
             agg = otdm_multiplex(streams, plan, grid)
-            for l, stream in enumerate(streams, start=1):
-                bp = plan.for_branch(l)
-                got = recover_symbols(demultiplex(agg, bp), bp,
-                                      n_symbols=n_symbols)
+            branches = demultiplex(agg, plan)
+            for l, (stream, y) in enumerate(zip(streams, branches), start=1):
+                got = sample_symbols(y, plan.symbol_rate, t_offset=plan.slot(l),
+                                     n_symbols=n_symbols)
                 err = np.abs(got.symbols - stream.symbols)
                 assert np.all(err <= 1e-9 * np.abs(stream.symbols))
     elapsed = time.perf_counter() - start
@@ -101,10 +106,10 @@ def _isolation_db(plan, sampler, seed):
     agg = otdm_multiplex([quiet, active, quiet], plan, grid)
     ref_power = float(np.mean(np.abs(active.symbols) ** 2))
     worst = -math.inf
+    branches = demultiplex(agg, plan, sampler=sampler)
     for l in (1, 3):
-        bp = plan.for_branch(l)
-        got = recover_symbols(demultiplex(agg, bp, sampler=sampler), bp,
-                              n_symbols=n_symbols)
+        got = sample_symbols(branches[l - 1], plan.symbol_rate,
+                             t_offset=plan.slot(l), n_symbols=n_symbols)
         leak = float(np.mean(np.abs(got.symbols) ** 2))
         if leak > 0.0:
             worst = max(worst, 10 * math.log10(leak / ref_power))

@@ -175,7 +175,7 @@ class TestChannelPlan:
 
     def test_branch_offsets(self):
         plan = ChannelPlan(3, 24e9)
-        offs = [plan.for_branch(l).time_offset for l in (1, 2, 3)]
+        offs = [plan.slot(l) for l in (1, 2, 3)]
         assert_allclose(offs, [0.0, 1 / 24e9, 2 / 24e9])
 
     def test_validation(self):
@@ -185,8 +185,3 @@ class TestChannelPlan:
             ChannelPlan(1, 24e9)  # too few
         with pytest.raises(ValueError):
             ChannelPlan(3, -1.0)
-        plan = ChannelPlan(3, 24e9)
-        with pytest.raises(ValueError):
-            plan.for_branch(0)
-        with pytest.raises(ValueError):
-            plan.for_branch(4)

@@ -10,12 +10,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from nyquist_otdm import ChannelPlan, Signal, TimeGrid, delay_signal
 from nyquist_otdm.core import constant
-from nyquist_otdm.demux import (
-    MzmSampler,
-    _sampling_lines,
-    demultiplex,
-    recover_symbols,
-)
+from nyquist_otdm.demux import MzmSampler, _sampling_lines, demultiplex
 from nyquist_otdm.link import (
     FiberSpec,
     coherent_detect,
@@ -82,7 +77,7 @@ def test_mzm_rows_are_the_phase_shifted_drive_lines(
     one_period = constant(TimeGrid(grid.sample_rate, period, grid.t0))
     first = modulate(one_period, drive, PARAMS).samples
     for l in range(1, n_branches + 1):
-        transfer = modulate(one_period, branch_drive(drive, plan.for_branch(l)),
+        transfer = modulate(one_period, branch_drive(drive, plan, l),
                             PARAMS).samples
         assert_allclose(transfer, np.roll(first, (l - 1) * oversampling),
                         atol=1e-12)
@@ -92,15 +87,14 @@ def test_mzm_rows_are_the_phase_shifted_drive_lines(
 
 def test_off_harmonic_drive_tone_rejected_on_every_branch():
     """A 7 GHz tone is no harmonic of the 8 GHz branch rate, so its
-    transfer is not periodic in a branch period: every branch refuses it,
-    branch 1 included."""
+    transfer is not periodic in a branch period: the sampler is refused for
+    every branch, branch 1 included."""
     plan = ChannelPlan(3, 24e9)
     drive = push_pull_plan([7e9], [0.2], bias_difference=1.0)
     sampler = MzmSampler(drive_plan=drive, params=PARAMS, calibrated=True)
     sig = constant(grid_for(plan, 9))
-    for l in (1, 2, 3):
-        with pytest.raises(ValueError, match="not a harmonic"):
-            demultiplex(sig, plan.for_branch(l), sampler)
+    with pytest.raises(ValueError, match="not a harmonic"):
+        demultiplex(sig, plan, sampler)
 
 
 def test_mzm_sampler_needs_whole_sample_slots():
@@ -122,10 +116,10 @@ def test_ideal_round_trip_multiple_seeds():
         grid = grid_for(plan, n_symbols)
         streams = random_streams(plan, n_symbols, rng)
         agg = otdm_multiplex(streams, plan, grid)
-        for l, stream in enumerate(streams, start=1):
-            bp = plan.for_branch(l)
-            branch = demultiplex(agg, bp)
-            got = recover_symbols(branch, bp, n_symbols=n_symbols)
+        for l, (stream, y) in enumerate(zip(streams, demultiplex(agg, plan)),
+                                        start=1):
+            got = sample_symbols(y, plan.symbol_rate, t_offset=plan.slot(l),
+                                 n_symbols=n_symbols)
             assert_allclose(got.symbols, stream.symbols, atol=1e-9)
 
 
@@ -139,10 +133,10 @@ def _crosstalk_db(plan, sampler, n_symbols=15, seed=5):
     agg = otdm_multiplex(driven, plan, grid)
     ref_power = np.mean(np.abs(streams[1].symbols) ** 2)
     worst = -math.inf
+    branches = demultiplex(agg, plan, sampler=sampler)
     for l in (1, 3):
-        bp = plan.for_branch(l)
-        got = recover_symbols(demultiplex(agg, bp, sampler=sampler), bp,
-                              n_symbols=n_symbols)
+        got = sample_symbols(branches[l - 1], plan.symbol_rate,
+                             t_offset=plan.slot(l), n_symbols=n_symbols)
         leak = np.mean(np.abs(got.symbols) ** 2)
         if leak > 0:
             worst = max(worst, 10 * math.log10(leak / ref_power))
@@ -173,10 +167,10 @@ def test_mzm_sampler_recovers_symbols_to_percent_level():
     grid = grid_for(plan, n_symbols)
     streams = random_streams(plan, n_symbols, rng)
     agg = otdm_multiplex(streams, plan, grid)
-    for l, stream in enumerate(streams, start=1):
-        bp = plan.for_branch(l)
-        got = recover_symbols(demultiplex(agg, bp, sampler=sampler), bp,
-                              n_symbols=n_symbols)
+    branches = demultiplex(agg, plan, sampler=sampler)
+    for l, (stream, y) in enumerate(zip(streams, branches), start=1):
+        got = sample_symbols(y, plan.symbol_rate, t_offset=plan.slot(l),
+                             n_symbols=n_symbols)
         err = np.sqrt(np.mean(np.abs(got.symbols - stream.symbols) ** 2)
                       / np.mean(np.abs(stream.symbols) ** 2))
         assert err < 0.05
@@ -210,10 +204,10 @@ def test_known_timing_delay_is_removed():
     agg = otdm_multiplex(streams, plan, grid)
     tau = 1.5 * grid.dt
     late = delay_signal(agg, tau)
-    for l, stream in enumerate(streams, start=1):
-        bp = plan.for_branch(l)
-        branch = demultiplex(late, bp, timing_delay=tau)
-        got = recover_symbols(branch, bp, n_symbols=n_symbols)
+    branches = demultiplex(late, plan, timing_delay=tau)
+    for l, (stream, y) in enumerate(zip(streams, branches), start=1):
+        got = sample_symbols(y, plan.symbol_rate, t_offset=plan.slot(l),
+                             n_symbols=n_symbols)
         assert_allclose(got.symbols, stream.symbols, atol=1e-9)
 
 
@@ -240,14 +234,13 @@ def test_spectral_layers_match_time_domain_oracles(
             grid.n_samples)
 
     if band_limited:
-        branches = [nyquist_interpolate(stream, grid,
-                                        t_offset=plan.for_branch(l).time_offset)
+        branches = [nyquist_interpolate(stream, grid, t_offset=plan.slot(l))
                     for l, stream in enumerate(
                         random_streams(plan, n_symbols, rng), start=1)]
     else:
         branches = [Signal(grid, noise()) for _ in range(n_branches)]
     mux = multiplex_branch_signals(branches, plan)
-    _assert_close(mux.samples, sum(gate_directly(b, plan.for_branch(l))
+    _assert_close(mux.samples, sum(gate_directly(b, plan, l)
                                    for l, b in enumerate(branches, start=1)))
 
     fiber = FiberSpec(length_km=float(rng.uniform(1.0, 80.0)))
@@ -266,11 +259,11 @@ def test_spectral_layers_match_time_domain_oracles(
                      calibrated=True)
     delay = delay_samples * grid.dt
     for sampler in ("ideal", mzm):
-        for l in range(1, n_branches + 1):
-            bp = plan.for_branch(l)
-            got = demultiplex(aggregate, bp, sampler, timing_delay=delay)
-            _assert_close(got.samples, demultiplex_directly(
-                aggregate, bp, sampler, timing_delay=delay))
+        got = demultiplex(aggregate, plan, sampler, timing_delay=delay)
+        assert len(got) == n_branches
+        for l, y in enumerate(got, start=1):
+            _assert_close(y.samples, demultiplex_directly(
+                aggregate, plan, l, sampler, timing_delay=delay))
 
     start = int(rng.integers(0, grid.n_samples))
     instants = (start + np.arange(2 * n_symbols) * oversampling * n_branches
@@ -306,7 +299,7 @@ def test_band_and_whole_grid_agree_bitwise(n_branches, n_symbols, oversampling,
     count = n_symbols if rolloff else 2 * n_symbols
     shaped = [raised_cosine_shape(SymbolStream(
         rng.standard_normal(count) + 1j * rng.standard_normal(count), rate),
-        rolloff, grid, t_offset=plan.for_branch(l).time_offset)
+        rolloff, grid, t_offset=plan.slot(l))
         for l in range(1, n_branches + 1)]
     whole = [_whole_grid(sig) for sig in shaped]
 
@@ -333,10 +326,13 @@ def test_band_and_whole_grid_agree_bitwise(n_branches, n_symbols, oversampling,
 
     mux = multiplex_branch_signals(shaped, plan)
     assert_array_equal(mux.bins, multiplex_branch_signals(whole, plan).bins)
-    for l in range(1, n_branches + 1):
-        bp = plan.for_branch(l)
-        y = demultiplex(mux, bp, timing_delay=delay)
-        assert_array_equal(y.bins, demultiplex(_whole_grid(mux), bp,
-                                               timing_delay=delay).bins)
-        assert_array_equal(recover_symbols(y, bp).symbols,
-                           recover_symbols(_whole_grid(y), bp).symbols)
+    branches = demultiplex(mux, plan, timing_delay=delay)
+    assert len(branches) == n_branches
+    for l, (y, y_whole) in enumerate(zip(
+            branches, demultiplex(_whole_grid(mux), plan, timing_delay=delay),
+            strict=True), start=1):
+        assert_array_equal(y.bins, y_whole.bins)
+        assert_array_equal(
+            sample_symbols(y, plan.symbol_rate, t_offset=plan.slot(l)).symbols,
+            sample_symbols(_whole_grid(y), plan.symbol_rate,
+                           t_offset=plan.slot(l)).symbols)

@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 
 from nyquist_otdm import ChannelPlan, TimeGrid
 from nyquist_otdm.core import constant
-from nyquist_otdm.demux import demultiplex, recover_symbols
+from nyquist_otdm.demux import demultiplex
 from nyquist_otdm.link import (
     FiberSpec,
     NoiseSpec,
@@ -19,7 +19,7 @@ from nyquist_otdm.link import (
     phase_noise,
     propagate,
 )
-from nyquist_otdm.nyquist import otdm_multiplex
+from nyquist_otdm.nyquist import otdm_multiplex, sample_symbols
 
 from helpers import grid_for, random_streams, tone
 
@@ -164,9 +164,10 @@ class TestPhaseNoise:
 
 def _mean_branch_error(agg, plan, streams, n_symbols):
     errs = []
-    for l, stream in enumerate(streams, start=1):
-        bp = plan.for_branch(l)
-        got = recover_symbols(demultiplex(agg, bp), bp, n_symbols=n_symbols)
+    branches = demultiplex(agg, plan)
+    for l, (stream, y) in enumerate(zip(streams, branches), start=1):
+        got = sample_symbols(y, plan.symbol_rate, t_offset=plan.slot(l),
+                             n_symbols=n_symbols)
         # data-aided one-tap equalizer, as a coherent receiver would apply
         g = np.vdot(got.symbols, stream.symbols) / np.vdot(got.symbols,
                                                            got.symbols)

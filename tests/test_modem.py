@@ -233,8 +233,7 @@ class TestBerCount:
         assert res.errors == 2
         assert res.n_bits == 6
         assert res.rate == pytest.approx(2 / 6)
-        assert "2 errors in 6 bits" in str(res)
-        assert "0 errors in" in str(ber_count(tx, tx))
+        assert ber_count(tx, tx).errors == 0
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):

@@ -67,7 +67,7 @@ class TestDeviceBasics:
     def test_push_pull_plan_structure(self):
         plan = push_pull_plan([10e9, 20e9], [0.2, 0.05], bias_difference=1.1,
                               arm2_drive_ratio=0.9)
-        assert plan.bias_difference == pytest.approx(1.1)
+        assert plan.bias_arm1 - plan.bias_arm2 == pytest.approx(1.1)
         assert plan.bias_arm1 == pytest.approx(0.55)
         for t, (f, a) in zip(plan.tones, [(10e9, 0.2), (20e9, 0.05)]):
             assert t.frequency == f
@@ -283,7 +283,7 @@ class TestCalibration:
             assert (tried[-1], bias, ratio) == first, (spacing, params)
             assert_allclose(volts, indices * params.v_pi / (math.pi * eo),
                             rtol=1e-15, atol=0)
-            assert cal.plan.bias_difference == bias
+            assert cal.plan.bias_arm1 - cal.plan.bias_arm2 == bias
 
     # (device, lines) -> (waveform RMSE %, line evaluations) of the search
     # by coordinate descent alone, stopping on a sweep that gained nothing

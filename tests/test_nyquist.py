@@ -24,12 +24,12 @@ from helpers import (
 )
 
 
-def sequence_from_lines(plan: ChannelPlan, grid: TimeGrid):
+def sequence_from_lines(plan: ChannelPlan, grid: TimeGrid, branch: int = 1):
     """The branch's sinc sequence on ``grid``, summed from its spectral
     lines: the construction multiplexing and ideal sampling use."""
     shifts, rows = _sequence_lines(plan, grid)
     j = np.arange(grid.n_samples)
-    return Signal(grid, rows[plan.branch - 1] @ np.exp(
+    return Signal(grid, rows[branch - 1] @ np.exp(
         2j * np.pi * np.outer(shifts, j) / grid.n_samples))
 
 
@@ -37,10 +37,10 @@ class TestSincSequence:
     def test_matches_cosine_sum_oracle(self):
         for n_lines in (3, 5, 7):
             grid = TimeGrid(8 * 24e9, 8 * n_lines * 4, t0=0.7e-10)  # 4 periods
+            plan = ChannelPlan(n_lines, 24e9)
             for branch in range(1, n_lines + 1):
-                plan = ChannelPlan(n_lines, 24e9, branch=branch)
-                seq = sequence_from_lines(plan, grid)
-                oracle = sequence_directly(n_lines, 24e9, grid.t, plan.time_offset)
+                seq = sequence_from_lines(plan, grid, branch)
+                oracle = sequence_directly(n_lines, 24e9, grid.t, plan.slot(branch))
                 assert_allclose(seq.samples, oracle, atol=1e-12)
 
     def test_peak_and_zero_crossings(self):
@@ -98,7 +98,7 @@ class TestNyquistInterpolate:
                 rng.standard_normal(n_symbols) + 1j * rng.standard_normal(n_symbols),
                 plan.symbol_rate)
             # a branch slot on the grid, and an instant between samples
-            for offset in (plan.for_branch(2).time_offset, 0.37 * grid.dt):
+            for offset in (plan.slot(2), 0.37 * grid.dt):
                 fast = nyquist_interpolate(stream, grid, t_offset=offset)
                 direct = interpolate_directly(stream, grid, t_offset=offset)
                 assert_allclose(fast.samples, direct, atol=1e-12)
@@ -204,9 +204,7 @@ class TestMultiplex:
         mux = otdm_multiplex(streams, plan, grid)
         parts = []
         for l, stream in enumerate(streams, start=1):
-            bp = plan.for_branch(l)
-            parts.append(nyquist_interpolate(stream, grid,
-                                             t_offset=bp.time_offset))
+            parts.append(nyquist_interpolate(stream, grid, t_offset=plan.slot(l)))
         manual = multiplex_branch_signals(parts, plan)
         assert_allclose(mux.samples, manual.samples, atol=1e-12)
 
@@ -234,9 +232,8 @@ class TestMultiplex:
         streams = random_streams(plan, n_symbols, rng)
         mux = otdm_multiplex(streams, plan, grid)
         for l, stream in enumerate(streams, start=1):
-            bp = plan.for_branch(l)
             got = sample_symbols(mux, plan.symbol_rate,
-                                 t_offset=bp.time_offset, n_symbols=n_symbols)
+                                 t_offset=plan.slot(l), n_symbols=n_symbols)
             assert_allclose(got.symbols, stream.symbols, atol=1e-10)
 
     def test_raised_cosine_shaping_round_trip(self):
@@ -251,10 +248,9 @@ class TestMultiplex:
                                 + 1j * rng.standard_normal(n_symbols), rate)
                    for _ in range(plan.n_branches)]
         mux = otdm_multiplex(streams, plan, grid, rolloff=0.6)
-        for l, stream in enumerate(streams, start=1):
-            bp = plan.for_branch(l)
-            got = sample_symbols(demultiplex(mux, bp), rate,
-                                 t_offset=bp.time_offset)
+        for l, (stream, y) in enumerate(zip(streams, demultiplex(mux, plan)),
+                                        start=1):
+            got = sample_symbols(y, rate, t_offset=plan.slot(l))
             assert_allclose(got.symbols, stream.symbols, atol=1e-10)
 
     def test_wrong_stream_count_rejected(self):

@@ -154,6 +154,13 @@ class TestParsing:
                      "receiver.timing_delay_s", id="delay-phase-overflows"),
         pytest.param(lambda c: c.update(receiver={"timing_delay_s": -9 / 8e9}),
                      "receiver.timing_delay_s", id="delay-of-a-whole-window"),
+        # finite, but the span loss drives the received power to 0, or so
+        # near it that the metrics are garbage
+        pytest.param(lambda c: c.update(fiber={"length_km": 17000.0}),
+                     "fiber.length_km", id="span-power-underflows"),
+        pytest.param(lambda c: c.update(fiber={"length_km": 30.0,
+                                               "attenuation_db_km": 100.0}),
+                     "fiber.length_km", id="span-loss-of-3000-db"),
     ])
     def test_fail_closed_names_the_field(self, mutate, field):
         cfg = base_config()
@@ -275,6 +282,26 @@ class TestRunScenario:
         assert len(bundle.metrics) == 7
         for rep in bundle.metrics:
             assert rep.ber_count_errors == 0
+
+    def test_sampling_lines_are_built_once_per_run(self, monkeypatch):
+        """One demultiplexing pass serves every branch: the sampling lines,
+        and the MZM model they come from, are computed once per run, not
+        once per branch."""
+        from nyquist_otdm import demux
+
+        calls = {"modulate": 0, "_sampling_lines": 0}
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(demux, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(demux, name, counted)
+        sc = parse_scenario(base_config(sampler={"mode": "mzm"},
+                                        mzm=dict(MZM_BLOCK),
+                                        noise={"osnr_db": 30.0}))
+        for runs in (1, 2):
+            bundle = run_scenario(sc)
+            assert len(bundle.metrics) == 3
+            assert calls == {"modulate": runs, "_sampling_lines": runs}
 
     def test_full_length_transforms_do_not_grow_with_branches(self, monkeypatch):
         """A run with every output makes one n-point transform, the noise's
@@ -802,6 +829,7 @@ class TestCli:
          "fiber.reference_wavelength_nm"),
         ({"carrier_frequency_thz": 1e300}, "carrier_frequency_thz"),
         ({"receiver": {"timing_delay_s": 1e300}}, "receiver.timing_delay_s"),
+        ({"fiber": {"length_km": 17000.0}}, "fiber.length_km"),
     ])
     @pytest.mark.parametrize("verb", ["validate", "run"])
     def test_values_that_break_the_run_exit_2(self, tmp_path, capsys, verb,
@@ -815,7 +843,9 @@ class TestCli:
         assert captured.out == ""
 
     def test_bounds_keep_usable_values(self):
-        """A delay just short of the window and the widest wavelength run."""
+        """A delay just short of the window and the widest wavelength run;
+        at the largest span loss, even into the weakest LO, the EVM is the
+        lossless run's."""
         window = 9 / 8e9
         bundle = run_scenario(parse_scenario(base_config(
             receiver={"timing_delay_s": -0.999 * window},
@@ -823,6 +853,11 @@ class TestCli:
         assert all(math.isfinite(r.evm_percent) for r in bundle.metrics)
         sc = parse_scenario(base_config(carrier_frequency_thz=299792.458))
         assert sc.fiber.reference_wavelength_nm == pytest.approx(1.0)
+        evms = [[r.evm_percent for r in run_scenario(parse_scenario(base_config(
+            fiber={"length_km": 20.0, "attenuation_db_km": attenuation},
+            noise={"osnr_db": 33.0}, receiver={"lo_power_w": 1e-12}))).metrics]
+            for attenuation in (0.0, 100.0)]  # 100 dB/km: a 2000 dB span
+        assert evms[1] == pytest.approx(evms[0], rel=1e-12, abs=0)
 
     def test_calibrate_comb_rejects_even_lines(self, capsys):
         assert main(["calibrate-comb", "--lines", "4",
