@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfcx
 
 from .nyquist import SymbolStream
 
@@ -277,7 +276,18 @@ def ber_estimate_log10(q_linear: float) -> float:
     if not q_linear > 0:
         raise ValueError("q_linear must be positive")
     x = q_linear / math.sqrt(2.0)
-    return math.log10(0.5) + math.log10(float(erfcx(x))) - x * x * math.log10(math.e)
+    if x < 25.0:  # 0.5 * erfc(25) is about 4e-274, still a normal float
+        return math.log10(0.5 * math.erfc(x))
+    # erfc(x) = exp(-x**2) * erfcx(x); at x >= 25 eight terms of erfcx's
+    # asymptotic series 1/(x sqrt(pi)) * sum (-1)**k (2k-1)!! / (2x**2)**k
+    # reach 1e-17
+    u = 0.5 / (x * x)
+    term = series = 1.0
+    for k in range(1, 8):
+        term *= -(2 * k - 1) * u
+        series += term
+    return (math.log10(0.5 * series / (x * math.sqrt(math.pi)))
+            - x * x * math.log10(math.e))
 
 
 def log10_mean(*log10_values: float) -> float:

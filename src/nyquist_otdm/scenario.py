@@ -243,6 +243,10 @@ def parse_scenario(raw: dict) -> Scenario:
         raise ConfigError("version", f"unsupported version {cfg['version']}")
     if cfg["label"] is _DERIVED:
         cfg["label"] = mode
+    # past ~3000 dB the field or comb after the modulator leaves the float
+    # range; 2000 dB matches the span-loss bound
+    if "mzm" in cfg and cfg["mzm"]["insertion_loss_db"] > 2000.0:
+        raise ConfigError("mzm.insertion_loss_db", "must be <= 2000 dB")
 
     if mode == "comb":
         if cfg["comb"]["n_lines"] % 2 == 0:

@@ -14,6 +14,7 @@ from dataclasses import replace
 
 import numpy as np
 from scipy.optimize import minimize_scalar
+from scipy.special import erfcx
 
 from nyquist_otdm import ChannelPlan, Signal, TimeGrid, delay_signal
 from nyquist_otdm.core import require_same_grid
@@ -219,6 +220,14 @@ def align_delay_gain(measured: Signal, reference: Signal):
         shifted.samples, shifted.samples)
     aligned = Signal(measured.grid, gain * shifted.samples)
     return tau, complex(gain), aligned
+
+
+def ber_log10_erfcx(q_linear: float) -> float:
+    """log10 of 0.5 * erfc(q / sqrt(2)) through the scaled complementary
+    error function, erfc(x) = exp(-x**2) * erfcx(x), which stays finite far
+    below float underflow."""
+    x = q_linear / math.sqrt(2.0)
+    return math.log10(0.5) + math.log10(float(erfcx(x))) - x * x * math.log10(math.e)
 
 
 def _axis_q_linear(rx_axis: np.ndarray, ref_axis: np.ndarray) -> float:

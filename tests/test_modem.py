@@ -31,7 +31,7 @@ from nyquist_otdm.modem import (
     qpsk,
 )
 
-from helpers import evm_directly, q_factor_directly
+from helpers import ber_log10_erfcx, evm_directly, q_factor_directly
 
 # BER at the linear Q corresponding to 18.46 dB, worked out independently
 # with high-precision arithmetic
@@ -209,6 +209,42 @@ class TestBerEstimate:
         qs = np.linspace(0.5, 50.0, 200)
         vals = [ber_estimate_log10(q) for q in qs]
         assert all(b < a for a, b in zip(vals, vals[1:]))
+
+    # below x = q/sqrt(2) = 25 the function takes erfc directly, above it
+    # an asymptotic series
+    Q_SWITCH = 25.0 * math.sqrt(2.0)
+
+    def test_log10_matches_erfcx(self):
+        """Over Q from 0.1 to the 60 dB cap, and just either side of the
+        switch point."""
+        near = self.Q_SWITCH * (1.0 + np.arange(-200, 201) * 1e-9)
+        qs = np.concatenate([np.linspace(0.1, 1000.0, 20001),
+                             np.geomspace(0.1, 1000.0, 2001), near,
+                             [np.nextafter(self.Q_SWITCH, 0.0), self.Q_SWITCH,
+                              np.nextafter(self.Q_SWITCH, 100.0)]])
+        got = np.array([ber_estimate_log10(float(q)) for q in qs])
+        want = np.array([ber_log10_erfcx(float(q)) for q in qs])
+        assert_allclose(got, want, rtol=1e-14, atol=0)
+
+    @given(st.floats(0.1, 1000.0))
+    def test_log10_matches_erfcx_anywhere(self, q):
+        assert ber_estimate_log10(q) == pytest.approx(ber_log10_erfcx(q),
+                                                      rel=1e-14, abs=0)
+
+    def test_log10_strictly_decreasing_across_switch(self):
+        for step in (1e-13, 1e-9, 1e-5):
+            qs = self.Q_SWITCH * (1.0 + np.arange(-100, 101) * step)
+            vals = [ber_estimate_log10(float(q)) for q in qs]
+            assert all(b < a for a, b in zip(vals, vals[1:])), step
+
+    def test_log10_is_minus_inf_where_the_square_overflows(self):
+        """Beyond q of about 1.9e154, (q/sqrt(2))**2 is inf, as in the erfcx
+        form; just below, both are finite."""
+        for q in (1.9e154, 1e200, 1e300):
+            assert ber_estimate_log10(q) == ber_log10_erfcx(q) == -math.inf
+        q = 1.8e154
+        assert math.isfinite(ber_estimate_log10(q))
+        assert ber_estimate_log10(q) == pytest.approx(ber_log10_erfcx(q), rel=1e-14)
 
     def test_rejects_nonpositive_q(self):
         with pytest.raises(ValueError):

@@ -356,3 +356,16 @@ def test_import_leaves_scipy_optimize_unloaded():
          "import sys, nyquist_otdm; print('scipy.optimize' in sys.modules)"],
         env=env, capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "False"
+
+
+def test_cli_import_loads_no_scipy():
+    """numpy is the only runtime dependency: the command line loads no
+    scipy module at all."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, nyquist_otdm.cli; print(sorted("
+         "m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"],
+        env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"

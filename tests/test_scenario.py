@@ -161,6 +161,13 @@ class TestParsing:
         pytest.param(lambda c: c.update(fiber={"length_km": 30.0,
                                                "attenuation_db_km": 100.0}),
                      "fiber.length_km", id="span-loss-of-3000-db"),
+        # finite, but the field or comb after the modulator leaves the float range
+        pytest.param(lambda c: c.update(sampler={"mode": "mzm"}, mzm=dict(
+            MZM_BLOCK, insertion_loss_db=3100.0)),
+                     "mzm.insertion_loss_db", id="sampler-insertion-loss"),
+        pytest.param(lambda c: (c.clear(), c.update(COMB_CONFIG, mzm=dict(
+            MZM_BLOCK, insertion_loss_db=3100.0))),
+                     "mzm.insertion_loss_db", id="comb-insertion-loss"),
     ])
     def test_fail_closed_names_the_field(self, mutate, field):
         cfg = base_config()
@@ -830,13 +837,20 @@ class TestCli:
         ({"carrier_frequency_thz": 1e300}, "carrier_frequency_thz"),
         ({"receiver": {"timing_delay_s": 1e300}}, "receiver.timing_delay_s"),
         ({"fiber": {"length_km": 17000.0}}, "fiber.length_km"),
+        pytest.param({"sampler": {"mode": "mzm"},
+                      "mzm": dict(MZM_BLOCK, insertion_loss_db=3100.0)},
+                     "mzm.insertion_loss_db", id="sampler-insertion-loss"),
+        pytest.param(dict(COMB_CONFIG, mzm=dict(MZM_BLOCK, insertion_loss_db=3100.0)),
+                     "mzm.insertion_loss_db", id="comb-insertion-loss"),
     ])
     @pytest.mark.parametrize("verb", ["validate", "run"])
     def test_values_that_break_the_run_exit_2(self, tmp_path, capsys, verb,
                                               block, field):
         """Finite values that once passed validation and then failed inside
-        the run are rejected at parse time, naming the field."""
-        p = self.write_cfg(tmp_path, base_config(**block))
+        the run (or, in comb mode, reported nan) are rejected at parse time,
+        naming the field."""
+        cfg = block if block.get("mode") == "comb" else base_config(**block)
+        p = self.write_cfg(tmp_path, cfg)
         assert main([verb, str(p)]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: {field}: must be ")
@@ -845,7 +859,11 @@ class TestCli:
     def test_bounds_keep_usable_values(self):
         """A delay just short of the window and the widest wavelength run;
         at the largest span loss, even into the weakest LO, the EVM is the
-        lossless run's."""
+        lossless run's.  At the largest modulator insertion loss, the MZM
+        sampler's EVMs and the comb's RMSE and flatness are the lossless
+        device's.  Flatness is a difference of line powers near -2017 dBm,
+        so it agrees to their rounding (2.3e-13 dB a step), not to 1e-12 of
+        its own ~1e-3 dB."""
         window = 9 / 8e9
         bundle = run_scenario(parse_scenario(base_config(
             receiver={"timing_delay_s": -0.999 * window},
@@ -858,6 +876,18 @@ class TestCli:
             noise={"osnr_db": 33.0}, receiver={"lo_power_w": 1e-12}))).metrics]
             for attenuation in (0.0, 100.0)]  # 100 dB/km: a 2000 dB span
         assert evms[1] == pytest.approx(evms[0], rel=1e-12, abs=0)
+        evms, combs = [], []
+        for loss in (0.0, 2000.0):
+            mzm = dict(MZM_BLOCK, insertion_loss_db=loss)
+            bundle = run_scenario(parse_scenario(base_config(
+                sampler={"mode": "mzm"}, mzm=mzm, noise={"osnr_db": 33.0})))
+            evms.append([r.evm_percent for r in bundle.metrics])
+            cal = run_scenario(parse_scenario(dict(COMB_CONFIG, mzm=mzm))).calibration
+            combs.append((cal.waveform_rmse_percent, cal.report.flatness_db))
+        assert all(math.isfinite(e) for e in evms[1] + list(combs[1]))
+        assert evms[1] == pytest.approx(evms[0], rel=1e-12, abs=0)
+        assert combs[1][0] == pytest.approx(combs[0][0], rel=1e-12, abs=0)
+        assert combs[1][1] == pytest.approx(combs[0][1], rel=0, abs=1e-12)
 
     def test_calibrate_comb_rejects_even_lines(self, capsys):
         assert main(["calibrate-comb", "--lines", "4",
