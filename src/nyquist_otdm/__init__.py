@@ -41,10 +41,8 @@ from .modem import (
     evm,
     format_metrics_table,
     q_factor,
-    qam16,
     qam_demap,
     qam_map,
-    qpsk,
 )
 from .mzm import (
     CombReport,
@@ -101,7 +99,7 @@ __all__ = [
     "compensate_dispersion", "dispersion_phase", "add_noise",
     "coherent_detect", "phase_noise",
     # modem
-    "Constellation", "qpsk", "qam16", "qam_map", "qam_demap", "evm",
+    "Constellation", "qam_map", "qam_demap", "evm",
     "EvmResult", "q_factor", "QFactorResult", "ber_estimate",
     "ber_estimate_log10", "ber_count", "BerCount", "below_hdfec_limit",
     "HD_FEC_BER_LIMIT", "MetricsReport", "format_metrics_table",

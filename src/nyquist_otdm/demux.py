@@ -28,19 +28,17 @@ class MzmSampler:
     """Sampling-pulse source backed by a calibrated MZM drive.
 
     ``gain`` references the modulator output back to the unit-peak ideal
-    sequence; build instances via :meth:`from_calibration` so the flag and
-    gain come from an actual calibration run.
+    sequence; build instances via :meth:`from_calibration` so the gain
+    comes from an actual calibration run.
     """
 
     drive_plan: DrivePlan
     params: MzmParams
     gain: complex = 1.0 + 0.0j
-    calibrated: bool = False
 
     @classmethod
     def from_calibration(cls, cal: FlatCombCalibration) -> "MzmSampler":
-        return cls(drive_plan=cal.plan, params=cal.params, gain=cal.gain,
-                   calibrated=cal.converged)
+        return cls(drive_plan=cal.plan, params=cal.params, gain=cal.gain)
 
 
 def _branch_rows(lines: np.ndarray, n_branches: int) -> np.ndarray:
@@ -71,8 +69,6 @@ def _sampling_lines(plan: ChannelPlan, sampler: str | MzmSampler,
         return _sequence_lines(plan, grid)
     if not isinstance(sampler, MzmSampler):
         raise TypeError("sampler must be 'ideal' or an MzmSampler")
-    if not sampler.calibrated:
-        raise ValueError("MZM sampling requires a calibrated drive plan")
     rate = plan.symbol_rate
     for f in (t.frequency for t in sampler.drive_plan.tones):
         if abs(f / rate - round(f / rate)) > 1e-6:

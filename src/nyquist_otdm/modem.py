@@ -93,14 +93,6 @@ class Constellation:
         return np.asarray(_AXIS_LEVELS[side]) / norm
 
 
-def qpsk() -> Constellation:
-    return Constellation.of(4)
-
-
-def qam16() -> Constellation:
-    return Constellation.of(16)
-
-
 def _as_symbols(x) -> np.ndarray:
     if isinstance(x, SymbolStream):
         return x.symbols

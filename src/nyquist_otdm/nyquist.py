@@ -140,9 +140,10 @@ def sample_symbols(sig: Signal, symbol_rate: float, t_offset: float = 0.0,
         n_symbols = m_sym
     # sample start + q*sps is (1/n) sum_k bins[k] exp(2j*pi*k*(start + q*sps)/n);
     # with k = a*M + r the sum over a folds the bins onto r = 0..M-1: over the
-    # rows the band reaches, in ascending a mod sps, whatever the band's width
+    # rows the band reaches, in ascending a mod sps, whatever the band's width;
+    # sps rows hold every bin once, so a band of the whole grid reads no more
     first, band = sig._spectrum()
-    a = np.arange(first // m_sym, (first + band.size - 1) // m_sym + 1)
+    a = np.arange(first // m_sym, (first + band.size - 1) // m_sym + 1)[:sps]
     rows = sig._take(a[0] * m_sym + np.arange(a.size * m_sym)).reshape(a.size, m_sym)
     turns = np.exp(2j * np.pi * ((a * start) % sps) / sps)
     fold = sum(turns[i] * rows[i] for i in np.argsort(a % sps, kind="stable"))

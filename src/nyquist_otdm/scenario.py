@@ -24,6 +24,7 @@ from .link import (
     add_noise,
     coherent_detect,
     compensate_dispersion,
+    dispersion_phase,
     phase_noise,
     propagate,
 )
@@ -46,6 +47,7 @@ from .mzm import (
     FlatCombCalibration,
     MzmParams,
     calibrate_flat_comb,
+    eo_response,
     format_comb_table,
 )
 from .nyquist import otdm_multiplex, sample_symbols
@@ -80,64 +82,65 @@ class ConfigError(ValueError):
 _REQUIRED = object()
 _DERIVED = object()  # absent; settled from other fields once the table is read
 
-# One row per config field: (dotted path, kind, default, minimum).  ``kind``
-# is float, int, bool, str, a tuple of choices, or a list of choices for a
-# non-empty list of them.  A default of None means null is allowed and
-# stands for "none" or "derived".
-_MODE = ("mode", ("transmission", "comb"), "transmission", None)
+# One row per config field: (dotted path, kind, default, minimum, maximum).
+# ``kind`` is float, int, bool, str, a tuple of choices, or a list of choices
+# for a non-empty list of them.  A default of None means null is allowed and
+# stands for "none" or "derived".  A maximum keeps the run in the float range.
+_EXACT = 2 ** 53  # the largest integer a float holds exactly
+_MODE = ("mode", ("transmission", "comb"), "transmission", None, None)
 _HEAD = (
     _MODE,
-    ("version", int, _REQUIRED, 1),
-    ("seed", int, 0, 0),
-    ("label", str, _DERIVED, None),
+    ("version", int, _REQUIRED, 1, None),
+    ("seed", int, 0, 0, None),
+    ("label", str, _DERIVED, None, None),
 )
 _MZM = (  # in the order of MzmParams' fields
-    ("mzm.v_pi_volts", float, _REQUIRED, 1e-6),
-    ("mzm.eo_3db_bandwidth_hz", float, _REQUIRED, 1.0),
-    ("mzm.dc_extinction_arm1_db", float, 40.0, 1e-3),
-    ("mzm.dc_extinction_arm2_db", float, 37.0, 1e-3),
-    ("mzm.insertion_loss_db", float, 0.0, 0.0),
-    ("mzm.eo_model", ("single_pole", "gaussian", "flat"), "single_pole", None),
+    ("mzm.v_pi_volts", float, _REQUIRED, 1e-6, None),
+    ("mzm.eo_3db_bandwidth_hz", float, _REQUIRED, 1.0, None),
+    ("mzm.dc_extinction_arm1_db", float, 40.0, 1e-3, None),
+    ("mzm.dc_extinction_arm2_db", float, 37.0, 1e-3, None),
+    ("mzm.insertion_loss_db", float, 0.0, 0.0, 2000.0),  # as the span loss
+    ("mzm.eo_model", ("single_pole", "gaussian", "flat"), "single_pole", None, None),
 )
 _COMB = _HEAD + (
-    ("comb.n_lines", int, 3, 3),
-    ("comb.spacing_hz", float, _REQUIRED, 1.0),
-    ("comb.flatness_target_db", float, 0.1, 1e-4),
-    ("comb.modulation_index", float, 0.3, 1e-3),
+    ("comb.n_lines", int, 3, 3, _EXACT),
+    ("comb.spacing_hz", float, _REQUIRED, 1.0, 1e150),  # f**2 in H_EO and CD
+    ("comb.flatness_target_db", float, 0.1, 1e-4, None),
+    ("comb.modulation_index", float, 0.3, 1e-3, 1e300),  # times the arm-2 ratio
 ) + _MZM
 _TRANSMISSION = _HEAD + (
-    ("carrier_frequency_thz", float, 193.4, 1.0),
-    ("plan.n_branches", int, _REQUIRED, 3),
-    ("plan.aggregate_bandwidth_hz", float, _REQUIRED, 1.0),
-    ("modulation", ("qpsk", "16qam"), _REQUIRED, None),
-    ("shaping.kind", ("sinc", "raised_cosine"), "sinc", None),
-    ("shaping.rolloff", float, _DERIVED, 0.0),
-    ("shaping.symbol_rate_hz", float, _DERIVED, 1.0),
-    ("n_symbols", int, _REQUIRED, 4),
-    ("oversampling", int, 8, 4),
-    ("fiber.length_km", float, 0.0, 0.0),
-    ("fiber.dispersion_ps_nm_km", float, 17.0, None),
-    ("fiber.attenuation_db_km", float, 0.2, 0.0),
-    ("fiber.reference_wavelength_nm", float, None, 1.0),
-    ("noise.osnr_db", float, None, None),
-    ("noise.reference_bandwidth_hz", float, 12.5e9, 1.0),
-    ("noise.seed", int, None, 0),
-    ("sampler.mode", ("ideal", "mzm"), "ideal", None),
-    ("sampler.modulation_index", float, 0.3, 1e-3),
-    ("sampler.flatness_target_db", float, 0.1, 1e-4),
-    ("receiver.compensate_dispersion", bool, True, None),
-    ("receiver.lo_power_w", float, 1.0, 1e-12),
-    ("receiver.lo_phase_rad", float, 0.0, None),
-    ("receiver.timing_delay_s", float, 0.0, None),
-    ("laser.linewidth_hz", float, 0.0, 0.0),
-    ("outputs", ["metrics", "spectra", "constellation", "eye"], ["metrics"], None),
+    ("carrier_frequency_thz", float, 193.4, 1.0, None),
+    ("plan.n_branches", int, _REQUIRED, 3, _EXACT),
+    ("plan.aggregate_bandwidth_hz", float, _REQUIRED, 1.0, 1e150),
+    ("modulation", ("qpsk", "16qam"), _REQUIRED, None, None),
+    ("shaping.kind", ("sinc", "raised_cosine"), "sinc", None, None),
+    ("shaping.rolloff", float, _DERIVED, 0.0, 1.0),
+    ("shaping.symbol_rate_hz", float, _DERIVED, 1.0, None),
+    ("n_symbols", int, _REQUIRED, 4, _EXACT),
+    ("oversampling", int, 8, 4, _EXACT),
+    ("fiber.length_km", float, 0.0, 0.0, None),
+    ("fiber.dispersion_ps_nm_km", float, 17.0, None, None),
+    ("fiber.attenuation_db_km", float, 0.2, 0.0, None),
+    ("fiber.reference_wavelength_nm", float, None, 1.0, 1e6),  # lambda**2 in CD
+    ("noise.osnr_db", float, None, -300.0, 300.0),  # 10**(osnr/10) is not 0 or inf
+    ("noise.reference_bandwidth_hz", float, 12.5e9, 1.0, None),
+    ("noise.seed", int, None, 0, None),
+    ("sampler.mode", ("ideal", "mzm"), "ideal", None, None),
+    ("sampler.modulation_index", float, 0.3, 1e-3, 1e300),
+    ("sampler.flatness_target_db", float, 0.1, 1e-4, None),
+    ("receiver.compensate_dispersion", bool, True, None, None),
+    ("receiver.lo_power_w", float, 1.0, 1e-12, 1e100),  # the tap sums its squares
+    ("receiver.lo_phase_rad", float, 0.0, None, None),
+    ("receiver.timing_delay_s", float, 0.0, None, None),
+    ("laser.linewidth_hz", float, 0.0, 0.0, 1e300),
+    ("outputs", ["metrics", "spectra", "constellation", "eye"], ["metrics"], None, None),
 ) + _MZM
 
 
 def _field(obj: dict, row):
     """Check one field of ``obj`` against its table row; returns its value
     (a float for a number), or the default where the field is absent."""
-    path, kind, default, minimum = row
+    path, kind, default, minimum, maximum = row
     value = obj.get(path.rpartition(".")[2], default)
     if value is _REQUIRED:
         raise ConfigError(path, "missing required field")
@@ -175,6 +178,8 @@ def _field(obj: dict, row):
         raise ConfigError(path, f"must be one of {sorted(kind)}")
     if minimum is not None and value < minimum:
         raise ConfigError(path, f"must be >= {minimum:g}")
+    if maximum is not None and value > maximum:
+        raise ConfigError(path, f"must be <= {maximum:g}")
     return value
 
 
@@ -243,15 +248,13 @@ def parse_scenario(raw: dict) -> Scenario:
         raise ConfigError("version", f"unsupported version {cfg['version']}")
     if cfg["label"] is _DERIVED:
         cfg["label"] = mode
-    # past ~3000 dB the field or comb after the modulator leaves the float
-    # range; 2000 dB matches the span-loss bound
-    if "mzm" in cfg and cfg["mzm"]["insertion_loss_db"] > 2000.0:
-        raise ConfigError("mzm.insertion_loss_db", "must be <= 2000 dB")
 
     if mode == "comb":
-        if cfg["comb"]["n_lines"] % 2 == 0:
+        comb = cfg["comb"]
+        if comb["n_lines"] % 2 == 0:
             raise ConfigError("comb.n_lines", "must be odd")
-        return Scenario(cfg, mzm_params=MzmParams(*cfg["mzm"].values()))
+        return Scenario(cfg, mzm_params=_mzm_params(
+            cfg, comb["n_lines"], comb["spacing_hz"], comb))
 
     n_branches = cfg["plan"]["n_branches"]
     bandwidth = cfg["plan"]["aggregate_bandwidth_hz"]
@@ -277,8 +280,6 @@ def parse_scenario(raw: dict) -> Scenario:
         for key in ("symbol_rate_hz", "rolloff"):
             if shaping[key] is _DERIVED:
                 raise ConfigError(f"shaping.{key}", "missing required field")
-        if shaping["rolloff"] > 1.0:
-            raise ConfigError("shaping.rolloff", "must be <= 1")
         occupied = 0.5 * (1.0 + shaping["rolloff"]) * shaping["symbol_rate_hz"]
         if occupied > plan.detection_half_width * (1 + 1e-9):
             raise ConfigError(
@@ -304,30 +305,50 @@ def parse_scenario(raw: dict) -> Scenario:
         raise ConfigError("mzm", "required when sampler.mode is 'mzm'"
                           if sampler["mode"] == "mzm"
                           else "only allowed when sampler.mode is 'mzm'")
+    params = _mzm_params(cfg, n_branches, plan.symbol_rate, sampler) \
+        if "mzm" in cfg else None
 
     noise = cfg["noise"]
-    # far beyond +-300 dB the linear OSNR 10**(osnr/10) overflows or is 0
-    if noise["osnr_db"] is not None and abs(noise["osnr_db"]) > 300.0:
-        raise ConfigError("noise.osnr_db", "must be within +-300 dB")
     if noise["seed"] is None:
         noise["seed"] = cfg["seed"] + 1
 
-    fiber = cfg["fiber"]  # 1 nm to 1 mm keeps the dispersion's lambda**2 finite
+    fiber = cfg["fiber"]
     if fiber["reference_wavelength_nm"] is None:
         if cfg["carrier_frequency_thz"] > SPEED_OF_LIGHT * 1e-3:
             raise ConfigError("carrier_frequency_thz", "must be <= 299792 (1 nm)")
         fiber["reference_wavelength_nm"] = (
             SPEED_OF_LIGHT / (cfg["carrier_frequency_thz"] * 1e12) * 1e9)
-    elif fiber["reference_wavelength_nm"] > 1e6:
-        raise ConfigError("fiber.reference_wavelength_nm", "must be <= 1e+06 (1 mm)")
     # past ~3000 dB of span loss the received power leaves the float range
     # and the run fails or reports wrong metrics
     attenuation = fiber["attenuation_db_km"]
     if attenuation * fiber["length_km"] > 2000.0:
         raise ConfigError("fiber.length_km", f"must be <= {2000.0 / attenuation:g} km "
                           f"at {attenuation:g} dB/km (a 2000 dB span loss)")
-    return Scenario(cfg, plan, FiberSpec(**fiber),
-                    MzmParams(*cfg["mzm"].values()) if "mzm" in cfg else None)
+    spec = FiberSpec(**fiber)
+    top = cfg["oversampling"] * bandwidth / 2  # where noise fills the grid
+    with np.errstate(over="ignore", invalid="ignore"):
+        phase = dispersion_phase(spec, top)
+    if not np.isfinite(phase):
+        product = fiber["length_km"] * fiber["dispersion_ps_nm_km"]
+        raise ConfigError("fiber.length_km", f"must be shorter: the L*D product "
+                          f"{product:g} ps/nm makes the dispersion phase infinite "
+                          f"at {top:g} Hz, the grid's top frequency")
+    return Scenario(cfg, plan, spec, params)
+
+
+def _mzm_params(cfg: dict, n_lines: int, spacing: float, block: dict) -> MzmParams:
+    """The config's device, once its top drive harmonic at the index of
+    ``block`` is finite volts: where |H_EO| is 0 the modulator takes 0 * inf."""
+    params = MzmParams(*cfg["mzm"].values())
+    top = n_lines // 2 * spacing
+    with np.errstate(over="ignore", under="ignore"):
+        response = eo_response(top, params)
+    if not response or math.isinf(
+            block["modulation_index"] * params.v_pi / (math.pi * response)):
+        raise ConfigError("mzm.eo_3db_bandwidth_hz", f"must be wider: the {top:g} Hz "
+                          f"drive harmonic needs index*V_pi/(pi*|H_EO|) volts, "
+                          f"infinite at |H_EO| = {response:g}")
+    return params
 
 
 def load_config(path) -> dict:
@@ -345,12 +366,11 @@ def load_config(path) -> dict:
 
 @dataclass
 class ReportBundle:
-    """Everything a run produced: metrics, the comb calibration of a
-    comb-mode run, CSV artifacts."""
+    """Everything a run produced: metrics, a comb calibration, CSV artifacts."""
 
     scenario: dict  # the normalized config echo
     metrics: list[MetricsReport]
-    calibration: FlatCombCalibration | None = None
+    calibration: FlatCombCalibration | None = None  # comb mode or MZM sampler
     artifacts: dict | None = None
 
     def summary(self) -> str:
@@ -510,15 +530,10 @@ def _run(sc: Scenario, calibrations: dict) -> ReportBundle:
     if receiver["compensate_dispersion"]:
         rx = compensate_dispersion(rx, sc.fiber)
 
-    sampler = "ideal"
+    sampler, cal = "ideal", None
     if cfg["sampler"]["mode"] == "mzm":
         cal = _calibrate(plan.n_branches, plan.symbol_rate, cfg["sampler"],
                          sc.mzm_params, calibrations)
-        if not cal.converged:
-            raise RuntimeError(
-                f"comb calibration did not converge: flatness "
-                f"{cal.report.flatness_db:.3f} dB over target "
-                f"{cal.flatness_target_db:g} dB")
         sampler = MzmSampler.from_calibration(cal)
 
     artifacts = {}
@@ -584,7 +599,7 @@ def _run(sc: Scenario, calibrations: dict) -> ReportBundle:
         if "eye" in outputs:
             artifacts[f"branch{l}_eye"] = _eye_rows(y, gain, sc, plan.slot(l))
 
-    return ReportBundle(cfg, metrics=reports, artifacts=artifacts)
+    return ReportBundle(cfg, metrics=reports, calibration=cal, artifacts=artifacts)
 
 
 def _set_by_path(cfg: dict, dotted: str, value) -> None:

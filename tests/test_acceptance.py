@@ -17,13 +17,12 @@ from nyquist_otdm import ChannelPlan
 from nyquist_otdm.demux import MzmSampler, demultiplex
 from nyquist_otdm.link import FiberSpec, compensate_dispersion, dispersion_phase, propagate
 from nyquist_otdm.modem import (
+    Constellation,
     ber_count,
     ber_estimate,
     q_factor,
-    qam16,
     qam_demap,
     qam_map,
-    qpsk,
 )
 from nyquist_otdm.mzm import MzmParams, calibrate_flat_comb
 from nyquist_otdm.nyquist import (
@@ -60,7 +59,7 @@ def test_criterion_01_round_trip_exactness():
     start = time.perf_counter()
     for seed in range(100):
         rng = np.random.default_rng(seed)
-        for constellation in (qpsk(), qam16()):
+        for constellation in (Constellation.of(4), Constellation.of(16)):
             streams = _random_constellation_streams(plan, constellation,
                                                     n_symbols, rng)
             agg = otdm_multiplex(streams, plan, grid)
@@ -82,8 +81,8 @@ def test_criterion_02_construction_equivalence():
         rng = np.random.default_rng(seed)
         for n_symbols in (32, 33):  # both symbol-count parities
             grid = grid_for(plan, n_symbols)
-            streams = _random_constellation_streams(plan, qpsk(), n_symbols,
-                                                    rng)
+            streams = _random_constellation_streams(
+                plan, Constellation.of(4), n_symbols, rng)
             gated = otdm_multiplex(streams, plan, grid)
             interleaved = np.empty(plan.n_branches * n_symbols, dtype=complex)
             for l, stream in enumerate(streams, start=1):
@@ -101,7 +100,7 @@ def _isolation_db(plan, sampler, seed):
     n_symbols = 33
     grid = grid_for(plan, n_symbols)
     active = SymbolStream(
-        qpsk().points[rng.integers(0, 4, n_symbols)], plan.symbol_rate)
+        Constellation.of(4).points[rng.integers(0, 4, n_symbols)], plan.symbol_rate)
     quiet = SymbolStream(np.zeros(n_symbols, dtype=complex), plan.symbol_rate)
     agg = otdm_multiplex([quiet, active, quiet], plan, grid)
     ref_power = float(np.mean(np.abs(active.symbols) ** 2))
@@ -166,7 +165,7 @@ def test_criterion_06_estimated_vs_counted_ber():
     """On synthetic Gaussian QPSK at BER ~5e-4, the Q-based estimate agrees
     with error counting over 10^7 bits within a factor of 3."""
     start = time.perf_counter()
-    c = qpsk()
+    c = Constellation.of(4)
     n_bits = 10_000_000
     n_symbols = n_bits // c.bits_per_symbol
     rng = np.random.default_rng(2024)
@@ -200,7 +199,7 @@ def test_criterion_07_dispersion_oracle():
     rng = np.random.default_rng(42)
     grid = grid_for(plan, 33)
     agg = otdm_multiplex(
-        _random_constellation_streams(plan, qpsk(), 33, rng), plan, grid)
+        _random_constellation_streams(plan, Constellation.of(4), 33, rng), plan, grid)
     back = compensate_dispersion(propagate(agg, fiber), fiber)
     scale = np.max(np.abs(agg.samples))
     assert np.max(np.abs(back.samples - agg.samples)) <= 1e-9 * scale
