@@ -10,7 +10,6 @@ with EVM/Q/BER metrics, and a JSON-driven scenario runner.
 from .core import (
     ChannelPlan,
     Signal,
-    Spectrum,
     TimeGrid,
     delay_signal,
     spectrum,
@@ -82,7 +81,7 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # core
-    "TimeGrid", "Signal", "Spectrum", "ChannelPlan", "spectrum",
+    "TimeGrid", "Signal", "ChannelPlan", "spectrum",
     "delay_signal",
     # nyquist
     "SymbolStream", "nyquist_interpolate", "raised_cosine_shape",

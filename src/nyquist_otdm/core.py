@@ -19,7 +19,6 @@ import numpy as np
 __all__ = [
     "TimeGrid",
     "Signal",
-    "Spectrum",
     "ChannelPlan",
     "spectrum",
     "constant",
@@ -94,11 +93,11 @@ class Signal:
     signed bins with all others zero), or both.  The missing one is computed
     once, on first use, so a chain of per-bin operations pays no transform
     between its steps and touches only the band.  Samples are copied on
-    construction and locked read-only; so are the bins.  Non-finite values
+    construction and locked read-only; so is the band.  Non-finite values
     are rejected so downstream power metrics stay finite.
     """
 
-    __slots__ = ("grid", "_samples", "_band", "_bins")
+    __slots__ = ("grid", "_samples", "_band")
 
     def __init__(self, grid: TimeGrid, samples):
         samples = np.array(samples, dtype=np.complex128)
@@ -114,7 +113,7 @@ class Signal:
         return sig
 
     def _set(self, *values):
-        for name, value in zip(self.__slots__, values + (None,)):
+        for name, value in zip(self.__slots__, values, strict=True):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -144,52 +143,21 @@ class Signal:
 
     @property
     def bins(self) -> np.ndarray:
-        """Unshifted DFT bins, ``np.fft.fft(samples)``."""
-        if self._bins is None:
-            first, band = self._spectrum()
-            bins = np.zeros(self.grid.n_samples, dtype=np.complex128)
-            bins[(first + np.arange(band.size)) % bins.size] = band
-            bins.setflags(write=False)
-            object.__setattr__(self, "_bins", bins)
-        return self._bins
+        """Unshifted DFT bins, ``np.fft.fft(samples)``, built on each read."""
+        first, band = self._spectrum()
+        bins = np.zeros(self.grid.n_samples, dtype=np.complex128)
+        bins[(first + np.arange(band.size)) % bins.size] = band
+        bins.setflags(write=False)
+        return bins
 
     @property
     def power(self) -> float:
         """Mean power ``mean(|samples|^2)``, by Parseval from the bins when
         the samples were never needed."""
         if self._samples is None:
-            n = self.grid.n_samples
-            return float(np.vdot(self.bins, self.bins).real) / n / n
+            n, bins = self.grid.n_samples, self.bins
+            return float(np.vdot(bins, bins).real) / n / n
         return float(np.mean(np.abs(self._samples) ** 2))
-
-
-@dataclass(frozen=True, eq=False)
-class Spectrum:
-    """Amplitude spectrum of a signal, bins in ascending-frequency order.
-
-    ``bins[i]`` is the complex amplitude of the exponential at ``freqs[i]``
-    (frequencies relative to the carrier), so a unit tone occupies a single
-    bin of magnitude 1.
-    """
-
-    grid: TimeGrid
-    bins: np.ndarray
-
-    def __post_init__(self):
-        bins = np.asarray(self.bins, dtype=np.complex128)
-        if bins.ndim != 1 or bins.shape[0] != self.grid.n_samples:
-            raise ValueError("bins must be 1-D and match the grid length")
-        bins = bins.copy()
-        bins.setflags(write=False)
-        object.__setattr__(self, "bins", bins)
-
-    @property
-    def freq_resolution(self) -> float:
-        return self.grid.freq_resolution
-
-    @property
-    def freqs(self) -> np.ndarray:
-        return np.fft.fftshift(np.fft.fftfreq(self.grid.n_samples, self.grid.dt))
 
 
 @dataclass(frozen=True)
@@ -225,14 +193,17 @@ class ChannelPlan:
 
 
 def require_same_grid(a, b) -> None:
-    """Raise if two signals/spectra do not share an identical grid."""
+    """Raise if two signals do not share an identical grid."""
     if a.grid != b.grid:
         raise ValueError("operands must share the same grid")
 
 
-def spectrum(sig: Signal) -> Spectrum:
-    """Amplitude spectrum of ``sig`` (DFT / n, centered on the carrier)."""
-    return Spectrum(sig.grid, np.fft.fftshift(sig.bins) / sig.grid.n_samples)
+def spectrum(sig: Signal) -> np.ndarray:
+    """Read-only amplitude spectrum of ``sig``: DFT / n in ascending
+    frequency, the carrier at index ``n // 2``."""
+    spec = np.fft.fftshift(sig.bins) / sig.grid.n_samples
+    spec.setflags(write=False)
+    return spec
 
 
 def constant(grid: TimeGrid, amplitude: complex = 1.0) -> Signal:

@@ -20,7 +20,7 @@ from .core import ChannelPlan, Signal, TimeGrid, constant, delay_signal
 from .mzm import DrivePlan, FlatCombCalibration, MzmParams, modulate
 from .nyquist import _require_integer, _sequence_lines
 
-__all__ = ["ChannelPlan", "MzmSampler", "demultiplex"]
+__all__ = ["MzmSampler", "demultiplex"]
 
 
 @dataclass(frozen=True)

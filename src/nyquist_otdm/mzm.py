@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import Signal, Spectrum, TimeGrid, constant, spectrum
+from .core import Signal, TimeGrid, constant, spectrum
 
 __all__ = [
     "MzmParams",
@@ -213,37 +213,23 @@ def modulate(field_in: Signal, plan: DrivePlan, params: MzmParams) -> Signal:
     return Signal(grid, transfer * field_in.samples)
 
 
-def _line_bin(spec: Spectrum, k: int, ratio: int) -> int:
-    centre = spec.grid.n_samples // 2
-    idx = centre + k * ratio
-    if not 0 <= idx < spec.grid.n_samples:
-        raise ValueError(
-            f"comb line at {k} times the spacing falls outside the spectrum"
-        )
-    return idx
-
-
-def comb_report(spec: Spectrum, n_lines: int, spacing: float) -> CombReport:
-    """Measure flatness and sideband suppression of a comb spectrum.
-
-    The ``n_lines`` nominal lines sit at multiples of ``spacing`` around the
-    carrier; suppression is taken against the two harmonic orders beyond the
-    nominal comb on each side.  Lines must fall exactly on spectral bins.
+def comb_report(period_spectrum: np.ndarray, n_lines: int, spacing: float) -> CombReport:
+    """Measure flatness and sideband suppression of a comb from
+    :func:`spectrum` of exactly one comb period, where line k sits at index
+    ``len // 2 + k``.  The ``n_lines`` nominal lines are k * ``spacing`` from
+    the carrier; suppression is taken against the two orders beyond them on
+    each side, which the array must hold.
     """
     if n_lines < 3 or n_lines % 2 == 0:
         raise ValueError("n_lines must be an odd integer >= 3")
-    ratio_f = spacing / spec.freq_resolution
-    ratio = round(ratio_f)
-    if ratio < 1 or abs(ratio_f - ratio) > 1e-6 * ratio_f:
-        raise ValueError(
-            f"comb spacing {spacing:g} Hz is not a multiple of the spectral "
-            f"resolution {spec.freq_resolution:g} Hz"
-        )
     half = (n_lines - 1) // 2
+    centre = len(period_spectrum) // 2
+    if centre + half + 2 >= len(period_spectrum):  # then also centre < half + 2
+        raise ValueError(f"a spectrum of {len(period_spectrum)} bins does not hold "
+                         f"the orders +/-{half + 2} of a {n_lines}-line comb")
 
     def line_power_dbm(k: int) -> float:
-        amp = spec.bins[_line_bin(spec, k, ratio)]
-        p = abs(amp) ** 2
+        p = abs(period_spectrum[centre + k]) ** 2
         return float(10.0 * np.log10(p)) if p > 0 else float("-inf")
 
     nominal_orders = range(-half, half + 1)
@@ -498,7 +484,7 @@ def calibrate_flat_comb(
     line_bins = comb.mult // 2 + np.arange(-(n_lines // 2), n_lines // 2 + 1)
     for attempt in range(3):
         spec = spectrum(modulate(constant(grid), plan, params))
-        theta, _ = comb.align(spec.bins[line_bins])
+        theta, _ = comb.align(spec[line_bins])
         residual = float((theta + 0.5) % 1.0 - 0.5) / spacing
         if abs(residual) < 1e-3 * grid.dt or attempt == 2:
             break
@@ -511,14 +497,14 @@ def calibrate_flat_comb(
     # least-squares gain and residual on the lines are the waveform's
     ideal = np.zeros(comb.mult)
     ideal[line_bins] = 1.0 / n_lines
-    gain = complex(np.vdot(spec.bins, ideal) / np.vdot(spec.bins, spec.bins))
+    gain = complex(np.vdot(spec, ideal) / np.vdot(spec, spec))
     report = comb_report(spec, n_lines, spacing)
     return FlatCombCalibration(
         plan=plan, params=params, report=report,
         converged=bool(report.flatness_db <= flatness_target_db),
         flatness_target_db=float(flatness_target_db), gain=gain,
         residual_delay=residual,
-        waveform_rmse_percent=float(100.0 * np.linalg.norm(gain * spec.bins - ideal)),
+        waveform_rmse_percent=float(100.0 * np.linalg.norm(gain * spec - ideal)),
     )
 
 

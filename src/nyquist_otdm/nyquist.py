@@ -47,10 +47,6 @@ class SymbolStream:
     def __len__(self) -> int:
         return int(self.symbols.shape[0])
 
-    @property
-    def power(self) -> float:
-        return float(np.mean(np.abs(self.symbols) ** 2))
-
 
 def _require_integer(value: float, what: str) -> int:
     n = round(value)

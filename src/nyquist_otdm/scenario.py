@@ -64,7 +64,7 @@ __all__ = [
 
 CONFIG_VERSION = 1
 _FLOAT_FMT = "%.17g"
-# Spectrum artifacts keep the rows with |f| <= _BAND_MARGIN times the
+# The spectrum artifacts keep the rows with |f| <= _BAND_MARGIN times the
 # signal's half-width, so the multiplexed spectrum still holds rows beyond
 # +-B/2 that show its band edge.
 _BAND_MARGIN = 1.25
@@ -326,6 +326,9 @@ def parse_scenario(raw: dict) -> Scenario:
                           f"at {attenuation:g} dB/km (a 2000 dB span loss)")
     spec = FiberSpec(**fiber)
     top = cfg["oversampling"] * bandwidth / 2  # where noise fills the grid
+    if not math.isfinite(top * top):  # the phase is L*D * inf, nan at any length
+        raise ConfigError("oversampling", f"must be lower: the grid's top frequency "
+                          f"{top:g} Hz has no finite square for the dispersion phase")
     with np.errstate(over="ignore", invalid="ignore"):
         phase = dispersion_phase(spec, top)
     if not np.isfinite(phase):

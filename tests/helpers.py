@@ -32,6 +32,11 @@ def tone(grid: TimeGrid, frequency: float, amplitude: float = 1.0,
     return Signal(grid, amplitude * np.exp(1j * (2 * np.pi * frequency * grid.t + phase)))
 
 
+def freqs(grid: TimeGrid) -> np.ndarray:
+    """Frequency of each bin of ``spectrum()`` on ``grid``, ascending."""
+    return np.fft.fftshift(np.fft.fftfreq(grid.n_samples, grid.dt))
+
+
 def periodic_sinc_kernel(x, m: int):
     """Interpolation kernel of ``m`` equispaced samples, evaluated at ``x``
     sample periods from the peak.

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from helpers import rmse_percent, tone
+from helpers import freqs, rmse_percent, tone
 from nyquist_otdm import ChannelPlan, Signal, TimeGrid, delay_signal, spectrum
 from nyquist_otdm.core import _CSV_BLOCK_ROWS, _write_csv, constant, require_same_grid
 
@@ -57,8 +57,7 @@ def test_spectrum_inverse_round_trip():
     rng = np.random.default_rng(11)
     grid = TimeGrid(10e9, 250)
     sig = Signal(grid, rng.standard_normal(250) + 1j * rng.standard_normal(250))
-    spec = spectrum(sig)
-    back = Signal._of_bins(grid, np.fft.ifftshift(spec.bins) * grid.n_samples)
+    back = Signal._of_bins(grid, np.fft.ifftshift(spectrum(sig)) * grid.n_samples)
     assert back.power == pytest.approx(sig.power, rel=1e-12)
     assert_allclose(back.samples, sig.samples, atol=1e-12)
     with pytest.raises(ValueError):
@@ -69,10 +68,13 @@ def test_spectrum_of_constant_is_dc_bin():
     """A unit constant appears as amplitude 1 in the DC bin alone."""
     grid = TimeGrid(8e9, 64)
     spec = spectrum(constant(grid))
-    dc = np.argmin(np.abs(spec.freqs))
-    assert spec.freqs[dc] == 0.0
-    assert spec.bins[dc] == pytest.approx(1.0)
-    others = np.delete(spec.bins, dc)
+    dc = np.argmin(np.abs(freqs(grid)))
+    assert freqs(grid)[dc] == 0.0
+    assert dc == grid.n_samples // 2
+    assert spec[dc] == pytest.approx(1.0)
+    with pytest.raises(ValueError):
+        spec[dc] = 0.0
+    others = np.delete(spec, dc)
     assert np.max(np.abs(others)) < 1e-12
 
 
@@ -80,8 +82,8 @@ def test_spectrum_tone_lands_on_bin_with_unit_amplitude():
     grid = TimeGrid(16e9, 128)
     f = 4 * grid.freq_resolution
     spec = spectrum(tone(grid, f))
-    k = np.argmin(np.abs(spec.freqs - f))
-    assert spec.bins[k] == pytest.approx(1.0, abs=1e-12)
+    k = np.argmin(np.abs(freqs(grid) - f))
+    assert spec[k] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_spectrum_power_identity():
@@ -90,7 +92,7 @@ def test_spectrum_power_identity():
     grid = TimeGrid(20e9, 100)
     sig = Signal(grid, rng.standard_normal(100) + 1j * rng.standard_normal(100))
     spec = spectrum(sig)
-    assert np.sum(np.abs(spec.bins) ** 2) == pytest.approx(sig.power)
+    assert np.sum(np.abs(spec) ** 2) == pytest.approx(sig.power)
 
 
 def test_delay_signal_integer_samples_is_circular_roll():

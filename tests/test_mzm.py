@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.special import jv
 
-from helpers import align_delay_gain, rmse_percent, sequence_directly, tone
+from helpers import align_delay_gain, freqs, rmse_percent, sequence_directly, tone
 from nyquist_otdm import Signal, TimeGrid, delay_signal, mzm, spectrum
 from nyquist_otdm.core import constant
 from nyquist_otdm.mzm import (
@@ -113,11 +113,11 @@ class TestModulate:
         theta = (0.3, 2.0)
         loss = 10 ** (-2.0 / 20)
         for k in range(-6, 7):
-            idx = np.argmin(np.abs(spec.freqs - k * f0))
+            idx = np.argmin(np.abs(freqs(grid) - k * f0))
             expect = loss * 0.5 * sum(
                 a[i] * jv(k, m[i]) * np.exp(1j * (bias[i] + k * theta[i]))
                 for i in range(2))
-            assert spec.bins[idx] == pytest.approx(expect, abs=1e-12)
+            assert spec[idx] == pytest.approx(expect, abs=1e-12)
 
     def test_rejects_tone_at_or_above_nyquist(self):
         grid = TimeGrid(20e9, 40)
@@ -128,13 +128,15 @@ class TestModulate:
 
 class TestCombReport:
     def test_synthetic_spectrum(self):
+        """On 8 periods of 32 samples, line k sits at 8 * (16 + k): every
+        8th bin is the one-period spectrum."""
         sp = 10e9
         grid = TimeGrid(32 * sp, 32 * 8)
         sig = (tone(grid, -sp).samples + 0.9 * tone(grid, 0.0).samples
                + tone(grid, sp).samples
                + 0.1 * tone(grid, 2 * sp).samples
                + 0.01 * tone(grid, -3 * sp).samples)
-        report = comb_report(spectrum(Signal(grid, sig)), 3, sp)
+        report = comb_report(spectrum(Signal(grid, sig))[::8], 3, sp)
         assert report.line_frequencies_hz == (-sp, 0.0, sp)
         assert_allclose(report.line_powers_dbm,
                         (0.0, 20 * math.log10(0.9), 0.0), atol=1e-9)
@@ -143,13 +145,17 @@ class TestCombReport:
         assert report.sideband_suppression_db == pytest.approx(
             20 * math.log10(0.9) + 20.0, abs=1e-9)
 
-    def test_rejects_off_bin_spacing_and_even_lines(self):
-        grid = TimeGrid(32e9, 64)
-        spec = spectrum(constant(grid))
+    def test_rejects_even_lines_and_short_spectra(self):
+        """Line k sits at len // 2 + k, so the orders +/-(h+2) need
+        n_lines + 4 bins; a shorter array is refused, not read at an index
+        that wraps."""
         with pytest.raises(ValueError):
-            comb_report(spec, 4, 1e9)
-        with pytest.raises(ValueError):
-            comb_report(spec, 3, 1.3e9)
+            comb_report(spectrum(constant(TimeGrid(32e9, 64))), 4, 1e9)
+        for n_lines in (3, 5, 7):
+            assert comb_report(np.ones(n_lines + 4), n_lines, 1e9).flatness_db == 0.0
+            for short in (n_lines + 3, n_lines + 2):
+                with pytest.raises(ValueError, match="does not hold"):
+                    comb_report(np.ones(short), n_lines, 1e9)
 
 
 class TestAlignDelayGain:
@@ -194,17 +200,17 @@ class TestOnePeriodComb:
         x = np.array([bias, ratio] + scales[:(n_lines - 3) // 2])
         lines, power = comb.lines(x)
 
-        freqs = spacing * np.arange(1, n_lines // 2 + 1)
+        harmonics = spacing * np.arange(1, n_lines // 2 + 1)
         indices = 0.3 * np.concatenate(([1.0], x[2:]))
         plan = push_pull_plan(
-            freqs, indices * PARAMS.v_pi / (math.pi * eo_response(freqs, PARAMS)),
+            harmonics, indices * PARAMS.v_pi / (math.pi * eo_response(harmonics, PARAMS)),
             bias, arm2_drive_ratio=ratio)
         grid = TimeGrid(32 * spacing, 32 * 16)
         out = modulate(constant(grid), plan, PARAMS)
         ideal = Signal(grid, sequence_directly(n_lines, n_lines * spacing, grid.t)
                        .astype(complex))
         _, _, aligned = align_delay_gain(out, ideal)
-        report = comb_report(spectrum(out), n_lines, spacing)
+        report = comb_report(spectrum(out)[::16], n_lines, spacing)  # 16 periods
         assert comb.flatness_db(lines) == pytest.approx(report.flatness_db, rel=1e-9)
         assert comb.rmse_percent(lines, power) == pytest.approx(
             rmse_percent(aligned, ideal), rel=1e-9)
@@ -273,9 +279,9 @@ class TestCalibration:
         for spacing, params in setups:
             tried.append([])
             cal = calibrate_flat_comb(5, spacing, params, modulation_index=0.3)
-            (freqs, volts, bias), ratio = picked[-1]
-            assert_allclose(freqs, [spacing, 2 * spacing], rtol=0)
-            eo = eo_response(np.asarray(freqs), params)
+            (harmonics, volts, bias), ratio = picked[-1]
+            assert_allclose(harmonics, [spacing, 2 * spacing], rtol=0)
+            eo = eo_response(np.asarray(harmonics), params)
             if len(tried) == 1:
                 indices = np.asarray(volts) * math.pi * eo / params.v_pi
                 assert indices[0] == pytest.approx(0.3, rel=1e-15)

@@ -17,6 +17,7 @@ from nyquist_otdm.nyquist import (
 )
 
 from helpers import (
+    freqs,
     grid_for,
     interpolate_directly,
     random_streams,
@@ -69,11 +70,11 @@ class TestSincSequence:
         spec = spectrum(sequence_from_lines(ChannelPlan(n, b), grid))
         spacing = b / n
         for k in range(-(n // 2), n // 2 + 1):
-            idx = np.argmin(np.abs(spec.freqs - k * spacing))
-            assert spec.bins[idx] == pytest.approx(1 / n, abs=1e-12)
-        line_idx = [np.argmin(np.abs(spec.freqs - k * spacing))
+            idx = np.argmin(np.abs(freqs(grid) - k * spacing))
+            assert spec[idx] == pytest.approx(1 / n, abs=1e-12)
+        line_idx = [np.argmin(np.abs(freqs(grid) - k * spacing))
                     for k in range(-(n // 2), n // 2 + 1)]
-        rest = np.delete(spec.bins, line_idx)
+        rest = np.delete(spec, line_idx)
         assert np.max(np.abs(rest)) < 1e-12
 
     def test_rejects_bad_specs(self):
@@ -136,8 +137,8 @@ class TestNyquistInterpolate:
         stream = SymbolStream(rng.standard_normal(9) + 1j * rng.standard_normal(9),
                               plan.symbol_rate)
         spec = spectrum(nyquist_interpolate(stream, grid))
-        outside = np.abs(spec.freqs) > plan.symbol_rate / 2 + 1e-3
-        assert np.max(np.abs(spec.bins[outside])) < 1e-12
+        outside = np.abs(freqs(grid)) > plan.symbol_rate / 2 + 1e-3
+        assert np.max(np.abs(spec[outside])) < 1e-12
 
 
 class TestRaisedCosine:
@@ -171,8 +172,8 @@ class TestRaisedCosine:
             return 0.5 * (1 + np.cos(np.pi / (rolloff * rate) * (f - lo)))
 
         for f in (0.0, 1e9, 2e9, 2.5e9, 3e9, 4e9):
-            idx = np.argmin(np.abs(spec.freqs - f))
-            assert spec.bins[idx] == pytest.approx(rc(f) / n_syms, abs=1e-12)
+            idx = np.argmin(np.abs(freqs(grid) - f))
+            assert spec[idx] == pytest.approx(rc(f) / n_syms, abs=1e-12)
 
     def test_offset_is_a_delay(self):
         """Shaping at any offset, on the grid or between samples, is the

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import freqs
 from nyquist_otdm import scenario, spectrum
 from nyquist_otdm.cli import main
 from nyquist_otdm.modem import Q_FLOOR_DB
@@ -502,14 +503,14 @@ class TestBundleArtifacts:
         signal_of = {id(rows): args[0] for args, rows in calls}
         for name, width in half.items():
             header, fmt, rows = bundle.artifacts[name]
-            spec = spectrum(signal_of[id(bundle.artifacts[name])])
-            power = 10.0 * np.log10(np.maximum(np.abs(spec.bins) ** 2, 1e-30))
-            full = np.column_stack([spec.freqs, power])
-            expected = full[np.abs(spec.freqs) <= 1.25 * width]
+            sig = signal_of[id(bundle.artifacts[name])]
+            power = 10.0 * np.log10(np.maximum(np.abs(spectrum(sig)) ** 2, 1e-30))
+            full = np.column_stack([freqs(sig.grid), power])
+            expected = full[np.abs(freqs(sig.grid)) <= 1.25 * width]
             assert header == "f_Hz,power_dBm"
             assert rows.tobytes() == expected.tobytes(), name
-        freqs = bundle.artifacts["spectrum_multiplexed"][2][:, 0]
-        assert np.any(np.abs(freqs) > b / 2)
+        mux_freqs = bundle.artifacts["spectrum_multiplexed"][2][:, 0]
+        assert np.any(np.abs(mux_freqs) > b / 2)
 
     @pytest.mark.parametrize("cfg, per_symbol", [(SINC, 16), (RC, 16), (SLOW_RC, 32)],
                              ids=["sinc_24_to_16", "raised_cosine_48_to_16",
@@ -966,6 +967,12 @@ class TestCli:
                      "fiber.length_km", id="dispersion"),
         pytest.param({"fiber": {"length_km": 1e307, "attenuation_db_km": 0.0}},
                      "fiber.length_km", id="lossless-length"),
+        # the grid's top frequency squares to inf: no length makes the phase finite
+        pytest.param({"plan": {"n_branches": 3, "aggregate_bandwidth_hz": 1e150},
+                      "oversampling": 30000}, "oversampling", id="grid-top-no-fiber"),
+        pytest.param({"plan": {"n_branches": 3, "aggregate_bandwidth_hz": 1e150},
+                      "oversampling": 30000, "fiber": {"length_km": 10.0}},
+                     "oversampling", id="grid-top-10km"),
         pytest.param({"laser": {"linewidth_hz": 1.7e308}}, "laser.linewidth_hz",
                      id="linewidth"),
         pytest.param({"receiver": {"lo_power_w": 1.7e308}}, "receiver.lo_power_w",
@@ -1033,6 +1040,8 @@ class TestCli:
                      id="dispersion"),
         pytest.param(noisy_config(fiber={"length_km": 1e300, "attenuation_db_km": 0.0}),
                      id="lossless-length"),
+        pytest.param(noisy_config(plan={"n_branches": 3, "aggregate_bandwidth_hz": 1e150},
+                                  oversampling=26000), id="grid-top"),
         pytest.param(noisy_config(laser={"linewidth_hz": 1e300}), id="linewidth"),
         pytest.param(noisy_config(receiver={"lo_power_w": 1e100}, n_symbols=63),
                      id="lo-power"),
