@@ -14,7 +14,7 @@ from .core import (
     delay_signal,
     spectrum,
 )
-from .demux import MzmSampler, demultiplex
+from .demux import demultiplex
 from .link import (
     SPEED_OF_LIGHT,
     FiberSpec,
@@ -58,7 +58,6 @@ from .mzm import (
     push_pull_plan,
 )
 from .nyquist import (
-    SymbolStream,
     multiplex_branch_signals,
     nyquist_interpolate,
     otdm_multiplex,
@@ -84,7 +83,7 @@ __all__ = [
     "TimeGrid", "Signal", "ChannelPlan", "spectrum",
     "delay_signal",
     # nyquist
-    "SymbolStream", "nyquist_interpolate", "raised_cosine_shape",
+    "nyquist_interpolate", "raised_cosine_shape",
     "sample_symbols", "multiplex_branch_signals", "otdm_multiplex",
     # mzm
     "MzmParams", "DriveTone", "DrivePlan", "CombReport",
@@ -92,7 +91,7 @@ __all__ = [
     "push_pull_plan", "comb_report", "calibrate_flat_comb",
     "format_comb_table",
     # demux
-    "MzmSampler", "demultiplex",
+    "demultiplex",
     # link
     "SPEED_OF_LIGHT", "FiberSpec", "NoiseSpec", "propagate",
     "compensate_dispersion", "dispersion_phase", "add_noise",

@@ -12,6 +12,8 @@ of magnitude 1 and ``|bin|**2`` reads directly as line power.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,26 +31,27 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform sampling grid.
+    """Uniform sampling grid whose first sample is at t = 0.
 
     Parameters
     ----------
     sample_rate : float
-        Samples per second (Hz).
+        Samples per second (Hz), finite and positive.
     n_samples : int
-        Number of samples in the window.
-    t0 : float
-        Time of the first sample (s).
+        Number of samples in the window, an integer (not a bool).
     """
 
     sample_rate: float
     n_samples: int
-    t0: float = 0.0
 
     def __post_init__(self):
-        if not self.sample_rate > 0:
-            raise ValueError("sample_rate must be positive")
-        if int(self.n_samples) != self.n_samples or self.n_samples <= 0:
+        if not (self.sample_rate > 0 and math.isfinite(self.sample_rate)):
+            raise ValueError("sample_rate must be finite and positive")
+        try:
+            n = operator.index(self.n_samples)
+        except TypeError:
+            n = 0
+        if isinstance(self.n_samples, bool) or n <= 0:
             raise ValueError("n_samples must be a positive integer")
 
     @property
@@ -69,7 +72,7 @@ class TimeGrid:
 
     @property
     def t(self) -> np.ndarray:
-        return self.t0 + np.arange(self.n_samples) / self.sample_rate
+        return np.arange(self.n_samples) / self.sample_rate
 
 
 def _locked(values, what: str, lengths) -> np.ndarray:

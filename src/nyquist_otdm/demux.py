@@ -12,33 +12,13 @@ delayed by (l-1)/B: the same lines, each turned by a phase.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import ChannelPlan, Signal, TimeGrid, constant, delay_signal
-from .mzm import DrivePlan, FlatCombCalibration, MzmParams, modulate
+from .mzm import FlatCombCalibration, modulate
 from .nyquist import _require_integer, _sequence_lines
 
-__all__ = ["MzmSampler", "demultiplex"]
-
-
-@dataclass(frozen=True)
-class MzmSampler:
-    """Sampling-pulse source backed by a calibrated MZM drive.
-
-    ``gain`` references the modulator output back to the unit-peak ideal
-    sequence; build instances via :meth:`from_calibration` so the gain
-    comes from an actual calibration run.
-    """
-
-    drive_plan: DrivePlan
-    params: MzmParams
-    gain: complex = 1.0 + 0.0j
-
-    @classmethod
-    def from_calibration(cls, cal: FlatCombCalibration) -> "MzmSampler":
-        return cls(drive_plan=cal.plan, params=cal.params, gain=cal.gain)
+__all__ = ["demultiplex"]
 
 
 def _branch_rows(lines: np.ndarray, n_branches: int) -> np.ndarray:
@@ -50,27 +30,24 @@ def _branch_rows(lines: np.ndarray, n_branches: int) -> np.ndarray:
     return lines * np.exp(-2j * np.pi * turns / n_branches)
 
 
-def _sampling_lines(plan: ChannelPlan, sampler: str | MzmSampler,
+def _sampling_lines(plan: ChannelPlan, sampler: FlatCombCalibration | None,
                     grid: TimeGrid):
     """Spectral lines (bin shifts, one row of coefficients per branch) of
     the sampling pulse trains on ``grid``; row l-1 is branch l's.
 
-    ``sampler="ideal"`` gives the N lines of the exact sinc sequences.  An
-    :class:`MzmSampler` drives the modulator model over one sequence period
-    of the grid, divides out the calibration gain and takes the period's
-    P-point DFT: the P lines of the transfer on the whole grid, which agree
-    with branch 1's sequence to within the calibrated comb's waveform
-    error.  The other branches' rows turn those lines by their slot's phase,
-    which is exact only for drive tones at harmonics of the branch rate.
+    ``sampler=None`` gives the N lines of the exact sinc sequences.  A
+    :class:`FlatCombCalibration` drives the modulator model with its drive
+    plan over one sequence period of the grid, scales by its gain and takes
+    the period's P-point DFT: the P lines of the transfer on the whole grid,
+    which agree with branch 1's sequence to within the calibrated comb's
+    waveform error.  The other branches' rows turn those lines by their
+    slot's phase, which is exact only for drive tones at harmonics of the
+    branch rate.
     """
-    if isinstance(sampler, str):
-        if sampler != "ideal":
-            raise ValueError(f"unknown sampler {sampler!r}")
+    if sampler is None:
         return _sequence_lines(plan, grid)
-    if not isinstance(sampler, MzmSampler):
-        raise TypeError("sampler must be 'ideal' or an MzmSampler")
     rate = plan.symbol_rate
-    for f in (t.frequency for t in sampler.drive_plan.tones):
+    for f in (t.frequency for t in sampler.plan.tones):
         if abs(f / rate - round(f / rate)) > 1e-6:
             raise ValueError(f"tone at {f:g} Hz is not a harmonic of the "
                              f"branch rate {rate:g} Hz")
@@ -80,22 +57,24 @@ def _sampling_lines(plan: ChannelPlan, sampler: str | MzmSampler,
     # the period's samples, so its lines are branch 1's turned, aliases too
     period = plan.n_branches * _require_integer(
         grid.sample_rate / plan.aggregate_bandwidth, "samples per branch slot")
-    one_period = TimeGrid(grid.sample_rate, period, grid.t0)
-    transfer = modulate(constant(one_period), sampler.drive_plan,
+    one_period = TimeGrid(grid.sample_rate, period)
+    transfer = modulate(constant(one_period), sampler.plan,
                         sampler.params).samples
     lines = np.fft.fft(transfer) * (sampler.gain / period)
     return np.arange(period) * spacing, _branch_rows(lines, plan.n_branches)
 
 
 def demultiplex(sig: Signal, plan: ChannelPlan,
-                sampler: str | MzmSampler = "ideal",
+                sampler: FlatCombCalibration | None = None,
                 timing_delay: float = 0.0) -> tuple[Signal, ...]:
     """Recover every branch's baseband signal from the aggregate, branch 1 first.
 
-    Sampling, brickwall low-pass at B/(2N), and the factor N restoring the
-    1/N gain of sequence sampling.  ``timing_delay`` models a known receiver
-    clock offset and is removed before the sampling multiplication, where it
-    still matters — the sequence zeros must land between the wanted symbols.
+    ``sampler`` is the comb calibration whose drive makes the sampling
+    pulses, or None for the ideal sinc sequences.  Sampling, brickwall
+    low-pass at B/(2N), and the factor N restoring the 1/N gain of sequence
+    sampling.  ``timing_delay`` models a known receiver clock offset and is
+    removed before the sampling multiplication, where it still matters —
+    the sequence zeros must land between the wanted symbols.
     Only the detection band's bins are computed, from one gather for all
     branches: each is a sum of the aggregate's bins one sampling line apart.
 

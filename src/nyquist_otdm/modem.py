@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nyquist import SymbolStream
-
 __all__ = [
     "Q_CAP_DB",
     "Q_FLOOR_DB",
@@ -93,14 +91,7 @@ class Constellation:
         return np.asarray(_AXIS_LEVELS[side]) / norm
 
 
-def _as_symbols(x) -> np.ndarray:
-    if isinstance(x, SymbolStream):
-        return x.symbols
-    return np.asarray(x, dtype=np.complex128)
-
-
-def qam_map(bits, constellation: Constellation,
-            symbol_rate: float = 1.0) -> SymbolStream:
+def qam_map(bits, constellation: Constellation) -> np.ndarray:
     """Map a 0/1 bit array onto constellation symbols (MSB first)."""
     bits = np.asarray(bits)
     bps = constellation.bits_per_symbol
@@ -110,12 +101,12 @@ def qam_map(bits, constellation: Constellation,
         raise ValueError("bits must be 0 or 1")
     weights = 1 << np.arange(bps - 1, -1, -1)
     values = bits.reshape(-1, bps) @ weights
-    return SymbolStream(constellation.points[values], symbol_rate)
+    return constellation.points[values]
 
 
 def decide_indices(symbols, constellation: Constellation) -> np.ndarray:
     """Nearest-point decision, returned as symbol values (bit patterns)."""
-    syms = _as_symbols(symbols)
+    syms = np.asarray(symbols, dtype=np.complex128)
     levels = constellation._axis_levels
     side = constellation._side
     codes = np.asarray(_AXIS_CODES[side])
@@ -149,8 +140,8 @@ def evm(rx, ref, n_blocks: int = 10) -> EvmResult:
     The +/- spread is the sample standard deviation over ``n_blocks``
     contiguous blocks.
     """
-    rx = _as_symbols(rx)
-    ref = _as_symbols(ref)
+    rx = np.asarray(rx, dtype=np.complex128)
+    ref = np.asarray(ref, dtype=np.complex128)
     if rx.shape != ref.shape:
         raise ValueError("rx and ref must have the same length")
     ref_rms = np.sqrt(np.mean(np.abs(ref) ** 2))
@@ -228,8 +219,8 @@ def q_factor(rx, ref, n_blocks: int = 10) -> QFactorResult:
     pair is reported.  Values above ``Q_CAP_DB`` are capped and values
     below ``Q_FLOOR_DB`` floored, each flagged.
     """
-    rx = _as_symbols(rx)
-    ref = _as_symbols(ref)
+    rx = np.asarray(rx, dtype=np.complex128)
+    ref = np.asarray(ref, dtype=np.complex128)
     if rx.shape != ref.shape:
         raise ValueError("rx and ref must have the same length")
 

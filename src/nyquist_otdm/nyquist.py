@@ -9,14 +9,11 @@ round trips are exact to machine precision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import ChannelPlan, Signal, TimeGrid, require_same_grid
 
 __all__ = [
-    "SymbolStream",
     "nyquist_interpolate",
     "raised_cosine_shape",
     "sample_symbols",
@@ -27,27 +24,6 @@ __all__ = [
 _INT_TOL = 1e-9
 
 
-@dataclass(frozen=True, eq=False)
-class SymbolStream:
-    """Block of complex symbols at a fixed symbol rate."""
-
-    symbols: np.ndarray
-    symbol_rate: float
-
-    def __post_init__(self):
-        symbols = np.asarray(self.symbols, dtype=np.complex128)
-        if symbols.ndim != 1 or symbols.shape[0] == 0:
-            raise ValueError("symbols must be a non-empty 1-D array")
-        if not self.symbol_rate > 0:
-            raise ValueError("symbol_rate must be positive")
-        symbols = symbols.copy()
-        symbols.setflags(write=False)
-        object.__setattr__(self, "symbols", symbols)
-
-    def __len__(self) -> int:
-        return int(self.symbols.shape[0])
-
-
 def _require_integer(value: float, what: str) -> int:
     n = round(value)
     if abs(value - n) > _INT_TOL * max(1.0, abs(value)):
@@ -55,7 +31,7 @@ def _require_integer(value: float, what: str) -> int:
     return int(n)
 
 
-def nyquist_interpolate(stream: SymbolStream, grid: TimeGrid,
+def nyquist_interpolate(symbols, symbol_rate: float, grid: TimeGrid,
                         t_offset: float = 0.0) -> Signal:
     """Zero-ISI interpolation of a symbol block with a periodized sinc kernel.
 
@@ -66,27 +42,30 @@ def nyquist_interpolate(stream: SymbolStream, grid: TimeGrid,
     split half-and-half between +R/2 and -R/2, which keeps the interpolation
     exact with half-amplitude edge bins.
     """
-    return raised_cosine_shape(stream, 0.0, grid, t_offset)
+    return raised_cosine_shape(symbols, symbol_rate, 0.0, grid, t_offset)
 
 
-def raised_cosine_shape(stream: SymbolStream, rolloff: float, grid: TimeGrid,
-                        t_offset: float = 0.0) -> Signal:
-    """Raised-cosine pulse shaping of a symbol block on a circular window.
+def raised_cosine_shape(symbols, symbol_rate: float, rolloff: float,
+                        grid: TimeGrid, t_offset: float = 0.0) -> Signal:
+    """Raised-cosine pulse shaping of a 1-D symbol block on a circular window.
 
     rolloff 0 is :func:`nyquist_interpolate`; rolloff r occupies
     ``(1 + r) * symbol_rate / 2`` on each side while keeping the symbol
     instants ``t_offset + k/symbol_rate`` ISI-free.
     """
+    symbols = np.asarray(symbols, dtype=np.complex128)
+    if symbols.ndim != 1 or symbols.shape[0] == 0:
+        raise ValueError("symbols must be a non-empty 1-D array")
     if not 0.0 <= rolloff <= 1.0:
         raise ValueError(f"rolloff must lie in [0, 1], got {rolloff:g}")
-    r_sym = stream.symbol_rate
-    m_sym = len(stream)
+    r_sym = symbol_rate
+    m_sym = symbols.shape[0]
     window_symbols = _require_integer(grid.duration * r_sym,
                                       "grid window in symbol periods")
     if window_symbols != m_sym:
         raise ValueError(
             f"grid window holds {window_symbols} symbol periods but the "
-            f"stream has {m_sym} symbols"
+            f"block has {m_sym} symbols"
         )
     if r_sym >= grid.sample_rate:
         raise ValueError("symbol_rate must be below the grid sample rate")
@@ -112,23 +91,25 @@ def raised_cosine_shape(stream: SymbolStream, rolloff: float, grid: TimeGrid,
     # The symbols' periodic interpolant has the M lines fft(symbols)[k mod M]
     # / M at bins k, phase-referenced to the first symbol instant; the shaped
     # signal's bins are those lines times the shape times n.
-    ramp = np.exp(-2j * np.pi * k * df * (t_offset - grid.t0))
-    bins = (n / m_sym) * shape * ramp * np.fft.fft(stream.symbols)[k % m_sym]
+    ramp = np.exp(-2j * np.pi * k * df * t_offset)
+    bins = (n / m_sym) * shape * ramp * np.fft.fft(symbols)[k % m_sym]
     return Signal._of_bins(grid, bins, int(k[0]))
 
 
 def sample_symbols(sig: Signal, symbol_rate: float, t_offset: float = 0.0,
-                   n_symbols: int | None = None) -> SymbolStream:
+                   n_symbols: int | None = None) -> np.ndarray:
     """Read symbols back off a signal at ``t = t_offset + k/symbol_rate``.
 
     Symbol instants must fall on grid samples and the window must hold a
     whole number M of symbol periods.  The values come from the signal's
     bins: folded onto M bins, then one M-point inverse FFT.
     """
+    if not symbol_rate > 0:
+        raise ValueError("symbol_rate must be positive")
     grid = sig.grid
     n = grid.n_samples
     sps = _require_integer(grid.sample_rate / symbol_rate, "samples per symbol")
-    start = _require_integer((t_offset - grid.t0) * grid.sample_rate,
+    start = _require_integer(t_offset * grid.sample_rate,
                              "symbol offset in samples")
     m_sym = _require_integer(grid.duration * symbol_rate,
                              "grid window in symbol periods")
@@ -145,7 +126,7 @@ def sample_symbols(sig: Signal, symbol_rate: float, t_offset: float = 0.0,
     fold = sum(turns[i] * rows[i] for i in np.argsort(a % sps, kind="stable"))
     fold *= np.exp(2j * np.pi * ((np.arange(m_sym) * start) % n) / n)
     values = np.fft.ifft(fold) / sps
-    return SymbolStream(values[np.arange(n_symbols) % m_sym], symbol_rate)
+    return values[np.arange(n_symbols) % m_sym]
 
 
 def _sequence_lines(plan: ChannelPlan, grid: TimeGrid):
@@ -166,7 +147,7 @@ def _sequence_lines(plan: ChannelPlan, grid: TimeGrid):
     orders = np.arange(-half, half + 1)
     slots = np.arange(plan.n_branches)[:, None] / plan.aggregate_bandwidth
     rows = np.exp(2j * np.pi * orders * plan.symbol_rate
-                  * (grid.t0 - slots)) / plan.n_branches
+                  * -slots) / plan.n_branches
     return orders * spacing, rows
 
 
@@ -206,28 +187,21 @@ def multiplex_branch_signals(branch_signals: list[Signal],
     return Signal._of_bins(grid, acc, int(band[0] + shifts[0]))
 
 
-def otdm_multiplex(channels: list[SymbolStream], plan: ChannelPlan,
+def otdm_multiplex(symbols, symbol_rate: float, plan: ChannelPlan,
                    grid: TimeGrid, rolloff: float = 0.0) -> Signal:
-    """Multiplex N symbol streams into one B-wide signal.
+    """Multiplex N symbol blocks, all at ``symbol_rate``, into one B-wide signal.
 
-    Each stream is raised-cosine shaped with ``rolloff`` at the rate all
-    streams share, at its branch offset, and gated by the branch sequence.
-    Streams at the branch rate B/N with rolloff 0 are sinc-interpolated: the
-    aggregate occupies exactly |f| <= B/2 and carries stream l's symbols
-    untouched at ``t = (k*N + l - 1)/B``.
+    Each block is raised-cosine shaped with ``rolloff`` at its branch
+    offset and gated by the branch sequence.  Blocks at the branch rate B/N
+    with rolloff 0 are sinc-interpolated: the aggregate occupies exactly
+    |f| <= B/2 and carries block l's symbols untouched at
+    ``t = (k*N + l - 1)/B``.
     """
-    if len(channels) != plan.n_branches:
+    if len(symbols) != plan.n_branches:
         raise ValueError(
-            f"expected {plan.n_branches} channels, got {len(channels)}"
+            f"expected {plan.n_branches} symbol blocks, got {len(symbols)}"
         )
-    rate = channels[0].symbol_rate
-    shaped = []
-    for l, stream in enumerate(channels, start=1):
-        if abs(stream.symbol_rate - rate) > 1e-6 * rate:
-            raise ValueError(
-                f"channel {l} symbol_rate {stream.symbol_rate:g} does not "
-                f"match channel 1's {rate:g}"
-            )
-        shaped.append(raised_cosine_shape(stream, rolloff, grid,
-                                          t_offset=plan.slot(l)))
+    shaped = [raised_cosine_shape(block, symbol_rate, rolloff, grid,
+                                  t_offset=plan.slot(l))
+              for l, block in enumerate(symbols, start=1)]
     return multiplex_branch_signals(shaped, plan)

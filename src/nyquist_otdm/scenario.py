@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import ChannelPlan, Signal, TimeGrid, _write_csv, delay_signal
-from .demux import MzmSampler, demultiplex
+from .demux import demultiplex
 from .link import (
     SPEED_OF_LIGHT,
     FiberSpec,
@@ -470,7 +470,7 @@ def _eye_rows(y: Signal, gain: complex, sc: Scenario, t_offset: float):
     bins = np.zeros(p, dtype=np.complex128)
     bins[(first + np.arange(values.size)) % p] = values
     amp = (np.fft.ifft(bins) * (p / n) * gain).real
-    phase = (y.grid.t0 - t_offset) * per_symbol * rate
+    phase = -t_offset * per_symbol * rate
     k = np.arange(p) % (2 * per_symbol)
     t_fold = np.mod(k + phase, 2 * per_symbol) / (per_symbol * rate)
     return "t_mod_2symbols,amplitude", _FLOAT_FMT, np.column_stack([t_fold, amp])
@@ -491,14 +491,14 @@ def _calibrate(n_lines: int, spacing: float, block: dict, params: MzmParams,
     return calibrations[key]
 
 
-def run_scenario(sc: Scenario) -> ReportBundle:
-    """Run one scenario end to end and collect its reports."""
-    return _run(sc, {})
+def run_scenario(sc: Scenario, calibrations: dict | None = None) -> ReportBundle:
+    """Run one scenario end to end and collect its reports.
 
-
-def _run(sc: Scenario, calibrations: dict) -> ReportBundle:
-    """:func:`run_scenario`, reusing the comb calibrations already made in
-    ``calibrations`` and adding the ones it makes."""
+    ``calibrations`` holds the comb calibrations already made: the run
+    reuses those it needs and adds the ones it makes.  None starts empty.
+    """
+    if calibrations is None:
+        calibrations = {}
     cfg = sc.config
     if cfg["mode"] == "comb":
         comb = cfg["comb"]
@@ -518,8 +518,8 @@ def _run(sc: Scenario, calibrations: dict) -> ReportBundle:
 
     tx_bits = [rng.integers(0, 2, n_symbols * bps)
                for _ in range(plan.n_branches)]
-    streams = [qam_map(bits, const, rate) for bits in tx_bits]
-    tx = otdm_multiplex(streams, plan, grid, rolloff=cfg["shaping"]["rolloff"])
+    tx_symbols = [qam_map(bits, const) for bits in tx_bits]
+    tx = otdm_multiplex(tx_symbols, rate, plan, grid, rolloff=cfg["shaping"]["rolloff"])
 
     rx = propagate(tx, sc.fiber)
     if receiver["timing_delay_s"]:
@@ -533,11 +533,10 @@ def _run(sc: Scenario, calibrations: dict) -> ReportBundle:
     if receiver["compensate_dispersion"]:
         rx = compensate_dispersion(rx, sc.fiber)
 
-    sampler, cal = "ideal", None
+    cal = None
     if cfg["sampler"]["mode"] == "mzm":
         cal = _calibrate(plan.n_branches, plan.symbol_rate, cfg["sampler"],
                          sc.mzm_params, calibrations)
-        sampler = MzmSampler.from_calibration(cal)
 
     artifacts = {}
     if "spectra" in outputs:
@@ -546,13 +545,11 @@ def _run(sc: Scenario, calibrations: dict) -> ReportBundle:
         artifacts["spectrum_received"] = _spectrum_rows(rx, half)
 
     reports = []
-    branches = demultiplex(rx, plan, sampler, timing_delay=receiver["timing_delay_s"])
+    branches = demultiplex(rx, plan, cal, timing_delay=receiver["timing_delay_s"])
     for l, y in enumerate(branches, start=1):
         y = coherent_detect(y, receiver["lo_power_w"], receiver["lo_phase_rad"])
-        rx_stream = sample_symbols(y, rate, t_offset=plan.slot(l),
-                                   n_symbols=n_symbols)
-        ref = streams[l - 1].symbols
-        raw = rx_stream.symbols
+        raw = sample_symbols(y, rate, t_offset=plan.slot(l), n_symbols=n_symbols)
+        ref = tx_symbols[l - 1]
         denom = np.vdot(raw, raw)
         if denom == 0:
             raise RuntimeError(f"branch {l} demultiplexed to an all-zero stream")
@@ -643,4 +640,4 @@ def sweep(config: dict, parameter: str, values) -> list[ReportBundle]:
         cfg["seed"] = base.config["seed"] + i
         points.append(parse_scenario(cfg))
     calibrations = {}
-    return [_run(sc, calibrations) for sc in points]
+    return [run_scenario(sc, calibrations) for sc in points]

@@ -20,8 +20,7 @@ from nyquist_otdm import ChannelPlan, Signal, TimeGrid, delay_signal
 from nyquist_otdm.core import require_same_grid
 from nyquist_otdm.link import dispersion_phase
 from nyquist_otdm.modem import EvmResult, QFactorResult, _to_db
-from nyquist_otdm.mzm import DrivePlan, modulate
-from nyquist_otdm.nyquist import SymbolStream
+from nyquist_otdm.mzm import DrivePlan, FlatCombCalibration, MzmParams, modulate
 
 
 def tone(grid: TimeGrid, frequency: float, amplitude: float = 1.0,
@@ -56,14 +55,13 @@ def periodic_sinc_kernel(x, m: int):
     return out if out.ndim else float(out)
 
 
-def interpolate_directly(stream: SymbolStream, grid: TimeGrid,
+def interpolate_directly(symbols, symbol_rate: float, grid: TimeGrid,
                          t_offset: float = 0.0) -> np.ndarray:
     """Direct sum of kernel translates; O(n_samples * n_symbols)."""
-    m = len(stream)
-    rate = stream.symbol_rate
-    x = (grid.t - t_offset) * rate  # in symbol periods
+    m = len(symbols)
+    x = (grid.t - t_offset) * symbol_rate  # in symbol periods
     out = np.zeros(grid.n_samples, dtype=complex)
-    for k, sym in enumerate(stream.symbols):
+    for k, sym in enumerate(symbols):
         out += sym * periodic_sinc_kernel(x - k, m)
     return out
 
@@ -116,21 +114,31 @@ def branch_drive(drive: DrivePlan, plan: ChannelPlan, branch: int) -> DrivePlan:
     return DrivePlan(tuple(tones), drive.bias_arm1, drive.bias_arm2)
 
 
+def sampler_of(drive: DrivePlan, params: MzmParams,
+               gain: complex = 1.0) -> FlatCombCalibration:
+    """A calibration holding an arbitrary drive, to sample with: the
+    demultiplexer reads only its drive plan, device and gain."""
+    return FlatCombCalibration(plan=drive, params=params, report=None,
+                               converged=True, flatness_target_db=math.nan,
+                               gain=gain, residual_delay=0.0,
+                               waveform_rmse_percent=math.nan)
+
+
 def gate_directly(sig: Signal, plan: ChannelPlan, branch: int,
-                  sampler="ideal") -> np.ndarray:
+                  sampler=None) -> np.ndarray:
     """The signal times the branch's sampling pulse train on the full grid:
     the cosine-sum sequence, or the MZM transfer at the branch RF phase
-    divided by the calibration gain."""
-    if isinstance(sampler, str):
+    times the calibration gain."""
+    if sampler is None:
         return sig.samples * sequence_directly(
             plan.n_branches, plan.aggregate_bandwidth, sig.grid.t,
             plan.slot(branch))
-    drive = branch_drive(sampler.drive_plan, plan, branch)
+    drive = branch_drive(sampler.plan, plan, branch)
     return modulate(sig, drive, sampler.params).samples * sampler.gain
 
 
 def demultiplex_directly(sig: Signal, plan: ChannelPlan, branch: int,
-                         sampler="ideal", timing_delay: float = 0.0) -> np.ndarray:
+                         sampler=None, timing_delay: float = 0.0) -> np.ndarray:
     """Time-domain demultiplexing: advance by the timing delay, gate, keep
     |f| < B/(2N) with half weight on the edge, and restore the factor N."""
     grid = sig.grid
@@ -158,19 +166,19 @@ def propagate_directly(sig: Signal, fiber, sign: float = 1.0,
         lambda f: amplitude * np.exp(1j * sign * dispersion_phase(fiber, f)))
 
 
-def random_streams(plan: ChannelPlan, n_symbols: int, rng,
-                   constellation=None) -> list[SymbolStream]:
-    """One random stream per branch; Gaussian symbols unless a
+def random_symbols(plan: ChannelPlan, n_symbols: int, rng,
+                   constellation=None) -> list[np.ndarray]:
+    """One random symbol block per branch; Gaussian symbols unless a
     constellation's points are given."""
-    streams = []
+    blocks = []
     for _ in range(plan.n_branches):
         if constellation is None:
             syms = rng.standard_normal(n_symbols) + 1j * rng.standard_normal(
                 n_symbols)
         else:
             syms = rng.choice(constellation, size=n_symbols)
-        streams.append(SymbolStream(syms, plan.symbol_rate))
-    return streams
+        blocks.append(syms)
+    return blocks
 
 
 def grid_for(plan: ChannelPlan, n_symbols: int,
@@ -186,7 +194,7 @@ def symbol_instant_energy(sig: Signal, plan: ChannelPlan, branch: int,
     """Mean squared magnitude at one branch's symbol instants."""
     ks = np.arange(n_symbols)
     instants = plan.slot(branch) + ks / plan.symbol_rate
-    idx = np.round((instants - sig.grid.t0) * sig.grid.sample_rate).astype(int)
+    idx = np.round(instants * sig.grid.sample_rate).astype(int)
     return float(np.mean(np.abs(sig.samples[idx]) ** 2))
 
 

@@ -28,10 +28,14 @@ def test_time_grid_derived_quantities():
 
 
 def test_time_grid_validation():
-    with pytest.raises(ValueError):
-        TimeGrid(sample_rate=0.0, n_samples=16)
-    with pytest.raises(ValueError):
-        TimeGrid(sample_rate=1e9, n_samples=0)
+    """A grid holds a finite positive rate and a whole positive count; an
+    integral float or a bool is no count."""
+    for rate, n in ((0.0, 16), (-1e9, 16), (math.inf, 8), (math.nan, 8),
+                    (1e9, 0), (1e9, -8), (1e9, 8.0), (1e9, 8.5), (1e9, True)):
+        with pytest.raises(ValueError):
+            TimeGrid(sample_rate=rate, n_samples=n)
+    grid = TimeGrid(1e9, np.int64(8))
+    assert constant(grid).samples.shape == (8,)
 
 
 def test_signal_rejects_non_finite_and_locks_samples():

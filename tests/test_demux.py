@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from nyquist_otdm import ChannelPlan, Signal, TimeGrid, delay_signal
 from nyquist_otdm.core import constant
-from nyquist_otdm.demux import MzmSampler, _sampling_lines, demultiplex
+from nyquist_otdm.demux import _sampling_lines, demultiplex
 from nyquist_otdm.link import (
     FiberSpec,
     coherent_detect,
@@ -24,7 +24,6 @@ from nyquist_otdm.mzm import (
     push_pull_plan,
 )
 from nyquist_otdm.nyquist import (
-    SymbolStream,
     multiplex_branch_signals,
     nyquist_interpolate,
     otdm_multiplex,
@@ -38,7 +37,8 @@ from helpers import (
     gate_directly,
     grid_for,
     propagate_directly,
-    random_streams,
+    random_symbols,
+    sampler_of,
 )
 
 PARAMS = MzmParams(v_pi=0.42, eo_3db_bandwidth=16e9)
@@ -51,29 +51,26 @@ def _assert_close(got, want, rtol=1e-10):
 @settings(max_examples=20, deadline=None, derandomize=True)
 @given(n_branches=st.sampled_from([3, 5, 7]),
        oversampling=st.sampled_from([4, 5, 8]),
-       n_periods=st.integers(1, 4), t0_samples=st.integers(-40, 40),
-       n_tones=st.integers(1, 3), seed=st.integers(0, 2 ** 16))
+       n_periods=st.integers(1, 4), n_tones=st.integers(1, 3),
+       seed=st.integers(0, 2 ** 16))
 def test_mzm_rows_are_the_phase_shifted_drive_lines(
-        n_branches, oversampling, n_periods, t0_samples, n_tones, seed):
+        n_branches, oversampling, n_periods, n_tones, seed):
     """Row l-1 of the MZM sampler's lines equals the one-period lines of the
     drive whose harmonic-k tones are turned by -k*2*pi*(l-1)/N, to 1e-12;
     that drive's transfer is branch 1's delayed by the slot (l-1)/B."""
     rng = np.random.default_rng(seed)
     plan = ChannelPlan(n_branches, 6e9 * n_branches)
-    base = grid_for(plan, n_periods, oversampling)
-    grid = TimeGrid(base.sample_rate, base.n_samples,
-                    t0=(t0_samples + 0.37) * base.dt)
+    grid = grid_for(plan, n_periods, oversampling)
     drive = push_pull_plan(plan.symbol_rate * np.arange(1, n_tones + 1),
                            rng.uniform(0.05, 0.3, n_tones),
                            bias_difference=float(rng.uniform(0.5, 2.5)))
-    sampler = MzmSampler(drive_plan=drive, params=PARAMS,
-                         gain=complex(rng.uniform(1.0, 4.0),
-                                      rng.uniform(-1.0, 1.0)))
+    sampler = sampler_of(drive, PARAMS, gain=complex(rng.uniform(1.0, 4.0),
+                                                     rng.uniform(-1.0, 1.0)))
     shifts, rows = _sampling_lines(plan, sampler, grid)
     period = oversampling * n_branches
     assert rows.shape == (n_branches, period)
     assert_array_equal(shifts, np.arange(period) * n_periods)
-    one_period = constant(TimeGrid(grid.sample_rate, period, grid.t0))
+    one_period = constant(TimeGrid(grid.sample_rate, period))
     first = modulate(one_period, drive, PARAMS).samples
     for l in range(1, n_branches + 1):
         transfer = modulate(one_period, branch_drive(drive, plan, l),
@@ -89,8 +86,7 @@ def test_off_harmonic_drive_tone_rejected_on_every_branch():
     transfer is not periodic in a branch period: the sampler is refused for
     every branch, branch 1 included."""
     plan = ChannelPlan(3, 24e9)
-    drive = push_pull_plan([7e9], [0.2], bias_difference=1.0)
-    sampler = MzmSampler(drive_plan=drive, params=PARAMS)
+    sampler = sampler_of(push_pull_plan([7e9], [0.2], bias_difference=1.0), PARAMS)
     sig = constant(grid_for(plan, 9))
     with pytest.raises(ValueError, match="not a harmonic"):
         demultiplex(sig, plan, sampler)
@@ -100,8 +96,7 @@ def test_mzm_sampler_needs_whole_sample_slots():
     """At 8/3 samples per slot the branch delays are no whole sample
     shifts, and the MZM sampler refuses the grid."""
     plan = ChannelPlan(3, 24e9)
-    drive = push_pull_plan([8e9], [0.2], bias_difference=1.0)
-    sampler = MzmSampler(drive_plan=drive, params=PARAMS)
+    sampler = sampler_of(push_pull_plan([8e9], [0.2], bias_difference=1.0), PARAMS)
     sig = constant(TimeGrid(64e9, 8 * 9))
     with pytest.raises(ValueError, match="samples per branch slot"):
         demultiplex(sig, plan, sampler)
@@ -113,30 +108,30 @@ def test_ideal_round_trip_multiple_seeds():
     for seed in (0, 1, 2):
         rng = np.random.default_rng(seed)
         grid = grid_for(plan, n_symbols)
-        streams = random_streams(plan, n_symbols, rng)
-        agg = otdm_multiplex(streams, plan, grid)
-        for l, (stream, y) in enumerate(zip(streams, demultiplex(agg, plan)),
-                                        start=1):
+        blocks = random_symbols(plan, n_symbols, rng)
+        agg = otdm_multiplex(blocks, plan.symbol_rate, plan, grid)
+        for l, (sent, y) in enumerate(zip(blocks, demultiplex(agg, plan)),
+                                      start=1):
             got = sample_symbols(y, plan.symbol_rate, t_offset=plan.slot(l),
                                  n_symbols=n_symbols)
-            assert_allclose(got.symbols, stream.symbols, atol=1e-9)
+            assert_allclose(got, sent, atol=1e-9)
 
 
 def _crosstalk_db(plan, sampler, n_symbols=15, seed=5):
     """Drive only branch 2; return worst leakage into branches 1 and 3."""
     rng = np.random.default_rng(seed)
     grid = grid_for(plan, n_symbols)
-    streams = random_streams(plan, n_symbols, rng)
-    quiet = SymbolStream(np.zeros(n_symbols, dtype=complex), plan.symbol_rate)
-    driven = [quiet, streams[1], quiet]
-    agg = otdm_multiplex(driven, plan, grid)
-    ref_power = np.mean(np.abs(streams[1].symbols) ** 2)
+    blocks = random_symbols(plan, n_symbols, rng)
+    quiet = np.zeros(n_symbols, dtype=complex)
+    driven = [quiet, blocks[1], quiet]
+    agg = otdm_multiplex(driven, plan.symbol_rate, plan, grid)
+    ref_power = np.mean(np.abs(blocks[1]) ** 2)
     worst = -math.inf
     branches = demultiplex(agg, plan, sampler=sampler)
     for l in (1, 3):
         got = sample_symbols(branches[l - 1], plan.symbol_rate,
                              t_offset=plan.slot(l), n_symbols=n_symbols)
-        leak = np.mean(np.abs(got.symbols) ** 2)
+        leak = np.mean(np.abs(got) ** 2)
         if leak > 0:
             worst = max(worst, 10 * math.log10(leak / ref_power))
     return worst
@@ -145,42 +140,31 @@ def _crosstalk_db(plan, sampler, n_symbols=15, seed=5):
 def test_ideal_crosstalk_is_negligible():
     plan = ChannelPlan(3, 24e9)
     for seed in (5, 6, 7):
-        assert _crosstalk_db(plan, "ideal", seed=seed) < -60.0
+        assert _crosstalk_db(plan, None, seed=seed) < -60.0
 
 
 def test_mzm_sampler_crosstalk_better_than_40_db():
     plan = ChannelPlan(3, 24e9)
     cal = calibrate_flat_comb(3, plan.symbol_rate, PARAMS)
-    sampler = MzmSampler.from_calibration(cal)
     for seed in (5, 6):
-        assert _crosstalk_db(plan, sampler, seed=seed) < -40.0
+        assert _crosstalk_db(plan, cal, seed=seed) < -40.0
 
 
 def test_mzm_sampler_recovers_symbols_to_percent_level():
     plan = ChannelPlan(3, 24e9)
     cal = calibrate_flat_comb(3, plan.symbol_rate, PARAMS)
-    sampler = MzmSampler.from_calibration(cal)
     rng = np.random.default_rng(9)
     n_symbols = 15
     grid = grid_for(plan, n_symbols)
-    streams = random_streams(plan, n_symbols, rng)
-    agg = otdm_multiplex(streams, plan, grid)
-    branches = demultiplex(agg, plan, sampler=sampler)
-    for l, (stream, y) in enumerate(zip(streams, branches), start=1):
+    blocks = random_symbols(plan, n_symbols, rng)
+    agg = otdm_multiplex(blocks, plan.symbol_rate, plan, grid)
+    branches = demultiplex(agg, plan, sampler=cal)
+    for l, (sent, y) in enumerate(zip(blocks, branches), start=1):
         got = sample_symbols(y, plan.symbol_rate, t_offset=plan.slot(l),
                              n_symbols=n_symbols)
-        err = np.sqrt(np.mean(np.abs(got.symbols - stream.symbols) ** 2)
-                      / np.mean(np.abs(stream.symbols) ** 2))
+        err = np.sqrt(np.mean(np.abs(got - sent) ** 2)
+                      / np.mean(np.abs(sent) ** 2))
         assert err < 0.05
-
-
-def test_bad_sampler_types_rejected():
-    plan = ChannelPlan(3, 24e9)
-    sig = constant(grid_for(plan, 9))
-    with pytest.raises(ValueError):
-        demultiplex(sig, plan, "brickwall")
-    with pytest.raises(TypeError):
-        demultiplex(sig, plan, 42)
 
 
 def test_known_timing_delay_is_removed():
@@ -188,46 +172,43 @@ def test_known_timing_delay_is_removed():
     rng = np.random.default_rng(13)
     n_symbols = 11
     grid = grid_for(plan, n_symbols)
-    streams = random_streams(plan, n_symbols, rng)
-    agg = otdm_multiplex(streams, plan, grid)
+    blocks = random_symbols(plan, n_symbols, rng)
+    agg = otdm_multiplex(blocks, plan.symbol_rate, plan, grid)
     tau = 1.5 * grid.dt
     late = delay_signal(agg, tau)
     branches = demultiplex(late, plan, timing_delay=tau)
-    for l, (stream, y) in enumerate(zip(streams, branches), start=1):
+    for l, (sent, y) in enumerate(zip(blocks, branches), start=1):
         got = sample_symbols(y, plan.symbol_rate, t_offset=plan.slot(l),
                              n_symbols=n_symbols)
-        assert_allclose(got.symbols, stream.symbols, atol=1e-9)
+        assert_allclose(got, sent, atol=1e-9)
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
 @given(n_branches=st.sampled_from([3, 5, 7]), n_symbols=st.integers(4, 11),
        oversampling=st.sampled_from([4, 5, 8]),
-       t0_samples=st.integers(-40, 40), t0_fraction=st.sampled_from([0.0, 0.37]),
        delay_samples=st.sampled_from([0.0, 1.5, -0.63]),
        band_limited=st.booleans(), seed=st.integers(0, 2 ** 16))
 # a whole-grid multiplex whose first bin is no multiple of the 5 symbols
-@example(n_branches=3, n_symbols=5, oversampling=5, t0_samples=0, t0_fraction=0.0,
-         delay_samples=0.0, band_limited=False, seed=0)
+@example(n_branches=3, n_symbols=5, oversampling=5, delay_samples=0.0,
+         band_limited=False, seed=0)
 def test_spectral_layers_match_time_domain_oracles(
-        n_branches, n_symbols, oversampling, t0_samples, t0_fraction,
-        delay_samples, band_limited, seed):
+        n_branches, n_symbols, oversampling, delay_samples, band_limited, seed):
     """Multiplexing, ideal and MZM demultiplexing of every branch,
     dispersion and symbol read-out, all computed on DFT bins, equal the
     time-domain products with a direct-DFT lowpass, to 1e-10 relative."""
     rng = np.random.default_rng(seed)
     plan = ChannelPlan(n_branches, 6e9 * n_branches)
-    base = grid_for(plan, n_symbols, oversampling)
-    grid = TimeGrid(base.sample_rate, base.n_samples,
-                    t0=(t0_samples + t0_fraction) * base.dt)
+    grid = grid_for(plan, n_symbols, oversampling)
 
     def noise():
         return rng.standard_normal(grid.n_samples) + 1j * rng.standard_normal(
             grid.n_samples)
 
     if band_limited:
-        branches = [nyquist_interpolate(stream, grid, t_offset=plan.slot(l))
-                    for l, stream in enumerate(
-                        random_streams(plan, n_symbols, rng), start=1)]
+        branches = [nyquist_interpolate(block, plan.symbol_rate, grid,
+                                        t_offset=plan.slot(l))
+                    for l, block in enumerate(
+                        random_symbols(plan, n_symbols, rng), start=1)]
     else:
         branches = [Signal(grid, noise()) for _ in range(n_branches)]
     mux = multiplex_branch_signals(branches, plan)
@@ -245,10 +226,10 @@ def test_spectral_layers_match_time_domain_oracles(
     tones = [plan.symbol_rate, 2 * plan.symbol_rate]
     drive = push_pull_plan(tones, rng.uniform(0.05, 0.3, 2),
                            bias_difference=float(rng.uniform(0.5, 2.5)))
-    mzm = MzmSampler(drive_plan=drive, params=PARAMS,
+    mzm = sampler_of(drive, PARAMS,
                      gain=complex(rng.uniform(1.0, 4.0), rng.uniform(-1.0, 1.0)))
     delay = delay_samples * grid.dt
-    for sampler in ("ideal", mzm):
+    for sampler in (None, mzm):
         got = demultiplex(aggregate, plan, sampler, timing_delay=delay)
         assert len(got) == n_branches
         for l, y in enumerate(got, start=1):
@@ -259,9 +240,9 @@ def test_spectral_layers_match_time_domain_oracles(
     instants = (start + np.arange(2 * n_symbols) * oversampling * n_branches
                 ) % grid.n_samples
     for sig in (Signal._of_bins(grid, np.fft.fft(noise())), mux):
-        got = sample_symbols(sig, plan.symbol_rate, t_offset=grid.t0 + start * grid.dt,
+        got = sample_symbols(sig, plan.symbol_rate, t_offset=start * grid.dt,
                              n_symbols=2 * n_symbols)
-        _assert_close(got.symbols, sig.samples[instants])
+        _assert_close(got, sig.samples[instants])
 
 
 def _whole_grid(sig: Signal) -> Signal:
@@ -272,23 +253,22 @@ def _whole_grid(sig: Signal) -> Signal:
 @settings(max_examples=20, deadline=None, derandomize=True)
 @given(n_branches=st.sampled_from([3, 5, 7]), n_symbols=st.integers(2, 7),
        oversampling=st.sampled_from([4, 5, 8]), rolloff=st.sampled_from([0.0, 0.5, 1.0]),
-       t0_samples=st.integers(-40, 40), seed=st.integers(0, 2 ** 16))
+       seed=st.integers(0, 2 ** 16))
 # a grid past 256 KiB, where numpy may reuse a temporary operand as the output
-@example(n_branches=7, n_symbols=150, oversampling=8, rolloff=0.0, t0_samples=3, seed=1)
+@example(n_branches=7, n_symbols=150, oversampling=8, rolloff=0.0, seed=1)
 def test_band_and_whole_grid_agree_bitwise(n_branches, n_symbols, oversampling,
-                                           rolloff, t0_samples, seed):
+                                           rolloff, seed):
     """Every per-bin layer gives the same bins, bit for bit, on a signal
     that holds only its occupied band and on the same bins held with the
     whole grid as their band."""
     rng = np.random.default_rng(seed)
     plan = ChannelPlan(n_branches, 6e9 * n_branches)
-    base = grid_for(plan, 2 * n_symbols, oversampling)
-    grid = TimeGrid(base.sample_rate, base.n_samples, t0=t0_samples * base.dt)
+    grid = grid_for(plan, 2 * n_symbols, oversampling)
     # a roll-off at half the branch rate keeps the shaped band within B/(2N)
     rate = plan.symbol_rate / 2 if rolloff else plan.symbol_rate
     count = n_symbols if rolloff else 2 * n_symbols
-    shaped = [raised_cosine_shape(SymbolStream(
-        rng.standard_normal(count) + 1j * rng.standard_normal(count), rate),
+    shaped = [raised_cosine_shape(
+        rng.standard_normal(count) + 1j * rng.standard_normal(count), rate,
         rolloff, grid, t_offset=plan.slot(l))
         for l in range(1, n_branches + 1)]
     whole = [_whole_grid(sig) for sig in shaped]
@@ -323,6 +303,5 @@ def test_band_and_whole_grid_agree_bitwise(n_branches, n_symbols, oversampling,
             strict=True), start=1):
         assert_array_equal(y.bins, y_whole.bins)
         assert_array_equal(
-            sample_symbols(y, plan.symbol_rate, t_offset=plan.slot(l)).symbols,
-            sample_symbols(_whole_grid(y), plan.symbol_rate,
-                           t_offset=plan.slot(l)).symbols)
+            sample_symbols(y, plan.symbol_rate, t_offset=plan.slot(l)),
+            sample_symbols(_whole_grid(y), plan.symbol_rate, t_offset=plan.slot(l)))

@@ -21,7 +21,7 @@ from nyquist_otdm.link import (
 )
 from nyquist_otdm.nyquist import otdm_multiplex, sample_symbols
 
-from helpers import grid_for, random_streams, tone
+from helpers import grid_for, random_symbols, tone
 
 # pi * (1550 nm)^2 / c * 17 ps/(nm km) * 30 km * (10 GHz)^2, checked against
 # an independent hand evaluation of the closed form
@@ -63,7 +63,7 @@ def test_compensate_inverts_dispersion_exactly():
     plan = ChannelPlan(3, 24e9)
     rng = np.random.default_rng(21)
     grid = grid_for(plan, 11)
-    agg = otdm_multiplex(random_streams(plan, 11, rng), plan, grid)
+    agg = otdm_multiplex(random_symbols(plan, 11, rng), plan.symbol_rate, plan, grid)
     lossless = FiberSpec(length_km=30.0, attenuation_db_km=0.0)
     back = compensate_dispersion(propagate(agg, lossless), lossless)
     assert_allclose(back.samples, agg.samples, atol=1e-10)
@@ -162,16 +162,15 @@ class TestPhaseNoise:
             phase_noise(constant(grid), -1.0)
 
 
-def _mean_branch_error(agg, plan, streams, n_symbols):
+def _mean_branch_error(agg, plan, blocks, n_symbols):
     errs = []
     branches = demultiplex(agg, plan)
-    for l, (stream, y) in enumerate(zip(streams, branches), start=1):
+    for l, (sent, y) in enumerate(zip(blocks, branches), start=1):
         got = sample_symbols(y, plan.symbol_rate, t_offset=plan.slot(l),
                              n_symbols=n_symbols)
         # data-aided one-tap equalizer, as a coherent receiver would apply
-        g = np.vdot(got.symbols, stream.symbols) / np.vdot(got.symbols,
-                                                           got.symbols)
-        errs.append(np.sqrt(np.mean(np.abs(g * got.symbols - stream.symbols) ** 2)))
+        g = np.vdot(got, sent) / np.vdot(got, got)
+        errs.append(np.sqrt(np.mean(np.abs(g * got - sent) ** 2)))
     return float(np.mean(errs))
 
 
@@ -180,16 +179,16 @@ def test_dispersion_hurts_and_compensation_restores():
     rng = np.random.default_rng(33)
     n_symbols = 33
     grid = grid_for(plan, n_symbols)
-    streams = random_streams(plan, n_symbols, rng)
-    agg = otdm_multiplex(streams, plan, grid)
+    blocks = random_symbols(plan, n_symbols, rng)
+    agg = otdm_multiplex(blocks, plan.symbol_rate, plan, grid)
     fiber = FiberSpec(length_km=30.0, attenuation_db_km=0.0)
 
     one_span = propagate(agg, fiber)
     two_spans = propagate(one_span, fiber)
     fixed = compensate_dispersion(one_span, fiber)
 
-    e_fixed = _mean_branch_error(fixed, plan, streams, n_symbols)
-    e_one = _mean_branch_error(one_span, plan, streams, n_symbols)
-    e_two = _mean_branch_error(two_spans, plan, streams, n_symbols)
+    e_fixed = _mean_branch_error(fixed, plan, blocks, n_symbols)
+    e_one = _mean_branch_error(one_span, plan, blocks, n_symbols)
+    e_two = _mean_branch_error(two_spans, plan, blocks, n_symbols)
     assert e_fixed < 1e-9
     assert e_fixed < e_one < e_two

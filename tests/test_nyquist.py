@@ -7,7 +7,6 @@ from numpy.testing import assert_allclose
 from nyquist_otdm import ChannelPlan, Signal, TimeGrid, delay_signal, spectrum
 from nyquist_otdm.demux import demultiplex
 from nyquist_otdm.nyquist import (
-    SymbolStream,
     _sequence_lines,
     multiplex_branch_signals,
     nyquist_interpolate,
@@ -20,7 +19,7 @@ from helpers import (
     freqs,
     grid_for,
     interpolate_directly,
-    random_streams,
+    random_symbols,
     sequence_directly,
 )
 
@@ -37,7 +36,7 @@ def sequence_from_lines(plan: ChannelPlan, grid: TimeGrid, branch: int = 1):
 class TestSincSequence:
     def test_matches_cosine_sum_oracle(self):
         for n_lines in (3, 5, 7):
-            grid = TimeGrid(8 * 24e9, 8 * n_lines * 4, t0=0.7e-10)  # 4 periods
+            grid = TimeGrid(8 * 24e9, 8 * n_lines * 4)  # 4 periods
             plan = ChannelPlan(n_lines, 24e9)
             for branch in range(1, n_lines + 1):
                 seq = sequence_from_lines(plan, grid, branch)
@@ -95,13 +94,12 @@ class TestNyquistInterpolate:
         rng = np.random.default_rng(7)
         for n_symbols in (8, 9, 16, 17):
             grid = grid_for(plan, n_symbols)
-            stream = SymbolStream(
-                rng.standard_normal(n_symbols) + 1j * rng.standard_normal(n_symbols),
-                plan.symbol_rate)
+            syms = rng.standard_normal(n_symbols) + 1j * rng.standard_normal(n_symbols)
             # a branch slot on the grid, and an instant between samples
             for offset in (plan.slot(2), 0.37 * grid.dt):
-                fast = nyquist_interpolate(stream, grid, t_offset=offset)
-                direct = interpolate_directly(stream, grid, t_offset=offset)
+                fast = nyquist_interpolate(syms, plan.symbol_rate, grid, t_offset=offset)
+                direct = interpolate_directly(syms, plan.symbol_rate, grid,
+                                              t_offset=offset)
                 assert_allclose(fast.samples, direct, atol=1e-12)
 
     def test_sample_back_is_exact(self):
@@ -111,12 +109,10 @@ class TestNyquistInterpolate:
             rng = np.random.default_rng(seed)
             n_symbols = int(rng.integers(6, 40))
             grid = grid_for(plan, n_symbols)
-            stream = SymbolStream(
-                rng.standard_normal(n_symbols) + 1j * rng.standard_normal(n_symbols),
-                plan.symbol_rate)
-            sig = nyquist_interpolate(stream, grid)
+            syms = rng.standard_normal(n_symbols) + 1j * rng.standard_normal(n_symbols)
+            sig = nyquist_interpolate(syms, plan.symbol_rate, grid)
             back = sample_symbols(sig, plan.symbol_rate, n_symbols=n_symbols)
-            assert_allclose(back.symbols, stream.symbols, atol=1e-10)
+            assert_allclose(back, syms, atol=1e-10)
 
     def test_linearity(self):
         plan = ChannelPlan(3, 24e9)
@@ -125,18 +121,17 @@ class TestNyquistInterpolate:
         a = rng.standard_normal(12) + 1j * rng.standard_normal(12)
         b = rng.standard_normal(12) + 1j * rng.standard_normal(12)
         rate = plan.symbol_rate
-        combined = nyquist_interpolate(SymbolStream(a + 2j * b, rate), grid)
-        parts = (nyquist_interpolate(SymbolStream(a, rate), grid).samples
-                 + 2j * nyquist_interpolate(SymbolStream(b, rate), grid).samples)
+        combined = nyquist_interpolate(a + 2j * b, rate, grid)
+        parts = (nyquist_interpolate(a, rate, grid).samples
+                 + 2j * nyquist_interpolate(b, rate, grid).samples)
         assert_allclose(combined.samples, parts, atol=1e-12)
 
     def test_band_limited_to_half_symbol_rate(self):
         plan = ChannelPlan(3, 24e9)
         grid = grid_for(plan, 9)
         rng = np.random.default_rng(1)
-        stream = SymbolStream(rng.standard_normal(9) + 1j * rng.standard_normal(9),
-                              plan.symbol_rate)
-        spec = spectrum(nyquist_interpolate(stream, grid))
+        syms = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+        spec = spectrum(nyquist_interpolate(syms, plan.symbol_rate, grid))
         outside = np.abs(freqs(grid)) > plan.symbol_rate / 2 + 1e-3
         assert np.max(np.abs(spec[outside])) < 1e-12
 
@@ -147,18 +142,17 @@ class TestRaisedCosine:
         rng = np.random.default_rng(4)
         for rolloff in (0.0, 0.35, 1.0):
             syms = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-            stream = SymbolStream(syms, 4e9)
-            sig = raised_cosine_shape(stream, rolloff, grid)
+            sig = raised_cosine_shape(syms, 4e9, rolloff, grid)
             back = sample_symbols(sig, 4e9, n_symbols=16)
-            assert_allclose(back.symbols, syms, atol=1e-9)
+            assert_allclose(back, syms, atol=1e-9)
 
     def test_spectrum_matches_closed_form(self):
         """Bins follow the flat/cosine-squared split of the pulse response."""
         grid = TimeGrid(64e9, 64 * 8)
         rolloff = 0.5
         rate = 4e9
-        stream = SymbolStream(np.array([1.0 + 0j] + [0.0j] * 31), rate)
-        spec = spectrum(raised_cosine_shape(stream, rolloff, grid))
+        impulse = np.array([1.0 + 0j] + [0.0j] * 31)
+        spec = spectrum(raised_cosine_shape(impulse, rate, rolloff, grid))
         n_syms = 32
 
         def rc(f):
@@ -180,20 +174,26 @@ class TestRaisedCosine:
         shape at offset 0 delayed by it."""
         grid = TimeGrid(192e9, 192 * 4)
         rng = np.random.default_rng(5)
-        stream = SymbolStream(rng.standard_normal(16) + 1j * rng.standard_normal(16),
-                              4e9)
-        at_zero = raised_cosine_shape(stream, 0.35, grid)
+        syms = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+        at_zero = raised_cosine_shape(syms, 4e9, 0.35, grid)
         for offset in (3 * grid.dt, 2.6 * grid.dt, 1 / 4e9):
-            shaped = raised_cosine_shape(stream, 0.35, grid, t_offset=offset)
+            shaped = raised_cosine_shape(syms, 4e9, 0.35, grid, t_offset=offset)
             assert_allclose(shaped.samples, delay_signal(at_zero, offset).samples,
                             atol=1e-12)
 
     def test_rolloff_validation(self):
         grid = TimeGrid(64e9, 64)
-        stream = SymbolStream(np.ones(4, dtype=complex), 4e9)
         for bad in (-0.1, 1.5):
             with pytest.raises(ValueError):
-                raised_cosine_shape(stream, bad, grid)
+                raised_cosine_shape(np.ones(4, dtype=complex), 4e9, bad, grid)
+
+    def test_symbol_block_validation(self):
+        """A symbol block must be a non-empty 1-D array."""
+        grid = TimeGrid(64e9, 64)
+        for bad in (np.ones(0, dtype=complex), np.ones((2, 2), dtype=complex),
+                    np.complex128(1.0)):
+            with pytest.raises(ValueError, match="non-empty 1-D"):
+                raised_cosine_shape(bad, 4e9, 0.0, grid)
 
 
 class TestMultiplex:
@@ -201,11 +201,12 @@ class TestMultiplex:
         plan = ChannelPlan(3, 24e9)
         rng = np.random.default_rng(17)
         grid = grid_for(plan, 11)
-        streams = random_streams(plan, 11, rng)
-        mux = otdm_multiplex(streams, plan, grid)
+        blocks = random_symbols(plan, 11, rng)
+        mux = otdm_multiplex(blocks, plan.symbol_rate, plan, grid)
         parts = []
-        for l, stream in enumerate(streams, start=1):
-            parts.append(nyquist_interpolate(stream, grid, t_offset=plan.slot(l)))
+        for l, block in enumerate(blocks, start=1):
+            parts.append(nyquist_interpolate(block, plan.symbol_rate, grid,
+                                             t_offset=plan.slot(l)))
         manual = multiplex_branch_signals(parts, plan)
         assert_allclose(mux.samples, manual.samples, atol=1e-12)
 
@@ -216,13 +217,12 @@ class TestMultiplex:
         rng = np.random.default_rng(23)
         for n_symbols in (10, 11):
             grid = grid_for(plan, n_symbols)
-            streams = random_streams(plan, n_symbols, rng)
-            mux = otdm_multiplex(streams, plan, grid)
+            blocks = random_symbols(plan, n_symbols, rng)
+            mux = otdm_multiplex(blocks, plan.symbol_rate, plan, grid)
             interleaved = np.empty(plan.n_branches * n_symbols, dtype=complex)
-            for l, stream in enumerate(streams, start=1):
-                interleaved[l - 1::plan.n_branches] = stream.symbols
-            aggregate = nyquist_interpolate(
-                SymbolStream(interleaved, plan.aggregate_bandwidth), grid)
+            for l, block in enumerate(blocks, start=1):
+                interleaved[l - 1::plan.n_branches] = block
+            aggregate = nyquist_interpolate(interleaved, plan.aggregate_bandwidth, grid)
             assert_allclose(mux.samples, aggregate.samples, atol=1e-9)
 
     def test_symbol_instants_carry_the_symbols(self):
@@ -230,12 +230,12 @@ class TestMultiplex:
         rng = np.random.default_rng(29)
         n_symbols = 9
         grid = grid_for(plan, n_symbols)
-        streams = random_streams(plan, n_symbols, rng)
-        mux = otdm_multiplex(streams, plan, grid)
-        for l, stream in enumerate(streams, start=1):
+        blocks = random_symbols(plan, n_symbols, rng)
+        mux = otdm_multiplex(blocks, plan.symbol_rate, plan, grid)
+        for l, block in enumerate(blocks, start=1):
             got = sample_symbols(mux, plan.symbol_rate,
                                  t_offset=plan.slot(l), n_symbols=n_symbols)
-            assert_allclose(got.symbols, stream.symbols, atol=1e-10)
+            assert_allclose(got, block, atol=1e-10)
 
     def test_raised_cosine_shaping_round_trip(self):
         """Raised-cosine branches at half the branch rate, multiplexed and
@@ -245,29 +245,33 @@ class TestMultiplex:
         n_symbols = 13
         rate = plan.symbol_rate / 2
         grid = grid_for(plan, 2 * n_symbols)
-        streams = [SymbolStream(rng.standard_normal(n_symbols)
-                                + 1j * rng.standard_normal(n_symbols), rate)
-                   for _ in range(plan.n_branches)]
-        mux = otdm_multiplex(streams, plan, grid, rolloff=0.6)
-        for l, (stream, y) in enumerate(zip(streams, demultiplex(mux, plan)),
-                                        start=1):
+        blocks = [rng.standard_normal(n_symbols) + 1j * rng.standard_normal(n_symbols)
+                  for _ in range(plan.n_branches)]
+        mux = otdm_multiplex(blocks, rate, plan, grid, rolloff=0.6)
+        for l, (block, y) in enumerate(zip(blocks, demultiplex(mux, plan)),
+                                       start=1):
             got = sample_symbols(y, rate, t_offset=plan.slot(l))
-            assert_allclose(got.symbols, stream.symbols, atol=1e-10)
+            assert_allclose(got, block, atol=1e-10)
 
     def test_wrong_stream_count_rejected(self):
         plan = ChannelPlan(3, 24e9)
         grid = grid_for(plan, 9)
-        streams = random_streams(plan, 9, np.random.default_rng(0))
+        blocks = random_symbols(plan, 9, np.random.default_rng(0))
         with pytest.raises(ValueError):
-            otdm_multiplex(streams[:2], plan, grid)
-        wrong_rate = SymbolStream(streams[0].symbols, 2 * plan.symbol_rate)
-        with pytest.raises(ValueError):
-            otdm_multiplex([streams[0], streams[1], wrong_rate], plan, grid)
+            otdm_multiplex(blocks[:2], plan.symbol_rate, plan, grid)
 
 
 def test_sample_symbols_requires_on_grid_instants():
     grid = TimeGrid(10e9, 100)
-    sig = nyquist_interpolate(
-        SymbolStream(np.ones(5, dtype=complex), 0.5e9), grid)
+    sig = nyquist_interpolate(np.ones(5, dtype=complex), 0.5e9, grid)
     with pytest.raises(ValueError):
         sample_symbols(sig, 0.5e9, t_offset=0.3 * grid.dt)
+
+
+def test_sample_symbols_requires_a_positive_rate():
+    """A rate at or below zero is refused, not read as a negative step in
+    samples."""
+    sig = nyquist_interpolate(np.ones(5, dtype=complex), 0.5e9, TimeGrid(10e9, 100))
+    for bad in (0.0, -0.5e9, float("nan")):
+        with pytest.raises(ValueError, match="symbol_rate must be positive"):
+            sample_symbols(sig, bad)

@@ -305,7 +305,7 @@ def test_every_finite_value_fails_at_parse_time_or_runs(row, base, calibrations,
     except ConfigError as err:
         assert err.field in TABLE_PATHS
         return
-    bundle = scenario._run(sc, calibrations)
+    bundle = run_scenario(sc, calibrations)
     for report in bundle.metrics:
         floats = [v for v in dataclasses.asdict(report).values()
                   if isinstance(v, float)]
@@ -727,7 +727,6 @@ class TestSweep:
         anywhere in the list costs no simulation."""
         def no_run(*args):
             raise AssertionError("a point ran")
-        monkeypatch.setattr(scenario, "_run", no_run)
         monkeypatch.setattr(scenario, "run_scenario", no_run)
         with pytest.raises(ConfigError) as err:
             sweep(base_config(), "plan.n_branches", [3, 4])
@@ -739,6 +738,20 @@ class TestSweep:
         captured = capsys.readouterr()
         assert captured.err == "error: noise.osnr_db: must be finite\n"
         assert captured.out == ""
+
+    def test_each_point_is_one_run_scenario_call(self, monkeypatch):
+        """A sweep runs each point through ``run_scenario``, with the
+        calibrations the points share."""
+        seen = []
+        original = scenario.run_scenario
+        monkeypatch.setattr(scenario, "run_scenario", lambda sc, calibrations:
+                            seen.append(calibrations) or original(sc, calibrations))
+        cfg = base_config(noise={"osnr_db": 30.0}, sampler={"mode": "mzm"},
+                          mzm=dict(MZM_BLOCK))
+        bundles = sweep(cfg, "noise.osnr_db", [20.0, 25.0, 30.0])
+        assert len(seen) == len(bundles) == 3
+        assert all(c is seen[0] for c in seen)
+        assert len(seen[0]) == 1  # one calibration, made once for all three
 
     @pytest.mark.parametrize("parameter, values, calls", [
         ("noise.osnr_db", [20.0, 25.0, 30.0], 1),
