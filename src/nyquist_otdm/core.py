@@ -163,6 +163,17 @@ class Signal:
         return float(np.mean(np.abs(self._samples) ** 2))
 
 
+def _require_odd_count(value, what: str) -> None:
+    """Raise unless ``value`` is an odd integer >= 3 by ``operator.index``
+    (a float is no count; a bool is 0 or 1, so it fails too)."""
+    try:
+        n = operator.index(value)
+    except TypeError:
+        n = 0
+    if n < 3 or n % 2 == 0:
+        raise ValueError(f"{what} must be an odd integer >= 3")
+
+
 @dataclass(frozen=True)
 class ChannelPlan:
     """Branch plan for N-way orthogonal time multiplexing of total bandwidth B.
@@ -175,10 +186,9 @@ class ChannelPlan:
     aggregate_bandwidth: float
 
     def __post_init__(self):
-        if self.n_branches < 3 or self.n_branches % 2 == 0:
-            raise ValueError("n_branches must be an odd integer >= 3")
-        if not self.aggregate_bandwidth > 0:
-            raise ValueError("aggregate_bandwidth must be positive")
+        _require_odd_count(self.n_branches, "n_branches")
+        if not 0 < self.aggregate_bandwidth < math.inf:
+            raise ValueError("aggregate_bandwidth must be finite and positive")
 
     @property
     def symbol_rate(self) -> float:

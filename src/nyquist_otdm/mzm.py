@@ -6,25 +6,26 @@ right bias imbalance produces a flat N-line comb, i.e. a periodic sinc-pulse
 sequence.
 
 :func:`calibrate_flat_comb` finds that operating point by direct search.
-The transfer is periodic in the comb spacing, so the search evaluates each
-trial drive on one period only, as harmonic lines: the line powers come from
-one small FFT, and the least-squares fit of delay and complex gain onto the
-ideal sequence, which has only N lines, is the peak of an N-term
-trigonometric polynomial plus a Parseval residual.  Scans and line searches
-evaluate their trial drives as one batch of transfers.  The search works in
-modulation-index units; the chosen drive is mapped to volts in closed form,
-then centred and reported on one period with :func:`modulate` and
-:func:`comb_report`.
+The push-pull drive is a -cos series, even in time, so its pulse sits at
+t = 0, where the sampler reads it.  The transfer is periodic in the comb
+spacing, so the search evaluates each trial drive on one period only, as
+harmonic lines: the line powers come from one small FFT, and the
+least-squares complex gain onto the ideal sequence at zero delay, which has
+only N lines, is their mean plus a Parseval residual.  Scans and line
+searches evaluate their trial drives as one batch of transfers.  The search
+works in modulation-index units; the chosen drive is mapped to volts in
+closed form, then fitted and reported on one period with :func:`modulate`
+and :func:`comb_report`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Signal, TimeGrid, constant, spectrum
+from .core import Signal, TimeGrid, _require_odd_count, constant, spectrum
 
 __all__ = [
     "MzmParams",
@@ -121,17 +122,13 @@ class FlatCombCalibration:
     ``gain`` maps the raw modulator output onto the unit-peak ideal sequence
     (insertion loss and the bias-dependent output power folded in): multiply
     the output by it to reference the comb back to the ideal pulse train.
-    ``residual_delay`` is what is left after the drive phases have been
-    trimmed to centre the pulse, normally ~0.
     """
 
     plan: DrivePlan
     params: MzmParams
     report: CombReport
     converged: bool
-    flatness_target_db: float
     gain: complex
-    residual_delay: float
     waveform_rmse_percent: float
 
 
@@ -168,17 +165,16 @@ def arm_amplitude(extinction_db: float) -> float:
 
 
 def push_pull_plan(frequencies, amplitudes, bias_difference: float,
-                   base_phase: float = -math.pi / 2,
                    arm2_drive_ratio: float = 1.0) -> DrivePlan:
     """Anti-phase (push-pull) drive plan with symmetric biases.
 
-    The default base phase gives a -cos drive, which centres the generated
-    pulse at t = 0 so it lines up with an unshifted ideal sequence.
+    Arm 1 is driven by -cos and arm 2 by +cos, so the drive is even in time
+    and the generated pulse sits at t = 0, on an unshifted ideal sequence.
     ``arm2_drive_ratio`` scales every arm-2 amplitude relative to arm 1,
     the knob used to balance arms of unequal optical transmission.
     """
     tones = tuple(
-        DriveTone(f, a, arm2_drive_ratio * a, base_phase, base_phase + math.pi)
+        DriveTone(f, a, arm2_drive_ratio * a, -math.pi / 2, math.pi / 2)
         for f, a in zip(frequencies, amplitudes, strict=True)
     )
     return DrivePlan(tones, bias_arm1=0.5 * bias_difference,
@@ -220,8 +216,7 @@ def comb_report(period_spectrum: np.ndarray, n_lines: int, spacing: float) -> Co
     the carrier; suppression is taken against the two orders beyond them on
     each side, which the array must hold.
     """
-    if n_lines < 3 or n_lines % 2 == 0:
-        raise ValueError("n_lines must be an odd integer >= 3")
+    _require_odd_count(n_lines, "n_lines")
     half = (n_lines - 1) // 2
     centre = len(period_spectrum) // 2
     if centre + half + 2 >= len(period_spectrum):  # then also centre < half + 2
@@ -252,7 +247,6 @@ def comb_report(period_spectrum: np.ndarray, n_lines: int, spacing: float) -> Co
 
 _SWEEPS = 8          # coordinate-descent sweeps per stage
 _LINE_POINTS = 17    # points per level of a bracket-and-zoom line search
-_NEWTON_STEPS = 3    # polish steps of the delay search after its grid
 _MIN_GAIN = 3e-6     # a descent sweep gaining less than this is the last
 # Above every RMSE percent: the least-squares residual never exceeds the
 # norm of the unit-peak ideal, 100/sqrt(n_lines) %.
@@ -260,7 +254,7 @@ _OVER_LIMIT = 100.0
 
 
 class _OnePeriodComb:
-    """Comb line amplitudes and aligned waveform error of a batch of
+    """Comb line amplitudes and zero-delay waveform error of a batch of
     push-pull drives in modulation-index units, each a row ``[bias
     difference, arm-2 drive ratio, scale of harmonic 2, ...]`` (the
     fundamental's index is pinned at ``modulation_index``).
@@ -270,10 +264,10 @@ class _OnePeriodComb:
     electro-optic response that produce it, and ``arms`` are the two arm
     fields' weights in the output.  The transfer is periodic, so one period
     of ``mult`` samples holds every line of the windowed comb: its DFT /
-    ``mult`` equals the full grid's spectrum at the line bins.  The ideal
-    sequence has the lines 1/n_lines at orders -h..h, so the best delay and
-    complex gain onto it maximise ``|corr(theta)| = |sum_k conj(L_k) e^{2j
-    pi k theta}| / n_lines`` and, by Parseval, leave the mean square
+    ``mult`` equals the full grid's spectrum at the line bins.  The drive is
+    even, so the pulse sits at t = 0, and the ideal sequence there has the
+    lines 1/n_lines at orders -h..h: the best complex gain onto it rests on
+    ``corr = sum_k L_k / n_lines`` and, by Parseval, leaves the mean square
     residual ``1/n_lines - |corr|^2 / mean|transfer|^2`` against the
     unit-peak ideal.
     """
@@ -284,9 +278,6 @@ class _OnePeriodComb:
         self.n_lines, self._arms = n_lines, arms
         self._cos = modulation_index * np.cos(
             2 * np.pi * np.outer(np.arange(1, h + 1), np.arange(self.mult)) / self.mult)
-        self._w = 2j * np.pi * np.arange(-h, h + 1)
-        self._delays = np.arange(64 * n_lines) / (64 * n_lines)
-        self._on_delays = np.exp(np.outer(self._w, self._delays))
 
     def lines(self, x: np.ndarray):
         """Line amplitudes (orders -h..h) and mean power of each drive."""
@@ -305,26 +296,9 @@ class _OnePeriodComb:
         p = lines.real ** 2 + lines.imag ** 2
         return 10.0 * np.log10(p.max(axis=-1)) - 10.0 * np.log10(p.min(axis=-1))
 
-    def align(self, lines: np.ndarray):
-        """``(theta, |corr(theta)|^2)`` at the peak of ``|corr|``, ``theta``
-        in periods: the best of a grid of 64 points per line, polished by
-        Newton steps on ``|corr|^2`` held within one grid step."""
-        coef, w, step = lines.conj(), self._w, self._delays[1]
-        theta = self._delays[np.argmax(np.abs(coef @ self._on_delays), axis=-1)]
-        for newton in range(_NEWTON_STEPS + 1):
-            terms = coef * np.exp(theta[..., None] * w)
-            corr = terms.sum(axis=-1)
-            if newton == _NEWTON_STEPS:
-                return theta, corr.real ** 2 + corr.imag ** 2
-            d1, d2 = terms @ w, terms @ (w * w)
-            slope = (corr.conj() * d1).real
-            curve = (d1.real ** 2 + d1.imag ** 2) + (corr.conj() * d2).real
-            # a non-negative curvature is no maximum: dividing by -inf stays put
-            move = -slope / np.where(curve < 0.0, curve, -np.inf)
-            theta = theta + np.minimum(np.maximum(move, -step), step)
-
     def rmse_percent(self, lines: np.ndarray, power: np.ndarray) -> np.ndarray:
-        _, corr2 = self.align(lines / self.n_lines)
+        corr = (lines / self.n_lines).sum(axis=-1)
+        corr2 = corr.real ** 2 + corr.imag ** 2
         return 100.0 * np.sqrt(np.maximum(1.0 / self.n_lines - corr2 / power, 0.0))
 
 
@@ -409,8 +383,8 @@ def calibrate_flat_comb(
     1. flatness: a scan of the arm bias difference (67 points) against a
        common scale of the higher harmonics (13 points, beyond three lines),
        then coordinate descent of the bias and each higher harmonic's scale;
-    2. aligned waveform RMSE against the ideal sequence: a scan of the arm-2
-       drive ratio (16 points, the bias re-balanced at each), then
+    2. zero-delay waveform RMSE against the ideal sequence: a scan of the
+       arm-2 drive ratio (16 points, the bias re-balanced at each), then
        coordinate descent of the bias, the ratio and the scales, taking a
        move only while the flatness stays within the target (or within
        stage 1's result, if that missed it).
@@ -418,16 +392,15 @@ def calibrate_flat_comb(
     Every descent sweep ends with a pattern move along its net step.
 
     The indices m_k map to the volts ``m_k * v_pi / (pi * |H_EO(k *
-    spacing)|)`` in closed form.  Then, on one period of the modulator
-    output, the tone phases are trimmed to centre the pulse at t = 0,
-    ``gain`` is fitted to map the output onto the unit-peak ideal sequence
-    by a plain complex multiply, and the comb is reported; ``converged`` is
-    False if the target is out of reach.
+    spacing)|)`` in closed form.  The drive is even, so its pulse sits at
+    t = 0 and needs no centring: on one period of the modulator output,
+    ``gain`` is fitted at zero delay to map the output onto the unit-peak
+    ideal sequence by a plain complex multiply, and the comb is reported;
+    ``converged`` is False if the target is out of reach.
     """
-    if n_lines < 3 or n_lines % 2 == 0:
-        raise ValueError("n_lines must be an odd integer >= 3")
-    if not spacing > 0:
-        raise ValueError("spacing must be positive")
+    _require_odd_count(n_lines, "n_lines")
+    if not 0 < spacing < math.inf:
+        raise ValueError("spacing must be finite and positive")
 
     comb = _OnePeriodComb(n_lines, modulation_index,
                           (0.5 * arm_amplitude(params.dc_extinction_arm1_db),
@@ -478,21 +451,9 @@ def calibrate_flat_comb(
     plan = push_pull_plan(freqs, volts * np.concatenate(([1.0], x[2:])), float(x[0]),
                           arm2_drive_ratio=float(x[1]))
 
-    # centre the pulse: fold the measured delay into the tone phases (exact
-    # by time invariance), measure again to absorb estimation error
     grid = TimeGrid(sample_rate=comb.mult * spacing, n_samples=comb.mult)
     line_bins = comb.mult // 2 + np.arange(-(n_lines // 2), n_lines // 2 + 1)
-    for attempt in range(3):
-        spec = spectrum(modulate(constant(grid), plan, params))
-        theta, _ = comb.align(spec[line_bins])
-        residual = float((theta + 0.5) % 1.0 - 0.5) / spacing
-        if abs(residual) < 1e-3 * grid.dt or attempt == 2:
-            break
-        shift = -2 * math.pi * residual
-        plan = DrivePlan(tuple(replace(t, phase_arm1=t.phase_arm1 + shift * t.frequency,
-                                       phase_arm2=t.phase_arm2 + shift * t.frequency)
-                               for t in plan.tones), plan.bias_arm1, plan.bias_arm2)
-
+    spec = spectrum(modulate(constant(grid), plan, params))
     # the ideal sequence's lines are 1/n_lines, so by Parseval the
     # least-squares gain and residual on the lines are the waveform's
     ideal = np.zeros(comb.mult)
@@ -502,8 +463,7 @@ def calibrate_flat_comb(
     return FlatCombCalibration(
         plan=plan, params=params, report=report,
         converged=bool(report.flatness_db <= flatness_target_db),
-        flatness_target_db=float(flatness_target_db), gain=gain,
-        residual_delay=residual,
+        gain=gain,
         waveform_rmse_percent=float(100.0 * np.linalg.norm(gain * spec - ideal)),
     )
 

@@ -58,6 +58,8 @@ def raised_cosine_shape(symbols, symbol_rate: float, rolloff: float,
         raise ValueError("symbols must be a non-empty 1-D array")
     if not 0.0 <= rolloff <= 1.0:
         raise ValueError(f"rolloff must lie in [0, 1], got {rolloff:g}")
+    if not symbol_rate > 0:
+        raise ValueError("symbol_rate must be positive")
     r_sym = symbol_rate
     m_sym = symbols.shape[0]
     window_symbols = _require_integer(grid.duration * r_sym,
@@ -96,13 +98,13 @@ def raised_cosine_shape(symbols, symbol_rate: float, rolloff: float,
     return Signal._of_bins(grid, bins, int(k[0]))
 
 
-def sample_symbols(sig: Signal, symbol_rate: float, t_offset: float = 0.0,
-                   n_symbols: int | None = None) -> np.ndarray:
+def sample_symbols(sig: Signal, symbol_rate: float,
+                   t_offset: float = 0.0) -> np.ndarray:
     """Read symbols back off a signal at ``t = t_offset + k/symbol_rate``.
 
     Symbol instants must fall on grid samples and the window must hold a
-    whole number M of symbol periods.  The values come from the signal's
-    bins: folded onto M bins, then one M-point inverse FFT.
+    whole number M of symbol periods, k = 0..M-1.  The values come from the
+    signal's bins: folded onto M bins, then one M-point inverse FFT.
     """
     if not symbol_rate > 0:
         raise ValueError("symbol_rate must be positive")
@@ -113,8 +115,6 @@ def sample_symbols(sig: Signal, symbol_rate: float, t_offset: float = 0.0,
                              "symbol offset in samples")
     m_sym = _require_integer(grid.duration * symbol_rate,
                              "grid window in symbol periods")
-    if n_symbols is None:
-        n_symbols = m_sym
     # sample start + q*sps is (1/n) sum_k bins[k] exp(2j*pi*k*(start + q*sps)/n);
     # with k = a*M + r the sum over a folds the bins onto r = 0..M-1: over the
     # rows the band reaches, in ascending a mod sps, whatever the band's width;
@@ -125,8 +125,7 @@ def sample_symbols(sig: Signal, symbol_rate: float, t_offset: float = 0.0,
     turns = np.exp(2j * np.pi * ((a * start) % sps) / sps)
     fold = sum(turns[i] * rows[i] for i in np.argsort(a % sps, kind="stable"))
     fold *= np.exp(2j * np.pi * ((np.arange(m_sym) * start) % n) / n)
-    values = np.fft.ifft(fold) / sps
-    return values[np.arange(n_symbols) % m_sym]
+    return np.fft.ifft(fold) / sps
 
 
 def _sequence_lines(plan: ChannelPlan, grid: TimeGrid):

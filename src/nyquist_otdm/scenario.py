@@ -548,7 +548,7 @@ def run_scenario(sc: Scenario, calibrations: dict | None = None) -> ReportBundle
     branches = demultiplex(rx, plan, cal, timing_delay=receiver["timing_delay_s"])
     for l, y in enumerate(branches, start=1):
         y = coherent_detect(y, receiver["lo_power_w"], receiver["lo_phase_rad"])
-        raw = sample_symbols(y, rate, t_offset=plan.slot(l), n_symbols=n_symbols)
+        raw = sample_symbols(y, rate, t_offset=plan.slot(l))
         ref = tx_symbols[l - 1]
         denom = np.vdot(raw, raw)
         if denom == 0:

@@ -119,8 +119,7 @@ def sampler_of(drive: DrivePlan, params: MzmParams,
     """A calibration holding an arbitrary drive, to sample with: the
     demultiplexer reads only its drive plan, device and gain."""
     return FlatCombCalibration(plan=drive, params=params, report=None,
-                               converged=True, flatness_target_db=math.nan,
-                               gain=gain, residual_delay=0.0,
+                               converged=True, gain=gain,
                                waveform_rmse_percent=math.nan)
 
 

@@ -185,9 +185,12 @@ class TestChannelPlan:
         assert_allclose(offs, [0.0, 1 / 24e9, 2 / 24e9])
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            ChannelPlan(4, 24e9)  # even
-        with pytest.raises(ValueError):
-            ChannelPlan(1, 24e9)  # too few
-        with pytest.raises(ValueError):
-            ChannelPlan(3, -1.0)
+        """The count is an odd integer >= 3 (an integral float, a fraction or
+        a bool is none; a numpy integer is one), the bandwidth finite and
+        positive."""
+        for n, bandwidth in ((4, 24e9), (1, 24e9), (3, -1.0), (3.0, 24e9),
+                             (3.5, 24e9), (5.0, 24e9), (True, 24e9),
+                             (3, math.inf), (3, math.nan)):
+            with pytest.raises(ValueError):
+                ChannelPlan(n, bandwidth)
+        assert ChannelPlan(np.int64(3), 24e9).symbol_rate == 8e9

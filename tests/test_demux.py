@@ -112,8 +112,7 @@ def test_ideal_round_trip_multiple_seeds():
         agg = otdm_multiplex(blocks, plan.symbol_rate, plan, grid)
         for l, (sent, y) in enumerate(zip(blocks, demultiplex(agg, plan)),
                                       start=1):
-            got = sample_symbols(y, plan.symbol_rate, t_offset=plan.slot(l),
-                                 n_symbols=n_symbols)
+            got = sample_symbols(y, plan.symbol_rate, t_offset=plan.slot(l))
             assert_allclose(got, sent, atol=1e-9)
 
 
@@ -130,7 +129,7 @@ def _crosstalk_db(plan, sampler, n_symbols=15, seed=5):
     branches = demultiplex(agg, plan, sampler=sampler)
     for l in (1, 3):
         got = sample_symbols(branches[l - 1], plan.symbol_rate,
-                             t_offset=plan.slot(l), n_symbols=n_symbols)
+                             t_offset=plan.slot(l))
         leak = np.mean(np.abs(got) ** 2)
         if leak > 0:
             worst = max(worst, 10 * math.log10(leak / ref_power))
@@ -160,8 +159,7 @@ def test_mzm_sampler_recovers_symbols_to_percent_level():
     agg = otdm_multiplex(blocks, plan.symbol_rate, plan, grid)
     branches = demultiplex(agg, plan, sampler=cal)
     for l, (sent, y) in enumerate(zip(blocks, branches), start=1):
-        got = sample_symbols(y, plan.symbol_rate, t_offset=plan.slot(l),
-                             n_symbols=n_symbols)
+        got = sample_symbols(y, plan.symbol_rate, t_offset=plan.slot(l))
         err = np.sqrt(np.mean(np.abs(got - sent) ** 2)
                       / np.mean(np.abs(sent) ** 2))
         assert err < 0.05
@@ -178,8 +176,7 @@ def test_known_timing_delay_is_removed():
     late = delay_signal(agg, tau)
     branches = demultiplex(late, plan, timing_delay=tau)
     for l, (sent, y) in enumerate(zip(blocks, branches), start=1):
-        got = sample_symbols(y, plan.symbol_rate, t_offset=plan.slot(l),
-                             n_symbols=n_symbols)
+        got = sample_symbols(y, plan.symbol_rate, t_offset=plan.slot(l))
         assert_allclose(got, sent, atol=1e-9)
 
 
@@ -237,11 +234,10 @@ def test_spectral_layers_match_time_domain_oracles(
                 aggregate, plan, l, sampler, timing_delay=delay))
 
     start = int(rng.integers(0, grid.n_samples))
-    instants = (start + np.arange(2 * n_symbols) * oversampling * n_branches
+    instants = (start + np.arange(n_symbols) * oversampling * n_branches
                 ) % grid.n_samples
     for sig in (Signal._of_bins(grid, np.fft.fft(noise())), mux):
-        got = sample_symbols(sig, plan.symbol_rate, t_offset=start * grid.dt,
-                             n_symbols=2 * n_symbols)
+        got = sample_symbols(sig, plan.symbol_rate, t_offset=start * grid.dt)
         _assert_close(got, sig.samples[instants])
 
 

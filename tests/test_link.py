@@ -166,8 +166,7 @@ def _mean_branch_error(agg, plan, blocks, n_symbols):
     errs = []
     branches = demultiplex(agg, plan)
     for l, (sent, y) in enumerate(zip(blocks, branches), start=1):
-        got = sample_symbols(y, plan.symbol_rate, t_offset=plan.slot(l),
-                             n_symbols=n_symbols)
+        got = sample_symbols(y, plan.symbol_rate, t_offset=plan.slot(l))
         # data-aided one-tap equalizer, as a coherent receiver would apply
         g = np.vdot(got, sent) / np.vdot(got, got)
         errs.append(np.sqrt(np.mean(np.abs(g * got - sent) ** 2)))

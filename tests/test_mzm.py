@@ -149,8 +149,9 @@ class TestCombReport:
         """Line k sits at len // 2 + k, so the orders +/-(h+2) need
         n_lines + 4 bins; a shorter array is refused, not read at an index
         that wraps."""
-        with pytest.raises(ValueError):
-            comb_report(spectrum(constant(TimeGrid(32e9, 64))), 4, 1e9)
+        for bad in (4, 3.0, 5.5, True):
+            with pytest.raises(ValueError, match="n_lines must be an odd integer"):
+                comb_report(spectrum(constant(TimeGrid(32e9, 64))), bad, 1e9)
         for n_lines in (3, 5, 7):
             assert comb_report(np.ones(n_lines + 4), n_lines, 1e9).flatness_db == 0.0
             for short in (n_lines + 3, n_lines + 2):
@@ -192,9 +193,11 @@ class TestOnePeriodComb:
            ratio=st.floats(0.5, 1.25),
            scales=st.lists(st.floats(0.4, 1.6), min_size=2, max_size=2))
     def test_figures_match_time_domain_oracle(self, n_lines, bias, ratio, scales):
-        """Flatness and aligned RMSE from one period's harmonic lines, in
+        """Flatness and zero-delay RMSE from one period's harmonic lines, in
         modulation-index units, equal the full 16-period waveform's spectrum
-        and time-domain fit of the drive in volts."""
+        and time-domain least-squares gain fit, at zero delay, of the drive
+        in volts.  Some of these drives correlate best off zero delay, so a
+        best-delay fit would not state the figure."""
         spacing = 10e9
         comb = _OnePeriodComb(n_lines, 0.3, ARMS)
         x = np.array([bias, ratio] + scales[:(n_lines - 3) // 2])
@@ -209,21 +212,23 @@ class TestOnePeriodComb:
         out = modulate(constant(grid), plan, PARAMS)
         ideal = Signal(grid, sequence_directly(n_lines, n_lines * spacing, grid.t)
                        .astype(complex))
-        _, _, aligned = align_delay_gain(out, ideal)
+        gain = np.vdot(out.samples, ideal.samples) / np.vdot(out.samples, out.samples)
         report = comb_report(spectrum(out)[::16], n_lines, spacing)  # 16 periods
         assert comb.flatness_db(lines) == pytest.approx(report.flatness_db, rel=1e-9)
         assert comb.rmse_percent(lines, power) == pytest.approx(
-            rmse_percent(aligned, ideal), rel=1e-9)
+            rmse_percent(Signal(grid, gain * out.samples), ideal), rel=1e-9)
 
-    def test_align_finds_an_off_grid_delay(self):
-        """Lines a_k exp(2j pi k theta0) correlate best at theta0, to
-        |corr| = sum a_k; push-pull drives only ever peak on the grid."""
-        comb = _OnePeriodComb(5, 0.3, ARMS)
-        amps = np.array([0.2, 0.7, 1.0, 0.8, 0.3])
-        theta0 = 0.123456789
-        theta, corr2 = comb.align(amps * np.exp(2j * np.pi * np.arange(-2, 3) * theta0))
-        assert theta == pytest.approx(theta0, abs=1e-12)
-        assert corr2 == pytest.approx(amps.sum() ** 2, rel=1e-14)
+
+def assert_centred(cal, n_lines: int, spacing: float):
+    """The calibrated pulse sits at t = 0, where the sampler reads it: the
+    time-domain best delay of 16 periods of the modulator output onto the
+    unshifted ideal sequence is zero."""
+    grid = TimeGrid(32 * spacing, 32 * 16)
+    out = modulate(constant(grid), cal.plan, cal.params)
+    ideal = Signal(grid, sequence_directly(n_lines, n_lines * spacing, grid.t)
+                   .astype(complex))
+    tau, _, _ = align_delay_gain(out, ideal)
+    assert abs(tau) < 1e-6 * grid.dt
 
 
 class TestCalibration:
@@ -234,7 +239,13 @@ class TestCalibration:
         assert cal.report.flatness_db <= 0.1
         assert cal.waveform_rmse_percent <= 1.0
         assert cal.report.sideband_suppression_db > 25.0
-        assert abs(cal.residual_delay) < 1e-15
+        assert_centred(cal, 3, spacing)
+
+    @pytest.mark.parametrize("spacing", [8e9, 10e9])
+    def test_five_line_comb_is_centred(self, spacing):
+        cal = calibrate_flat_comb(5, spacing, PARAMS, flatness_target_db=0.1)
+        assert cal.converged
+        assert_centred(cal, 5, spacing)
 
     @pytest.mark.parametrize("spacing", [4e9, 4.25e9])
     def test_seven_line_comb_converges(self, spacing):
@@ -242,7 +253,19 @@ class TestCalibration:
         cal = calibrate_flat_comb(7, spacing, PARAMS, flatness_target_db=0.1)
         assert cal.converged
         assert cal.report.flatness_db <= 0.1
-        assert abs(cal.residual_delay) < 1e-15
+        assert_centred(cal, 7, spacing)
+
+    def test_bad_line_counts_and_spacings_rejected(self):
+        """An integral float, a fraction or a bool is no line count (a numpy
+        integer is one), and the spacing is finite and positive; each is
+        named before the search runs."""
+        for bad in (3.0, 5.5, True, 4, 1):
+            with pytest.raises(ValueError, match="n_lines must be an odd integer"):
+                calibrate_flat_comb(bad, 10e9, PARAMS)
+        for bad in (0.0, -10e9, math.inf, math.nan):
+            with pytest.raises(ValueError, match="spacing must be finite and positive"):
+                calibrate_flat_comb(3, bad, PARAMS)
+        assert calibrate_flat_comb(np.int64(3), 10e9, PARAMS).report.n_lines == 3
 
     def test_deterministic(self):
         a = calibrate_flat_comb(3, 10e9, PARAMS)

@@ -111,7 +111,7 @@ class TestNyquistInterpolate:
             grid = grid_for(plan, n_symbols)
             syms = rng.standard_normal(n_symbols) + 1j * rng.standard_normal(n_symbols)
             sig = nyquist_interpolate(syms, plan.symbol_rate, grid)
-            back = sample_symbols(sig, plan.symbol_rate, n_symbols=n_symbols)
+            back = sample_symbols(sig, plan.symbol_rate)
             assert_allclose(back, syms, atol=1e-10)
 
     def test_linearity(self):
@@ -143,7 +143,7 @@ class TestRaisedCosine:
         for rolloff in (0.0, 0.35, 1.0):
             syms = rng.standard_normal(16) + 1j * rng.standard_normal(16)
             sig = raised_cosine_shape(syms, 4e9, rolloff, grid)
-            back = sample_symbols(sig, 4e9, n_symbols=16)
+            back = sample_symbols(sig, 4e9)
             assert_allclose(back, syms, atol=1e-9)
 
     def test_spectrum_matches_closed_form(self):
@@ -186,6 +186,14 @@ class TestRaisedCosine:
         for bad in (-0.1, 1.5):
             with pytest.raises(ValueError):
                 raised_cosine_shape(np.ones(4, dtype=complex), 4e9, bad, grid)
+
+    def test_symbol_rate_must_be_positive(self):
+        """A rate at or below zero, or NaN, is named, not met as a window
+        that holds a negative or NaN count of symbols."""
+        grid = TimeGrid(64e9, 64)
+        for bad in (0.0, -4e9, float("nan")):
+            with pytest.raises(ValueError, match="symbol_rate must be positive"):
+                raised_cosine_shape(np.ones(4, dtype=complex), bad, 0.0, grid)
 
     def test_symbol_block_validation(self):
         """A symbol block must be a non-empty 1-D array."""
@@ -234,7 +242,7 @@ class TestMultiplex:
         mux = otdm_multiplex(blocks, plan.symbol_rate, plan, grid)
         for l, block in enumerate(blocks, start=1):
             got = sample_symbols(mux, plan.symbol_rate,
-                                 t_offset=plan.slot(l), n_symbols=n_symbols)
+                                 t_offset=plan.slot(l))
             assert_allclose(got, block, atol=1e-10)
 
     def test_raised_cosine_shaping_round_trip(self):
