@@ -20,7 +20,6 @@ from .link import (
     FiberSpec,
     NoiseSpec,
     add_noise,
-    coherent_detect,
     compensate_dispersion,
     dispersion_phase,
     phase_noise,
@@ -95,7 +94,7 @@ __all__ = [
     # link
     "SPEED_OF_LIGHT", "FiberSpec", "NoiseSpec", "propagate",
     "compensate_dispersion", "dispersion_phase", "add_noise",
-    "coherent_detect", "phase_noise",
+    "phase_noise",
     # modem
     "Constellation", "qam_map", "qam_demap", "evm",
     "EvmResult", "q_factor", "QFactorResult", "ber_estimate",

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import ChannelPlan, Signal, TimeGrid, constant, delay_signal
+from .core import ChannelPlan, Signal, TimeGrid, constant
 from .mzm import FlatCombCalibration, modulate
 from .nyquist import _require_integer, _sequence_lines
 
@@ -65,18 +65,15 @@ def _sampling_lines(plan: ChannelPlan, sampler: FlatCombCalibration | None,
 
 
 def demultiplex(sig: Signal, plan: ChannelPlan,
-                sampler: FlatCombCalibration | None = None,
-                timing_delay: float = 0.0) -> tuple[Signal, ...]:
+                sampler: FlatCombCalibration | None = None) -> tuple[Signal, ...]:
     """Recover every branch's baseband signal from the aggregate, branch 1 first.
 
     ``sampler`` is the comb calibration whose drive makes the sampling
     pulses, or None for the ideal sinc sequences.  Sampling, brickwall
     low-pass at B/(2N), and the factor N restoring the 1/N gain of sequence
-    sampling.  ``timing_delay`` models a known receiver clock offset and is
-    removed before the sampling multiplication, where it still matters —
-    the sequence zeros must land between the wanted symbols.
-    Only the detection band's bins are computed, from one gather for all
-    branches: each is a sum of the aggregate's bins one sampling line apart.
+    sampling.  Only the detection band's bins are computed, from one gather
+    for all branches: each is a sum of the aggregate's bins one sampling
+    line apart.
 
     Note on periodic windows: a branch carrying an even number of symbols
     per window has a discrete line exactly on the filter edge at B/(2N),
@@ -88,8 +85,6 @@ def demultiplex(sig: Signal, plan: ChannelPlan,
     grid = sig.grid
     n = grid.n_samples
     shifts, rows = _sampling_lines(plan, sampler, grid)
-    if timing_delay:
-        sig = delay_signal(sig, -timing_delay)
     # the band |f| <= B/(2N) is half a line spacing each side; the bins at
     # exactly the edge (an even spacing) count half
     spacing = int(shifts[1] - shifts[0])

@@ -1,4 +1,4 @@
-"""Fiber propagation, noise loading, and coherent detection.
+"""Fiber propagation, noise loading, and laser phase noise.
 
 Chromatic dispersion is the usual all-pass quadratic spectral phase around
 the carrier; attenuation is a scalar.  Noise loading is circular complex
@@ -22,7 +22,6 @@ __all__ = [
     "propagate",
     "compensate_dispersion",
     "add_noise",
-    "coherent_detect",
     "phase_noise",
 ]
 
@@ -40,12 +39,14 @@ class FiberSpec:
     reference_wavelength_nm: float = 1550.0
 
     def __post_init__(self):
-        if self.length_km < 0:
-            raise ValueError("length_km must be >= 0")
-        if self.attenuation_db_km < 0:
-            raise ValueError("attenuation_db_km must be >= 0")
-        if not self.reference_wavelength_nm > 0:
-            raise ValueError("reference_wavelength_nm must be positive")
+        if not 0 <= self.length_km < math.inf:
+            raise ValueError("length_km must be finite and >= 0")
+        if not math.isfinite(self.dispersion_ps_nm_km):
+            raise ValueError("dispersion_ps_nm_km must be finite")
+        if not 0 <= self.attenuation_db_km < math.inf:
+            raise ValueError("attenuation_db_km must be finite and >= 0")
+        if not 0 < self.reference_wavelength_nm < math.inf:
+            raise ValueError("reference_wavelength_nm must be finite and positive")
 
 
 def dispersion_phase(fiber: FiberSpec, f) -> np.ndarray:
@@ -95,8 +96,10 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.reference_bandwidth_hz > 0:
-            raise ValueError("reference_bandwidth_hz must be positive")
+        if not -math.inf < self.osnr_db <= math.inf:
+            raise ValueError("osnr_db must be finite, or inf for no noise")
+        if not 0 < self.reference_bandwidth_hz < math.inf:
+            raise ValueError("reference_bandwidth_hz must be finite and positive")
 
 
 def add_noise(sig: Signal, noise: NoiseSpec) -> Signal:
@@ -119,17 +122,6 @@ def add_noise(sig: Signal, noise: NoiseSpec) -> Signal:
     w = rng.standard_normal(sig.grid.n_samples) + 1j * rng.standard_normal(
         sig.grid.n_samples)
     return Signal._of_bins(sig.grid, sig.bins + np.sqrt(sigma2 / 2.0) * np.fft.fft(w))
-
-
-def coherent_detect(sig: Signal, lo_power: float = 1.0,
-                    lo_phase: float = 0.0) -> Signal:
-    """Beat the field against a local oscillator: scale by sqrt(lo_power)
-    and counter-rotate by the LO phase."""
-    if not lo_power > 0:
-        raise ValueError("lo_power must be positive")
-    first, band = sig._spectrum()
-    return Signal._of_bins(
-        sig.grid, math.sqrt(lo_power) * np.exp(-1j * lo_phase) * band, first)
 
 
 def phase_noise(sig: Signal, linewidth_hz: float, seed: int = 0) -> Signal:

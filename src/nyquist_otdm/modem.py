@@ -259,6 +259,8 @@ def ber_estimate_log10(q_linear: float) -> float:
     if not q_linear > 0:
         raise ValueError("q_linear must be positive")
     x = q_linear / math.sqrt(2.0)
+    if x == math.inf:  # the value every q past about 1.9e154 already gives
+        return -math.inf
     if x < 25.0:  # 0.5 * erfc(25) is about 4e-274, still a normal float
         return math.log10(0.5 * math.erfc(x))
     # erfc(x) = exp(-x**2) * erfcx(x); at x >= 25 eight terms of erfcx's

@@ -62,14 +62,14 @@ class MzmParams:
     eo_model: str = "single_pole"
 
     def __post_init__(self):
-        if not self.v_pi > 0:
-            raise ValueError("v_pi must be positive")
-        if not self.eo_3db_bandwidth > 0:
-            raise ValueError("eo_3db_bandwidth must be positive")
+        if not 0 < self.v_pi < math.inf:
+            raise ValueError("v_pi must be finite and positive")
+        if not 0 < self.eo_3db_bandwidth < math.inf:
+            raise ValueError("eo_3db_bandwidth must be finite and positive")
         if not self.dc_extinction_arm1_db > 0 or not self.dc_extinction_arm2_db > 0:
             raise ValueError("DC extinction ratios must be positive (dB)")
-        if self.insertion_loss_db < 0:
-            raise ValueError("insertion_loss_db must be >= 0")
+        if not 0 <= self.insertion_loss_db < math.inf:
+            raise ValueError("insertion_loss_db must be finite and >= 0")
         if self.eo_model not in _EO_MODELS:
             raise ValueError(f"eo_model must be one of {_EO_MODELS}")
 

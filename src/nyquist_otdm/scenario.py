@@ -15,14 +15,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ChannelPlan, Signal, TimeGrid, _write_csv, delay_signal
+from .core import ChannelPlan, Signal, TimeGrid, _write_csv
 from .demux import demultiplex
 from .link import (
     SPEED_OF_LIGHT,
     FiberSpec,
     NoiseSpec,
     add_noise,
-    coherent_detect,
     compensate_dispersion,
     dispersion_phase,
     phase_noise,
@@ -129,9 +128,6 @@ _TRANSMISSION = _HEAD + (
     ("sampler.modulation_index", float, 0.3, 1e-3, 1e300),
     ("sampler.flatness_target_db", float, 0.1, 1e-4, None),
     ("receiver.compensate_dispersion", bool, True, None, None),
-    ("receiver.lo_power_w", float, 1.0, 1e-12, 1e100),  # the tap sums its squares
-    ("receiver.lo_phase_rad", float, 0.0, None, None),
-    ("receiver.timing_delay_s", float, 0.0, None, None),
     ("laser.linewidth_hz", float, 0.0, 0.0, 1e300),
     ("outputs", ["metrics", "spectra", "constellation", "eye"], ["metrics"], None, None),
 ) + _MZM
@@ -292,9 +288,6 @@ def parse_scenario(raw: dict) -> Scenario:
     if abs(sps - round(sps)) > 1e-9:
         raise ConfigError("shaping.symbol_rate_hz",
                           "symbol period must hold an integer number of samples")
-    window = cfg["n_symbols"] / branch_rate  # a shorter delay's phase is finite
-    if abs(cfg["receiver"]["timing_delay_s"]) >= window:
-        raise ConfigError("receiver.timing_delay_s", f"must be below {window:g} s")
     periods = cfg["n_symbols"] * bandwidth / (n_branches * branch_rate)
     if abs(periods - round(periods)) > 1e-9:
         raise ConfigError("n_symbols",
@@ -508,7 +501,7 @@ def run_scenario(sc: Scenario, calibrations: dict | None = None) -> ReportBundle
 
     seed, outputs = cfg["seed"], cfg["outputs"]
     rate, n_symbols = cfg["shaping"]["symbol_rate_hz"], cfg["n_symbols"]
-    noise, receiver = cfg["noise"], cfg["receiver"]
+    noise = cfg["noise"]
     osnr_db = math.inf if noise["osnr_db"] is None else noise["osnr_db"]
     plan = sc.plan
     grid = sc.make_grid()
@@ -522,15 +515,12 @@ def run_scenario(sc: Scenario, calibrations: dict | None = None) -> ReportBundle
     tx = otdm_multiplex(tx_symbols, rate, plan, grid, rolloff=cfg["shaping"]["rolloff"])
 
     rx = propagate(tx, sc.fiber)
-    if receiver["timing_delay_s"]:
-        # the bulk path delay the receiver is configured to remove
-        rx = delay_signal(rx, receiver["timing_delay_s"])
     if cfg["laser"]["linewidth_hz"] > 0:
         rx = phase_noise(rx, cfg["laser"]["linewidth_hz"], seed=seed + 2)
     if not math.isinf(osnr_db):
         rx = add_noise(rx, NoiseSpec(osnr_db, noise["reference_bandwidth_hz"],
                                      seed=noise["seed"]))
-    if receiver["compensate_dispersion"]:
+    if cfg["receiver"]["compensate_dispersion"]:
         rx = compensate_dispersion(rx, sc.fiber)
 
     cal = None
@@ -545,9 +535,7 @@ def run_scenario(sc: Scenario, calibrations: dict | None = None) -> ReportBundle
         artifacts["spectrum_received"] = _spectrum_rows(rx, half)
 
     reports = []
-    branches = demultiplex(rx, plan, cal, timing_delay=receiver["timing_delay_s"])
-    for l, y in enumerate(branches, start=1):
-        y = coherent_detect(y, receiver["lo_power_w"], receiver["lo_phase_rad"])
+    for l, y in enumerate(demultiplex(rx, plan, cal), start=1):
         raw = sample_symbols(y, rate, t_offset=plan.slot(l))
         ref = tx_symbols[l - 1]
         denom = np.vdot(raw, raw)

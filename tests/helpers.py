@@ -137,14 +137,10 @@ def gate_directly(sig: Signal, plan: ChannelPlan, branch: int,
 
 
 def demultiplex_directly(sig: Signal, plan: ChannelPlan, branch: int,
-                         sampler=None, timing_delay: float = 0.0) -> np.ndarray:
-    """Time-domain demultiplexing: advance by the timing delay, gate, keep
-    |f| < B/(2N) with half weight on the edge, and restore the factor N."""
+                         sampler=None) -> np.ndarray:
+    """Time-domain demultiplexing: gate, keep |f| < B/(2N) with half weight
+    on the edge, and restore the factor N."""
     grid = sig.grid
-    if timing_delay:
-        sig = Signal(grid, filter_directly(
-            sig.samples, grid,
-            lambda f: np.exp(2j * np.pi * f * timing_delay)))
     edge = plan.detection_half_width
     tol = grid.freq_resolution * 1e-6
 

@@ -13,7 +13,6 @@ from nyquist_otdm.core import constant
 from nyquist_otdm.demux import _sampling_lines, demultiplex
 from nyquist_otdm.link import (
     FiberSpec,
-    coherent_detect,
     compensate_dispersion,
     propagate,
 )
@@ -34,6 +33,7 @@ from nyquist_otdm.nyquist import (
 from helpers import (
     branch_drive,
     demultiplex_directly,
+    filter_directly,
     gate_directly,
     grid_for,
     propagate_directly,
@@ -165,21 +165,6 @@ def test_mzm_sampler_recovers_symbols_to_percent_level():
         assert err < 0.05
 
 
-def test_known_timing_delay_is_removed():
-    plan = ChannelPlan(3, 24e9)
-    rng = np.random.default_rng(13)
-    n_symbols = 11
-    grid = grid_for(plan, n_symbols)
-    blocks = random_symbols(plan, n_symbols, rng)
-    agg = otdm_multiplex(blocks, plan.symbol_rate, plan, grid)
-    tau = 1.5 * grid.dt
-    late = delay_signal(agg, tau)
-    branches = demultiplex(late, plan, timing_delay=tau)
-    for l, (sent, y) in enumerate(zip(blocks, branches), start=1):
-        got = sample_symbols(y, plan.symbol_rate, t_offset=plan.slot(l))
-        assert_allclose(got, sent, atol=1e-9)
-
-
 @settings(max_examples=20, deadline=None, derandomize=True)
 @given(n_branches=st.sampled_from([3, 5, 7]), n_symbols=st.integers(4, 11),
        oversampling=st.sampled_from([4, 5, 8]),
@@ -225,13 +210,16 @@ def test_spectral_layers_match_time_domain_oracles(
                            bias_difference=float(rng.uniform(0.5, 2.5)))
     mzm = sampler_of(drive, PARAMS,
                      gain=complex(rng.uniform(1.0, 4.0), rng.uniform(-1.0, 1.0)))
+    # a known receiver delay is removed before demultiplexing
     delay = delay_samples * grid.dt
+    advanced = Signal(grid, filter_directly(
+        aggregate.samples, grid, lambda f: np.exp(2j * np.pi * f * delay)))
     for sampler in (None, mzm):
-        got = demultiplex(aggregate, plan, sampler, timing_delay=delay)
+        got = demultiplex(delay_signal(aggregate, -delay), plan, sampler)
         assert len(got) == n_branches
         for l, y in enumerate(got, start=1):
-            _assert_close(y.samples, demultiplex_directly(
-                aggregate, plan, l, sampler, timing_delay=delay))
+            _assert_close(y.samples,
+                          demultiplex_directly(advanced, plan, l, sampler))
 
     start = int(rng.integers(0, grid.n_samples))
     instants = (start + np.arange(n_symbols) * oversampling * n_branches
@@ -286,17 +274,15 @@ def test_band_and_whole_grid_agree_bitwise(n_branches, n_symbols, oversampling,
     delay = float(rng.uniform(-0.5, 0.5)) * grid.duration
     for layer in (lambda s: propagate(s, fiber),
                   lambda s: compensate_dispersion(s, fiber),
-                  lambda s: coherent_detect(s, 2.0, 0.3),
                   lambda s: delay_signal(s, delay)):
         assert_array_equal(layer(sig).bins, layer(full).bins)
 
     mux = multiplex_branch_signals(shaped, plan)
     assert_array_equal(mux.bins, multiplex_branch_signals(whole, plan).bins)
-    branches = demultiplex(mux, plan, timing_delay=delay)
+    branches = demultiplex(mux, plan)
     assert len(branches) == n_branches
     for l, (y, y_whole) in enumerate(zip(
-            branches, demultiplex(_whole_grid(mux), plan, timing_delay=delay),
-            strict=True), start=1):
+            branches, demultiplex(_whole_grid(mux), plan), strict=True), start=1):
         assert_array_equal(y.bins, y_whole.bins)
         assert_array_equal(
             sample_symbols(y, plan.symbol_rate, t_offset=plan.slot(l)),

@@ -1,4 +1,4 @@
-"""Tests for fiber propagation, noise loading, and coherent detection."""
+"""Tests for fiber propagation, noise loading, and laser phase noise."""
 
 import math
 
@@ -13,7 +13,6 @@ from nyquist_otdm.link import (
     FiberSpec,
     NoiseSpec,
     add_noise,
-    coherent_detect,
     compensate_dispersion,
     dispersion_phase,
     phase_noise,
@@ -86,6 +85,16 @@ def test_fiber_spec_validation():
         FiberSpec(length_km=1.0, reference_wavelength_nm=0.0)
 
 
+@pytest.mark.parametrize("field", ["length_km", "dispersion_ps_nm_km",
+                                   "attenuation_db_km", "reference_wavelength_nm"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_fiber_spec_must_be_finite(field, value):
+    """Refused at construction, naming the field, not later inside a
+    transform as bins that are not finite."""
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        FiberSpec(**{"length_km": 10.0, field: value})
+
+
 class TestNoise:
     def test_variance_matches_osnr_target(self):
         grid = TimeGrid(100e9, 1 << 16)
@@ -111,25 +120,23 @@ class TestNoise:
         out = add_noise(sig, NoiseSpec(math.inf))
         assert np.array_equal(out.samples, sig.samples)
 
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"osnr_db": math.nan}, "osnr_db"),
+        ({"osnr_db": -math.inf}, "osnr_db"),
+        ({"osnr_db": 20.0, "reference_bandwidth_hz": math.inf}, "reference_bandwidth_hz"),
+        ({"osnr_db": 20.0, "reference_bandwidth_hz": math.nan}, "reference_bandwidth_hz"),
+    ])
+    def test_spec_must_be_finite(self, kwargs, field):
+        """Only +inf, no noise, is legal past the finite values: before, an
+        infinite reference bandwidth loaded no noise at all and -inf dB
+        divided by zero."""
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            NoiseSpec(**kwargs)
+
     def test_zero_signal_rejected(self):
         grid = TimeGrid(50e9, 64)
         with pytest.raises(ValueError):
             add_noise(constant(grid, 0.0), NoiseSpec(20.0))
-
-
-class TestCoherentDetect:
-    def test_scaling_and_phase(self):
-        grid = TimeGrid(50e9, 64)
-        sig = constant(grid, 1.0 + 1.0j)
-        out = coherent_detect(sig, lo_power=4.0, lo_phase=math.pi / 2)
-        assert_allclose(out.samples,
-                        2.0 * np.exp(-1j * math.pi / 2) * sig.samples,
-                        atol=1e-15)
-
-    def test_rejects_nonpositive_lo(self):
-        grid = TimeGrid(50e9, 64)
-        with pytest.raises(ValueError):
-            coherent_detect(constant(grid), lo_power=0.0)
 
 
 class TestPhaseNoise:

@@ -239,9 +239,10 @@ class TestBerEstimate:
 
     def test_log10_is_minus_inf_where_the_square_overflows(self):
         """Beyond q of about 1.9e154, (q/sqrt(2))**2 is inf, as in the erfcx
-        form; just below, both are finite."""
+        form, and so at q = inf; just below, both are finite."""
         for q in (1.9e154, 1e200, 1e300):
             assert ber_estimate_log10(q) == ber_log10_erfcx(q) == -math.inf
+        assert ber_estimate_log10(math.inf) == -math.inf  # erfcx(inf) is 0
         q = 1.8e154
         assert math.isfinite(ber_estimate_log10(q))
         assert ber_estimate_log10(q) == pytest.approx(ber_log10_erfcx(q), rel=1e-14)

@@ -64,6 +64,15 @@ class TestDeviceBasics:
         with pytest.raises(ValueError):
             MzmParams(v_pi=0.42, eo_3db_bandwidth=16e9, insertion_loss_db=-1)
 
+    @pytest.mark.parametrize("field", ["v_pi", "eo_3db_bandwidth", "insertion_loss_db"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_params_must_be_finite(self, field, value):
+        """Refused at construction, naming the field: before, an infinite
+        v_pi failed inside the calibration and an infinite insertion loss
+        calibrated to a nan gain."""
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            MzmParams(**{"v_pi": 0.42, "eo_3db_bandwidth": 16e9, field: value})
+
     def test_push_pull_plan_structure(self):
         plan = push_pull_plan([10e9, 20e9], [0.2, 0.05], bias_difference=1.1,
                               arm2_drive_ratio=0.9)

@@ -46,7 +46,6 @@ FULL_MZM_CONFIG = {
     "noise": {"osnr_db": 28.0, "seed": 11},
     "sampler": {"mode": "mzm"},
     "mzm": dict(MZM_BLOCK, eo_model="gaussian"),
-    "receiver": {"lo_phase_rad": 0.1, "timing_delay_s": 1e-12},
     "laser": {"linewidth_hz": 1e5},
     "outputs": ["metrics", "spectra"],
 }
@@ -136,8 +135,16 @@ class TestParsing:
         (lambda c: c.update(outputs=["metrics", "hologram"]), "outputs"),
         (lambda c: c.update(noise={"osnr_db": 30, "seed": "abc"}),
          "noise.seed"),
-        (lambda c: c.update(receiver={"lo_power_w": 0.0}),
-         "receiver.lo_power_w"),
+        # the receiver has no LO and no delay to remove: a config naming one
+        # of those fields, at any value, the old defaults too, fails closed
+        (lambda c: c.update(receiver={"lo_power_w": 1.0}), "receiver.lo_power_w"),
+        (lambda c: c.update(receiver={"lo_phase_rad": 0.0}), "receiver.lo_phase_rad"),
+        (lambda c: c.update(receiver={"timing_delay_s": 0.0}),
+         "receiver.timing_delay_s"),
+        pytest.param(lambda c: c.update(receiver={"timing_delay_s": 1e300}),
+                     "receiver.timing_delay_s", id="delay-phase-overflows"),
+        pytest.param(lambda c: c.update(receiver={"timing_delay_s": -9 / 8e9}),
+                     "receiver.timing_delay_s", id="delay-of-a-whole-window"),
         # json reads NaN and -Infinity; only null means "no noise"
         (lambda c: c.update(noise={"osnr_db": -math.inf}), "noise.osnr_db"),
         # finite, but the noise power would overflow or vanish
@@ -153,15 +160,11 @@ class TestParsing:
                      "fiber.reference_wavelength_nm", id="zero-wavelength"),
         pytest.param(lambda c: c.update(fiber={"reference_wavelength_nm": -1550.0}),
                      "fiber.reference_wavelength_nm", id="negative-wavelength"),
-        # finite, but lambda**2, the derived wavelength or the delay phase is not
+        # finite, but lambda**2 or the derived wavelength is not
         pytest.param(lambda c: c.update(fiber={"reference_wavelength_nm": 1e300}),
                      "fiber.reference_wavelength_nm", id="wavelength-overflows"),
         pytest.param(lambda c: c.update(carrier_frequency_thz=1e300),
                      "carrier_frequency_thz", id="derived-wavelength-vanishes"),
-        pytest.param(lambda c: c.update(receiver={"timing_delay_s": 1e300}),
-                     "receiver.timing_delay_s", id="delay-phase-overflows"),
-        pytest.param(lambda c: c.update(receiver={"timing_delay_s": -9 / 8e9}),
-                     "receiver.timing_delay_s", id="delay-of-a-whole-window"),
         # finite, but the span loss drives the received power to 0, or so
         # near it that the metrics are garbage
         pytest.param(lambda c: c.update(fiber={"length_km": 17000.0}),
@@ -354,24 +357,6 @@ class TestRunScenario:
         for x, y in zip(pa, pb):
             assert x.read_bytes() == y.read_bytes()
 
-    def test_lo_phase_is_absorbed_by_the_equalizer(self):
-        ref = run_scenario(parse_scenario(base_config(
-            noise={"osnr_db": 28.0})))
-        rot = run_scenario(parse_scenario(base_config(
-            noise={"osnr_db": 28.0}, receiver={"lo_phase_rad": 2.1})))
-        for a, b in zip(ref.metrics, rot.metrics):
-            assert b.evm_percent == pytest.approx(a.evm_percent, abs=1e-9)
-            assert b.ber_count_errors == a.ber_count_errors
-
-    def test_known_timing_delay_is_corrected(self):
-        delay = 3.7e-12
-        ref = run_scenario(parse_scenario(base_config()))
-        late = run_scenario(parse_scenario(base_config(
-            receiver={"timing_delay_s": delay})))
-        for a, b in zip(ref.metrics, late.metrics):
-            assert b.evm_percent == pytest.approx(a.evm_percent, abs=1e-9)
-            assert b.ber_count_errors == 0
-
     def test_seven_branch_mzm_sampler(self):
         cfg = base_config(plan={"n_branches": 7, "aggregate_bandwidth_hz": 28e9},
                           n_symbols=17, sampler={"mode": "mzm"},
@@ -421,7 +406,6 @@ class TestRunScenario:
                       "aggregate_bandwidth_hz": n_branches * 2e9},
                 modulation="16qam", n_symbols=9, oversampling=4,
                 fiber={"length_km": 20.0}, noise={"osnr_db": 25.0},
-                receiver={"timing_delay_s": 1e-12},
                 outputs=["metrics", "spectra", "constellation", "eye"]))
             sizes.clear()
             bundle = run_scenario(sc)
@@ -963,7 +947,6 @@ class TestCli:
         ({"fiber": {"length_km": 10.0, "reference_wavelength_nm": 1e300}},
          "fiber.reference_wavelength_nm"),
         ({"carrier_frequency_thz": 1e300}, "carrier_frequency_thz"),
-        ({"receiver": {"timing_delay_s": 1e300}}, "receiver.timing_delay_s"),
         ({"fiber": {"length_km": 17000.0}}, "fiber.length_km"),
         pytest.param({"sampler": {"mode": "mzm"},
                       "mzm": dict(MZM_BLOCK, insertion_loss_db=3100.0)},
@@ -988,8 +971,6 @@ class TestCli:
                      "oversampling", id="grid-top-10km"),
         pytest.param({"laser": {"linewidth_hz": 1.7e308}}, "laser.linewidth_hz",
                      id="linewidth"),
-        pytest.param({"receiver": {"lo_power_w": 1.7e308}}, "receiver.lo_power_w",
-                     id="lo-power"),
         pytest.param(dict(COMB_CONFIG, comb={"spacing_hz": 1e12},
                           mzm=dict(MZM_BLOCK, eo_model="gaussian")),
                      "mzm.eo_3db_bandwidth_hz", id="comb-gaussian-eo"),
@@ -1011,23 +992,20 @@ class TestCli:
         assert captured.out == ""
 
     def test_bounds_keep_usable_values(self):
-        """A delay just short of the window and the widest wavelength run;
-        at the largest span loss, even into the weakest LO, the EVM is the
-        lossless run's.  At the largest modulator insertion loss, the MZM
+        """The widest wavelength runs; at the largest span loss the EVM is
+        the lossless run's.  At the largest modulator insertion loss, the MZM
         sampler's EVMs and the comb's RMSE and flatness are the lossless
         device's.  Flatness is a difference of line powers near -2017 dBm,
         so it agrees to their rounding (2.3e-13 dB a step), not to 1e-12 of
         its own ~1e-3 dB."""
-        window = 9 / 8e9
         bundle = run_scenario(parse_scenario(base_config(
-            receiver={"timing_delay_s": -0.999 * window},
             fiber={"length_km": 10.0, "reference_wavelength_nm": 1e6})))
         assert all(math.isfinite(r.evm_percent) for r in bundle.metrics)
         sc = parse_scenario(base_config(carrier_frequency_thz=299792.458))
         assert sc.fiber.reference_wavelength_nm == pytest.approx(1.0)
         evms = [[r.evm_percent for r in run_scenario(parse_scenario(base_config(
             fiber={"length_km": 20.0, "attenuation_db_km": attenuation},
-            noise={"osnr_db": 33.0}, receiver={"lo_power_w": 1e-12}))).metrics]
+            noise={"osnr_db": 33.0}))).metrics]
             for attenuation in (0.0, 100.0)]  # 100 dB/km: a 2000 dB span
         assert evms[1] == pytest.approx(evms[0], rel=1e-12, abs=0)
         evms, combs = [], []
@@ -1056,8 +1034,6 @@ class TestCli:
         pytest.param(noisy_config(plan={"n_branches": 3, "aggregate_bandwidth_hz": 1e150},
                                   oversampling=26000), id="grid-top"),
         pytest.param(noisy_config(laser={"linewidth_hz": 1e300}), id="linewidth"),
-        pytest.param(noisy_config(receiver={"lo_power_w": 1e100}, n_symbols=63),
-                     id="lo-power"),
         pytest.param(dict(COMB_CONFIG, comb={"spacing_hz": 5e11},
                           mzm=dict(MZM_BLOCK, eo_model="gaussian")),
                      id="comb-gaussian-eo"),
@@ -1067,17 +1043,12 @@ class TestCli:
     ])
     def test_values_at_the_new_bounds_run(self, cfg):
         """The largest value each bound above admits runs to finite metrics
-        and a converged comb.  At the largest LO power the EVMs are the 1 W
-        run's."""
+        and a converged comb."""
         bundle = run_scenario(parse_scenario(cfg))
         for r in bundle.metrics:
             assert all(math.isfinite(v) for v in dataclasses.asdict(r).values()
                        if isinstance(v, float))
         assert bundle.calibration is None or bundle.calibration.converged
-        if cfg.get("receiver"):
-            reference = run_scenario(parse_scenario(dict(cfg, receiver={})))
-            assert [r.evm_percent for r in bundle.metrics] == pytest.approx(
-                [r.evm_percent for r in reference.metrics], rel=1e-9)
 
     def test_calibrate_comb_rejects_even_lines(self, capsys):
         assert main(["calibrate-comb", "--lines", "4",
