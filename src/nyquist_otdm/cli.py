@@ -4,6 +4,7 @@ and validate configs without running them."""
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 from pathlib import Path
@@ -83,12 +84,24 @@ def _load(args) -> dict:
     return raw
 
 
+def _print(text: str) -> None:
+    """Print a line at once.  Once the reader has closed stdout (``| head``),
+    stdout becomes os.devnull: the work goes on, its exit code stands and the
+    flush at exit stays quiet."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _report(bundle, out_dir) -> None:
     """Print a bundle's summary and, given a directory, write it there."""
-    print(bundle.summary())
+    _print(bundle.summary())
     if out_dir is not None:
         for p in write_bundle(bundle, out_dir):
-            print(f"wrote {p}")
+            _print(f"wrote {p}")
 
 
 def _cmd_run(args) -> int:
@@ -106,7 +119,7 @@ def _cmd_sweep(args) -> int:
                                   f"same bundle {args.param}={tag}")
     bundles = sweep(_load(args), args.param, values)
     for value, tag, bundle in zip(values, tags, bundles):
-        print(f"--- {args.param} = {value} ---")
+        _print(f"--- {args.param} = {value} ---")
         _report(bundle, None if args.out_dir is None
                 else args.out_dir / f"{args.param}={tag}")
     return 0
@@ -131,7 +144,7 @@ def _cmd_calibrate(args) -> int:
 
 def _cmd_validate(args) -> int:
     parse_scenario(load_config(args.config))
-    print("ok")
+    _print("ok")
     return 0
 
 

@@ -96,8 +96,9 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not -math.inf < self.osnr_db <= math.inf:
-            raise ValueError("osnr_db must be finite, or inf for no noise")
+        # 10**(osnr/10) is neither 0 nor inf within +-300 dB
+        if not (-300.0 <= self.osnr_db <= 300.0 or self.osnr_db == math.inf):
+            raise ValueError("osnr_db must be finite and within +-300 dB, or inf for no noise")
         if not 0 < self.reference_bandwidth_hz < math.inf:
             raise ValueError("reference_bandwidth_hz must be finite and positive")
 
@@ -126,8 +127,8 @@ def add_noise(sig: Signal, noise: NoiseSpec) -> Signal:
 
 def phase_noise(sig: Signal, linewidth_hz: float, seed: int = 0) -> Signal:
     """Optional Wiener laser phase noise (off when linewidth is 0)."""
-    if linewidth_hz < 0:
-        raise ValueError("linewidth_hz must be >= 0")
+    if not 0 <= linewidth_hz <= 1e300:  # nan and inf would make every phase nan
+        raise ValueError("linewidth_hz must be finite, >= 0 and at most 1e300")
     if linewidth_hz == 0.0:
         return sig
     rng = np.random.default_rng(seed)

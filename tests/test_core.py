@@ -162,15 +162,52 @@ def _tables(draw):
     return fmt, rows
 
 
-@settings(max_examples=25, deadline=None, derandomize=True)
-@given(_tables())
-def test_write_csv_matches_savetxt(table):
-    fmt, rows = table
+# values that == merges (0.0 and -0.0) or that print specially (nan, +-inf,
+# a subnormal, 1e300), among a few plain ones
+_POOL = np.array([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e300, -2.5, 0.1])
+_INT_POOL = np.array([0.0, -0.0, 3.0, 15.0, -7.9, 1e300])
+
+
+@st.composite
+def _pooled_tables(draw):
+    """(fmt, rows): a column drawn from a small pool, so that at most half of
+    its values are distinct and the writer formats each once, next to an
+    all-distinct column, in either order.  The pooled column is ``%.17g``,
+    or ``%d`` of finite values with a second pooled ``%.17g`` column beside
+    it.  Row counts run at and across block boundaries."""
+    n_rows = draw(st.sampled_from([_B - 1, _B, _B + 1, 2 * _B, 2 * _B + 1])
+                  | st.integers(2 * _POOL.size, 3 * _B))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    distinct = rng.standard_normal(n_rows) * 10.0 ** rng.integers(-300, 300, n_rows)
+    if draw(st.booleans()):
+        cols, fmt = [rng.choice(_POOL, n_rows), distinct], ["%.17g", "%.17g"]
+    else:
+        cols = [rng.choice(_INT_POOL, n_rows), distinct, rng.choice(_POOL, n_rows)]
+        fmt = ["%d", "%.17g", "%.17g"]
+    if draw(st.booleans()):
+        cols, fmt = cols[::-1], fmt[::-1]
+    return fmt, np.column_stack(cols)
+
+
+def _assert_writes_as_savetxt(fmt, rows):
     with tempfile.TemporaryDirectory() as tmp:
         ours, ref = Path(tmp) / "ours.csv", Path(tmp) / "ref.csv"
         _write_csv(ours, "a,b", fmt, rows)
         np.savetxt(ref, rows, fmt=fmt, delimiter=",", header="a,b", comments="")
         assert ours.read_bytes() == ref.read_bytes()
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(_tables())
+def test_write_csv_matches_savetxt(table):
+    _assert_writes_as_savetxt(*table)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(_pooled_tables())
+def test_write_csv_matches_savetxt_on_pooled_columns(table):
+    """The columns that the writer formats once per distinct value."""
+    _assert_writes_as_savetxt(*table)
 
 
 class TestChannelPlan:

@@ -133,6 +133,20 @@ class TestNoise:
         with pytest.raises(ValueError, match=f"^{field} must be finite"):
             NoiseSpec(**kwargs)
 
+    @pytest.mark.parametrize("osnr_db", [4000.0, -4000.0, 300.5, -300.5])
+    def test_osnr_beyond_300_db_is_refused(self, osnr_db):
+        """The config row's bounds: before, 4000 dB overflowed 10**(osnr/10)
+        and -4000 dB divided by its zero."""
+        with pytest.raises(ValueError, match="^osnr_db must be finite and within"):
+            NoiseSpec(osnr_db)
+
+    @pytest.mark.parametrize("osnr_db", [300.0, -300.0])
+    def test_osnr_at_300_db_loads_finite_noise(self, osnr_db):
+        sig = constant(TimeGrid(50e9, 64))
+        with np.errstate(all="raise"):
+            out = add_noise(sig, NoiseSpec(osnr_db, seed=1))
+        assert np.isfinite(out.power) and out.power > 0
+
     def test_zero_signal_rejected(self):
         grid = TimeGrid(50e9, 64)
         with pytest.raises(ValueError):
@@ -167,6 +181,18 @@ class TestPhaseNoise:
         grid = TimeGrid(10e9, 16)
         with pytest.raises(ValueError):
             phase_noise(constant(grid), -1.0)
+
+    @pytest.mark.parametrize("lw", [math.inf, math.nan, 1.01e300])
+    def test_linewidth_past_1e300_is_refused_before_any_draw(self, lw):
+        """Before, inf and nan warned three times in the arithmetic and then
+        failed on the non-finite samples; the error is now the argument's."""
+        with np.errstate(all="raise"), pytest.raises(ValueError, match="^linewidth_hz"):
+            phase_noise(constant(TimeGrid(10e9, 16)), lw)
+
+    def test_linewidth_at_1e300_gives_finite_samples(self):
+        with np.errstate(all="raise"):
+            out = phase_noise(constant(TimeGrid(10e9, 16)), 1e300, seed=1)
+        assert np.all(np.isfinite(out.samples))
 
 
 def _mean_branch_error(agg, plan, blocks, n_symbols):

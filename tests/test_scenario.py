@@ -4,6 +4,9 @@ import copy
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -825,6 +828,26 @@ class TestCli:
         text = capsys.readouterr().out
         assert "branch 1" in text
         assert (out / "metrics.json").exists()
+
+    def test_run_into_a_closed_pipe_writes_the_bundle_and_exits_0(self, tmp_path):
+        """``run ... | head -1``: the reader closes stdout after one line, the
+        bundle is still written whole, and the run exits 0 with nothing on
+        stderr.  Unbuffered, so that each line meets the closed pipe."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONUNBUFFERED="1", PYTHONPATH=os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        out = tmp_path / "out"
+        with subprocess.Popen(
+                [sys.executable, "-m", "nyquist_otdm.cli", "run",
+                 str(SCENARIO_DIR / "nyquist_qpsk_8gbd_30km.json"), "--out-dir", str(out)],
+                env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=120)
+        assert first.startswith(b"branch")
+        assert (proc.returncode, err) == (0, b"")
+        assert len(list(out.glob("*.csv"))) == 11
+        assert json.loads((out / "metrics.json").read_text())["reports"]
 
     def test_run_reports_a_floored_q(self, tmp_path):
         """Clusters that overlap entirely (100 MHz linewidth at 20 dB OSNR)
