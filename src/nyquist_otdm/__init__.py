@@ -11,7 +11,6 @@ from .core import (
     ChannelPlan,
     Signal,
     TimeGrid,
-    delay_signal,
     spectrum,
 )
 from .demux import demultiplex
@@ -80,7 +79,6 @@ __all__ = [
     "__version__",
     # core
     "TimeGrid", "Signal", "ChannelPlan", "spectrum",
-    "delay_signal",
     # nyquist
     "nyquist_interpolate", "raised_cosine_shape",
     "sample_symbols", "multiplex_branch_signals", "otdm_multiplex",

@@ -24,7 +24,6 @@ __all__ = [
     "ChannelPlan",
     "spectrum",
     "constant",
-    "delay_signal",
     "require_same_grid",
 ]
 
@@ -147,19 +146,16 @@ class Signal:
     @property
     def bins(self) -> np.ndarray:
         """Unshifted DFT bins, ``np.fft.fft(samples)``, built on each read."""
-        first, band = self._spectrum()
-        bins = np.zeros(self.grid.n_samples, dtype=np.complex128)
-        bins[(first + np.arange(band.size)) % bins.size] = band
+        bins = self._take(np.arange(self.grid.n_samples))
         bins.setflags(write=False)
         return bins
 
     @property
     def power(self) -> float:
-        """Mean power ``mean(|samples|^2)``, by Parseval from the bins when
-        the samples were never needed."""
+        """Mean power ``mean(|samples|^2)``; without samples, by Parseval over the band."""
         if self._samples is None:
-            n, bins = self.grid.n_samples, self.bins
-            return float(np.vdot(bins, bins).real) / n / n
+            n, band = self.grid.n_samples, self._band[1]
+            return float(np.vdot(band, band).real) / n / n
         return float(np.mean(np.abs(self._samples) ** 2))
 
 
@@ -222,20 +218,6 @@ def spectrum(sig: Signal) -> np.ndarray:
 def constant(grid: TimeGrid, amplitude: complex = 1.0) -> Signal:
     """Constant (CW) signal."""
     return Signal(grid, np.full(grid.n_samples, amplitude, dtype=np.complex128))
-
-
-def delay_signal(sig: Signal, delay: float) -> Signal:
-    """Circularly delay a signal by ``delay`` seconds via a spectral phase ramp.
-
-    Exact for the periodic, bandlimited signals used throughout; positive
-    delay moves the waveform later in time.
-    """
-    if delay == 0.0:
-        return sig
-    n = sig.grid.n_samples
-    first, band = sig._spectrum()
-    f = np.fft.fftfreq(n, sig.grid.dt)[(first + np.arange(band.size)) % n]
-    return Signal._of_bins(sig.grid, np.exp(-2j * np.pi * f * delay) * band, first)
 
 
 # ---------------------------------------------------------------------------

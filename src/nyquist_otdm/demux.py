@@ -64,6 +64,22 @@ def _sampling_lines(plan: ChannelPlan, sampler: FlatCombCalibration | None,
     return np.arange(period) * spacing, _branch_rows(lines, plan.n_branches)
 
 
+def _read_bins(plan: ChannelPlan, sampler: FlatCombCalibration | None,
+               grid: TimeGrid):
+    """The branches' rows of the sampling lines, the detection band
+    |f| <= B/(2N), half a line spacing each side, with each bin's weight,
+    and the aggregate's bins that each line adds into the band."""
+    shifts, rows = _sampling_lines(plan, sampler, grid)
+    spacing = int(shifts[1] - shifts[0])
+    if spacing >= grid.n_samples:
+        raise ValueError("the detection band B/(2N) must lie below the grid's "
+                         "Nyquist limit")
+    band = np.arange(-(spacing // 2), spacing // 2 + 1)
+    # the bins at exactly the edge (an even spacing) count half
+    weight = np.where(2 * np.abs(band) == spacing, 0.5, 1.0)
+    return rows, band, weight, band[None, :] - shifts[:, None]
+
+
 def demultiplex(sig: Signal, plan: ChannelPlan,
                 sampler: FlatCombCalibration | None = None) -> tuple[Signal, ...]:
     """Recover every branch's baseband signal from the aggregate, branch 1 first.
@@ -82,18 +98,9 @@ def demultiplex(sig: Signal, plan: ChannelPlan,
     when bit-exact recovery matters; with continuous spectra (noise, roll-off
     shaping) the effect is irrelevant.
     """
-    grid = sig.grid
-    n = grid.n_samples
-    shifts, rows = _sampling_lines(plan, sampler, grid)
-    # the band |f| <= B/(2N) is half a line spacing each side; the bins at
-    # exactly the edge (an even spacing) count half
-    spacing = int(shifts[1] - shifts[0])
-    if spacing >= n:
-        raise ValueError("the detection band B/(2N) must lie below the grid's "
-                         "Nyquist limit")
-    band = np.arange(-(spacing // 2), spacing // 2 + 1)
-    gain = plan.n_branches * np.where(2 * np.abs(band) == spacing, 0.5, 1.0)
-    taken = sig._take(band[None, :] - shifts[:, None])
+    rows, band, weight, read = _read_bins(plan, sampler, sig.grid)
+    gain = plan.n_branches * weight
+    taken = sig._take(read)
     # one product per row: an N-row product rounds differently
-    return tuple(Signal._of_bins(grid, gain * (row @ taken), int(band[0]))
+    return tuple(Signal._of_bins(sig.grid, gain * (row @ taken), int(band[0]))
                  for row in rows)

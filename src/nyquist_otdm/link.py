@@ -103,26 +103,31 @@ class NoiseSpec:
             raise ValueError("reference_bandwidth_hz must be finite and positive")
 
 
-def add_noise(sig: Signal, noise: NoiseSpec) -> Signal:
+def add_noise(sig: Signal, noise: NoiseSpec, reach: int | None = None) -> Signal:
     """Load circular complex AWGN for the requested OSNR.
 
     The noise power spectral density is flat across the simulated band and
     chosen so that the noise falling in the reference bandwidth sits
-    ``osnr_db`` below the current signal power.  Deterministic per seed:
-    the noise is drawn in the time domain and added to the signal's bins.
+    ``osnr_db`` below the current signal power.  The bins are drawn, each
+    CN(0, n sigma^2) as the DFT of n CN(0, sigma^2) samples is, in the order
+    k = 0, 1, -1, 2, -2, ...: bin k's noise depends on the seed and k alone.
+    The noisy signal holds only the bins |k| <= ``reach`` (None: all).
     """
     if math.isinf(noise.osnr_db) and noise.osnr_db > 0:
         return sig
     p_sig = sig.power
     if p_sig == 0.0:
         raise ValueError("cannot set an OSNR on a zero signal")
+    n = sig.grid.n_samples
     osnr_lin = 10.0 ** (noise.osnr_db / 10.0)
     # total noise power across the full simulated band
     sigma2 = p_sig * sig.grid.sample_rate / (noise.reference_bandwidth_hz * osnr_lin)
+    m = n if reach is None else min(2 * reach + 1, n)
     rng = np.random.default_rng(noise.seed)
-    w = rng.standard_normal(sig.grid.n_samples) + 1j * rng.standard_normal(
-        sig.grid.n_samples)
-    return Signal._of_bins(sig.grid, sig.bins + np.sqrt(sigma2 / 2.0) * np.fft.fft(w))
+    w = (rng.standard_normal(2 * m) * math.sqrt(n * sigma2 / 2.0)).view(np.complex128)
+    first = -((m - 1) // 2)  # w[1::2] holds k = 1, 2, ... and w[2::2] k = -1, -2, ...
+    bins = np.concatenate([w[2::2][::-1], w[:1], w[1::2]])
+    return Signal._of_bins(sig.grid, bins + sig._take(np.arange(first, first + m)), first)
 
 
 def phase_noise(sig: Signal, linewidth_hz: float, seed: int = 0) -> Signal:

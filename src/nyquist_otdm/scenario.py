@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import ChannelPlan, Signal, TimeGrid, _write_csv
-from .demux import demultiplex
+from .demux import _read_bins, demultiplex
 from .link import (
     SPEED_OF_LIGHT,
     FiberSpec,
@@ -428,16 +428,20 @@ def write_bundle(bundle: ReportBundle, out_dir) -> list:
     return paths
 
 
-def _spectrum_rows(sig: Signal, half_width: float):
-    """The rows of ``spectrum(sig)`` with |f| <= _BAND_MARGIN * half_width,
-    bit for bit, computed from those bins alone."""
-    n = sig.grid.n_samples
-    step = 1.0 / (n * sig.grid.dt)  # as np.fft.fftfreq spaces the bins
+def _spectrum_bins(grid: TimeGrid, half_width: float):
+    """The bins k with |f| <= _BAND_MARGIN * half_width, and their spacing."""
+    step = 1.0 / (grid.n_samples * grid.dt)  # as np.fft.fftfreq spaces the bins
     edge = _BAND_MARGIN * half_width
     top = int(edge / step) + 1  # below n/2: the sample rate is >= 4B
     k = np.arange(-top, top + 1)
-    k = k[np.abs(k * step) <= edge]
-    power = 10.0 * np.log10(np.maximum(np.abs(sig._take(k) / n) ** 2, 1e-30))
+    return k[np.abs(k * step) <= edge], step
+
+
+def _spectrum_rows(sig: Signal, half_width: float):
+    """The rows of ``spectrum(sig)`` with |f| <= _BAND_MARGIN * half_width,
+    bit for bit, computed from those bins alone."""
+    k, step = _spectrum_bins(sig.grid, half_width)
+    power = 10.0 * np.log10(np.maximum(np.abs(sig._take(k) / sig.grid.n_samples) ** 2, 1e-30))
     return "f_Hz,power_dBm", _FLOAT_FMT, np.column_stack([k * step, power])
 
 
@@ -514,23 +518,26 @@ def run_scenario(sc: Scenario, calibrations: dict | None = None) -> ReportBundle
     tx_symbols = [qam_map(bits, const) for bits in tx_bits]
     tx = otdm_multiplex(tx_symbols, rate, plan, grid, rolloff=cfg["shaping"]["rolloff"])
 
-    rx = propagate(tx, sc.fiber)
-    if cfg["laser"]["linewidth_hz"] > 0:
-        rx = phase_noise(rx, cfg["laser"]["linewidth_hz"], seed=seed + 2)
-    if not math.isinf(osnr_db):
-        rx = add_noise(rx, NoiseSpec(osnr_db, noise["reference_bandwidth_hz"],
-                                     seed=noise["seed"]))
-    if cfg["receiver"]["compensate_dispersion"]:
-        rx = compensate_dispersion(rx, sc.fiber)
-
     cal = None
     if cfg["sampler"]["mode"] == "mzm":
         cal = _calibrate(plan.n_branches, plan.symbol_rate, cfg["sampler"],
                          sc.mzm_params, calibrations)
+    # the received field's readers: the ideal sequences' demultiplexer (an MZM
+    # sampler's P lines read every bin) and the spectrum crop
+    half = plan.aggregate_bandwidth / 2
+    reach = None if cal is not None else int(np.abs(_read_bins(plan, None, grid)[3]).max())
+    if reach is not None and "spectra" in outputs:
+        reach = max(reach, int(np.abs(_spectrum_bins(grid, half)[0]).max()))
+
+    rx = propagate(tx, sc.fiber)
+    if cfg["laser"]["linewidth_hz"] > 0:
+        rx = phase_noise(rx, cfg["laser"]["linewidth_hz"], seed=seed + 2)
+    rx = add_noise(rx, NoiseSpec(osnr_db, noise["reference_bandwidth_hz"], noise["seed"]), reach)
+    if cfg["receiver"]["compensate_dispersion"]:
+        rx = compensate_dispersion(rx, sc.fiber)
 
     artifacts = {}
     if "spectra" in outputs:
-        half = plan.aggregate_bandwidth / 2
         artifacts["spectrum_multiplexed"] = _spectrum_rows(tx, half)
         artifacts["spectrum_received"] = _spectrum_rows(rx, half)
 

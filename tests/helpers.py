@@ -16,7 +16,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 from scipy.special import erfcx
 
-from nyquist_otdm import ChannelPlan, Signal, TimeGrid, delay_signal
+from nyquist_otdm import ChannelPlan, Signal, TimeGrid
 from nyquist_otdm.core import require_same_grid
 from nyquist_otdm.link import dispersion_phase
 from nyquist_otdm.modem import EvmResult, QFactorResult, _to_db
@@ -29,6 +29,20 @@ def tone(grid: TimeGrid, frequency: float, amplitude: float = 1.0,
     if abs(frequency) >= grid.nyquist:
         raise ValueError("tone frequency must be below the Nyquist limit")
     return Signal(grid, amplitude * np.exp(1j * (2 * np.pi * frequency * grid.t + phase)))
+
+
+def delay_signal(sig: Signal, delay: float) -> Signal:
+    """Circularly delay a signal by ``delay`` seconds via a spectral phase ramp.
+
+    Exact for the periodic, bandlimited signals used throughout; positive
+    delay moves the waveform later in time.
+    """
+    if delay == 0.0:
+        return sig
+    n = sig.grid.n_samples
+    first, band = sig._spectrum()
+    f = np.fft.fftfreq(n, sig.grid.dt)[(first + np.arange(band.size)) % n]
+    return Signal._of_bins(sig.grid, np.exp(-2j * np.pi * f * delay) * band, first)
 
 
 def freqs(grid: TimeGrid) -> np.ndarray:

@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from helpers import freqs, rmse_percent, tone
-from nyquist_otdm import ChannelPlan, Signal, TimeGrid, delay_signal, spectrum
+from helpers import delay_signal, freqs, rmse_percent, tone
+from nyquist_otdm import ChannelPlan, Signal, TimeGrid, spectrum
 from nyquist_otdm.core import _CSV_BLOCK_ROWS, _write_csv, constant, require_same_grid
 
 

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from nyquist_otdm import ChannelPlan, Signal, TimeGrid, delay_signal
+from nyquist_otdm import ChannelPlan, Signal, TimeGrid
 from nyquist_otdm.core import constant
 from nyquist_otdm.demux import _sampling_lines, demultiplex
 from nyquist_otdm.link import (
@@ -32,6 +32,7 @@ from nyquist_otdm.nyquist import (
 
 from helpers import (
     branch_drive,
+    delay_signal,
     demultiplex_directly,
     filter_directly,
     gate_directly,

@@ -4,9 +4,9 @@ import math
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
-from nyquist_otdm import ChannelPlan, TimeGrid
+from nyquist_otdm import ChannelPlan, Signal, TimeGrid
 from nyquist_otdm.core import constant
 from nyquist_otdm.demux import demultiplex
 from nyquist_otdm.link import (
@@ -151,6 +151,42 @@ class TestNoise:
         grid = TimeGrid(50e9, 64)
         with pytest.raises(ValueError):
             add_noise(constant(grid, 0.0), NoiseSpec(20.0))
+
+    @pytest.mark.parametrize("n", [64, 65])
+    def test_each_bin_carries_n_sigma2(self, n):
+        """The noise of every bin is CN(0, n sigma^2), the DFT of n samples
+        of CN(0, sigma^2).  Over 400 seeds a bin's mean |noise|^2 is a mean
+        of 400 unit-mean exponentials, standard deviation 1/20: every bin is
+        within 5 of them of n sigma^2, and the real and imaginary parts each
+        carry half, within 5 standard deviations of the mean of 400 n values."""
+        grid = TimeGrid(50e9, n)
+        sig = constant(grid)
+        sigma2 = grid.sample_rate / (12.5e9 * 10 ** (20.0 / 10))
+        noise = np.array([add_noise(sig, NoiseSpec(20.0, seed=s)).bins - sig.bins
+                          for s in range(400)]) / math.sqrt(n * sigma2)
+        per_bin = np.mean(np.abs(noise) ** 2, axis=0)
+        assert np.all(np.abs(per_bin - 1.0) < 5 / math.sqrt(400))
+        for part in (noise.real, noise.imag):
+            assert abs(np.mean(part ** 2) - 0.5) < 5 * 0.5 * math.sqrt(2 / noise.size)
+
+    @pytest.mark.parametrize("n", [64, 65, 1000, 1001])
+    def test_reach_draw_is_the_whole_grid_draw_cut(self, n):
+        """Bin k's noise depends on the seed and k alone: a draw up to reach
+        r holds the whole-grid draw's bins |k| <= r bit for bit, and nothing
+        past them; at r >= n // 2 it is the whole grid."""
+        grid = TimeGrid(50e9, n)
+        rng = np.random.default_rng(n)
+        band = rng.standard_normal(21) + 1j * rng.standard_normal(21)
+        sig = Signal._of_bins(grid, band, -7)
+        noise = NoiseSpec(15.0, seed=5)
+        whole = add_noise(sig, noise)
+        k = np.arange(-(n // 2), (n + 1) // 2)
+        for reach in (0, 1, 6, 12, n // 2 - 1, n // 2, n):
+            cut = add_noise(sig, noise, reach)
+            inside = np.abs(k) <= reach
+            assert_array_equal(cut._take(k[inside]), whole._take(k[inside]))
+            assert not np.any(cut._take(k[~inside]))
+        assert_array_equal(add_noise(sig, noise, n // 2).bins, whole.bins)
 
 
 class TestPhaseNoise:

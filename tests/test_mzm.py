@@ -13,8 +13,15 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.special import jv
 
-from helpers import align_delay_gain, freqs, rmse_percent, sequence_directly, tone
-from nyquist_otdm import Signal, TimeGrid, delay_signal, mzm, spectrum
+from helpers import (
+    align_delay_gain,
+    delay_signal,
+    freqs,
+    rmse_percent,
+    sequence_directly,
+    tone,
+)
+from nyquist_otdm import Signal, TimeGrid, mzm, spectrum
 from nyquist_otdm.core import constant
 from nyquist_otdm.mzm import (
     DrivePlan,

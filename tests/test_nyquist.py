@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from nyquist_otdm import ChannelPlan, Signal, TimeGrid, delay_signal, spectrum
+from nyquist_otdm import ChannelPlan, Signal, TimeGrid, spectrum
 from nyquist_otdm.demux import demultiplex
 from nyquist_otdm.nyquist import (
     _sequence_lines,
@@ -16,6 +16,7 @@ from nyquist_otdm.nyquist import (
 )
 
 from helpers import (
+    delay_signal,
     freqs,
     grid_for,
     interpolate_directly,

@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import importlib.util
 import json
 import math
 import os
@@ -390,9 +391,9 @@ class TestRunScenario:
             assert calls == {"modulate": runs, "_sampling_lines": runs}
 
     def test_full_length_transforms_do_not_grow_with_branches(self, monkeypatch):
-        """A run with every output makes one n-point transform, the noise's
-        FFT, at 3 and at 15 branches: every other layer, the spectra and the
-        eyes included, works on the bins it is given."""
+        """A noisy run with every output makes no n-point transform at 3 and
+        at 15 branches: the noise is drawn as bins, and every other layer,
+        the spectra and the eyes included, works on the bins it is given."""
         import numpy.fft
 
         sizes = []
@@ -413,7 +414,7 @@ class TestRunScenario:
             sizes.clear()
             bundle = run_scenario(sc)
             assert len(bundle.metrics) == n_branches
-            assert sizes.count(sc.make_grid().n_samples) == 1
+            assert sizes.count(sc.make_grid().n_samples) == 0
 
     def test_osnr_at_the_bounds_runs(self):
         """At -300 dB the noise drowns the signal: Q is floored and flagged.
@@ -612,6 +613,104 @@ class TestWriteBundle:
             "q_i_std_db", "q_q_std_db", "q_capped", "ber_estimated",
             "ber_estimated_log10", "ber_count_errors", "ber_counted",
             "below_hdfec", "seed", "q_floored"}
+
+
+ALL_OUTPUTS = ["metrics", "spectra", "constellation", "eye"]
+
+
+def _load_bench_checks():
+    """``bench/checks.py``, the package-free output checks, as a module."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "checks.py"
+    spec = importlib.util.spec_from_file_location("bench_checks", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _noise_config(n_branches, shaping, n_symbols, **overrides):
+    """A noisy 16QAM run over 20 km at 8 GHz of B per branch."""
+    cfg = dict(
+        plan={"n_branches": n_branches, "aggregate_bandwidth_hz": n_branches * 8e9},
+        modulation="16qam", shaping=shaping, n_symbols=n_symbols, oversampling=4,
+        fiber={"length_km": 20.0}, noise={"osnr_db": 22.0}, outputs=ALL_OUTPUTS)
+    cfg.update(overrides)
+    return base_config(**cfg)
+
+
+def _bundle_bytes(cfg, path) -> dict:
+    return {p.name: p.read_bytes()
+            for p in write_bundle(run_scenario(parse_scenario(cfg)), path)}
+
+
+# (shaping, n_symbols): the line spacing in bins is the window's count of
+# sequence periods, odd or even; an even one puts bins on the band edge
+REACH_SHAPINGS = {
+    "sinc_odd": ({"kind": "sinc"}, 9),
+    "sinc_even": ({"kind": "sinc"}, 10),
+    "rc_odd": ({"kind": "raised_cosine", "symbol_rate_hz": 16e9 / 3, "rolloff": 0.5}, 6),
+    "rc_even": ({"kind": "raised_cosine", "symbol_rate_hz": 4e9, "rolloff": 1.0}, 9),
+}
+REACH_CASES = [(n, name) for n in (3, 5, 7) for name in REACH_SHAPINGS]
+
+
+class TestNoiseReach:
+    """The noise is drawn only up to the largest |k| a reader takes, and the
+    run reads the same bins as from a whole-grid draw."""
+
+    @pytest.mark.parametrize("n_branches, shaping", REACH_CASES)
+    def test_ideal_bundle_is_the_whole_grid_draws(self, monkeypatch, tmp_path,
+                                                  n_branches, shaping):
+        """Every byte of an ideal-sampler bundle with every output is the
+        same from the draw up to the reach as from the whole grid's: an
+        off-by-one reach would drop a bin the demultiplexer or the spectrum
+        crop reads."""
+        cfg = _noise_config(n_branches, *REACH_SHAPINGS[shaping])
+        sc = parse_scenario(cfg)
+        spacing = round(sc.make_grid().duration * sc.plan.symbol_rate)
+        assert spacing % 2 == (shaping.endswith("odd"))
+        reaches = []
+        original = scenario.add_noise
+
+        def drawn(sig, noise, reach=None):
+            reaches.append(reach)
+            return original(sig, noise, reach)
+        monkeypatch.setattr(scenario, "add_noise", drawn)
+        cut = _bundle_bytes(cfg, tmp_path / "reach")
+        assert 0 < 2 * reaches[0] + 1 < sc.make_grid().n_samples
+        monkeypatch.setattr(scenario, "add_noise",
+                            lambda sig, noise, reach: original(sig, noise))
+        whole = _bundle_bytes(cfg, tmp_path / "whole")
+        assert cut.keys() == whole.keys()
+        for name in cut:
+            assert cut[name] == whole[name], name
+
+    @pytest.mark.parametrize("n_branches, shaping", REACH_CASES + [(3, "mzm")])
+    def test_metrics_do_not_depend_on_the_outputs(self, tmp_path, n_branches, shaping):
+        """The spectra read further out than the demultiplexer, so asking
+        for them draws more bins, but the bins the branches read and so
+        ``metrics.json`` stay the same."""
+        if shaping == "mzm":
+            cfg = _noise_config(n_branches, {"kind": "sinc"}, 9,
+                                sampler={"mode": "mzm"}, mzm=dict(MZM_BLOCK))
+        else:
+            cfg = _noise_config(n_branches, *REACH_SHAPINGS[shaping])
+        every = _bundle_bytes(cfg, tmp_path / "every")
+        alone = _bundle_bytes(dict(cfg, outputs=["metrics"]), tmp_path / "alone")
+        assert alone["metrics.json"] == every["metrics.json"]
+
+    @pytest.mark.parametrize("sampler", ["ideal", "mzm"])
+    @pytest.mark.parametrize("n_branches", [3, 5, 7])
+    def test_branch_evm_is_the_noise_limited_closed_form(self, tmp_path, n_branches,
+                                                         sampler):
+        """Every branch EVM is ``bench/checks.py``'s noise-limited closed form
+        within its bound, 4/sqrt(n_symbols) + 1.5 % relative, the MZM
+        sampler's distortion floor added in quadrature."""
+        extra = ({"sampler": {"mode": "mzm"}, "mzm": dict(MZM_BLOCK)}
+                 if sampler == "mzm" else {})
+        cfg = _noise_config(n_branches, {"kind": "sinc"}, 1023,
+                            noise={"osnr_db": 20.0}, outputs=["metrics"], **extra)
+        write_bundle(run_scenario(parse_scenario(cfg)), tmp_path)
+        assert _load_bench_checks().check_evm(tmp_path) == []
 
 
 class TestEchoIsTheRecord:
