@@ -24,7 +24,6 @@ __all__ = [
     "ChannelPlan",
     "spectrum",
     "constant",
-    "require_same_grid",
 ]
 
 
@@ -201,12 +200,6 @@ class ChannelPlan:
         return (branch - 1) / self.aggregate_bandwidth
 
 
-def require_same_grid(a, b) -> None:
-    """Raise if two signals do not share an identical grid."""
-    if a.grid != b.grid:
-        raise ValueError("operands must share the same grid")
-
-
 def spectrum(sig: Signal) -> np.ndarray:
     """Read-only amplitude spectrum of ``sig``: DFT / n in ascending
     frequency, the carrier at index ``n // 2``."""
@@ -225,37 +218,117 @@ def constant(grid: TimeGrid, amplitude: complex = 1.0) -> Signal:
 
 _CSV_BLOCK_ROWS = 4096
 
+# The %.17g kernel's tables: 10**s (s <= 22, exact) and its Dekker halves; the
+# ASCII digits of 0..9999 as words, first digit lowest, and their trailing zeros.
+_P10 = np.cumprod(np.r_[1.0, np.full(22, 10.0)])
+_P10_HI = 134217729.0 * _P10 - (134217729.0 * _P10 - _P10)
+_P10_LO = _P10 - _P10_HI
+_QUAD = (np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10).astype(np.uint8)
+_QUAD_WORD = (_QUAD + 48).view("<u4").ravel().astype(np.uint64)
+_TZ = np.cumprod(_QUAD[:, ::-1] == 0, axis=1, dtype=np.int8).sum(axis=1, dtype=np.int8)
+
+
+def _g17_field_tables():
+    """Byte masks and fixed bytes of a 56-byte field, by exponent X (-6..16),
+    last nonzero digit i (0..16) and sign.  Bytes 3-23 and 27-47 hold "0000"
+    and the 17 digits: the integer part (0 when X < 0), then the fraction to
+    digit i after a dot at 26; X < -4 keeps one integer digit and adds "e-0X"
+    at 48-51.  The sign is at byte 0, the separator at 55."""
+    x, i, neg, b = np.ix_(np.arange(-6, 17), np.arange(17), [0, 1], np.arange(56))
+    q = 4 + np.where(x >= -4, x, 0)  # the integer digit's position
+    keep = (((b >= np.minimum(q, 4) + 3) & (b <= q + 3))
+            | ((b >= q + 28) & (b <= i + 31)) | (b == 55))
+    suffix = np.array([101, 45, 48, 48])[np.clip(b - 48, 0, 3)] - x * (b == 51)  # e-0X
+    add = np.select([(b == 0) & (neg == 1), (b == 26) & (i + 4 > q),
+                     (x < -4) & (b >= 48) & (b <= 51)], [45, 46, suffix])
+    return [np.broadcast_to(t, add.shape).astype(np.uint8).reshape(-1, 56).view("<u8")
+            for t in (keep * 255, add)]
+
+
+_G17_KEEP, _G17_ADD = _g17_field_tables()
+
+
+def _g17(x, sep: int) -> np.ndarray:
+    """Fields of ``'%.17g' % v`` and separator ``sep``, (n, 7) words, for 1e-6 < |v| < 1e17."""
+    a = np.abs(x)
+    c = 134217729.0 * a
+    ah = c - (c - a)
+    al = a - ah
+    e = np.clip(np.floor(np.log10(a)), -6, 16).astype(np.intp)
+    for _ in range(2):  # mend a log10 one off near a power of ten; the 2nd finds none
+        s = 16 - e  # a * 10**s = hi + lo exactly, Dekker's TwoProduct
+        hi = a * _P10[s]
+        lo = ((ah * _P10_HI[s] - hi) + ah * _P10_LO[s] + al * _P10_HI[s]) + al * _P10_LO[s]
+        e += (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
+        e -= (hi < 1e16) | ((hi == 1e16) & (lo < 0))  # hi alone can round onto 1e16
+    d = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    carry = d == 10 ** 17  # rounded up to one more digit
+    d, e = np.where(carry, 10 ** 16, d), e + carry
+    top, low = np.divmod(d, 10 ** 8)
+    top, g2 = np.divmod(top, 10 ** 4)
+    d0, g3 = np.divmod(top, 10 ** 4)
+    g1, g0 = np.divmod(low, 10 ** 4)
+    tz = _TZ[g0] + (g0 == 0) * (_TZ[g1] + (g1 == 0) * (_TZ[g2] + (g2 == 0) * _TZ[g3]))
+    digits = np.stack([_QUAD_WORD[d0] << 32 | 48 << 24, _QUAD_WORD[g3] | _QUAD_WORD[g2] << 32,
+                       _QUAD_WORD[g1] | _QUAD_WORD[g0] << 32], axis=1)
+    words = np.hstack([digits, digits, np.full((len(x), 1), sep << 56, np.uint64)])
+    row = ((e + 6) * 17 + 16 - tz) * 2 + (x < 0)
+    words &= _G17_KEEP[row]
+    words |= _G17_ADD[row]
+    return words
+
+
+def _words(strings, width: int = 0) -> np.ndarray:
+    """ASCII ``strings`` NUL-padded to rows of at least ``width`` words."""
+    text = np.array(strings, dtype="S")
+    width = max(width, -(-text.itemsize // 8))
+    return text.astype(f"S{8 * width}").view("<u8").reshape(-1, width)
+
+
+def _fields(column, fmt: str) -> np.ndarray:
+    """``fmt % v``, ``fmt`` ending in its separator, for each v of ``column``."""
+    if fmt[:-1] != "%.17g" or column.dtype != np.float64:
+        return _words([fmt % v for v in column.tolist()])
+    fast = (np.abs(column) > 1e-6) & (np.abs(column) < 1e17)
+    words = _g17(np.where(fast, column, 1.0), ord(fmt[-1]))
+    words[~fast] = _words([fmt % v for v in column[~fast].tolist()], 7)
+    return words
+
 
 def _write_csv(path, header: str, fmt, rows) -> None:
     """Write a 2-D table as CSV, byte for byte as ``np.savetxt(path, rows,
     fmt=fmt, delimiter=",", header=header, comments="")`` does.
 
-    ``fmt`` is one ``%`` format for every column or a list with one per
-    column.  Each block of ``_CSV_BLOCK_ROWS`` rows is formatted by a single
-    ``%`` over the whole block, about twice as fast as one ``%`` per row,
-    while the block's string stays a few hundred kB.  A column with at most
-    half of its values distinct (an eye's time, a decided symbol) has each
-    distinct value formatted once and its strings passed as ``%s``.  Values
-    are distinct by their bits, not by ``==``: -0.0 prints ``-0``, not ``0``.
+    ``fmt`` is one ``%`` format or a list of one per column.  Each block of
+    ``_CSV_BLOCK_ROWS`` rows is a matrix of words, each value and separator
+    a NUL-padded field, written without the NULs.  A ``%.17g`` float with
+    1e-6 < |v| < 1e17 is formatted in numpy, exactly: e = floor(log10 |v|),
+    mended where the logarithm is one off, puts |v| * 10**(16 - e) in [1e16,
+    1e17).  That power of ten is an exact double (16 - e <= 22), Dekker's
+    TwoProduct gives the product exactly as hi + lo, and hi >= 1e16 > 2**53
+    is an even integer, so hi + rint(lo) rounds the 17-digit significand
+    half to even, as ``%`` does.  Other values (|v| <= 1e-6, |v| >= 1e17,
+    inf, nan) and formats keep ``%``, one list comprehension per block; so
+    does a column with at most half of its values distinct, once per value
+    distinct by its bits (-0.0 prints ``-0``), gathered by its rows.
     """
     rows = np.asarray(rows)
     fmts = [fmt] * rows.shape[1] if isinstance(fmt, str) else list(fmt)
-    texts = {}  # column -> (its distinct values formatted, each row's index)
+    fmts = [f + sep for f, sep in zip(fmts, [","] * (len(fmts) - 1) + ["\n"])]
+    pooled = {}  # column -> (its distinct values' fields, each row's index)
     for j, f in enumerate(fmts):
         bits = rows[:, j].view(f"u{rows.itemsize}")
         # counted on the sorted bits: np.unique's index and inverse would cost
         # an all-distinct column a quarter of its formatting time
         if 2 * (np.count_nonzero(np.diff(np.sort(bits))) + 1) <= bits.size:
             _, first, inverse = np.unique(bits, return_index=True, return_inverse=True)
-            texts[j] = np.array([f % v for v in rows[first, j].tolist()], dtype=object), inverse
-            fmts[j] = "%s"
-    row_fmt = ",".join(fmts) + "\n"
+            pooled[j] = _words([f % v for v in rows[first, j].tolist()]), inverse
     # text mode with the default encoding and newlines, as np.savetxt opens it
     with open(path, "w") as fh:
         if header:
             fh.write(header + "\n")
         for start in range(0, len(rows), _CSV_BLOCK_ROWS):
-            block = rows[start:start + _CSV_BLOCK_ROWS].astype(object)
-            for j, (strings, inverse) in texts.items():
-                block[:, j] = strings[inverse[start:start + _CSV_BLOCK_ROWS]]
-            fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
+            block = slice(start, start + _CSV_BLOCK_ROWS)
+            fields = [pooled[j][0][pooled[j][1][block]] if j in pooled
+                      else _fields(rows[block, j], f) for j, f in enumerate(fmts)]
+            fh.write(np.hstack(fields, dtype="<u8").tobytes().translate(None, b"\0").decode())

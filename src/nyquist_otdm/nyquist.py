@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import ChannelPlan, Signal, TimeGrid, require_same_grid
+from .core import ChannelPlan, Signal, TimeGrid
 
 __all__ = [
     "nyquist_interpolate",
@@ -166,8 +166,8 @@ def multiplex_branch_signals(branch_signals: list[Signal],
         )
     grid = branch_signals[0].grid
     n = grid.n_samples
-    for sig in branch_signals:
-        require_same_grid(sig, branch_signals[0])
+    if any(sig.grid != grid for sig in branch_signals):
+        raise ValueError("branch signals must share the same grid")
     shifts, rows = _sequence_lines(plan, grid)
     # only the band |k| <= reach holding every nonzero bin takes part; found by
     # value, the product's operand (so its rounding) is the same for any band

@@ -17,7 +17,6 @@ from scipy.optimize import minimize_scalar
 from scipy.special import erfcx
 
 from nyquist_otdm import ChannelPlan, Signal, TimeGrid
-from nyquist_otdm.core import require_same_grid
 from nyquist_otdm.link import dispersion_phase
 from nyquist_otdm.modem import EvmResult, QFactorResult, _to_db
 from nyquist_otdm.mzm import DrivePlan, FlatCombCalibration, MzmParams, modulate
@@ -89,6 +88,12 @@ def sequence_directly(n_lines: int, bandwidth: float, t,
         acc = acc + 2.0 * np.cos(2 * np.pi * order * bandwidth *
                                  (t - time_shift) / n_lines)
     return acc / n_lines
+
+
+def require_same_grid(a: Signal, b: Signal) -> None:
+    """Raise if two signals do not share an identical grid."""
+    if a.grid != b.grid:
+        raise ValueError("operands must share the same grid")
 
 
 def rmse_percent(measured: Signal, reference: Signal) -> float:

@@ -12,7 +12,7 @@ from numpy.testing import assert_allclose
 
 from helpers import delay_signal, freqs, rmse_percent, tone
 from nyquist_otdm import ChannelPlan, Signal, TimeGrid, spectrum
-from nyquist_otdm.core import _CSV_BLOCK_ROWS, _write_csv, constant, require_same_grid
+from nyquist_otdm.core import _CSV_BLOCK_ROWS, _fields, _g17, _write_csv, constant
 
 
 def test_time_grid_derived_quantities():
@@ -127,30 +127,39 @@ def test_rmse_percent_known_value():
         rmse_percent(meas, Signal(grid, np.zeros(4, dtype=complex)))
 
 
-def test_require_same_grid():
-    a = constant(TimeGrid(1e9, 8))
-    b = constant(TimeGrid(2e9, 8))
-    with pytest.raises(ValueError):
-        require_same_grid(a, b)
-
-
 _B = _CSV_BLOCK_ROWS
 _SPECIAL = np.array([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324,
                      -1.5e-310, 2.2250738585072014e-308, 1e300, -1e300,
                      1e-300, -1e-300, 1.7976931348623157e308])
 
 
+def _column(kind: str, rng, n_rows: int) -> np.ndarray:
+    """Values of one kind: any magnitude, or those of the bundles' columns
+    that the writer formats in numpy (eye amplitudes, spectrum powers in dBm,
+    and frequencies k * step up to 1e11)."""
+    if kind == "eye":
+        return rng.normal(0.0, 0.3, n_rows)
+    if kind == "dbm":
+        return rng.uniform(-300.0, 10.0, n_rows)
+    if kind == "frequency":
+        k = np.arange(n_rows) - n_rows // 2
+        return k * (1e11 / max(1, n_rows // 2) * rng.uniform(0.01, 1.0))
+    return rng.standard_normal(n_rows) * 10.0 ** rng.integers(-320, 300, n_rows)
+
+
 @st.composite
 def _tables(draw):
     """(fmt, rows): a random float table with special values sprinkled in,
     row counts below, at and across block boundaries, and an optional
-    ``%d`` column of finite values."""
+    ``%d`` column of finite values.  Each column holds any magnitude or one
+    kind of the bundles' values."""
     n_rows = draw(st.sampled_from([1, 2, _B - 1, _B, _B + 1, 2 * _B, 2 * _B + 1])
                   | st.integers(1, 3 * _B))
     n_cols = draw(st.integers(1, 4))
+    kinds = draw(st.lists(st.sampled_from(["any", "eye", "dbm", "frequency"]),
+                          min_size=n_cols, max_size=n_cols))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    rows = rng.standard_normal((n_rows, n_cols)) * 10.0 ** rng.integers(
-        -320, 300, (n_rows, n_cols))
+    rows = np.column_stack([_column(kind, rng, n_rows) for kind in kinds])
     special = rng.random((n_rows, n_cols)) < draw(st.sampled_from([0.0, 0.05, 0.5]))
     rows[special] = rng.choice(_SPECIAL, int(special.sum()))
     fmt = "%.17g"
@@ -208,6 +217,46 @@ def test_write_csv_matches_savetxt(table):
 def test_write_csv_matches_savetxt_on_pooled_columns(table):
     """The columns that the writer formats once per distinct value."""
     _assert_writes_as_savetxt(*table)
+
+
+def _text(words) -> str:
+    return words.astype("<u8").tobytes().translate(None, b"\0").decode("ascii")
+
+
+def _assert_formats_as_percent(values):
+    """``_fields`` writes each value as ``'%.17g,' % v``, and the kernel
+    alone does so for the values in its range."""
+    x = np.array(values, dtype=float)
+    assert _text(_fields(x, "%.17g,")) == "".join("%.17g," % v for v in values)
+    fast = x[(np.abs(x) > 1e-6) & (np.abs(x) < 1e17)]
+    assert _text(_g17(fast, ord(";"))) == "".join("%.17g;" % v for v in fast.tolist())
+
+
+# each power of ten from 1e-7 to 1e17 and its neighbours, so the kernel's
+# range edges (1e-6 and 1e17 are outside it) and the doubles whose log10
+# misses; zeros and the least subnormal; and exact ties at the 17th digit,
+# which % rounds half to even
+_POWERS = np.array([float(f"1e{k}") for k in range(-7, 18)])
+_EDGES = np.concatenate([
+    _POWERS, np.nextafter(_POWERS, 0.0), np.nextafter(_POWERS, math.inf),
+    [0.0, -0.0, 5e-324, 123456789012345.625, 123456789012345.875,
+     100000000000000.125, 100000000000000.375, 999999999999999.875,
+     0.0625, 1.5, 2.5e-5]])
+
+
+def test_g17_on_edges_and_ties():
+    assert "%.17g" % 123456789012345.625 == "123456789012345.62"
+    _assert_formats_as_percent(np.concatenate([_EDGES, -_EDGES]).tolist())
+
+
+_IN_RANGE = st.floats(1e-6, 1e17, exclude_min=True, exclude_max=True)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.floats() | _IN_RANGE | _IN_RANGE.map(lambda v: -v), max_size=40))
+def test_g17_matches_percent(values):
+    """Every double, finite or not: the kernel in its range, % outside it."""
+    _assert_formats_as_percent(values)
 
 
 class TestChannelPlan:

@@ -262,6 +262,21 @@ class TestMultiplex:
             got = sample_symbols(y, rate, t_offset=plan.slot(l))
             assert_allclose(got, block, atol=1e-10)
 
+    def test_branches_on_different_grids_rejected(self):
+        """Branch signals on grids of another rate or length are refused,
+        wherever the odd one sits."""
+        plan = ChannelPlan(3, 24e9)
+        grid = grid_for(plan, 9)
+        blocks = random_symbols(plan, 9, np.random.default_rng(0))
+        parts = [nyquist_interpolate(block, plan.symbol_rate, grid, t_offset=plan.slot(l))
+                 for l, block in enumerate(blocks, start=1)]
+        for odd in (TimeGrid(2 * grid.sample_rate, 2 * grid.n_samples),
+                    TimeGrid(grid.sample_rate, 2 * grid.n_samples)):
+            other = Signal(odd, np.ones(odd.n_samples))
+            for l in range(plan.n_branches):
+                with pytest.raises(ValueError, match="same grid"):
+                    multiplex_branch_signals(parts[:l] + [other] + parts[l + 1:], plan)
+
     def test_wrong_stream_count_rejected(self):
         plan = ChannelPlan(3, 24e9)
         grid = grid_for(plan, 9)
