@@ -216,7 +216,7 @@ def constant(grid: TimeGrid, amplitude: complex = 1.0) -> Signal:
 # ---------------------------------------------------------------------------
 # serialization
 
-_CSV_BLOCK_ROWS = 4096
+_CSV_BLOCK_ROWS = 8192
 
 # The %.17g kernel's tables: 10**s (s <= 22, exact) and its Dekker halves; the
 # ASCII digits of 0..9999 as words, first digit lowest, and their trailing zeros.
@@ -229,53 +229,58 @@ _TZ = np.cumprod(_QUAD[:, ::-1] == 0, axis=1, dtype=np.int8).sum(axis=1, dtype=n
 
 
 def _g17_field_tables():
-    """Byte masks and fixed bytes of a 56-byte field, by exponent X (-6..16),
-    last nonzero digit i (0..16) and sign.  Bytes 3-23 and 27-47 hold "0000"
-    and the 17 digits: the integer part (0 when X < 0), then the fraction to
-    digit i after a dot at 26; X < -4 keeps one integer digit and adds "e-0X"
-    at 48-51.  The sign is at byte 0, the separator at 55."""
-    x, i, neg, b = np.ix_(np.arange(-6, 17), np.arange(17), [0, 1], np.arange(56))
-    q = 4 + np.where(x >= -4, x, 0)  # the integer digit's position
-    keep = (((b >= np.minimum(q, 4) + 3) & (b <= q + 3))
-            | ((b >= q + 28) & (b <= i + 31)) | (b == 55))
-    suffix = np.array([101, 45, 48, 48])[np.clip(b - 48, 0, 3)] - x * (b == 51)  # e-0X
-    add = np.select([(b == 0) & (neg == 1), (b == 26) & (i + 4 > q),
-                     (x < -4) & (b >= 48) & (b <= 51)], [45, 46, suffix])
-    return [np.broadcast_to(t, add.shape).astype(np.uint8).reshape(-1, 56).view("<u8")
-            for t in (keep * 255, add)]
+    """The masks and fixed bytes of ``_write_csv``'s fields: (782, 3, 4) words."""
+    x, i, neg, b = np.ix_(np.arange(-6, 17), np.arange(17), [0, 1], np.arange(32))
+    p = np.where(x >= -4, x, 0)  # the last integer digit's exponent
+    suffix = np.array([101, 45, 48, 48])[np.clip(b - 25, 0, 3)] - x * (b == 28)  # e-0X
+    masks = [(b >= 7 + np.minimum(p, 0)) & (b <= 7 + p), (b >= 9 + p) & (b <= 8 + i)]
+    add = np.select([(b == 0) & (neg == 1), (b == 8 + p) & (i > p),
+                     (x < -4) & (b >= 25) & (b <= 28)], [45, 46, suffix])
+    tables = np.stack(np.broadcast_arrays(255 * masks[0], 255 * masks[1], add), axis=-2)
+    return tables.astype(np.uint8).reshape(-1, 3, 32).view("<u8")
 
 
-_G17_KEEP, _G17_ADD = _g17_field_tables()
+_G17 = _g17_field_tables()
 
 
-def _g17(x, sep: int) -> np.ndarray:
-    """Fields of ``'%.17g' % v`` and separator ``sep``, (n, 7) words, for 1e-6 < |v| < 1e17."""
-    a = np.abs(x)
-    c = 134217729.0 * a
-    ah = c - (c - a)
+def _g17(x, out, sep) -> None:
+    """Write ``'%.17g' % v`` and column j's separator word ``sep[j]`` into ``out``, one
+    4-word field per v of the 2-D float table ``x``; ``%`` for |v| <= 1e-6 or >= 1e17."""
+    fast = (np.abs(x) > 1e-6) & (np.abs(x) < 1e17)
+    a = np.abs(np.where(fast, x, 1.0))
+    ah = (c := 134217729.0 * a) - (c - a)  # Dekker's split: a = ah + al, 26-bit halves
     al = a - ah
     e = np.clip(np.floor(np.log10(a)), -6, 16).astype(np.intp)
-    for _ in range(2):  # mend a log10 one off near a power of ten; the 2nd finds none
+    while True:  # mend a log10 one off near a power of ten: a 2nd pass only if one moved
         s = 16 - e  # a * 10**s = hi + lo exactly, Dekker's TwoProduct
-        hi = a * _P10[s]
-        lo = ((ah * _P10_HI[s] - hi) + ah * _P10_LO[s] + al * _P10_HI[s]) + al * _P10_LO[s]
-        e += (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
-        e -= (hi < 1e16) | ((hi == 1e16) & (lo < 0))  # hi alone can round onto 1e16
+        hi, p_hi, p_lo = a * _P10[s], _P10_HI[s], _P10_LO[s]
+        lo = ((ah * p_hi - hi) + ah * p_lo + al * p_hi) + al * p_lo
+        if not ((hi >= 1e17) | (hi <= 1e16)).any():
+            break
+        step = ((hi - 1e17) + lo >= 0).view(np.int8) - ((hi - 1e16) + lo < 0).view(np.int8)
+        if not step.any():
+            break
+        e += step
     d = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
     carry = d == 10 ** 17  # rounded up to one more digit
     d, e = np.where(carry, 10 ** 16, d), e + carry
-    top, low = np.divmod(d, 10 ** 8)
-    top, g2 = np.divmod(top, 10 ** 4)
-    d0, g3 = np.divmod(top, 10 ** 4)
-    g1, g0 = np.divmod(low, 10 ** 4)
+    d0, q, top, r = d // 10 ** 16, d // 10 ** 12, d // 10 ** 8, d // 10 ** 4  # // beats %
+    g3, g2, g1, g0 = q - d0 * 10 ** 4, top - q * 10 ** 4, r - top * 10 ** 4, d - r * 10 ** 4
     tz = _TZ[g0] + (g0 == 0) * (_TZ[g1] + (g1 == 0) * (_TZ[g2] + (g2 == 0) * _TZ[g3]))
-    digits = np.stack([_QUAD_WORD[d0] << 32 | 48 << 24, _QUAD_WORD[g3] | _QUAD_WORD[g2] << 32,
-                       _QUAD_WORD[g1] | _QUAD_WORD[g0] << 32], axis=1)
-    words = np.hstack([digits, digits, np.full((len(x), 1), sep << 56, np.uint64)])
+    w = np.empty((4,) + x.shape, np.uint64)  # the digit words, word by word
+    w[0], w[3] = _QUAD_WORD[d0] << 32 | 48 << 24, 0
+    w[1], w[2] = _QUAD_WORD[g2] << 32 | _QUAD_WORD[g3], _QUAD_WORD[g0] << 32 | _QUAD_WORD[g1]
+    shifted = w << 8
+    shifted[1:] |= w[:-1] >> 56
     row = ((e + 6) * 17 + 16 - tz) * 2 + (x < 0)
-    words &= _G17_KEEP[row]
-    words |= _G17_ADD[row]
-    return words
+    keep, keep_shifted, add = np.moveaxis(_G17.take(row, axis=0), (-2, -1), (0, 1))
+    w &= keep
+    shifted &= keep_shifted
+    w |= shifted
+    w[:, ~fast], add[:, ~fast] = _words(["%.17g" % v for v in x[~fast].tolist()], 4).T, 0
+    for j in range(x.shape[1]):  # by column: a column axis would be the inner loop
+        np.bitwise_or(w[..., j], add[..., j], out=out[:, j].T)
+        out[:, j, 3] |= sep[j]
 
 
 def _words(strings, width: int = 0) -> np.ndarray:
@@ -285,31 +290,28 @@ def _words(strings, width: int = 0) -> np.ndarray:
     return text.astype(f"S{8 * width}").view("<u8").reshape(-1, width)
 
 
-def _fields(column, fmt: str) -> np.ndarray:
-    """``fmt % v``, ``fmt`` ending in its separator, for each v of ``column``."""
-    if fmt[:-1] != "%.17g" or column.dtype != np.float64:
-        return _words([fmt % v for v in column.tolist()])
-    fast = (np.abs(column) > 1e-6) & (np.abs(column) < 1e17)
-    words = _g17(np.where(fast, column, 1.0), ord(fmt[-1]))
-    words[~fast] = _words([fmt % v for v in column[~fast].tolist()], 7)
-    return words
-
-
 def _write_csv(path, header: str, fmt, rows) -> None:
     """Write a 2-D table as CSV, byte for byte as ``np.savetxt(path, rows,
     fmt=fmt, delimiter=",", header=header, comments="")`` does.
 
     ``fmt`` is one ``%`` format or a list of one per column.  Each block of
-    ``_CSV_BLOCK_ROWS`` rows is a matrix of words, each value and separator
-    a NUL-padded field, written without the NULs.  A ``%.17g`` float with
-    1e-6 < |v| < 1e17 is formatted in numpy, exactly: e = floor(log10 |v|),
-    mended where the logarithm is one off, puts |v| * 10**(16 - e) in [1e16,
+    ``_CSV_BLOCK_ROWS`` rows is one matrix of words, each value and its
+    separator a NUL-padded field, written without the NULs.  ``_g17`` writes
+    a run of adjacent ``%.17g`` float columns in one call, exactly: e =
+    floor(log10 |v|), mended where (hi - 1e17) + lo >= 0 or (hi - 1e16) + lo
+    < 0 (exact tests, by Sterbenz's lemma), puts |v| * 10**(16 - e) in [1e16,
     1e17).  That power of ten is an exact double (16 - e <= 22), Dekker's
     TwoProduct gives the product exactly as hi + lo, and hi >= 1e16 > 2**53
-    is an even integer, so hi + rint(lo) rounds the 17-digit significand
-    half to even, as ``%`` does.  Other values (|v| <= 1e-6, |v| >= 1e17,
-    inf, nan) and formats keep ``%``, one list comprehension per block; so
-    does a column with at most half of its values distinct, once per value
+    is an even integer, so hi + rint(lo) rounds the 17-digit significand half
+    to even, as ``%`` does.  The field is 32 bytes: the sign at 0; "0000" at
+    3-6 and digit k at 7 + k of the digit words, which give the integer part
+    to 7 + X (X the exponent; the "0" at 7 + X when X < 0); the dot at 8 + X;
+    the fraction to the last nonzero digit i at 9 + X..8 + i, from the digit
+    words shifted up one byte, its leading zeros from "0000"; "e-0X" at 25-28
+    when X < -4, laid out as X = 0; the separator at 31.  A table row per (X,
+    i, sign) holds both masks and the fixed bytes.  |v| <= 1e-6, |v| >= 1e17,
+    inf and nan keep ``%`` in the same field; other formats, and a column
+    with at most half of its values distinct, keep ``%`` once per value
     distinct by its bits (-0.0 prints ``-0``), gathered by its rows.
     """
     rows = np.asarray(rows)
@@ -320,15 +322,23 @@ def _write_csv(path, header: str, fmt, rows) -> None:
         bits = rows[:, j].view(f"u{rows.itemsize}")
         # counted on the sorted bits: np.unique's index and inverse would cost
         # an all-distinct column a quarter of its formatting time
-        if 2 * (np.count_nonzero(np.diff(np.sort(bits))) + 1) <= bits.size:
+        if (f[:-1] != "%.17g" or rows.dtype != np.float64
+                or 2 * (np.count_nonzero(np.diff(np.sort(bits))) + 1) <= bits.size):
             _, first, inverse = np.unique(bits, return_index=True, return_inverse=True)
             pooled[j] = _words([f % v for v in rows[first, j].tolist()]), inverse
+    ends = np.cumsum([pooled[j][0].shape[1] if j in pooled else 4 for j in range(len(fmts))])
+    runs = np.flatnonzero(np.diff([0] + [j not in pooled for j in range(len(fmts))] + [0]))
+    seps = np.array([ord(f[-1]) for f in fmts], np.uint64) << 56  # at byte 31
+    out = np.empty((min(len(rows), _CSV_BLOCK_ROWS), ends[-1]), np.uint64)
     # text mode with the default encoding and newlines, as np.savetxt opens it
     with open(path, "w") as fh:
         if header:
             fh.write(header + "\n")
         for start in range(0, len(rows), _CSV_BLOCK_ROWS):
-            block = slice(start, start + _CSV_BLOCK_ROWS)
-            fields = [pooled[j][0][pooled[j][1][block]] if j in pooled
-                      else _fields(rows[block, j], f) for j, f in enumerate(fmts)]
-            fh.write(np.hstack(fields, dtype="<u8").tobytes().translate(None, b"\0").decode())
+            block = rows[start:start + _CSV_BLOCK_ROWS]
+            o = out[:len(block)]
+            for j, (words, inverse) in pooled.items():
+                o[:, ends[j] - words.shape[1]:ends[j]] = words[inverse[start:start + len(block)]]
+            for j, k in runs.reshape(-1, 2):  # a run of adjacent %.17g columns
+                _g17(block[:, j:k], o[:, ends[j] - 4:ends[k - 1]].reshape(-1, k - j, 4), seps[j:k])
+            fh.write(o.tobytes().translate(None, b"\0").decode())

@@ -2,7 +2,9 @@
 
 import math
 import tempfile
+from decimal import Decimal
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,8 +13,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from helpers import delay_signal, freqs, rmse_percent, tone
-from nyquist_otdm import ChannelPlan, Signal, TimeGrid, spectrum
-from nyquist_otdm.core import _CSV_BLOCK_ROWS, _fields, _g17, _write_csv, constant
+from nyquist_otdm import ChannelPlan, Signal, TimeGrid, core, spectrum
+from nyquist_otdm.core import _CSV_BLOCK_ROWS, _g17, _write_csv, constant
 
 
 def test_time_grid_derived_quantities():
@@ -127,7 +129,9 @@ def test_rmse_percent_known_value():
         rmse_percent(meas, Signal(grid, np.zeros(4, dtype=complex)))
 
 
-_B = _CSV_BLOCK_ROWS
+# the write block the table tests patch in: small and odd, so that each
+# example crosses many block boundaries and a block holds few values
+_B = 7
 _SPECIAL = np.array([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324,
                      -1.5e-310, 2.2250738585072014e-308, 1e300, -1e300,
                      1e-300, -1e-300, 1.7976931348623157e308])
@@ -147,28 +151,31 @@ def _column(kind: str, rng, n_rows: int) -> np.ndarray:
     return rng.standard_normal(n_rows) * 10.0 ** rng.integers(-320, 300, n_rows)
 
 
+def _table(rng, n_rows, kinds, special_share, int_col=None):
+    """(fmt, rows): columns of the given kinds with special values sprinkled
+    in, column ``int_col`` (if any) a ``%d`` column of finite values."""
+    rows = np.column_stack([_column(kind, rng, n_rows) for kind in kinds])
+    special = rng.random(rows.shape) < special_share
+    rows[special] = rng.choice(_SPECIAL, int(special.sum()))
+    if int_col is None:
+        return "%.17g", rows
+    rows[:, int_col] = rng.choice([0.0, -0.0, 3.0, 15.0, -7.9, 1e300], n_rows)
+    return ["%d" if j == int_col else "%.17g" for j in range(len(kinds))], rows
+
+
 @st.composite
 def _tables(draw):
-    """(fmt, rows): a random float table with special values sprinkled in,
-    row counts below, at and across block boundaries, and an optional
-    ``%d`` column of finite values.  Each column holds any magnitude or one
-    kind of the bundles' values."""
+    """(fmt, rows): a random float table with row counts below, at and across
+    block boundaries, and an optional ``%d`` column.  Each column holds any
+    magnitude or one kind of the bundles' values."""
     n_rows = draw(st.sampled_from([1, 2, _B - 1, _B, _B + 1, 2 * _B, 2 * _B + 1])
-                  | st.integers(1, 3 * _B))
+                  | st.integers(1, 60 * _B))
     n_cols = draw(st.integers(1, 4))
     kinds = draw(st.lists(st.sampled_from(["any", "eye", "dbm", "frequency"]),
                           min_size=n_cols, max_size=n_cols))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    rows = np.column_stack([_column(kind, rng, n_rows) for kind in kinds])
-    special = rng.random((n_rows, n_cols)) < draw(st.sampled_from([0.0, 0.05, 0.5]))
-    rows[special] = rng.choice(_SPECIAL, int(special.sum()))
-    fmt = "%.17g"
-    if n_cols > 1 and draw(st.booleans()):
-        col = draw(st.integers(0, n_cols - 1))
-        rows[:, col] = rng.choice([0.0, -0.0, 3.0, 15.0, -7.9, 1e300], n_rows)
-        fmt = ["%.17g"] * n_cols
-        fmt[col] = "%d"
-    return fmt, rows
+    int_col = draw(st.none() | st.integers(0, n_cols - 1)) if n_cols > 1 else None
+    return _table(rng, n_rows, kinds, draw(st.sampled_from([0.0, 0.05, 0.5])), int_col)
 
 
 # values that == merges (0.0 and -0.0) or that print specially (nan, +-inf,
@@ -184,8 +191,8 @@ def _pooled_tables(draw):
     all-distinct column, in either order.  The pooled column is ``%.17g``,
     or ``%d`` of finite values with a second pooled ``%.17g`` column beside
     it.  Row counts run at and across block boundaries."""
-    n_rows = draw(st.sampled_from([_B - 1, _B, _B + 1, 2 * _B, 2 * _B + 1])
-                  | st.integers(2 * _POOL.size, 3 * _B))
+    n_rows = draw(st.sampled_from([3 * _B, 3 * _B + 1, 4 * _B])
+                  | st.integers(2 * _POOL.size, 60 * _B))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     distinct = rng.standard_normal(n_rows) * 10.0 ** rng.integers(-300, 300, n_rows)
     if draw(st.booleans()):
@@ -209,14 +216,25 @@ def _assert_writes_as_savetxt(fmt, rows):
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(_tables())
 def test_write_csv_matches_savetxt(table):
-    _assert_writes_as_savetxt(*table)
+    # a patch, not a fixture: hypothesis runs every example in one function call
+    with mock.patch.object(core, "_CSV_BLOCK_ROWS", _B):
+        _assert_writes_as_savetxt(*table)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(_pooled_tables())
 def test_write_csv_matches_savetxt_on_pooled_columns(table):
     """The columns that the writer formats once per distinct value."""
-    _assert_writes_as_savetxt(*table)
+    with mock.patch.object(core, "_CSV_BLOCK_ROWS", _B):
+        _assert_writes_as_savetxt(*table)
+
+
+def test_write_csv_matches_savetxt_at_the_block_size():
+    """Two whole blocks and one row at the size the writer runs with: the
+    bundles' kinds of column, a %d column and special values."""
+    rng = np.random.default_rng(24)
+    kinds = ["frequency", "dbm", "eye", "any", "eye"]
+    _assert_writes_as_savetxt(*_table(rng, 2 * _CSV_BLOCK_ROWS + 1, kinds, 0.05, 2))
 
 
 def _text(words) -> str:
@@ -224,12 +242,17 @@ def _text(words) -> str:
 
 
 def _assert_formats_as_percent(values):
-    """``_fields`` writes each value as ``'%.17g,' % v``, and the kernel
-    alone does so for the values in its range."""
-    x = np.array(values, dtype=float)
-    assert _text(_fields(x, "%.17g,")) == "".join("%.17g," % v for v in values)
-    fast = x[(np.abs(x) > 1e-6) & (np.abs(x) < 1e17)]
-    assert _text(_g17(fast, ord(";"))) == "".join("%.17g;" % v for v in fast.tolist())
+    """``_g17`` writes each value as ``'%.17g,' % v``: in numpy in its range,
+    by ``%`` outside it; and as a two-column table, with each column's
+    separator."""
+    x = np.array(values, dtype=float)[:, None]
+    out = np.zeros(x.shape + (4,), np.uint64)
+    _g17(x, out, np.array([ord(",")], np.uint64) << 56)
+    assert _text(out) == "".join("%.17g," % v for v in values)
+    pairs = x[:x.size // 2 * 2].reshape(-1, 2)
+    out = np.zeros(pairs.shape + (4,), np.uint64)
+    _g17(pairs, out, np.array([ord(";"), ord("\n")], np.uint64) << 56)
+    assert _text(out) == "".join("%.17g;%.17g\n" % (a, b) for a, b in pairs.tolist())
 
 
 # each power of ten from 1e-7 to 1e17 and its neighbours, so the kernel's
@@ -247,6 +270,46 @@ _EDGES = np.concatenate([
 def test_g17_on_edges_and_ties():
     assert "%.17g" % 123456789012345.625 == "123456789012345.62"
     _assert_formats_as_percent(np.concatenate([_EDGES, -_EDGES]).tolist())
+
+
+def _layout_class(v: float) -> tuple:
+    """(X, i, sign) of ``'%.17g' % v``: the decimal exponent, the index of
+    the last nonzero digit of the 17, and whether it starts with "-"."""
+    text = Decimal("%.17g" % v)
+    return text.adjusted(), len(text.normalize().as_tuple().digits) - 1, text.is_signed()
+
+
+def _one_value_per_layout_class() -> dict:
+    """A value for each of the kernel's 23 * 17 * 2 field layouts, found by
+    scanning decimals of i + 1 digits at each exponent X: about half of them
+    are the double nearest to them to 17 digits, so a few tries hit (X, i)."""
+    found = {}
+    for x in range(-6, 17):
+        for i in range(17):
+            for m in range(10 ** i + 1, 10 ** i + 100):
+                v = float(f"{m}e{x - i}")
+                found.setdefault(_layout_class(v), v)
+                found.setdefault(_layout_class(-v), -v)
+                if (x, i, False) in found and (x, i, True) in found:
+                    break
+    return found
+
+
+def test_g17_writes_every_layout_class():
+    """Every (X, i, sign) the field tables hold that a double can print
+    prints as % prints it.  One digit in e-notation, "de-06" or "de-05", is
+    none: only the double nearest to d * 10**X could print so, and each of
+    those prints more digits."""
+    found = _one_value_per_layout_class()
+    unreachable = {(x, 0, neg) for x in (-6, -5) for neg in (False, True)}
+    assert all(len(Decimal("%.17g" % float(f"{d}e{x}")).normalize().as_tuple().digits) > 1
+               for d in range(1, 10) for x in (-6, -5))
+    wanted = {(x, i, neg) for x in range(-6, 17) for i in range(17) for neg in (False, True)}
+    assert len(wanted) == 782
+    assert wanted - unreachable <= set(found), sorted(wanted - unreachable - set(found))
+    values = [found[c] for c in sorted(wanted - unreachable)]
+    assert all(1e-6 < abs(v) < 1e17 for v in values)
+    _assert_formats_as_percent(values)
 
 
 _IN_RANGE = st.floats(1e-6, 1e17, exclude_min=True, exclude_max=True)

@@ -558,7 +558,7 @@ class TestWriteBundle:
         assert csv_head.splitlines()[0] == "re,im,decided_symbol"
 
     def test_csvs_match_savetxt(self, tmp_path):
-        """Every CSV of a full bundle (16,368-row eyes across four write
+        """Every CSV of a full bundle (16,368-row eyes across two write
         blocks, spectra, constellations with a %d column) has the bytes
         np.savetxt gives."""
         raw = json.loads((SCENARIO_DIR / "nyquist_qpsk_8gbd_10km.json").read_text())
