@@ -164,7 +164,7 @@ def main(argv=None) -> int:
                "calibrate-comb": _cmd_calibrate, "validate": _cmd_validate}
     try:
         return handler[args.command](args)
-    except (ConfigError, FileNotFoundError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, RuntimeError, OSError) as exc:

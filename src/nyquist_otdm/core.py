@@ -229,7 +229,7 @@ _TZ = np.cumprod(_QUAD[:, ::-1] == 0, axis=1, dtype=np.int8).sum(axis=1, dtype=n
 
 
 def _g17_field_tables():
-    """The masks and fixed bytes of ``_write_csv``'s fields: (782, 3, 4) words."""
+    """The masks and fixed bytes of ``_g17``'s fields: (782, 3, 4) words."""
     x, i, neg, b = np.ix_(np.arange(-6, 17), np.arange(17), [0, 1], np.arange(32))
     p = np.where(x >= -4, x, 0)  # the last integer digit's exponent
     suffix = np.array([101, 45, 48, 48])[np.clip(b - 25, 0, 3)] - x * (b == 28)  # e-0X
@@ -244,8 +244,25 @@ _G17 = _g17_field_tables()
 
 
 def _g17(x, out, sep) -> None:
-    """Write ``'%.17g' % v`` and column j's separator word ``sep[j]`` into ``out``, one
-    4-word field per v of the 2-D float table ``x``; ``%`` for |v| <= 1e-6 or >= 1e17."""
+    """Write ``'%.17g' % v`` and column j's separator word ``sep[j]`` into ``out``,
+    one 32-byte (4-word) field per v of the 2-D float table ``x``.
+
+    The field is exact for 1e-6 < |v| < 1e17: e = floor(log10 |v|), mended
+    where (hi - 1e17) + lo >= 0 or (hi - 1e16) + lo < 0 (exact tests, by
+    Sterbenz's lemma), puts |v| * 10**(16 - e) in [1e16, 1e17).  That power
+    of ten is an exact double (16 - e <= 22), Dekker's TwoProduct gives the
+    product exactly as hi + lo, and hi >= 1e16 > 2**53 is an even integer, so
+    hi + rint(lo) rounds the 17-digit significand half to even, as ``%``
+    does.  The layout: the sign at byte 0; "0000" at 3-6 and digit k at 7 + k
+    of the digit words, which give the integer part to 7 + X (X the exponent;
+    the "0" at 7 + X when X < 0); the dot at 8 + X; the fraction to the last
+    nonzero digit i at 9 + X..8 + i, from the digit words shifted up one
+    byte, its leading zeros from "0000"; "e-0X" at 25-28 when X < -4, laid
+    out as X = 0; the separator at 31.  A table row per (X, i, sign) holds
+    both masks and the fixed bytes.  |v| <= 1e-6, |v| >= 1e17, inf and nan
+    keep ``%`` in the same field: no ``%.17g`` string is longer than 24 bytes
+    (``-2.2250738585072014e-308``), so the separator never overwrites one.
+    """
     fast = (np.abs(x) > 1e-6) & (np.abs(x) < 1e17)
     a = np.abs(np.where(fast, x, 1.0))
     ah = (c := 134217729.0 * a) - (c - a)  # Dekker's split: a = ah + al, 26-bit halves
@@ -277,59 +294,40 @@ def _g17(x, out, sep) -> None:
     w &= keep
     shifted &= keep_shifted
     w |= shifted
-    w[:, ~fast], add[:, ~fast] = _words(["%.17g" % v for v in x[~fast].tolist()], 4).T, 0
+    slow = np.array(["%.17g" % v for v in x[~fast].tolist()], "S32").view("<u8")
+    w[:, ~fast], add[:, ~fast] = slow.reshape(-1, 4).T, 0
     for j in range(x.shape[1]):  # by column: a column axis would be the inner loop
         np.bitwise_or(w[..., j], add[..., j], out=out[:, j].T)
         out[:, j, 3] |= sep[j]
 
 
-def _words(strings, width: int = 0) -> np.ndarray:
-    """ASCII ``strings`` NUL-padded to rows of at least ``width`` words."""
-    text = np.array(strings, dtype="S")
-    width = max(width, -(-text.itemsize // 8))
-    return text.astype(f"S{8 * width}").view("<u8").reshape(-1, width)
+def _write_csv(path, header: str, rows) -> None:
+    """Write a 2-D float table as CSV, byte for byte as ``np.savetxt(path,
+    rows, fmt="%.17g", delimiter=",", header=header, comments="")`` does.
 
-
-def _write_csv(path, header: str, fmt, rows) -> None:
-    """Write a 2-D table as CSV, byte for byte as ``np.savetxt(path, rows,
-    fmt=fmt, delimiter=",", header=header, comments="")`` does.
-
-    ``fmt`` is one ``%`` format or a list of one per column.  Each block of
-    ``_CSV_BLOCK_ROWS`` rows is one matrix of words, each value and its
-    separator a NUL-padded field, written without the NULs.  ``_g17`` writes
-    a run of adjacent ``%.17g`` float columns in one call, exactly: e =
-    floor(log10 |v|), mended where (hi - 1e17) + lo >= 0 or (hi - 1e16) + lo
-    < 0 (exact tests, by Sterbenz's lemma), puts |v| * 10**(16 - e) in [1e16,
-    1e17).  That power of ten is an exact double (16 - e <= 22), Dekker's
-    TwoProduct gives the product exactly as hi + lo, and hi >= 1e16 > 2**53
-    is an even integer, so hi + rint(lo) rounds the 17-digit significand half
-    to even, as ``%`` does.  The field is 32 bytes: the sign at 0; "0000" at
-    3-6 and digit k at 7 + k of the digit words, which give the integer part
-    to 7 + X (X the exponent; the "0" at 7 + X when X < 0); the dot at 8 + X;
-    the fraction to the last nonzero digit i at 9 + X..8 + i, from the digit
-    words shifted up one byte, its leading zeros from "0000"; "e-0X" at 25-28
-    when X < -4, laid out as X = 0; the separator at 31.  A table row per (X,
-    i, sign) holds both masks and the fixed bytes.  |v| <= 1e-6, |v| >= 1e17,
-    inf and nan keep ``%`` in the same field; other formats, and a column
-    with at most half of its values distinct, keep ``%`` once per value
-    distinct by its bits (-0.0 prints ``-0``), gathered by its rows.
+    Each block of ``_CSV_BLOCK_ROWS`` rows is one (rows, columns, 4) matrix
+    of words, each value and its separator a NUL-padded ``_g17`` field,
+    written without the NULs.  A column with at most half of its first
+    block's values distinct by their bits (-0.0 prints ``-0``) is formatted
+    once per distinct value and gathered by its rows; ``_g17`` writes each
+    run of the other, adjacent columns in one call a block.
     """
-    rows = np.asarray(rows)
-    fmts = [fmt] * rows.shape[1] if isinstance(fmt, str) else list(fmt)
-    fmts = [f + sep for f, sep in zip(fmts, [","] * (len(fmts) - 1) + ["\n"])]
+    rows = np.asarray(rows, dtype=np.float64)
+    n_cols = rows.shape[1]
+    seps = np.array([ord(",")] * (n_cols - 1) + [ord("\n")], np.uint64) << 56  # byte 31
     pooled = {}  # column -> (its distinct values' fields, each row's index)
-    for j, f in enumerate(fmts):
-        bits = rows[:, j].view(f"u{rows.itemsize}")
-        # counted on the sorted bits: np.unique's index and inverse would cost
-        # an all-distinct column a quarter of its formatting time
-        if (f[:-1] != "%.17g" or rows.dtype != np.float64
-                or 2 * (np.count_nonzero(np.diff(np.sort(bits))) + 1) <= bits.size):
+    for j in range(n_cols):
+        bits = rows[:, j].view(np.uint64)
+        # counted on the first block's sorted bits: np.unique's index and
+        # inverse would cost an all-distinct column a quarter of its time
+        head = np.sort(bits[:_CSV_BLOCK_ROWS])
+        if 2 * (np.count_nonzero(np.diff(head)) + 1) <= head.size:
             _, first, inverse = np.unique(bits, return_index=True, return_inverse=True)
-            pooled[j] = _words([f % v for v in rows[first, j].tolist()]), inverse
-    ends = np.cumsum([pooled[j][0].shape[1] if j in pooled else 4 for j in range(len(fmts))])
-    runs = np.flatnonzero(np.diff([0] + [j not in pooled for j in range(len(fmts))] + [0]))
-    seps = np.array([ord(f[-1]) for f in fmts], np.uint64) << 56  # at byte 31
-    out = np.empty((min(len(rows), _CSV_BLOCK_ROWS), ends[-1]), np.uint64)
+            fields = np.empty((first.size, 1, 4), np.uint64)
+            _g17(rows[first, j:j + 1], fields, seps[j:j + 1])
+            pooled[j] = fields[:, 0], inverse
+    runs = np.flatnonzero(np.diff([0] + [j not in pooled for j in range(n_cols)] + [0]))
+    out = np.empty((min(len(rows), _CSV_BLOCK_ROWS), n_cols, 4), np.uint64)
     # text mode with the default encoding and newlines, as np.savetxt opens it
     with open(path, "w") as fh:
         if header:
@@ -337,8 +335,8 @@ def _write_csv(path, header: str, fmt, rows) -> None:
         for start in range(0, len(rows), _CSV_BLOCK_ROWS):
             block = rows[start:start + _CSV_BLOCK_ROWS]
             o = out[:len(block)]
-            for j, (words, inverse) in pooled.items():
-                o[:, ends[j] - words.shape[1]:ends[j]] = words[inverse[start:start + len(block)]]
-            for j, k in runs.reshape(-1, 2):  # a run of adjacent %.17g columns
-                _g17(block[:, j:k], o[:, ends[j] - 4:ends[k - 1]].reshape(-1, k - j, 4), seps[j:k])
+            for j, (fields, inverse) in pooled.items():
+                o[:, j] = fields[inverse[start:start + len(block)]]
+            for j, k in runs.reshape(-1, 2):  # a run of adjacent unpooled columns
+                _g17(block[:, j:k], o[:, j:k], seps[j:k])
             fh.write(o.tobytes().translate(None, b"\0").decode())

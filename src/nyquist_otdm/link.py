@@ -21,6 +21,7 @@ __all__ = [
     "NoiseSpec",
     "propagate",
     "compensate_dispersion",
+    "dispersion_phase",
     "add_noise",
     "phase_noise",
 ]

@@ -59,10 +59,10 @@ __all__ = [
     "parse_scenario",
     "run_scenario",
     "sweep",
+    "write_bundle",
 ]
 
 CONFIG_VERSION = 1
-_FLOAT_FMT = "%.17g"
 # The spectrum artifacts keep the rows with |f| <= _BAND_MARGIN times the
 # signal's half-width, so the multiplexed spectrum still holds rows beyond
 # +-B/2 that show its band edge.
@@ -348,11 +348,13 @@ def _mzm_params(cfg: dict, n_lines: int, spacing: float, block: dict) -> MzmPara
 
 
 def load_config(path) -> dict:
-    """Read a config file into a dict, before validation; invalid JSON (text
-    that is not UTF-8 included) and a top level that is not an object raise
-    :class:`ConfigError`."""
+    """Read a config file into a dict, before validation; a file that cannot
+    be read, invalid JSON (text that is not UTF-8 included) and a top level
+    that is not an object raise :class:`ConfigError`."""
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ConfigError("", f"cannot read config {path}: {exc.strerror or exc}") from exc
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError("", f"invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
@@ -421,9 +423,8 @@ def write_bundle(bundle: ReportBundle, out_dir) -> list:
         paths.append(p)
 
     for name in sorted(bundle.artifacts or {}):
-        header, fmt, rows = bundle.artifacts[name]
         p = out / f"{name}.csv"
-        _write_csv(p, header, fmt, rows)
+        _write_csv(p, *bundle.artifacts[name])
         paths.append(p)
     return paths
 
@@ -442,7 +443,7 @@ def _spectrum_rows(sig: Signal, half_width: float):
     bit for bit, computed from those bins alone."""
     k, step = _spectrum_bins(sig.grid, half_width)
     power = 10.0 * np.log10(np.maximum(np.abs(sig._take(k) / sig.grid.n_samples) ** 2, 1e-30))
-    return "f_Hz,power_dBm", _FLOAT_FMT, np.column_stack([k * step, power])
+    return "f_Hz,power_dBm", np.column_stack([k * step, power])
 
 
 def _eye_rows(y: Signal, gain: complex, sc: Scenario, t_offset: float):
@@ -470,7 +471,7 @@ def _eye_rows(y: Signal, gain: complex, sc: Scenario, t_offset: float):
     phase = -t_offset * per_symbol * rate
     k = np.arange(p) % (2 * per_symbol)
     t_fold = np.mod(k + phase, 2 * per_symbol) / (per_symbol * rate)
-    return "t_mod_2symbols,amplitude", _FLOAT_FMT, np.column_stack([t_fold, amp])
+    return "t_mod_2symbols,amplitude", np.column_stack([t_fold, amp])
 
 
 def _calibrate(n_lines: int, spacing: float, block: dict, params: MzmParams,
@@ -588,9 +589,7 @@ def run_scenario(sc: Scenario, calibrations: dict | None = None) -> ReportBundle
             decided = decide_indices(aligned, const)
             artifacts[f"branch{l}_constellation"] = (
                 "re,im,decided_symbol",
-                [_FLOAT_FMT, _FLOAT_FMT, "%d"],
-                np.column_stack([aligned.real, aligned.imag, decided]),
-            )
+                np.column_stack([aligned.real, aligned.imag, decided]))
         if "eye" in outputs:
             artifacts[f"branch{l}_eye"] = _eye_rows(y, gain, sc, plan.slot(l))
 

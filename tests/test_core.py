@@ -139,8 +139,10 @@ _SPECIAL = np.array([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324,
 
 def _column(kind: str, rng, n_rows: int) -> np.ndarray:
     """Values of one kind: any magnitude, or those of the bundles' columns
-    that the writer formats in numpy (eye amplitudes, spectrum powers in dBm,
-    and frequencies k * step up to 1e11)."""
+    (eye amplitudes, spectrum powers in dBm, frequencies k * step up to 1e11,
+    and decided symbol indices 0-15)."""
+    if kind == "symbol":
+        return rng.integers(0, 16, n_rows).astype(float)
     if kind == "eye":
         return rng.normal(0.0, 0.3, n_rows)
     if kind == "dbm":
@@ -151,65 +153,60 @@ def _column(kind: str, rng, n_rows: int) -> np.ndarray:
     return rng.standard_normal(n_rows) * 10.0 ** rng.integers(-320, 300, n_rows)
 
 
-def _table(rng, n_rows, kinds, special_share, int_col=None):
-    """(fmt, rows): columns of the given kinds with special values sprinkled
-    in, column ``int_col`` (if any) a ``%d`` column of finite values."""
+def _table(rng, n_rows, kinds, special_share):
+    """Columns of the given kinds with special values sprinkled in."""
     rows = np.column_stack([_column(kind, rng, n_rows) for kind in kinds])
     special = rng.random(rows.shape) < special_share
     rows[special] = rng.choice(_SPECIAL, int(special.sum()))
-    if int_col is None:
-        return "%.17g", rows
-    rows[:, int_col] = rng.choice([0.0, -0.0, 3.0, 15.0, -7.9, 1e300], n_rows)
-    return ["%d" if j == int_col else "%.17g" for j in range(len(kinds))], rows
+    return rows
 
 
 @st.composite
 def _tables(draw):
-    """(fmt, rows): a random float table with row counts below, at and across
-    block boundaries, and an optional ``%d`` column.  Each column holds any
-    magnitude or one kind of the bundles' values."""
+    """A random float table with row counts below, at and across block
+    boundaries.  Each column holds any magnitude or one kind of the bundles'
+    values."""
     n_rows = draw(st.sampled_from([1, 2, _B - 1, _B, _B + 1, 2 * _B, 2 * _B + 1])
                   | st.integers(1, 60 * _B))
     n_cols = draw(st.integers(1, 4))
-    kinds = draw(st.lists(st.sampled_from(["any", "eye", "dbm", "frequency"]),
+    kinds = draw(st.lists(st.sampled_from(["any", "eye", "dbm", "frequency", "symbol"]),
                           min_size=n_cols, max_size=n_cols))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    int_col = draw(st.none() | st.integers(0, n_cols - 1)) if n_cols > 1 else None
-    return _table(rng, n_rows, kinds, draw(st.sampled_from([0.0, 0.05, 0.5])), int_col)
+    return _table(rng, n_rows, kinds, draw(st.sampled_from([0.0, 0.05, 0.5])))
 
 
 # values that == merges (0.0 and -0.0) or that print specially (nan, +-inf,
 # a subnormal, 1e300), among a few plain ones
 _POOL = np.array([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e300, -2.5, 0.1])
-_INT_POOL = np.array([0.0, -0.0, 3.0, 15.0, -7.9, 1e300])
+_INT_POOL = np.array([0.0, -0.0, 3.0, 15.0, -7.0, 1e300])
+# the pooled tables' write block: its first block, by which the writer
+# judges a column, holds at least twice as many rows as a pool has values
+_PB = 4 * _POOL.size + 1
 
 
 @st.composite
 def _pooled_tables(draw):
-    """(fmt, rows): a column drawn from a small pool, so that at most half of
-    its values are distinct and the writer formats each once, next to an
-    all-distinct column, in either order.  The pooled column is ``%.17g``,
-    or ``%d`` of finite values with a second pooled ``%.17g`` column beside
-    it.  Row counts run at and across block boundaries."""
-    n_rows = draw(st.sampled_from([3 * _B, 3 * _B + 1, 4 * _B])
-                  | st.integers(2 * _POOL.size, 60 * _B))
+    """A column drawn from a small pool, so that at most half of its values
+    are distinct and the writer formats each once, next to an all-distinct
+    column, in either order.  The pool is ``_POOL``, or ``_INT_POOL``'s
+    integer values with a second ``_POOL`` column beside it.  Row counts run
+    at and across block boundaries."""
+    n_rows = draw(st.sampled_from([3 * _PB, 3 * _PB + 1, 4 * _PB])
+                  | st.integers(2 * _POOL.size, 20 * _PB))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     distinct = rng.standard_normal(n_rows) * 10.0 ** rng.integers(-300, 300, n_rows)
     if draw(st.booleans()):
-        cols, fmt = [rng.choice(_POOL, n_rows), distinct], ["%.17g", "%.17g"]
+        cols = [rng.choice(_POOL, n_rows), distinct]
     else:
         cols = [rng.choice(_INT_POOL, n_rows), distinct, rng.choice(_POOL, n_rows)]
-        fmt = ["%d", "%.17g", "%.17g"]
-    if draw(st.booleans()):
-        cols, fmt = cols[::-1], fmt[::-1]
-    return fmt, np.column_stack(cols)
+    return np.column_stack(cols[::-1] if draw(st.booleans()) else cols)
 
 
-def _assert_writes_as_savetxt(fmt, rows):
+def _assert_writes_as_savetxt(rows):
     with tempfile.TemporaryDirectory() as tmp:
         ours, ref = Path(tmp) / "ours.csv", Path(tmp) / "ref.csv"
-        _write_csv(ours, "a,b", fmt, rows)
-        np.savetxt(ref, rows, fmt=fmt, delimiter=",", header="a,b", comments="")
+        _write_csv(ours, "a,b", rows)
+        np.savetxt(ref, rows, fmt="%.17g", delimiter=",", header="a,b", comments="")
         assert ours.read_bytes() == ref.read_bytes()
 
 
@@ -218,23 +215,36 @@ def _assert_writes_as_savetxt(fmt, rows):
 def test_write_csv_matches_savetxt(table):
     # a patch, not a fixture: hypothesis runs every example in one function call
     with mock.patch.object(core, "_CSV_BLOCK_ROWS", _B):
-        _assert_writes_as_savetxt(*table)
+        _assert_writes_as_savetxt(table)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(_pooled_tables())
 def test_write_csv_matches_savetxt_on_pooled_columns(table):
     """The columns that the writer formats once per distinct value."""
-    with mock.patch.object(core, "_CSV_BLOCK_ROWS", _B):
-        _assert_writes_as_savetxt(*table)
+    with mock.patch.object(core, "_CSV_BLOCK_ROWS", _PB):
+        _assert_writes_as_savetxt(table)
 
 
 def test_write_csv_matches_savetxt_at_the_block_size():
     """Two whole blocks and one row at the size the writer runs with: the
-    bundles' kinds of column, a %d column and special values."""
+    bundles' kinds of column and special values."""
     rng = np.random.default_rng(24)
-    kinds = ["frequency", "dbm", "eye", "any", "eye"]
-    _assert_writes_as_savetxt(*_table(rng, 2 * _CSV_BLOCK_ROWS + 1, kinds, 0.05, 2))
+    kinds = ["frequency", "dbm", "symbol", "any", "eye"]
+    _assert_writes_as_savetxt(_table(rng, 2 * _CSV_BLOCK_ROWS + 1, kinds, 0.05))
+
+
+# the longest %.17g strings: 24 bytes, so a field ends with the separator
+_LONGEST = [-2.2250738585072014e-308, -1.7976931348623157e308, -4.9406564584124654e-324]
+
+
+def test_write_csv_matches_savetxt_on_the_longest_strings():
+    """The 24-byte strings in the last column, before its newline: formatted
+    once each as a pooled column, and by ``%`` among all-distinct values."""
+    assert {len("%.17g" % v) for v in _LONGEST} == {24}
+    x = np.arange(12.0)
+    _assert_writes_as_savetxt(np.column_stack([x, np.resize(_LONGEST, x.size)]))
+    _assert_writes_as_savetxt(np.column_stack([x, np.r_[_LONGEST, x[3:] + 0.5]]))
 
 
 def _text(words) -> str:

@@ -490,14 +490,14 @@ class TestBundleArtifacts:
         assert sorted(n for n in bundle.artifacts if "spectrum" in n) == sorted(half)
         signal_of = {id(rows): args[0] for args, rows in calls}
         for name, width in half.items():
-            header, fmt, rows = bundle.artifacts[name]
+            header, rows = bundle.artifacts[name]
             sig = signal_of[id(bundle.artifacts[name])]
             power = 10.0 * np.log10(np.maximum(np.abs(spectrum(sig)) ** 2, 1e-30))
             full = np.column_stack([freqs(sig.grid), power])
             expected = full[np.abs(freqs(sig.grid)) <= 1.25 * width]
             assert header == "f_Hz,power_dBm"
             assert rows.tobytes() == expected.tobytes(), name
-        mux_freqs = bundle.artifacts["spectrum_multiplexed"][2][:, 0]
+        mux_freqs = bundle.artifacts["spectrum_multiplexed"][1][:, 0]
         assert np.any(np.abs(mux_freqs) > b / 2)
 
     @pytest.mark.parametrize("cfg, per_symbol", [(SINC, 16), (RC, 16), (SLOW_RC, 32)],
@@ -514,7 +514,7 @@ class TestBundleArtifacts:
         assert len(calls) == sc.plan.n_branches
         rate = sc.config["shaping"]["symbol_rate_hz"]
         window = 2.0 / rate
-        for (y, gain, _, t_offset), (header, fmt, rows) in calls:
+        for (y, gain, _, t_offset), (header, rows) in calls:
             assert header == "t_mod_2symbols,amplitude"
             assert rows.shape == (per_symbol * sc.config["n_symbols"], 2)
             sps = round(y.grid.sample_rate / rate)
@@ -559,8 +559,8 @@ class TestWriteBundle:
 
     def test_csvs_match_savetxt(self, tmp_path):
         """Every CSV of a full bundle (16,368-row eyes across two write
-        blocks, spectra, constellations with a %d column) has the bytes
-        np.savetxt gives."""
+        blocks, spectra, constellations with their decided_symbol column)
+        has the bytes np.savetxt gives with %.17g."""
         raw = json.loads((SCENARIO_DIR / "nyquist_qpsk_8gbd_10km.json").read_text())
         bundle = run_scenario(parse_scenario(raw))
         csvs = [p for p in write_bundle(bundle, tmp_path / "bundle")
@@ -568,8 +568,8 @@ class TestWriteBundle:
         assert sorted(p.stem for p in csvs) == sorted(bundle.artifacts)
         ref = tmp_path / "ref.csv"
         for p in csvs:
-            header, fmt, rows = bundle.artifacts[p.stem]
-            np.savetxt(ref, rows, fmt=fmt, delimiter=",", header=header,
+            header, rows = bundle.artifacts[p.stem]
+            np.savetxt(ref, rows, fmt="%.17g", delimiter=",", header=header,
                        comments="")
             assert p.read_bytes() == ref.read_bytes(), p.name
 
@@ -944,7 +944,19 @@ class TestCli:
         assert errors == [errors[0]] * 3
 
     def test_missing_file(self, tmp_path, capsys):
-        assert main(["validate", str(tmp_path / "absent.json")]) == 2
+        path = tmp_path / "absent.json"
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot read config {path}: No such file or directory\n")
+
+    def test_directory_for_a_config(self, tmp_path, capsys):
+        """A path that cannot be read as a file is a usage error, as a
+        missing one is, for every verb that reads a config."""
+        for verb in (["run"], ["sweep", "--param", "noise.osnr_db", "--values", "20"],
+                     ["validate"]):
+            assert main([verb[0], str(tmp_path)] + verb[1:]) == 2
+            assert capsys.readouterr().err == (
+                f"error: cannot read config {tmp_path}: Is a directory\n")
 
     def test_run_writes_bundle(self, tmp_path, capsys):
         p = self.write_cfg(tmp_path, base_config())
