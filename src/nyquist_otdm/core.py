@@ -5,9 +5,9 @@ operations return new objects and never mutate their inputs, so the whole
 package is safe to drive from concurrent workers.
 
 Amplitude convention: ``|sample|**2`` is instantaneous power with unit mean
-power corresponding to the 0 dBm reference.  Spectra use the matching
-amplitude convention (DFT / n), so a unit complex tone produces a single bin
-of magnitude 1 and ``|bin|**2`` reads directly as line power.
+power corresponding to the 0 dBm reference.  :func:`spectrum` reads the whole
+spectrum in the matching amplitude convention (DFT / n), so a unit complex
+tone produces a single bin of magnitude 1 and ``|bin|**2`` reads as line power.
 """
 
 from __future__ import annotations
@@ -45,11 +45,7 @@ class TimeGrid:
     def __post_init__(self):
         if not (self.sample_rate > 0 and math.isfinite(self.sample_rate)):
             raise ValueError("sample_rate must be finite and positive")
-        try:
-            n = operator.index(self.n_samples)
-        except TypeError:
-            n = 0
-        if isinstance(self.n_samples, bool) or n <= 0:
+        if _index(self.n_samples) <= 0:
             raise ValueError("n_samples must be a positive integer")
 
     @property
@@ -61,8 +57,8 @@ class TimeGrid:
         return self.n_samples / self.sample_rate
 
     @property
-    def freq_resolution(self) -> float:
-        return self.sample_rate / self.n_samples
+    def freq_resolution(self) -> float:  # the bins' spacing, as np.fft.fftfreq's
+        return 1.0 / (self.n_samples * self.dt)
 
     @property
     def nyquist(self) -> float:
@@ -93,7 +89,8 @@ class Signal:
     (``np.fft.fft(samples)``: unshifted, not divided by n, held as a band of
     signed bins with all others zero), or both.  The missing one is computed
     once, on first use, so a chain of per-bin operations pays no transform
-    between its steps and touches only the band.  Samples are copied on
+    between its steps and touches only the band; every reader of the bins
+    gathers them by signed index (``_take``).  Samples are copied on
     construction and locked read-only; so is the band.  Non-finite values
     are rejected so downstream power metrics stay finite.
     """
@@ -137,17 +134,10 @@ class Signal:
     @property
     def samples(self) -> np.ndarray:
         if self._samples is None:
-            samples = np.fft.ifft(self.bins)
+            samples = np.fft.ifft(self._take(np.arange(self.grid.n_samples)))
             samples.setflags(write=False)
             object.__setattr__(self, "_samples", samples)
         return self._samples
-
-    @property
-    def bins(self) -> np.ndarray:
-        """Unshifted DFT bins, ``np.fft.fft(samples)``, built on each read."""
-        bins = self._take(np.arange(self.grid.n_samples))
-        bins.setflags(write=False)
-        return bins
 
     @property
     def power(self) -> float:
@@ -158,13 +148,17 @@ class Signal:
         return float(np.mean(np.abs(self._samples) ** 2))
 
 
-def _require_odd_count(value, what: str) -> None:
-    """Raise unless ``value`` is an odd integer >= 3 by ``operator.index``
-    (a float is no count; a bool is 0 or 1, so it fails too)."""
+def _index(value) -> int:
+    """``operator.index(value)``; -1 for a bool or a non-integer (a float is no count)."""
     try:
-        n = operator.index(value)
+        return -1 if isinstance(value, bool) else operator.index(value)
     except TypeError:
-        n = 0
+        return -1
+
+
+def _require_odd_count(value, what: str) -> None:
+    """Raise unless ``value`` is an odd integer >= 3 by :func:`_index`."""
+    n = _index(value)
     if n < 3 or n % 2 == 0:
         raise ValueError(f"{what} must be an odd integer >= 3")
 
@@ -203,7 +197,8 @@ class ChannelPlan:
 def spectrum(sig: Signal) -> np.ndarray:
     """Read-only amplitude spectrum of ``sig``: DFT / n in ascending
     frequency, the carrier at index ``n // 2``."""
-    spec = np.fft.fftshift(sig.bins) / sig.grid.n_samples
+    n = sig.grid.n_samples
+    spec = sig._take(np.arange(-(n // 2), (n + 1) // 2)) / n
     spec.setflags(write=False)
     return spec
 

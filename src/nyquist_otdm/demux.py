@@ -58,9 +58,8 @@ def _sampling_lines(plan: ChannelPlan, sampler: FlatCombCalibration | None,
     period = plan.n_branches * _require_integer(
         grid.sample_rate / plan.aggregate_bandwidth, "samples per branch slot")
     one_period = TimeGrid(grid.sample_rate, period)
-    transfer = modulate(constant(one_period), sampler.plan,
-                        sampler.params).samples
-    lines = np.fft.fft(transfer) * (sampler.gain / period)
+    transfer = modulate(constant(one_period), sampler.plan, sampler.params)
+    lines = transfer._take(np.arange(period)) * (sampler.gain / period)
     return np.arange(period) * spacing, _branch_rows(lines, plan.n_branches)
 
 

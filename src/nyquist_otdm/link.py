@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Signal
+from .core import Signal, _index
 
 __all__ = [
     "SPEED_OF_LIGHT",
@@ -65,10 +65,10 @@ def _apply_phase(sig: Signal, phase_sign: float, fiber: FiberSpec,
     first, band = sig._spectrum()
     first = (first + n // 2) % n - n // 2  # within fftfreq's signed range
     last, top = first + band.size - 1, (n - 1) // 2
-    # the phase is even in f: evaluate it at |k| = 0..reach, as fftfreq spaces
-    # the bins, and lay it along the band, which past ``top`` wraps to -n//2
+    # the phase is even in f: evaluate it at |k| = 0..reach and lay it along
+    # the band, which past ``top`` wraps to -n//2
     reach = n // 2 if last > top else max(-first, last, 0)
-    f = np.arange(reach + 1) * (1.0 / (n * sig.grid.dt))
+    f = np.arange(reach + 1) * sig.grid.freq_resolution
     half = amplitude * np.exp(1j * phase_sign * dispersion_phase(fiber, f))
     parts = []
     for lo, hi in ((first, min(last, top)), (-(n // 2), last - n)):
@@ -114,6 +114,8 @@ def add_noise(sig: Signal, noise: NoiseSpec, reach: int | None = None) -> Signal
     k = 0, 1, -1, 2, -2, ...: bin k's noise depends on the seed and k alone.
     The noisy signal holds only the bins |k| <= ``reach`` (None: all).
     """
+    if reach is not None and _index(reach) < 0:
+        raise ValueError(f"reach must be None or an integer >= 0, got {reach!r}")
     if math.isinf(noise.osnr_db) and noise.osnr_db > 0:
         return sig
     p_sig = sig.power

@@ -63,10 +63,9 @@ class Constellation:
     def of(cls, order: int) -> "Constellation":
         if order not in (4, 16):
             raise ValueError(f"unsupported constellation order {order}")
-        side = int(round(math.sqrt(order)))
+        side = math.isqrt(order)
         levels = _AXIS_LEVELS[side]
-        codes = _AXIS_CODES[side]
-        level_by_code = {c: lv for c, lv in zip(codes, levels)}
+        level_by_code = dict(zip(_AXIS_CODES[side], levels))
         norm = math.sqrt(2.0 * np.mean(np.square(levels)))
         bits_axis = side.bit_length() - 1
         pts = np.empty(order, dtype=np.complex128)
@@ -79,16 +78,6 @@ class Constellation:
     @property
     def bits_per_symbol(self) -> int:
         return self.order.bit_length() - 1
-
-    @property
-    def _side(self) -> int:
-        return int(round(math.sqrt(self.order)))
-
-    @property
-    def _axis_levels(self) -> np.ndarray:
-        side = self._side
-        norm = math.sqrt(2.0 * np.mean(np.square(_AXIS_LEVELS[side])))
-        return np.asarray(_AXIS_LEVELS[side]) / norm
 
 
 def qam_map(bits, constellation: Constellation) -> np.ndarray:
@@ -107,8 +96,8 @@ def qam_map(bits, constellation: Constellation) -> np.ndarray:
 def decide_indices(symbols, constellation: Constellation) -> np.ndarray:
     """Nearest-point decision, returned as symbol values (bit patterns)."""
     syms = np.asarray(symbols, dtype=np.complex128)
-    levels = constellation._axis_levels
-    side = constellation._side
+    side = math.isqrt(constellation.order)
+    levels = np.sort(constellation.points.real[::side])  # Q code 0: the I levels
     codes = np.asarray(_AXIS_CODES[side])
     thresholds = 0.5 * (levels[1:] + levels[:-1])
     ci = codes[np.searchsorted(thresholds, syms.real)]

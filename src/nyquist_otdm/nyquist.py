@@ -73,8 +73,8 @@ def raised_cosine_shape(symbols, symbol_rate: float, rolloff: float,
         raise ValueError("symbol_rate must be below the grid sample rate")
 
     n = grid.n_samples
-    df = 1.0 / (n * grid.dt)
-    tol = grid.freq_resolution * 1e-6
+    df = grid.freq_resolution
+    tol = df * 1e-6
     # the bins |f| <= (1 + r) * r_sym / 2 the shape can reach, as signed
     # indices within fftfreq's range
     reach = int(((1.0 + rolloff) * r_sym / 2 + tol) / df)

@@ -430,20 +430,19 @@ def write_bundle(bundle: ReportBundle, out_dir) -> list:
 
 
 def _spectrum_bins(grid: TimeGrid, half_width: float):
-    """The bins k with |f| <= _BAND_MARGIN * half_width, and their spacing."""
-    step = 1.0 / (grid.n_samples * grid.dt)  # as np.fft.fftfreq spaces the bins
-    edge = _BAND_MARGIN * half_width
+    """The bins k with |f| <= _BAND_MARGIN * half_width."""
+    step, edge = grid.freq_resolution, _BAND_MARGIN * half_width
     top = int(edge / step) + 1  # below n/2: the sample rate is >= 4B
     k = np.arange(-top, top + 1)
-    return k[np.abs(k * step) <= edge], step
+    return k[np.abs(k * step) <= edge]
 
 
 def _spectrum_rows(sig: Signal, half_width: float):
     """The rows of ``spectrum(sig)`` with |f| <= _BAND_MARGIN * half_width,
     bit for bit, computed from those bins alone."""
-    k, step = _spectrum_bins(sig.grid, half_width)
+    k = _spectrum_bins(sig.grid, half_width)
     power = 10.0 * np.log10(np.maximum(np.abs(sig._take(k) / sig.grid.n_samples) ** 2, 1e-30))
-    return "f_Hz,power_dBm", np.column_stack([k * step, power])
+    return "f_Hz,power_dBm", np.column_stack([k * sig.grid.freq_resolution, power])
 
 
 def _eye_rows(y: Signal, gain: complex, sc: Scenario, t_offset: float):
@@ -528,7 +527,7 @@ def run_scenario(sc: Scenario, calibrations: dict | None = None) -> ReportBundle
     half = plan.aggregate_bandwidth / 2
     reach = None if cal is not None else int(np.abs(_read_bins(plan, None, grid)[3]).max())
     if reach is not None and "spectra" in outputs:
-        reach = max(reach, int(np.abs(_spectrum_bins(grid, half)[0]).max()))
+        reach = max(reach, int(np.abs(_spectrum_bins(grid, half)).max()))
 
     rx = propagate(tx, sc.fiber)
     if cfg["laser"]["linewidth_hz"] > 0:

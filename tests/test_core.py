@@ -8,12 +8,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from helpers import delay_signal, freqs, rmse_percent, tone
-from nyquist_otdm import ChannelPlan, Signal, TimeGrid, core, spectrum
+from nyquist_otdm import ChannelPlan, Signal, TimeGrid, core, scenario, spectrum
 from nyquist_otdm.core import _CSV_BLOCK_ROWS, _g17, _write_csv, constant
 
 
@@ -66,8 +66,40 @@ def test_spectrum_inverse_round_trip():
     back = Signal._of_bins(grid, np.fft.ifftshift(spectrum(sig)) * grid.n_samples)
     assert back.power == pytest.approx(sig.power, rel=1e-12)
     assert_allclose(back.samples, sig.samples, atol=1e-12)
-    with pytest.raises(ValueError):
-        back.bins[0] = 0.0
+    for view in (spectrum(back), back.samples):
+        with pytest.raises(ValueError):
+            view[0] = 0.0
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(n=st.integers(3, 80), size=st.integers(1, 80), first=st.integers(-240, 240),
+       reach=st.integers(0, 39), sample_rate=st.floats(1e3, 1e13))
+@example(n=8, size=5, first=2, reach=3, sample_rate=192e9)  # bins 2..6: 5 and 6 are -3, -2
+def test_band_readers_read_the_zero_filled_bins(n, size, first, reach, sample_rate):
+    """``spectrum``, ``samples`` and the bundle's spectrum crop read a band
+    of bins, from any first bin and wrapping past n // 2, as the zero-filled
+    whole-grid bins, bit for bit; the crop's frequencies, and
+    ``freq_resolution``, are ``np.fft.fftfreq``'s."""
+    size, reach = min(size, n), min(reach, (n - 1) // 2)
+    rng = np.random.default_rng(n * size)
+    grid = TimeGrid(sample_rate, n)
+    sig = Signal._of_bins(grid, rng.standard_normal(size) + 1j * rng.standard_normal(size),
+                          first)
+    band_first, band = sig._spectrum()
+    filled = np.zeros(n, dtype=complex)
+    filled[(band_first + np.arange(band.size)) % n] = band
+    spec = spectrum(sig)
+    assert_array_equal(spec, np.fft.fftshift(filled) / n)
+    assert_array_equal(sig.samples, np.fft.ifft(filled))
+
+    f = np.fft.fftshift(np.fft.fftfreq(n, grid.dt))
+    assert grid.freq_resolution == np.fft.fftfreq(n, grid.dt)[1]
+    # a crop out to |k| <= reach, below n / 2 as the bundle's sample rate keeps it
+    edge = (reach + 0.5) * grid.freq_resolution
+    _, rows = scenario._spectrum_rows(sig, edge / scenario._BAND_MARGIN)
+    inside = np.abs(f) <= edge
+    power = 10.0 * np.log10(np.maximum(np.abs(spec[inside]) ** 2, 1e-30))
+    assert_array_equal(rows, np.column_stack([f[inside], power]))
 
 
 def test_spectrum_of_constant_is_dc_bin():

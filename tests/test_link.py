@@ -152,6 +152,14 @@ class TestNoise:
         with pytest.raises(ValueError):
             add_noise(constant(grid, 0.0), NoiseSpec(20.0))
 
+    @pytest.mark.parametrize("reach", [-1, 3.0, True])
+    def test_reach_must_be_none_or_a_count(self, reach):
+        """Before, -1 failed in numpy ("negative dimensions are not allowed")
+        and 3.0 with a TypeError about '14.0'; True ran as reach 1."""
+        sig = constant(TimeGrid(50e9, 64))
+        with pytest.raises(ValueError, match="^reach must be None or an integer >= 0"):
+            add_noise(sig, NoiseSpec(20.0), reach)
+
     @pytest.mark.parametrize("n", [64, 65])
     def test_each_bin_carries_n_sigma2(self, n):
         """The noise of every bin is CN(0, n sigma^2), the DFT of n samples
@@ -162,7 +170,8 @@ class TestNoise:
         grid = TimeGrid(50e9, n)
         sig = constant(grid)
         sigma2 = grid.sample_rate / (12.5e9 * 10 ** (20.0 / 10))
-        noise = np.array([add_noise(sig, NoiseSpec(20.0, seed=s)).bins - sig.bins
+        k = np.arange(n)
+        noise = np.array([add_noise(sig, NoiseSpec(20.0, seed=s))._take(k) - sig._take(k)
                           for s in range(400)]) / math.sqrt(n * sigma2)
         per_bin = np.mean(np.abs(noise) ** 2, axis=0)
         assert np.all(np.abs(per_bin - 1.0) < 5 / math.sqrt(400))
@@ -186,7 +195,7 @@ class TestNoise:
             inside = np.abs(k) <= reach
             assert_array_equal(cut._take(k[inside]), whole._take(k[inside]))
             assert not np.any(cut._take(k[~inside]))
-        assert_array_equal(add_noise(sig, noise, n // 2).bins, whole.bins)
+        assert_array_equal(add_noise(sig, noise, n // 2)._take(k), whole._take(k))
 
 
 class TestPhaseNoise:

@@ -1,14 +1,16 @@
-"""Every Python block of the README runs as written, and its config table
-names the fields of the config table in ``scenario.py``."""
+"""Every Python block of the README runs as written, its quick-start output
+is what ``run`` prints, and its config table names the fields of the config
+table in ``scenario.py``."""
 
 import re
 from pathlib import Path
 
 import pytest
 
-from nyquist_otdm import scenario
+from nyquist_otdm import cli, scenario
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 BLOCKS = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"),
                     re.MULTILINE | re.DOTALL)
 
@@ -23,6 +25,16 @@ def test_readme_python_block_runs(source, tmp_path, monkeypatch):
     """Each block runs on its own, in a fresh directory for what it writes."""
     monkeypatch.chdir(tmp_path)
     exec(compile(source, str(README), "exec"), {"__name__": "readme"})
+
+
+def test_quick_start_output_is_what_run_prints(capsys, monkeypatch):
+    """The quick-start block is the metrics table and comb that ``run``
+    prints for the bundled scenario, line for line."""
+    block = re.search(r"^```\n(branch .*?)^```", README.read_text(encoding="utf-8"),
+                      re.MULTILINE | re.DOTALL).group(1)
+    monkeypatch.chdir(ROOT)
+    assert cli.main(["run", "paper-scenarios/nyquist_qpsk_8gbd_30km.json"]) == 0
+    assert capsys.readouterr().out.splitlines() == block.splitlines()
 
 
 FIELDS = {row[0] for row in scenario._TRANSMISSION + scenario._COMB} - {"version"}
