@@ -47,15 +47,31 @@ _AXIS_CODES = {2: (1, 0), 4: (2, 3, 1, 0)}
 _AXIS_LEVELS = {2: (-1.0, 1.0), 4: (-3.0, -1.0, 1.0, 3.0)}
 
 
+def _square_grid(side: int, levels: np.ndarray) -> np.ndarray:
+    """Symbol v of the side x side Gray-coded grid on ascending ``levels``:
+    in-phase code v // side, quadrature code v % side."""
+    level = np.argsort(_AXIS_CODES[side])  # each code's level index
+    v = np.arange(side * side)
+    return levels[level[v // side]] + 1j * levels[level[v % side]]
+
+
 @dataclass(frozen=True, eq=False)
 class Constellation:
-    """Square Gray-coded QAM constellation of order 4 or 16."""
+    """Square Gray-coded QAM constellation of order 4 or 16: its ``points``
+    must be the grid :func:`qam_map` and :func:`decide_indices` read, the
+    same ascending levels on both axes, in-phase code first."""
 
     order: int
     points: np.ndarray
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=np.complex128).copy()
+        side = math.isqrt(self.order) if self.order in (4, 16) else 0
+        levels = np.sort(pts.real[::side]) if side and pts.shape == (self.order,) else None
+        if (levels is None or not (np.diff(levels) > 0).all()
+                or not np.array_equal(pts, _square_grid(side, levels))):
+            raise ValueError(f"a constellation of order {self.order} with {pts.size} points "
+                             "is no square Gray-coded QAM grid of order 4 or 16")
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 
@@ -64,16 +80,9 @@ class Constellation:
         if order not in (4, 16):
             raise ValueError(f"unsupported constellation order {order}")
         side = math.isqrt(order)
-        levels = _AXIS_LEVELS[side]
-        level_by_code = dict(zip(_AXIS_CODES[side], levels))
+        levels = np.asarray(_AXIS_LEVELS[side])
         norm = math.sqrt(2.0 * np.mean(np.square(levels)))
-        bits_axis = side.bit_length() - 1
-        pts = np.empty(order, dtype=np.complex128)
-        for v in range(order):
-            ci = v >> bits_axis
-            cq = v & (side - 1)
-            pts[v] = (level_by_code[ci] + 1j * level_by_code[cq]) / norm
-        return cls(order, pts)
+        return cls(order, _square_grid(side, levels / norm))
 
     @property
     def bits_per_symbol(self) -> int:

@@ -8,14 +8,14 @@ sequence.
 :func:`calibrate_flat_comb` finds that operating point by direct search.
 The push-pull drive is a -cos series, even in time, so its pulse sits at
 t = 0, where the sampler reads it.  The transfer is periodic in the comb
-spacing, so the search evaluates each trial drive on one period only, as
-harmonic lines: the line powers come from one small FFT, and the
-least-squares complex gain onto the ideal sequence at zero delay, which has
-only N lines, is their mean plus a Parseval residual.  Scans and line
-searches evaluate their trial drives as one batch of transfers.  The search
-works in modulation-index units; the chosen drive is mapped to volts in
-closed form, then fitted and reported on one period with :func:`modulate`
-and :func:`comb_report`.
+spacing and even, so the search evaluates each trial drive on half a period,
+as harmonic lines: each line is a weighted cosine sum over those samples,
+exactly the period's DFT, and the least-squares complex gain onto the ideal
+sequence at zero delay, which has only N lines, is their mean plus a
+Parseval residual.  Scans and line searches evaluate their trial drives as
+one batch of transfers.  The search works in modulation-index units; the
+chosen drive is mapped to volts in closed form, then fitted and reported on
+one period with :func:`modulate` and :func:`comb_report`.
 """
 
 from __future__ import annotations
@@ -243,10 +243,11 @@ def comb_report(period_spectrum: np.ndarray, n_lines: int, spacing: float) -> Co
 
 
 # ---------------------------------------------------------------------------
-# flat-comb calibration on one period
+# flat-comb calibration on half a period
 
 _SWEEPS = 8          # coordinate-descent sweeps per stage
 _LINE_POINTS = 17    # points per level of a bracket-and-zoom line search
+_GRID = np.linspace(0.0, 1.0, _LINE_POINTS)
 _MIN_GAIN = 3e-6     # a descent sweep gaining less than this is the last
 # Above every RMSE percent: the least-squares residual never exceeds the
 # norm of the unit-peak ideal, 100/sqrt(n_lines) %.
@@ -262,34 +263,40 @@ class _OnePeriodComb:
     Harmonic k of arm 1 carries the phase ``-m_k cos(2 pi k t / T)`` and
     arm 2 ``+ratio m_k cos(2 pi k t / T)``, whatever the spacing, V_pi or
     electro-optic response that produce it, and ``arms`` are the two arm
-    fields' weights in the output.  The transfer is periodic, so one period
-    of ``mult`` samples holds every line of the windowed comb: its DFT /
-    ``mult`` equals the full grid's spectrum at the line bins.  The drive is
-    even, so the pulse sits at t = 0, and the ideal sequence there has the
-    lines 1/n_lines at orders -h..h: the best complex gain onto it rests on
-    ``corr = sum_k L_k / n_lines`` and, by Parseval, leaves the mean square
-    residual ``1/n_lines - |corr|^2 / mean|transfer|^2`` against the
-    unit-peak ideal.
+    fields' weights in the output.  One period of ``mult`` samples holds
+    every line: its DFT / ``mult`` is the full grid's spectrum at the line
+    bins.  The drive is a cosine series, so sample t equals sample mult - t,
+    and that DFT folds exactly onto t = 0..mult/2: line k = line -k =
+    ``sum_t w_t T_t cos(2 pi k t / mult)``, w = (1, 2, ..., 2, 1) / mult, and
+    the mean power is ``sum_t w_t |T_t|^2``.  The pulse sits at t = 0, where
+    the ideal sequence has the lines 1/n_lines at orders -h..h: the best
+    complex gain onto it rests on ``corr = (L_0 + 2 sum_{k>0} L_k) /
+    n_lines`` and, by Parseval, leaves the mean square residual ``1/n_lines
+    - |corr|^2 / power`` against the unit-peak ideal.
     """
 
     def __init__(self, n_lines: int, modulation_index: float, arms):
         h = (n_lines - 1) // 2
         self.mult = max(32, 2 * (n_lines + 5))  # Nyquist clears the report's lines
         self.n_lines, self._arms = n_lines, arms
-        self._cos = modulation_index * np.cos(
-            2 * np.pi * np.outer(np.arange(1, h + 1), np.arange(self.mult)) / self.mult)
+        t = np.arange(self.mult // 2 + 1)  # the half period t = 0..mult/2
+        self._phase = 1j * modulation_index * np.cos(
+            2 * np.pi * np.outer(np.arange(1, h + 1), t) / self.mult)
+        self._weights = np.where((t == 0) | (t == t[-1]), 1.0, 2.0) / self.mult
+        self._dft = self._weights * np.cos(
+            2 * np.pi * np.outer(np.arange(h + 1), t) / self.mult)
 
     def lines(self, x: np.ndarray):
-        """Line amplitudes (orders -h..h) and mean power of each drive."""
-        ones = np.ones(x.shape[:-1] + (1,))
-        drive = np.concatenate((ones, x[..., 2:]), axis=-1) @ self._cos
-        half_bias = 0.5 * x[..., :1]
-        transfer = (self._arms[0] * np.exp(1j * (half_bias - drive))
-                    + self._arms[1] * np.exp(1j * (x[..., 1:2] * drive - half_bias)))
-        h = (self.n_lines - 1) // 2
-        bins = np.fft.fft(transfer, axis=-1) / self.mult
-        lines = np.concatenate((bins[..., -h:], bins[..., :h + 1]), axis=-1)
-        return lines, np.mean(transfer.real ** 2 + transfer.imag ** 2, axis=-1)
+        """Lines 0..h and mean power of each drive, by elementwise sums
+        (no matrix product), so a drive scores the same bits in any batch."""
+        drive = self._phase[0]
+        for j in range(2, x.shape[-1]):
+            drive = drive + x[..., j:j + 1] * self._phase[j - 1]
+        half_bias = 0.5j * x[..., :1]
+        transfer = (self._arms[0] * np.exp(half_bias - drive)
+                    + self._arms[1] * np.exp(x[..., 1:2] * drive - half_bias))
+        power = ((transfer.real ** 2 + transfer.imag ** 2) * self._weights).sum(axis=-1)
+        return (transfer[..., None, :] * self._dft).sum(axis=-1), power
 
     @staticmethod
     def flatness_db(lines: np.ndarray) -> np.ndarray:
@@ -297,7 +304,7 @@ class _OnePeriodComb:
         return 10.0 * np.log10(p.max(axis=-1)) - 10.0 * np.log10(p.min(axis=-1))
 
     def rmse_percent(self, lines: np.ndarray, power: np.ndarray) -> np.ndarray:
-        corr = (lines / self.n_lines).sum(axis=-1)
+        corr = (lines[..., 0] + 2.0 * lines[..., 1:].sum(axis=-1)) / self.n_lines
         corr2 = corr.real ** 2 + corr.imag ** 2
         return 100.0 * np.sqrt(np.maximum(1.0 / self.n_lines - corr2 / power, 0.0))
 
@@ -308,17 +315,17 @@ def _line_search(objective, lo, hi, xatol: float):
     (rows, points) array; each level re-grids one step either side of the
     best point, until the step is below ``xatol``.  Returns ``(x, f)``."""
     lo, hi = np.atleast_1d(lo).astype(float), np.atleast_1d(hi).astype(float)
-    rows, u = np.arange(lo.size), np.linspace(0.0, 1.0, _LINE_POINTS)
+    rows = np.arange(lo.size)
     best_x, best_f = np.zeros(lo.size), np.full(lo.size, math.inf)
     while True:
-        x = lo[:, None] + (hi - lo)[:, None] * u
+        x = lo[:, None] + (hi - lo)[:, None] * _GRID
         f = objective(x)
-        j = np.argmin(f, axis=1)
-        better = f[rows, j] < best_f
-        best_x = np.where(better, x[rows, j], best_x)
-        best_f = np.where(better, f[rows, j], best_f)
+        j = f.argmin(axis=1)
+        f = f[rows, j]
+        better = f < best_f
+        best_x, best_f = np.where(better, x[rows, j], best_x), np.where(better, f, best_f)
         step = (hi - lo) / (_LINE_POINTS - 1)
-        if np.all(step < xatol):
+        if (step < xatol).all():
             return best_x, best_f
         lo, hi = np.maximum(lo, best_x - step), np.minimum(hi, best_x + step)
 
@@ -326,7 +333,8 @@ def _line_search(objective, lo, hi, xatol: float):
 def _along(x: np.ndarray, coords, values) -> np.ndarray:
     """Drive ``x`` broadcast over ``values[0]``'s shape, with ``coords`` set
     to ``values``."""
-    trial = np.array(np.broadcast_to(x, np.shape(values[0]) + x.shape))
+    trial = np.empty(np.shape(values[0]) + x.shape)
+    trial[...] = x
     for i, v in zip(coords, values):
         trial[..., i] = v
     return trial
@@ -335,11 +343,11 @@ def _along(x: np.ndarray, coords, values) -> np.ndarray:
 def _descend(score, x: np.ndarray, coords, widths, lower, upper,
              xatol: float, stop_at: float = -math.inf):
     """Coordinate descent: a line search within +/- width of each listed
-    coordinate in turn, widths halving every sweep, then a pattern move, a
-    line search along the sweep's net step out to 8 times it (within the
-    bounds), which follows a narrow valley the coordinates zig-zag across.
-    Stops when a sweep gains less than ``_MIN_GAIN`` or the score reaches
-    ``stop_at``.  Returns ``(x, score)``."""
+    coordinate in turn, widths halving every sweep, then, after a gain that
+    moved ``x``, a pattern move: a line search along the sweep's net step
+    out to 8 times it (within the bounds), which follows a narrow valley
+    the coordinates zig-zag across.  Stops when a sweep gains less than
+    ``_MIN_GAIN`` or the score reaches ``stop_at``.  Returns ``(x, score)``."""
     x, best = x.copy(), float(score(x)[()])
     for _ in range(_SWEEPS):
         start, before = x.copy(), best
@@ -349,8 +357,8 @@ def _descend(score, x: np.ndarray, coords, widths, lower, upper,
                                 min(upper[i], x[i] + width), xatol)
             if f[0] < best:
                 best, x[i] = float(f[0]), float(v[0])
-        if best < before:
-            d = x - start
+        d = x - start
+        if best < before and d.any():
             reach = min([8.0] + [
                 ((upper[i] if d[i] > 0 else lower[i]) - x[i]) / d[i] for i in coords if d[i]])
             t, f = _line_search(lambda t: score(x + t[..., None] * d), 0.0, reach,
@@ -377,7 +385,7 @@ def calibrate_flat_comb(
     so its result depends only on the line count, the index and the arm
     imbalance: the first harmonic's index is never touched, so the pulse
     keeps the low sideband level that index implies.  Trial drives are
-    evaluated on one comb period, as harmonic lines, each scan and each
+    evaluated on half a comb period, as harmonic lines, each scan and each
     line-search level as one batch:
 
     1. flatness: a scan of the arm bias difference (67 points) against a

@@ -312,3 +312,19 @@ def evm_directly(rx, ref, n_blocks: int = 10) -> EvmResult:
                                         np.array_split(ref, n_blocks))]
     std = float(np.std(blocks, ddof=1)) if len(blocks) > 1 else 0.0
     return EvmResult(float(one(rx, ref)), std, tuple(float(b) for b in blocks))
+
+
+def comb_lines_directly(n_lines: int, modulation_index: float, arms, x,
+                        mult: int):
+    """Lines -h..h and mean power of one push-pull drive ``x`` (``[bias
+    difference, arm-2 ratio, scale of harmonic 2, ...]`` in modulation-index
+    units) from all ``mult`` samples of one period: the transfer's FFT /
+    ``mult`` at the line orders, and the mean of |transfer|^2."""
+    h = (n_lines - 1) // 2
+    harmonics = np.cos(2 * np.pi * np.outer(np.arange(1, h + 1), np.arange(mult)) / mult)
+    drive = modulation_index * np.concatenate(([1.0], x[2:])) @ harmonics
+    half_bias = 0.5 * x[0]
+    transfer = (arms[0] * np.exp(1j * (half_bias - drive))
+                + arms[1] * np.exp(1j * (x[1] * drive - half_bias)))
+    bins = np.fft.fft(transfer) / mult
+    return bins[np.arange(-h, h + 1)], float(np.mean(np.abs(transfer) ** 2))

@@ -65,6 +65,21 @@ class TestConstellation:
         with pytest.raises(ValueError):
             Constellation.of(8)
 
+    def test_points_must_be_the_square_grid_of_the_order(self):
+        """qam_map and decide_indices read the points as the order's square
+        Gray-coded grid.  The QPSK points given as order 16 decided
+        0.9+0.9j, -0.9-0.9j and 0.1-0.3j all as 10, and 3 points of
+        order 8 were accepted."""
+        qpsk = Constellation.of(4).points
+        for order, points in ((16, qpsk), (8, np.arange(3)), (4, qpsk[::-1]),
+                              (4, Constellation.of(16).points[:4]), (4, qpsk.reshape(2, 2)),
+                              (4, np.full(4, np.nan))):
+            with pytest.raises(ValueError, match="no square Gray-coded QAM grid"):
+                Constellation(order, points)
+        for order in (4, 16):  # the grid at any scale is one
+            c = Constellation(order, 2.0 * Constellation.of(order).points)
+            assert np.array_equal(decide_indices(c.points, c), np.arange(order))
+
 
 class TestMapping:
     @pytest.mark.parametrize("order", [pytest.param(4, id="qpsk"),

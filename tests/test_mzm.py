@@ -10,11 +10,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy.special import jv
 
 from helpers import (
     align_delay_gain,
+    comb_lines_directly,
     delay_signal,
     freqs,
     rmse_percent,
@@ -234,6 +235,48 @@ class TestOnePeriodComb:
         assert comb.rmse_percent(lines, power) == pytest.approx(
             rmse_percent(Signal(grid, gain * out.samples), ideal), rel=1e-9)
 
+    @settings(derandomize=True, max_examples=12, deadline=None)
+    @given(n_lines=st.sampled_from([3, 5, 7]),
+           bias=st.floats(0.15 * math.pi, 0.97 * math.pi),
+           ratio=st.floats(0.5, 1.25),
+           scales=st.lists(st.floats(0.4, 1.6), min_size=2, max_size=2))
+    def test_half_period_is_the_full_period_dft(self, n_lines, bias, ratio, scales):
+        """The drive is even, so the half-period cosine sums are the full
+        period's FFT: lines 0..h equal the bins +k and -k, and the weighted
+        power the mean power."""
+        comb = _OnePeriodComb(n_lines, 0.3, ARMS)
+        x = np.array([bias, ratio] + scales[:(n_lines - 3) // 2])
+        lines, power = comb.lines(x)
+        full, full_power = comb_lines_directly(n_lines, 0.3, ARMS, x, comb.mult)
+        h = (n_lines - 1) // 2
+        assert_allclose(lines, full[h:], rtol=0, atol=1e-14)  # orders 0..h
+        assert_allclose(lines, full[h::-1], rtol=0, atol=1e-14)  # orders 0..-h
+        assert power == pytest.approx(full_power, rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("n_lines", [3, 5, 7])
+    def test_a_drive_scores_the_same_bits_in_any_batch(self, n_lines):
+        """Alone, as a 1-row batch, or as row j of a 17-row batch (also the
+        (1, 17) batch a line search passes), a drive's lines, power,
+        flatness and RMSE are the same to the bit.  A matrix product's last
+        bits depended on the batch shape, so a start point could score lower
+        inside a batch than alone."""
+        comb = _OnePeriodComb(n_lines, 0.3, ARMS)
+        rng = np.random.default_rng(n_lines)
+        batch = np.column_stack(
+            [rng.uniform(0.15 * math.pi, 0.97 * math.pi, 17), rng.uniform(0.5, 1.25, 17)]
+            + [rng.uniform(0.4, 1.6, 17) for _ in range((n_lines - 3) // 2)])
+
+        def figures(x):
+            lines, power = comb.lines(x)
+            return lines, power, comb.flatness_db(lines), comb.rmse_percent(lines, power)
+
+        rows = figures(batch)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(rows, figures(batch[None])))
+        for j, x in enumerate(batch):
+            for alone in (figures(x), [f[0] for f in figures(x[None])]):
+                for a, b in zip(alone, rows):
+                    assert np.asarray(a).tobytes() == b[j].tobytes(), j
+
 
 def assert_centred(cal, n_lines: int, spacing: float):
     """The calibrated pulse sits at t = 0, where the sampler reads it: the
@@ -363,6 +406,26 @@ class TestCalibration:
                            (10.0, 10.0), 1e-9)
         assert_allclose(x, [1.0, 1.0], atol=1e-6)
         assert best == score(x) < 1e-12
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_gain_without_a_net_step_makes_no_pattern_move(self):
+        """A start point that scores lower inside a batch than alone gains
+        in its own line searches without moving; the pattern move along
+        that zero net step divided by zero."""
+        def score(x):
+            return (x ** 2).sum(axis=-1) + (1e-12 if x.ndim == 1 else 0.0)
+        x, best = _descend(score, np.zeros(2), [0, 1], [0.5, 0.5], (-1.0, -1.0),
+                           (1.0, 1.0), 1e-9)
+        assert_array_equal(x, [0.0, 0.0])
+        assert best == 0.0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_calibration_that_divided_by_zero(self):
+        """This 5-line comb warned "divide by zero" in the pattern move, and
+        a run of its config under ``-W error::RuntimeWarning`` exited 1."""
+        cal = calibrate_flat_comb(5, 8e9, self.DEVICES["3V_gaussian_30_25dB_3dB_loss"],
+                                  flatness_target_db=0.05, modulation_index=0.6)
+        assert cal.converged
 
     def test_fewer_evaluations_at_no_loss_of_quality(self, monkeypatch):
         """Against coordinate descent alone, every comb converges with a
