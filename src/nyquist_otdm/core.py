@@ -90,9 +90,9 @@ class Signal:
     signed bins with all others zero), or both.  The missing one is computed
     once, on first use, so a chain of per-bin operations pays no transform
     between its steps and touches only the band; every reader of the bins
-    gathers them by signed index (``_take``).  Samples are copied on
-    construction and locked read-only; so is the band.  Non-finite values
-    are rejected so downstream power metrics stay finite.
+    copies a window of consecutive bins out of the band by slices
+    (``_window``).  Samples are copied on construction and locked read-only;
+    so is the band.  Non-finite values are rejected so power stays finite.
     """
 
     __slots__ = ("grid", "_samples", "_band")
@@ -125,16 +125,20 @@ class Signal:
             object.__setattr__(self, "_band", (0, band))
         return self._band
 
-    def _take(self, k: np.ndarray) -> np.ndarray:
-        """The bins at the signed indices ``k``; zero outside the band."""
+    def _window(self, start: int, count: int, out: np.ndarray | None = None) -> np.ndarray:
+        """The ``count`` <= n bins from signed bin ``start`` on, zero outside
+        the band, copied by slices into ``out`` (zeros) or a fresh array."""
         first, band = self._spectrum()
-        j = (k - first) % self.grid.n_samples
-        return np.where(j < band.size, band[np.minimum(j, band.size - 1)], 0)
+        n = self.grid.n_samples
+        out = np.zeros(count, dtype=np.complex128) if out is None else out
+        for dst, src in _laid((first - start) % n, band.size, n, count):
+            out[dst] = band[src]
+        return out
 
     @property
     def samples(self) -> np.ndarray:
         if self._samples is None:
-            samples = np.fft.ifft(self._take(np.arange(self.grid.n_samples)))
+            samples = np.fft.ifft(self._window(0, self.grid.n_samples))
             samples.setflags(write=False)
             object.__setattr__(self, "_samples", samples)
         return self._samples
@@ -146,6 +150,14 @@ class Signal:
             n, band = self.grid.n_samples, self._band[1]
             return float(np.vdot(band, band).real) / n / n
         return float(np.mean(np.abs(self._samples) ** 2))
+
+
+def _laid(offset: int, size: int, modulus: int, length: int):
+    """The (destination, source) slices, at most two, that lay value i < ``size``
+    <= ``modulus`` at (``offset`` + i) % ``modulus``, destinations below ``length``."""
+    split = modulus - offset
+    pairs = ((offset, 0, min(size, split, length - offset)), (0, split, min(size - split, length)))
+    return [(slice(d, d + c), slice(s, s + c)) for d, s, c in pairs if c > 0]
 
 
 def _index(value) -> int:
@@ -198,7 +210,7 @@ def spectrum(sig: Signal) -> np.ndarray:
     """Read-only amplitude spectrum of ``sig``: DFT / n in ascending
     frequency, the carrier at index ``n // 2``."""
     n = sig.grid.n_samples
-    spec = sig._take(np.arange(-(n // 2), (n + 1) // 2)) / n
+    spec = sig._window(-(n // 2), n) / n
     spec.setflags(write=False)
     return spec
 

@@ -59,7 +59,7 @@ def _sampling_lines(plan: ChannelPlan, sampler: FlatCombCalibration | None,
         grid.sample_rate / plan.aggregate_bandwidth, "samples per branch slot")
     one_period = TimeGrid(grid.sample_rate, period)
     transfer = modulate(constant(one_period), sampler.plan, sampler.params)
-    lines = transfer._take(np.arange(period)) * (sampler.gain / period)
+    lines = transfer._window(0, period) * (sampler.gain / period)
     return np.arange(period) * spacing, _branch_rows(lines, plan.n_branches)
 
 
@@ -86,9 +86,9 @@ def demultiplex(sig: Signal, plan: ChannelPlan,
     ``sampler`` is the comb calibration whose drive makes the sampling
     pulses, or None for the ideal sinc sequences.  Sampling, brickwall
     low-pass at B/(2N), and the factor N restoring the 1/N gain of sequence
-    sampling.  Only the detection band's bins are computed, from one gather
-    for all branches: each is a sum of the aggregate's bins one sampling
-    line apart.
+    sampling.  Only the detection band's bins are computed, from one window
+    of the aggregate's bins per sampling line, shared by all branches: each
+    branch bin is a sum of the aggregate's bins one line spacing apart.
 
     Note on periodic windows: a branch carrying an even number of symbols
     per window has a discrete line exactly on the filter edge at B/(2N),
@@ -99,7 +99,9 @@ def demultiplex(sig: Signal, plan: ChannelPlan,
     """
     rows, band, weight, read = _read_bins(plan, sampler, sig.grid)
     gain = plan.n_branches * weight
-    taken = sig._take(read)
+    taken = np.zeros(read.shape, dtype=np.complex128)  # C-contiguous (P, B)
+    for start, out in zip(read[:, 0].tolist(), taken):
+        sig._window(start, band.size, out)
     # one product per row: an N-row product rounds differently
     return tuple(Signal._of_bins(sig.grid, gain * (row @ taken), int(band[0]))
                  for row in rows)

@@ -130,7 +130,7 @@ def add_noise(sig: Signal, noise: NoiseSpec, reach: int | None = None) -> Signal
     w = (rng.standard_normal(2 * m) * math.sqrt(n * sigma2 / 2.0)).view(np.complex128)
     first = -((m - 1) // 2)  # w[1::2] holds k = 1, 2, ... and w[2::2] k = -1, -2, ...
     bins = np.concatenate([w[2::2][::-1], w[:1], w[1::2]])
-    return Signal._of_bins(sig.grid, bins + sig._take(np.arange(first, first + m)), first)
+    return Signal._of_bins(sig.grid, bins + sig._window(first, m), first)
 
 
 def phase_noise(sig: Signal, linewidth_hz: float, seed: int = 0) -> Signal:

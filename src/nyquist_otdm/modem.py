@@ -109,8 +109,8 @@ def decide_indices(symbols, constellation: Constellation) -> np.ndarray:
     levels = np.sort(constellation.points.real[::side])  # Q code 0: the I levels
     codes = np.asarray(_AXIS_CODES[side])
     thresholds = 0.5 * (levels[1:] + levels[:-1])
-    ci = codes[np.searchsorted(thresholds, syms.real)]
-    cq = codes[np.searchsorted(thresholds, syms.imag)]
+    # the count of thresholds not at or above v, as np.searchsorted's: nan decides last
+    ci, cq = (codes[sum(~(v <= t) for t in thresholds)] for v in (syms.real, syms.imag))
     bits_axis = side.bit_length() - 1
     return (ci << bits_axis) | cq
 

@@ -287,23 +287,23 @@ class _OnePeriodComb:
             2 * np.pi * np.outer(np.arange(h + 1), t) / self.mult)
 
     def lines(self, x: np.ndarray):
-        """Lines 0..h and mean power of each drive, by elementwise sums
-        (no matrix product), so a drive scores the same bits in any batch."""
+        """Lines 0..h and half-period transfer of each drive, by elementwise
+        sums (no matrix product), so a drive scores the same bits in any batch."""
         drive = self._phase[0]
         for j in range(2, x.shape[-1]):
             drive = drive + x[..., j:j + 1] * self._phase[j - 1]
         half_bias = 0.5j * x[..., :1]
         transfer = (self._arms[0] * np.exp(half_bias - drive)
                     + self._arms[1] * np.exp(x[..., 1:2] * drive - half_bias))
-        power = ((transfer.real ** 2 + transfer.imag ** 2) * self._weights).sum(axis=-1)
-        return (transfer[..., None, :] * self._dft).sum(axis=-1), power
+        return (transfer[..., None, :] * self._dft).sum(axis=-1), transfer
 
     @staticmethod
     def flatness_db(lines: np.ndarray) -> np.ndarray:
         p = lines.real ** 2 + lines.imag ** 2
         return 10.0 * np.log10(p.max(axis=-1)) - 10.0 * np.log10(p.min(axis=-1))
 
-    def rmse_percent(self, lines: np.ndarray, power: np.ndarray) -> np.ndarray:
+    def rmse_percent(self, lines: np.ndarray, transfer: np.ndarray) -> np.ndarray:
+        power = ((transfer.real ** 2 + transfer.imag ** 2) * self._weights).sum(axis=-1)
         corr = (lines[..., 0] + 2.0 * lines[..., 1:].sum(axis=-1)) / self.n_lines
         corr2 = corr.real ** 2 + corr.imag ** 2
         return 100.0 * np.sqrt(np.maximum(1.0 / self.n_lines - corr2 / power, 0.0))
@@ -440,9 +440,9 @@ def calibrate_flat_comb(
     limit = max(flatness_target_db * (1.0 - 1e-9), flat)
 
     def waveform_error(x):
-        lines, power = comb.lines(x)
+        lines, transfer = comb.lines(x)
         over = comb.flatness_db(lines) - limit
-        return np.where(over <= 0.0, comb.rmse_percent(lines, power), _OVER_LIMIT + over)
+        return np.where(over <= 0.0, comb.rmse_percent(lines, transfer), _OVER_LIMIT + over)
 
     ratios = np.linspace(0.5, 1.25, 16)
     bias, err = _line_search(

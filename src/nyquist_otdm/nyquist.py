@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import ChannelPlan, Signal, TimeGrid
+from .core import ChannelPlan, Signal, TimeGrid, _laid
 
 __all__ = [
     "nyquist_interpolate",
@@ -121,7 +121,7 @@ def sample_symbols(sig: Signal, symbol_rate: float,
     # sps rows hold every bin once, so a band of the whole grid reads no more
     first, band = sig._spectrum()
     a = np.arange(first // m_sym, (first + band.size - 1) // m_sym + 1)[:sps]
-    rows = sig._take(a[0] * m_sym + np.arange(a.size * m_sym)).reshape(a.size, m_sym)
+    rows = sig._window(int(a[0]) * m_sym, a.size * m_sym).reshape(a.size, m_sym)
     turns = np.exp(2j * np.pi * ((a * start) % sps) / sps)
     fold = sum(turns[i] * rows[i] for i in np.argsort(a % sps, kind="stable"))
     fold *= np.exp(2j * np.pi * ((np.arange(m_sym) * start) % n) / n)
@@ -176,14 +176,15 @@ def multiplex_branch_signals(branch_signals: list[Signal],
         first, values = sig._spectrum()
         k = (first + np.flatnonzero(values) + n // 2) % n - n // 2
         reach = max(reach, int(np.max(np.abs(k), initial=0)))
-    band = np.arange(-reach, reach + 1) if 2 * reach < n else np.arange(n)
+    start, size = (-reach, 2 * reach + 1) if 2 * reach < n else (0, n)
     # row m: the branches' bins weighted by their line-m coefficients
-    weighted = rows.T @ np.stack([sig._take(band) for sig in branch_signals])
-    width = min(n, band.size + int(shifts[-1] - shifts[0]))
+    weighted = rows.T @ np.stack([sig._window(start, size) for sig in branch_signals])
+    width = min(n, size + int(shifts[-1] - shifts[0]))
     acc = np.zeros(width, dtype=np.complex128)
-    for shift, row in zip(shifts, weighted):
-        acc[(band - band[0] + shift - shifts[0]) % width] += row
-    return Signal._of_bins(grid, acc, int(band[0] + shifts[0]))
+    for shift, row in zip((shifts - shifts[0]).tolist(), weighted):
+        for dst, src in _laid(shift % width, size, width, width):
+            acc[dst] += row[src]
+    return Signal._of_bins(grid, acc, start + int(shifts[0]))
 
 
 def otdm_multiplex(symbols, symbol_rate: float, plan: ChannelPlan,

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ChannelPlan, Signal, TimeGrid, _write_csv
+from .core import ChannelPlan, Signal, TimeGrid, _laid, _write_csv
 from .demux import _read_bins, demultiplex
 from .link import (
     SPEED_OF_LIGHT,
@@ -441,7 +441,8 @@ def _spectrum_rows(sig: Signal, half_width: float):
     """The rows of ``spectrum(sig)`` with |f| <= _BAND_MARGIN * half_width,
     bit for bit, computed from those bins alone."""
     k = _spectrum_bins(sig.grid, half_width)
-    power = 10.0 * np.log10(np.maximum(np.abs(sig._take(k) / sig.grid.n_samples) ** 2, 1e-30))
+    bins = sig._window(int(k[0]), k.size)
+    power = 10.0 * np.log10(np.maximum(np.abs(bins / sig.grid.n_samples) ** 2, 1e-30))
     return "f_Hz,power_dBm", np.column_stack([k * sig.grid.freq_resolution, power])
 
 
@@ -465,7 +466,8 @@ def _eye_rows(y: Signal, gain: complex, sc: Scenario, t_offset: float):
         values.size // (_EYE_SAMPLES_PER_SYMBOL * n_symbols) + 1)
     p = per_symbol * n_symbols
     bins = np.zeros(p, dtype=np.complex128)
-    bins[(first + np.arange(values.size)) % p] = values
+    for dst, src in _laid(first % p, values.size, p, p):
+        bins[dst] = values[src]
     amp = (np.fft.ifft(bins) * (p / n) * gain).real
     phase = -t_offset * per_symbol * rate
     k = np.arange(p) % (2 * per_symbol)

@@ -44,6 +44,16 @@ def delay_signal(sig: Signal, delay: float) -> Signal:
     return Signal._of_bins(sig.grid, np.exp(-2j * np.pi * f * delay) * band, first)
 
 
+def take_bins(sig: Signal, k) -> np.ndarray:
+    """The bins of ``sig`` at the signed indices ``k``, in any order, by a
+    modular index gather of the zero-filled whole grid."""
+    n = sig.grid.n_samples
+    first, band = sig._spectrum()
+    filled = np.zeros(n, dtype=complex)
+    filled[(first + np.arange(band.size)) % n] = band
+    return filled[np.asarray(k) % n]
+
+
 def freqs(grid: TimeGrid) -> np.ndarray:
     """Frequency of each bin of ``spectrum()`` on ``grid``, ascending."""
     return np.fft.fftshift(np.fft.fftfreq(grid.n_samples, grid.dt))

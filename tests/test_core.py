@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from helpers import delay_signal, freqs, rmse_percent, tone
+from helpers import delay_signal, freqs, rmse_percent, take_bins, tone
 from nyquist_otdm import ChannelPlan, Signal, TimeGrid, core, scenario, spectrum
 from nyquist_otdm.core import _CSV_BLOCK_ROWS, _g17, _write_csv, constant
 
@@ -100,6 +100,54 @@ def test_band_readers_read_the_zero_filled_bins(n, size, first, reach, sample_ra
     inside = np.abs(f) <= edge
     power = 10.0 * np.log10(np.maximum(np.abs(spec[inside]) ** 2, 1e-30))
     assert_array_equal(rows, np.column_stack([f[inside], power]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(n=st.integers(1, 48), size=st.integers(1, 48), first=st.integers(-150, 150),
+       start=st.integers(-150, 150), count=st.integers(0, 48))
+@example(n=9, size=9, first=-4, start=-4, count=9)  # the whole grid, ascending
+@example(n=8, size=3, first=3, start=-4, count=8)  # bins 3, -4, -3: at both ends
+@example(n=6, size=2, first=-1, start=1, count=6)  # bins -1, 0: at the end
+def test_window_reads_the_zero_filled_bins(n, size, first, start, count):
+    """A window of ``count`` consecutive signed bins from any ``start`` is
+    the zero-filled whole grid's bins there, bit for bit: for odd and even
+    n, a band of 1 to n bins from any first bin, wrapping past n // 2 and
+    narrower or wider than the window, up to a window of the whole grid;
+    into a fresh array or a row of a zeroed matrix, the others untouched."""
+    size, count = min(size, n), min(count, n)
+    rng = np.random.default_rng(n * size + count)
+    sig = Signal._of_bins(TimeGrid(1e9, n),
+                          rng.standard_normal(size) + 1j * rng.standard_normal(size), first)
+    want = take_bins(sig, start + np.arange(count))
+    got = sig._window(start, count)
+    assert got.dtype == np.complex128 and got.flags.c_contiguous and got.flags.writeable
+    assert_array_equal(got, want)
+    assert np.signbit(got.view(float)).tolist() == np.signbit(want.view(float)).tolist()
+    rows = np.zeros((3, count), dtype=complex)
+    out = rows[1]
+    assert sig._window(start, count, out) is out
+    assert_array_equal(rows, [np.zeros(count), want, np.zeros(count)])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(modulus=st.integers(1, 40), size=st.integers(1, 40), offset=st.integers(0, 39),
+       length=st.integers(0, 40))
+def test_laid_slices_are_the_modular_scatter(modulus, size, offset, length):
+    """The slice pairs lay value i at (offset + i) % modulus, each once,
+    keeping the destinations below ``length``: a slice assignment is the
+    modular index assignment, and a slice add the modular ``+=``."""
+    size, offset, length = min(size, modulus), offset % modulus, min(length, modulus)
+    values = np.arange(1.0, size + 1) + 1j
+    at = (offset + np.arange(size)) % modulus
+    laid, added = np.zeros(length, complex), np.full(length, 0.5 + 0j)
+    for dst, src in core._laid(offset, size, modulus, length):
+        laid[dst] = values[src]
+        added[dst] += values[src]
+    scatter, scatter_add = np.zeros(modulus, complex), np.full(modulus, 0.5 + 0j)
+    scatter[at] = values
+    scatter_add[at] += values
+    assert_array_equal(laid, scatter[:length])
+    assert_array_equal(added, scatter_add[:length])
 
 
 def test_spectrum_of_constant_is_dc_bin():

@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from nyquist_otdm import ChannelPlan, Signal, TimeGrid
 from nyquist_otdm.core import constant, spectrum
-from nyquist_otdm.demux import _sampling_lines, demultiplex
+from nyquist_otdm.demux import _read_bins, _sampling_lines, demultiplex
 from nyquist_otdm.link import (
     FiberSpec,
     compensate_dispersion,
@@ -23,6 +23,7 @@ from nyquist_otdm.mzm import (
     push_pull_plan,
 )
 from nyquist_otdm.nyquist import (
+    _sequence_lines,
     multiplex_branch_signals,
     nyquist_interpolate,
     otdm_multiplex,
@@ -40,6 +41,7 @@ from helpers import (
     propagate_directly,
     random_symbols,
     sampler_of,
+    take_bins,
 )
 
 PARAMS = MzmParams(v_pi=0.42, eo_3db_bandwidth=16e9)
@@ -237,7 +239,59 @@ def _whole_grid(sig: Signal) -> Signal:
 
 def _all_bins(sig: Signal) -> np.ndarray:
     """The unshifted DFT bins of the whole grid, ``np.fft.fft(samples)``."""
-    return sig._take(np.arange(sig.grid.n_samples))
+    return take_bins(sig, np.arange(sig.grid.n_samples))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n_branches=st.sampled_from([3, 5, 7]), n_symbols=st.integers(1, 7),
+       oversampling=st.sampled_from([2, 3, 4]), sizes=st.lists(st.integers(1, 600),
+                                                               min_size=7, max_size=7),
+       firsts=st.lists(st.integers(-600, 600), min_size=7, max_size=7),
+       mzm=st.booleans(), seed=st.integers(0, 2 ** 16))
+# every branch's band the whole grid, from its first bin on: 2 * reach >= n
+@example(n_branches=3, n_symbols=2, oversampling=2, sizes=[600] * 7, firsts=[5] * 7,
+         mzm=False, seed=0)
+def test_slice_reads_and_scatters_are_the_modular_ones(n_branches, n_symbols, oversampling,
+                                                       sizes, firsts, mzm, seed):
+    """The multiplexer's read of every branch's band and its scatter of each
+    sequence line, and the demultiplexer's (P, B) read of the aggregate,
+    all by slices, give the bits of a modular index gather and scatter:
+    for bands of any width from any first bin, wrapping past n // 2, up to
+    the whole grid (2 * reach >= n), with the ideal or an MZM sampler."""
+    rng = np.random.default_rng(seed)
+    plan = ChannelPlan(n_branches, 6e9 * n_branches)
+    grid = grid_for(plan, n_symbols, oversampling)
+    n = grid.n_samples
+    branches = []
+    for size, first in zip(sizes, firsts[:n_branches]):
+        size = min(size, n)
+        branches.append(Signal._of_bins(
+            grid, rng.standard_normal(size) + 1j * rng.standard_normal(size), first))
+    mux = multiplex_branch_signals(branches, plan)
+
+    shifts, rows = _sequence_lines(plan, grid)
+    k = np.concatenate([(first + np.flatnonzero(values) + n // 2) % n - n // 2
+                        for first, values in map(Signal._spectrum, branches)])
+    reach = int(np.max(np.abs(k), initial=0))
+    band = np.arange(-reach, reach + 1) if 2 * reach < n else np.arange(n)
+    weighted = rows.T @ np.stack([take_bins(sig, band) for sig in branches])
+    width = min(n, band.size + int(shifts[-1] - shifts[0]))
+    acc = np.zeros(width, dtype=complex)
+    for shift, row in zip(shifts, weighted):
+        acc[(band - band[0] + shift - shifts[0]) % width] += row
+    first, values = mux._spectrum()
+    assert first == band[0] + shifts[0]
+    assert values.tobytes() == acc.tobytes()
+
+    drive = push_pull_plan([plan.symbol_rate, 2 * plan.symbol_rate], rng.uniform(0.05, 0.3, 2),
+                           bias_difference=float(rng.uniform(0.5, 2.5)))
+    sampler = sampler_of(drive, PARAMS, gain=complex(rng.uniform(1.0, 4.0), 1.0)) if mzm else None
+    line_rows, detection, weight, read = _read_bins(plan, sampler, grid)
+    taken = take_bins(mux, read)
+    for y, row in zip(demultiplex(mux, plan, sampler), line_rows, strict=True):
+        first, values = y._spectrum()
+        assert first == detection[0]
+        assert values.tobytes() == (plan.n_branches * weight * (row @ taken)).tobytes()
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)

@@ -20,7 +20,7 @@ from nyquist_otdm.link import (
 )
 from nyquist_otdm.nyquist import otdm_multiplex, sample_symbols
 
-from helpers import grid_for, random_symbols, tone
+from helpers import grid_for, random_symbols, take_bins, tone
 
 # pi * (1550 nm)^2 / c * 17 ps/(nm km) * 30 km * (10 GHz)^2, checked against
 # an independent hand evaluation of the closed form
@@ -171,7 +171,7 @@ class TestNoise:
         sig = constant(grid)
         sigma2 = grid.sample_rate / (12.5e9 * 10 ** (20.0 / 10))
         k = np.arange(n)
-        noise = np.array([add_noise(sig, NoiseSpec(20.0, seed=s))._take(k) - sig._take(k)
+        noise = np.array([take_bins(add_noise(sig, NoiseSpec(20.0, seed=s)), k) - take_bins(sig, k)
                           for s in range(400)]) / math.sqrt(n * sigma2)
         per_bin = np.mean(np.abs(noise) ** 2, axis=0)
         assert np.all(np.abs(per_bin - 1.0) < 5 / math.sqrt(400))
@@ -193,9 +193,9 @@ class TestNoise:
         for reach in (0, 1, 6, 12, n // 2 - 1, n // 2, n):
             cut = add_noise(sig, noise, reach)
             inside = np.abs(k) <= reach
-            assert_array_equal(cut._take(k[inside]), whole._take(k[inside]))
-            assert not np.any(cut._take(k[~inside]))
-        assert_array_equal(add_noise(sig, noise, n // 2)._take(k), whole._take(k))
+            assert_array_equal(take_bins(cut, k[inside]), take_bins(whole, k[inside]))
+            assert not np.any(take_bins(cut, k[~inside]))
+        assert_array_equal(take_bins(add_noise(sig, noise, n // 2), k), take_bins(whole, k))
 
 
 class TestPhaseNoise:

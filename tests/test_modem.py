@@ -112,6 +112,24 @@ class TestMapping:
         brute = np.argmin(np.abs(noisy[:, None] - c.points[None, :]), axis=1)
         assert np.array_equal(decided, brute)
 
+    @pytest.mark.parametrize("order", [pytest.param(4, id="qpsk"),
+                                       pytest.param(16, id="qam16")])
+    def test_ties_and_non_finite_values_decide_as_searchsorted(self, order):
+        """On each axis a value decides the level that np.searchsorted
+        finds among the thresholds: a value on a threshold the lower level,
+        +-inf the outer ones and nan the last."""
+        c = Constellation.of(order)
+        levels = np.unique(c.points.real)
+        th = 0.5 * (levels[1:] + levels[:-1])
+        v = np.concatenate([th, np.nextafter(th, np.inf), np.nextafter(th, -np.inf), levels,
+                            [0.0, -0.0, np.inf, -np.inf, np.nan]])
+        syms = np.empty((v.size, v.size), dtype=complex)
+        syms.real, syms.imag = v[:, None], v[None, :]
+        i, q = np.searchsorted(th, syms.real.ravel()), np.searchsorted(th, syms.imag.ravel())
+        expected = [np.flatnonzero(c.points == complex(levels[a], levels[b]))[0]
+                    for a, b in zip(i, q)]
+        assert np.array_equal(decide_indices(syms.ravel(), c), expected)
+
 
 class TestEvm:
     def test_hand_computed_value(self):

@@ -218,7 +218,7 @@ class TestOnePeriodComb:
         spacing = 10e9
         comb = _OnePeriodComb(n_lines, 0.3, ARMS)
         x = np.array([bias, ratio] + scales[:(n_lines - 3) // 2])
-        lines, power = comb.lines(x)
+        lines, transfer = comb.lines(x)
 
         harmonics = spacing * np.arange(1, n_lines // 2 + 1)
         indices = 0.3 * np.concatenate(([1.0], x[2:]))
@@ -232,7 +232,7 @@ class TestOnePeriodComb:
         gain = np.vdot(out.samples, ideal.samples) / np.vdot(out.samples, out.samples)
         report = comb_report(spectrum(out)[::16], n_lines, spacing)  # 16 periods
         assert comb.flatness_db(lines) == pytest.approx(report.flatness_db, rel=1e-9)
-        assert comb.rmse_percent(lines, power) == pytest.approx(
+        assert comb.rmse_percent(lines, transfer) == pytest.approx(
             rmse_percent(Signal(grid, gain * out.samples), ideal), rel=1e-9)
 
     @settings(derandomize=True, max_examples=12, deadline=None)
@@ -242,21 +242,23 @@ class TestOnePeriodComb:
            scales=st.lists(st.floats(0.4, 1.6), min_size=2, max_size=2))
     def test_half_period_is_the_full_period_dft(self, n_lines, bias, ratio, scales):
         """The drive is even, so the half-period cosine sums are the full
-        period's FFT: lines 0..h equal the bins +k and -k, and the weighted
-        power the mean power."""
+        period's FFT: lines 0..h equal the bins +k and -k, and the RMSE from
+        the half period's weighted power is the one from the mean power."""
         comb = _OnePeriodComb(n_lines, 0.3, ARMS)
         x = np.array([bias, ratio] + scales[:(n_lines - 3) // 2])
-        lines, power = comb.lines(x)
+        lines, transfer = comb.lines(x)
         full, full_power = comb_lines_directly(n_lines, 0.3, ARMS, x, comb.mult)
         h = (n_lines - 1) // 2
         assert_allclose(lines, full[h:], rtol=0, atol=1e-14)  # orders 0..h
         assert_allclose(lines, full[h::-1], rtol=0, atol=1e-14)  # orders 0..-h
-        assert power == pytest.approx(full_power, rel=1e-14, abs=0)
+        corr2 = abs(full.sum() / n_lines) ** 2
+        assert comb.rmse_percent(lines, transfer) == pytest.approx(
+            100.0 * math.sqrt(max(1.0 / n_lines - corr2 / full_power, 0.0)), rel=1e-11)
 
     @pytest.mark.parametrize("n_lines", [3, 5, 7])
     def test_a_drive_scores_the_same_bits_in_any_batch(self, n_lines):
         """Alone, as a 1-row batch, or as row j of a 17-row batch (also the
-        (1, 17) batch a line search passes), a drive's lines, power,
+        (1, 17) batch a line search passes), a drive's lines, transfer,
         flatness and RMSE are the same to the bit.  A matrix product's last
         bits depended on the batch shape, so a start point could score lower
         inside a batch than alone."""
@@ -267,8 +269,8 @@ class TestOnePeriodComb:
             + [rng.uniform(0.4, 1.6, 17) for _ in range((n_lines - 3) // 2)])
 
         def figures(x):
-            lines, power = comb.lines(x)
-            return lines, power, comb.flatness_db(lines), comb.rmse_percent(lines, power)
+            lines, transfer = comb.lines(x)
+            return lines, transfer, comb.flatness_db(lines), comb.rmse_percent(lines, transfer)
 
         rows = figures(batch)
         assert all(a.tobytes() == b.tobytes() for a, b in zip(rows, figures(batch[None])))

@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import freqs
-from nyquist_otdm import scenario, spectrum
+from nyquist_otdm import Signal, TimeGrid, scenario, spectrum
 from nyquist_otdm.cli import main
 from nyquist_otdm.modem import Q_FLOOR_DB
 from nyquist_otdm.mzm import MzmParams, calibrate_flat_comb, eo_response
@@ -528,6 +529,33 @@ class TestBundleArtifacts:
             # one time value per phase: the index is folded before the floats
             assert len(np.unique(rows[:, 0])) == 2 * per_symbol
             assert np.all((rows[:, 0] >= 0) & (rows[:, 0] < window))
+
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(n_symbols=st.integers(1, 9), sps=st.integers(1, 40), size=st.integers(1, 400),
+           first=st.integers(-400, 400), seed=st.integers(0, 2 ** 16))
+    def test_eye_scatter_is_the_modular_scatter(self, n_symbols, sps, size, first, seed):
+        """The eye lays the band's bins onto its p-point grid by slices, bit
+        for bit as the modular index assignment ``bins[(first + i) % p]``
+        does, for a band of any width from any first bin, wrapping past
+        n // 2 and past p."""
+        n = n_symbols * sps
+        size = min(size, n)
+        rng = np.random.default_rng(seed)
+        rate = 1e9
+        grid = TimeGrid(rate * sps, n)
+        y = Signal._of_bins(
+            grid, rng.standard_normal(size) + 1j * rng.standard_normal(size), first)
+        sc = types.SimpleNamespace(
+            config={"shaping": {"symbol_rate_hz": rate}, "n_symbols": n_symbols})
+        gain = complex(rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0))
+        _, rows = scenario._eye_rows(y, gain, sc, 0.0)
+        p = rows.shape[0]
+        assert p > size
+        first, values = y._spectrum()
+        bins = np.zeros(p, dtype=complex)
+        bins[(first + np.arange(size)) % p] = values
+        assert rows[:, 1].tobytes() == (np.fft.ifft(bins) * (p / n) * gain).real.tobytes()
 
 
 class TestWriteBundle:
