@@ -125,12 +125,12 @@ class Signal:
             object.__setattr__(self, "_band", (0, band))
         return self._band
 
-    def _window(self, start: int, count: int, out: np.ndarray | None = None) -> np.ndarray:
+    def _window(self, start: int, count: int) -> np.ndarray:
         """The ``count`` <= n bins from signed bin ``start`` on, zero outside
-        the band, copied by slices into ``out`` (zeros) or a fresh array."""
+        the band, copied by slices into a fresh array."""
         first, band = self._spectrum()
         n = self.grid.n_samples
-        out = np.zeros(count, dtype=np.complex128) if out is None else out
+        out = np.zeros(count, dtype=np.complex128)
         for dst, src in _laid((first - start) % n, band.size, n, count):
             out[dst] = band[src]
         return out

@@ -67,7 +67,7 @@ def _read_bins(plan: ChannelPlan, sampler: FlatCombCalibration | None,
                grid: TimeGrid):
     """The branches' rows of the sampling lines, the detection band
     |f| <= B/(2N), half a line spacing each side, with each bin's weight,
-    and the aggregate's bins that each line adds into the band."""
+    and the first of the aggregate's bins that each line adds into the band."""
     shifts, rows = _sampling_lines(plan, sampler, grid)
     spacing = int(shifts[1] - shifts[0])
     if spacing >= grid.n_samples:
@@ -76,7 +76,7 @@ def _read_bins(plan: ChannelPlan, sampler: FlatCombCalibration | None,
     band = np.arange(-(spacing // 2), spacing // 2 + 1)
     # the bins at exactly the edge (an even spacing) count half
     weight = np.where(2 * np.abs(band) == spacing, 0.5, 1.0)
-    return rows, band, weight, band[None, :] - shifts[:, None]
+    return rows, band, weight, band[0] - shifts
 
 
 def demultiplex(sig: Signal, plan: ChannelPlan,
@@ -97,11 +97,10 @@ def demultiplex(sig: Signal, plan: ChannelPlan,
     when bit-exact recovery matters; with continuous spectra (noise, roll-off
     shaping) the effect is irrelevant.
     """
-    rows, band, weight, read = _read_bins(plan, sampler, sig.grid)
+    rows, band, weight, starts = _read_bins(plan, sampler, sig.grid)
     gain = plan.n_branches * weight
-    taken = np.zeros(read.shape, dtype=np.complex128)  # C-contiguous (P, B)
-    for start, out in zip(read[:, 0].tolist(), taken):
-        sig._window(start, band.size, out)
+    # C-contiguous (P, B)
+    taken = np.stack([sig._window(start, band.size) for start in starts.tolist()])
     # one product per row: an N-row product rounds differently
     return tuple(Signal._of_bins(sig.grid, gain * (row @ taken), int(band[0]))
                  for row in rows)

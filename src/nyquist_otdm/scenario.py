@@ -527,9 +527,12 @@ def run_scenario(sc: Scenario, calibrations: dict | None = None) -> ReportBundle
     # the received field's readers: the ideal sequences' demultiplexer (an MZM
     # sampler's P lines read every bin) and the spectrum crop
     half = plan.aggregate_bandwidth / 2
-    reach = None if cal is not None else int(np.abs(_read_bins(plan, None, grid)[3]).max())
-    if reach is not None and "spectra" in outputs:
-        reach = max(reach, int(np.abs(_spectrum_bins(grid, half)).max()))
+    reach = None
+    if cal is None:
+        _, band, _, starts = _read_bins(plan, None, grid)
+        reach = int(np.abs(np.concatenate([starts, starts + band.size - 1])).max())
+        if "spectra" in outputs:
+            reach = max(reach, int(np.abs(_spectrum_bins(grid, half)).max()))
 
     rx = propagate(tx, sc.fiber)
     if cfg["laser"]["linewidth_hz"] > 0:

@@ -286,8 +286,8 @@ def test_slice_reads_and_scatters_are_the_modular_ones(n_branches, n_symbols, ov
     drive = push_pull_plan([plan.symbol_rate, 2 * plan.symbol_rate], rng.uniform(0.05, 0.3, 2),
                            bias_difference=float(rng.uniform(0.5, 2.5)))
     sampler = sampler_of(drive, PARAMS, gain=complex(rng.uniform(1.0, 4.0), 1.0)) if mzm else None
-    line_rows, detection, weight, read = _read_bins(plan, sampler, grid)
-    taken = take_bins(mux, read)
+    line_rows, detection, weight, starts = _read_bins(plan, sampler, grid)
+    taken = take_bins(mux, starts[:, None] + np.arange(detection.size))
     for y, row in zip(demultiplex(mux, plan, sampler), line_rows, strict=True):
         first, values = y._spectrum()
         assert first == detection[0]

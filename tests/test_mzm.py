@@ -242,8 +242,8 @@ class TestOnePeriodComb:
            scales=st.lists(st.floats(0.4, 1.6), min_size=2, max_size=2))
     def test_half_period_is_the_full_period_dft(self, n_lines, bias, ratio, scales):
         """The drive is even, so the half-period cosine sums are the full
-        period's FFT: lines 0..h equal the bins +k and -k, and the RMSE from
-        the half period's weighted power is the one from the mean power."""
+        period's FFT: lines 0..h equal the bins +k and -k, the half period's
+        weighted power is the mean power, and so the RMSE is the one from it."""
         comb = _OnePeriodComb(n_lines, 0.3, ARMS)
         x = np.array([bias, ratio] + scales[:(n_lines - 3) // 2])
         lines, transfer = comb.lines(x)
@@ -251,6 +251,8 @@ class TestOnePeriodComb:
         h = (n_lines - 1) // 2
         assert_allclose(lines, full[h:], rtol=0, atol=1e-14)  # orders 0..h
         assert_allclose(lines, full[h::-1], rtol=0, atol=1e-14)  # orders 0..-h
+        power = ((transfer.real ** 2 + transfer.imag ** 2) * comb._weights).sum(axis=-1)
+        assert power == pytest.approx(full_power, rel=1e-14, abs=0)
         corr2 = abs(full.sum() / n_lines) ** 2
         assert comb.rmse_percent(lines, transfer) == pytest.approx(
             100.0 * math.sqrt(max(1.0 / n_lines - corr2 / full_power, 0.0)), rel=1e-11)
