@@ -85,21 +85,26 @@ def _locked(values, what: str, lengths) -> np.ndarray:
 class Signal:
     """Complex baseband field envelope sampled on a :class:`TimeGrid`.
 
-    A signal is an immutable value that holds its samples, its DFT bins
-    (``np.fft.fft(samples)``: unshifted, not divided by n, held as a band of
-    signed bins with all others zero), or both.  The missing one is computed
-    once, on first use, so a chain of per-bin operations pays no transform
-    between its steps and touches only the band; every reader of the bins
-    copies a window of consecutive bins out of the band by slices
-    (``_window``).  Samples are copied on construction and locked read-only;
-    so is the band.  Non-finite values are rejected so power stays finite.
+    A signal is an immutable value that holds its DFT bins
+    (``np.fft.fft(samples)``: unshifted, not divided by n) as a band of
+    signed bins with all others zero.  ``Signal(grid, samples)`` copies the
+    samples, keeps them and takes the band of the whole grid when it is
+    built.  A per-bin layer builds its result from bins alone
+    (``_of_bins``), so a chain of per-bin operations pays no transform
+    between its steps and touches only the band; such a signal's samples
+    are computed once, on first use.  Every reader of the bins copies a
+    window of consecutive bins out of the band by slices (``_window``).
+    Samples and band are locked read-only.  Non-finite values are rejected
+    so power stays finite.
     """
 
     __slots__ = ("grid", "_samples", "_band")
 
     def __init__(self, grid: TimeGrid, samples):
-        samples = np.array(samples, dtype=np.complex128)
-        self._set(grid, _locked(samples, "samples", [grid.n_samples]), None)
+        samples = _locked(np.array(samples, dtype=np.complex128), "samples", [grid.n_samples])
+        band = np.fft.fft(samples)
+        band.setflags(write=False)
+        self._set(grid, samples, (0, band))
 
     @classmethod
     def _of_bins(cls, grid: TimeGrid, bins: np.ndarray, first: int = 0) -> "Signal":
@@ -117,18 +122,10 @@ class Signal:
     def __setattr__(self, name, value):
         raise AttributeError("Signal is immutable")
 
-    def _spectrum(self) -> tuple[int, np.ndarray]:
-        """(first, band): the band's first signed bin and its values."""
-        if self._band is None:
-            band = np.fft.fft(self._samples)
-            band.setflags(write=False)
-            object.__setattr__(self, "_band", (0, band))
-        return self._band
-
     def _window(self, start: int, count: int) -> np.ndarray:
         """The ``count`` <= n bins from signed bin ``start`` on, zero outside
         the band, copied by slices into a fresh array."""
-        first, band = self._spectrum()
+        first, band = self._band
         n = self.grid.n_samples
         out = np.zeros(count, dtype=np.complex128)
         for dst, src in _laid((first - start) % n, band.size, n, count):
@@ -145,11 +142,9 @@ class Signal:
 
     @property
     def power(self) -> float:
-        """Mean power ``mean(|samples|^2)``; without samples, by Parseval over the band."""
-        if self._samples is None:
-            n, band = self.grid.n_samples, self._band[1]
-            return float(np.vdot(band, band).real) / n / n
-        return float(np.mean(np.abs(self._samples) ** 2))
+        """Mean power ``mean(|samples|^2)``, by Parseval over the band."""
+        n, band = self.grid.n_samples, self._band[1]
+        return float(np.vdot(band, band).real) / n / n
 
 
 def _laid(offset: int, size: int, modulus: int, length: int):
@@ -215,9 +210,9 @@ def spectrum(sig: Signal) -> np.ndarray:
     return spec
 
 
-def constant(grid: TimeGrid, amplitude: complex = 1.0) -> Signal:
-    """Constant (CW) signal."""
-    return Signal(grid, np.full(grid.n_samples, amplitude, dtype=np.complex128))
+def constant(grid: TimeGrid) -> Signal:
+    """Unit constant (CW) signal."""
+    return Signal(grid, np.ones(grid.n_samples, dtype=np.complex128))
 
 
 # ---------------------------------------------------------------------------

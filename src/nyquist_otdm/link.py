@@ -62,7 +62,7 @@ def dispersion_phase(fiber: FiberSpec, f) -> np.ndarray:
 def _apply_phase(sig: Signal, phase_sign: float, fiber: FiberSpec,
                  amplitude: float) -> Signal:
     n = sig.grid.n_samples
-    first, band = sig._spectrum()
+    first, band = sig._band
     first = (first + n // 2) % n - n // 2  # within fftfreq's signed range
     last, top = first + band.size - 1, (n - 1) // 2
     # the phase is even in f: evaluate it at |k| = 0..reach and lay it along

@@ -9,9 +9,11 @@ reported in 20*log10 dB.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
+
+from .core import _index
 
 __all__ = [
     "Q_CAP_DB",
@@ -47,9 +49,11 @@ _AXIS_CODES = {2: (1, 0), 4: (2, 3, 1, 0)}
 _AXIS_LEVELS = {2: (-1.0, 1.0), 4: (-3.0, -1.0, 1.0, 3.0)}
 
 
-def _square_grid(side: int, levels: np.ndarray) -> np.ndarray:
-    """Symbol v of the side x side Gray-coded grid on ascending ``levels``:
+def _square_grid(side: int) -> np.ndarray:
+    """Symbol v of the side x side Gray-coded grid at unit mean power:
     in-phase code v // side, quadrature code v % side."""
+    levels = np.asarray(_AXIS_LEVELS[side])
+    levels = levels / math.sqrt(2.0 * np.mean(np.square(levels)))
     level = np.argsort(_AXIS_CODES[side])  # each code's level index
     v = np.arange(side * side)
     return levels[level[v // side]] + 1j * levels[level[v % side]]
@@ -57,32 +61,22 @@ def _square_grid(side: int, levels: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Constellation:
-    """Square Gray-coded QAM constellation of order 4 or 16: its ``points``
-    must be the grid :func:`qam_map` and :func:`decide_indices` read, the
-    same ascending levels on both axes, in-phase code first."""
+    """Square Gray-coded QAM constellation of order 4 or 16 at unit mean
+    power, built from its order alone: ``points[v]`` is the symbol of bit
+    pattern v, the grid :func:`qam_map` and :func:`decide_indices` read.
+    The order is an integer by :func:`operator.index`, not a bool."""
 
     order: int
-    points: np.ndarray
+    points: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.complex128).copy()
-        side = math.isqrt(self.order) if self.order in (4, 16) else 0
-        levels = np.sort(pts.real[::side]) if side and pts.shape == (self.order,) else None
-        if (levels is None or not (np.diff(levels) > 0).all()
-                or not np.array_equal(pts, _square_grid(side, levels))):
-            raise ValueError(f"a constellation of order {self.order} with {pts.size} points "
-                             "is no square Gray-coded QAM grid of order 4 or 16")
-        pts.setflags(write=False)
-        object.__setattr__(self, "points", pts)
-
-    @classmethod
-    def of(cls, order: int) -> "Constellation":
+        order = _index(self.order)
         if order not in (4, 16):
-            raise ValueError(f"unsupported constellation order {order}")
-        side = math.isqrt(order)
-        levels = np.asarray(_AXIS_LEVELS[side])
-        norm = math.sqrt(2.0 * np.mean(np.square(levels)))
-        return cls(order, _square_grid(side, levels / norm))
+            raise ValueError(f"unsupported constellation order {self.order!r}")
+        points = _square_grid(math.isqrt(order))
+        points.setflags(write=False)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "points", points)
 
     @property
     def bits_per_symbol(self) -> int:
@@ -95,11 +89,11 @@ def qam_map(bits, constellation: Constellation) -> np.ndarray:
     bps = constellation.bits_per_symbol
     if bits.ndim != 1 or bits.size == 0 or bits.size % bps:
         raise ValueError(f"bit count must be a positive multiple of {bps}")
-    if not np.isin(bits, (0, 1)).all():
+    if not np.all((bits == 0) | (bits == 1)):
         raise ValueError("bits must be 0 or 1")
     weights = 1 << np.arange(bps - 1, -1, -1)
-    values = bits.reshape(-1, bps) @ weights
-    return constellation.points[values]
+    values = bits.reshape(-1, bps) @ weights  # float bits give float values
+    return constellation.points[values.astype(np.intp, copy=False)]
 
 
 def decide_indices(symbols, constellation: Constellation) -> np.ndarray:

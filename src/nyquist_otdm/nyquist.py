@@ -119,7 +119,7 @@ def sample_symbols(sig: Signal, symbol_rate: float,
     # with k = a*M + r the sum over a folds the bins onto r = 0..M-1: over the
     # rows the band reaches, in ascending a mod sps, whatever the band's width;
     # sps rows hold every bin once, so a band of the whole grid reads no more
-    first, band = sig._spectrum()
+    first, band = sig._band
     a = np.arange(first // m_sym, (first + band.size - 1) // m_sym + 1)[:sps]
     rows = sig._window(int(a[0]) * m_sym, a.size * m_sym).reshape(a.size, m_sym)
     turns = np.exp(2j * np.pi * ((a * start) % sps) / sps)
@@ -173,7 +173,7 @@ def multiplex_branch_signals(branch_signals: list[Signal],
     # value, the product's operand (so its rounding) is the same for any band
     reach = 0
     for sig in branch_signals:
-        first, values = sig._spectrum()
+        first, values = sig._band
         k = (first + np.flatnonzero(values) + n // 2) % n - n // 2
         reach = max(reach, int(np.max(np.abs(k), initial=0)))
     start, size = (-reach, 2 * reach + 1) if 2 * reach < n else (0, n)

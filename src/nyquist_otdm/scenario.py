@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ChannelPlan, Signal, TimeGrid, _laid, _write_csv
+from .core import ChannelPlan, Signal, TimeGrid, _write_csv
 from .demux import _read_bins, demultiplex
 from .link import (
     SPEED_OF_LIGHT,
@@ -399,28 +399,22 @@ def write_bundle(bundle: ReportBundle, out_dir) -> list:
     out.mkdir(parents=True, exist_ok=True)
     paths = []
 
-    def dump_json(name, payload):
+    def write(name, text):
         p = out / name
-        p.write_text(json.dumps(_sanitize(payload), sort_keys=True, indent=2)
-                     + "\n")
+        p.write_text(text + "\n")
         paths.append(p)
 
-    dump_json("config.json", bundle.scenario)
-    dump_json("metrics.json", {
+    metrics = {
         "mode": bundle.scenario["mode"],
         "seed": bundle.scenario["seed"],
         "reports": [asdict(r) for r in bundle.metrics],
         "comb": asdict(bundle.calibration.report) if bundle.calibration else None,
-    })
-    p = out / "metrics.txt"
-    p.write_text(bundle.summary() + "\n")
-    paths.append(p)
-
+    }
+    write("config.json", json.dumps(_sanitize(bundle.scenario), sort_keys=True, indent=2))
+    write("metrics.json", json.dumps(_sanitize(metrics), sort_keys=True, indent=2))
+    write("metrics.txt", bundle.summary())
     if bundle.calibration is not None:
-        p = out / "drive_plan.json"
-        p.write_text(json.dumps(asdict(bundle.calibration.plan), sort_keys=True)
-                     + "\n")
-        paths.append(p)
+        write("drive_plan.json", json.dumps(asdict(bundle.calibration.plan), sort_keys=True))
 
     for name in sorted(bundle.artifacts or {}):
         p = out / f"{name}.csv"
@@ -451,24 +445,21 @@ def _eye_rows(y: Signal, gain: complex, sc: Scenario, t_offset: float):
     symbol, against time folded onto two symbols.
 
     A demultiplexed branch holds only its detection band of bins, so the
-    inverse FFT of that band alone on p points, scaled by p/n, is the
-    waveform resampled exactly on p points over the same window.  Where the
+    signal of those bins on a grid of p points over the same window, scaled
+    by p/n, is the waveform resampled exactly on p points.  Where the
     band would reach the eye's Nyquist frequency (a symbol rate at or below
     B/(16N)) the rate rises by whole multiples of 16 samples per symbol
     until it does not.  The sample index is folded before any float
     arithmetic, so each of the 2 * per_symbol phases has one time value.
     """
-    n = y.grid.n_samples
     cfg = sc.config
     rate, n_symbols = cfg["shaping"]["symbol_rate_hz"], cfg["n_symbols"]
-    first, values = y._spectrum()
+    first, values = y._band
     per_symbol = _EYE_SAMPLES_PER_SYMBOL * (
         values.size // (_EYE_SAMPLES_PER_SYMBOL * n_symbols) + 1)
     p = per_symbol * n_symbols
-    bins = np.zeros(p, dtype=np.complex128)
-    for dst, src in _laid(first % p, values.size, p, p):
-        bins[dst] = values[src]
-    amp = (np.fft.ifft(bins) * (p / n) * gain).real
+    eye = Signal._of_bins(TimeGrid(per_symbol * rate, p), values, first).samples
+    amp = (eye * (p / y.grid.n_samples) * gain).real
     phase = -t_offset * per_symbol * rate
     k = np.arange(p) % (2 * per_symbol)
     t_fold = np.mod(k + phase, 2 * per_symbol) / (per_symbol * rate)
@@ -511,7 +502,7 @@ def run_scenario(sc: Scenario, calibrations: dict | None = None) -> ReportBundle
     osnr_db = math.inf if noise["osnr_db"] is None else noise["osnr_db"]
     plan = sc.plan
     grid = sc.make_grid()
-    const = Constellation.of(4 if cfg["modulation"] == "qpsk" else 16)
+    const = Constellation(4 if cfg["modulation"] == "qpsk" else 16)
     bps = const.bits_per_symbol
     rng = np.random.default_rng(seed)
 

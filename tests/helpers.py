@@ -39,7 +39,7 @@ def delay_signal(sig: Signal, delay: float) -> Signal:
     if delay == 0.0:
         return sig
     n = sig.grid.n_samples
-    first, band = sig._spectrum()
+    first, band = sig._band
     f = np.fft.fftfreq(n, sig.grid.dt)[(first + np.arange(band.size)) % n]
     return Signal._of_bins(sig.grid, np.exp(-2j * np.pi * f * delay) * band, first)
 
@@ -48,7 +48,7 @@ def take_bins(sig: Signal, k) -> np.ndarray:
     """The bins of ``sig`` at the signed indices ``k``, in any order, by a
     modular index gather of the zero-filled whole grid."""
     n = sig.grid.n_samples
-    first, band = sig._spectrum()
+    first, band = sig._band
     filled = np.zeros(n, dtype=complex)
     filled[(first + np.arange(band.size)) % n] = band
     return filled[np.asarray(k) % n]

@@ -50,7 +50,7 @@ def test_criterion_01_round_trip_exactness():
     start = time.perf_counter()
     for seed in range(100):
         rng = np.random.default_rng(seed)
-        for constellation in (Constellation.of(4), Constellation.of(16)):
+        for constellation in (Constellation(4), Constellation(16)):
             blocks = _random_constellation_symbols(plan, constellation,
                                                    n_symbols, rng)
             agg = otdm_multiplex(blocks, plan.symbol_rate, plan, grid)
@@ -71,7 +71,7 @@ def test_criterion_02_construction_equivalence():
         for n_symbols in (32, 33):  # both symbol-count parities
             grid = grid_for(plan, n_symbols)
             blocks = _random_constellation_symbols(
-                plan, Constellation.of(4), n_symbols, rng)
+                plan, Constellation(4), n_symbols, rng)
             gated = otdm_multiplex(blocks, plan.symbol_rate, plan, grid)
             interleaved = np.empty(plan.n_branches * n_symbols, dtype=complex)
             for l, block in enumerate(blocks, start=1):
@@ -87,7 +87,7 @@ def _isolation_db(plan, sampler, seed):
     rng = np.random.default_rng(seed)
     n_symbols = 33
     grid = grid_for(plan, n_symbols)
-    active = Constellation.of(4).points[rng.integers(0, 4, n_symbols)]
+    active = Constellation(4).points[rng.integers(0, 4, n_symbols)]
     quiet = np.zeros(n_symbols, dtype=complex)
     agg = otdm_multiplex([quiet, active, quiet], plan.symbol_rate, plan, grid)
     ref_power = float(np.mean(np.abs(active) ** 2))
@@ -151,7 +151,7 @@ def test_criterion_06_estimated_vs_counted_ber():
     """On synthetic Gaussian QPSK at BER ~5e-4, the Q-based estimate agrees
     with error counting over 10^7 bits within a factor of 3."""
     start = time.perf_counter()
-    c = Constellation.of(4)
+    c = Constellation(4)
     n_bits = 10_000_000
     n_symbols = n_bits // c.bits_per_symbol
     rng = np.random.default_rng(2024)
@@ -185,7 +185,7 @@ def test_criterion_07_dispersion_oracle():
     rng = np.random.default_rng(42)
     grid = grid_for(plan, 33)
     agg = otdm_multiplex(
-        _random_constellation_symbols(plan, Constellation.of(4), 33, rng),
+        _random_constellation_symbols(plan, Constellation(4), 33, rng),
         plan.symbol_rate, plan, grid)
     back = compensate_dispersion(propagate(agg, fiber), fiber)
     scale = np.max(np.abs(agg.samples))

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose, assert_array_equal
 
 from helpers import delay_signal, freqs, rmse_percent, take_bins, tone
@@ -57,6 +58,26 @@ def test_signal_power():
     assert sig.power == pytest.approx(4.0)
 
 
+# parts of complex samples, with no square below the normal floats
+_PARTS = st.floats(-1e6, 1e6).map(lambda v: v if abs(v) > 1e-100 else 0.0)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(parts=arrays(np.float64, st.integers(1, 65).map(lambda n: (n, 2)), elements=_PARTS))
+@example(parts=np.arange(14.0).reshape(7, 2) - 6.5)  # odd n
+@example(parts=np.arange(16.0).reshape(8, 2) - 7.5)  # even n
+def test_signal_of_samples_holds_their_whole_grid_band(parts):
+    """A signal built from samples keeps them and holds the whole grid's
+    DFT as its band, bit for bit; its Parseval power is their mean power."""
+    x = parts.view(np.complex128)[:, 0]
+    sig = Signal(TimeGrid(1e9, x.size), x)
+    first, band = sig._band
+    assert first == 0 and band.tobytes() == np.fft.fft(x).tobytes()
+    assert sig.samples.tobytes() == x.tobytes()
+    want = np.mean(np.abs(x) ** 2)
+    assert abs(sig.power - want) <= 1e-14 * want
+
+
 def test_spectrum_inverse_round_trip():
     """A signal made from the bins of another has its samples back, and its
     power from the bins alone."""
@@ -85,7 +106,7 @@ def test_band_readers_read_the_zero_filled_bins(n, size, first, reach, sample_ra
     grid = TimeGrid(sample_rate, n)
     sig = Signal._of_bins(grid, rng.standard_normal(size) + 1j * rng.standard_normal(size),
                           first)
-    band_first, band = sig._spectrum()
+    band_first, band = sig._band
     filled = np.zeros(n, dtype=complex)
     filled[(band_first + np.arange(band.size)) % n] = band
     spec = spectrum(sig)

@@ -271,7 +271,7 @@ def test_slice_reads_and_scatters_are_the_modular_ones(n_branches, n_symbols, ov
 
     shifts, rows = _sequence_lines(plan, grid)
     k = np.concatenate([(first + np.flatnonzero(values) + n // 2) % n - n // 2
-                        for first, values in map(Signal._spectrum, branches)])
+                        for first, values in (sig._band for sig in branches)])
     reach = int(np.max(np.abs(k), initial=0))
     band = np.arange(-reach, reach + 1) if 2 * reach < n else np.arange(n)
     weighted = rows.T @ np.stack([take_bins(sig, band) for sig in branches])
@@ -279,7 +279,7 @@ def test_slice_reads_and_scatters_are_the_modular_ones(n_branches, n_symbols, ov
     acc = np.zeros(width, dtype=complex)
     for shift, row in zip(shifts, weighted):
         acc[(band - band[0] + shift - shifts[0]) % width] += row
-    first, values = mux._spectrum()
+    first, values = mux._band
     assert first == band[0] + shifts[0]
     assert values.tobytes() == acc.tobytes()
 
@@ -289,7 +289,7 @@ def test_slice_reads_and_scatters_are_the_modular_ones(n_branches, n_symbols, ov
     line_rows, detection, weight, starts = _read_bins(plan, sampler, grid)
     taken = take_bins(mux, starts[:, None] + np.arange(detection.size))
     for y, row in zip(demultiplex(mux, plan, sampler), line_rows, strict=True):
-        first, values = y._spectrum()
+        first, values = y._band
         assert first == detection[0]
         assert values.tobytes() == (plan.n_branches * weight * (row @ taken)).tobytes()
 
@@ -318,7 +318,7 @@ def test_band_and_whole_grid_agree_bitwise(n_branches, n_symbols, oversampling,
     whole = [_whole_grid(sig) for sig in shaped]
 
     sig, full = shaped[0], whole[0]
-    first, values = sig._spectrum()
+    first, values = sig._band
     assert values.size < grid.n_samples
     filled = np.zeros(grid.n_samples, dtype=complex)
     filled[(first + np.arange(values.size)) % grid.n_samples] = values

@@ -150,7 +150,7 @@ class TestNoise:
     def test_zero_signal_rejected(self):
         grid = TimeGrid(50e9, 64)
         with pytest.raises(ValueError):
-            add_noise(constant(grid, 0.0), NoiseSpec(20.0))
+            add_noise(Signal(grid, np.zeros(64)), NoiseSpec(20.0))
 
     @pytest.mark.parametrize("reach", [-1, 3.0, True])
     def test_reach_must_be_none_or_a_count(self, reach):
@@ -219,7 +219,7 @@ class TestPhaseNoise:
 
     def test_magnitude_preserved(self):
         grid = TimeGrid(10e9, 256)
-        out = phase_noise(constant(grid, 2.0), 1e6, seed=1)
+        out = phase_noise(Signal(grid, np.full(256, 2.0)), 1e6, seed=1)
         assert_allclose(np.abs(out.samples), 2.0, atol=1e-12)
 
     def test_negative_linewidth_rejected(self):

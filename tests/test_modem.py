@@ -39,7 +39,7 @@ BER_AT_Q_REF = 2.7543365447383586e-17
 
 class TestConstellation:
     def test_qpsk_points(self):
-        c = Constellation.of(4)
+        c = Constellation(4)
         s = 1 / math.sqrt(2)
         assert_allclose(c.points,
                         [s * (1 + 1j), s * (1 - 1j), s * (-1 + 1j), s * (-1 - 1j)],
@@ -47,12 +47,12 @@ class TestConstellation:
         assert c.bits_per_symbol == 2
 
     def test_unit_average_power(self):
-        for c in (Constellation.of(4), Constellation.of(16)):
+        for c in (Constellation(4), Constellation(16)):
             assert np.mean(np.abs(c.points) ** 2) == pytest.approx(1.0, rel=1e-12)
 
     def test_qam16_gray_adjacency(self):
         """Nearest neighbours on the grid differ in exactly one bit."""
-        c = Constellation.of(16)
+        c = Constellation(16)
         pts = c.points
         spacing = np.min([abs(a - b) for i, a in enumerate(pts)
                           for b in pts[i + 1:]])
@@ -63,29 +63,30 @@ class TestConstellation:
 
     def test_unsupported_order_rejected(self):
         with pytest.raises(ValueError):
-            Constellation.of(8)
+            Constellation(8)
 
-    def test_points_must_be_the_square_grid_of_the_order(self):
-        """qam_map and decide_indices read the points as the order's square
-        Gray-coded grid.  The QPSK points given as order 16 decided
-        0.9+0.9j, -0.9-0.9j and 0.1-0.3j all as 10, and 3 points of
-        order 8 were accepted."""
-        qpsk = Constellation.of(4).points
-        for order, points in ((16, qpsk), (8, np.arange(3)), (4, qpsk[::-1]),
-                              (4, Constellation.of(16).points[:4]), (4, qpsk.reshape(2, 2)),
-                              (4, np.full(4, np.nan))):
-            with pytest.raises(ValueError, match="no square Gray-coded QAM grid"):
-                Constellation(order, points)
-        for order in (4, 16):  # the grid at any scale is one
-            c = Constellation(order, 2.0 * Constellation.of(order).points)
-            assert np.array_equal(decide_indices(c.points, c), np.arange(order))
+    def test_order_is_an_integer_4_or_16(self):
+        """The points follow from the order alone, which is an integer by
+        operator.index: a numpy integer is one, a bool or a float is not.
+        np.int64(16) once gave a constellation whose bits_per_symbol raised
+        AttributeError, and 16.0 a TypeError."""
+        for order in (np.int64(16), np.uint8(4)):
+            c = Constellation(order)
+            assert type(c.order) is int and c.order == order
+            assert c.bits_per_symbol == {4: 2, 16: 4}[c.order]
+            assert c.points.tobytes() == Constellation(int(order)).points.tobytes()
+            with pytest.raises(ValueError):
+                c.points[0] = 0.0
+        for order in (True, 16.0, 8):
+            with pytest.raises(ValueError, match="unsupported constellation order"):
+                Constellation(order)
 
 
 class TestMapping:
     @pytest.mark.parametrize("order", [pytest.param(4, id="qpsk"),
                                        pytest.param(16, id="qam16")])
     def test_map_demap_round_trip(self, order):
-        c = Constellation.of(order)
+        c = Constellation(order)
         rng = np.random.default_rng(2)
         bits = rng.integers(0, 2, 3 * 1000 * c.bits_per_symbol % 4 + 4000)
         bits = bits[: bits.size - bits.size % c.bits_per_symbol]
@@ -94,16 +95,30 @@ class TestMapping:
         assert np.array_equal(qam_demap(symbols, c), bits)
 
     def test_map_input_validation(self):
-        c = Constellation.of(4)
+        c = Constellation(4)
         with pytest.raises(ValueError):
             qam_map([0, 1, 1], c)  # not a multiple of 2
         with pytest.raises(ValueError):
             qam_map([0, 2], c)
 
+    @pytest.mark.parametrize("bits", [[0, 1, 1, 0], [0.0, 1.0, -0.0, 0.0],
+                                      np.array([1, 0, 1, 1], bool), np.zeros(4, bool),
+                                      [0, 1, 1, 2], [0, -1, 1, 0], [0, 0.5, 1, 0],
+                                      [0, np.nan, 1, 0]])
+    def test_bits_are_what_isin_zero_one_accepts(self, bits):
+        """qam_map accepts the bits ``np.isin(bits, (0, 1)).all()`` accepts,
+        bools too, and rejects 2, -1, 0.5 and nan."""
+        c = Constellation(4)
+        if np.isin(bits, (0, 1)).all():
+            assert np.array_equal(qam_map(bits, c), qam_map(np.asarray(bits, dtype=int), c))
+        else:
+            with pytest.raises(ValueError, match="bits must be 0 or 1"):
+                qam_map(bits, c)
+
     @pytest.mark.parametrize("order", [pytest.param(4, id="qpsk"),
                                        pytest.param(16, id="qam16")])
     def test_decision_agrees_with_brute_force(self, order):
-        c = Constellation.of(order)
+        c = Constellation(order)
         rng = np.random.default_rng(5)
         ref_vals = rng.integers(0, c.order, 2000)
         noisy = c.points[ref_vals] + 0.1 * (
@@ -118,7 +133,7 @@ class TestMapping:
         """On each axis a value decides the level that np.searchsorted
         finds among the thresholds: a value on a threshold the lower level,
         +-inf the outer ones and nan the last."""
-        c = Constellation.of(order)
+        c = Constellation(order)
         levels = np.unique(c.points.real)
         th = 0.5 * (levels[1:] + levels[:-1])
         v = np.concatenate([th, np.nextafter(th, np.inf), np.nextafter(th, -np.inf), levels,
@@ -155,7 +170,7 @@ class TestEvm:
 class TestQFactor:
     def test_gaussian_clusters_match_analytic(self):
         rng = np.random.default_rng(12)
-        c = Constellation.of(4)
+        c = Constellation(4)
         n = 200_000
         vals = rng.integers(0, 4, n)
         ref = c.points[vals]
@@ -170,7 +185,7 @@ class TestQFactor:
         assert res.q_i_std_db > 0.0
 
     def test_noiseless_data_is_capped(self):
-        c = Constellation.of(4)
+        c = Constellation(4)
         rng = np.random.default_rng(3)
         ref = c.points[rng.integers(0, 4, 100)]
         res = q_factor(ref, ref)
@@ -197,7 +212,7 @@ def test_one_pass_metrics_match_block_by_block_oracles(
     and sigma near 1e-3 puts Q just under the cap, where a one-pass
     E[x^2] - E[x]^2 variance would cancel."""
     rng = np.random.default_rng(seed)
-    points = Constellation.of(order).points
+    points = Constellation(order).points
     values = np.repeat(rng.integers(0, order, runs), -(-n_symbols // runs))
     ref = points[values[:n_symbols]]
     rx = ref + sigma * (rng.standard_normal(n_symbols)

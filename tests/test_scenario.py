@@ -552,7 +552,7 @@ class TestBundleArtifacts:
         _, rows = scenario._eye_rows(y, gain, sc, 0.0)
         p = rows.shape[0]
         assert p > size
-        first, values = y._spectrum()
+        first, values = y._band
         bins = np.zeros(p, dtype=complex)
         bins[(first + np.arange(size)) % p] = values
         assert rows[:, 1].tobytes() == (np.fft.ifft(bins) * (p / n) * gain).real.tobytes()
