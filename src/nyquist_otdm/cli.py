@@ -42,18 +42,19 @@ def _build_parser() -> argparse.ArgumentParser:
     cal_p = sub.add_parser("calibrate-comb",
                            help="find dual-drive modulator settings for a "
                                 "flat comb")
-    cal_p.add_argument("--lines", type=int, default=3,
-                       help="number of comb lines (odd)")
+    # a flag left out takes the comb config's default; the config requires
+    # the modulator's v_pi and bandwidth, so those two flags carry their own
+    cal_p.add_argument("--lines", type=int, help="number of comb lines (odd)")
     cal_p.add_argument("--spacing-ghz", type=float, required=True,
                        help="line spacing in GHz")
-    cal_p.add_argument("--flatness-target-db", type=float, default=0.1)
-    cal_p.add_argument("--modulation-index", type=float, default=0.3)
+    cal_p.add_argument("--flatness-target-db", type=float)
+    cal_p.add_argument("--modulation-index", type=float)
     cal_p.add_argument("--v-pi", type=float, default=0.42,
                        help="switching voltage in volts")
     cal_p.add_argument("--eo-bandwidth-ghz", type=float, default=16.0,
                        help="electro-optic 3 dB bandwidth in GHz")
-    cal_p.add_argument("--extinction-arm1-db", type=float, default=40.0)
-    cal_p.add_argument("--extinction-arm2-db", type=float, default=37.0)
+    cal_p.add_argument("--extinction-arm1-db", type=float)
+    cal_p.add_argument("--extinction-arm2-db", type=float)
     cal_p.add_argument("--out-dir", type=Path, default=None)
 
     val_p = sub.add_parser("validate", help="check a config and exit")
@@ -125,19 +126,23 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+def _given(**fields) -> dict:
+    return {k: v for k, v in fields.items() if v is not None}
+
+
 def _cmd_calibrate(args) -> int:
     # the flags fill a comb-mode config, so they meet its bounds and a bad
     # one is reported by its config field; the verb then prints and writes
     # what `run` does for that config
     _report(run_scenario(parse_scenario({
         "version": 1, "mode": "comb",
-        "comb": {"n_lines": args.lines, "spacing_hz": args.spacing_ghz * 1e9,
-                 "flatness_target_db": args.flatness_target_db,
-                 "modulation_index": args.modulation_index},
-        "mzm": {"v_pi_volts": args.v_pi,
-                "eo_3db_bandwidth_hz": args.eo_bandwidth_ghz * 1e9,
-                "dc_extinction_arm1_db": args.extinction_arm1_db,
-                "dc_extinction_arm2_db": args.extinction_arm2_db},
+        "comb": _given(n_lines=args.lines, spacing_hz=args.spacing_ghz * 1e9,
+                       flatness_target_db=args.flatness_target_db,
+                       modulation_index=args.modulation_index),
+        "mzm": _given(v_pi_volts=args.v_pi,
+                      eo_3db_bandwidth_hz=args.eo_bandwidth_ghz * 1e9,
+                      dc_extinction_arm1_db=args.extinction_arm1_db,
+                      dc_extinction_arm2_db=args.extinction_arm2_db),
     })), args.out_dir)
     return 0
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import copy
 import json
 import math
+import re
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -393,34 +394,44 @@ def _sanitize(obj):
     return obj
 
 
+# every name a bundle may write
+_BUNDLE_FILE = re.compile(r"(config|metrics|drive_plan)\.json|metrics\.txt|"
+                          r"spectrum_(multiplexed|received)\.csv|"
+                          r"branch\d+_(spectrum|constellation|eye)\.csv")
+
+
 def write_bundle(bundle: ReportBundle, out_dir) -> list:
-    """Write a bundle to disk with deterministic formatting; returns paths."""
+    """Write a bundle to disk with deterministic formatting; returns paths.
+
+    A bundle file left in ``out_dir`` by an earlier bundle that this one
+    does not write is removed first, so the directory holds one bundle;
+    files of other names stay."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    paths = []
-
-    def write(name, text):
-        p = out / name
-        p.write_text(text + "\n")
-        paths.append(p)
-
     metrics = {
         "mode": bundle.scenario["mode"],
         "seed": bundle.scenario["seed"],
         "reports": [asdict(r) for r in bundle.metrics],
         "comb": asdict(bundle.calibration.report) if bundle.calibration else None,
     }
-    write("config.json", json.dumps(_sanitize(bundle.scenario), sort_keys=True, indent=2))
-    write("metrics.json", json.dumps(_sanitize(metrics), sort_keys=True, indent=2))
-    write("metrics.txt", bundle.summary())
+    texts = {
+        "config.json": json.dumps(_sanitize(bundle.scenario), sort_keys=True, indent=2),
+        "metrics.json": json.dumps(_sanitize(metrics), sort_keys=True, indent=2),
+        "metrics.txt": bundle.summary(),
+    }
     if bundle.calibration is not None:
-        write("drive_plan.json", json.dumps(asdict(bundle.calibration.plan), sort_keys=True))
+        texts["drive_plan.json"] = json.dumps(asdict(bundle.calibration.plan),
+                                              sort_keys=True)
+    csvs = {f"{name}.csv": bundle.artifacts[name] for name in sorted(bundle.artifacts or {})}
+    for p in out.iterdir():
+        if _BUNDLE_FILE.fullmatch(p.name) and p.name not in texts and p.name not in csvs:
+            p.unlink()
 
-    for name in sorted(bundle.artifacts or {}):
-        p = out / f"{name}.csv"
-        _write_csv(p, *bundle.artifacts[name])
-        paths.append(p)
-    return paths
+    for name, text in texts.items():
+        (out / name).write_text(text + "\n")
+    for name, (header, rows) in csvs.items():
+        _write_csv(out / name, header, rows)
+    return [out / name for name in [*texts, *csvs]]
 
 
 def _spectrum_bins(grid: TimeGrid, half_width: float):

@@ -213,15 +213,6 @@ def grid_for(plan: ChannelPlan, n_symbols: int,
     return TimeGrid(sample_rate, int(round(n)))
 
 
-def symbol_instant_energy(sig: Signal, plan: ChannelPlan, branch: int,
-                          n_symbols: int) -> float:
-    """Mean squared magnitude at one branch's symbol instants."""
-    ks = np.arange(n_symbols)
-    instants = plan.slot(branch) + ks / plan.symbol_rate
-    idx = np.round(instants * sig.grid.sample_rate).astype(int)
-    return float(np.mean(np.abs(sig.samples[idx]) ** 2))
-
-
 def align_delay_gain(measured: Signal, reference: Signal):
     """Best circular delay and complex gain mapping ``measured`` onto
     ``reference``, searched in the time domain.

@@ -30,7 +30,11 @@ from nyquist_otdm.scenario import (
     write_bundle,
 )
 
-SCENARIO_DIR = Path(__file__).resolve().parents[1] / "paper-scenarios"
+ROOT = Path(__file__).resolve().parents[1]
+SCENARIO_DIR = ROOT / "paper-scenarios"
+SCENARIO_FILES = sorted(SCENARIO_DIR.glob("*.json"))
+CHILD_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
 
 MZM_BLOCK = {
     "v_pi_volts": 0.42,
@@ -143,6 +147,8 @@ class TestParsing:
         # the receiver has no LO and no delay to remove: a config naming one
         # of those fields, at any value, the old defaults too, fails closed
         (lambda c: c.update(receiver={"lo_power_w": 1.0}), "receiver.lo_power_w"),
+        pytest.param(lambda c: c.update(receiver={"lo_power_w": 1.7e308}),
+                     "receiver.lo_power_w", id="huge-lo-power"),
         (lambda c: c.update(receiver={"lo_phase_rad": 0.0}), "receiver.lo_phase_rad"),
         (lambda c: c.update(receiver={"timing_delay_s": 0.0}),
          "receiver.timing_delay_s"),
@@ -601,6 +607,22 @@ class TestWriteBundle:
                        comments="")
             assert p.read_bytes() == ref.read_bytes(), p.name
 
+    def test_reused_directory_holds_one_bundle(self, tmp_path):
+        """A bundle written over another keeps none of the earlier bundle's
+        files: an ideal-sampler, metrics-only run written over a full MZM
+        run leaves the bytes of a write into a fresh directory, and a file
+        of another name stays."""
+        raw = json.loads((SCENARIO_DIR / "nyquist_qpsk_8gbd_10km.json").read_text())
+        reused = tmp_path / "reused"
+        assert len(write_bundle(run_scenario(parse_scenario(raw)), reused)) == 15
+        (reused / "notes.txt").write_text("kept\n")
+        raw.pop("mzm")
+        raw.update(sampler={"mode": "ideal"}, outputs=["metrics"])
+        paths = write_bundle(run_scenario(parse_scenario(raw)), reused)
+        assert [p.name for p in paths] == ["config.json", "metrics.json", "metrics.txt"]
+        fresh = _bundle_bytes(raw, tmp_path / "fresh")
+        assert _dir_bytes(reused) == dict(fresh, **{"notes.txt": b"kept\n"})
+
     def test_comb_bundle_writes_drive_plan(self, tmp_path):
         """The JSON records are their dataclasses, field for field; a new
         field changes these key sets, which bench/checks.py reads."""
@@ -648,7 +670,7 @@ ALL_OUTPUTS = ["metrics", "spectra", "constellation", "eye"]
 
 def _load_bench_checks():
     """``bench/checks.py``, the package-free output checks, as a module."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "checks.py"
+    path = ROOT / "bench" / "checks.py"
     spec = importlib.util.spec_from_file_location("bench_checks", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
@@ -668,6 +690,10 @@ def _noise_config(n_branches, shaping, n_symbols, **overrides):
 def _bundle_bytes(cfg, path) -> dict:
     return {p.name: p.read_bytes()
             for p in write_bundle(run_scenario(parse_scenario(cfg)), path)}
+
+
+def _dir_bytes(path) -> dict:
+    return {p.name: p.read_bytes() for p in path.iterdir()}
 
 
 # (shaping, n_symbols): the line spacing in bins is the window's count of
@@ -882,8 +908,6 @@ class TestSweep:
         assert len(sweep(cfg, parameter, values)) == len(values)
         assert len(made) == calls
 
-    ALL_OUTPUTS = ["metrics", "spectra", "constellation", "eye"]
-
     @pytest.mark.parametrize("cfg, parameter, values", [
         (base_config(seed=2, sampler={"mode": "mzm"}, mzm=dict(MZM_BLOCK),
                      outputs=ALL_OUTPUTS), "noise.osnr_db", [20.0, 25.0, 30.0]),
@@ -909,13 +933,20 @@ def test_bandwidth_is_tuned_in_the_electrical_domain():
     """The paper's claim that the demultiplexer is tuned electrically: over
     24 to 90 GHz of aggregate bandwidth, the bundled 16 GHz, 0.42 V device
     keeps one bias and one arm-2 drive ratio, bit for bit, and only the
-    tone's volts change, as 1/|H_EO| at the comb spacing B/3."""
-    calibrations = []
+    tone's volts change, as 1/|H_EO| at the comb spacing B/3.  The
+    noiseless branch EVMs are the same to 1e-12 relative, not bit for bit:
+    the volts make a round trip through |H_EO| in the modulator, and the
+    slot phases are computed in seconds."""
+    calibrations, evms = [], []
     for bandwidth in (24e9, 48e9, 72e9, 90e9):
         cfg = base_config(plan={"n_branches": 3, "aggregate_bandwidth_hz": bandwidth},
                           sampler={"mode": "mzm"}, mzm=dict(MZM_BLOCK),
                           laser={"linewidth_hz": 0.0})
-        calibrations.append(run_scenario(parse_scenario(cfg)).calibration)
+        bundle = run_scenario(parse_scenario(cfg))
+        calibrations.append(bundle.calibration)
+        evms.append([r.evm_percent for r in bundle.metrics])
+    for evm in evms[1:]:
+        assert evm == pytest.approx(evms[0], rel=1e-12, abs=0)
     first = calibrations[0].plan
     ratio = first.tones[0].amplitude_arm2 / first.tones[0].amplitude_arm1
     for cal, bandwidth in zip(calibrations, (24e9, 48e9, 72e9, 90e9)):
@@ -998,14 +1029,12 @@ class TestCli:
         """``run ... | head -1``: the reader closes stdout after one line, the
         bundle is still written whole, and the run exits 0 with nothing on
         stderr.  Unbuffered, so that each line meets the closed pipe."""
-        src = Path(__file__).resolve().parents[1] / "src"
-        env = dict(os.environ, PYTHONUNBUFFERED="1", PYTHONPATH=os.pathsep.join(
-            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
         out = tmp_path / "out"
         with subprocess.Popen(
                 [sys.executable, "-m", "nyquist_otdm.cli", "run",
                  str(SCENARIO_DIR / "nyquist_qpsk_8gbd_30km.json"), "--out-dir", str(out)],
-                env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+                env=dict(CHILD_ENV, PYTHONUNBUFFERED="1"),
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
             first = proc.stdout.readline()
             proc.stdout.close()
             _, err = proc.communicate(timeout=120)
@@ -1263,8 +1292,86 @@ class TestCli:
         assert capsys.readouterr().err == "error: config must be a JSON object\n"
 
 
-@pytest.mark.parametrize("path", sorted(SCENARIO_DIR.glob("*.json")),
-                         ids=lambda p: p.stem)
+# each bundled file, and three ideal-sampler configs, as every bundled
+# transmission file uses the MZM sampler: one file's variant, and the
+# ideal-chain benchmark's shape at an odd 81 symbols with every output, sinc
+# at B/N and raised cosine at r = 1 and B/(2N)
+SCENARIOS = {p.stem: json.loads(p.read_text()) for p in SCENARIO_FILES}
+SCENARIOS["nyquist_qpsk_8gbd_30km_ideal"] = {
+    k: v for k, v in SCENARIOS["nyquist_qpsk_8gbd_30km"].items() if k != "mzm"} | {
+    "sampler": {"mode": "ideal"}}
+SCENARIOS["chain_16qam_sinc"] = {
+    "version": 1, "seed": 3, "plan": {"n_branches": 5, "aggregate_bandwidth_hz": 24e9},
+    "modulation": "16qam", "n_symbols": 81, "fiber": {"length_km": 30.0},
+    "noise": {"osnr_db": 25.0}, "outputs": ALL_OUTPUTS}
+SCENARIOS["chain_16qam_rc"] = dict(SCENARIOS["chain_16qam_sinc"], shaping={
+    "kind": "raised_cosine", "symbol_rate_hz": 2.4e9, "rolloff": 1.0})
+
+
+class TestBundledScenarios:
+    """Every bundled scenario and the ideal-sampler configs, the comb
+    calibrations of ``calibrate-comb`` and the bandwidth sweep, end to end:
+    each bundle is reproducible and passes ``bench/checks.py``."""
+
+    @pytest.mark.parametrize("raw", SCENARIOS.values(), ids=SCENARIOS.keys())
+    def test_bundle_is_reproducible_and_checked(self, tmp_path, raw):
+        """Two runs in process and a run of the written config in another
+        process, where a RuntimeWarning is an error too, give the same bytes
+        (criterion 10 across processes).  The bundle passes its checks, and
+        each CSV of a transmission bundle is what np.savetxt writes for the
+        values np.loadtxt reads back from it."""
+        a = _bundle_bytes(raw, tmp_path / "a")
+        assert _bundle_bytes(raw, tmp_path / "b") == a
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "nyquist_otdm.cli",
+             "run", str(tmp_path / "a" / "config.json"), "--out-dir", str(tmp_path / "c")],
+            env=CHILD_ENV, capture_output=True, timeout=300)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert _dir_bytes(tmp_path / "c") == a
+        checks = _load_bench_checks()
+        if raw.get("mode") == "comb":
+            assert checks.check_comb_bundle(tmp_path / "a") == []
+            return
+        assert checks.check_transmission_bundle(tmp_path / "a", evm=True) == []
+        csvs = sorted((tmp_path / "a").glob("*.csv"))
+        assert csvs
+        for csv in csvs:
+            rows = np.loadtxt(csv, delimiter=",", skiprows=1, ndmin=2)
+            np.savetxt(tmp_path / "rebuilt.csv", rows, fmt="%.17g", delimiter=",",
+                       header=csv.read_text().split("\n", 1)[0], comments="")
+            assert (tmp_path / "rebuilt.csv").read_bytes() == csv.read_bytes(), csv.name
+
+    @pytest.mark.parametrize("lines, spacing", [(None, "20"), (3, "10"), (5, "8"),
+                                                (7, "4.25")])
+    def test_calibrate_comb_bundle(self, tmp_path, lines, spacing):
+        """``calibrate-comb``, its line count given or not, converges and
+        writes the bundle ``run`` writes for its config, which passes its
+        checks.  The drive is the even drive the calibration scored at zero
+        delay: -pi/2 on arm 1 and +pi/2 on arm 2 for every tone."""
+        a, b = tmp_path / "a", tmp_path / "b"
+        flags = ["--spacing-ghz", spacing] + (["--lines", str(lines)] if lines else [])
+        assert main(["calibrate-comb", *flags, "--out-dir", str(a)]) == 0
+        assert "\nconverged: yes " in (a / "metrics.txt").read_text()
+        assert main(["run", str(a / "config.json"), "--out-dir", str(b)]) == 0
+        assert _dir_bytes(b) == _dir_bytes(a)
+        assert _load_bench_checks().check_comb_bundle(a) == []
+        tones = json.loads((a / "drive_plan.json").read_text())["tones"]
+        assert len(tones) == (lines or 3) // 2
+        for tone in tones:
+            assert (tone["phase_arm1"], tone["phase_arm2"]) == (-math.pi / 2, math.pi / 2)
+
+    def test_aggregate_bandwidth_sweeps_from_the_cli(self, capsys):
+        """The sinc files derive the branch rate as B/N, so B can be swept."""
+        assert main(["sweep", str(SCENARIO_DIR / "nyquist_qpsk_8gbd_30km.json"),
+                     "--param", "plan.aggregate_bandwidth_hz",
+                     "--values", "24e9,90e9"]) == 0
+        out = capsys.readouterr().out
+        for value in ("24000000000.0", "90000000000.0"):
+            assert f"--- plan.aggregate_bandwidth_hz = {value} ---" in out
+        assert out.count("converged: yes") == 2
+
+
+@pytest.mark.parametrize("path", SCENARIO_FILES, ids=lambda p: p.stem)
 def test_bundled_scenario_validates(path, capsys):
     """Every bundled scenario parses, passes ``validate``, and its
     normalized echo re-parses to itself."""
