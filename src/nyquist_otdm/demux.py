@@ -16,18 +16,9 @@ import numpy as np
 
 from .core import ChannelPlan, Signal, TimeGrid, constant
 from .mzm import FlatCombCalibration, modulate
-from .nyquist import _require_integer, _sequence_lines
+from .nyquist import _branch_rows, _require_integer, _sequence_lines
 
 __all__ = ["demultiplex"]
-
-
-def _branch_rows(lines: np.ndarray, n_branches: int) -> np.ndarray:
-    """Every branch's coefficients of a pulse train whose line m sits at m
-    times the branch rate: row l-1 is ``lines`` delayed by (l-1)/B, i.e.
-    line m turned by ``exp(-2j*pi*m*(l-1)/N)``."""
-    m = np.arange(lines.shape[0])
-    turns = np.outer(np.arange(n_branches), m) % n_branches
-    return lines * np.exp(-2j * np.pi * turns / n_branches)
 
 
 def _sampling_lines(plan: ChannelPlan, sampler: FlatCombCalibration | None,
@@ -60,7 +51,8 @@ def _sampling_lines(plan: ChannelPlan, sampler: FlatCombCalibration | None,
     one_period = TimeGrid(grid.sample_rate, period)
     transfer = modulate(constant(one_period), sampler.plan, sampler.params)
     lines = transfer._window(0, period) * (sampler.gain / period)
-    return np.arange(period) * spacing, _branch_rows(lines, plan.n_branches)
+    orders = np.arange(period)
+    return orders * spacing, _branch_rows(lines, orders, plan.n_branches)
 
 
 def _read_bins(plan: ChannelPlan, sampler: FlatCombCalibration | None,

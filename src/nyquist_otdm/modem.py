@@ -155,8 +155,9 @@ class QFactorResult:
     """Worst adjacent-pair Q per quadrature, in dB, with block spread.
 
     ``capped_*`` marks quadratures whose Q exceeded the reporting cap
-    (effectively noiseless data), ``floored_*`` those whose Q fell to the
-    reporting floor (clusters overlapping entirely).
+    (effectively noiseless data, or a reference holding a single level on
+    the axis), ``floored_*`` those whose Q fell to the reporting floor
+    (clusters overlapping entirely).
     """
 
     q_i_db: float
@@ -209,20 +210,19 @@ def q_factor(rx, ref, n_blocks: int = 10) -> QFactorResult:
     Clusters are formed from the reference (data-aided), the Q of every
     adjacent level pair is (mu1 - mu0)/(sigma1 + sigma0), and the minimum
     pair is reported.  Values above ``Q_CAP_DB`` are capped and values
-    below ``Q_FLOOR_DB`` floored, each flagged.
+    below ``Q_FLOOR_DB`` floored, each flagged.  An axis whose reference
+    holds a single level has no pair, so its Q is infinite and capped.
     """
     rx = np.asarray(rx, dtype=np.complex128)
     ref = np.asarray(ref, dtype=np.complex128)
-    if rx.shape != ref.shape:
-        raise ValueError("rx and ref must have the same length")
+    if rx.shape != ref.shape or rx.size == 0:
+        raise ValueError("rx and ref must be non-empty and of the same length")
 
     n_b = max(1, min(n_blocks, rx.size))
     block = np.repeat(np.arange(n_b), [b.size for b in np.array_split(rx, n_b)])
     out = {}
     for name, rx_ax, ref_ax in (("i", rx.real, ref.real), ("q", rx.imag, ref.imag)):
         levels, level = np.unique(ref_ax, return_inverse=True)
-        if levels.size < 2:
-            raise ValueError("need at least 2 occupied levels per quadrature")
         total = _worst_q(rx_ax, level, 1, levels.size)[0][0]
         db, lin, capped, floored = _to_db(float(total))
         worst, valid = _worst_q(rx_ax, block * levels.size + level, n_b, levels.size)

@@ -24,11 +24,27 @@ __all__ = [
 _INT_TOL = 1e-9
 
 
-def _require_integer(value: float, what: str) -> int:
+def _snapped(value: float) -> int | float:
+    """``value`` as the integer within ``_INT_TOL`` of it, or as it is."""
     n = round(value)
-    if abs(value - n) > _INT_TOL * max(1.0, abs(value)):
+    return int(n) if abs(value - n) <= _INT_TOL * max(1.0, abs(value)) else value
+
+
+def _require_integer(value: float, what: str) -> int:
+    n = _snapped(value)
+    if not isinstance(n, int):
         raise ValueError(f"{what} must be an integer, got {value:g}")
-    return int(n)
+    return n
+
+
+def _branch_rows(lines, orders: np.ndarray, n_branches: int) -> np.ndarray:
+    """Every branch's coefficients of a pulse train whose lines ``lines`` sit
+    at the integer ``orders`` times the branch rate: row l-1 is branch 1's
+    delayed by its slot (l-1)/B, which turns line m by
+    ``(orders[m]*(l-1)) mod N`` of N turns.  Whole turns keep every row the
+    same bits at any B."""
+    turns = np.outer(np.arange(n_branches), orders) % n_branches
+    return lines * np.exp(-2j * np.pi * turns / n_branches)
 
 
 def nyquist_interpolate(symbols, symbol_rate: float, grid: TimeGrid,
@@ -60,40 +76,33 @@ def raised_cosine_shape(symbols, symbol_rate: float, rolloff: float,
         raise ValueError(f"rolloff must lie in [0, 1], got {rolloff:g}")
     if not symbol_rate > 0:
         raise ValueError("symbol_rate must be positive")
-    r_sym = symbol_rate
     m_sym = symbols.shape[0]
-    window_symbols = _require_integer(grid.duration * r_sym,
+    window_symbols = _require_integer(grid.duration * symbol_rate,
                                       "grid window in symbol periods")
     if window_symbols != m_sym:
         raise ValueError(
             f"grid window holds {window_symbols} symbol periods but the "
             f"block has {m_sym} symbols"
         )
-    if r_sym >= grid.sample_rate:
-        raise ValueError("symbol_rate must be below the grid sample rate")
 
     n = grid.n_samples
-    df = grid.freq_resolution
-    tol = df * 1e-6
-    # the bins |f| <= (1 + r) * r_sym / 2 the shape can reach, as signed
-    # indices within fftfreq's range
-    reach = int(((1.0 + rolloff) * r_sym / 2 + tol) / df)
+    if m_sym >= n:
+        raise ValueError("symbol_rate must be below the grid sample rate")
+    # in bins the symbol rate is m_sym: the shape reaches the bins
+    # |k| <= (1 + r) * m_sym / 2, as signed indices within fftfreq's range
+    reach = int((1.0 + rolloff) * m_sym / 2)
     k = np.arange(max(-reach, -(n // 2)), min(reach, (n - 1) // 2) + 1)
-    f = np.abs(k * df)
     if rolloff == 0.0:
-        shape = np.where(f < r_sym / 2 - tol, 1.0,
-                         np.where(np.abs(f - r_sym / 2) <= tol, 0.5, 0.0))
+        shape = np.where(2 * np.abs(k) == m_sym, 0.5, 1.0)
     else:
-        f1 = (1.0 - rolloff) * r_sym / 2
-        f2 = (1.0 + rolloff) * r_sym / 2
-        shape = np.zeros_like(f)
-        shape[f <= f1 + tol] = 1.0
-        mid = (f > f1 + tol) & (f < f2 - tol)
-        shape[mid] = 0.5 * (1.0 + np.cos(np.pi * (f[mid] - f1) / (rolloff * r_sym)))
+        x = (np.abs(k) - (1.0 - rolloff) * m_sym / 2) / (rolloff * m_sym)
+        shape = 0.5 * (1.0 + np.cos(np.pi * np.clip(x, 0.0, 1.0)))
     # The symbols' periodic interpolant has the M lines fft(symbols)[k mod M]
     # / M at bins k, phase-referenced to the first symbol instant; the shaped
-    # signal's bins are those lines times the shape times n.
-    ramp = np.exp(-2j * np.pi * k * df * t_offset)
+    # signal's bins are those lines times the shape times n, each delayed by
+    # the offset's s samples: (k*s) mod n of n turns, whole for whole s.
+    s = _snapped(t_offset * grid.sample_rate)
+    ramp = np.exp(-2j * np.pi * ((k * s) % n) / n)
     bins = (n / m_sym) * shape * ramp * np.fft.fft(symbols)[k % m_sym]
     return Signal._of_bins(grid, bins, int(k[0]))
 
@@ -144,10 +153,8 @@ def _sequence_lines(plan: ChannelPlan, grid: TimeGrid):
         raise ValueError("grid window must hold at least one sequence period")
     half = (plan.n_branches - 1) // 2
     orders = np.arange(-half, half + 1)
-    slots = np.arange(plan.n_branches)[:, None] / plan.aggregate_bandwidth
-    rows = np.exp(2j * np.pi * orders * plan.symbol_rate
-                  * -slots) / plan.n_branches
-    return orders * spacing, rows
+    return orders * spacing, _branch_rows(1.0 / plan.n_branches, orders,
+                                          plan.n_branches)
 
 
 def multiplex_branch_signals(branch_signals: list[Signal],

@@ -89,6 +89,30 @@ def interpolate_directly(symbols, symbol_rate: float, grid: TimeGrid,
     return out
 
 
+def shape_directly(symbols, symbol_rate: float, rolloff: float, grid: TimeGrid,
+                   t_offset: float = 0.0) -> np.ndarray:
+    """Raised-cosine shaping as a filter, with explicit DFT sums: the symbols
+    as impulses at their instants ``t_offset + k/symbol_rate``, which must
+    fall on grid samples, through the response with half weight on an edge
+    bin at rolloff 0, times the samples per symbol."""
+    sps = round(grid.sample_rate / symbol_rate)
+    start = round(t_offset * grid.sample_rate)
+    impulses = np.zeros(grid.n_samples, dtype=complex)
+    impulses[(start + sps * np.arange(len(symbols))) % grid.n_samples] = symbols
+    lo, hi = (1 - rolloff) * symbol_rate / 2, (1 + rolloff) * symbol_rate / 2
+    tol = grid.freq_resolution * 1e-6
+
+    def response(f):
+        f = np.abs(f)
+        if rolloff == 0.0:
+            edge = np.where(np.abs(f - lo) <= tol, 0.5, 0.0)
+            return sps * np.where(f < lo - tol, 1.0, edge)
+        ramp = 0.5 * (1 + np.cos(np.pi * (f - lo) / (hi - lo)))
+        return sps * np.where(f <= lo, 1.0, np.where(f < hi, ramp, 0.0))
+
+    return filter_directly(impulses, grid, response)
+
+
 def sequence_directly(n_lines: int, bandwidth: float, t,
                       time_shift: float = 0.0):
     """Sinc-sequence by the cosine sum, one term at a time."""
@@ -259,10 +283,9 @@ def ber_log10_erfcx(q_linear: float) -> float:
 
 
 def _axis_q_linear(rx_axis: np.ndarray, ref_axis: np.ndarray) -> float:
-    """Worst adjacent-level Q of one quadrature, one masked pass per level."""
+    """Worst adjacent-level Q of one quadrature, one masked pass per level;
+    inf when the reference holds a single level, which has no pair."""
     levels = np.unique(ref_axis)
-    if levels.size < 2:
-        raise ValueError("need at least 2 occupied levels per quadrature")
     mu, sigma = [], []
     for lv in levels:
         cluster = rx_axis[ref_axis == lv]
@@ -287,10 +310,8 @@ def q_factor_directly(rx, ref, n_blocks: int = 10) -> QFactorResult:
         blocks = []
         n_b = max(1, min(n_blocks, rx_ax.size))
         for r_b, f_b in zip(np.array_split(rx_ax, n_b), np.array_split(ref_ax, n_b)):
-            try:
+            if np.unique(f_b).size >= 2:
                 blocks.append(_to_db(_axis_q_linear(r_b, f_b))[0])
-            except ValueError:
-                continue
         std = float(np.std(blocks, ddof=1)) if len(blocks) > 1 else 0.0
         out[name] = (db, lin, std, capped, floored)
     (i_db, i_lin, i_std, i_cap, i_floor), (q_db, q_lin, q_std, q_cap, q_floor) = (

@@ -192,10 +192,22 @@ class TestQFactor:
         assert res.capped_i and res.capped_q
         assert res.q_i_db == Q_CAP_DB
 
-    def test_single_level_rejected(self):
-        rx = np.full(10, 1.0 + 1.0j)
-        with pytest.raises(ValueError):
-            q_factor(rx, rx * 0 + (1 + 1j))
+    def test_single_level_axis_is_capped_and_flagged(self):
+        """An axis whose reference holds one level has no adjacent pair: its
+        Q is infinite, reported as the cap and flagged, with no block spread,
+        while the other axis is measured as usual."""
+        rng = np.random.default_rng(8)
+        ref = np.where(rng.integers(0, 2, 40) == 1, 1.0, -1.0) + 1j
+        rx = ref + 0.1 * (rng.standard_normal(40) + 1j * rng.standard_normal(40))
+        res = q_factor(rx, ref)
+        assert res.capped_q and not res.floored_q
+        assert (res.q_q_db, res.q_q_std_db) == (Q_CAP_DB, 0.0)
+        assert res.q_q_linear == 10.0 ** (Q_CAP_DB / 20.0)
+        assert not res.capped_i and res.q_i_db < Q_CAP_DB
+
+    def test_empty_block_rejected(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            q_factor(np.zeros(0, dtype=complex), np.zeros(0, dtype=complex))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -207,7 +219,8 @@ def test_one_pass_metrics_match_block_by_block_oracles(
         order, n_symbols, n_blocks, runs, sigma, seed):
     """q_factor and evm equal their per-block, per-level oracles: every flag
     identical, every other value within 1e-12 relative.  Symbols come in
-    ``runs`` runs of one point, so blocks miss levels or hold just one, and
+    ``runs`` runs of one point, so blocks miss levels or hold just one, a
+    single run leaves each axis one level, capped, and
     ``n_symbols`` may be below ``n_blocks``; sigma 0 is noiseless, capped,
     and sigma near 1e-3 puts Q just under the cap, where a one-pass
     E[x^2] - E[x]^2 variance would cancel."""
@@ -223,13 +236,7 @@ def test_one_pass_metrics_match_block_by_block_oracles(
     assert_allclose(ev.block_percents, want_ev.block_percents, rtol=1e-12, atol=0)
     assert ev.std_percent == pytest.approx(want_ev.std_percent, rel=1e-12, abs=1e-300)
 
-    try:
-        want = q_factor_directly(rx, ref, n_blocks)
-    except ValueError:
-        with pytest.raises(ValueError):
-            q_factor(rx, ref, n_blocks)
-        return
-    got = q_factor(rx, ref, n_blocks)
+    want, got = q_factor_directly(rx, ref, n_blocks), q_factor(rx, ref, n_blocks)
     for field in dataclasses.fields(QFactorResult):
         g, w = getattr(got, field.name), getattr(want, field.name)
         if isinstance(w, bool):

@@ -10,13 +10,20 @@ import subprocess
 import sys
 import types
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import freqs
+from helpers import (
+    demultiplex_directly,
+    freqs,
+    gate_directly,
+    propagate_directly,
+    shape_directly,
+)
 from nyquist_otdm import Signal, TimeGrid, scenario, spectrum
 from nyquist_otdm.cli import main
 from nyquist_otdm.modem import Q_FLOOR_DB
@@ -337,7 +344,35 @@ def test_every_finite_value_fails_at_parse_time_or_runs(row, base, calibrations,
         assert cal.converged is (cal.report.flatness_db <= target)
 
 
+def _run_keeping_symbols(sc):
+    """``run_scenario(sc)`` and the symbol blocks it multiplexed."""
+    blocks = []
+    original = scenario.otdm_multiplex
+
+    def record(symbols, *args, **kwargs):
+        blocks.extend(symbols)
+        return original(symbols, *args, **kwargs)
+    with mock.patch.object(scenario, "otdm_multiplex", record):
+        return run_scenario(sc), blocks
+
+
 class TestRunScenario:
+    def test_a_single_level_axis_is_capped_not_an_abort(self):
+        """QPSK at 5 symbols a branch leaves some branch one level on an
+        axis on 12 of seeds 0-39 (0, 6, 8, 18, ...).  Such a branch reports
+        Q at the cap with ``q_capped``, and the run goes on; at 20 dB OSNR
+        every other branch is measured below the cap."""
+        hit = set()
+        for seed in range(40):
+            bundle, blocks = _run_keeping_symbols(
+                parse_scenario(noisy_config(n_symbols=5, seed=seed)))
+            for rep, block in zip(bundle.metrics, blocks):
+                one_level = min(np.unique(block.real).size, np.unique(block.imag).size) < 2
+                if one_level:
+                    hit.add(seed)
+                assert rep.q_capped is one_level, (seed, rep.label)
+        assert len(hit) == 12
+
     def test_noiseless_back_to_back_is_clean(self):
         bundle = run_scenario(parse_scenario(base_config()))
         assert len(bundle.metrics) == 3
@@ -935,8 +970,7 @@ def test_bandwidth_is_tuned_in_the_electrical_domain():
     keeps one bias and one arm-2 drive ratio, bit for bit, and only the
     tone's volts change, as 1/|H_EO| at the comb spacing B/3.  The
     noiseless branch EVMs are the same to 1e-12 relative, not bit for bit:
-    the volts make a round trip through |H_EO| in the modulator, and the
-    slot phases are computed in seconds."""
+    the volts make a round trip through |H_EO| in the modulator."""
     calibrations, evms = [], []
     for bandwidth in (24e9, 48e9, 72e9, 90e9):
         cfg = base_config(plan={"n_branches": 3, "aggregate_bandwidth_hz": bandwidth},
@@ -960,6 +994,81 @@ def test_bandwidth_is_tuned_in_the_electrical_domain():
             driven = tone.amplitude_arm1 * eo_response(tone.frequency, cal.params)
             driven_24 = tone_24.amplitude_arm1 * eo_response(tone_24.frequency, cal.params)
             assert driven == pytest.approx(driven_24, rel=1e-12)
+
+
+def _invariance_config(bandwidth, n_branches, shaping, n_symbols):
+    """A noiseless 0 km 16QAM run of the ideal sampler at ``bandwidth``:
+    sinc, or raised cosine at 0.6 times the branch rate, rolloff 0.35."""
+    if shaping == "sinc":
+        shape = {"kind": "sinc"}
+    else:
+        shape = {"kind": "raised_cosine", "rolloff": 0.35,
+                 "symbol_rate_hz": 0.6 * bandwidth / n_branches}
+    return base_config(plan={"n_branches": n_branches, "aggregate_bandwidth_hz": bandwidth},
+                       modulation="16qam", shaping=shape, n_symbols=n_symbols,
+                       oversampling=6, outputs=["metrics", "constellation"])
+
+
+@pytest.mark.parametrize("shaping", ["sinc", "raised_cosine"])
+@pytest.mark.parametrize("n_branches", [3, 5, 7])
+def test_noiseless_ideal_runs_are_the_same_bits_at_any_bandwidth(n_branches, shaping):
+    """A noiseless 0 km run is one experiment at every aggregate bandwidth:
+    the slot phases turn in whole turns of N and the shaping works in bins,
+    so from 24 to 90 GHz every branch's constellation and every metric keep
+    their bits.  Only the Hz and seconds of the run differ."""
+    for n_symbols in (63, 126):
+        runs = []
+        for bandwidth in (24e9, 48e9, 72e9, 90e9):
+            bundle = run_scenario(parse_scenario(
+                _invariance_config(bandwidth, n_branches, shaping, n_symbols)))
+            points = [bundle.artifacts[f"branch{l}_constellation"][1].tobytes()
+                      for l in range(1, n_branches + 1)]
+            runs.append((points, bundle.metrics))
+        for run in runs[1:]:
+            assert run == runs[0], n_symbols
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(n_branches=st.sampled_from([3, 5]), rolloff=st.sampled_from([None, 0.0, 0.35, 1.0]),
+       modulation=st.sampled_from(["qpsk", "16qam"]), n_symbols=st.integers(4, 7),
+       length_km=st.sampled_from([0.0, 10.0, 30.0]), compensate=st.booleans(),
+       seed=st.integers(0, 2 ** 16))
+def test_branch_symbols_match_the_time_domain_chain(n_branches, rolloff, modulation,
+                                                    n_symbols, length_km, compensate, seed):
+    """Every branch's constellation of a noiseless run equals, to 1e-10, the
+    chain built from the time-domain oracles on the run's own symbols: each
+    block shaped by explicit DFT sums (sinc for ``rolloff`` None, else
+    raised cosine at half the branch rate) and gated by its cosine-sum
+    sequence, the span's phase and loss applied (and undone, when
+    compensated) bin by bin, each branch gated and low-passed, read at its
+    slot's samples and fitted by the one complex gain."""
+    shaping = {"kind": "sinc"} if rolloff is None else {
+        "kind": "raised_cosine", "rolloff": rolloff, "symbol_rate_hz": 4e9 / n_branches}
+    cfg = base_config(plan={"n_branches": n_branches, "aggregate_bandwidth_hz": 8e9},
+                      modulation=modulation, shaping=shaping, n_symbols=n_symbols,
+                      oversampling=4, seed=seed, fiber={"length_km": length_km},
+                      receiver={"compensate_dispersion": compensate},
+                      outputs=["metrics", "constellation"])
+    sc = parse_scenario(cfg)
+    bundle, blocks = _run_keeping_symbols(sc)
+    plan, grid = sc.plan, sc.make_grid()
+    rate = sc.config["shaping"]["symbol_rate_hz"]
+    sps = round(grid.sample_rate / rate)
+    tx = sum(gate_directly(Signal(grid, shape_directly(
+        block, rate, sc.config["shaping"]["rolloff"], grid, plan.slot(l))), plan, l)
+        for l, block in enumerate(blocks, start=1))
+    loss = 10.0 ** (-sc.fiber.attenuation_db_km * length_km / 20.0)
+    rx = propagate_directly(Signal(grid, tx), sc.fiber, amplitude=loss)
+    if compensate:
+        rx = propagate_directly(Signal(grid, rx), sc.fiber, sign=-1.0)
+    for l, block in enumerate(blocks, start=1):
+        y = demultiplex_directly(Signal(grid, rx), plan, l)
+        start = round(plan.slot(l) * grid.sample_rate)
+        raw = y[start + sps * np.arange(n_symbols)]
+        want = raw * (np.vdot(raw, block) / np.vdot(raw, raw))
+        header, rows = bundle.artifacts[f"branch{l}_constellation"]
+        assert header.startswith("re,im,")
+        np.testing.assert_allclose(rows[:, 0] + 1j * rows[:, 1], want, rtol=0, atol=1e-10)
 
 
 class TestCli:
