@@ -27,29 +27,24 @@ def _sampling_lines(plan: ChannelPlan, sampler: FlatCombCalibration | None,
     the sampling pulse trains on ``grid``; row l-1 is branch l's.
 
     ``sampler=None`` gives the N lines of the exact sinc sequences.  A
-    :class:`FlatCombCalibration` drives the modulator model with its drive
-    plan over one sequence period of the grid, scales by its gain and takes
-    the period's P-point DFT: the P lines of the transfer on the whole grid,
-    which agree with branch 1's sequence to within the calibrated comb's
-    waveform error.  The other branches' rows turn those lines by their
-    slot's phase, which is exact only for drive tones at harmonics of the
-    branch rate.
+    :class:`FlatCombCalibration` runs the modulator model on its drive
+    point over one sequence period of the grid, scales by its gain and
+    takes the period's P-point DFT: the P lines of the transfer on the whole
+    grid, which agree with branch 1's sequence to within the calibrated
+    comb's waveform error.  The drive is a sum of harmonics of its period,
+    the branch rate, so the other branches' rows are those lines turned by
+    their slot's phase.
     """
     if sampler is None:
         return _sequence_lines(plan, grid)
-    rate = plan.symbol_rate
-    for f in (t.frequency for t in sampler.plan.tones):
-        if abs(f / rate - round(f / rate)) > 1e-6:
-            raise ValueError(f"tone at {f:g} Hz is not a harmonic of the "
-                             f"branch rate {rate:g} Hz")
-    spacing = _require_integer(grid.duration * rate,
+    spacing = _require_integer(grid.duration * plan.symbol_rate,
                                "grid window in sequence periods")
     # a slot of whole samples makes each branch's delay a circular shift of
     # the period's samples, so its lines are branch 1's turned, aliases too
     period = plan.n_branches * _require_integer(
         grid.sample_rate / plan.aggregate_bandwidth, "samples per branch slot")
-    one_period = TimeGrid(grid.sample_rate, period)
-    transfer = modulate(constant(one_period), sampler.plan, sampler.params)
+    transfer = modulate(constant(TimeGrid(grid.sample_rate, period)), sampler.point,
+                        sampler.modulation_index, sampler.params)
     lines = transfer._window(0, period) * (sampler.gain / period)
     orders = np.arange(period)
     return orders * spacing, _branch_rows(lines, orders, plan.n_branches)

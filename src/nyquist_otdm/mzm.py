@@ -13,9 +13,9 @@ as harmonic lines: each line is a weighted cosine sum over those samples,
 exactly the period's DFT, and the least-squares complex gain onto the ideal
 sequence at zero delay, which has only N lines, is their mean plus a
 Parseval residual.  Scans and line searches evaluate their trial drives as
-one batch of transfers.  The search works in modulation-index units; the
-chosen drive is mapped to volts in closed form, then fitted and reported on
-one period with :func:`modulate` and :func:`comb_report`.
+one batch of transfers.  The search, the report (:func:`modulate` on one
+period) and the sampler share one transfer in modulation-index units and
+turns of the period; volts are only reported, as the calibration's plan.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ __all__ = [
     "FlatCombCalibration",
     "eo_response",
     "arm_amplitude",
-    "push_pull_plan",
     "modulate",
     "comb_report",
     "calibrate_flat_comb",
@@ -84,23 +83,15 @@ class DriveTone:
     phase_arm1: float
     phase_arm2: float
 
-    def __post_init__(self):
-        if not self.frequency > 0:
-            raise ValueError("tone frequency must be positive")
-
 
 @dataclass(frozen=True)
 class DrivePlan:
-    """RF drive of the modulator: a set of tones plus per-arm DC biases (rad)."""
+    """RF drive of the modulator in volts, as :attr:`FlatCombCalibration.plan`
+    reports it: a set of tones plus per-arm DC biases (rad)."""
 
     tones: tuple[DriveTone, ...]
     bias_arm1: float = 0.0
     bias_arm2: float = 0.0
-
-    def __post_init__(self):
-        freqs = [t.frequency for t in self.tones]
-        if len(set(freqs)) != len(freqs):
-            raise ValueError("drive tones must have distinct frequencies")
 
 
 @dataclass(frozen=True)
@@ -119,17 +110,32 @@ class CombReport:
 class FlatCombCalibration:
     """Result of :func:`calibrate_flat_comb`.
 
+    ``point`` is the searched drive, ``(bias difference, arm-2 drive ratio,
+    scale of harmonic 2, ...)`` at the fundamental's ``modulation_index``.
     ``gain`` maps the raw modulator output onto the unit-peak ideal sequence
     (insertion loss and the bias-dependent output power folded in): multiply
     the output by it to reference the comb back to the ideal pulse train.
     """
 
-    plan: DrivePlan
+    point: tuple[float, ...]
+    modulation_index: float
     params: MzmParams
     report: CombReport
     converged: bool
     gain: complex
     waveform_rmse_percent: float
+
+    @property
+    def plan(self) -> DrivePlan:
+        """The drive in volts, derived: harmonic k of the comb spacing at
+        ``m_k * v_pi / (pi * |H_EO(k * spacing)|)``, -cos on arm 1 and +cos
+        on arm 2 (so the drive is even in time), with symmetric biases."""
+        bias, ratio, *scales = self.point
+        freqs = self.report.spacing_hz * np.arange(1, len(self.point))
+        volts = self.modulation_index * self.params.v_pi / (
+            math.pi * eo_response(freqs, self.params)) * np.concatenate(([1.0], scales))
+        return DrivePlan(tuple(DriveTone(f, a, ratio * a, -math.pi / 2, math.pi / 2)
+                               for f, a in zip(freqs, volts)), 0.5 * bias, -0.5 * bias)
 
 
 def eo_response(f, params: MzmParams):
@@ -164,49 +170,32 @@ def arm_amplitude(extinction_db: float) -> float:
     return (g - 1.0) / (g + 1.0)
 
 
-def push_pull_plan(frequencies, amplitudes, bias_difference: float,
-                   arm2_drive_ratio: float = 1.0) -> DrivePlan:
-    """Anti-phase (push-pull) drive plan with symmetric biases.
-
-    Arm 1 is driven by -cos and arm 2 by +cos, so the drive is even in time
-    and the generated pulse sits at t = 0, on an unshifted ideal sequence.
-    ``arm2_drive_ratio`` scales every arm-2 amplitude relative to arm 1,
-    the knob used to balance arms of unequal optical transmission.
-    """
-    tones = tuple(
-        DriveTone(f, a, arm2_drive_ratio * a, -math.pi / 2, math.pi / 2)
-        for f, a in zip(frequencies, amplitudes, strict=True)
-    )
-    return DrivePlan(tones, bias_arm1=0.5 * bias_difference,
-                     bias_arm2=-0.5 * bias_difference)
+def _arms(params: MzmParams):  # the arm fields' weights, before insertion loss
+    return (0.5 * arm_amplitude(params.dc_extinction_arm1_db),
+            0.5 * arm_amplitude(params.dc_extinction_arm2_db))
 
 
-def modulate(field_in: Signal, plan: DrivePlan, params: MzmParams) -> Signal:
-    """Multiply a field by the dual-drive MZM transfer waveform.
+def _push_pull(x: np.ndarray, phase: np.ndarray, arms) -> np.ndarray:
+    """Transfer of drives ``x`` (rows of points) at the samples of ``phase``
+    (row k-1: ``1j * m_1 * cos`` of harmonic k), by elementwise sums only."""
+    drive = phase[0]
+    for j in range(2, x.shape[-1]):
+        drive = drive + x[..., j:j + 1] * phase[j - 1]
+    half_bias = 0.5j * x[..., :1]
+    return (arms[0] * np.exp(half_bias - drive)
+            + arms[1] * np.exp(x[..., 1:2] * drive - half_bias))
 
-    Arm i accumulates phase ``bias_i + sum_k pi*(A_ik*eo(f_k))/v_pi *
-    sin(2*pi*f_k*t + phase_ik)``; the output is the loss-scaled average of
-    the two arm fields with their static amplitude imbalance.
-    """
-    grid = field_in.grid
-    t = grid.t
-    phi1 = np.full(grid.n_samples, float(plan.bias_arm1))
-    phi2 = np.full(grid.n_samples, float(plan.bias_arm2))
-    for tone_ in plan.tones:
-        if tone_.frequency >= grid.nyquist:
-            raise ValueError(
-                f"drive tone at {tone_.frequency:g} Hz is at or above the "
-                f"grid Nyquist limit {grid.nyquist:g} Hz"
-            )
-        depth = math.pi * eo_response(tone_.frequency, params) / params.v_pi
-        w = 2 * np.pi * tone_.frequency
-        phi1 += depth * tone_.amplitude_arm1 * np.sin(w * t + tone_.phase_arm1)
-        phi2 += depth * tone_.amplitude_arm2 * np.sin(w * t + tone_.phase_arm2)
-    a1 = arm_amplitude(params.dc_extinction_arm1_db)
-    a2 = arm_amplitude(params.dc_extinction_arm2_db)
+
+def modulate(field_in: Signal, point, modulation_index: float, params: MzmParams) -> Signal:
+    """Multiply a field holding one comb period by the modulator transfer of
+    the drive ``point`` (:class:`FlatCombCalibration`) and insertion loss.
+    Sample t of n is t/n of a turn, so harmonic k carries m_k cos(2 pi k t/n)
+    whatever spacing, V_pi and EO response: no volts, Hz or seconds enter."""
+    n, x = field_in.grid.n_samples, np.asarray(point, dtype=float)
+    phase = 1j * modulation_index * np.cos(
+        2 * np.pi * np.outer(np.arange(1, x.size), np.arange(n)) / n)
     loss = 10.0 ** (-params.insertion_loss_db / 20.0)
-    transfer = loss * 0.5 * (a1 * np.exp(1j * phi1) + a2 * np.exp(1j * phi2))
-    return Signal(grid, transfer * field_in.samples)
+    return Signal(field_in.grid, loss * _push_pull(x, phase, _arms(params)) * field_in.samples)
 
 
 def comb_report(period_spectrum: np.ndarray, n_lines: int, spacing: float) -> CombReport:
@@ -289,12 +278,7 @@ class _OnePeriodComb:
     def lines(self, x: np.ndarray):
         """Lines 0..h and half-period transfer of each drive, by elementwise
         sums (no matrix product), so a drive scores the same bits in any batch."""
-        drive = self._phase[0]
-        for j in range(2, x.shape[-1]):
-            drive = drive + x[..., j:j + 1] * self._phase[j - 1]
-        half_bias = 0.5j * x[..., :1]
-        transfer = (self._arms[0] * np.exp(half_bias - drive)
-                    + self._arms[1] * np.exp(x[..., 1:2] * drive - half_bias))
+        transfer = _push_pull(x, self._phase, self._arms)
         return (transfer[..., None, :] * self._dft).sum(axis=-1), transfer
 
     @staticmethod
@@ -399,20 +383,19 @@ def calibrate_flat_comb(
 
     Every descent sweep ends with a pattern move along its net step.
 
-    The indices m_k map to the volts ``m_k * v_pi / (pi * |H_EO(k *
-    spacing)|)`` in closed form.  The drive is even, so its pulse sits at
-    t = 0 and needs no centring: on one period of the modulator output,
-    ``gain`` is fitted at zero delay to map the output onto the unit-peak
-    ideal sequence by a plain complex multiply, and the comb is reported;
-    ``converged`` is False if the target is out of reach.
+    The calibration keeps the point; the spacing, V_pi and EO response only
+    map it to the volts of its ``plan``.  The drive is even, so its pulse
+    sits at t = 0 and needs no centring: on one period of the modulator
+    output (:func:`modulate`, in index units too), ``gain`` is fitted at
+    zero delay to map the output onto the unit-peak ideal sequence by a
+    plain complex multiply, and the comb is reported; ``converged`` is False
+    if the target is out of reach.
     """
     _require_odd_count(n_lines, "n_lines")
     if not 0 < spacing < math.inf:
         raise ValueError("spacing must be finite and positive")
 
-    comb = _OnePeriodComb(n_lines, modulation_index,
-                          (0.5 * arm_amplitude(params.dc_extinction_arm1_db),
-                           0.5 * arm_amplitude(params.dc_extinction_arm2_db)))
+    comb = _OnePeriodComb(n_lines, modulation_index, _arms(params))
     n_free = (n_lines - 1) // 2 - 1
     lower = (0.02, 0.1) + (0.05,) * n_free  # bias, arm-2 ratio, scales
     upper = (math.pi - 0.02, math.inf) + (math.inf,) * n_free
@@ -436,7 +419,7 @@ def calibrate_flat_comb(
     # that ratio, re-balancing the bias at each step, then polish every
     # coordinate.  Drives over the flatness limit score above any RMSE,
     # ordered by the excess; the limit sits a hair inside the target so the
-    # rounding of the modulator in volts cannot tip the report over it.
+    # rounding of the report's whole-period transfer cannot tip it over.
     limit = max(flatness_target_db * (1.0 - 1e-9), flat)
 
     def waveform_error(x):
@@ -454,14 +437,11 @@ def calibrate_flat_comb(
         x[0], x[1] = bias[j], ratios[j]
     x, _ = _descend(waveform_error, x, range(2 + n_free),
                     [0.04, 0.04] + [0.1] * n_free, lower, upper, 1e-6)
-    freqs = spacing * np.arange(1, n_lines // 2 + 1)
-    volts = modulation_index * params.v_pi / (math.pi * eo_response(freqs, params))
-    plan = push_pull_plan(freqs, volts * np.concatenate(([1.0], x[2:])), float(x[0]),
-                          arm2_drive_ratio=float(x[1]))
+    point = tuple(float(v) for v in x)
 
     grid = TimeGrid(sample_rate=comb.mult * spacing, n_samples=comb.mult)
     line_bins = comb.mult // 2 + np.arange(-(n_lines // 2), n_lines // 2 + 1)
-    spec = spectrum(modulate(constant(grid), plan, params))
+    spec = spectrum(modulate(constant(grid), point, modulation_index, params))
     # the ideal sequence's lines are 1/n_lines, so by Parseval the
     # least-squares gain and residual on the lines are the waveform's
     ideal = np.zeros(comb.mult)
@@ -469,7 +449,7 @@ def calibrate_flat_comb(
     gain = complex(np.vdot(spec, ideal) / np.vdot(spec, spec))
     report = comb_report(spec, n_lines, spacing)
     return FlatCombCalibration(
-        plan=plan, params=params, report=report,
+        point=point, modulation_index=modulation_index, params=params, report=report,
         converged=bool(report.flatness_db <= flatness_target_db),
         gain=gain,
         waveform_rmse_percent=float(100.0 * np.linalg.norm(gain * spec - ideal)),

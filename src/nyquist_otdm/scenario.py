@@ -10,6 +10,7 @@ from __future__ import annotations
 import copy
 import json
 import math
+import numbers
 import re
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -109,7 +110,7 @@ _COMB = _HEAD + (
     ("comb.modulation_index", float, 0.3, 1e-3, 1e300),  # times the arm-2 ratio
 ) + _MZM
 _TRANSMISSION = _HEAD + (
-    ("carrier_frequency_thz", float, 193.4, 1.0, None),
+    ("carrier_frequency_thz", float, 193.4, 0.299792458, None),  # a 1 mm wavelength
     ("plan.n_branches", int, _REQUIRED, 3, _EXACT),
     ("plan.aggregate_bandwidth_hz", float, _REQUIRED, 1.0, 1e150),
     ("modulation", ("qpsk", "16qam"), _REQUIRED, None, None),
@@ -146,7 +147,7 @@ def _field(obj: dict, row):
     if kind is float:
         if value is None:
             raise ConfigError(path, "must not be null")
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
             raise ConfigError(path, "expected a number")
         # Python's json parses NaN and +-Infinity; null is the way to say "none"
         try:
@@ -156,9 +157,10 @@ def _field(obj: dict, row):
         if not math.isfinite(value):
             raise ConfigError(path, "must be finite")
     elif kind is int:
-        if isinstance(value, bool) or not isinstance(value, int):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
             raise ConfigError(path, "expected an integer"
                               + (" or null" if default is None else ""))
+        value = int(value)  # a numpy integer echoes as a plain one
     elif kind is bool:
         if not isinstance(value, bool):
             raise ConfigError(path, "expected true or false")
@@ -312,6 +314,13 @@ def parse_scenario(raw: dict) -> Scenario:
             raise ConfigError("carrier_frequency_thz", "must be <= 299792 (1 nm)")
         fiber["reference_wavelength_nm"] = (
             SPEED_OF_LIGHT / (cfg["carrier_frequency_thz"] * 1e12) * 1e9)
+    else:  # the wavelength sets the carrier, which a config may only repeat
+        carrier = SPEED_OF_LIGHT / (fiber["reference_wavelength_nm"] * 1e-9) * 1e-12
+        if "carrier_frequency_thz" not in raw:
+            cfg["carrier_frequency_thz"] = carrier
+        elif not math.isclose(cfg["carrier_frequency_thz"], carrier, rel_tol=1e-9):
+            raise ConfigError("carrier_frequency_thz", f"must be {carrier:.10g}, c / "
+                              f"fiber.reference_wavelength_nm, or left out")
     # past ~3000 dB of span loss the received power leaves the float range
     # and the run fails or reports wrong metrics
     attenuation = fiber["attenuation_db_km"]
@@ -335,7 +344,7 @@ def parse_scenario(raw: dict) -> Scenario:
 
 def _mzm_params(cfg: dict, n_lines: int, spacing: float, block: dict) -> MzmParams:
     """The config's device, once its top drive harmonic at the index of
-    ``block`` is finite volts: where |H_EO| is 0 the modulator takes 0 * inf."""
+    ``block`` is finite volts, which the bundle's drive plan reports."""
     params = MzmParams(*cfg["mzm"].values())
     top = n_lines // 2 * spacing
     with np.errstate(over="ignore", under="ignore"):
@@ -622,7 +631,7 @@ def sweep(config: dict, parameter: str, values) -> list[ReportBundle]:
     made within this call, so each distinct calibration runs once and every
     bundle equals a run of its point alone.
     """
-    if not values:
+    if len(values) == 0:
         raise ValueError("sweep needs at least one value")
     if parameter == "seed":
         raise ConfigError("seed", "cannot be swept: each point's seed is the "

@@ -19,7 +19,14 @@ from scipy.special import erfcx
 from nyquist_otdm import ChannelPlan, Signal, TimeGrid
 from nyquist_otdm.link import dispersion_phase
 from nyquist_otdm.modem import EvmResult, QFactorResult, _to_db
-from nyquist_otdm.mzm import DrivePlan, FlatCombCalibration, MzmParams, modulate
+from nyquist_otdm.mzm import (
+    CombReport,
+    DrivePlan,
+    FlatCombCalibration,
+    MzmParams,
+    arm_amplitude,
+    eo_response,
+)
 
 
 def tone(grid: TimeGrid, frequency: float, amplitude: float = 1.0,
@@ -167,26 +174,53 @@ def branch_drive(drive: DrivePlan, plan: ChannelPlan, branch: int) -> DrivePlan:
     return DrivePlan(tuple(tones), drive.bias_arm1, drive.bias_arm2)
 
 
-def sampler_of(drive: DrivePlan, params: MzmParams,
+def modulate_directly(field: Signal, plan: DrivePlan, params: MzmParams) -> Signal:
+    """The dual-drive MZM in volts and seconds, tone by tone: arm i
+    accumulates phase ``bias_i + sum_k pi*(A_ik*eo(f_k))/v_pi *
+    sin(2*pi*f_k*t + phase_ik)``; the output is the loss-scaled average of
+    the two arm fields with their static amplitude imbalance."""
+    grid = field.grid
+    t = grid.t
+    phi1 = np.full(grid.n_samples, float(plan.bias_arm1))
+    phi2 = np.full(grid.n_samples, float(plan.bias_arm2))
+    for tone_ in plan.tones:
+        if tone_.frequency >= grid.nyquist:
+            raise ValueError("drive tone at or above the grid Nyquist limit")
+        depth = math.pi * eo_response(tone_.frequency, params) / params.v_pi
+        w = 2 * np.pi * tone_.frequency
+        phi1 += depth * tone_.amplitude_arm1 * np.sin(w * t + tone_.phase_arm1)
+        phi2 += depth * tone_.amplitude_arm2 * np.sin(w * t + tone_.phase_arm2)
+    a1 = arm_amplitude(params.dc_extinction_arm1_db)
+    a2 = arm_amplitude(params.dc_extinction_arm2_db)
+    loss = 10.0 ** (-params.insertion_loss_db / 20.0)
+    transfer = loss * 0.5 * (a1 * np.exp(1j * phi1) + a2 * np.exp(1j * phi2))
+    return Signal(grid, transfer * field.samples)
+
+
+def sampler_of(point, modulation_index: float, params: MzmParams, spacing: float,
                gain: complex = 1.0) -> FlatCombCalibration:
-    """A calibration holding an arbitrary drive, to sample with: the
-    demultiplexer reads only its drive plan, device and gain."""
-    return FlatCombCalibration(plan=drive, params=params, report=None,
-                               converged=True, gain=gain,
+    """A calibration holding an arbitrary drive ``point`` at comb
+    ``spacing``, to sample with: the demultiplexer reads only its point,
+    index, device and gain, and its volts plan the spacing, the one figure
+    its report holds besides the line count."""
+    report = CombReport(2 * len(point) - 1, spacing, (), (), math.nan, math.nan)
+    return FlatCombCalibration(point=tuple(float(v) for v in point),
+                               modulation_index=modulation_index, params=params,
+                               report=report, converged=True, gain=gain,
                                waveform_rmse_percent=math.nan)
 
 
 def gate_directly(sig: Signal, plan: ChannelPlan, branch: int,
                   sampler=None) -> np.ndarray:
     """The signal times the branch's sampling pulse train on the full grid:
-    the cosine-sum sequence, or the MZM transfer at the branch RF phase
-    times the calibration gain."""
+    the cosine-sum sequence, or the MZM transfer of the calibration's
+    volts plan at the branch RF phase times the calibration gain."""
     if sampler is None:
         return sig.samples * sequence_directly(
             plan.n_branches, plan.aggregate_bandwidth, sig.grid.t,
             plan.slot(branch))
     drive = branch_drive(sampler.plan, plan, branch)
-    return modulate(sig, drive, sampler.params).samples * sampler.gain
+    return modulate_directly(sig, drive, sampler.params).samples * sampler.gain
 
 
 def demultiplex_directly(sig: Signal, plan: ChannelPlan, branch: int,

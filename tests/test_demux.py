@@ -16,12 +16,7 @@ from nyquist_otdm.link import (
     compensate_dispersion,
     propagate,
 )
-from nyquist_otdm.mzm import (
-    MzmParams,
-    calibrate_flat_comb,
-    modulate,
-    push_pull_plan,
-)
+from nyquist_otdm.mzm import MzmParams, calibrate_flat_comb
 from nyquist_otdm.nyquist import (
     _sequence_lines,
     multiplex_branch_signals,
@@ -38,6 +33,7 @@ from helpers import (
     filter_directly,
     gate_directly,
     grid_for,
+    modulate_directly,
     propagate_directly,
     random_symbols,
     sampler_of,
@@ -51,6 +47,15 @@ def _assert_close(got, want, rtol=1e-10):
     assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
 
 
+def _random_sampler(rng, plan: ChannelPlan, n_tones: int):
+    """A sampler of a random push-pull drive of ``n_tones`` harmonics of the
+    branch rate: bias difference, arm-2 ratio, the higher harmonics' scales
+    and the fundamental's index, with a random complex gain."""
+    point = (rng.uniform(0.5, 2.5), rng.uniform(0.5, 1.25), *rng.uniform(0.4, 1.6, n_tones - 1))
+    return sampler_of(point, float(rng.uniform(0.1, 1.0)), PARAMS, plan.symbol_rate,
+                      gain=complex(rng.uniform(1.0, 4.0), rng.uniform(-1.0, 1.0)))
+
+
 @settings(max_examples=20, deadline=None, derandomize=True)
 @given(n_branches=st.sampled_from([3, 5, 7]),
        oversampling=st.sampled_from([4, 5, 8]),
@@ -58,48 +63,35 @@ def _assert_close(got, want, rtol=1e-10):
        seed=st.integers(0, 2 ** 16))
 def test_mzm_rows_are_the_phase_shifted_drive_lines(
         n_branches, oversampling, n_periods, n_tones, seed):
-    """Row l-1 of the MZM sampler's lines equals the one-period lines of the
-    drive whose harmonic-k tones are turned by -k*2*pi*(l-1)/N, to 1e-12;
-    that drive's transfer is branch 1's delayed by the slot (l-1)/B."""
+    """Row l-1 of the MZM sampler's lines equals, to 1e-12, the one-period
+    lines in volts and seconds of the sampler's drive plan with its
+    harmonic-k tones turned by -k*2*pi*(l-1)/N; that drive's transfer is
+    branch 1's delayed by the slot (l-1)/B."""
     rng = np.random.default_rng(seed)
     plan = ChannelPlan(n_branches, 6e9 * n_branches)
     grid = grid_for(plan, n_periods, oversampling)
-    drive = push_pull_plan(plan.symbol_rate * np.arange(1, n_tones + 1),
-                           rng.uniform(0.05, 0.3, n_tones),
-                           bias_difference=float(rng.uniform(0.5, 2.5)))
-    sampler = sampler_of(drive, PARAMS, gain=complex(rng.uniform(1.0, 4.0),
-                                                     rng.uniform(-1.0, 1.0)))
+    sampler = _random_sampler(rng, plan, n_tones)
     shifts, rows = _sampling_lines(plan, sampler, grid)
     period = oversampling * n_branches
     assert rows.shape == (n_branches, period)
     assert_array_equal(shifts, np.arange(period) * n_periods)
     one_period = constant(TimeGrid(grid.sample_rate, period))
-    first = modulate(one_period, drive, PARAMS).samples
+    drive = sampler.plan
+    first = modulate_directly(one_period, drive, PARAMS).samples
     for l in range(1, n_branches + 1):
-        transfer = modulate(one_period, branch_drive(drive, plan, l),
-                            PARAMS).samples
+        transfer = modulate_directly(one_period, branch_drive(drive, plan, l),
+                                     PARAMS).samples
         assert_allclose(transfer, np.roll(first, (l - 1) * oversampling),
                         atol=1e-12)
         _assert_close(rows[l - 1], np.fft.fft(transfer) * sampler.gain / period,
                       rtol=1e-12)
 
 
-def test_off_harmonic_drive_tone_rejected_on_every_branch():
-    """A 7 GHz tone is no harmonic of the 8 GHz branch rate, so its
-    transfer is not periodic in a branch period: the sampler is refused for
-    every branch, branch 1 included."""
-    plan = ChannelPlan(3, 24e9)
-    sampler = sampler_of(push_pull_plan([7e9], [0.2], bias_difference=1.0), PARAMS)
-    sig = constant(grid_for(plan, 9))
-    with pytest.raises(ValueError, match="not a harmonic"):
-        demultiplex(sig, plan, sampler)
-
-
 def test_mzm_sampler_needs_whole_sample_slots():
     """At 8/3 samples per slot the branch delays are no whole sample
     shifts, and the MZM sampler refuses the grid."""
     plan = ChannelPlan(3, 24e9)
-    sampler = sampler_of(push_pull_plan([8e9], [0.2], bias_difference=1.0), PARAMS)
+    sampler = sampler_of((1.0, 1.0), 0.3, PARAMS, 8e9)
     sig = constant(TimeGrid(64e9, 8 * 9))
     with pytest.raises(ValueError, match="samples per branch slot"):
         demultiplex(sig, plan, sampler)
@@ -208,11 +200,7 @@ def test_spectral_layers_match_time_domain_oracles(
     _assert_close(compensate_dispersion(aggregate, fiber).samples,
                   propagate_directly(aggregate, fiber, sign=-1.0))
 
-    tones = [plan.symbol_rate, 2 * plan.symbol_rate]
-    drive = push_pull_plan(tones, rng.uniform(0.05, 0.3, 2),
-                           bias_difference=float(rng.uniform(0.5, 2.5)))
-    mzm = sampler_of(drive, PARAMS,
-                     gain=complex(rng.uniform(1.0, 4.0), rng.uniform(-1.0, 1.0)))
+    mzm = _random_sampler(rng, plan, 2)
     # a known receiver delay is removed before demultiplexing
     delay = delay_samples * grid.dt
     advanced = Signal(grid, filter_directly(
@@ -283,9 +271,7 @@ def test_slice_reads_and_scatters_are_the_modular_ones(n_branches, n_symbols, ov
     assert first == band[0] + shifts[0]
     assert values.tobytes() == acc.tobytes()
 
-    drive = push_pull_plan([plan.symbol_rate, 2 * plan.symbol_rate], rng.uniform(0.05, 0.3, 2),
-                           bias_difference=float(rng.uniform(0.5, 2.5)))
-    sampler = sampler_of(drive, PARAMS, gain=complex(rng.uniform(1.0, 4.0), 1.0)) if mzm else None
+    sampler = _random_sampler(rng, plan, 2) if mzm else None
     line_rows, detection, weight, starts = _read_bins(plan, sampler, grid)
     taken = take_bins(mux, starts[:, None] + np.arange(detection.size))
     for y, row in zip(demultiplex(mux, plan, sampler), line_rows, strict=True):

@@ -17,16 +17,15 @@ from helpers import (
     align_delay_gain,
     comb_lines_directly,
     delay_signal,
-    freqs,
+    modulate_directly,
     rmse_percent,
+    sampler_of,
     sequence_directly,
     tone,
 )
-from nyquist_otdm import Signal, TimeGrid, mzm, spectrum
+from nyquist_otdm import Signal, TimeGrid, spectrum
 from nyquist_otdm.core import constant
 from nyquist_otdm.mzm import (
-    DrivePlan,
-    DriveTone,
     MzmParams,
     _OnePeriodComb,
     _descend,
@@ -36,7 +35,6 @@ from nyquist_otdm.mzm import (
     eo_response,
     format_comb_table,
     modulate,
-    push_pull_plan,
 )
 
 PARAMS = MzmParams(v_pi=0.42, eo_3db_bandwidth=16e9)
@@ -82,65 +80,75 @@ class TestDeviceBasics:
             MzmParams(**{"v_pi": 0.42, "eo_3db_bandwidth": 16e9, field: value})
 
     def test_push_pull_plan_structure(self):
-        plan = push_pull_plan([10e9, 20e9], [0.2, 0.05], bias_difference=1.1,
-                              arm2_drive_ratio=0.9)
+        """A calibration's volts plan is its point's push-pull drive: biases
+        of half the bias difference either way, harmonic k of the spacing
+        at ``m_k * v_pi / (pi * |H_EO|)`` on arm 1, arm 2 at the ratio times
+        that, and anti-phase arms."""
+        plan = sampler_of((1.1, 0.9, 0.25), 0.3, PARAMS, 10e9).plan
         assert plan.bias_arm1 - plan.bias_arm2 == pytest.approx(1.1)
         assert plan.bias_arm1 == pytest.approx(0.55)
-        for t, (f, a) in zip(plan.tones, [(10e9, 0.2), (20e9, 0.05)]):
+        for t, (f, m) in zip(plan.tones, [(10e9, 0.3), (20e9, 0.075)], strict=True):
             assert t.frequency == f
-            assert t.amplitude_arm1 == pytest.approx(a)
-            assert t.amplitude_arm2 == pytest.approx(0.9 * a)
+            assert t.amplitude_arm1 == pytest.approx(
+                m * PARAMS.v_pi / (math.pi * eo_response(f, PARAMS)), rel=1e-15)
+            assert t.amplitude_arm2 == pytest.approx(0.9 * t.amplitude_arm1)
             assert t.phase_arm2 - t.phase_arm1 == pytest.approx(math.pi)
-
-    def test_duplicate_tone_frequencies_rejected(self):
-        with pytest.raises(ValueError):
-            DrivePlan((DriveTone(1e9, 0.1, 0.1, 0.0, 0.0),
-                       DriveTone(1e9, 0.2, 0.2, 0.0, 0.0)))
 
 
 class TestModulate:
     def test_zero_drive_closed_form(self):
-        """With no RF the output is the static two-arm interference."""
+        """At modulation index 0 the output is the static two-arm
+        interference at the bias difference."""
         grid = TimeGrid(64e9, 64)
         params = MzmParams(v_pi=0.42, eo_3db_bandwidth=16e9,
                            insertion_loss_db=3.0)
-        plan = DrivePlan((), bias_arm1=0.7, bias_arm2=-0.3)
-        out = modulate(constant(grid), plan, params)
+        out = modulate(constant(grid), (1.0, 0.8), 0.0, params)
         a1 = arm_amplitude(params.dc_extinction_arm1_db)
         a2 = arm_amplitude(params.dc_extinction_arm2_db)
-        expect = 10 ** (-3.0 / 20) * 0.5 * (a1 * np.exp(0.7j) + a2 * np.exp(-0.3j))
+        expect = 10 ** (-3.0 / 20) * 0.5 * (a1 * np.exp(0.5j) + a2 * np.exp(-0.5j))
         assert_allclose(out.samples, np.full(64, expect), atol=1e-15)
 
     def test_single_tone_lines_match_bessel_series(self):
-        """Each harmonic is the Bessel-weighted sum of the two arm drives."""
-        f0 = 10e9
-        grid = TimeGrid(128 * f0, 128 * 4)
+        """Each harmonic of a one-tone drive is the Bessel-weighted sum of
+        the two arms: arm 1 at ``b/2 - m cos``, arm 2 at ``r m cos - b/2``."""
+        grid = TimeGrid(128 * 10e9, 128)
         params = MzmParams(v_pi=0.42, eo_3db_bandwidth=16e9,
                            dc_extinction_arm1_db=40.0,
                            dc_extinction_arm2_db=37.0,
                            insertion_loss_db=2.0)
-        tone_ = DriveTone(f0, 0.2, 0.15, 0.3, 2.0)
-        plan = DrivePlan((tone_,), bias_arm1=0.4, bias_arm2=-0.9)
-        spec = spectrum(modulate(constant(grid), plan, params))
-
+        bias, ratio, m = 1.3, 0.8, 1.7
+        spec = spectrum(modulate(constant(grid), (bias, ratio), m, params))
         a = (arm_amplitude(40.0), arm_amplitude(37.0))
-        m = tuple(math.pi * amp * eo_response(f0, params) / params.v_pi
-                  for amp in (0.2, 0.15))
-        bias = (0.4, -0.9)
-        theta = (0.3, 2.0)
         loss = 10 ** (-2.0 / 20)
         for k in range(-6, 7):
-            idx = np.argmin(np.abs(freqs(grid) - k * f0))
-            expect = loss * 0.5 * sum(
-                a[i] * jv(k, m[i]) * np.exp(1j * (bias[i] + k * theta[i]))
-                for i in range(2))
-            assert spec[idx] == pytest.approx(expect, abs=1e-12)
+            expect = loss * 0.5 * (a[0] * np.exp(0.5j * bias) * (-1j) ** k * jv(k, m)
+                                   + a[1] * np.exp(-0.5j * bias) * 1j ** k * jv(k, ratio * m))
+            assert spec[64 + k] == pytest.approx(expect, abs=1e-12)
 
-    def test_rejects_tone_at_or_above_nyquist(self):
-        grid = TimeGrid(20e9, 40)
-        plan = DrivePlan((DriveTone(10e9, 0.1, 0.1, 0.0, math.pi),))
-        with pytest.raises(ValueError):
-            modulate(constant(grid), plan, PARAMS)
+    @settings(derandomize=True, max_examples=15, deadline=None)
+    @given(n_lines=st.sampled_from([3, 5, 7]),
+           eo_model=st.sampled_from(["single_pole", "gaussian", "flat"]),
+           extinctions=st.lists(st.floats(15.0, 60.0), min_size=2, max_size=2),
+           insertion_loss_db=st.floats(0.5, 10.0), v_pi=st.floats(0.3, 5.0),
+           eo_3db_bandwidth=st.floats(5e9, 40e9), spacing=st.floats(1e9, 40e9),
+           modulation_index=st.floats(0.1, 0.6), n_samples=st.integers(16, 48))
+    def test_a_calibration_is_its_volts_plan(self, n_lines, eo_model, extinctions,
+                                             insertion_loss_db, v_pi, eo_3db_bandwidth,
+                                             spacing, modulation_index, n_samples):
+        """The index-space transfer of a calibration's point, on one period,
+        is the volts-and-seconds transfer of its drive plan to 1e-12: the
+        plan's map to volts and back through |H_EO| holds for every EO
+        model, unequal arms and any insertion loss."""
+        params = MzmParams(v_pi=v_pi, eo_3db_bandwidth=eo_3db_bandwidth,
+                           dc_extinction_arm1_db=extinctions[0],
+                           dc_extinction_arm2_db=extinctions[1],
+                           insertion_loss_db=insertion_loss_db, eo_model=eo_model)
+        cal = calibrate_flat_comb(n_lines, spacing, params,
+                                  modulation_index=modulation_index)
+        one_period = constant(TimeGrid(n_samples * spacing, n_samples))
+        got = modulate(one_period, cal.point, cal.modulation_index, cal.params).samples
+        want = modulate_directly(one_period, cal.plan, cal.params).samples
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestCombReport:
@@ -220,13 +228,9 @@ class TestOnePeriodComb:
         x = np.array([bias, ratio] + scales[:(n_lines - 3) // 2])
         lines, transfer = comb.lines(x)
 
-        harmonics = spacing * np.arange(1, n_lines // 2 + 1)
-        indices = 0.3 * np.concatenate(([1.0], x[2:]))
-        plan = push_pull_plan(
-            harmonics, indices * PARAMS.v_pi / (math.pi * eo_response(harmonics, PARAMS)),
-            bias, arm2_drive_ratio=ratio)
+        plan = sampler_of(x, 0.3, PARAMS, spacing).plan
         grid = TimeGrid(32 * spacing, 32 * 16)
-        out = modulate(constant(grid), plan, PARAMS)
+        out = modulate_directly(constant(grid), plan, PARAMS)
         ideal = Signal(grid, sequence_directly(n_lines, n_lines * spacing, grid.t)
                        .astype(complex))
         gain = np.vdot(out.samples, ideal.samples) / np.vdot(out.samples, out.samples)
@@ -287,7 +291,7 @@ def assert_centred(cal, n_lines: int, spacing: float):
     time-domain best delay of 16 periods of the modulator output onto the
     unshifted ideal sequence is zero."""
     grid = TimeGrid(32 * spacing, 32 * 16)
-    out = modulate(constant(grid), cal.plan, cal.params)
+    out = modulate_directly(constant(grid), cal.plan, cal.params)
     ideal = Signal(grid, sequence_directly(n_lines, n_lines * spacing, grid.t)
                    .astype(complex))
     tau, _, _ = align_delay_gain(out, ideal)
@@ -333,6 +337,7 @@ class TestCalibration:
     def test_deterministic(self):
         a = calibrate_flat_comb(3, 10e9, PARAMS)
         b = calibrate_flat_comb(3, 10e9, PARAMS)
+        assert a.point == b.point
         assert a.plan == b.plan
         assert a.report.flatness_db == b.report.flatness_db
         assert a.gain == b.gain
@@ -348,16 +353,13 @@ class TestCalibration:
 
     def test_search_sees_only_the_modulation_index(self, monkeypatch):
         """Spacing, V_pi, the EO model and the insertion loss only map the
-        search result to volts: every drive the search tries, and the bias
-        and arm-2 ratio it picks, are the same to the bit, and the volts are
+        search result to volts: every drive the search tries, and the point
+        it keeps, are the same to the bit, and the plan's volts are
         ``m_k * v_pi / (pi * |H_EO(k * spacing)|)`` for the same m_k."""
-        tried, picked = [], []
+        tried, points = [], []
         lines = _OnePeriodComb.lines
         monkeypatch.setattr(_OnePeriodComb, "lines", lambda comb, x:
                             tried[-1].append(x.tobytes()) or lines(comb, x))
-        pick = mzm.push_pull_plan
-        monkeypatch.setattr(mzm, "push_pull_plan", lambda *args, **kwargs:
-                            picked.append((args, kwargs)) or pick(*args, **kwargs))
         setups = [(spacing, PARAMS) for spacing in (10e9, 8e9, 30e9)] + [
             (10e9, MzmParams(v_pi=3.0, eo_3db_bandwidth=16e9, eo_model=model,
                              insertion_loss_db=loss))
@@ -365,17 +367,17 @@ class TestCalibration:
         for spacing, params in setups:
             tried.append([])
             cal = calibrate_flat_comb(5, spacing, params, modulation_index=0.3)
-            (harmonics, volts, bias), ratio = picked[-1]
+            points.append(cal.point)
+            assert (tried[-1], cal.point) == (tried[0], points[0]), (spacing, params)
+            assert cal.modulation_index == 0.3
+            plan = cal.plan
+            harmonics = [t.frequency for t in plan.tones]
             assert_allclose(harmonics, [spacing, 2 * spacing], rtol=0)
             eo = eo_response(np.asarray(harmonics), params)
-            if len(tried) == 1:
-                indices = np.asarray(volts) * math.pi * eo / params.v_pi
-                assert indices[0] == pytest.approx(0.3, rel=1e-15)
-                first = tried[0], bias, ratio
-            assert (tried[-1], bias, ratio) == first, (spacing, params)
-            assert_allclose(volts, indices * params.v_pi / (math.pi * eo),
+            assert_allclose([t.amplitude_arm1 for t in plan.tones],
+                            0.3 * np.array([1.0, cal.point[2]]) * params.v_pi / (math.pi * eo),
                             rtol=1e-15, atol=0)
-            assert cal.plan.bias_arm1 - cal.plan.bias_arm2 == bias
+            assert plan.bias_arm1 - plan.bias_arm2 == cal.point[0]
 
     # (device, lines) -> (waveform RMSE %, line evaluations) of the search
     # by coordinate descent alone, stopping on a sweep that gained nothing

@@ -53,7 +53,6 @@ MZM_BLOCK = {
 
 FULL_MZM_CONFIG = {
     "version": 1, "mode": "transmission", "seed": 3, "label": "full",
-    "carrier_frequency_thz": 193.1,
     "plan": {"n_branches": 5, "aggregate_bandwidth_hz": 20e9},
     "modulation": "16qam",
     "shaping": {"kind": "sinc"},
@@ -130,6 +129,29 @@ class TestParsing:
         sc2 = parse_scenario(base_config(
             fiber={"length_km": 10.0, "reference_wavelength_nm": 1550.0}))
         assert sc2.fiber.reference_wavelength_nm == 1550.0
+
+    def test_wavelength_sets_the_carrier(self):
+        """A given wavelength is the carrier: the echo holds c / lambda for
+        a carrier left out, and a given carrier may repeat it to 1e-9 (and
+        is echoed as given), not contradict it; before, the wavelength ran
+        and a contradicting carrier was echoed.  The widest wavelength
+        echoes a carrier that re-parses."""
+        fiber = {"length_km": 10.0, "reference_wavelength_nm": 1552.0}
+        carrier = 299792458.0 / 1552e-9 * 1e-12  # 193.165 THz
+        sc = parse_scenario(base_config(fiber=fiber))
+        assert sc.config["carrier_frequency_thz"] == pytest.approx(carrier, rel=1e-15)
+        assert parse_scenario(copy.deepcopy(sc.config)).config == sc.config
+        repeated = base_config(fiber=fiber, carrier_frequency_thz=carrier * (1 + 5e-10))
+        assert parse_scenario(repeated).config == dict(
+            sc.config, carrier_frequency_thz=carrier * (1 + 5e-10))
+        for contradicting in (193.1, carrier * (1 + 2e-9)):
+            with pytest.raises(ConfigError) as err:
+                parse_scenario(base_config(fiber=fiber, carrier_frequency_thz=contradicting))
+            assert err.value.field == "carrier_frequency_thz"
+        widest = parse_scenario(base_config(
+            fiber={"length_km": 10.0, "reference_wavelength_nm": 1e6})).config
+        assert widest["carrier_frequency_thz"] == pytest.approx(0.299792458, rel=1e-15)
+        assert parse_scenario(copy.deepcopy(widest)).config == widest
 
     @pytest.mark.parametrize("mutate, field", [
         (lambda c: c.update(bogus=1), "bogus"),
@@ -879,6 +901,25 @@ class TestSweep:
         assert [b.scenario["noise"]["seed"] for b in bundles] == [4, 5]
         assert "noise" not in cfg
 
+    def test_numpy_values_sweep_and_write(self, tmp_path):
+        """A numpy array of values sweeps like a list, and numpy integers
+        are integers that echo as plain ones, so every bundle writes; a
+        bool, numpy's too, is still no integer."""
+        cfg = base_config(noise={"osnr_db": 30.0})
+        arrays = sweep(cfg, "noise.osnr_db", np.array([20.0, 25.0]))
+        assert [b.metrics for b in arrays] == [
+            b.metrics for b in sweep(cfg, "noise.osnr_db", [20.0, 25.0])]
+        counts = sweep(cfg, "n_symbols", [np.int64(9), np.int32(15)])
+        assert [b.scenario["n_symbols"] for b in counts] == [9, 15]
+        assert all(type(b.scenario["n_symbols"]) is int for b in counts)
+        for i, bundle in enumerate(arrays + counts):
+            assert write_bundle(bundle, tmp_path / str(i))
+        for flag in (True, np.bool_(True)):
+            with pytest.raises(ConfigError, match="n_symbols: expected an integer"):
+                sweep(cfg, "n_symbols", [flag])
+        with pytest.raises(ValueError, match="at least one value"):
+            sweep(cfg, "noise.osnr_db", np.array([]))
+
     def test_unknown_parameter_rejected(self):
         with pytest.raises(ConfigError):
             sweep(base_config(), "noise.bogus_db", [1.0])
@@ -967,10 +1008,10 @@ class TestSweep:
 def test_bandwidth_is_tuned_in_the_electrical_domain():
     """The paper's claim that the demultiplexer is tuned electrically: over
     24 to 90 GHz of aggregate bandwidth, the bundled 16 GHz, 0.42 V device
-    keeps one bias and one arm-2 drive ratio, bit for bit, and only the
-    tone's volts change, as 1/|H_EO| at the comb spacing B/3.  The
-    noiseless branch EVMs are the same to 1e-12 relative, not bit for bit:
-    the volts make a round trip through |H_EO| in the modulator."""
+    keeps one drive point, bit for bit, and only the tone's volts change,
+    as 1/|H_EO| at the comb spacing B/3.  The modulator runs that point in
+    index units and turns of its period, so the noiseless branch EVMs are
+    the same bits at every bandwidth."""
     calibrations, evms = [], []
     for bandwidth in (24e9, 48e9, 72e9, 90e9):
         cfg = base_config(plan={"n_branches": 3, "aggregate_bandwidth_hz": bandwidth},
@@ -980,15 +1021,16 @@ def test_bandwidth_is_tuned_in_the_electrical_domain():
         calibrations.append(bundle.calibration)
         evms.append([r.evm_percent for r in bundle.metrics])
     for evm in evms[1:]:
-        assert evm == pytest.approx(evms[0], rel=1e-12, abs=0)
-    first = calibrations[0].plan
-    ratio = first.tones[0].amplitude_arm2 / first.tones[0].amplitude_arm1
+        assert evm == evms[0]
+    first = calibrations[0]
+    ratio = first.point[1]
     for cal, bandwidth in zip(calibrations, (24e9, 48e9, 72e9, 90e9)):
         plan = cal.plan
         assert cal.converged
-        assert (plan.bias_arm1, plan.bias_arm2) == (first.bias_arm1, first.bias_arm2)
-        assert len(plan.tones) == len(first.tones)
-        for k, (tone, tone_24) in enumerate(zip(plan.tones, first.tones), start=1):
+        assert cal.point == first.point
+        assert (plan.bias_arm1, plan.bias_arm2) == (first.plan.bias_arm1, first.plan.bias_arm2)
+        assert len(plan.tones) == len(first.plan.tones)
+        for k, (tone, tone_24) in enumerate(zip(plan.tones, first.plan.tones), start=1):
             assert tone.frequency == k * (bandwidth / 3)
             assert tone.amplitude_arm2 == ratio * tone.amplitude_arm1
             driven = tone.amplitude_arm1 * eo_response(tone.frequency, cal.params)
@@ -996,9 +1038,10 @@ def test_bandwidth_is_tuned_in_the_electrical_domain():
             assert driven == pytest.approx(driven_24, rel=1e-12)
 
 
-def _invariance_config(bandwidth, n_branches, shaping, n_symbols):
-    """A noiseless 0 km 16QAM run of the ideal sampler at ``bandwidth``:
-    sinc, or raised cosine at 0.6 times the branch rate, rolloff 0.35."""
+def _invariance_config(bandwidth, n_branches, shaping, n_symbols, **sampler):
+    """A noiseless 0 km 16QAM run at ``bandwidth``, of the ideal sampler
+    unless ``sampler`` gives the sampler and mzm blocks: sinc, or raised
+    cosine at 0.6 times the branch rate, rolloff 0.35."""
     if shaping == "sinc":
         shape = {"kind": "sinc"}
     else:
@@ -1006,7 +1049,7 @@ def _invariance_config(bandwidth, n_branches, shaping, n_symbols):
                  "symbol_rate_hz": 0.6 * bandwidth / n_branches}
     return base_config(plan={"n_branches": n_branches, "aggregate_bandwidth_hz": bandwidth},
                        modulation="16qam", shaping=shape, n_symbols=n_symbols,
-                       oversampling=6, outputs=["metrics", "constellation"])
+                       oversampling=6, outputs=["metrics", "constellation"], **sampler)
 
 
 @pytest.mark.parametrize("shaping", ["sinc", "raised_cosine"])
@@ -1026,6 +1069,25 @@ def test_noiseless_ideal_runs_are_the_same_bits_at_any_bandwidth(n_branches, sha
             runs.append((points, bundle.metrics))
         for run in runs[1:]:
             assert run == runs[0], n_symbols
+
+
+@pytest.mark.parametrize("shaping", ["sinc", "raised_cosine"])
+@pytest.mark.parametrize("n_branches", [3, 5, 7])
+def test_noiseless_mzm_runs_are_the_same_bits_at_any_bandwidth(n_branches, shaping):
+    """With the MZM sampler and the bundled device too: from 24 to 90 GHz
+    the calibration keeps one drive point, the modulator runs it in turns of
+    one period, and every branch's constellation and every metric keep
+    their bits."""
+    runs = []
+    for bandwidth in (24e9, 48e9, 72e9, 90e9):
+        bundle = run_scenario(parse_scenario(_invariance_config(
+            bandwidth, n_branches, shaping, 63, sampler={"mode": "mzm"},
+            mzm=dict(MZM_BLOCK))))
+        points = [bundle.artifacts[f"branch{l}_constellation"][1].tobytes()
+                  for l in range(1, n_branches + 1)]
+        runs.append((points, bundle.metrics, bundle.calibration.point))
+    for run in runs[1:]:
+        assert run == runs[0]
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -1316,6 +1378,16 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: {field}: must be ")
         assert captured.out == ""
+
+    def test_carrier_contradicting_the_wavelength_exits_2(self, tmp_path, capsys):
+        """193.1 THz is 1552.52 nm, not the 1552 nm the fiber block gives."""
+        p = self.write_cfg(tmp_path, base_config(carrier_frequency_thz=193.1, fiber={
+            "length_km": 10.0, "reference_wavelength_nm": 1552.0}))
+        for verb in ("validate", "run"):
+            assert main([verb, str(p)]) == 2
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error: carrier_frequency_thz: must be 193.1652436")
+            assert captured.out == ""
 
     def test_bounds_keep_usable_values(self):
         """The widest wavelength runs; at the largest span loss the EVM is
