@@ -60,14 +60,6 @@ class TimeGrid:
     def freq_resolution(self) -> float:  # the bins' spacing, as np.fft.fftfreq's
         return 1.0 / (self.n_samples * self.dt)
 
-    @property
-    def nyquist(self) -> float:
-        return self.sample_rate / 2.0
-
-    @property
-    def t(self) -> np.ndarray:
-        return np.arange(self.n_samples) / self.sample_rate
-
 
 def _locked(values, what: str, lengths) -> np.ndarray:
     values = np.asarray(values, dtype=np.complex128)

@@ -70,7 +70,7 @@ def demultiplex(sig: Signal, plan: ChannelPlan,
                 sampler: FlatCombCalibration | None = None) -> tuple[Signal, ...]:
     """Recover every branch's baseband signal from the aggregate, branch 1 first.
 
-    ``sampler`` is the comb calibration whose drive makes the sampling
+    ``sampler`` is the N-line comb calibration whose drive makes the sampling
     pulses, or None for the ideal sinc sequences.  Sampling, brickwall
     low-pass at B/(2N), and the factor N restoring the 1/N gain of sequence
     sampling.  Only the detection band's bins are computed, from one window
@@ -84,6 +84,8 @@ def demultiplex(sig: Signal, plan: ChannelPlan,
     when bit-exact recovery matters; with continuous spectra (noise, roll-off
     shaping) the effect is irrelevant.
     """
+    if sampler is not None and (lines := sampler.report.n_lines) != plan.n_branches:
+        raise ValueError(f"a {lines}-line sampler cannot read {plan.n_branches} branches")
     rows, band, weight, starts = _read_bins(plan, sampler, sig.grid)
     gain = plan.n_branches * weight
     # C-contiguous (P, B)

@@ -105,8 +105,7 @@ def decide_indices(symbols, constellation: Constellation) -> np.ndarray:
     thresholds = 0.5 * (levels[1:] + levels[:-1])
     # the count of thresholds not at or above v, as np.searchsorted's: nan decides last
     ci, cq = (codes[sum(~(v <= t) for t in thresholds)] for v in (syms.real, syms.imag))
-    bits_axis = side.bit_length() - 1
-    return (ci << bits_axis) | cq
+    return ci * side + cq
 
 
 def qam_demap(symbols, constellation: Constellation) -> np.ndarray:
@@ -126,28 +125,35 @@ class EvmResult:
     block_percents: tuple[float, ...]
 
 
-def evm(rx, ref, n_blocks: int = 10) -> EvmResult:
+def _rows(rx, ref, n_blocks: int):
+    """``rx`` and its reference as rows of one shape, and ``np.array_split``'s block sizes."""
+    rx, ref = np.asarray(rx, dtype=np.complex128), np.asarray(ref)
+    if rx.shape != ref.shape or rx.size == 0 or rx.ndim not in (1, 2):
+        raise ValueError("rx and its reference must be non-empty and of the same length")
+    n_b = max(1, min(n_blocks, m := rx.shape[-1]))
+    return np.atleast_2d(rx), np.atleast_2d(ref), m // n_b + (np.arange(n_b) < m % n_b)
+
+
+def evm(rx, ref, n_blocks: int = 10):
     """Error vector magnitude, 100 * rms(rx - ref) / rms(ref).
 
     The +/- spread is the sample standard deviation over ``n_blocks``
-    contiguous blocks.
+    contiguous blocks.  2-D input is scored row by row, in one pass, into a
+    tuple of one result per row.
     """
-    rx = np.asarray(rx, dtype=np.complex128)
-    ref = np.asarray(ref, dtype=np.complex128)
-    if rx.shape != ref.shape:
-        raise ValueError("rx and ref must have the same length")
-    ref_rms = np.sqrt(np.mean(np.abs(ref) ** 2))
-    if ref_rms == 0.0:
+    rows, refs, sizes = _rows(rx, np.asarray(ref, dtype=np.complex128), n_blocks)
+    ref_rms = np.sqrt(np.mean(np.abs(refs) ** 2, axis=1))
+    if np.any(ref_rms == 0.0):
         raise ValueError("reference symbols are all zero")
 
-    err2 = np.abs(rx - ref) ** 2
-    total = 100.0 * np.sqrt(np.mean(err2)) / ref_rms
-    n_blocks = max(1, min(n_blocks, rx.size))
-    sizes = np.array([b.size for b in np.array_split(err2, n_blocks)])
-    blocks = 100.0 * np.sqrt(np.add.reduceat(err2, np.cumsum(sizes) - sizes)
-                             / sizes) / ref_rms
-    std = float(np.std(blocks, ddof=1)) if len(blocks) > 1 else 0.0
-    return EvmResult(float(total), std, tuple(float(b) for b in blocks))
+    err2 = np.abs(rows - refs) ** 2
+    total = 100.0 * np.sqrt(np.mean(err2, axis=1)) / ref_rms
+    blocks = 100.0 * np.sqrt(np.add.reduceat(err2, np.cumsum(sizes) - sizes, axis=1)
+                             / sizes) / ref_rms[:, None]
+    std = np.std(blocks, axis=1, ddof=1) if sizes.size > 1 else np.zeros(len(rows))
+    out = tuple(EvmResult(float(t), float(s), tuple(b.tolist()))
+                for t, s, b in zip(total, std, blocks))
+    return out[0] if np.ndim(rx) == 1 else out
 
 
 @dataclass(frozen=True)
@@ -155,8 +161,8 @@ class QFactorResult:
     """Worst adjacent-pair Q per quadrature, in dB, with block spread.
 
     ``capped_*`` marks quadratures whose Q exceeded the reporting cap
-    (effectively noiseless data, or a reference holding a single level on
-    the axis), ``floored_*`` those whose Q fell to the reporting floor
+    (effectively noiseless data, or patterns holding a single level on the
+    axis), ``floored_*`` those whose Q fell to the reporting floor
     (clusters overlapping entirely).
     """
 
@@ -179,8 +185,9 @@ def _worst_q(x: np.ndarray, group: np.ndarray, n_rows: int, n_levels: int):
     count = np.bincount(group, minlength=n_rows * n_levels)
     n = np.maximum(count, 1)
     mean = np.bincount(group, x, count.size) / n
-    dev = x - mean[group]  # two passes: E[x^2] - E[x]^2 cancels at high Q
-    std = np.sqrt(np.bincount(group, dev * dev, count.size) / n)
+    dev = mean[group]  # 2nd pass, in place for peak memory: E[x^2] - E[x]^2 cancels at high Q
+    dev -= x
+    std = np.sqrt(np.bincount(group, np.square(dev, out=dev), count.size) / n)
     present = np.flatnonzero(count)
     row = present // n_levels
     pair = np.flatnonzero(row[1:] == row[:-1])
@@ -204,39 +211,42 @@ def _to_db(q_linear: float) -> tuple[float, float, bool, bool]:
     return 20.0 * math.log10(q_linear), q_linear, False, False
 
 
-def q_factor(rx, ref, n_blocks: int = 10) -> QFactorResult:
+def q_factor(rx, sent, constellation: Constellation, n_blocks: int = 10):
     """Decision-threshold Q factor per quadrature.
 
-    Clusters are formed from the reference (data-aided), the Q of every
-    adjacent level pair is (mu1 - mu0)/(sigma1 + sigma0), and the minimum
-    pair is reported.  Values above ``Q_CAP_DB`` are capped and values
-    below ``Q_FLOOR_DB`` floored, each flagged.  An axis whose reference
-    holds a single level has no pair, so its Q is infinite and capped.
+    Clusters are formed from the transmitted bit patterns ``sent``
+    (data-aided): a symbol's level on an axis is its pattern's axis code's
+    rank.  The Q of every adjacent pair of the levels present is
+    (mu1 - mu0)/(sigma1 + sigma0), and the minimum pair is reported.
+    Values above ``Q_CAP_DB`` are capped and values below ``Q_FLOOR_DB``
+    floored, each flagged.  An axis whose patterns hold a single level has
+    no pair, so its Q is infinite and capped.  2-D input is scored row by
+    row, in one pass, into a tuple of one result per row.
     """
-    rx = np.asarray(rx, dtype=np.complex128)
-    ref = np.asarray(ref, dtype=np.complex128)
-    if rx.shape != ref.shape or rx.size == 0:
-        raise ValueError("rx and ref must be non-empty and of the same length")
-
-    n_b = max(1, min(n_blocks, rx.size))
-    block = np.repeat(np.arange(n_b), [b.size for b in np.array_split(rx, n_b)])
-    out = {}
-    for name, rx_ax, ref_ax in (("i", rx.real, ref.real), ("q", rx.imag, ref.imag)):
-        levels, level = np.unique(ref_ax, return_inverse=True)
-        total = _worst_q(rx_ax, level, 1, levels.size)[0][0]
-        db, lin, capped, floored = _to_db(float(total))
-        worst, valid = _worst_q(rx_ax, block * levels.size + level, n_b, levels.size)
-        blocks = [_to_db(float(q))[0] for q in worst[valid]]
-        std = float(np.std(blocks, ddof=1)) if len(blocks) > 1 else 0.0
-        out[name] = (db, lin, std, capped, floored)
-
-    return QFactorResult(
-        q_i_db=out["i"][0], q_q_db=out["q"][0],
-        q_i_linear=out["i"][1], q_q_linear=out["q"][1],
-        q_i_std_db=out["i"][2], q_q_std_db=out["q"][2],
-        capped_i=out["i"][3], capped_q=out["q"][3],
-        floored_i=out["i"][4], floored_q=out["q"][4],
-    )
+    rows, sent, sizes = _rows(rx, sent, n_blocks)
+    n_rows, n_b, side = len(rows), sizes.size, math.isqrt(constellation.order)
+    rank, v = np.argsort(_AXIS_CODES[side]), np.arange(constellation.order)
+    # cluster row * side + level, then in place (row * n_b + block) * side + level
+    row, block = np.arange(n_rows)[:, None], np.repeat(np.arange(n_b), sizes)
+    axes = []
+    for x, levels in ((rows.real, rank[v // side]), (rows.imag, rank[v % side])):
+        x, group = x.ravel(), levels[sent]
+        group += row * side
+        total = _worst_q(x, group.ravel(), n_rows, side)[0]
+        group += (row * (n_b - 1) + block) * side
+        worst, valid = (a.reshape(n_rows, n_b) for a in _worst_q(
+            x, group.ravel(), n_rows * n_b, side))
+        axis = []
+        for q, w, ok in zip(total.tolist(), worst, valid):
+            blocks = [_to_db(b)[0] for b in w[ok].tolist()]
+            db, lin, *flags = _to_db(q)
+            axis.append((db, lin, float(np.std(blocks, ddof=1)) if len(blocks) > 1 else 0.0,
+                         *flags))
+        axes.append(axis)
+    # QFactorResult's fields take each figure for I, then for Q
+    out = tuple(QFactorResult(*(f for pair in zip(i, q) for f in pair))
+                for i, q in zip(*axes))
+    return out[0] if np.ndim(rx) == 1 else out
 
 
 def ber_estimate(q_linear: float) -> float:

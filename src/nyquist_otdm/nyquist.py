@@ -107,34 +107,41 @@ def raised_cosine_shape(symbols, symbol_rate: float, rolloff: float,
     return Signal._of_bins(grid, bins, int(k[0]))
 
 
-def sample_symbols(sig: Signal, symbol_rate: float,
-                   t_offset: float = 0.0) -> np.ndarray:
+def sample_symbols(sig, symbol_rate: float, t_offset=0.0) -> np.ndarray:
     """Read symbols back off a signal at ``t = t_offset + k/symbol_rate``.
 
     Symbol instants must fall on grid samples and the window must hold a
     whole number M of symbol periods, k = 0..M-1.  The values come from the
-    signal's bins: folded onto M bins, then one M-point inverse FFT.
+    signal's bins: folded onto M bins, then one M-point inverse FFT.  N
+    signals on one grid and N offsets read as (N, M), one batched inverse FFT.
     """
     if not symbol_rate > 0:
         raise ValueError("symbol_rate must be positive")
-    grid = sig.grid
+    one = isinstance(sig, Signal)
+    sigs, offsets = ([sig], [t_offset]) if one else (list(sig), list(t_offset))
+    grid = sigs[0].grid
+    if len(offsets) != len(sigs) or any(s.grid != grid for s in sigs):
+        raise ValueError("expected one offset per signal, all signals on one grid")
     n = grid.n_samples
     sps = _require_integer(grid.sample_rate / symbol_rate, "samples per symbol")
-    start = _require_integer(t_offset * grid.sample_rate,
-                             "symbol offset in samples")
     m_sym = _require_integer(grid.duration * symbol_rate,
                              "grid window in symbol periods")
-    # sample start + q*sps is (1/n) sum_k bins[k] exp(2j*pi*k*(start + q*sps)/n);
-    # with k = a*M + r the sum over a folds the bins onto r = 0..M-1: over the
-    # rows the band reaches, in ascending a mod sps, whatever the band's width;
-    # sps rows hold every bin once, so a band of the whole grid reads no more
-    first, band = sig._band
-    a = np.arange(first // m_sym, (first + band.size - 1) // m_sym + 1)[:sps]
-    rows = sig._window(int(a[0]) * m_sym, a.size * m_sym).reshape(a.size, m_sym)
-    turns = np.exp(2j * np.pi * ((a * start) % sps) / sps)
-    fold = sum(turns[i] * rows[i] for i in np.argsort(a % sps, kind="stable"))
-    fold *= np.exp(2j * np.pi * ((np.arange(m_sym) * start) % n) / n)
-    return np.fft.ifft(fold) / sps
+    folds = np.empty((len(sigs), m_sym), dtype=np.complex128)
+    for fold, s, t in zip(folds, sigs, offsets):
+        start = _require_integer(t * grid.sample_rate, "symbol offset in samples")
+        # sample start + q*sps is (1/n) sum_k bins[k] exp(2j*pi*k*(start + q*sps)/n);
+        # with k = a*M + r the sum over a folds the bins onto r = 0..M-1: over the
+        # rows the band reaches, in ascending a mod sps, whatever the band's
+        # width; sps rows hold every bin once, so a band of the whole grid reads no more
+        first, band = s._band
+        a = np.arange(first // m_sym, (first + band.size - 1) // m_sym + 1)[:sps]
+        rows = s._window(int(a[0]) * m_sym, a.size * m_sym).reshape(a.size, m_sym)
+        turns = np.exp(2j * np.pi * ((a * start) % sps) / sps)
+        fold[:] = sum(turns[i] * rows[i] for i in np.argsort(a % sps, kind="stable"))
+        fold *= np.exp(2j * np.pi * ((np.arange(m_sym) * start) % n) / n)
+    symbols = np.fft.ifft(folds, axis=-1)
+    symbols /= sps  # in place: the (N, M) reads set a run's peak memory
+    return symbols[0] if one else symbols
 
 
 def _sequence_lines(plan: ChannelPlan, grid: TimeGrid):

@@ -30,9 +30,9 @@ from .link import (
     propagate,
 )
 from .modem import (
+    BerCount,
     Constellation,
     MetricsReport,
-    ber_count,
     ber_estimate,
     ber_estimate_log10,
     below_hdfec_limit,
@@ -41,8 +41,6 @@ from .modem import (
     format_metrics_table,
     log10_mean,
     q_factor,
-    qam_demap,
-    qam_map,
 )
 from .mzm import (
     FlatCombCalibration,
@@ -526,10 +524,11 @@ def run_scenario(sc: Scenario, calibrations: dict | None = None) -> ReportBundle
     bps = const.bits_per_symbol
     rng = np.random.default_rng(seed)
 
-    tx_bits = [rng.integers(0, 2, n_symbols * bps)
-               for _ in range(plan.n_branches)]
-    tx_symbols = [qam_map(bits, const) for bits in tx_bits]
-    tx = otdm_multiplex(tx_symbols, rate, plan, grid, rolloff=cfg["shaping"]["rolloff"])
+    weights = 1 << np.arange(bps - 1, -1, -1)  # MSB first, as qam_map reads bits
+    sent = np.stack([rng.integers(0, 2, n_symbols * bps).reshape(-1, bps) @ weights
+                     for _ in range(plan.n_branches)])  # each branch's bit patterns
+    ref = const.points[sent]  # row l-1: branch l's symbols
+    tx = otdm_multiplex(ref, rate, plan, grid, rolloff=cfg["shaping"]["rolloff"])
 
     cal = None
     if cfg["sampler"]["mode"] == "mzm":
@@ -557,56 +556,46 @@ def run_scenario(sc: Scenario, calibrations: dict | None = None) -> ReportBundle
         artifacts["spectrum_multiplexed"] = _spectrum_rows(tx, half)
         artifacts["spectrum_received"] = _spectrum_rows(rx, half)
 
+    branches = demultiplex(rx, plan, cal)
+    aligned = sample_symbols(branches, rate,
+                             t_offset=[plan.slot(l) for l in range(1, plan.n_branches + 1)])
+    denom = [np.vdot(row, row) for row in aligned]  # one product per row, as demultiplex's
+    if 0 in denom:
+        raise RuntimeError(f"branch {denom.index(0) + 1} demultiplexed to an all-zero stream")
+    gains = [np.vdot(row, f) / d for row, f, d in zip(aligned, ref, denom)]  # data-aided taps
+    aligned *= np.array(gains)[:, None]
+    scores = zip(branches, evm(aligned, ref), q_factor(aligned, sent, const))
+    decided = decide_indices(aligned, const)
+    ones = np.array([bin(v).count("1") for v in range(const.order)])  # each pattern's set bits
+    errors = ones[sent ^ decided].sum(axis=1)  # bit errors: the set bits of sent ^ decided
     reports = []
-    for l, y in enumerate(demultiplex(rx, plan, cal), start=1):
-        raw = sample_symbols(y, rate, t_offset=plan.slot(l))
-        ref = tx_symbols[l - 1]
-        denom = np.vdot(raw, raw)
-        if denom == 0:
-            raise RuntimeError(f"branch {l} demultiplexed to an all-zero stream")
-        gain = np.vdot(raw, ref) / denom  # data-aided single complex tap
-        aligned = raw * gain
-
-        ev = evm(aligned, ref)
-        qf = q_factor(aligned, ref)
-        rx_bits = qam_demap(aligned, const)
-        counted = ber_count(tx_bits[l - 1], rx_bits)
+    for l, (y, ev, qf) in enumerate(scores, start=1):
+        counted = BerCount(int(errors[l - 1]), n_symbols * bps)
         est = 0.5 * (ber_estimate(qf.q_i_linear) + ber_estimate(qf.q_q_linear))
         est_log10 = log10_mean(ber_estimate_log10(qf.q_i_linear),
                                ber_estimate_log10(qf.q_q_linear))
         reports.append(MetricsReport(
-            label=f"branch {l}",
-            modulation=cfg["modulation"],
-            distance_km=sc.fiber.length_km,
-            osnr_db=osnr_db,
-            n_symbols=n_symbols,
-            n_bits=counted.n_bits,
-            evm_percent=ev.percent,
-            evm_std_percent=ev.std_percent,
-            q_i_db=qf.q_i_db,
-            q_q_db=qf.q_q_db,
-            q_i_std_db=qf.q_i_std_db,
-            q_q_std_db=qf.q_q_std_db,
-            q_capped=qf.capped_i or qf.capped_q,
-            ber_estimated=est,
-            ber_estimated_log10=est_log10,
-            ber_count_errors=counted.errors,
-            ber_counted=counted.rate,
-            below_hdfec=below_hdfec_limit(counted.rate),
-            seed=seed,
-            q_floored=qf.floored_i or qf.floored_q,
-        ))
+            label=f"branch {l}", modulation=cfg["modulation"],
+            distance_km=sc.fiber.length_km, osnr_db=osnr_db,
+            n_symbols=n_symbols, n_bits=counted.n_bits,
+            evm_percent=ev.percent, evm_std_percent=ev.std_percent,
+            q_i_db=qf.q_i_db, q_q_db=qf.q_q_db,
+            q_i_std_db=qf.q_i_std_db, q_q_std_db=qf.q_q_std_db,
+            q_capped=qf.capped_i or qf.capped_q, q_floored=qf.floored_i or qf.floored_q,
+            ber_estimated=est, ber_estimated_log10=est_log10,
+            ber_count_errors=counted.errors, ber_counted=counted.rate,
+            below_hdfec=below_hdfec_limit(counted.rate), seed=seed))
 
         if "spectra" in outputs:
             artifacts[f"branch{l}_spectrum"] = _spectrum_rows(
                 y, plan.detection_half_width)
         if "constellation" in outputs:
-            decided = decide_indices(aligned, const)
             artifacts[f"branch{l}_constellation"] = (
                 "re,im,decided_symbol",
-                np.column_stack([aligned.real, aligned.imag, decided]))
+                np.column_stack([aligned[l - 1].real, aligned[l - 1].imag,
+                                 decided[l - 1]]))
         if "eye" in outputs:
-            artifacts[f"branch{l}_eye"] = _eye_rows(y, gain, sc, plan.slot(l))
+            artifacts[f"branch{l}_eye"] = _eye_rows(y, gains[l - 1], sc, plan.slot(l))
 
     return ReportBundle(cfg, metrics=reports, calibration=cal, artifacts=artifacts)
 

@@ -29,12 +29,18 @@ from nyquist_otdm.mzm import (
 )
 
 
+def times(grid: TimeGrid) -> np.ndarray:
+    """Every sample's time, the first at t = 0."""
+    return np.arange(grid.n_samples) / grid.sample_rate
+
+
 def tone(grid: TimeGrid, frequency: float, amplitude: float = 1.0,
          phase: float = 0.0) -> Signal:
     """Complex exponential ``amplitude * exp(j*(2*pi*f*t + phase))``."""
-    if abs(frequency) >= grid.nyquist:
+    if abs(frequency) >= grid.sample_rate / 2:
         raise ValueError("tone frequency must be below the Nyquist limit")
-    return Signal(grid, amplitude * np.exp(1j * (2 * np.pi * frequency * grid.t + phase)))
+    return Signal(grid, amplitude * np.exp(1j * (2 * np.pi * frequency * times(grid)
+                                                 + phase)))
 
 
 def delay_signal(sig: Signal, delay: float) -> Signal:
@@ -89,7 +95,7 @@ def interpolate_directly(symbols, symbol_rate: float, grid: TimeGrid,
                          t_offset: float = 0.0) -> np.ndarray:
     """Direct sum of kernel translates; O(n_samples * n_symbols)."""
     m = len(symbols)
-    x = (grid.t - t_offset) * symbol_rate  # in symbol periods
+    x = (times(grid) - t_offset) * symbol_rate  # in symbol periods
     out = np.zeros(grid.n_samples, dtype=complex)
     for k, sym in enumerate(symbols):
         out += sym * periodic_sinc_kernel(x - k, m)
@@ -180,11 +186,11 @@ def modulate_directly(field: Signal, plan: DrivePlan, params: MzmParams) -> Sign
     sin(2*pi*f_k*t + phase_ik)``; the output is the loss-scaled average of
     the two arm fields with their static amplitude imbalance."""
     grid = field.grid
-    t = grid.t
+    t = times(grid)
     phi1 = np.full(grid.n_samples, float(plan.bias_arm1))
     phi2 = np.full(grid.n_samples, float(plan.bias_arm2))
     for tone_ in plan.tones:
-        if tone_.frequency >= grid.nyquist:
+        if tone_.frequency >= grid.sample_rate / 2:
             raise ValueError("drive tone at or above the grid Nyquist limit")
         depth = math.pi * eo_response(tone_.frequency, params) / params.v_pi
         w = 2 * np.pi * tone_.frequency
@@ -198,12 +204,16 @@ def modulate_directly(field: Signal, plan: DrivePlan, params: MzmParams) -> Sign
 
 
 def sampler_of(point, modulation_index: float, params: MzmParams, spacing: float,
-               gain: complex = 1.0) -> FlatCombCalibration:
+               gain: complex = 1.0, n_lines: int | None = None) -> FlatCombCalibration:
     """A calibration holding an arbitrary drive ``point`` at comb
     ``spacing``, to sample with: the demultiplexer reads only its point,
     index, device and gain, and its volts plan the spacing, the one figure
-    its report holds besides the line count."""
-    report = CombReport(2 * len(point) - 1, spacing, (), (), math.nan, math.nan)
+    its report holds besides the line count.  That count is ``n_lines``,
+    by default the one a calibration of ``point`` targets; the
+    demultiplexer takes a sampler whose count is its plan's branches."""
+    if n_lines is None:
+        n_lines = 2 * len(point) - 1
+    report = CombReport(n_lines, spacing, (), (), math.nan, math.nan)
     return FlatCombCalibration(point=tuple(float(v) for v in point),
                                modulation_index=modulation_index, params=params,
                                report=report, converged=True, gain=gain,
@@ -217,7 +227,7 @@ def gate_directly(sig: Signal, plan: ChannelPlan, branch: int,
     volts plan at the branch RF phase times the calibration gain."""
     if sampler is None:
         return sig.samples * sequence_directly(
-            plan.n_branches, plan.aggregate_bandwidth, sig.grid.t,
+            plan.n_branches, plan.aggregate_bandwidth, times(sig.grid),
             plan.slot(branch))
     drive = branch_drive(sampler.plan, plan, branch)
     return modulate_directly(sig, drive, sampler.params).samples * sampler.gain

@@ -164,7 +164,7 @@ def test_criterion_06_estimated_vs_counted_ber():
     counted = ber_count(bits, qam_demap(rx, c))
     assert 1e-4 <= counted.rate <= 1e-2
 
-    qf = q_factor(rx, tx)
+    qf = q_factor(rx, bits.reshape(-1, 2) @ np.array([2, 1]), c)
     estimated = 0.5 * (ber_estimate(qf.q_i_linear) + ber_estimate(qf.q_q_linear))
     ratio = estimated / counted.rate
     assert 1 / 3 < ratio < 3, (

@@ -13,6 +13,8 @@ from nyquist_otdm.core import constant, spectrum
 from nyquist_otdm.demux import _read_bins, _sampling_lines, demultiplex
 from nyquist_otdm.link import (
     FiberSpec,
+    NoiseSpec,
+    add_noise,
     compensate_dispersion,
     propagate,
 )
@@ -53,7 +55,8 @@ def _random_sampler(rng, plan: ChannelPlan, n_tones: int):
     and the fundamental's index, with a random complex gain."""
     point = (rng.uniform(0.5, 2.5), rng.uniform(0.5, 1.25), *rng.uniform(0.4, 1.6, n_tones - 1))
     return sampler_of(point, float(rng.uniform(0.1, 1.0)), PARAMS, plan.symbol_rate,
-                      gain=complex(rng.uniform(1.0, 4.0), rng.uniform(-1.0, 1.0)))
+                      gain=complex(rng.uniform(1.0, 4.0), rng.uniform(-1.0, 1.0)),
+                      n_lines=plan.n_branches)
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
@@ -97,6 +100,17 @@ def test_mzm_sampler_needs_whole_sample_slots():
         demultiplex(sig, plan, sampler)
 
 
+def test_sampler_of_another_line_count_is_refused():
+    """A comb calibrated for 5 lines samples no 3-branch plan: demultiplex
+    names both counts instead of returning branches read with the wrong
+    pulse trains."""
+    plan = ChannelPlan(3, 24e9)
+    cal = calibrate_flat_comb(5, 8e9, PARAMS)
+    sig = constant(TimeGrid(8 * 24e9, 8 * 3 * 9))
+    with pytest.raises(ValueError, match="5-line sampler cannot read 3 branches"):
+        demultiplex(sig, plan, cal)
+
+
 def test_ideal_round_trip_multiple_seeds():
     plan = ChannelPlan(3, 24e9)
     n_symbols = 17  # odd count per branch: exact recovery
@@ -109,6 +123,32 @@ def test_ideal_round_trip_multiple_seeds():
                                       start=1):
             got = sample_symbols(y, plan.symbol_rate, t_offset=plan.slot(l))
             assert_allclose(got, sent, atol=1e-9)
+
+
+@pytest.mark.parametrize("n_branches, n_symbols, mzm", [
+    (3, 17, False), (5, 16, False), (7, 9, False), (3, 15, True), (5, 10, True)])
+def test_branches_read_together_as_each_alone(n_branches, n_symbols, mzm):
+    """All branches read as one (N, M) array, with one batched inverse FFT,
+    give each branch's 1-D read bit for bit, noise and an MZM sampler
+    included; a read with an offset too few or a signal on another grid is
+    refused."""
+    plan = ChannelPlan(n_branches, 8e9 * n_branches)
+    grid = grid_for(plan, n_symbols)
+    blocks = random_symbols(plan, n_symbols, np.random.default_rng(n_symbols))
+    agg = add_noise(otdm_multiplex(blocks, plan.symbol_rate, plan, grid), NoiseSpec(15.0))
+    sampler = calibrate_flat_comb(n_branches, plan.symbol_rate, PARAMS) if mzm else None
+    branches = demultiplex(agg, plan, sampler)
+    slots = [plan.slot(l) for l in range(1, n_branches + 1)]
+    together = sample_symbols(branches, plan.symbol_rate, t_offset=slots)
+    assert together.shape == (n_branches, n_symbols)
+    for l, y in enumerate(branches, start=1):
+        alone = sample_symbols(y, plan.symbol_rate, t_offset=plan.slot(l))
+        assert_array_equal(together[l - 1], alone)
+    with pytest.raises(ValueError, match="one offset per signal"):
+        sample_symbols(branches, plan.symbol_rate, t_offset=slots[1:])
+    other = constant(TimeGrid(grid.sample_rate, 2 * grid.n_samples))
+    with pytest.raises(ValueError, match="one grid"):
+        sample_symbols([branches[0], other], plan.symbol_rate, t_offset=slots[:2])
 
 
 def _crosstalk_db(plan, sampler, n_symbols=15, seed=5):

@@ -176,7 +176,7 @@ class TestQFactor:
         ref = c.points[vals]
         sigma = 0.05
         rx = ref + sigma * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-        res = q_factor(rx, ref)
+        res = q_factor(rx, vals, c)
         # adjacent-level separation 2/sqrt(2), equal sigmas on both clusters
         expect_db = 20 * math.log10((2 / math.sqrt(2)) / (2 * sigma))
         assert res.q_i_db == pytest.approx(expect_db, abs=0.1)
@@ -187,19 +187,20 @@ class TestQFactor:
     def test_noiseless_data_is_capped(self):
         c = Constellation(4)
         rng = np.random.default_rng(3)
-        ref = c.points[rng.integers(0, 4, 100)]
-        res = q_factor(ref, ref)
+        vals = rng.integers(0, 4, 100)
+        res = q_factor(c.points[vals], vals, c)
         assert res.capped_i and res.capped_q
         assert res.q_i_db == Q_CAP_DB
 
     def test_single_level_axis_is_capped_and_flagged(self):
-        """An axis whose reference holds one level has no adjacent pair: its
+        """An axis whose patterns hold one level has no adjacent pair: its
         Q is infinite, reported as the cap and flagged, with no block spread,
         while the other axis is measured as usual."""
         rng = np.random.default_rng(8)
-        ref = np.where(rng.integers(0, 2, 40) == 1, 1.0, -1.0) + 1j
-        rx = ref + 0.1 * (rng.standard_normal(40) + 1j * rng.standard_normal(40))
-        res = q_factor(rx, ref)
+        c = Constellation(4)
+        vals = 2 * rng.integers(0, 2, 40)  # quadrature code 0 throughout
+        rx = c.points[vals] + 0.1 * (rng.standard_normal(40) + 1j * rng.standard_normal(40))
+        res = q_factor(rx, vals, c)
         assert res.capped_q and not res.floored_q
         assert (res.q_q_db, res.q_q_std_db) == (Q_CAP_DB, 0.0)
         assert res.q_q_linear == 10.0 ** (Q_CAP_DB / 20.0)
@@ -207,7 +208,7 @@ class TestQFactor:
 
     def test_empty_block_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
-            q_factor(np.zeros(0, dtype=complex), np.zeros(0, dtype=complex))
+            q_factor(np.zeros(0, dtype=complex), np.zeros(0, dtype=int), Constellation(4))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -236,13 +237,55 @@ def test_one_pass_metrics_match_block_by_block_oracles(
     assert_allclose(ev.block_percents, want_ev.block_percents, rtol=1e-12, atol=0)
     assert ev.std_percent == pytest.approx(want_ev.std_percent, rel=1e-12, abs=1e-300)
 
-    want, got = q_factor_directly(rx, ref, n_blocks), q_factor(rx, ref, n_blocks)
+    want = q_factor_directly(rx, ref, n_blocks)
+    got = q_factor(rx, values[:n_symbols], Constellation(order), n_blocks)
     for field in dataclasses.fields(QFactorResult):
         g, w = getattr(got, field.name), getattr(want, field.name)
         if isinstance(w, bool):
             assert g is w, field.name
         else:
             assert g == pytest.approx(w, rel=1e-12, abs=1e-300), field.name
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(order=st.sampled_from([4, 16]), n_rows=st.sampled_from([1, 3, 5, 7]),
+       n_symbols=st.integers(1, 300), n_blocks=st.integers(1, 12),
+       runs=st.integers(1, 40),
+       sigma=st.one_of(st.just(0.0), st.floats(-9.0, 0.3).map(lambda e: 10.0 ** e)),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_rows_score_as_each_row_alone(order, n_rows, n_symbols, n_blocks, runs, sigma,
+                                      seed):
+    """evm and q_factor on (N, M) input give one result per row, each the
+    bits of scoring that row alone, and within 1e-12 of the block-by-block
+    oracles.  Rows are runs of one pattern, so a row may miss levels or hold
+    one; row 0 holds one in-phase level, which is capped and flagged."""
+    rng = np.random.default_rng(seed)
+    c = Constellation(order)
+    side = math.isqrt(order)
+    sent = np.repeat(rng.integers(0, order, (n_rows, runs)), -(-n_symbols // runs),
+                     axis=1)[:, :n_symbols]
+    sent[0] %= side  # in-phase code 0 throughout
+    ref = c.points[sent]
+    rx = ref + sigma * (rng.standard_normal(ref.shape) + 1j * rng.standard_normal(ref.shape))
+
+    evs, qfs = evm(rx, ref, n_blocks), q_factor(rx, sent, c, n_blocks)
+    assert len(evs) == len(qfs) == n_rows
+    for row in range(n_rows):
+        assert repr(evs[row]) == repr(evm(rx[row], ref[row], n_blocks))
+        assert repr(qfs[row]) == repr(q_factor(rx[row], sent[row], c, n_blocks))
+        want_ev = evm_directly(rx[row], ref[row], n_blocks)
+        assert evs[row].percent == want_ev.percent
+        assert_allclose(evs[row].block_percents, want_ev.block_percents, rtol=1e-12, atol=0)
+        assert evs[row].std_percent == pytest.approx(want_ev.std_percent, rel=1e-12,
+                                                     abs=1e-300)
+        want = q_factor_directly(rx[row], ref[row], n_blocks)
+        for field in dataclasses.fields(QFactorResult):
+            g, w = getattr(qfs[row], field.name), getattr(want, field.name)
+            if isinstance(w, bool):
+                assert g is w, field.name
+            else:
+                assert g == pytest.approx(w, rel=1e-12, abs=1e-300), field.name
+    assert qfs[0].capped_i and (qfs[0].q_i_db, qfs[0].q_i_std_db) == (Q_CAP_DB, 0.0)
 
 
 class TestBerEstimate:

@@ -21,6 +21,7 @@ from helpers import (
     rmse_percent,
     sampler_of,
     sequence_directly,
+    times,
     tone,
 )
 from nyquist_otdm import Signal, TimeGrid, spectrum
@@ -231,7 +232,7 @@ class TestOnePeriodComb:
         plan = sampler_of(x, 0.3, PARAMS, spacing).plan
         grid = TimeGrid(32 * spacing, 32 * 16)
         out = modulate_directly(constant(grid), plan, PARAMS)
-        ideal = Signal(grid, sequence_directly(n_lines, n_lines * spacing, grid.t)
+        ideal = Signal(grid, sequence_directly(n_lines, n_lines * spacing, times(grid))
                        .astype(complex))
         gain = np.vdot(out.samples, ideal.samples) / np.vdot(out.samples, out.samples)
         report = comb_report(spectrum(out)[::16], n_lines, spacing)  # 16 periods
@@ -292,7 +293,7 @@ def assert_centred(cal, n_lines: int, spacing: float):
     unshifted ideal sequence is zero."""
     grid = TimeGrid(32 * spacing, 32 * 16)
     out = modulate_directly(constant(grid), cal.plan, cal.params)
-    ideal = Signal(grid, sequence_directly(n_lines, n_lines * spacing, grid.t)
+    ideal = Signal(grid, sequence_directly(n_lines, n_lines * spacing, times(grid))
                    .astype(complex))
     tau, _, _ = align_delay_gain(out, ideal)
     assert abs(tau) < 1e-6 * grid.dt

@@ -22,6 +22,7 @@ from helpers import (
     interpolate_directly,
     random_symbols,
     sequence_directly,
+    times,
 )
 
 
@@ -41,7 +42,7 @@ class TestSincSequence:
             plan = ChannelPlan(n_lines, 24e9)
             for branch in range(1, n_lines + 1):
                 seq = sequence_from_lines(plan, grid, branch)
-                oracle = sequence_directly(n_lines, 24e9, grid.t, plan.slot(branch))
+                oracle = sequence_directly(n_lines, 24e9, times(grid), plan.slot(branch))
                 assert_allclose(seq.samples, oracle, atol=1e-12)
 
     def test_peak_and_zero_crossings(self):

@@ -23,6 +23,7 @@ from helpers import (
     gate_directly,
     propagate_directly,
     shape_directly,
+    times,
 )
 from nyquist_otdm import Signal, TimeGrid, scenario, spectrum
 from nyquist_otdm.cli import main
@@ -586,7 +587,7 @@ class TestBundleArtifacts:
             full = (y.samples * gain).real[::sps // shared]
             eye = rows[::per_symbol // shared]
             assert np.max(np.abs(eye[:, 1] - full)) <= 1e-12 * np.max(np.abs(full))
-            t_full = np.mod(y.grid.t - t_offset, window)[::sps // shared]
+            t_full = np.mod(times(y.grid) - t_offset, window)[::sps // shared]
             apart = np.abs(eye[:, 0] - t_full)
             assert np.all(np.minimum(apart, window - apart) <= 1e-9 * window)
             # one time value per phase: the index is folded before the floats
@@ -725,13 +726,41 @@ class TestWriteBundle:
 ALL_OUTPUTS = ["metrics", "spectra", "constellation", "eye"]
 
 
-def _load_bench_checks():
-    """``bench/checks.py``, the package-free output checks, as a module."""
-    path = ROOT / "bench" / "checks.py"
-    spec = importlib.util.spec_from_file_location("bench_checks", path)
+def _load_bench(name: str = "checks"):
+    """A module of ``bench/``, read and never written: by default
+    ``checks.py``, the package-free output checks."""
+    path = ROOT / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+class TestBenchmarkNames:
+    """The traced benchmark wraps package functions by name (bench/tracing.py's
+    ``TIMED``): a refactor that drops one, or scores branch by branch again,
+    fails here in seconds rather than in a traced benchmark run."""
+
+    def test_every_traced_name_resolves(self):
+        for metric, (module, names) in _load_bench("tracing").TIMED.items():
+            mod = importlib.import_module(f"nyquist_otdm.{module}")
+            for name in names:
+                assert callable(getattr(mod, name, None)), (metric, module, name)
+
+    @pytest.mark.parametrize("n_branches", [3, 5, 7])
+    def test_a_run_scores_every_branch_in_one_call(self, monkeypatch, n_branches):
+        """One evm and one q_factor call per transmission run, whatever N."""
+        calls = dict.fromkeys(("evm", "q_factor"), 0)
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(scenario, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(scenario, name, counted)
+        bundle = run_scenario(parse_scenario({
+            "version": 1, "modulation": "16qam", "n_symbols": 9, "noise": {"osnr_db": 20.0},
+            "plan": {"n_branches": n_branches, "aggregate_bandwidth_hz": n_branches * 8e9}}))
+        assert len(bundle.metrics) == n_branches
+        assert calls == {"evm": 1, "q_factor": 1}
 
 
 def _noise_config(n_branches, shaping, n_symbols, **overrides):
@@ -821,7 +850,7 @@ class TestNoiseReach:
         cfg = _noise_config(n_branches, {"kind": "sinc"}, 1023,
                             noise={"osnr_db": 20.0}, outputs=["metrics"], **extra)
         write_bundle(run_scenario(parse_scenario(cfg)), tmp_path)
-        assert _load_bench_checks().check_evm(tmp_path) == []
+        assert _load_bench().check_evm(tmp_path) == []
 
 
 class TestEchoIsTheRecord:
@@ -1509,7 +1538,7 @@ class TestBundledScenarios:
             env=CHILD_ENV, capture_output=True, timeout=300)
         assert (proc.returncode, proc.stderr) == (0, b"")
         assert _dir_bytes(tmp_path / "c") == a
-        checks = _load_bench_checks()
+        checks = _load_bench()
         if raw.get("mode") == "comb":
             assert checks.check_comb_bundle(tmp_path / "a") == []
             return
@@ -1535,7 +1564,7 @@ class TestBundledScenarios:
         assert "\nconverged: yes " in (a / "metrics.txt").read_text()
         assert main(["run", str(a / "config.json"), "--out-dir", str(b)]) == 0
         assert _dir_bytes(b) == _dir_bytes(a)
-        assert _load_bench_checks().check_comb_bundle(a) == []
+        assert _load_bench().check_comb_bundle(a) == []
         tones = json.loads((a / "drive_plan.json").read_text())["tones"]
         assert len(tones) == (lines or 3) // 2
         for tone in tones:
