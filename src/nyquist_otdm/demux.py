@@ -50,22 +50,6 @@ def _sampling_lines(plan: ChannelPlan, sampler: FlatCombCalibration | None,
     return orders * spacing, _branch_rows(lines, orders, plan.n_branches)
 
 
-def _read_bins(plan: ChannelPlan, sampler: FlatCombCalibration | None,
-               grid: TimeGrid):
-    """The branches' rows of the sampling lines, the detection band
-    |f| <= B/(2N), half a line spacing each side, with each bin's weight,
-    and the first of the aggregate's bins that each line adds into the band."""
-    shifts, rows = _sampling_lines(plan, sampler, grid)
-    spacing = int(shifts[1] - shifts[0])
-    if spacing >= grid.n_samples:
-        raise ValueError("the detection band B/(2N) must lie below the grid's "
-                         "Nyquist limit")
-    band = np.arange(-(spacing // 2), spacing // 2 + 1)
-    # the bins at exactly the edge (an even spacing) count half
-    weight = np.where(2 * np.abs(band) == spacing, 0.5, 1.0)
-    return rows, band, weight, band[0] - shifts
-
-
 def demultiplex(sig: Signal, plan: ChannelPlan,
                 sampler: FlatCombCalibration | None = None) -> tuple[Signal, ...]:
     """Recover every branch's baseband signal from the aggregate, branch 1 first.
@@ -86,10 +70,18 @@ def demultiplex(sig: Signal, plan: ChannelPlan,
     """
     if sampler is not None and (lines := sampler.report.n_lines) != plan.n_branches:
         raise ValueError(f"a {lines}-line sampler cannot read {plan.n_branches} branches")
-    rows, band, weight, starts = _read_bins(plan, sampler, sig.grid)
-    gain = plan.n_branches * weight
-    # C-contiguous (P, B)
-    taken = np.stack([sig._window(start, band.size) for start in starts.tolist()])
+    shifts, rows = _sampling_lines(plan, sampler, sig.grid)
+    spacing = int(shifts[1] - shifts[0])
+    if spacing >= sig.grid.n_samples:
+        raise ValueError("the detection band B/(2N) must lie below the grid's "
+                         "Nyquist limit")
+    # the detection band, half a line spacing each side; the bins at exactly
+    # the edge (an even spacing) count half
+    band = np.arange(-(spacing // 2), spacing // 2 + 1)
+    gain = plan.n_branches * np.where(2 * np.abs(band) == spacing, 0.5, 1.0)
+    # C-contiguous (P, B): line m adds the aggregate's bins from band[0] - shifts[m]
+    taken = np.stack([sig._window(start, band.size)
+                      for start in (band[0] - shifts).tolist()])
     # one product per row: an N-row product rounds differently
     return tuple(Signal._of_bins(sig.grid, gain * (row @ taken), int(band[0]))
                  for row in rows)

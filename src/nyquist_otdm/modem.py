@@ -224,6 +224,8 @@ def q_factor(rx, sent, constellation: Constellation, n_blocks: int = 10):
     row, in one pass, into a tuple of one result per row.
     """
     rows, sent, sizes = _rows(rx, sent, n_blocks)
+    if sent.dtype.kind not in "iu" or sent.min() < 0 or sent.max() >= constellation.order:
+        raise ValueError(f"sent must hold integer bit patterns 0..{constellation.order - 1}")
     n_rows, n_b, side = len(rows), sizes.size, math.isqrt(constellation.order)
     rank, v = np.argsort(_AXIS_CODES[side]), np.arange(constellation.order)
     # cluster row * side + level, then in place (row * n_b + block) * side + level

@@ -392,8 +392,10 @@ def calibrate_flat_comb(
     if the target is out of reach.
     """
     _require_odd_count(n_lines, "n_lines")
-    if not 0 < spacing < math.inf:
-        raise ValueError("spacing must be finite and positive")
+    for name, value in (("spacing", spacing), ("flatness_target_db", flatness_target_db),
+                        ("modulation_index", modulation_index)):
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be finite and positive")
 
     comb = _OnePeriodComb(n_lines, modulation_index, _arms(params))
     n_free = (n_lines - 1) // 2 - 1

@@ -119,9 +119,9 @@ def sample_symbols(sig, symbol_rate: float, t_offset=0.0) -> np.ndarray:
         raise ValueError("symbol_rate must be positive")
     one = isinstance(sig, Signal)
     sigs, offsets = ([sig], [t_offset]) if one else (list(sig), list(t_offset))
+    if not sigs or len(offsets) != len(sigs) or any(s.grid != sigs[0].grid for s in sigs):
+        raise ValueError("expected one or more signals, one offset per signal, all on one grid")
     grid = sigs[0].grid
-    if len(offsets) != len(sigs) or any(s.grid != grid for s in sigs):
-        raise ValueError("expected one offset per signal, all signals on one grid")
     n = grid.n_samples
     sps = _require_integer(grid.sample_rate / symbol_rate, "samples per symbol")
     m_sym = _require_integer(grid.duration * symbol_rate,

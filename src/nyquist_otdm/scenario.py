@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import ChannelPlan, Signal, TimeGrid, _write_csv
-from .demux import _read_bins, demultiplex
+from .demux import demultiplex
 from .link import (
     SPEED_OF_LIGHT,
     FiberSpec,
@@ -534,13 +534,14 @@ def run_scenario(sc: Scenario, calibrations: dict | None = None) -> ReportBundle
     if cfg["sampler"]["mode"] == "mzm":
         cal = _calibrate(plan.n_branches, plan.symbol_rate, cfg["sampler"],
                          sc.mzm_params, calibrations)
-    # the received field's readers: the ideal sequences' demultiplexer (an MZM
-    # sampler's P lines read every bin) and the spectrum crop
+    # the received field's readers: the ideal sequences' demultiplexer, N lines
+    # a spacing apart each reading half a spacing each side (an MZM sampler's
+    # P lines read every bin), and the spectrum crop
     half = plan.aggregate_bandwidth / 2
     reach = None
     if cal is None:
-        _, band, _, starts = _read_bins(plan, None, grid)
-        reach = int(np.abs(np.concatenate([starts, starts + band.size - 1])).max())
+        spacing = grid.n_samples // (cfg["oversampling"] * plan.n_branches)
+        reach = plan.n_branches // 2 * spacing + spacing // 2
         if "spectra" in outputs:
             reach = max(reach, int(np.abs(_spectrum_bins(grid, half)).max()))
 

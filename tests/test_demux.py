@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from nyquist_otdm import ChannelPlan, Signal, TimeGrid
 from nyquist_otdm.core import constant, spectrum
-from nyquist_otdm.demux import _read_bins, _sampling_lines, demultiplex
+from nyquist_otdm.demux import _sampling_lines, demultiplex
 from nyquist_otdm.link import (
     FiberSpec,
     NoiseSpec,
@@ -312,8 +312,11 @@ def test_slice_reads_and_scatters_are_the_modular_ones(n_branches, n_symbols, ov
     assert values.tobytes() == acc.tobytes()
 
     sampler = _random_sampler(rng, plan, 2) if mzm else None
-    line_rows, detection, weight, starts = _read_bins(plan, sampler, grid)
-    taken = take_bins(mux, starts[:, None] + np.arange(detection.size))
+    line_shifts, line_rows = _sampling_lines(plan, sampler, grid)
+    spacing = int(line_shifts[1] - line_shifts[0])
+    detection = np.arange(-(spacing // 2), spacing // 2 + 1)
+    weight = np.where(2 * np.abs(detection) == spacing, 0.5, 1.0)
+    taken = take_bins(mux, (detection[0] - line_shifts)[:, None] + np.arange(detection.size))
     for y, row in zip(demultiplex(mux, plan, sampler), line_rows, strict=True):
         first, values = y._band
         assert first == detection[0]

@@ -210,6 +210,22 @@ class TestQFactor:
         with pytest.raises(ValueError, match="non-empty"):
             q_factor(np.zeros(0, dtype=complex), np.zeros(0, dtype=int), Constellation(4))
 
+    def test_invalid_patterns_rejected(self):
+        """``sent`` holds bit patterns: a negative one would index the levels
+        from their end and score wrong clusters, one of ``order`` or more
+        has no level, and float references are not patterns."""
+        rng = np.random.default_rng(0)
+        c = Constellation(16)
+        vals = rng.integers(0, 16, 400)
+        rx = c.points[vals] + 0.02 * (rng.standard_normal(400) + 1j * rng.standard_normal(400))
+        assert q_factor(rx, vals, c).q_i_db > 20.0
+        for bad in (np.where(np.arange(400) < 20, -3, vals), np.where(vals == 5, 16, vals),
+                    vals.astype(float), c.points[vals]):
+            with pytest.raises(ValueError, match="sent must hold integer bit patterns"):
+                q_factor(rx, bad, c)
+        with pytest.raises(ValueError, match="sent must hold"):
+            q_factor(np.stack([rx, rx]), np.stack([vals, vals - 1]), c)
+
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(order=st.sampled_from([4, 16]), n_symbols=st.integers(1, 300),

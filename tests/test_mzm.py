@@ -335,6 +335,18 @@ class TestCalibration:
                 calibrate_flat_comb(3, bad, PARAMS)
         assert calibrate_flat_comb(np.int64(3), 10e9, PARAMS).report.n_lines == 3
 
+    def test_index_and_target_are_finite_and_positive(self):
+        """A negative index once calibrated a comb reported as converged whose
+        waveform missed the sequence by 54%; an index of 0, inf or nan, and a
+        target of 0 or below or nan, are refused, each named, before the
+        search runs."""
+        for bad in (-0.3, 0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="modulation_index must be finite and positive"):
+                calibrate_flat_comb(3, 8e9, PARAMS, modulation_index=bad)
+        for bad in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="flatness_target_db must be finite and positive"):
+                calibrate_flat_comb(3, 8e9, PARAMS, flatness_target_db=bad)
+
     def test_deterministic(self):
         a = calibrate_flat_comb(3, 10e9, PARAMS)
         b = calibrate_flat_comb(3, 10e9, PARAMS)

@@ -293,6 +293,13 @@ def test_sample_symbols_requires_on_grid_instants():
         sample_symbols(sig, 0.5e9, t_offset=0.3 * grid.dt)
 
 
+def test_sample_symbols_requires_a_signal():
+    """An empty list of signals is refused like any list of signals that
+    does not match its offsets."""
+    with pytest.raises(ValueError, match="one or more signals"):
+        sample_symbols([], 0.5e9, [])
+
+
 def test_sample_symbols_requires_a_positive_rate():
     """A rate at or below zero is refused, not read as a negative step in
     samples."""

@@ -435,10 +435,12 @@ class TestRunScenario:
         for rep in bundle.metrics:
             assert rep.ber_count_errors == 0
 
-    def test_sampling_lines_are_built_once_per_run(self, monkeypatch):
+    @pytest.mark.parametrize("sampler", ["ideal", "mzm"])
+    def test_sampling_lines_are_built_once_per_run(self, monkeypatch, sampler):
         """One demultiplexing pass serves every branch: the sampling lines,
         and the MZM model they come from, are computed once per run, not
-        once per branch."""
+        once per branch; the noise reach of an ideal run is the plan's, and
+        builds no lines of its own."""
         from nyquist_otdm import demux
 
         calls = {"modulate": 0, "_sampling_lines": 0}
@@ -447,13 +449,13 @@ class TestRunScenario:
                 calls[_name] += 1
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(demux, name, counted)
-        sc = parse_scenario(base_config(sampler={"mode": "mzm"},
-                                        mzm=dict(MZM_BLOCK),
-                                        noise={"osnr_db": 30.0}))
+        extra = ({"sampler": {"mode": "mzm"}, "mzm": dict(MZM_BLOCK)}
+                 if sampler == "mzm" else {})
+        sc = parse_scenario(base_config(noise={"osnr_db": 30.0}, **extra))
         for runs in (1, 2):
             bundle = run_scenario(sc)
             assert len(bundle.metrics) == 3
-            assert calls == {"modulate": runs, "_sampling_lines": runs}
+            assert calls == {"modulate": runs if extra else 0, "_sampling_lines": runs}
 
     def test_full_length_transforms_do_not_grow_with_branches(self, monkeypatch):
         """A noisy run with every output makes no n-point transform at 3 and
@@ -824,6 +826,33 @@ class TestNoiseReach:
         for name in cut:
             assert cut[name] == whole[name], name
 
+    def test_reach_is_the_widest_bin_the_demultiplexer_reads(self, monkeypatch):
+        """The reach an ideal run passes to ``add_noise`` is the widest |k| of
+        the sequences' windows: each line's shift, half a line spacing each
+        side.  The run stops at the noise, so each config costs little."""
+        from nyquist_otdm.demux import _sampling_lines
+
+        class Drawn(Exception):
+            pass
+
+        def drawn(sig, noise, reach=None):
+            raise Drawn(reach)
+        monkeypatch.setattr(scenario, "add_noise", drawn)
+        for n_branches in range(3, 16, 2):
+            for oversampling in range(4, 17):
+                for n_symbols in (4, 5):  # the line spacing in bins, even and odd
+                    sc = parse_scenario(noisy_config(
+                        plan={"n_branches": n_branches,
+                              "aggregate_bandwidth_hz": n_branches * 2e9},
+                        n_symbols=n_symbols, oversampling=oversampling))
+                    shifts, _ = _sampling_lines(sc.plan, None, sc.make_grid())
+                    spacing = int(shifts[1] - shifts[0])
+                    assert spacing == n_symbols
+                    widest = int(np.abs(shifts).max()) + spacing // 2
+                    with pytest.raises(Drawn) as drawn_at:
+                        run_scenario(sc)
+                    assert drawn_at.value.args == (widest,), (n_branches, oversampling)
+
     @pytest.mark.parametrize("n_branches, shaping", REACH_CASES + [(3, "mzm")])
     def test_metrics_do_not_depend_on_the_outputs(self, tmp_path, n_branches, shaping):
         """The spectra read further out than the demultiplexer, so asking
@@ -912,6 +941,32 @@ class TestEchoIsTheRecord:
 
 
 class TestSweep:
+    def test_each_point_is_a_run_holding_its_calibrations(self, monkeypatch):
+        """A sweep runs each point as one ``scenario.run_scenario`` call, the
+        name a tracer wraps, and each calibration inside a run: a traced run
+        time then holds the point's calibration and the work between the
+        traced calls.  The points share the one 3-line calibration."""
+        runs, open_runs, calibrated = [], [], []
+        run, calibrate = scenario.run_scenario, scenario.calibrate_flat_comb
+
+        def run_recorded(sc, *args):
+            runs.append(sc.config["noise"]["osnr_db"])
+            open_runs.append(sc)
+            try:
+                return run(sc, *args)
+            finally:
+                open_runs.pop()
+
+        def calibrate_recorded(*args, **kwargs):
+            calibrated.append(len(open_runs))
+            return calibrate(*args, **kwargs)
+        monkeypatch.setattr(scenario, "run_scenario", run_recorded)
+        monkeypatch.setattr(scenario, "calibrate_flat_comb", calibrate_recorded)
+        cfg = base_config(sampler={"mode": "mzm"}, mzm=dict(MZM_BLOCK))
+        bundles = sweep(cfg, "noise.osnr_db", [20.0, 25.0, 30.0])
+        assert len(bundles) == 3 and runs == [20.0, 25.0, 30.0]
+        assert calibrated == [1]
+
     def test_values_applied_and_seeds_derived(self):
         cfg = base_config(seed=5, noise={"osnr_db": 30.0}, n_symbols=9)
         bundles = sweep(cfg, "noise.osnr_db", [20.0, 25.0, 30.0])
@@ -1119,27 +1174,32 @@ def test_noiseless_mzm_runs_are_the_same_bits_at_any_bandwidth(n_branches, shapi
         assert run == runs[0]
 
 
+@pytest.mark.parametrize("sampler", ["ideal", "mzm"])
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(n_branches=st.sampled_from([3, 5]), rolloff=st.sampled_from([None, 0.0, 0.35, 1.0]),
        modulation=st.sampled_from(["qpsk", "16qam"]), n_symbols=st.integers(4, 7),
        length_km=st.sampled_from([0.0, 10.0, 30.0]), compensate=st.booleans(),
        seed=st.integers(0, 2 ** 16))
-def test_branch_symbols_match_the_time_domain_chain(n_branches, rolloff, modulation,
+def test_branch_symbols_match_the_time_domain_chain(sampler, n_branches, rolloff, modulation,
                                                     n_symbols, length_km, compensate, seed):
     """Every branch's constellation of a noiseless run equals, to 1e-10, the
     chain built from the time-domain oracles on the run's own symbols: each
     block shaped by explicit DFT sums (sinc for ``rolloff`` None, else
     raised cosine at half the branch rate) and gated by its cosine-sum
     sequence, the span's phase and loss applied (and undone, when
-    compensated) bin by bin, each branch gated and low-passed, read at its
-    slot's samples and fitted by the one complex gain."""
+    compensated) bin by bin, each branch gated, by its cosine-sum sequence
+    or by the MZM run tone by tone on the calibration's volts plan, and
+    low-passed, read at its slot's samples and fitted by the one complex
+    gain."""
     shaping = {"kind": "sinc"} if rolloff is None else {
         "kind": "raised_cosine", "rolloff": rolloff, "symbol_rate_hz": 4e9 / n_branches}
+    extra = ({"sampler": {"mode": "mzm"}, "mzm": dict(MZM_BLOCK)}
+             if sampler == "mzm" else {})
     cfg = base_config(plan={"n_branches": n_branches, "aggregate_bandwidth_hz": 8e9},
                       modulation=modulation, shaping=shaping, n_symbols=n_symbols,
                       oversampling=4, seed=seed, fiber={"length_km": length_km},
                       receiver={"compensate_dispersion": compensate},
-                      outputs=["metrics", "constellation"])
+                      outputs=["metrics", "constellation"], **extra)
     sc = parse_scenario(cfg)
     bundle, blocks = _run_keeping_symbols(sc)
     plan, grid = sc.plan, sc.make_grid()
@@ -1153,7 +1213,7 @@ def test_branch_symbols_match_the_time_domain_chain(n_branches, rolloff, modulat
     if compensate:
         rx = propagate_directly(Signal(grid, rx), sc.fiber, sign=-1.0)
     for l, block in enumerate(blocks, start=1):
-        y = demultiplex_directly(Signal(grid, rx), plan, l)
+        y = demultiplex_directly(Signal(grid, rx), plan, l, bundle.calibration)
         start = round(plan.slot(l) * grid.sample_rate)
         raw = y[start + sps * np.arange(n_symbols)]
         want = raw * (np.vdot(raw, block) / np.vdot(raw, raw))
