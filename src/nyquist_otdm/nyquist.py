@@ -118,8 +118,9 @@ def sample_symbols(sig, symbol_rate: float, t_offset=0.0) -> np.ndarray:
     if not symbol_rate > 0:
         raise ValueError("symbol_rate must be positive")
     one = isinstance(sig, Signal)
-    sigs, offsets = ([sig], [t_offset]) if one else (list(sig), list(t_offset))
-    if not sigs or len(offsets) != len(sigs) or any(s.grid != sigs[0].grid for s in sigs):
+    sigs, offsets = ([sig], [t_offset]) if one else (list(sig), t_offset)
+    if (not sigs or np.ndim(offsets) != 1 or len(offsets) != len(sigs)
+            or not all(isinstance(s, Signal) and s.grid == sigs[0].grid for s in sigs)):
         raise ValueError("expected one or more signals, one offset per signal, all on one grid")
     grid = sigs[0].grid
     n = grid.n_samples

@@ -436,8 +436,11 @@ def write_bundle(bundle: ReportBundle, out_dir) -> list:
 
     for name, text in texts.items():
         (out / name).write_text(text + "\n")
-    for name, (header, rows) in csvs.items():
-        _write_csv(out / name, header, rows)
+    # the spectra's frequency columns are runs of the aggregate spectra's
+    # one: those are written first, and the column is formatted once
+    columns = {}
+    for name in sorted(csvs, key=lambda name: not name.startswith("spectrum_")):
+        _write_csv(out / name, *csvs[name], columns if "spectrum" in name else None)
     return [out / name for name in [*texts, *csvs]]
 
 
@@ -468,7 +471,8 @@ def _eye_rows(y: Signal, gain: complex, sc: Scenario, t_offset: float):
     band would reach the eye's Nyquist frequency (a symbol rate at or below
     B/(16N)) the rate rises by whole multiples of 16 samples per symbol
     until it does not.  The sample index is folded before any float
-    arithmetic, so each of the 2 * per_symbol phases has one time value.
+    arithmetic, so each of the 2 * per_symbol phases has one time value,
+    computed once and repeated down the rows.
     """
     cfg = sc.config
     rate, n_symbols = cfg["shaping"]["symbol_rate_hz"], cfg["n_symbols"]
@@ -479,9 +483,8 @@ def _eye_rows(y: Signal, gain: complex, sc: Scenario, t_offset: float):
     eye = Signal._of_bins(TimeGrid(per_symbol * rate, p), values, first).samples
     amp = (eye * (p / y.grid.n_samples) * gain).real
     phase = -t_offset * per_symbol * rate
-    k = np.arange(p) % (2 * per_symbol)
-    t_fold = np.mod(k + phase, 2 * per_symbol) / (per_symbol * rate)
-    return "t_mod_2symbols,amplitude", np.column_stack([t_fold, amp])
+    phases = np.mod(np.arange(2 * per_symbol) + phase, 2 * per_symbol) / (per_symbol * rate)
+    return "t_mod_2symbols,amplitude", np.column_stack([np.resize(phases, p), amp])
 
 
 def _calibrate(n_lines: int, spacing: float, block: dict, params: MzmParams,

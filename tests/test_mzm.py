@@ -29,7 +29,9 @@ from nyquist_otdm.core import constant
 from nyquist_otdm.mzm import (
     MzmParams,
     _OnePeriodComb,
+    _along,
     _descend,
+    _line_search,
     arm_amplitude,
     calibrate_flat_comb,
     comb_report,
@@ -413,6 +415,22 @@ class TestCalibration:
         ("60_45dB", 5): (1.3482741398821763, 186),
         ("60_45dB", 7): (2.1080263857301964, 207),
     }
+
+    def test_one_row_searches_as_a_row_of_a_batch(self):
+        """A line search of one row, run on floats, returns the bits of the
+        same row searched inside a two-row batch: each coordinate of a
+        calibrated 5-line drive, on two brackets about its minimum."""
+        x = np.array(calibrate_flat_comb(5, 8e9, PARAMS).point)
+        comb = _OnePeriodComb(5, 0.3, ARMS)
+        for i in range(x.size):
+            def score(v):
+                return comb.rmse_percent(*comb.lines(_along(x, [i], [v])))
+            lo = x[i] + np.array([-0.05, -0.03])
+            batch = _line_search(score, lo, lo + 0.07, 1e-9)
+            for row in range(2):
+                alone = _line_search(score, lo[row], lo[row] + 0.07, 1e-9)
+                assert all(type(v) is float for v in alone)
+                assert alone == (batch[0][row], batch[1][row]), (i, row)
 
     def test_pattern_move_follows_a_narrow_valley(self):
         """Along a valley 30 times narrower than it is long, at 45 degrees to

@@ -300,6 +300,20 @@ def test_sample_symbols_requires_a_signal():
         sample_symbols([], 0.5e9, [])
 
 
+def test_sample_symbols_refuses_a_scalar_offset_or_numbers_for_signals():
+    """A list of signals with one scalar offset, and an array of numbers
+    in place of signals, raise the function's ValueError."""
+    sig = nyquist_interpolate(np.ones(5, dtype=complex), 0.5e9, TimeGrid(10e9, 100))
+    with pytest.raises(ValueError, match="one offset per signal"):
+        sample_symbols([sig], 0.5e9, 0.0)
+    with pytest.raises(ValueError, match="one offset per signal"):
+        sample_symbols([sig, sig], 0.5e9, [[0.0], [0.0]])
+    with pytest.raises(ValueError, match="one or more signals"):
+        sample_symbols(np.array([1, 2]), 0.5e9, [0.0, 0.0])
+    with pytest.raises(ValueError, match="one or more signals"):
+        sample_symbols([sig, 1.0], 0.5e9, [0.0, 0.0])
+
+
 def test_sample_symbols_requires_a_positive_rate():
     """A rate at or below zero is refused, not read as a negative step in
     samples."""

@@ -599,12 +599,15 @@ class TestBundleArtifacts:
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(n_symbols=st.integers(1, 9), sps=st.integers(1, 40), size=st.integers(1, 400),
-           first=st.integers(-400, 400), seed=st.integers(0, 2 ** 16))
-    def test_eye_scatter_is_the_modular_scatter(self, n_symbols, sps, size, first, seed):
+           first=st.integers(-400, 400), seed=st.integers(0, 2 ** 16), slot=st.integers(0, 6))
+    @example(n_symbols=1023, sps=16, size=400, first=-200, seed=1, slot=3)  # p = 16,368
+    def test_eye_scatter_is_the_modular_scatter(self, n_symbols, sps, size, first, seed, slot):
         """The eye lays the band's bins onto its p-point grid by slices, bit
         for bit as the modular index assignment ``bins[(first + i) % p]``
         does, for a band of any width from any first bin, wrapping past
-        n // 2 and past p."""
+        n // 2 and past p.  Its time column is each row's fold phase, bit
+        for bit, at a slot's offset and for symbol counts where p is not a
+        whole number of the 2 * per_symbol phases."""
         n = n_symbols * sps
         size = min(size, n)
         rng = np.random.default_rng(seed)
@@ -615,13 +618,18 @@ class TestBundleArtifacts:
         sc = types.SimpleNamespace(
             config={"shaping": {"symbol_rate_hz": rate}, "n_symbols": n_symbols})
         gain = complex(rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0))
-        _, rows = scenario._eye_rows(y, gain, sc, 0.0)
+        t_offset = slot / (7 * rate)  # branch slot + 1 of 7
+        _, rows = scenario._eye_rows(y, gain, sc, t_offset)
         p = rows.shape[0]
         assert p > size
         first, values = y._band
         bins = np.zeros(p, dtype=complex)
         bins[(first + np.arange(size)) % p] = values
         assert rows[:, 1].tobytes() == (np.fft.ifft(bins) * (p / n) * gain).real.tobytes()
+        ps = p // n_symbols
+        phase = -t_offset * ps * rate
+        t_fold = np.mod(np.arange(p) % (2 * ps) + phase, 2 * ps) / (ps * rate)
+        assert rows[:, 0].tobytes() == t_fold.tobytes()
 
 
 class TestWriteBundle:
