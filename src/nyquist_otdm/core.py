@@ -295,7 +295,7 @@ def _g17(x, out, sep) -> None:
         out[:, j, 3] |= sep[j]
 
 
-def _write_csv(path, header: str, rows, _columns=None) -> None:
+def _write_csv(path, header: str, rows) -> None:
     """Write a 2-D float table as CSV, byte for byte as ``np.savetxt(path,
     rows, fmt="%.17g", delimiter=",", header=header, comments="")`` does.
 
@@ -307,58 +307,36 @@ def _write_csv(path, header: str, rows, _columns=None) -> None:
     row's value found by one binary search; only a column with a later value
     the first block lacks is indexed by ``np.unique``.  ``_g17`` writes each
     run of the other, adjacent columns in one call a block.
-
-    ``_columns``, a dict that a caller keeps while it writes a set of tables,
-    shares the first column of tables of two or more columns: it maps a
-    column's bytes to its fields.  A table whose first column's bytes lie
-    within one it holds, at a whole value's offset, takes those fields; any
-    other adds its own, kept as its blocks are written.  So a bundle's
-    spectra format their frequency column once.
     """
     rows = np.asarray(rows, dtype=np.float64)
-    n_rows, n_cols = rows.shape
+    n_cols = rows.shape[1]
     seps = np.array([ord(",")] * (n_cols - 1) + [ord("\n")], np.uint64) << 56  # byte 31
-    given = {}  # column -> (fields, the field index of each row or None for row by row)
-    kept = None  # a new shared column's fields, kept block by block as written
-    if _columns is not None and n_rows and n_cols > 1:
-        key = rows[:, 0].tobytes()
-        for known, fields in _columns.items():
-            at = known.find(key)
-            if at % 8 == 0:  # a whole value's offset; not found is -1
-                given[0] = fields[at // 8:at // 8 + n_rows], None
-                break
-        else:
-            kept = np.empty((n_rows, 4), np.uint64)
-    for j in range(len(given), n_cols):  # given holds column 0 or nothing
+    pooled = {}  # column -> (its distinct values' fields, each row's index)
+    for j in range(n_cols):
         bits = rows[:, j].view(np.uint64)
-        # judged on the first block's sorted bits: np.unique's index and
+        # counted on the first block's sorted bits: np.unique's index and
         # inverse would cost an all-distinct column a quarter of its time
         head = np.sort(bits[:_CSV_BLOCK_ROWS])
         new = head[1:] != head[:-1]  # where the next distinct value starts
         if 2 * (np.count_nonzero(new) + 1) <= head.size:
             values = head[np.r_[True, new]]
-            index = np.searchsorted(values, bits)
-            if not np.array_equal(values.take(index, mode="clip"), bits):
-                values, index = np.unique(bits, return_inverse=True)
+            inverse = np.searchsorted(values, bits)
+            if not np.array_equal(values.take(inverse, mode="clip"), bits):
+                values, inverse = np.unique(bits, return_inverse=True)
             fields = np.empty((values.size, 1, 4), np.uint64)
             _g17(values.view(np.float64)[:, None], fields, seps[j:j + 1])
-            given[j] = fields[:, 0], index
-    runs = np.flatnonzero(np.diff([0] + [j not in given for j in range(n_cols)] + [0]))
-    out = np.empty((min(n_rows, _CSV_BLOCK_ROWS), n_cols, 4), np.uint64)
+            pooled[j] = fields[:, 0], inverse
+    runs = np.flatnonzero(np.diff([0] + [j not in pooled for j in range(n_cols)] + [0]))
+    out = np.empty((min(len(rows), _CSV_BLOCK_ROWS), n_cols, 4), np.uint64)
     # text mode with the default encoding and newlines, as np.savetxt opens it
     with open(path, "w") as fh:
         if header:
             fh.write(header + "\n")
-        for start in range(0, n_rows, _CSV_BLOCK_ROWS):
+        for start in range(0, len(rows), _CSV_BLOCK_ROWS):
             block = rows[start:start + _CSV_BLOCK_ROWS]
             o = out[:len(block)]
-            for j, (fields, index) in given.items():
-                part = slice(start, start + len(block))
-                o[:, j] = fields[part] if index is None else fields[index[part]]
+            for j, (fields, inverse) in pooled.items():
+                o[:, j] = fields[inverse[start:start + len(block)]]
             for j, k in runs.reshape(-1, 2):  # a run of adjacent unpooled columns
                 _g17(block[:, j:k], o[:, j:k], seps[j:k])
-            if kept is not None:
-                kept[start:start + len(block)] = o[:, 0]
             fh.write(o.tobytes().translate(None, b"\0").decode())
-    if kept is not None:  # shared once whole: a failed write leaves no partial fields
-        _columns[key] = kept

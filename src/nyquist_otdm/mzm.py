@@ -297,23 +297,7 @@ def _line_search(objective, lo, hi, xatol: float):
     """Bracket-and-zoom minimisation over ``[lo, hi]`` for each row of a
     batch: ``objective`` takes all rows' ``_LINE_POINTS`` points as one
     (rows, points) array; each level re-grids one step either side of the
-    best point, until the step is below ``xatol``.  Returns ``(x, f)``.
-
-    A single row, ``lo`` and ``hi`` floats, runs on Python floats: its
-    points are one (points,) array, and ``x`` and ``f`` are floats, the
-    bits of the same row searched in a batch."""
-    if np.ndim(lo) == np.ndim(hi) == 0:
-        lo, hi, best_x, best_f = float(lo), float(hi), 0.0, math.inf
-        while True:
-            x = lo + (hi - lo) * _GRID
-            f = objective(x)
-            j = int(f.argmin())
-            if f[j] < best_f:
-                best_x, best_f = float(x[j]), float(f[j])
-            step = (hi - lo) / (_LINE_POINTS - 1)
-            if step < xatol:
-                return best_x, best_f
-            lo, hi = max(lo, best_x - step), min(hi, best_x + step)
+    best point, until the step is below ``xatol``.  Returns ``(x, f)``."""
     lo, hi = np.atleast_1d(lo).astype(float), np.atleast_1d(hi).astype(float)
     rows = np.arange(lo.size)
     best_x, best_f = np.zeros(lo.size), np.full(lo.size, math.inf)
@@ -355,16 +339,16 @@ def _descend(score, x: np.ndarray, coords, widths, lower, upper,
             v, f = _line_search(lambda v: score(_along(x, [i], [v])),
                                 max(lower[i], x[i] - width),
                                 min(upper[i], x[i] + width), xatol)
-            if f < best:
-                best, x[i] = f, v
+            if f[0] < best:
+                best, x[i] = float(f[0]), float(v[0])
         d = x - start
         if best < before and d.any():
             reach = min([8.0] + [
                 ((upper[i] if d[i] > 0 else lower[i]) - x[i]) / d[i] for i in coords if d[i]])
             t, f = _line_search(lambda t: score(x + t[..., None] * d), 0.0, reach,
                                 xatol / np.abs(d).max())
-            if f < best:
-                best, x = f, x + t * d
+            if f[0] < best:
+                best, x = float(f[0]), x + t[0] * d
         widths = [w * 0.5 for w in widths]
         if best <= stop_at or before - best < _MIN_GAIN:
             break

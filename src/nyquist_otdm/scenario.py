@@ -436,11 +436,8 @@ def write_bundle(bundle: ReportBundle, out_dir) -> list:
 
     for name, text in texts.items():
         (out / name).write_text(text + "\n")
-    # the spectra's frequency columns are runs of the aggregate spectra's
-    # one: those are written first, and the column is formatted once
-    columns = {}
-    for name in sorted(csvs, key=lambda name: not name.startswith("spectrum_")):
-        _write_csv(out / name, *csvs[name], columns if "spectrum" in name else None)
+    for name, (header, rows) in csvs.items():
+        _write_csv(out / name, header, rows)
     return [out / name for name in [*texts, *csvs]]
 
 

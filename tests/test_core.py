@@ -293,10 +293,10 @@ def _pooled_tables(draw):
     return np.column_stack(cols[::-1] if draw(st.booleans()) else cols)
 
 
-def _assert_writes_as_savetxt(rows, columns=None):
+def _assert_writes_as_savetxt(rows):
     with tempfile.TemporaryDirectory() as tmp:
         ours, ref = Path(tmp) / "ours.csv", Path(tmp) / "ref.csv"
-        _write_csv(ours, "a,b", rows, columns)
+        _write_csv(ours, "a,b", rows)
         np.savetxt(ref, rows, fmt="%.17g", delimiter=",", header="a,b", comments="")
         assert ours.read_bytes() == ref.read_bytes()
 
@@ -330,10 +330,8 @@ def test_write_csv_matches_savetxt_on_zero_and_one_rows():
     values among its columns, writes as np.savetxt does."""
     for n_cols in (1, 2, 3):
         _assert_writes_as_savetxt(np.zeros((0, n_cols)))
-        _assert_writes_as_savetxt(np.zeros((0, n_cols)), {})
     for values in (_SPECIAL[:3], _SPECIAL[3:5], _SPECIAL[5:]):
         _assert_writes_as_savetxt(values[None, :])
-        _assert_writes_as_savetxt(values[None, :], {})
 
 
 def test_write_csv_pools_a_column_with_values_after_its_first_block():
@@ -348,40 +346,6 @@ def test_write_csv_pools_a_column_with_values_after_its_first_block():
             table = np.column_stack([np.r_[pooled, last], rng.standard_normal(pooled.size + 1)])
             _assert_writes_as_savetxt(table)
             _assert_writes_as_savetxt(table[:, ::-1])
-
-
-def test_write_csv_shares_a_first_column_between_tables():
-    """Tables written with one dict share their first column's fields: equal
-    columns and a run of consecutive values of one format it once.  Each
-    file is np.savetxt's; a table that failed to open shares nothing."""
-    rng = np.random.default_rng(36)
-    f = (np.arange(3 * _PB) - 1.5 * _PB) * 12207031.25
-    columns = {}
-    with tempfile.TemporaryDirectory() as tmp, pytest.raises(OSError):
-        _write_csv(Path(tmp) / "missing" / "t.csv", "a,b", np.column_stack([f, f]), columns)
-    assert columns == {}  # a table that was not written shares nothing
-    with mock.patch.object(core, "_CSV_BLOCK_ROWS", _PB):
-        for part in (slice(None), slice(None), slice(_PB - 3, 2 * _PB + 5), slice(-4, None),
-                     slice(0, 1)):
-            values = rng.uniform(-300.0, 10.0, f[part].size)
-            _assert_writes_as_savetxt(np.column_stack([f[part], values]), columns)
-            assert len(columns) == 1
-        _assert_writes_as_savetxt(np.column_stack([f, values[:1].repeat(f.size), f]), columns)
-        _assert_writes_as_savetxt(f[:, None], columns)  # its separator is a newline
-        assert len(columns) == 1
-
-
-def test_write_csv_shares_no_column_that_differs_by_a_sign_of_zero():
-    """A first column that equals a shared one but for 0.0 against -0.0 is
-    not the same column, nor is one whose bytes lie across two of its
-    values: each is formatted for itself."""
-    f = np.arange(-4.0, 5.0)
-    signed = np.where(f == 0.0, -0.0, f)
-    across = np.frombuffer(f[5:7].tobytes()[4:12])  # the halves of 1.0 and 2.0
-    columns = {}
-    for column in (f, signed, signed[2:], across):
-        _assert_writes_as_savetxt(np.column_stack([column, column * 0.5]), columns)
-    assert len(columns) == 3
 
 
 # the longest %.17g strings: 24 bytes, so a field ends with the separator

@@ -417,9 +417,9 @@ class TestCalibration:
     }
 
     def test_one_row_searches_as_a_row_of_a_batch(self):
-        """A line search of one row, run on floats, returns the bits of the
-        same row searched inside a two-row batch: each coordinate of a
-        calibrated 5-line drive, on two brackets about its minimum."""
+        """A line search of one row returns the bits of the same row searched
+        inside a two-row batch: each coordinate of a calibrated 5-line
+        drive, on two brackets about its minimum."""
         x = np.array(calibrate_flat_comb(5, 8e9, PARAMS).point)
         comb = _OnePeriodComb(5, 0.3, ARMS)
         for i in range(x.size):
@@ -429,8 +429,8 @@ class TestCalibration:
             batch = _line_search(score, lo, lo + 0.07, 1e-9)
             for row in range(2):
                 alone = _line_search(score, lo[row], lo[row] + 0.07, 1e-9)
-                assert all(type(v) is float for v in alone)
-                assert alone == (batch[0][row], batch[1][row]), (i, row)
+                assert [v.shape for v in alone] == [(1,), (1,)]
+                assert (alone[0][0], alone[1][0]) == (batch[0][row], batch[1][row]), (i, row)
 
     def test_pattern_move_follows_a_narrow_valley(self):
         """Along a valley 30 times narrower than it is long, at 45 degrees to
