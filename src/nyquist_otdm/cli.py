@@ -9,6 +9,9 @@ import re
 import sys
 from pathlib import Path
 
+import numpy as np
+
+from . import __version__
 from .scenario import ConfigError, load_config, parse_scenario, \
     run_scenario, sweep, write_bundle
 
@@ -18,6 +21,8 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="nyquist-otdm",
         description="Simulate electrically sampled Nyquist-pulse optical TDM "
                     "links and flat frequency-comb generation.")
+    parser.add_argument("--version", action="version",
+                        version=f"%(prog)s {__version__} (numpy {np.__version__})")
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="run one scenario config")

@@ -5,15 +5,15 @@ phase-modulated arms.  Driving it with harmonics of a base frequency at the
 right bias imbalance produces a flat N-line comb, i.e. a periodic sinc-pulse
 sequence.
 
-:func:`calibrate_flat_comb` finds that operating point by direct search.
+:func:`calibrate_flat_comb` finds that operating point by a scan and a solve.
 The push-pull drive is a -cos series, even in time, so its pulse sits at
 t = 0, where the sampler reads it.  The transfer is periodic in the comb
 spacing and even, so the search evaluates each trial drive on half a period,
 as harmonic lines: each line is a weighted cosine sum over those samples,
 exactly the period's DFT, and the least-squares complex gain onto the ideal
 sequence at zero delay, which has only N lines, is their mean plus a
-Parseval residual.  Scans and line searches evaluate their trial drives as
-one batch of transfers.  The search, the report (:func:`modulate` on one
+Parseval residual.  The scan and each solver iteration score their trial
+drives as one batch of transfers.  The search, the report (:func:`modulate` on one
 period) and the sampler share one transfer in modulation-index units and
 turns of the period; volts are only reported, as the calibration's plan.
 """
@@ -212,14 +212,16 @@ def comb_report(period_spectrum: np.ndarray, n_lines: int, spacing: float) -> Co
         raise ValueError(f"a spectrum of {len(period_spectrum)} bins does not hold "
                          f"the orders +/-{half + 2} of a {n_lines}-line comb")
 
-    def line_power_dbm(k: int) -> float:
-        p = abs(period_spectrum[centre + k]) ** 2
+    def dbm(p) -> float:
         return float(10.0 * np.log10(p)) if p > 0 else float("-inf")
 
     nominal_orders = range(-half, half + 1)
-    powers = tuple(line_power_dbm(k) for k in nominal_orders)
-    unwanted = [line_power_dbm(s * k) for k in (half + 1, half + 2) for s in (-1, 1)]
-    flatness = max(powers) - min(powers)
+    nominal = [abs(period_spectrum[centre + k]) ** 2 for k in nominal_orders]
+    powers = tuple(dbm(p) for p in nominal)
+    unwanted = [dbm(abs(period_spectrum[centre + s * k]) ** 2)
+                for k in (half + 1, half + 2) for s in (-1, 1)]
+    # a ratio of powers keeps its digits at any level, a difference of dBm does not
+    flatness = dbm(max(nominal) / min(nominal)) if min(nominal) > 0 else math.inf
     suppression = min(powers) - max(unwanted)
     return CombReport(
         n_lines=n_lines,
@@ -234,13 +236,11 @@ def comb_report(period_spectrum: np.ndarray, n_lines: int, spacing: float) -> Co
 # ---------------------------------------------------------------------------
 # flat-comb calibration on half a period
 
-_SWEEPS = 8          # coordinate-descent sweeps per stage
-_LINE_POINTS = 17    # points per level of a bracket-and-zoom line search
-_GRID = np.linspace(0.0, 1.0, _LINE_POINTS)
-_MIN_GAIN = 3e-6     # a descent sweep gaining less than this is the last
-# Above every RMSE percent: the least-squares residual never exceeds the
-# norm of the unit-peak ideal, 100/sqrt(n_lines) %.
-_OVER_LIMIT = 100.0
+_STEP = 1e-4      # finite-difference step of the solve's derivatives
+_SLACK = 1e3      # cost of relaxing the flatness limit in a subproblem, per dB
+_SHARES = 0.5 ** np.arange(10)  # of a step, tried until one lowers the merit
+_LAST_STEP = 1e-8  # a step this short (max norm) is taken and ends the solve
+_ITERATIONS = 60  # a cap: the tested combs take 3 to 11 iterations
 
 
 class _OnePeriodComb:
@@ -284,7 +284,7 @@ class _OnePeriodComb:
     @staticmethod
     def flatness_db(lines: np.ndarray) -> np.ndarray:
         p = lines.real ** 2 + lines.imag ** 2
-        return 10.0 * np.log10(p.max(axis=-1)) - 10.0 * np.log10(p.min(axis=-1))
+        return 10.0 * np.log10(p.max(axis=-1) / p.min(axis=-1))
 
     def rmse_percent(self, lines: np.ndarray, transfer: np.ndarray) -> np.ndarray:
         power = ((transfer.real ** 2 + transfer.imag ** 2) * self._weights).sum(axis=-1)
@@ -293,66 +293,97 @@ class _OnePeriodComb:
         return 100.0 * np.sqrt(np.maximum(1.0 / self.n_lines - corr2 / power, 0.0))
 
 
-def _line_search(objective, lo, hi, xatol: float):
-    """Bracket-and-zoom minimisation over ``[lo, hi]`` for each row of a
-    batch: ``objective`` takes all rows' ``_LINE_POINTS`` points as one
-    (rows, points) array; each level re-grids one step either side of the
-    best point, until the step is below ``xatol``.  Returns ``(x, f)``."""
-    lo, hi = np.atleast_1d(lo).astype(float), np.atleast_1d(hi).astype(float)
-    rows = np.arange(lo.size)
-    best_x, best_f = np.zeros(lo.size), np.full(lo.size, math.inf)
-    while True:
-        x = lo[:, None] + (hi - lo)[:, None] * _GRID
-        f = objective(x)
-        j = f.argmin(axis=1)
-        f = f[rows, j]
-        better = f < best_f
-        best_x, best_f = np.where(better, x[rows, j], best_x), np.where(better, f, best_f)
-        step = (hi - lo) / (_LINE_POINTS - 1)
-        if (step < xatol).all():
-            return best_x, best_f
-        lo, hi = np.maximum(lo, best_x - step), np.minimum(hi, best_x + step)
-
-
-def _along(x: np.ndarray, coords, values) -> np.ndarray:
-    """Drive ``x`` broadcast over ``values[0]``'s shape, with ``coords`` set
-    to ``values``."""
-    trial = np.empty(np.shape(values[0]) + x.shape)
-    trial[...] = x
-    for i, v in zip(coords, values):
-        trial[..., i] = v
-    return trial
-
-
-def _descend(score, x: np.ndarray, coords, widths, lower, upper,
-             xatol: float, stop_at: float = -math.inf):
-    """Coordinate descent: a line search within +/- width of each listed
-    coordinate in turn, widths halving every sweep, then, after a gain that
-    moved ``x``, a pattern move: a line search along the sweep's net step
-    out to 8 times it (within the bounds), which follows a narrow valley
-    the coordinates zig-zag across.  Stops when a sweep gains less than
-    ``_MIN_GAIN`` or the score reaches ``stop_at``.  Returns ``(x, score)``."""
-    x, best = x.copy(), float(score(x)[()])
-    for _ in range(_SWEEPS):
-        start, before = x.copy(), best
-        for i, width in zip(coords, widths):
-            v, f = _line_search(lambda v: score(_along(x, [i], [v])),
-                                max(lower[i], x[i] - width),
-                                min(upper[i], x[i] + width), xatol)
-            if f[0] < best:
-                best, x[i] = float(f[0]), float(v[0])
-        d = x - start
-        if best < before and d.any():
-            reach = min([8.0] + [
-                ((upper[i] if d[i] > 0 else lower[i]) - x[i]) / d[i] for i in coords if d[i]])
-            t, f = _line_search(lambda t: score(x + t[..., None] * d), 0.0, reach,
-                                xatol / np.abs(d).max())
-            if f[0] < best:
-                best, x = float(f[0]), x + t[0] * d
-        widths = [w * 0.5 for w in widths]
-        if best <= stop_at or before - best < _MIN_GAIN:
+def _nnls(M: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Lawson and Hanson's active set: the u >= 0 minimising |M u - e|."""
+    u, passive = np.zeros(M.shape[1]), np.zeros(M.shape[1], dtype=bool)
+    for _ in range(3 * M.shape[1]):
+        w = np.where(passive, -np.inf, M.T @ (e - M @ u))
+        if w.max() <= 1e-14:
             break
-    return x, best
+        passive[w.argmax()] = True
+        while True:
+            s = np.zeros_like(u)
+            s[passive] = np.linalg.lstsq(M[:, passive], e, rcond=None)[0]
+            blocked = passive & (s <= 0.0)
+            if not blocked.any():
+                break
+            share = np.divide(u, u - s, out=np.zeros_like(u), where=blocked & (u > s))
+            j = np.flatnonzero(blocked)[share[blocked].argmin()]
+            u = u + share[j] * (s - u)
+            passive[j] = False
+            passive &= u > 0.0
+        u = s
+    return u
+
+
+def _subproblem(W: np.ndarray, g: np.ndarray, A: np.ndarray, b: np.ndarray):
+    """The y minimising ``y'W y / 2 + g'y`` subject to ``A y >= b``, W
+    positive definite, and the constraints' multipliers.  With W = L L',
+    z = L'y + L^-1 g is the least-norm point with ``E z >= f``, whose dual
+    is a nonnegative least-squares problem (Lawson and Hanson's LDP)."""
+    L = np.linalg.cholesky(W)
+    h = np.linalg.solve(L, g)
+    E = np.linalg.solve(L, A.T).T
+    f = b + E @ h
+    u = _nnls(np.vstack([E.T, f]), np.eye(g.size + 1)[-1])
+    multipliers = u / (1.0 - f @ u)
+    return np.linalg.solve(L.T, E.T @ multipliers - h), multipliers
+
+
+def _solve(comb: _OnePeriodComb, x: np.ndarray, lower, upper, limit: float) -> np.ndarray:
+    """SQP from ``x``: the least zero-delay RMSE within the bounds and the
+    limits ``10 log10(p_i / p_j) <= limit`` on every ordered pair of the
+    h + 1 distinct lines.  An iteration scores one batch, the stencil of the
+    drive's central-difference gradients and Hessians, and steps to the
+    minimum of a quadratic model of the Lagrangian (its Hessian made
+    positive definite) under the linearised limits, relaxed by one slack at
+    ``_SLACK`` a dB if they cannot all hold.  It takes the first of
+    ``_SHARES`` of that step that lowers ``RMSE + rho * excess flatness``
+    (rho twice the multipliers' sum, never falling), scored in one batch
+    with the stencil about the whole step."""
+    n, k = x.size, comb.n_lines // 2 + 1
+    eye = _STEP * np.eye(n)
+    a, b = np.triu_indices(n)
+    stencil = np.concatenate([np.zeros((1, n)), eye, -eye, eye[a] + eye[b], -eye[a] - eye[b]])
+    hi, lo = np.nonzero(~np.eye(k, dtype=bool))  # the limit on line hi over line lo
+    bounded = np.isfinite(upper)
+    fixed = np.vstack([np.eye(n + 1)[n:], np.eye(n + 1)[:n], -np.eye(n + 1)[:n][bounded]])
+
+    def score(rows):  # RMSE % and each line's power (dB) of every row
+        lines, transfer = comb.lines(rows)
+        power = lines.real ** 2 + lines.imag ** 2
+        return np.column_stack([comb.rmse_percent(lines, transfer), 10.0 * np.log10(power)])
+
+    def merit(v):
+        return v[:, 0] + rho * np.maximum(np.ptp(v[:, 1:], axis=1) - limit, 0.0)
+
+    v, weights, rho = score(x + stencil), np.zeros(k), 0.0
+    for _ in range(_ITERATIONS):
+        centre, plus, minus, up, down = np.split(v, np.cumsum([1, n, n, a.size]))
+        grad, hess = (plus - minus) / (2.0 * _STEP), np.empty((v.shape[1], n, n))
+        hess[:, a, b] = hess[:, b, a] = ((up + down - plus[a] - minus[a] - plus[b] - minus[b]
+                                          + 2.0 * centre) / (2.0 * _STEP ** 2)).T
+        ev, vec = np.linalg.eigh(hess[0] + np.tensordot(weights, hess[1:], 1))
+        W = np.diag(np.append(np.zeros(n), _SLACK))
+        W[:n, :n] = (vec * np.maximum(np.abs(ev), 1e-6 * max(np.abs(ev).max(), 1.0))) @ vec.T
+        slope = grad[:, 1 + hi] - grad[:, 1 + lo]
+        step, multipliers = _subproblem(
+            W, np.append(grad[:, 0], _SLACK),
+            np.vstack([np.column_stack([-slope.T, np.ones(hi.size)]), fixed]),
+            np.concatenate([centre[0, 1 + hi] - centre[0, 1 + lo] - limit, [0.0], lower - x,
+                            (x - upper)[bounded]]))
+        d, on_pairs = step[:n], multipliers[:hi.size]
+        weights = np.bincount(hi, on_pairs, k) - np.bincount(lo, on_pairs, k)
+        rho = max(rho, 2.0 * on_pairs.sum())
+        if np.abs(d).max() <= _LAST_STEP:
+            return x + d
+        trial = score(np.concatenate([x + d + stencil, x + _SHARES[:, None] * d]))
+        lower_merit = np.flatnonzero(merit(trial[len(stencil):]) < merit(v[:1]))
+        if not lower_merit.size:
+            break
+        x = x + _SHARES[lower_merit[0]] * d
+        v = trial[:len(stencil)] if lower_merit[0] == 0 else score(x + stencil)
+    return x
 
 
 def calibrate_flat_comb(
@@ -366,30 +397,30 @@ def calibrate_flat_comb(
     """Find a push-pull drive producing a flat ``n_lines`` comb at ``spacing``.
 
     The search runs in modulation-index units (see :class:`_OnePeriodComb`),
-    so its result depends only on the line count, the index and the arm
-    imbalance: the first harmonic's index is never touched, so the pulse
-    keeps the low sideband level that index implies.  Trial drives are
-    evaluated on half a comb period, as harmonic lines, each scan and each
-    line-search level as one batch:
+    so its result depends only on the line count, the index, the target and
+    the arm imbalance: the first harmonic's index is never touched, so the
+    pulse keeps the low sideband level that index implies.  Trial drives are
+    scored on half a comb period, as harmonic lines, in batches:
 
-    1. flatness: a scan of the arm bias difference (67 points) against a
-       common scale of the higher harmonics (13 points, beyond three lines),
-       then coordinate descent of the bias and each higher harmonic's scale;
-    2. zero-delay waveform RMSE against the ideal sequence: a scan of the
-       arm-2 drive ratio (16 points, the bias re-balanced at each), then
-       coordinate descent of the bias, the ratio and the scales, taking a
-       move only while the flatness stays within the target (or within
-       stage 1's result, if that missed it).
-
-    Every descent sweep ends with a pattern move along its net step.
+    1. a scan, one batch, of the arm bias difference (67 points) against a
+       common scale of the higher harmonics (13 points, beyond three lines);
+    2. from its flattest drive, one SQP solve (:func:`_solve`) for the least
+       zero-delay waveform RMSE against the ideal sequence, within the
+       bounds (bias 0.02 to pi - 0.02, arm-2 ratio 0.1 to 10, scales from
+       0.05) and the limits ``10 log10(p_i / p_j) <= limit`` on every pair
+       of the h + 1 distinct lines.  The limit sits a hair (1e-9 relative)
+       inside the target, so the rounding of the report's whole-period
+       transfer cannot tip a comb at the limit over.  When no drive near
+       the start reaches the target (an index of 1e-3, say), the solve ends
+       at the least excess it finds.
 
     The calibration keeps the point; the spacing, V_pi and EO response only
     map it to the volts of its ``plan``.  The drive is even, so its pulse
     sits at t = 0 and needs no centring: on one period of the modulator
     output (:func:`modulate`, in index units too), ``gain`` is fitted at
     zero delay to map the output onto the unit-peak ideal sequence by a
-    plain complex multiply, and the comb is reported; ``converged`` is False
-    if the target is out of reach.
+    plain complex multiply, and the comb is reported; ``converged`` is
+    whether the reported flatness is within the target.
     """
     _require_odd_count(n_lines, "n_lines")
     for name, value in (("spacing", spacing), ("flatness_target_db", flatness_target_db),
@@ -399,46 +430,14 @@ def calibrate_flat_comb(
 
     comb = _OnePeriodComb(n_lines, modulation_index, _arms(params))
     n_free = (n_lines - 1) // 2 - 1
-    lower = (0.02, 0.1) + (0.05,) * n_free  # bias, arm-2 ratio, scales
-    upper = (math.pi - 0.02, math.inf) + (math.inf,) * n_free
-
-    def flatness(x):
-        return comb.flatness_db(comb.lines(x)[0])
-
+    lower = np.array((0.02, 0.1) + (0.05,) * n_free)  # bias, arm-2 ratio, scales
+    upper = np.array((math.pi - 0.02, 10.0) + (math.inf,) * n_free)
     biases = np.linspace(0.15 * math.pi, 0.97 * math.pi, 67)
     scales = np.linspace(0.4, 1.6, 13) if n_free else np.ones(1)
     b, s = (v.ravel() for v in np.meshgrid(biases, scales, indexing="ij"))
     scan = np.column_stack([b, np.ones_like(b)] + [s] * n_free)
-    x, flat = _descend(flatness, scan[np.argmin(flatness(scan))],
-                       [0] + list(range(2, 2 + n_free)), [0.12] + [0.25] * n_free,
-                       lower, upper, 1e-7, stop_at=min(flatness_target_db / 50.0, 2e-3))
-
-    # Stage 2.  Unequal arm transmissions tilt the even-order lines toward
-    # the stronger arm's phase while barely touching the odd ones, a
-    # relative rotation no single delay or complex gain can undo.  The only
-    # centre-symmetric knob that moves the even lines back is the arm-2
-    # drive amplitude (through the curvature of its carrier term), so scan
-    # that ratio, re-balancing the bias at each step, then polish every
-    # coordinate.  Drives over the flatness limit score above any RMSE,
-    # ordered by the excess; the limit sits a hair inside the target so the
-    # rounding of the report's whole-period transfer cannot tip it over.
-    limit = max(flatness_target_db * (1.0 - 1e-9), flat)
-
-    def waveform_error(x):
-        lines, transfer = comb.lines(x)
-        over = comb.flatness_db(lines) - limit
-        return np.where(over <= 0.0, comb.rmse_percent(lines, transfer), _OVER_LIMIT + over)
-
-    ratios = np.linspace(0.5, 1.25, 16)
-    bias, err = _line_search(
-        lambda v: waveform_error(_along(x, [0, 1], [v, ratios[:, None]])),
-        np.full(16, max(lower[0], x[0] - 0.4)),
-        np.full(16, min(upper[0], x[0] + 0.4)), 1e-7)
-    j = int(np.argmin(err))
-    if err[j] < waveform_error(x):
-        x[0], x[1] = bias[j], ratios[j]
-    x, _ = _descend(waveform_error, x, range(2 + n_free),
-                    [0.04, 0.04] + [0.1] * n_free, lower, upper, 1e-6)
+    x = _solve(comb, scan[np.argmin(comb.flatness_db(comb.lines(scan)[0]))], lower, upper,
+               flatness_target_db * (1.0 - 1e-9))
     point = tuple(float(v) for v in x)
 
     grid = TimeGrid(sample_rate=comb.mult * spacing, n_samples=comb.mult)

@@ -25,6 +25,7 @@ from helpers import (
     shape_directly,
     times,
 )
+import nyquist_otdm
 from nyquist_otdm import Signal, TimeGrid, scenario, spectrum
 from nyquist_otdm.cli import main
 from nyquist_otdm.modem import Q_FLOOR_DB
@@ -1240,6 +1241,15 @@ class TestCli:
         p = self.write_cfg(tmp_path, base_config())
         assert main(["validate", str(p)]) == 0
         assert capsys.readouterr().out.strip() == "ok"
+
+    def test_version_names_the_package_and_numpy(self, capsys):
+        """``--version`` prints the package and numpy versions, needs no
+        verb and exits 0."""
+        with pytest.raises(SystemExit) as exc:
+            main(["--version"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == (
+            f"nyquist-otdm {nyquist_otdm.__version__} (numpy {np.__version__})\n")
 
     def test_validate_bad_config_names_field(self, tmp_path, capsys):
         p = self.write_cfg(tmp_path, base_config(bogus=1))
