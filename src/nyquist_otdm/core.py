@@ -223,45 +223,42 @@ _TZ = np.cumprod(_QUAD[:, ::-1] == 0, axis=1, dtype=np.int8).sum(axis=1, dtype=n
 
 
 def _g17_field_tables():
-    """The masks and fixed bytes of ``_g17``'s fields: (782, 3, 4) words."""
-    x, i, neg, b = np.ix_(np.arange(-6, 17), np.arange(17), [0, 1], np.arange(32))
-    p = np.where(x >= -4, x, 0)  # the last integer digit's exponent
-    suffix = np.array([101, 45, 48, 48])[np.clip(b - 25, 0, 3)] - x * (b == 28)  # e-0X
-    masks = [(b >= 7 + np.minimum(p, 0)) & (b <= 7 + p), (b >= 9 + p) & (b <= 8 + i)]
-    add = np.select([(b == 0) & (neg == 1), (b == 8 + p) & (i > p),
-                     (x < -4) & (b >= 25) & (b <= 28)], [45, 46, suffix])
+    """``_g17``'s masks and fixed bytes: (3, 3, 714) words by kind, word and (X, i, sign)."""
+    x, i, neg, b = np.ix_(np.arange(-4, 17), np.arange(17), [0, 1], np.arange(24))
+    masks = [(b >= 5 + np.minimum(x, 0)) & (b <= 5 + x), (b >= 7 + x) & (b <= 6 + i)]
+    add = np.select([(b == 0) & (neg == 1), (b == 6 + x) & (i > x)], [45, 46])
     tables = np.stack(np.broadcast_arrays(255 * masks[0], 255 * masks[1], add), axis=-2)
-    return tables.astype(np.uint8).reshape(-1, 3, 32).view("<u8")
+    return tables.astype(np.uint8).reshape(-1, 3, 24).view("<u8").transpose(1, 2, 0).copy()
 
 
 _G17 = _g17_field_tables()
 
 
-def _g17(x, out, sep) -> None:
+def _g17(x, out, sep) -> bool:
     """Write ``'%.17g' % v`` and column j's separator word ``sep[j]`` into ``out``,
-    one 32-byte (4-word) field per v of the 2-D float table ``x``.
+    one 24-byte (3-word) field per v of the 2-D float table ``x``.
 
-    The field is exact for 1e-6 < |v| < 1e17: e = floor(log10 |v|), mended
+    The field is exact for 1e-4 <= |v| < 1e17: e = floor(log10 |v|), mended
     where (hi - 1e17) + lo >= 0 or (hi - 1e16) + lo < 0 (exact tests, by
     Sterbenz's lemma), puts |v| * 10**(16 - e) in [1e16, 1e17).  That power
-    of ten is an exact double (16 - e <= 22), Dekker's TwoProduct gives the
+    of ten is an exact double (16 - e <= 20), Dekker's TwoProduct gives the
     product exactly as hi + lo, and hi >= 1e16 > 2**53 is an even integer, so
     hi + rint(lo) rounds the 17-digit significand half to even, as ``%``
-    does.  The layout: the sign at byte 0; "0000" at 3-6 and digit k at 7 + k
-    of the digit words, which give the integer part to 7 + X (X the exponent;
-    the "0" at 7 + X when X < 0); the dot at 8 + X; the fraction to the last
-    nonzero digit i at 9 + X..8 + i, from the digit words shifted up one
-    byte, its leading zeros from "0000"; "e-0X" at 25-28 when X < -4, laid
-    out as X = 0; the separator at 31.  A table row per (X, i, sign) holds
-    both masks and the fixed bytes.  |v| <= 1e-6, |v| >= 1e17, inf and nan
-    keep ``%`` in the same field: no ``%.17g`` string is longer than 24 bytes
-    (``-2.2250738585072014e-308``), so the separator never overwrites one.
+    does.  The layout: the sign at byte 0; "0000" at 1-4 and digit k at 5 + k
+    of the digit words (digits 0-2, 3-10 and 11-16 in words 0, 1 and 2),
+    which give the integer part to 5 + X (X the exponent; the "0" at 5 + X
+    when X < 0); the dot at 6 + X; the fraction to the last nonzero digit i
+    at 7 + X..6 + i, from the digit words shifted up one byte, its leading
+    zeros from "0000"; the separator at 23.  A table entry per (X, i, sign)
+    holds both masks and the fixed bytes.  |v| < 1e-4, |v| >= 1e17, inf and
+    nan keep ``%`` in the same field; False if one fills all 24 bytes, whose
+    last the separator spoils (``-2.2250738585072014e-308``).
     """
-    fast = (np.abs(x) > 1e-6) & (np.abs(x) < 1e17)
+    fast = (np.abs(x) >= 1e-4) & (np.abs(x) < 1e17)
     a = np.abs(np.where(fast, x, 1.0))
     ah = (c := 134217729.0 * a) - (c - a)  # Dekker's split: a = ah + al, 26-bit halves
     al = a - ah
-    e = np.clip(np.floor(np.log10(a)), -6, 16).astype(np.intp)
+    e = np.clip(np.floor(np.log10(a)), -4, 16).astype(np.intp)
     while True:  # mend a log10 one off near a power of ten: a 2nd pass only if one moved
         s = 16 - e  # a * 10**s = hi + lo exactly, Dekker's TwoProduct
         hi, p_hi, p_lo = a * _P10[s], _P10_HI[s], _P10_LO[s]
@@ -273,44 +270,46 @@ def _g17(x, out, sep) -> None:
             break
         e += step
     d = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
-    carry = d == 10 ** 17  # rounded up to one more digit
-    d, e = np.where(carry, 10 ** 16, d), e + carry
-    d0, q, top, r = d // 10 ** 16, d // 10 ** 12, d // 10 ** 8, d // 10 ** 4  # // beats %
-    g3, g2, g1, g0 = q - d0 * 10 ** 4, top - q * 10 ** 4, r - top * 10 ** 4, d - r * 10 ** 4
-    tz = _TZ[g0] + (g0 == 0) * (_TZ[g1] + (g1 == 0) * (_TZ[g2] + (g2 == 0) * _TZ[g3]))
-    w = np.empty((4,) + x.shape, np.uint64)  # the digit words, word by word
-    w[0], w[3] = _QUAD_WORD[d0] << 32 | 48 << 24, 0
+    d, e = np.where(carry := d == 10 ** 17, 10 ** 16, d), e + carry  # rounded up a digit
+    d0, q, top, r = d // 10 ** 14, d // 10 ** 10, d // 10 ** 6, d // 100  # // beats %
+    g3, g2, g1, g0 = q - d0 * 10 ** 4, top - q * 10 ** 4, r - top * 10 ** 4, (d - r * 100) * 100
+    tz = _TZ[g0] - 2 + (g0 == 0) * (  # g0 holds the last two digits, then "00"
+        _TZ[g1] + (g1 == 0) * (_TZ[g2] + (g2 == 0) * (_TZ[g3] + (g3 == 0) * _TZ[d0])))
+    w = np.empty((3,) + x.shape, np.uint64)  # the digit words, word by word
+    w[0] = _QUAD_WORD[d0] << 32 | 0x30303000
     w[1], w[2] = _QUAD_WORD[g2] << 32 | _QUAD_WORD[g3], _QUAD_WORD[g0] << 32 | _QUAD_WORD[g1]
     shifted = w << 8
     shifted[1:] |= w[:-1] >> 56
-    row = ((e + 6) * 17 + 16 - tz) * 2 + (x < 0)
-    keep, keep_shifted, add = np.moveaxis(_G17.take(row, axis=0), (-2, -1), (0, 1))
+    row = ((e + 4) * 17 + 16 - tz) * 2 + (x < 0)
+    keep, keep_shifted, add = _G17.take(row, axis=-1)
     w &= keep
-    shifted &= keep_shifted
-    w |= shifted
-    slow = np.array(["%.17g" % v for v in x[~fast].tolist()], "S32").view("<u8")
-    w[:, ~fast], add[:, ~fast] = slow.reshape(-1, 4).T, 0
+    w |= np.bitwise_and(shifted, keep_shifted, out=shifted)
+    sr, sc = np.nonzero(~fast)  # the rows and columns of the values that keep %
+    slow = np.array(["%.17g" % v for v in x[sr, sc].tolist()], "S24").view("<u8").reshape(-1, 3)
+    w[:, sr, sc], add[:, sr, sc] = slow.T, 0
     for j in range(x.shape[1]):  # by column: a column axis would be the inner loop
         np.bitwise_or(w[..., j], add[..., j], out=out[:, j].T)
-        out[:, j, 3] |= sep[j]
+        out[:, j, 2] |= sep[j]
+    return not (slow[:, 2] >> 56).any()
 
 
 def _write_csv(path, header: str, rows) -> None:
     """Write a 2-D float table as CSV, byte for byte as ``np.savetxt(path,
     rows, fmt="%.17g", delimiter=",", header=header, comments="")`` does.
 
-    Each block of ``_CSV_BLOCK_ROWS`` rows is one (rows, columns, 4) matrix
-    of words, each value and its separator a NUL-padded ``_g17`` field,
-    written without the NULs.  A column with at most half of its first
-    block's values distinct by their bits (-0.0 prints ``-0``) is formatted
-    once per distinct value of that block and gathered by its rows, each
-    row's value found by one binary search; only a column with a later value
-    the first block lacks is indexed by ``np.unique``.  ``_g17`` writes each
-    run of the other, adjacent columns in one call a block.
+    Each block of ``_CSV_BLOCK_ROWS`` rows is one (rows, columns, 3) matrix
+    of words, each value and its separator a NUL-padded 24-byte ``_g17``
+    field, written without the NULs; ``np.savetxt`` writes a block with a
+    24-byte string.  A column with at most half of its first block's values
+    distinct by their bits (-0.0 prints ``-0``), none of 24 bytes, is
+    formatted once per distinct value of that block and gathered by its
+    rows, each row's value found by one binary search; only a column with a
+    later value the first block lacks is indexed by ``np.unique``.  ``_g17``
+    writes each run of the other, adjacent columns in one call a block.
     """
     rows = np.asarray(rows, dtype=np.float64)
     n_cols = rows.shape[1]
-    seps = np.array([ord(",")] * (n_cols - 1) + [ord("\n")], np.uint64) << 56  # byte 31
+    seps = np.array([ord(",")] * (n_cols - 1) + [ord("\n")], np.uint64) << 56  # byte 23
     pooled = {}  # column -> (its distinct values' fields, each row's index)
     for j in range(n_cols):
         bits = rows[:, j].view(np.uint64)
@@ -323,11 +322,11 @@ def _write_csv(path, header: str, rows) -> None:
             inverse = np.searchsorted(values, bits)
             if not np.array_equal(values.take(inverse, mode="clip"), bits):
                 values, inverse = np.unique(bits, return_inverse=True)
-            fields = np.empty((values.size, 1, 4), np.uint64)
-            _g17(values.view(np.float64)[:, None], fields, seps[j:j + 1])
-            pooled[j] = fields[:, 0], inverse
+            fields = np.empty((values.size, 1, 3), np.uint64)
+            if _g17(values.view(np.float64)[:, None], fields, seps[j:j + 1]):
+                pooled[j] = fields[:, 0], inverse
     runs = np.flatnonzero(np.diff([0] + [j not in pooled for j in range(n_cols)] + [0]))
-    out = np.empty((min(len(rows), _CSV_BLOCK_ROWS), n_cols, 4), np.uint64)
+    out = np.empty((min(len(rows), _CSV_BLOCK_ROWS), n_cols, 3), np.uint64)
     # text mode with the default encoding and newlines, as np.savetxt opens it
     with open(path, "w") as fh:
         if header:
@@ -337,6 +336,7 @@ def _write_csv(path, header: str, rows) -> None:
             o = out[:len(block)]
             for j, (fields, inverse) in pooled.items():
                 o[:, j] = fields[inverse[start:start + len(block)]]
-            for j, k in runs.reshape(-1, 2):  # a run of adjacent unpooled columns
-                _g17(block[:, j:k], o[:, j:k], seps[j:k])
-            fh.write(o.tobytes().translate(None, b"\0").decode())
+            if all(_g17(block[:, j:k], o[:, j:k], seps[j:k]) for j, k in runs.reshape(-1, 2)):
+                fh.write(o.tobytes().translate(None, b"\0").decode())
+            else:  # a 24-byte string left a field no byte for its separator
+                np.savetxt(fh, block, fmt="%.17g", delimiter=",")

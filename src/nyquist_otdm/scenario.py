@@ -481,7 +481,8 @@ def _eye_rows(y: Signal, gain: complex, sc: Scenario, t_offset: float):
     amp = (eye * (p / y.grid.n_samples) * gain).real
     phase = -t_offset * per_symbol * rate
     phases = np.mod(np.arange(2 * per_symbol) + phase, 2 * per_symbol) / (per_symbol * rate)
-    return "t_mod_2symbols,amplitude", np.column_stack([np.resize(phases, p), amp])
+    return "t_mod_2symbols,amplitude", np.column_stack(
+        [np.tile(phases, n_symbols // 2 + 1)[:p], amp])
 
 
 def _calibrate(n_lines: int, spacing: float, block: dict, params: MzmParams,

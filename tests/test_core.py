@@ -348,41 +348,92 @@ def test_write_csv_pools_a_column_with_values_after_its_first_block():
             _assert_writes_as_savetxt(table[:, ::-1])
 
 
-# the longest %.17g strings: 24 bytes, so a field ends with the separator
+# the longest %.17g strings: 24 bytes, which leave a field no byte for its separator
 _LONGEST = [-2.2250738585072014e-308, -1.7976931348623157e308, -4.9406564584124654e-324]
 
 
 def test_write_csv_matches_savetxt_on_the_longest_strings():
-    """The 24-byte strings in the last column, before its newline: formatted
-    once each as a pooled column, and by ``%`` among all-distinct values."""
+    """The 24-byte strings in the last column, before its newline: as a
+    column of them alone, which is pooled by none of them, and among
+    all-distinct values.  Their block is written by ``np.savetxt``."""
     assert {len("%.17g" % v) for v in _LONGEST} == {24}
     x = np.arange(12.0)
     _assert_writes_as_savetxt(np.column_stack([x, np.resize(_LONGEST, x.size)]))
     _assert_writes_as_savetxt(np.column_stack([x, np.r_[_LONGEST, x[3:] + 0.5]]))
 
 
+def test_write_csv_matches_savetxt_on_blocks_with_a_longest_string():
+    """A block that holds a 24-byte string is written by ``np.savetxt``, the
+    others by fields: the strings in an all-distinct column at the last row of a
+    block, the first of the next and within a later one; and as a pooled
+    column's distinct value, in its first block or only after it.  Either
+    column comes first."""
+    rng = np.random.default_rng(37)
+    n_rows = 6 * _PB + 3
+    distinct = rng.normal(0.0, 0.3, n_rows)
+    distinct[[_PB - 1, _PB, 4 * _PB + 5]] = _LONGEST
+    pool = rng.choice([1.5, -2.0, 0.0], n_rows)
+    first, later = pool.copy(), pool.copy()
+    first[[3, 5 * _PB]] = _LONGEST[1]
+    later[[2 * _PB + 1, n_rows - 1]] = _LONGEST[2]
+    with mock.patch.object(core, "_CSV_BLOCK_ROWS", _PB):
+        for table in (np.column_stack([pool, distinct]), np.column_stack([first, pool]),
+                      np.column_stack([later, rng.normal(0.0, 0.3, n_rows)])):
+            _assert_writes_as_savetxt(table)
+            _assert_writes_as_savetxt(table[:, ::-1])
+
+
+def test_write_csv_matches_savetxt_below_the_kernel_range():
+    """Values with 1e-6 < |v| < 1e-4 and the neighbours of 1e-4, which go to
+    ``%`` beside the kernel's values, in an all-distinct and a pooled column
+    over several blocks."""
+    rng = np.random.default_rng(38)
+    edges = np.array([np.nextafter(1e-4, 0.0), 1e-4, np.nextafter(1e-4, 1.0), 2.5e-5,
+                      np.nextafter(1e-6, 1.0)])
+    edges = np.r_[edges, -edges]
+    n_rows = 8 * _PB
+    below = 10.0 ** rng.uniform(-6, -4, n_rows) * rng.choice([-1.0, 1.0], n_rows)
+    below[::3] = rng.normal(0.0, 0.3, below[::3].size)
+    below[1:3 * edges.size:3] = edges
+    with mock.patch.object(core, "_CSV_BLOCK_ROWS", _PB):
+        _assert_writes_as_savetxt(np.column_stack([below, rng.choice(edges, n_rows)]))
+
+
 def _text(words) -> str:
     return words.astype("<u8").tobytes().translate(None, b"\0").decode("ascii")
+
+
+def _fields(strings, seps) -> str:
+    """The text of 24-byte fields holding ``strings`` NUL-padded, each with
+    its separator ORed into its last byte: a 24-byte string's last byte is
+    spoiled, so only a shorter string ends with its separator."""
+    raw = bytearray(b"".join(s.encode().ljust(24, b"\0") for s in strings))
+    raw[23::24] = bytes(a | ord(b) for a, b in zip(raw[23::24], seps))
+    return raw.translate(None, b"\0").decode("ascii")
 
 
 def _assert_formats_as_percent(values):
     """``_g17`` writes each value as ``'%.17g,' % v``: in numpy in its range,
     by ``%`` outside it; and as a two-column table, with each column's
-    separator."""
+    separator.  It reports whether every string left its field the byte for
+    its separator: no 24-byte one among them."""
     x = np.array(values, dtype=float)[:, None]
-    out = np.zeros(x.shape + (4,), np.uint64)
-    _g17(x, out, np.array([ord(",")], np.uint64) << 56)
-    assert _text(out) == "".join("%.17g," % v for v in values)
+    strings = ["%.17g" % v for v in values]
+    out = np.zeros(x.shape + (3,), np.uint64)
+    assert _g17(x, out, np.array([ord(",")], np.uint64) << 56) == all(
+        len(s) < 24 for s in strings)
+    assert _text(out) == _fields(strings, "," * len(values))
     pairs = x[:x.size // 2 * 2].reshape(-1, 2)
-    out = np.zeros(pairs.shape + (4,), np.uint64)
+    out = np.zeros(pairs.shape + (3,), np.uint64)
     _g17(pairs, out, np.array([ord(";"), ord("\n")], np.uint64) << 56)
-    assert _text(out) == "".join("%.17g;%.17g\n" % (a, b) for a, b in pairs.tolist())
+    assert _text(out) == _fields(strings[:pairs.size], ";\n" * (pairs.size // 2))
 
 
 # each power of ten from 1e-7 to 1e17 and its neighbours, so the kernel's
-# range edges (1e-6 and 1e17 are outside it) and the doubles whose log10
-# misses; zeros and the least subnormal; and exact ties at the 17th digit,
-# which % rounds half to even
+# range edges (1e-4 is inside it, the double below it and 1e17 outside), the
+# values below it that go to %, and the doubles whose log10 misses; zeros and
+# the least subnormal; and exact ties at the 17th digit, which % rounds half
+# to even
 _POWERS = np.array([float(f"1e{k}") for k in range(-7, 18)])
 _EDGES = np.concatenate([
     _POWERS, np.nextafter(_POWERS, 0.0), np.nextafter(_POWERS, math.inf),
@@ -404,11 +455,11 @@ def _layout_class(v: float) -> tuple:
 
 
 def _one_value_per_layout_class() -> dict:
-    """A value for each of the kernel's 23 * 17 * 2 field layouts, found by
+    """A value for each of the kernel's 21 * 17 * 2 field layouts, found by
     scanning decimals of i + 1 digits at each exponent X: about half of them
     are the double nearest to them to 17 digits, so a few tries hit (X, i)."""
     found = {}
-    for x in range(-6, 17):
+    for x in range(-4, 17):
         for i in range(17):
             for m in range(10 ** i + 1, 10 ** i + 100):
                 v = float(f"{m}e{x - i}")
@@ -420,23 +471,18 @@ def _one_value_per_layout_class() -> dict:
 
 
 def test_g17_writes_every_layout_class():
-    """Every (X, i, sign) the field tables hold that a double can print
-    prints as % prints it.  One digit in e-notation, "de-06" or "de-05", is
-    none: only the double nearest to d * 10**X could print so, and each of
-    those prints more digits."""
+    """Every (X, i, sign) the field tables hold, each a row of them, prints
+    as % prints it: a double reaches each of the 714."""
     found = _one_value_per_layout_class()
-    unreachable = {(x, 0, neg) for x in (-6, -5) for neg in (False, True)}
-    assert all(len(Decimal("%.17g" % float(f"{d}e{x}")).normalize().as_tuple().digits) > 1
-               for d in range(1, 10) for x in (-6, -5))
-    wanted = {(x, i, neg) for x in range(-6, 17) for i in range(17) for neg in (False, True)}
-    assert len(wanted) == 782
-    assert wanted - unreachable <= set(found), sorted(wanted - unreachable - set(found))
-    values = [found[c] for c in sorted(wanted - unreachable)]
-    assert all(1e-6 < abs(v) < 1e17 for v in values)
+    wanted = {(x, i, neg) for x in range(-4, 17) for i in range(17) for neg in (False, True)}
+    assert len(wanted) == core._G17.shape[-1] == 714
+    assert wanted <= set(found), sorted(wanted - set(found))
+    values = [found[c] for c in sorted(wanted)]
+    assert all(1e-4 <= abs(v) < 1e17 for v in values)
     _assert_formats_as_percent(values)
 
 
-_IN_RANGE = st.floats(1e-6, 1e17, exclude_min=True, exclude_max=True)
+_IN_RANGE = st.floats(1e-4, 1e17, exclude_max=True)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
