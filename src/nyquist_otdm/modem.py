@@ -130,6 +130,8 @@ def _rows(rx, ref, n_blocks: int):
     rx, ref = np.asarray(rx, dtype=np.complex128), np.asarray(ref)
     if rx.shape != ref.shape or rx.size == 0 or rx.ndim not in (1, 2):
         raise ValueError("rx and its reference must be non-empty and of the same length")
+    if not np.isfinite(rx).all() or ref.dtype.kind in "fc" and not np.isfinite(ref).all():
+        raise ValueError("rx and its reference must be finite")
     n_b = max(1, min(n_blocks, m := rx.shape[-1]))
     return np.atleast_2d(rx), np.atleast_2d(ref), m // n_b + (np.arange(n_b) < m % n_b)
 

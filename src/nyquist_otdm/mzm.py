@@ -34,9 +34,7 @@ __all__ = [
     "CombReport",
     "FlatCombCalibration",
     "eo_response",
-    "arm_amplitude",
     "modulate",
-    "comb_report",
     "calibrate_flat_comb",
     "format_comb_table",
 ]
@@ -157,22 +155,18 @@ def eo_response(f, params: MzmParams):
     return resp
 
 
-def arm_amplitude(extinction_db: float) -> float:
-    """Field transmission of one arm from its DC extinction ratio.
+def _arms(params: MzmParams):
+    """The two arm fields' weights in the output, before insertion loss.
 
-    Each arm is referenced against an ideal partner: an arm of amplitude a
+    Each arm is referenced against an ideal partner: an arm of field a
     interfering with a unit arm nulls to ((1-a)/(1+a))^2, so a measured
-    power extinction X gives a = (sqrt(X)-1)/(sqrt(X)+1).
+    power extinction X gives a = (sqrt(X)-1)/(sqrt(X)+1).  That is 1.0 from
+    about 331 dB on, so X is clamped at 400 dB, where a is 1.0 exactly: the
+    config allows 1e300 dB, and 10 ** (X / 20) overflows past about 6,165 dB.
     """
-    if extinction_db > 400.0:  # the ratio below is 1.0 from about 331 dB on
-        return 1.0
-    g = 10.0 ** (extinction_db / 20.0)
-    return (g - 1.0) / (g + 1.0)
-
-
-def _arms(params: MzmParams):  # the arm fields' weights, before insertion loss
-    return (0.5 * arm_amplitude(params.dc_extinction_arm1_db),
-            0.5 * arm_amplitude(params.dc_extinction_arm2_db))
+    g = [10.0 ** (min(x, 400.0) / 20.0)
+         for x in (params.dc_extinction_arm1_db, params.dc_extinction_arm2_db)]
+    return tuple(0.5 * ((v - 1.0) / (v + 1.0)) for v in g)
 
 
 def _push_pull(x: np.ndarray, phase: np.ndarray, arms) -> np.ndarray:
@@ -196,41 +190,6 @@ def modulate(field_in: Signal, point, modulation_index: float, params: MzmParams
         2 * np.pi * np.outer(np.arange(1, x.size), np.arange(n)) / n)
     loss = 10.0 ** (-params.insertion_loss_db / 20.0)
     return Signal(field_in.grid, loss * _push_pull(x, phase, _arms(params)) * field_in.samples)
-
-
-def comb_report(period_spectrum: np.ndarray, n_lines: int, spacing: float) -> CombReport:
-    """Measure flatness and sideband suppression of a comb from
-    :func:`spectrum` of exactly one comb period, where line k sits at index
-    ``len // 2 + k``.  The ``n_lines`` nominal lines are k * ``spacing`` from
-    the carrier; suppression is taken against the two orders beyond them on
-    each side, which the array must hold.
-    """
-    _require_odd_count(n_lines, "n_lines")
-    half = (n_lines - 1) // 2
-    centre = len(period_spectrum) // 2
-    if centre + half + 2 >= len(period_spectrum):  # then also centre < half + 2
-        raise ValueError(f"a spectrum of {len(period_spectrum)} bins does not hold "
-                         f"the orders +/-{half + 2} of a {n_lines}-line comb")
-
-    def dbm(p) -> float:
-        return float(10.0 * np.log10(p)) if p > 0 else float("-inf")
-
-    nominal_orders = range(-half, half + 1)
-    nominal = [abs(period_spectrum[centre + k]) ** 2 for k in nominal_orders]
-    powers = tuple(dbm(p) for p in nominal)
-    unwanted = [dbm(abs(period_spectrum[centre + s * k]) ** 2)
-                for k in (half + 1, half + 2) for s in (-1, 1)]
-    # a ratio of powers keeps its digits at any level, a difference of dBm does not
-    flatness = dbm(max(nominal) / min(nominal)) if min(nominal) > 0 else math.inf
-    suppression = min(powers) - max(unwanted)
-    return CombReport(
-        n_lines=n_lines,
-        spacing_hz=float(spacing),
-        line_frequencies_hz=tuple(float(k * spacing) for k in nominal_orders),
-        line_powers_dbm=powers,
-        flatness_db=float(flatness),
-        sideband_suppression_db=float(suppression),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -441,18 +400,32 @@ def calibrate_flat_comb(
     point = tuple(float(v) for v in x)
 
     grid = TimeGrid(sample_rate=comb.mult * spacing, n_samples=comb.mult)
-    line_bins = comb.mult // 2 + np.arange(-(n_lines // 2), n_lines // 2 + 1)
+    h = n_lines // 2
+    line_bins = comb.mult // 2 + np.arange(-h, h + 1)
     spec = spectrum(modulate(constant(grid), point, modulation_index, params))
     # the ideal sequence's lines are 1/n_lines, so by Parseval the
     # least-squares gain and residual on the lines are the waveform's
     ideal = np.zeros(comb.mult)
     ideal[line_bins] = 1.0 / n_lines
     gain = complex(np.vdot(spec, ideal) / np.vdot(spec, spec))
-    report = comb_report(spec, n_lines, spacing)
+
+    def dbm(p) -> float:
+        return float(10.0 * np.log10(p)) if p > 0 else float("-inf")
+
+    # flatness is a ratio of powers, which keeps its digits at any level where a
+    # difference of dBm does not; suppression is against orders +/-(h+1), +/-(h+2)
+    nominal = [abs(spec[i]) ** 2 for i in line_bins]
+    powers = tuple(dbm(p) for p in nominal)
+    flatness = dbm(max(nominal) / min(nominal)) if min(nominal) > 0 else math.inf
+    suppression = min(powers) - max(dbm(abs(spec[comb.mult // 2 + sign * k]) ** 2)
+                                    for k in (h + 1, h + 2) for sign in (-1, 1))
+    report = CombReport(
+        n_lines=n_lines, spacing_hz=float(spacing), line_powers_dbm=powers,
+        line_frequencies_hz=tuple(float(k * spacing) for k in range(-h, h + 1)),
+        flatness_db=float(flatness), sideband_suppression_db=float(suppression))
     return FlatCombCalibration(
         point=point, modulation_index=modulation_index, params=params, report=report,
-        converged=bool(report.flatness_db <= flatness_target_db),
-        gain=gain,
+        converged=bool(report.flatness_db <= flatness_target_db), gain=gain,
         waveform_rmse_percent=float(100.0 * np.linalg.norm(gain * spec - ideal)),
     )
 

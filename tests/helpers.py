@@ -9,8 +9,10 @@ against these.
 
 from __future__ import annotations
 
+import importlib.util
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -24,9 +26,18 @@ from nyquist_otdm.mzm import (
     DrivePlan,
     FlatCombCalibration,
     MzmParams,
-    arm_amplitude,
     eo_response,
 )
+
+
+def load_bench(name: str = "checks"):
+    """A module of ``bench/``, read and never written: by default
+    ``checks.py``, the package-free output checks."""
+    path = Path(__file__).resolve().parents[1] / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def times(grid: TimeGrid) -> np.ndarray:
@@ -180,6 +191,16 @@ def branch_drive(drive: DrivePlan, plan: ChannelPlan, branch: int) -> DrivePlan:
     return DrivePlan(tuple(tones), drive.bias_arm1, drive.bias_arm2)
 
 
+def arm_field(extinction_db: float) -> float:
+    """Field a of an arm whose power extinction X against an ideal partner,
+    ((1+a)/(1-a))^2, is ``extinction_db``: a = (sqrt(X)-1)/(sqrt(X)+1), and
+    1.0 for a perfect (infinite) one."""
+    if math.isinf(extinction_db):
+        return 1.0
+    root = math.sqrt(10.0 ** (extinction_db / 10.0))
+    return (root - 1.0) / (root + 1.0)
+
+
 def modulate_directly(field: Signal, plan: DrivePlan, params: MzmParams) -> Signal:
     """The dual-drive MZM in volts and seconds, tone by tone: arm i
     accumulates phase ``bias_i + sum_k pi*(A_ik*eo(f_k))/v_pi *
@@ -196,8 +217,7 @@ def modulate_directly(field: Signal, plan: DrivePlan, params: MzmParams) -> Sign
         w = 2 * np.pi * tone_.frequency
         phi1 += depth * tone_.amplitude_arm1 * np.sin(w * t + tone_.phase_arm1)
         phi2 += depth * tone_.amplitude_arm2 * np.sin(w * t + tone_.phase_arm2)
-    a1 = arm_amplitude(params.dc_extinction_arm1_db)
-    a2 = arm_amplitude(params.dc_extinction_arm2_db)
+    a1, a2 = arm_field(params.dc_extinction_arm1_db), arm_field(params.dc_extinction_arm2_db)
     loss = 10.0 ** (-params.insertion_loss_db / 20.0)
     transfer = loss * 0.5 * (a1 * np.exp(1j * phi1) + a2 * np.exp(1j * phi2))
     return Signal(grid, transfer * field.samples)

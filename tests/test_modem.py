@@ -227,6 +227,26 @@ class TestQFactor:
             q_factor(np.stack([rx, rx]), np.stack([vals, vals - 1]), c)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.nan)])
+def test_non_finite_read_outs_are_refused(bad):
+    """A read-out holding nan or +/-inf is refused before any arithmetic,
+    in 1-D and 2-D form, and so is such an EVM reference: a nan read-out
+    scored Q at the cap, flagged capped, and an EVM of nan."""
+    c = Constellation(4)
+    vals = np.random.default_rng(4).integers(0, 4, 100)
+    good = c.points[vals]
+    spoilt = good.copy()
+    spoilt[37] = bad
+    two_d = np.stack([good, spoilt]), np.stack([vals, vals]), np.stack([good, good])
+    for rx, sent, ref in ((spoilt, vals, good), two_d):
+        with pytest.raises(ValueError, match="must be finite"):
+            q_factor(rx, sent, c)
+        with pytest.raises(ValueError, match="must be finite"):
+            evm(rx, ref)
+        with pytest.raises(ValueError, match="must be finite"):
+            evm(ref, rx)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(order=st.sampled_from([4, 16]), n_symbols=st.integers(1, 300),
        n_blocks=st.integers(1, 12), runs=st.integers(1, 40),

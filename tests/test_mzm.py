@@ -15,6 +15,7 @@ from scipy.special import jv
 
 from helpers import (
     align_delay_gain,
+    arm_field,
     comb_lines_directly,
     delay_signal,
     modulate_directly,
@@ -22,7 +23,6 @@ from helpers import (
     sampler_of,
     sequence_directly,
     times,
-    tone,
 )
 from nyquist_otdm import Signal, TimeGrid, spectrum
 from nyquist_otdm.core import constant
@@ -30,27 +30,27 @@ from nyquist_otdm.mzm import (
     MzmParams,
     _arms,
     _OnePeriodComb,
-    arm_amplitude,
     calibrate_flat_comb,
-    comb_report,
     eo_response,
     format_comb_table,
     modulate,
 )
 
 PARAMS = MzmParams(v_pi=0.42, eo_3db_bandwidth=16e9)
-ARMS = (0.5 * arm_amplitude(40.0), 0.5 * arm_amplitude(37.0))
+ARMS = _arms(PARAMS)  # 40 and 37 dB
 
 
 class TestDeviceBasics:
     def test_arm_amplitude_values(self):
-        assert arm_amplitude(40.0) == pytest.approx(0.9801980198019802, rel=1e-15)
-        assert arm_amplitude(37.0) == pytest.approx(0.9721427433170929, rel=1e-15)
-        assert arm_amplitude(math.inf) == 1.0
-        # the closed form is exactly 1.0 from about 331 dB on, so an extinction
-        # far past it is a perfect arm, not an overflow
-        for extinction_db in (331.0, 400.0, 400.5, 6166.0, 7000.0):
-            assert arm_amplitude(extinction_db) == 1.0
+        """``_arms`` weighs each arm by half its field.  The closed form is
+        exactly 1.0 from about 331 dB on, so an extinction far past it, up
+        to the config's 1e300 dB, is a perfect arm, not an overflow."""
+        assert [2.0 * a for a in ARMS] == pytest.approx(
+            [0.9801980198019802, 0.9721427433170929], rel=1e-15)
+        for extinction_db in (math.inf, 331.0, 400.0, 400.5, 6166.0, 7000.0, 1e300):
+            params = MzmParams(v_pi=0.42, eo_3db_bandwidth=16e9,
+                               dc_extinction_arm1_db=extinction_db)
+            assert _arms(params) == (0.5, ARMS[1])
 
     def test_eo_response_reference_points(self):
         for model in ("single_pole", "gaussian"):
@@ -104,8 +104,7 @@ class TestModulate:
         params = MzmParams(v_pi=0.42, eo_3db_bandwidth=16e9,
                            insertion_loss_db=3.0)
         out = modulate(constant(grid), (1.0, 0.8), 0.0, params)
-        a1 = arm_amplitude(params.dc_extinction_arm1_db)
-        a2 = arm_amplitude(params.dc_extinction_arm2_db)
+        a1, a2 = arm_field(params.dc_extinction_arm1_db), arm_field(params.dc_extinction_arm2_db)
         expect = 10 ** (-3.0 / 20) * 0.5 * (a1 * np.exp(0.5j) + a2 * np.exp(-0.5j))
         assert_allclose(out.samples, np.full(64, expect), atol=1e-15)
 
@@ -119,7 +118,7 @@ class TestModulate:
                            insertion_loss_db=2.0)
         bias, ratio, m = 1.3, 0.8, 1.7
         spec = spectrum(modulate(constant(grid), (bias, ratio), m, params))
-        a = (arm_amplitude(40.0), arm_amplitude(37.0))
+        a = (arm_field(40.0), arm_field(37.0))
         loss = 10 ** (-2.0 / 20)
         for k in range(-6, 7):
             expect = loss * 0.5 * (a[0] * np.exp(0.5j * bias) * (-1j) ** k * jv(k, m)
@@ -153,36 +152,29 @@ class TestModulate:
 
 
 class TestCombReport:
-    def test_synthetic_spectrum(self):
-        """On 8 periods of 32 samples, line k sits at 8 * (16 + k): every
-        8th bin is the one-period spectrum."""
-        sp = 10e9
-        grid = TimeGrid(32 * sp, 32 * 8)
-        sig = (tone(grid, -sp).samples + 0.9 * tone(grid, 0.0).samples
-               + tone(grid, sp).samples
-               + 0.1 * tone(grid, 2 * sp).samples
-               + 0.01 * tone(grid, -3 * sp).samples)
-        report = comb_report(spectrum(Signal(grid, sig))[::8], 3, sp)
-        assert report.line_frequencies_hz == (-sp, 0.0, sp)
-        assert_allclose(report.line_powers_dbm,
-                        (0.0, 20 * math.log10(0.9), 0.0), atol=1e-9)
-        assert report.flatness_db == pytest.approx(-20 * math.log10(0.9), abs=1e-9)
-        # weakest nominal line vs the +/-2-order tone at 0.1
-        assert report.sideband_suppression_db == pytest.approx(
-            20 * math.log10(0.9) + 20.0, abs=1e-9)
-
-    def test_rejects_even_lines_and_short_spectra(self):
-        """Line k sits at len // 2 + k, so the orders +/-(h+2) need
-        n_lines + 4 bins; a shorter array is refused, not read at an index
-        that wraps."""
-        for bad in (4, 3.0, 5.5, True):
-            with pytest.raises(ValueError, match="n_lines must be an odd integer"):
-                comb_report(spectrum(constant(TimeGrid(32e9, 64))), bad, 1e9)
+    def test_calibration_reports_its_one_period_spectrum(self):
+        """A calibration's report is read off one period of its modulator
+        output, where line k sits at bin ``mult // 2 + k``: each line's
+        power, their flatness as a power ratio, and the suppression against
+        the orders +/-(h+1) and +/-(h+2), bit for bit."""
+        spacing = 8e9
         for n_lines in (3, 5, 7):
-            assert comb_report(np.ones(n_lines + 4), n_lines, 1e9).flatness_db == 0.0
-            for short in (n_lines + 3, n_lines + 2):
-                with pytest.raises(ValueError, match="does not hold"):
-                    comb_report(np.ones(short), n_lines, 1e9)
+            cal = calibrate_flat_comb(n_lines, spacing, PARAMS)
+            mult = _OnePeriodComb(n_lines, cal.modulation_index, ARMS).mult
+            spec = spectrum(modulate(constant(TimeGrid(mult * spacing, mult)), cal.point,
+                                     cal.modulation_index, cal.params))
+            h = n_lines // 2
+            power = {k: abs(spec[mult // 2 + k]) ** 2 for k in range(-h - 2, h + 3)}
+            dbm = {k: float(10.0 * np.log10(p)) for k, p in power.items()}
+            lines = range(-h, h + 1)
+            report = cal.report
+            assert (report.n_lines, report.spacing_hz) == (n_lines, spacing)
+            assert report.line_frequencies_hz == tuple(k * spacing for k in lines)
+            assert report.line_powers_dbm == tuple(dbm[k] for k in lines)
+            assert report.flatness_db == float(10.0 * np.log10(
+                max(power[k] for k in lines) / min(power[k] for k in lines)))
+            assert report.sideband_suppression_db == min(dbm[k] for k in lines) - max(
+                dbm[k] for k in (-h - 2, -h - 1, h + 1, h + 2))
 
 
 class TestAlignDelayGain:
@@ -235,8 +227,10 @@ class TestOnePeriodComb:
         ideal = Signal(grid, sequence_directly(n_lines, n_lines * spacing, times(grid))
                        .astype(complex))
         gain = np.vdot(out.samples, ideal.samples) / np.vdot(out.samples, out.samples)
-        report = comb_report(spectrum(out)[::16], n_lines, spacing)  # 16 periods
-        assert comb.flatness_db(lines) == pytest.approx(report.flatness_db, rel=1e-9)
+        h = n_lines // 2
+        power = np.abs(spectrum(out)[16 * (16 + np.arange(-h, h + 1))]) ** 2  # 16 periods
+        assert comb.flatness_db(lines) == pytest.approx(
+            10.0 * np.log10(power.max() / power.min()), rel=1e-9)
         assert comb.rmse_percent(lines, transfer) == pytest.approx(
             rmse_percent(Signal(grid, gain * out.samples), ideal), rel=1e-9)
 

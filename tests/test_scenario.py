@@ -2,7 +2,7 @@
 
 import copy
 import dataclasses
-import importlib.util
+import importlib
 import json
 import math
 import os
@@ -21,6 +21,7 @@ from helpers import (
     demultiplex_directly,
     freqs,
     gate_directly,
+    load_bench,
     propagate_directly,
     shape_directly,
     times,
@@ -737,23 +738,13 @@ class TestWriteBundle:
 ALL_OUTPUTS = ["metrics", "spectra", "constellation", "eye"]
 
 
-def _load_bench(name: str = "checks"):
-    """A module of ``bench/``, read and never written: by default
-    ``checks.py``, the package-free output checks."""
-    path = ROOT / "bench" / f"{name}.py"
-    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 class TestBenchmarkNames:
     """The traced benchmark wraps package functions by name (bench/tracing.py's
     ``TIMED``): a refactor that drops one, or scores branch by branch again,
     fails here in seconds rather than in a traced benchmark run."""
 
     def test_every_traced_name_resolves(self):
-        for metric, (module, names) in _load_bench("tracing").TIMED.items():
+        for metric, (module, names) in load_bench("tracing").TIMED.items():
             mod = importlib.import_module(f"nyquist_otdm.{module}")
             for name in names:
                 assert callable(getattr(mod, name, None)), (metric, module, name)
@@ -888,7 +879,7 @@ class TestNoiseReach:
         cfg = _noise_config(n_branches, {"kind": "sinc"}, 1023,
                             noise={"osnr_db": 20.0}, outputs=["metrics"], **extra)
         write_bundle(run_scenario(parse_scenario(cfg)), tmp_path)
-        assert _load_bench().check_evm(tmp_path) == []
+        assert load_bench().check_evm(tmp_path) == []
 
 
 class TestEchoIsTheRecord:
@@ -1616,7 +1607,7 @@ class TestBundledScenarios:
             env=CHILD_ENV, capture_output=True, timeout=300)
         assert (proc.returncode, proc.stderr) == (0, b"")
         assert _dir_bytes(tmp_path / "c") == a
-        checks = _load_bench()
+        checks = load_bench()
         if raw.get("mode") == "comb":
             assert checks.check_comb_bundle(tmp_path / "a") == []
             return
@@ -1642,7 +1633,7 @@ class TestBundledScenarios:
         assert "\nconverged: yes " in (a / "metrics.txt").read_text()
         assert main(["run", str(a / "config.json"), "--out-dir", str(b)]) == 0
         assert _dir_bytes(b) == _dir_bytes(a)
-        assert _load_bench().check_comb_bundle(a) == []
+        assert load_bench().check_comb_bundle(a) == []
         tones = json.loads((a / "drive_plan.json").read_text())["tones"]
         assert len(tones) == (lines or 3) // 2
         for tone in tones:
