@@ -26,14 +26,10 @@ __all__ = [
     "MetricsReport",
     "qam_map",
     "qam_demap",
-    "decide_indices",
     "evm",
     "q_factor",
-    "ber_estimate",
-    "ber_estimate_log10",
-    "log10_mean",
     "ber_count",
-    "below_hdfec_limit",
+    "score_branches",
     "format_metrics_table",
 ]
 
@@ -63,7 +59,7 @@ def _square_grid(side: int) -> np.ndarray:
 class Constellation:
     """Square Gray-coded QAM constellation of order 4 or 16 at unit mean
     power, built from its order alone: ``points[v]`` is the symbol of bit
-    pattern v, the grid :func:`qam_map` and :func:`decide_indices` read.
+    pattern v, the grid :func:`qam_map` and the decisions read.
     The order is an integer by :func:`operator.index`, not a bool."""
 
     order: int
@@ -96,7 +92,7 @@ def qam_map(bits, constellation: Constellation) -> np.ndarray:
     return constellation.points[values.astype(np.intp, copy=False)]
 
 
-def decide_indices(symbols, constellation: Constellation) -> np.ndarray:
+def _decide_indices(symbols, constellation: Constellation) -> np.ndarray:
     """Nearest-point decision, returned as symbol values (bit patterns)."""
     syms = np.asarray(symbols, dtype=np.complex128)
     side = math.isqrt(constellation.order)
@@ -110,7 +106,7 @@ def decide_indices(symbols, constellation: Constellation) -> np.ndarray:
 
 def qam_demap(symbols, constellation: Constellation) -> np.ndarray:
     """Minimum-distance demapping back to bits (inverse of :func:`qam_map`)."""
-    values = decide_indices(symbols, constellation)
+    values = _decide_indices(symbols, constellation)
     bps = constellation.bits_per_symbol
     shifts = np.arange(bps - 1, -1, -1)
     return ((values[:, None] >> shifts) & 1).astype(np.uint8).reshape(-1)
@@ -253,15 +249,15 @@ def q_factor(rx, sent, constellation: Constellation, n_blocks: int = 10):
     return out[0] if np.ndim(rx) == 1 else out
 
 
-def ber_estimate(q_linear: float) -> float:
+def _ber_estimate(q_linear: float) -> float:
     """BER predicted from a linear Q factor, 0.5 * erfc(q / sqrt(2))."""
     if not q_linear > 0:
         raise ValueError("q_linear must be positive")
     return 0.5 * math.erfc(q_linear / math.sqrt(2.0))
 
 
-def ber_estimate_log10(q_linear: float) -> float:
-    """log10 of :func:`ber_estimate`, stable far below float underflow."""
+def _ber_estimate_log10(q_linear: float) -> float:
+    """log10 of :func:`_ber_estimate`, stable far below float underflow."""
     if not q_linear > 0:
         raise ValueError("q_linear must be positive")
     x = q_linear / math.sqrt(2.0)
@@ -281,7 +277,7 @@ def ber_estimate_log10(q_linear: float) -> float:
             - x * x * math.log10(math.e))
 
 
-def log10_mean(*log10_values: float) -> float:
+def _log10_mean(*log10_values: float) -> float:
     """log10 of the arithmetic mean of values given as log10."""
     m = max(log10_values)
     if math.isinf(m):
@@ -317,11 +313,6 @@ def ber_count(tx_bits, rx_bits) -> BerCount:
     return BerCount(int(np.count_nonzero(tx != rx)), int(tx.size))
 
 
-def below_hdfec_limit(ber: float) -> bool:
-    """True when a BER is at or below the hard-decision FEC limit 4.5e-3."""
-    return ber <= HD_FEC_BER_LIMIT
-
-
 @dataclass(frozen=True)
 class MetricsReport:
     """One branch's quality summary, serializable and table-printable.
@@ -350,6 +341,39 @@ class MetricsReport:
     below_hdfec: bool
     seed: int
     q_floored: bool = False
+
+
+def score_branches(rx, sent, constellation: Constellation):
+    """Score each row of an (N, M) read-out against the bit patterns ``sent``.
+
+    Each row is scaled by its data-aided tap, the least-squares gain onto its
+    sent symbols, in place when ``rx`` is complex128; an all-zero row has no
+    tap and raises RuntimeError.  Returns the tapped read-out, the taps, the
+    nearest-point decisions, and one dict per row of the measured
+    :class:`MetricsReport` fields, from one :func:`evm` and one
+    :func:`q_factor` call.
+    """
+    rx, sent = np.asarray(rx, dtype=np.complex128), np.asarray(sent)
+    ref = constellation.points[sent]
+    denom = [np.vdot(row, row) for row in rx]  # one product per row, as demultiplex's
+    if 0 in denom:
+        raise RuntimeError(f"branch {denom.index(0) + 1} demultiplexed to an all-zero stream")
+    taps = np.array([np.vdot(row, f) / d for row, f, d in zip(rx, ref, denom)])
+    rx *= taps[:, None]
+    scores = zip(evm(rx, ref), q_factor(rx, sent, constellation))
+    decided = _decide_indices(rx, constellation)
+    ones = np.array([bin(v).count("1") for v in range(constellation.order)])
+    errors = ones[sent ^ decided].sum(axis=1)  # bit errors: the set bits of sent ^ decided
+    n_bits = sent.shape[1] * constellation.bits_per_symbol
+    return rx, taps, decided, [dict(
+        n_bits=n_bits, evm_percent=ev.percent, evm_std_percent=ev.std_percent,
+        q_i_db=qf.q_i_db, q_q_db=qf.q_q_db, q_i_std_db=qf.q_i_std_db, q_q_std_db=qf.q_q_std_db,
+        q_capped=qf.capped_i or qf.capped_q, q_floored=qf.floored_i or qf.floored_q,
+        ber_estimated=0.5 * (_ber_estimate(qf.q_i_linear) + _ber_estimate(qf.q_q_linear)),
+        ber_estimated_log10=_log10_mean(_ber_estimate_log10(qf.q_i_linear),
+                                        _ber_estimate_log10(qf.q_q_linear)),
+        ber_count_errors=e, ber_counted=e / n_bits, below_hdfec=e / n_bits <= HD_FEC_BER_LIMIT)
+        for (ev, qf), e in zip(scores, errors.tolist())]
 
 
 def format_metrics_table(reports: list[MetricsReport]) -> str:

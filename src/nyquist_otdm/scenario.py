@@ -29,19 +29,7 @@ from .link import (
     phase_noise,
     propagate,
 )
-from .modem import (
-    BerCount,
-    Constellation,
-    MetricsReport,
-    ber_estimate,
-    ber_estimate_log10,
-    below_hdfec_limit,
-    decide_indices,
-    evm,
-    format_metrics_table,
-    log10_mean,
-    q_factor,
-)
+from .modem import Constellation, MetricsReport, format_metrics_table, score_branches
 from .mzm import (
     FlatCombCalibration,
     MzmParams,
@@ -559,45 +547,22 @@ def run_scenario(sc: Scenario, calibrations: dict | None = None) -> ReportBundle
         artifacts["spectrum_received"] = _spectrum_rows(rx, half)
 
     branches = demultiplex(rx, plan, cal)
-    aligned = sample_symbols(branches, rate,
-                             t_offset=[plan.slot(l) for l in range(1, plan.n_branches + 1)])
-    denom = [np.vdot(row, row) for row in aligned]  # one product per row, as demultiplex's
-    if 0 in denom:
-        raise RuntimeError(f"branch {denom.index(0) + 1} demultiplexed to an all-zero stream")
-    gains = [np.vdot(row, f) / d for row, f, d in zip(aligned, ref, denom)]  # data-aided taps
-    aligned *= np.array(gains)[:, None]
-    scores = zip(branches, evm(aligned, ref), q_factor(aligned, sent, const))
-    decided = decide_indices(aligned, const)
-    ones = np.array([bin(v).count("1") for v in range(const.order)])  # each pattern's set bits
-    errors = ones[sent ^ decided].sum(axis=1)  # bit errors: the set bits of sent ^ decided
-    reports = []
-    for l, (y, ev, qf) in enumerate(scores, start=1):
-        counted = BerCount(int(errors[l - 1]), n_symbols * bps)
-        est = 0.5 * (ber_estimate(qf.q_i_linear) + ber_estimate(qf.q_q_linear))
-        est_log10 = log10_mean(ber_estimate_log10(qf.q_i_linear),
-                               ber_estimate_log10(qf.q_q_linear))
-        reports.append(MetricsReport(
-            label=f"branch {l}", modulation=cfg["modulation"],
-            distance_km=sc.fiber.length_km, osnr_db=osnr_db,
-            n_symbols=n_symbols, n_bits=counted.n_bits,
-            evm_percent=ev.percent, evm_std_percent=ev.std_percent,
-            q_i_db=qf.q_i_db, q_q_db=qf.q_q_db,
-            q_i_std_db=qf.q_i_std_db, q_q_std_db=qf.q_q_std_db,
-            q_capped=qf.capped_i or qf.capped_q, q_floored=qf.floored_i or qf.floored_q,
-            ber_estimated=est, ber_estimated_log10=est_log10,
-            ber_count_errors=counted.errors, ber_counted=counted.rate,
-            below_hdfec=below_hdfec_limit(counted.rate), seed=seed))
-
+    slots = [plan.slot(l) for l in range(1, plan.n_branches + 1)]
+    aligned, gains, decided, measured = score_branches(
+        sample_symbols(branches, rate, t_offset=slots), sent, const)
+    reports = [MetricsReport(label=f"branch {l}", modulation=cfg["modulation"],
+                             distance_km=sc.fiber.length_km, osnr_db=osnr_db,
+                             n_symbols=n_symbols, seed=seed, **fields)
+               for l, fields in enumerate(measured, start=1)]
+    for l, (y, row, gain, row_decided, slot) in enumerate(
+            zip(branches, aligned, gains, decided, slots), start=1):
         if "spectra" in outputs:
-            artifacts[f"branch{l}_spectrum"] = _spectrum_rows(
-                y, plan.detection_half_width)
+            artifacts[f"branch{l}_spectrum"] = _spectrum_rows(y, plan.detection_half_width)
         if "constellation" in outputs:
             artifacts[f"branch{l}_constellation"] = (
-                "re,im,decided_symbol",
-                np.column_stack([aligned[l - 1].real, aligned[l - 1].imag,
-                                 decided[l - 1]]))
+                "re,im,decided_symbol", np.column_stack([row.real, row.imag, row_decided]))
         if "eye" in outputs:
-            artifacts[f"branch{l}_eye"] = _eye_rows(y, gains[l - 1], sc, plan.slot(l))
+            artifacts[f"branch{l}_eye"] = _eye_rows(y, gain, sc, slot)
 
     return ReportBundle(cfg, metrics=reports, calibration=cal, artifacts=artifacts)
 

@@ -16,14 +16,8 @@ from scipy.integrate import quad
 from nyquist_otdm import ChannelPlan
 from nyquist_otdm.demux import demultiplex
 from nyquist_otdm.link import FiberSpec, compensate_dispersion, dispersion_phase, propagate
-from nyquist_otdm.modem import (
-    Constellation,
-    ber_count,
-    ber_estimate,
-    q_factor,
-    qam_demap,
-    qam_map,
-)
+from nyquist_otdm.modem import Constellation, ber_count, q_factor, qam_demap, qam_map
+from nyquist_otdm.modem import _ber_estimate as ber_estimate
 from nyquist_otdm.mzm import MzmParams, calibrate_flat_comb
 from nyquist_otdm.nyquist import nyquist_interpolate, otdm_multiplex, sample_symbols
 from nyquist_otdm.scenario import parse_scenario, run_scenario, write_bundle

@@ -24,8 +24,8 @@ def test_package_exports_the_union_of_the_module_lists():
     names = [name for module in MODULES for name in module.__all__]
     assert len(names) == len(set(names))
     assert set(nyquist_otdm.__all__) - {"__version__"} == set(names)
-    assert {"write_bundle", "dispersion_phase", "constant", "decide_indices", "log10_mean",
-            "Q_CAP_DB", "Q_FLOOR_DB"} <= set(names)
+    assert {"write_bundle", "dispersion_phase", "constant", "Q_CAP_DB",
+            "Q_FLOOR_DB"} <= set(names)
     for module in MODULES:
         for name in module.__all__:
             assert getattr(nyquist_otdm, name) is getattr(module, name), name

@@ -47,6 +47,18 @@ def test_signal_rejects_non_finite_and_locks_samples():
         sig.samples[0] = 5.0
 
 
+def test_samples_and_bins_must_fit_the_grid():
+    """A signal's samples are one 1-D array of the grid's length, and its
+    band at most that many bins."""
+    grid = TimeGrid(1e9, 8)
+    with pytest.raises(ValueError, match="samples must be a 1-D array"):
+        Signal(grid, np.ones((2, 4)))
+    with pytest.raises(ValueError, match="samples length 7 does not fit grid n_samples 8"):
+        Signal(grid, np.ones(7))
+    with pytest.raises(ValueError, match="bins length 9 does not fit grid n_samples 8"):
+        Signal._of_bins(grid, np.ones(9))
+
+
 def test_signal_power():
     grid = TimeGrid(1e9, 4)
     sig = Signal(grid, np.array([1, 1j, -1, -1j], dtype=complex) * 2.0)

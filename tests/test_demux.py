@@ -100,6 +100,16 @@ def test_mzm_sampler_needs_whole_sample_slots():
         demultiplex(sig, plan, sampler)
 
 
+def test_detection_band_must_lie_below_the_grid_nyquist_limit():
+    """At a sample rate of one line spacing or less (8 GHz for 3 branches in
+    24 GHz) the line spacing holds every bin of the grid."""
+    plan = ChannelPlan(3, 24e9)
+    for sample_rate in (8e9, 4e9):
+        sig = constant(TimeGrid(sample_rate, round(sample_rate * 9 / 8e9)))
+        with pytest.raises(ValueError, match="B/\\(2N\\) must lie below the grid's"):
+            demultiplex(sig, plan)
+
+
 def test_sampler_of_another_line_count_is_refused():
     """A comb calibrated for 5 lines samples no 3-branch plan: demultiplex
     names both counts instead of returning branches read with the wrong

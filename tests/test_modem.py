@@ -16,17 +16,17 @@ from nyquist_otdm.modem import (
     Constellation,
     MetricsReport,
     QFactorResult,
+    _ber_estimate,
+    _ber_estimate_log10,
+    _decide_indices,
+    _log10_mean,
     ber_count,
-    ber_estimate,
-    ber_estimate_log10,
-    below_hdfec_limit,
-    decide_indices,
     evm,
     format_metrics_table,
-    log10_mean,
     q_factor,
     qam_demap,
     qam_map,
+    score_branches,
 )
 
 from helpers import ber_log10_erfcx, evm_directly, q_factor_directly
@@ -123,7 +123,7 @@ class TestMapping:
         ref_vals = rng.integers(0, c.order, 2000)
         noisy = c.points[ref_vals] + 0.1 * (
             rng.standard_normal(2000) + 1j * rng.standard_normal(2000))
-        decided = decide_indices(noisy, c)
+        decided = _decide_indices(noisy, c)
         brute = np.argmin(np.abs(noisy[:, None] - c.points[None, :]), axis=1)
         assert np.array_equal(decided, brute)
 
@@ -143,7 +143,7 @@ class TestMapping:
         i, q = np.searchsorted(th, syms.real.ravel()), np.searchsorted(th, syms.imag.ravel())
         expected = [np.flatnonzero(c.points == complex(levels[a], levels[b]))[0]
                     for a, b in zip(i, q)]
-        assert np.array_equal(decide_indices(syms.ravel(), c), expected)
+        assert np.array_equal(_decide_indices(syms.ravel(), c), expected)
 
 
 class TestEvm:
@@ -326,22 +326,22 @@ def test_rows_score_as_each_row_alone(order, n_rows, n_symbols, n_blocks, runs, 
 
 class TestBerEstimate:
     def test_reference_value(self):
-        assert ber_estimate(Q_REF_LINEAR) == pytest.approx(BER_AT_Q_REF, rel=1e-12)
+        assert _ber_estimate(Q_REF_LINEAR) == pytest.approx(BER_AT_Q_REF, rel=1e-12)
 
     def test_log10_agrees_where_not_underflowed(self):
         for q in (1.0, 3.0, 6.0, 8.0):
-            assert ber_estimate_log10(q) == pytest.approx(
-                math.log10(ber_estimate(q)), rel=1e-12)
+            assert _ber_estimate_log10(q) == pytest.approx(
+                math.log10(_ber_estimate(q)), rel=1e-12)
 
     def test_log10_survives_underflow(self):
         q = 40.0
-        assert ber_estimate(q) == 0.0  # the plain float has underflowed
-        val = ber_estimate_log10(q)
+        assert _ber_estimate(q) == 0.0  # the plain float has underflowed
+        val = _ber_estimate_log10(q)
         assert -350.0 < val < -348.0
 
     def test_log10_strictly_decreasing(self):
         qs = np.linspace(0.5, 50.0, 200)
-        vals = [ber_estimate_log10(q) for q in qs]
+        vals = [_ber_estimate_log10(q) for q in qs]
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
     # below x = q/sqrt(2) = 25 the function takes erfc directly, above it
@@ -356,44 +356,44 @@ class TestBerEstimate:
                              np.geomspace(0.1, 1000.0, 2001), near,
                              [np.nextafter(self.Q_SWITCH, 0.0), self.Q_SWITCH,
                               np.nextafter(self.Q_SWITCH, 100.0)]])
-        got = np.array([ber_estimate_log10(float(q)) for q in qs])
+        got = np.array([_ber_estimate_log10(float(q)) for q in qs])
         want = np.array([ber_log10_erfcx(float(q)) for q in qs])
         assert_allclose(got, want, rtol=1e-14, atol=0)
 
     @given(st.floats(0.1, 1000.0))
     def test_log10_matches_erfcx_anywhere(self, q):
-        assert ber_estimate_log10(q) == pytest.approx(ber_log10_erfcx(q),
-                                                      rel=1e-14, abs=0)
+        assert _ber_estimate_log10(q) == pytest.approx(ber_log10_erfcx(q),
+                                                       rel=1e-14, abs=0)
 
     def test_log10_strictly_decreasing_across_switch(self):
         for step in (1e-13, 1e-9, 1e-5):
             qs = self.Q_SWITCH * (1.0 + np.arange(-100, 101) * step)
-            vals = [ber_estimate_log10(float(q)) for q in qs]
+            vals = [_ber_estimate_log10(float(q)) for q in qs]
             assert all(b < a for a, b in zip(vals, vals[1:])), step
 
     def test_log10_is_minus_inf_where_the_square_overflows(self):
         """Beyond q of about 1.9e154, (q/sqrt(2))**2 is inf, as in the erfcx
         form, and so at q = inf; just below, both are finite."""
         for q in (1.9e154, 1e200, 1e300):
-            assert ber_estimate_log10(q) == ber_log10_erfcx(q) == -math.inf
-        assert ber_estimate_log10(math.inf) == -math.inf  # erfcx(inf) is 0
+            assert _ber_estimate_log10(q) == ber_log10_erfcx(q) == -math.inf
+        assert _ber_estimate_log10(math.inf) == -math.inf  # erfcx(inf) is 0
         q = 1.8e154
-        assert math.isfinite(ber_estimate_log10(q))
-        assert ber_estimate_log10(q) == pytest.approx(ber_log10_erfcx(q), rel=1e-14)
+        assert math.isfinite(_ber_estimate_log10(q))
+        assert _ber_estimate_log10(q) == pytest.approx(ber_log10_erfcx(q), rel=1e-14)
 
     def test_rejects_nonpositive_q(self):
         with pytest.raises(ValueError):
-            ber_estimate(0.0)
+            _ber_estimate(0.0)
         with pytest.raises(ValueError):
-            ber_estimate_log10(-1.0)
+            _ber_estimate_log10(-1.0)
 
 
 def test_log10_mean():
     a, b = 3.2e-4, 7.9e-6
-    got = log10_mean(math.log10(a), math.log10(b))
+    got = _log10_mean(math.log10(a), math.log10(b))
     assert got == pytest.approx(math.log10((a + b) / 2), rel=1e-12)
-    assert log10_mean(-math.inf, -math.inf) == -math.inf
-    assert log10_mean(0.0, -math.inf) == pytest.approx(math.log10(0.5))
+    assert _log10_mean(-math.inf, -math.inf) == -math.inf
+    assert _log10_mean(0.0, -math.inf) == pytest.approx(math.log10(0.5))
 
 
 class TestBerCount:
@@ -417,10 +417,47 @@ class TestBerCount:
             BerCount(errors=0, n_bits=0)
 
 
-def test_below_hdfec_limit_boundary():
-    assert below_hdfec_limit(HD_FEC_BER_LIMIT)
-    assert below_hdfec_limit(0.0)
-    assert not below_hdfec_limit(HD_FEC_BER_LIMIT * 1.01)
+class TestScoreBranches:
+    def test_hdfec_verdict_at_the_limit(self):
+        """9 errors in 2,000 bits is exactly the HD-FEC limit and passes, 10
+        does not; each flipped in-phase sign is one bit error."""
+        c = Constellation(4)
+        sent = np.random.default_rng(3).integers(0, 4, (3, 1000))
+        rx = c.points[sent]
+        for row, n_flips in zip(rx, (0, 9, 10)):
+            row[:n_flips] = -row[:n_flips].real + 1j * row[:n_flips].imag
+        measured = score_branches(rx, sent, c)[3]
+        assert [m["n_bits"] for m in measured] == [2000] * 3
+        assert [m["ber_count_errors"] for m in measured] == [0, 9, 10]
+        assert measured[1]["ber_counted"] == HD_FEC_BER_LIMIT
+        assert [m["below_hdfec"] for m in measured] == [True, True, False]
+
+    def test_taps_undo_a_complex_gain_in_place(self):
+        """The tap is the least-squares gain onto the sent symbols, applied
+        to the read-out itself, and EVM and Q score the tapped rows."""
+        c = Constellation(16)
+        rng = np.random.default_rng(8)
+        sent = rng.integers(0, 16, (2, 500))
+        ref = c.points[sent]
+        rx = (0.4 - 0.3j) * (ref + 0.05 * (rng.standard_normal(ref.shape)
+                                          + 1j * rng.standard_normal(ref.shape)))
+        tapped, taps, decided, measured = score_branches(rx, sent, c)
+        assert tapped is rx
+        assert_allclose(taps, 1 / (0.4 - 0.3j), rtol=1e-2)
+        assert np.array_equal(decided, sent)
+        for m, ev, qf in zip(measured, evm(rx, ref), q_factor(rx, sent, c)):
+            assert (m["evm_percent"], m["q_i_db"], m["q_q_db"]) == (
+                ev.percent, qf.q_i_db, qf.q_q_db)
+            assert m["ber_count_errors"] == 0 and m["ber_estimated"] == 0.5 * (
+                _ber_estimate(qf.q_i_linear) + _ber_estimate(qf.q_q_linear))
+
+    def test_an_all_zero_row_is_refused(self):
+        c = Constellation(4)
+        sent = np.zeros((3, 8), dtype=int)
+        rx = c.points[sent]
+        rx[1] = 0
+        with pytest.raises(RuntimeError, match="branch 2 demultiplexed to an all-zero"):
+            score_branches(rx, sent, c)
 
 
 def test_format_metrics_table_smoke():

@@ -70,6 +70,11 @@ class TestDeviceBasics:
             MzmParams(v_pi=0.42, eo_3db_bandwidth=16e9, eo_model="brickwall")
         with pytest.raises(ValueError):
             MzmParams(v_pi=0.42, eo_3db_bandwidth=16e9, insertion_loss_db=-1)
+        for field in ("dc_extinction_arm1_db", "dc_extinction_arm2_db"):
+            for extinction_db in (0.0, -3.0, math.nan):
+                with pytest.raises(ValueError, match="DC extinction ratios must be positive"):
+                    MzmParams(**{"v_pi": 0.42, "eo_3db_bandwidth": 16e9,
+                                 field: extinction_db})
 
     @pytest.mark.parametrize("field", ["v_pi", "eo_3db_bandwidth", "insertion_loss_db"])
     @pytest.mark.parametrize("value", [math.inf, math.nan])

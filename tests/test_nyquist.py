@@ -197,6 +197,17 @@ class TestRaisedCosine:
             with pytest.raises(ValueError, match="symbol_rate must be positive"):
                 raised_cosine_shape(np.ones(4, dtype=complex), bad, 0.0, grid)
 
+    def test_block_must_fill_the_window_below_the_sample_rate(self):
+        """The block holds one symbol per symbol period of the window, and
+        the symbol rate lies below the grid's sample rate."""
+        with pytest.raises(ValueError, match="window holds 4 symbol periods but the block has 5"):
+            raised_cosine_shape(np.ones(5, dtype=complex), 4e9, 0.0, TimeGrid(64e9, 64))
+        for rate in (8e9, 16e9):
+            grid = TimeGrid(8e9, 8)
+            with pytest.raises(ValueError, match="below the grid sample rate"):
+                raised_cosine_shape(np.ones(round(rate * grid.duration), dtype=complex),
+                                    rate, 0.0, grid)
+
     def test_symbol_block_validation(self):
         """A symbol block must be a non-empty 1-D array."""
         grid = TimeGrid(64e9, 64)
@@ -284,6 +295,18 @@ class TestMultiplex:
         blocks = random_symbols(plan, 9, np.random.default_rng(0))
         with pytest.raises(ValueError):
             otdm_multiplex(blocks[:2], plan.symbol_rate, plan, grid)
+        parts = [nyquist_interpolate(block, plan.symbol_rate, grid) for block in blocks]
+        for wrong in (parts[:2], parts + parts[:1]):
+            with pytest.raises(ValueError, match=f"expected 3 branch signals, got {len(wrong)}"):
+                multiplex_branch_signals(wrong, plan)
+
+    def test_window_must_hold_a_sequence_period(self):
+        """A window of 8e-10 sequence periods snaps to 0 whole ones, which
+        hold no sequence line."""
+        plan = ChannelPlan(3, 24e9)
+        sig = Signal(TimeGrid(1e19, 1), np.ones(1))
+        with pytest.raises(ValueError, match="at least one sequence period"):
+            multiplex_branch_signals([sig] * 3, plan)
 
 
 def test_sample_symbols_requires_on_grid_instants():

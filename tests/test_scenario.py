@@ -27,7 +27,7 @@ from helpers import (
     times,
 )
 import nyquist_otdm
-from nyquist_otdm import Signal, TimeGrid, scenario, spectrum
+from nyquist_otdm import Signal, TimeGrid, cli, modem, scenario, spectrum
 from nyquist_otdm.cli import main
 from nyquist_otdm.modem import Q_FLOOR_DB
 from nyquist_otdm.mzm import MzmParams, calibrate_flat_comb, eo_response
@@ -263,6 +263,33 @@ class TestParsing:
             with pytest.raises(ConfigError) as err:
                 parse_scenario(cfg)
             assert err.value.field == path
+
+    @pytest.mark.parametrize("mutate, field, message", [
+        (lambda c: c["plan"].pop("aggregate_bandwidth_hz"), "plan.aggregate_bandwidth_hz",
+         "missing required field"),
+        (lambda c: c["plan"].update(aggregate_bandwidth_hz=None), "plan.aggregate_bandwidth_hz",
+         "must not be null"),
+        (lambda c: c.update(fiber=3), "fiber", "expected an object"),
+        (lambda c: c.update(shaping={"kind": "raised_cosine", "rolloff": 0.5}),
+         "shaping.symbol_rate_hz", "missing required field"),
+        (lambda c: c.update(shaping={"kind": "raised_cosine", "symbol_rate_hz": 4e9}),
+         "shaping.rolloff", "missing required field"),
+        (lambda c: c.update(shaping={"kind": "raised_cosine", "symbol_rate_hz": 7e9,
+                                     "rolloff": 0.0}),
+         "shaping.symbol_rate_hz", "symbol period must hold an integer number of samples"),
+    ], ids=["missing-bandwidth", "null-bandwidth", "fiber-not-an-object", "rc-missing-rate",
+            "rc-missing-rolloff", "rc-7-gbd-in-24-ghz"])
+    def test_parse_error_names_its_field(self, mutate, field, message):
+        cfg = base_config()
+        mutate(cfg)
+        with pytest.raises(ConfigError) as err:
+            parse_scenario(cfg)
+        assert (err.value.field, str(err.value)) == (field, f"{field}: {message}")
+
+    def test_parse_refuses_a_non_object(self):
+        with pytest.raises(ConfigError) as err:
+            parse_scenario([])
+        assert (err.value.field, str(err.value)) == ("", "config must be a JSON object")
 
     def test_window_must_hold_whole_periods(self):
         cfg = base_config(
@@ -754,10 +781,10 @@ class TestBenchmarkNames:
         """One evm and one q_factor call per transmission run, whatever N."""
         calls = dict.fromkeys(("evm", "q_factor"), 0)
         for name in calls:
-            def counted(*args, _name=name, _fn=getattr(scenario, name), **kwargs):
+            def counted(*args, _name=name, _fn=getattr(modem, name), **kwargs):
                 calls[_name] += 1
                 return _fn(*args, **kwargs)
-            monkeypatch.setattr(scenario, name, counted)
+            monkeypatch.setattr(modem, name, counted)
         bundle = run_scenario(parse_scenario({
             "version": 1, "modulation": "16qam", "n_symbols": 9, "noise": {"osnr_db": 20.0},
             "plan": {"n_branches": n_branches, "aggregate_bandwidth_hz": n_branches * 8e9}}))
@@ -1247,6 +1274,13 @@ class TestCli:
         assert main(["validate", str(p)]) == 2
         assert "bogus" in capsys.readouterr().err
 
+    def test_validate_missing_field_exits_2(self, tmp_path, capsys):
+        cfg = base_config()
+        del cfg["plan"]["aggregate_bandwidth_hz"]
+        assert main(["validate", str(self.write_cfg(tmp_path, cfg))]) == 2
+        assert capsys.readouterr().err == (
+            "error: plan.aggregate_bandwidth_hz: missing required field\n")
+
     def test_validate_bad_json(self, tmp_path, capsys):
         p = tmp_path / "broken.json"
         p.write_text("{not json")
@@ -1311,6 +1345,43 @@ class TestCli:
         assert (proc.returncode, err) == (0, b"")
         assert len(list(out.glob("*.csv"))) == 11
         assert json.loads((out / "metrics.json").read_text())["reports"]
+
+    def test_run_into_a_pipe_closed_after_one_line_in_process(self, tmp_path, monkeypatch):
+        """The same in this process: stdout is a pipe whose reader takes the
+        first line and closes it before the bundle is written, so the next
+        line meets the closed pipe; stdout becomes os.devnull, the bundle is
+        written whole and the run exits 0."""
+        read_fd, write_fd = os.pipe()
+        stdout = os.fdopen(write_fd, "w")
+        monkeypatch.setattr(sys, "stdout", stdout)
+        first = []
+        write = cli.write_bundle
+
+        def hang_up_then_write(bundle, out_dir):
+            with os.fdopen(read_fd, "rb") as reader:
+                first.append(reader.readline())
+            return write(bundle, out_dir)
+        monkeypatch.setattr(cli, "write_bundle", hang_up_then_write)
+        out = tmp_path / "out"
+        try:
+            assert main(["run", str(SCENARIO_DIR / "nyquist_qpsk_8gbd_30km.json"),
+                         "--out-dir", str(out)]) == 0
+        finally:
+            stdout.close()
+        assert first[0].startswith(b"branch")
+        assert len(list(out.glob("*.csv"))) == 11
+        assert json.loads((out / "metrics.json").read_text())["reports"]
+
+    def test_run_into_an_existing_file_exits_1(self, tmp_path, capsys):
+        """An --out-dir that is a file cannot hold a bundle: one error line,
+        exit code 1, no traceback."""
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert main(["run", str(self.write_cfg(tmp_path, base_config())),
+                     "--out-dir", str(taken)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_run_reports_a_floored_q(self, tmp_path):
         """Clusters that overlap entirely (100 MHz linewidth at 20 dB OSNR)
@@ -1384,6 +1455,9 @@ class TestCli:
         p = self.write_cfg(tmp_path, base_config())
         assert main(["sweep", str(p), "--param", "noise.osnr_db",
                      "--values", "20,apple"]) == 2
+        capsys.readouterr()
+        assert main(["sweep", str(p), "--param", "noise.osnr_db", "--values", "1,,2"]) == 2
+        assert capsys.readouterr().err == "error: --values: empty value in list\n"
 
     def test_calibrate_comb_cli(self, tmp_path, capsys):
         out = tmp_path / "cal"
