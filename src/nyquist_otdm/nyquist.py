@@ -37,6 +37,16 @@ def _require_integer(value: float, what: str) -> int:
     return n
 
 
+def _ramp(first: int, count: int, step, n: int, sign: int) -> np.ndarray:
+    """``exp(sign*2j*pi*((k*step) mod n)/n)`` for k = first .. first+count-1:
+    a coarse ramp over k = first + q*a times a fine one over k = b < q, each
+    in whole turns, q about sqrt(count): 2*sqrt(count) exponentials, not count."""
+    q = int(count ** 0.5) + 1
+    coarse, fine = (np.exp(sign * 2j * np.pi * ((k * step) % n) / n)
+                    for k in (first + q * np.arange(-(-count // q)), np.arange(q)))
+    return np.outer(coarse, fine).ravel()[:count]
+
+
 def _branch_rows(lines, orders: np.ndarray, n_branches: int) -> np.ndarray:
     """Every branch's coefficients of a pulse train whose lines ``lines`` sit
     at the integer ``orders`` times the branch rate: row l-1 is branch 1's
@@ -72,10 +82,14 @@ def raised_cosine_shape(symbols, symbol_rate: float, rolloff: float,
     symbols = np.asarray(symbols, dtype=np.complex128)
     if symbols.ndim != 1 or symbols.shape[0] == 0:
         raise ValueError("symbols must be a non-empty 1-D array")
+    if not np.isfinite(symbols).all():
+        raise ValueError("symbols must be finite")
     if not 0.0 <= rolloff <= 1.0:
         raise ValueError(f"rolloff must lie in [0, 1], got {rolloff:g}")
-    if not symbol_rate > 0:
-        raise ValueError("symbol_rate must be positive")
+    if not 0 < symbol_rate < np.inf:
+        raise ValueError("symbol_rate must be positive and finite")
+    if not np.isfinite(t_offset):
+        raise ValueError(f"t_offset must be finite, got {t_offset:g}")
     m_sym = symbols.shape[0]
     window_symbols = _require_integer(grid.duration * symbol_rate,
                                       "grid window in symbol periods")
@@ -101,8 +115,7 @@ def raised_cosine_shape(symbols, symbol_rate: float, rolloff: float,
     # / M at bins k, phase-referenced to the first symbol instant; the shaped
     # signal's bins are those lines times the shape times n, each delayed by
     # the offset's s samples: (k*s) mod n of n turns, whole for whole s.
-    s = _snapped(t_offset * grid.sample_rate)
-    ramp = np.exp(-2j * np.pi * ((k * s) % n) / n)
+    ramp = _ramp(int(k[0]), k.size, _snapped(t_offset * grid.sample_rate), n, -1)
     bins = (n / m_sym) * shape * ramp * np.fft.fft(symbols)[k % m_sym]
     return Signal._of_bins(grid, bins, int(k[0]))
 
@@ -115,13 +128,15 @@ def sample_symbols(sig, symbol_rate: float, t_offset=0.0) -> np.ndarray:
     signal's bins: folded onto M bins, then one M-point inverse FFT.  N
     signals on one grid and N offsets read as (N, M), one batched inverse FFT.
     """
-    if not symbol_rate > 0:
-        raise ValueError("symbol_rate must be positive")
+    if not 0 < symbol_rate < np.inf:
+        raise ValueError("symbol_rate must be positive and finite")
     one = isinstance(sig, Signal)
     sigs, offsets = ([sig], [t_offset]) if one else (list(sig), t_offset)
     if (not sigs or np.ndim(offsets) != 1 or len(offsets) != len(sigs)
             or not all(isinstance(s, Signal) and s.grid == sigs[0].grid for s in sigs)):
         raise ValueError("expected one or more signals, one offset per signal, all on one grid")
+    if not np.isfinite(offsets).all():
+        raise ValueError("t_offset must be finite")
     grid = sigs[0].grid
     n = grid.n_samples
     sps = _require_integer(grid.sample_rate / symbol_rate, "samples per symbol")
@@ -139,7 +154,7 @@ def sample_symbols(sig, symbol_rate: float, t_offset=0.0) -> np.ndarray:
         rows = s._window(int(a[0]) * m_sym, a.size * m_sym).reshape(a.size, m_sym)
         turns = np.exp(2j * np.pi * ((a * start) % sps) / sps)
         fold[:] = sum(turns[i] * rows[i] for i in np.argsort(a % sps, kind="stable"))
-        fold *= np.exp(2j * np.pi * ((np.arange(m_sym) * start) % n) / n)
+        fold *= _ramp(0, m_sym, start, n, 1)
     symbols = np.fft.ifft(folds, axis=-1)
     symbols /= sps  # in place: the (N, M) reads set a run's peak memory
     return symbols[0] if one else symbols

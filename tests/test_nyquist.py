@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from nyquist_otdm import ChannelPlan, Signal, TimeGrid, spectrum
 from nyquist_otdm.demux import demultiplex
 from nyquist_otdm.nyquist import (
+    _ramp,
     _sequence_lines,
     multiplex_branch_signals,
     nyquist_interpolate,
@@ -193,7 +196,7 @@ class TestRaisedCosine:
         """A rate at or below zero, or NaN, is named, not met as a window
         that holds a negative or NaN count of symbols."""
         grid = TimeGrid(64e9, 64)
-        for bad in (0.0, -4e9, float("nan")):
+        for bad in (0.0, -4e9, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="symbol_rate must be positive"):
                 raised_cosine_shape(np.ones(4, dtype=complex), bad, 0.0, grid)
 
@@ -207,6 +210,18 @@ class TestRaisedCosine:
             with pytest.raises(ValueError, match="below the grid sample rate"):
                 raised_cosine_shape(np.ones(round(rate * grid.duration), dtype=complex),
                                     rate, 0.0, grid)
+
+    def test_offset_and_symbols_must_be_finite(self):
+        """A NaN or infinite offset, or a symbol with a NaN or infinite part,
+        is named before any arithmetic runs on it (a numpy warning fails the
+        suite)."""
+        grid = TimeGrid(64e9, 64)
+        for bad in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError, match="t_offset must be finite"):
+                raised_cosine_shape(np.ones(4, dtype=complex), 4e9, 0.0, grid, t_offset=bad)
+            for symbol in (bad, complex(1.0, bad)):
+                with pytest.raises(ValueError, match="symbols must be finite"):
+                    raised_cosine_shape(np.array([1, symbol, 1, 1]), 4e9, 0.35, grid)
 
     def test_symbol_block_validation(self):
         """A symbol block must be a non-empty 1-D array."""
@@ -341,6 +356,35 @@ def test_sample_symbols_requires_a_positive_rate():
     """A rate at or below zero is refused, not read as a negative step in
     samples."""
     sig = nyquist_interpolate(np.ones(5, dtype=complex), 0.5e9, TimeGrid(10e9, 100))
-    for bad in (0.0, -0.5e9, float("nan")):
+    for bad in (0.0, -0.5e9, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="symbol_rate must be positive"):
             sample_symbols(sig, bad)
+
+
+def test_sample_symbols_requires_finite_offsets():
+    """A NaN or infinite offset is named, not met as a sample count that
+    cannot be rounded."""
+    sig = nyquist_interpolate(np.ones(5, dtype=complex), 0.5e9, TimeGrid(10e9, 100))
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="t_offset must be finite"):
+            sample_symbols(sig, 0.5e9, bad)
+        with pytest.raises(ValueError, match="t_offset must be finite"):
+            sample_symbols([sig, sig], 0.5e9, [0.0, bad])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(n=st.integers(1, 400_000), count=st.integers(1, 20_000),
+       first=st.integers(-400_000, 400_000), step=st.integers(-800_000, 800_000),
+       sign=st.sampled_from([-1, 1]))
+@example(n=64, count=1, first=0, step=5, sign=-1)
+@example(n=64, count=40, first=-20, step=0, sign=-1)
+@example(n=7, count=50, first=-31, step=23, sign=1)
+@example(n=262_440, count=6_561, first=0, step=262_440 * 3 + 1, sign=1)
+def test_ramp_is_the_whole_turn_exponential(n, count, first, step, sign):
+    """The coarse-times-fine ramp equals one exponential a bin, for any
+    first bin (negative too), any count (one too) and any integer step
+    (zero and steps of n or more too)."""
+    ramp = _ramp(first, count, step, n, sign)
+    k = np.arange(first, first + count)
+    assert ramp.shape == (count,)
+    assert np.max(np.abs(ramp - np.exp(sign * 2j * np.pi * ((k * step) % n) / n))) <= 4e-15
